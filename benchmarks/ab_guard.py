@@ -144,71 +144,6 @@ ITERATIONS = {
     "batched_invoke_sizes[32]": 20,
 }
 
-# ----------------------------------------------------- pipelined guard
-
-PIPELINED_SCENARIO = "sharded_closed_loop_round[pipelined-vs-serial]"
-PIPELINED_ITERATIONS = 3
-#: documented bound for the pipelined arm on a host where the overlap
-#: buys nothing (single core): the deferral machinery — handle capture,
-#: FIFO flush chaining, pool handoff, idle drains — may tax the round,
-#: but the tax must stay bounded; multi-core hosts see a ratio < 1
-PIPELINED_THRESHOLD = 1.40
-
-
-def _build_pipelined_arm(backend: str):
-    """A sharded closed-loop round under one execution backend.
-
-    ``streaming=False`` in both arms so the ratio isolates the execution
-    backend (the deferred-seal machinery), not the verifier.
-    """
-    from repro.kvstore import get, put
-    from repro.sharding import ShardRouter, ShardedCluster
-
-    cluster = ShardedCluster(
-        shards=2, clients=4, seed=11, streaming=False, execution=backend
-    )
-    router = ShardRouter(cluster)
-    keys = [f"guard-{index}" for index in range(8)]
-
-    def round_fn() -> None:
-        for client_id in cluster.client_ids:
-            for key in keys:
-                router.submit(client_id, put(key, "v"))
-                router.submit(client_id, get(key))
-        cluster.run()
-
-    round_fn()  # warm: provision channels, seal caches, first batches
-    return round_fn
-
-
-def run_interleaved_pipelined(*, rounds: int, warmup: int) -> dict:
-    """ABBA-interleaved pipelined vs serial closed-loop rounds."""
-    import gc
-
-    arm_fns = {
-        "on": _build_pipelined_arm("pipelined"),
-        "off": _build_pipelined_arm("serial"),
-    }
-    timings = {"on": [], "off": []}
-    ratios = []
-    for round_number in range(warmup + rounds):
-        order = ("on", "off") if round_number % 2 == 0 else ("off", "on")
-        gc.collect()
-        gc.disable()
-        try:
-            per_op = {
-                arm: _time_round(arm_fns[arm], PIPELINED_ITERATIONS)
-                for arm in order
-            }
-        finally:
-            gc.enable()
-        if round_number >= warmup:
-            timings["on"].append(per_op["on"])
-            timings["off"].append(per_op["off"])
-            ratios.append(per_op["on"] / per_op["off"])
-    return {"timings": timings, "ratios": ratios}
-
-
 # ------------------------------------------------------- tracing guard
 
 TRACING_SCENARIO = "sharded_closed_loop_round"
@@ -348,15 +283,12 @@ def main() -> None:
         "bounded-tax ceiling)",
     )
     parser.add_argument(
-        "--guard", choices=("hotpath", "tracing", "pipelined"),
+        "--guard", choices=("hotpath", "tracing"),
         default="hotpath",
         help="hotpath: registry-free invoke path with the plane merely "
         "alive in-process (gated-instrumentation guard); tracing: "
         "sharded closed-loop round with tracing+export ON vs OFF "
-        "(bounded-overhead guard for the opt-in plane); pipelined: the "
-        "same round under the pipelined vs serial execution backend "
-        "(bounded-overhead guard for the deferred-seal machinery on "
-        "hosts where the overlap buys nothing)",
+        "(bounded-overhead guard for the opt-in plane)",
     )
     parser.add_argument(
         "--arm", choices=("on", "off"), default=None,
@@ -370,28 +302,13 @@ def main() -> None:
     )
     args = parser.parse_args()
     if args.threshold is None:
-        args.threshold = {
-            "tracing": TRACING_THRESHOLD,
-            "pipelined": PIPELINED_THRESHOLD,
-        }.get(args.guard, 1.05)
+        args.threshold = TRACING_THRESHOLD if args.guard == "tracing" else 1.05
 
-    if args.guard in ("tracing", "pipelined"):
+    if args.guard == "tracing":
         if args.arm is not None:
             parser.error("--arm only applies to --guard hotpath")
-        if args.guard == "tracing":
-            scenario = TRACING_SCENARIO
-            result = run_interleaved_tracing(
-                rounds=args.rounds, warmup=args.warmup
-            )
-            overhead = "tracing-on"
-            what = "tracing+export overhead"
-        else:
-            scenario = PIPELINED_SCENARIO
-            result = run_interleaved_pipelined(
-                rounds=args.rounds, warmup=args.warmup
-            )
-            overhead = "pipelined-backend"
-            what = "deferred-seal machinery overhead"
+        scenario = TRACING_SCENARIO
+        result = run_interleaved_tracing(rounds=args.rounds, warmup=args.warmup)
         median_on = statistics.median(result["timings"]["on"])
         median_off = statistics.median(result["timings"]["off"])
         ratio = statistics.median(result["ratios"])
@@ -422,12 +339,12 @@ def main() -> None:
             )
         if ratio > args.threshold:
             print(
-                f"AB GUARD FAILED: {overhead} overhead {ratio:.3f}x beyond "
+                f"AB GUARD FAILED: tracing-on overhead {ratio:.3f}x beyond "
                 f"the documented {args.threshold:.2f}x bound"
             )
             raise SystemExit(1)
         print(
-            f"ab guard ok: {what} bounded "
+            "ab guard ok: tracing+export overhead bounded "
             f"(<= {args.threshold:.2f}x median round ratio)"
         )
         return

@@ -186,39 +186,6 @@ def test_micro_parallel_invoke_4shards(benchmark):
         )
 
 
-def test_micro_pipelined_invoke(benchmark):
-    """A fixed closed-loop sharded round under the pipelined backend's
-    default (wall-only) mode: every batch's ``state_seal`` flush runs on
-    the worker pool, overlapped with the next batch's ecall, while the
-    virtual schedule — and every byte of evidence — stays the serial
-    backend's.  What this tracks is the cost of the deferral machinery
-    itself (handle capture, FIFO flush chaining, idle drains); on a
-    multi-core box the overlap turns into real wall-clock savings.
-    Older revisions without the pipelined backend skip
-    (stash-interleaved A/B)."""
-    from repro.server import execution as execution_mod
-
-    if getattr(execution_mod, "PipelinedBackend", None) is None:
-        pytest.skip("revision predates the pipelined execution backend")
-    from repro.sharding import ShardRouter, ShardedCluster
-
-    cluster = ShardedCluster(shards=2, clients=4, seed=17, execution="pipelined")
-    router = ShardRouter(cluster)
-
-    def one_round():
-        for client_id in cluster.client_ids:
-            for i in range(4):
-                router.submit(client_id, put(f"k-{i}", "v" * 64))
-        cluster.run()
-
-    benchmark.pedantic(one_round, rounds=10, iterations=1, warmup_rounds=2)
-    gauges = cluster.metrics()["gauges"]
-    assert gauges.get("dispatch.seals_deferred", 0) > 0
-    assert all(
-        cluster.shard_violation(sid) is None for sid in cluster.shard_ids
-    )
-
-
 def test_micro_shard_scaling(benchmark):
     """A fixed uniform workload over 2 sharded groups vs. the same keys
     funneled through 1 group — the per-round cost of the routed path,

@@ -165,26 +165,6 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
                     router.submit(client_id, put(f"k-{i}", "v" * 64))
             cluster.run()
 
-    # pipelined execution: the same kind of closed-loop round with every
-    # batch's state-seal flush deferred onto the worker pool (the
-    # wall-only parity mode) — tracks the deferral machinery's cost
-    pipelined_round = None
-    try:
-        from repro.server.execution import PipelinedBackend  # noqa: F401
-
-        pipelined_cluster = ShardedCluster(
-            shards=2, clients=4, seed=17, execution="pipelined"
-        )
-        pipelined_router = ShardRouter(pipelined_cluster)
-
-        def pipelined_round():
-            for client_id in pipelined_cluster.client_ids:
-                for i in range(4):
-                    pipelined_router.submit(client_id, put(f"k-{i}", "v" * 64))
-            pipelined_cluster.run()
-    except ImportError:
-        pass  # stash-interleaved A/B against a revision without the backend
-
     # elastic resharding: a control-plane split + merge on a quiet
     # populated cluster (provision, quiescence barrier, per-arc handoffs,
     # two ring swaps); the cluster returns to 2 shards every iteration
@@ -266,13 +246,6 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
         "test_micro_txn_group_commit[4]": group_commit(4),
         "test_micro_elastic_reshard": elastic_reshard,
     }
-    if pipelined_round is not None:
-        scenarios["test_micro_pipelined_invoke"] = pipelined_round
-    else:
-        print(
-            "  test_micro_pipelined_invoke: skipped — revision predates "
-            "the pipelined execution backend"
-        )
     slow_scenarios = {
         "test_micro_elastic_reshard",  # tens of ms per call
         "test_micro_txn_group_commit[2]",

@@ -39,10 +39,10 @@ Subcommands::
     python -m repro.cli frontier [--shards N ...] [--duration S]
                                  [--seeds N] [--output FILE] [--quick]
         Map the open-loop latency–throughput frontier: Poisson arrivals
-        at a ladder of offered rates, serial vs the pipelined backend's
-        virtual-split cost model, per-cell p50/p95/p99, queue and skew
-        gauges, saturation detection, and the per-arm saturation
-        throughput ratio.  --quick runs a tiny sweep and asserts
+        at a ladder of offered rates, serial vs the pipelined arm (the
+        dispatcher's seal_share cost model), per-cell p50/p95/p99, queue
+        and skew gauges, saturation detection, and the per-arm
+        saturation throughput ratio.  --quick runs a tiny sweep and asserts
         monotone achieved throughput plus zero violations below
         saturation (the CI smoke).
 
@@ -628,9 +628,9 @@ def build_parser() -> argparse.ArgumentParser:
     parallel.add_argument("--seed", type=int, default=0)
     parallel.add_argument(
         "--backends", nargs="+", default=["serial", "threaded"],
-        choices=["serial", "threaded", "pipelined", "process"],
+        choices=["serial", "threaded"],
         help="execution backends to compare (evidence must stay "
-        "byte-identical across all of them)",
+        "byte-identical across them)",
     )
     parallel.set_defaults(handler=_cmd_parallel)
 
@@ -641,7 +641,9 @@ def build_parser() -> argparse.ArgumentParser:
     frontier.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
     frontier.add_argument(
         "--backends", nargs="+", default=["serial", "pipelined"],
-        choices=["serial", "threaded", "pipelined", "process"],
+        choices=["serial", "threaded", "pipelined"],
+        help="arms to sweep; 'pipelined' is the seal_share cost model "
+        "over the serial backend, not an execution backend",
     )
     frontier.add_argument("--duration", type=float, default=0.25,
                           help="virtual seconds of Poisson arrivals per cell")

@@ -91,7 +91,6 @@ under a fresh nonce.
 from __future__ import annotations
 
 import collections
-import threading
 from bisect import bisect_left, insort
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
@@ -258,35 +257,6 @@ _OP_DECODE_CACHE: collections.OrderedDict[bytes, list] = collections.OrderedDict
 _OP_DECODE_CACHE_MAX = 1024
 
 
-class _PendingSeal:
-    """A run-once handle for one deferred state-seal flush.
-
-    Created inside the ``invoke_batch_deferred`` ecall and handed to the
-    (untrusted) host through the ecall result.  :meth:`run` executes the
-    seal assembly and the ``ocall_store`` exactly once, whichever caller
-    gets there first — the execution backend's flush worker, the next
-    barrier ecall's forced join, or enclave teardown; later callers
-    return immediately.  A flush failure propagates only to the caller
-    that actually ran it (everyone else must not re-raise a failure that
-    was already surfaced at the flush's own join point).
-    """
-
-    __slots__ = ("_fn", "_lock", "done")
-
-    def __init__(self, fn: Callable[[], None]) -> None:
-        self._fn = fn
-        self._lock = threading.Lock()
-        self.done = False
-
-    def run(self) -> None:
-        with self._lock:
-            if self.done:
-                return
-            fn = self._fn
-            self._fn = None
-            self.done = True  # a raising flush is not retried
-            fn()
-
 #: Canonical encodings of recently produced scalar results (hot values
 #: repeat under real workloads).  Key types are restricted to those that
 #: are unambiguous as dict keys — ``True`` and ``1`` compare equal but
@@ -420,19 +390,9 @@ class LcmContext:
         self._handoff_sessions: dict[bytes, _HandoffSession] = {}
         self._migrated_out = False
         self.audit_log: list[AuditRecord] = []
-        # deferred state-seal flushes (pipelined execution backend): each
-        # ``invoke_batch_deferred`` ecall may leave one _PendingSeal here;
-        # barrier ecalls and teardown force them in submission order.
-        self._pending_seals: collections.deque[_PendingSeal] = collections.deque()
-        self._defer_seal = False
-        self._deferred_handle: _PendingSeal | None = None
-        self._install_handlers()
-
-    def _install_handlers(self) -> None:
         self._handlers: dict[str, Callable[[Any], Any]] = {
             "invoke": self._ecall_invoke,
             "invoke_batch": self._ecall_invoke_batch,
-            "invoke_batch_deferred": self._ecall_invoke_batch_deferred,
             "attest": self._ecall_attest,
             "provision": self._ecall_provision,
             "admin": self._ecall_admin,
@@ -848,189 +808,12 @@ class LcmContext:
         """Seal the state and persist it through the (untrusted) host."""
         self._env.ocall_store(self._sealed_blob())
 
-    # --------------------------------------------------------- deferred seals
-
-    def flush_pending_seals(self) -> None:
-        """Run every deferred state-seal flush, in submission order."""
-        pending = self._pending_seals
-        while pending:
-            pending.popleft().run()
-
-    def _seal_and_store_batched(self) -> None:
-        """The state-seal stage of a batch ecall: deferred when eligible.
-
-        Eligibility mirrors exactly what the deferred closure can
-        reproduce off the main thread without drawing nonces or touching
-        shared caches: the static sections already sealed, no rows
-        dirtied outside the invoke path, and the assembly buffers
-        canonical.  Anything else (first seal after provision or restore,
-        membership events, kC rotation) seals synchronously — after
-        joining earlier flushes, which may still be in flight because
-        ``invoke_batch_deferred`` is not a barrier ecall.
-        """
-        if (
-            self._defer_seal
-            and self._key_blob is not None
-            and self._static_blob is not None
-            and not self._dirty_rows
-            and not self._rows_unsorted
-        ):
-            self._defer_state_seal()
-            return
-        if self._pending_seals:
-            self.flush_pending_seals()
-        self._seal_and_store()
-
-    def _defer_state_seal(self) -> None:
-        """Capture the seal as a run-once closure instead of running it.
-
-        Every *decision* the synchronous path makes — is the cached state
-        box stale, which nonce seals the fresh one — happens here, now,
-        on the main thread, in the exact order
-        :meth:`_refresh_dynamic_seals` would make it.  That keeps the
-        :class:`~repro.crypto.aead.NonceSequence` position, and therefore
-        every later box on the wire, byte-identical to the serial
-        backend.  Only the pure byte assembly (encode, encrypt, hash,
-        join) and the ``ocall_store`` are deferred.
-
-        The closure snapshots the assembly buffers (the next batch's
-        reply pass patches row slots in place) but reads
-        ``self._state_seal`` lazily in the not-stale case: flushes run in
-        submission order (the execution backend FIFO-chains them; forced
-        joins drain the deque front-first), so by the time flush N+1
-        reads the cached box, flush N has written it.
-        """
-        state = self._state
-        stale = self._state_seal is None or state is not self._state_seal_obj
-        nonce = self._next_nonce() if stale else None
-        if stale:
-            self._state_seal_obj = state
-        env = self._env
-        state_key = self._state_key
-        key_blob = self._key_blob
-        static_blob = self._static_blob
-        static_hash = self._static_blob_hash
-        blob_pieces = list(self._row_blob_pieces)
-        manifest_pieces = list(self._row_manifest_pieces)
-        audit = self._audit
-
-        def flush() -> None:
-            if stale:
-                encoded_state = serde.encode(state)
-                box = stream_encrypt(encoded_state, state_key, nonce=nonce)
-                framed = (
-                    _frame_bytes(box),
-                    _frame_bytes(_sha256(box).digest()),
-                )
-                self._state_seal = framed
-                if audit:
-                    self._state_enc_audit = encoded_state
-            else:
-                framed = self._state_seal
-                if (
-                    audit
-                    and self._state_enc_audit is not None
-                    and serde.encode(state) != self._state_enc_audit
-                ):
-                    raise ConfigurationError(
-                        "functionality mutated the service state in place; "
-                        "the sealed state would go stale "
-                        "(see Functionality.apply)"
-                    )
-            framed_state_box, framed_state_hash = framed
-            manifest = self._build_manifest(
-                static_hash, framed_state_hash, manifest_pieces
-            )
-            tag = mac_tag(manifest, state_key, associated_data=_MANIFEST_AD)
-            parts = [
-                _THREE_LIST_HEADER,
-                framed_state_box,
-                _dict_header(len(blob_pieces)),
-            ]
-            parts += blob_pieces
-            parts.append(_frame_bytes(tag))
-            dynamic = b"".join(parts)
-            env.ocall_store(
-                b"".join(
-                    [
-                        _THREE_LIST_HEADER,
-                        key_blob,
-                        static_blob,
-                        _frame_bytes(dynamic),
-                    ]
-                )
-            )
-
-        handle = _PendingSeal(flush)
-        self._pending_seals.append(handle)
-        self._deferred_handle = handle
-
-    # -------------------------------------------------- process-pool transport
-
-    #: fields that do not cross a process boundary: the enclave
-    #: environment and stage probe belong to the hosting process, the
-    #: handler table holds bound methods, and pending seal flushes hold
-    #: closures (they are forced before export, so nothing is lost).
-    _TRANSIENT_FIELDS = (
-        "_env", "_stage_probe", "_handlers",
-        "_pending_seals", "_defer_seal", "_deferred_handle",
-    )
-
-    def __getstate__(self) -> dict:
-        if self._pending_seals:
-            self.flush_pending_seals()
-        state = dict(self.__dict__)
-        for name in self._TRANSIENT_FIELDS:
-            state.pop(name, None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._env = None
-        self._stage_probe = None
-        self._pending_seals = collections.deque()
-        self._defer_seal = False
-        self._deferred_handle = None
-        self._install_handlers()
-
-    def adopt_exec_state(self, state: dict) -> None:
-        """Adopt the post-batch state of a process-pool replica.
-
-        The ``process`` execution backend runs a batch ecall against a
-        pickled copy of this context in a worker process and ships the
-        mutated fields back; everything except the process-local
-        transients (environment, probe, handler table, pending flushes)
-        is overwritten wholesale — including a recorded halt, so the
-        replica's violation verdict survives adoption.
-        """
-        preserved = {
-            name: getattr(self, name) for name in self._TRANSIENT_FIELDS
-        }
-        self.__dict__.update(state)
-        self.__dict__.update(preserved)
-
     # ----------------------------------------------------------------- ecalls
-
-    #: ecalls that read, replace, or invalidate the sealed state (or its
-    #: caches) and therefore must observe a durably completed seal before
-    #: running.  ``status``/``txn_status`` and the audit exports are
-    #: deliberately absent: they touch only volatile fields, and forcing
-    #: the flush there would re-serialize the seal at every streaming-audit
-    #: harvest boundary.  ``invoke_batch_deferred`` is absent because its
-    #: own seal step joins earlier flushes exactly when it cannot defer.
-    _SEAL_BARRIER_ECALLS = frozenset({
-        "invoke", "invoke_batch", "provision", "admin",
-        "migration_challenge", "migration_export", "migration_import",
-        "handoff_challenge", "handoff_export", "handoff_import",
-        "handoff_session_check",
-    })
 
     def ecall(self, name: str, payload: Any) -> Any:
         """Dispatch one enclave call; refuses everything once halted."""
         if self._halted is not None:
             raise type(self._halted)(f"context halted: {self._halted}")
-        if self._pending_seals and name in self._SEAL_BARRIER_ECALLS:
-            self.flush_pending_seals()
         handler = self._handlers.get(name)
         if handler is None:
             raise ConfigurationError(f"unknown ecall {name!r}")
@@ -1152,36 +935,13 @@ class LcmContext:
                     wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
                 ))
             return outcome
-        self._seal_and_store_batched()
+        self._seal_and_store()
         if timed:
             probe(self._stage_record(
                 "python-batch", len(messages), per_op,
                 wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
             ))
         return boxes
-
-    def _ecall_invoke_batch_deferred(self, messages: list[bytes]):
-        """``invoke_batch`` with the state-seal stage handed back as a
-        run-once handle (pipelined execution backend).
-
-        The reply boxes are byte-identical to a plain ``invoke_batch``
-        and the seal, once flushed, stores byte-identical blobs — the
-        only difference is *when* the store happens.  ``seal`` is None
-        when the batch sealed synchronously anyway (cache invalidation,
-        membership events) — the store is already durable in that case.
-        """
-        if self._piggyback_state:
-            raise ConfigurationError(
-                "piggyback_state already returns the sealed blob with the "
-                "reply; deferring the seal stage cannot apply"
-            )
-        self._defer_seal = True
-        try:
-            replies = self._ecall_invoke_batch(messages)
-        finally:
-            self._defer_seal = False
-        handle, self._deferred_handle = self._deferred_handle, None
-        return {"replies": replies, "seal": handle}
 
     @staticmethod
     def _stage_record(
@@ -1454,7 +1214,7 @@ class LcmContext:
                     wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
                 ))
             return outcome
-        self._seal_and_store_batched()
+        self._seal_and_store()
         if timed:
             probe(self._stage_record(
                 "native-batch", total, per_op,

@@ -1090,49 +1090,51 @@ def run_parallel_wallclock(
                 propagation=100e-6, jitter_fraction=0.2, seed=seed
             ),
         )
-        router = ShardRouter(cluster)
-        # same seed per backend: identical request streams, so any output
-        # difference is the backend's fault, not the workload's
-        generator = WorkloadGenerator(workload, seed=seed)
-        streams = {
-            client_id: [
-                generator.next_operations() for _ in range(requests_per_client)
-            ]
-            for client_id in cluster.client_ids
-        }
+        try:
+            router = ShardRouter(cluster)
+            # same seed per backend: identical request streams, so any output
+            # difference is the backend's fault, not the workload's
+            generator = WorkloadGenerator(workload, seed=seed)
+            streams = {
+                client_id: [
+                    generator.next_operations() for _ in range(requests_per_client)
+                ]
+                for client_id in cluster.client_ids
+            }
 
-        def start(client_id: int) -> None:
-            def pump(_result=None) -> None:
-                stream = streams[client_id]
-                if not stream:
-                    return
-                request = stream.pop(0)
-                if len(request) == 1:
-                    router.submit(client_id, request[0], pump)
-                else:
-                    router.submit_many(client_id, request, pump)
+            def start(client_id: int) -> None:
+                def pump(_result=None) -> None:
+                    stream = streams[client_id]
+                    if not stream:
+                        return
+                    request = stream.pop(0)
+                    if len(request) == 1:
+                        router.submit(client_id, request[0], pump)
+                    else:
+                        router.submit_many(client_id, request, pump)
 
-            pump()
+                pump()
 
-        for client_id in cluster.client_ids:
-            start(client_id)
-        began = _time.perf_counter()
-        cluster.run()
-        wall = _time.perf_counter() - began
-        verdict = router.verdict()
-        digest = _hashlib.sha256()
-        for shard_id in sorted(cluster.shard_ids):
-            for log in cluster.audit_logs(shard_id):
-                for record in log:
-                    digest.update(record.sequence.to_bytes(8, "big"))
-                    digest.update(record.client_id.to_bytes(8, "big"))
-                    digest.update(record.operation)
-                    digest.update(record.result)
-                    digest.update(record.chain)
-        # parity needs live enclaves, so check before the backend shuts down
-        parity = _streaming_parity(cluster, router, verdict)
-        metrics_snapshot = cluster.metrics()
-        cluster.execution.shutdown()
+            for client_id in cluster.client_ids:
+                start(client_id)
+            began = _time.perf_counter()
+            cluster.run()
+            wall = _time.perf_counter() - began
+            verdict = router.verdict()
+            digest = _hashlib.sha256()
+            for shard_id in sorted(cluster.shard_ids):
+                for log in cluster.audit_logs(shard_id):
+                    for record in log:
+                        digest.update(record.sequence.to_bytes(8, "big"))
+                        digest.update(record.client_id.to_bytes(8, "big"))
+                        digest.update(record.operation)
+                        digest.update(record.result)
+                        digest.update(record.chain)
+            # parity needs live enclaves, so check before the backend shuts down
+            parity = _streaming_parity(cluster, router, verdict)
+            metrics_snapshot = cluster.metrics()
+        finally:
+            cluster.execution.shutdown()
         series["backend"].append(backend)
         series["wall_seconds"].append(wall)
         series["simulated_seconds"].append(cluster.sim.now)

@@ -79,11 +79,10 @@ class SimulatedCluster:
         Network model for both directions (default: LAN with jitter so
         interleavings are non-trivial but reproducible).
     execution:
-        Execution-backend name (``"serial"`` | ``"threaded"`` |
-        ``"pipelined"`` | ``"process"``) for the batch ecall; ``None``
-        defers to ``REPRO_EXEC_BACKEND`` and the serial default.  The
-        wire bytes and verdicts are identical under every backend (see
-        :mod:`repro.server.execution`).
+        Execution-backend name (``"serial"`` | ``"threaded"``) for the
+        batch ecall; ``None`` defers to ``REPRO_EXEC_BACKEND`` and the
+        serial default.  The wire bytes and verdicts are identical under
+        both backends (see :mod:`repro.server.execution`).
     """
 
     def __init__(
@@ -116,21 +115,13 @@ class SimulatedCluster:
         self._up: dict[int, Channel] = {}
         self._down: dict[int, Channel] = {}
         self.execution = make_execution_backend(execution)
-        self._pending_seal = None
-        if getattr(self.execution, "wants_remote", False):
-            self.host.remote_executor = self.execution
         self.dispatcher = GroupDispatcher(
             sim=self.sim,
-            send_batch=(
-                self._send_batch_deferred
-                if getattr(self.execution, "pipelined", False)
-                else self.host.send_invoke_batch
-            ),
+            send_batch=self.host.send_invoke_batch,
             deliver=self._deliver,
             batch_limit=batch_limit,
             label="enclave-batch",
             execution=self.execution,
-            take_seal=self._take_seal,
         )
         self.stats = ClusterStats(self.dispatcher)
         self.clients: dict[int, AsyncLcmClient] = {}
@@ -158,16 +149,6 @@ class SimulatedCluster:
             dispatcher.enqueue(client_id, message)
 
         return ingress
-
-    def _send_batch_deferred(self, batch: list[tuple[int, bytes]]) -> list[bytes]:
-        # pipelined backend: same bytes, but the state-seal stage comes
-        # back as a handle the dispatcher flushes off the critical path
-        replies, self._pending_seal = self.host.send_invoke_batch_deferred(batch)
-        return replies
-
-    def _take_seal(self):
-        seal, self._pending_seal = self._pending_seal, None
-        return seal
 
     def _deliver(self, client_id: int, reply: bytes) -> None:
         self._down[client_id].send(reply)

@@ -42,10 +42,17 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import SecurityViolation
+from repro.errors import ConfigurationError, SecurityViolation
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL, Simulator
 from repro.server.batching import BatchQueue, BatchSizeHistogram
 from repro.server.execution import SerialBackend
+
+#: Measured ``state_seal`` share of the batch ecall's ``wall_total`` on
+#: the native-batch path (PR 9 stage probe, batched-invoke family).  A
+#: dispatcher built with this ``seal_share`` takes that fraction of the
+#: virtual service time *off* the delivery critical path, so the
+#: steady-state saturation throughput gain is ``1 / (1 - share)``.
+DEFAULT_SEAL_SHARE = 0.19
 
 
 class GroupDispatcher:
@@ -105,26 +112,20 @@ class GroupDispatcher:
         boundary regardless of wall-clock completion.  A violation
         raised by the worker is handled at that same boundary with the
         identical halt/record/propagate policy.
-    take_seal:
-        ``() -> flush handle | None`` — consume the deferred state-seal
-        handle the transport captured for the batch just delivered
-        (pipelined execution backend).  When set *and* the backend is
-        pipelined, the dispatcher runs that flush on the worker pool so
-        it overlaps — on the wall clock — with the next batch already in
-        the enclave; the virtual schedule stays exactly the serial
-        backend's, so every trace remains byte-identical (the parity
-        contract).  If the backend additionally sets ``virtual_split``,
-        the split is applied to the performance model too: replies
-        deliver after ``(1 - seal_share)`` of the virtual service time
-        and a separate seal-stage event completes after the rest.  Until
+    seal_share:
+        Seal-stage cost model, orthogonal to the execution backend.  The
+        default ``0.0`` keeps the serial schedule: replies deliver after
+        the whole service interval.  A share in ``(0, 0.5]`` models an
+        enclave that takes the ``state_seal`` stage off the delivery
+        path: replies deliver after ``(1 - seal_share)`` of the virtual
+        service time and a separate seal-stage event completes after the
+        rest (queued behind the previous batch's seal stage).  Until
         that event fires the dispatcher reports :attr:`sealing` and
         withholds the ``on_idle`` boundary (reshard fences, handoff
         export), so every consumer of the stored state observes a
-        durably completed seal.  In either mode seal flushes are
-        FIFO-chained on the pool — a later batch's flush never outruns
-        an earlier one — and when the dispatcher goes idle with nothing
-        left to overlap, the flush is joined on the spot, so storage
-        read after a drained run always holds the final seal.
+        completed seal.  This *changes virtual timing by design* — a
+        closed feedback loop reacts to the earlier deliveries — and
+        never what the ecall itself does.
     """
 
     def __init__(
@@ -141,8 +142,15 @@ class GroupDispatcher:
         on_batch_complete: Callable[[int], None] | None = None,
         boundary_gate: Callable[[], bool] | None = None,
         execution=None,
-        take_seal: Callable[[], object | None] | None = None,
+        seal_share: float = 0.0,
     ) -> None:
+        if seal_share and not 0.0 < seal_share <= 0.5:
+            # past 0.5 the seal stage, not the execute stage, would be the
+            # pipeline bottleneck and the two-stage model below would let
+            # seal completions lag unboundedly behind deliveries
+            raise ConfigurationError(
+                f"seal_share must be 0 or in (0, 0.5], got {seal_share}"
+            )
         self.queue: BatchQueue[tuple[int, bytes]] = BatchQueue(batch_limit)
         self.busy = False
         self.halted = False
@@ -169,31 +177,13 @@ class GroupDispatcher:
         #: gauge source (one compare per enqueue; the registry is only
         #: consulted at snapshot time)
         self.queue_depth_peak = 0
-        # --- pipelined seal stage (active only when the backend defers) ---
-        self._take_seal = take_seal
-        self._pipeline = take_seal is not None and getattr(
-            self._execution, "pipelined", False
-        )
-        # the virtual-time split is the opt-in cost-model refinement the
-        # frontier harness measures; the default pipelined mode overlaps
-        # only wall-clock work and keeps the serial event schedule
-        self._seal_share = (
-            getattr(self._execution, "seal_share", 0.0)
-            if self._pipeline
-            and getattr(self._execution, "virtual_split", False)
-            else 0.0
-        )
+        self._seal_share = seal_share
         #: seal-stage events scheduled but not yet completed
         self._seal_pending = 0
         #: virtual time the (single) seal unit frees up — consecutive
         #: batches' seal stages queue behind each other, exactly like a
         #: second pipeline stage would
         self._seal_free_at = 0.0
-        #: join of the most recently submitted wall-clock flush, chained
-        #: so per-shard seal order holds on the shared pool
-        self._last_flush_join: Callable[[], None] | None = None
-        #: batches whose state seal actually ran off the critical path
-        self.seals_deferred = 0
 
     # ---------------------------------------------------------------- intake
 
@@ -246,7 +236,7 @@ class GroupDispatcher:
             finally:
                 self.delivering_batch_size = None
             self.busy = False
-            if self._pipeline:
+            if self._seal_share:
                 self._schedule_seal(len(batch))
             if self._on_batch_complete is not None:
                 # evidence harvest runs before the idle hook: the streaming
@@ -255,87 +245,35 @@ class GroupDispatcher:
                 self._on_batch_complete(len(batch))
             self._fire_idle()
             self.maybe_dispatch()
-            if self._pipeline and not self._seal_share and not self.busy:
-                # wall-only mode went idle with nothing to overlap the
-                # flush with: make the seal durable before anything reads
-                # storage after the run drains
-                self._drain_flush()
 
         # model the enclave service interval so more requests can queue;
-        # under a virtual-split pipelined backend only the
-        # unseal/execute/reply share sits on the delivery path — the seal
-        # share becomes its own stage, scheduled at delivery time by
-        # _schedule_seal
+        # under a seal-stage cost model only the unseal/execute/reply
+        # share sits on the delivery path — the seal share becomes its
+        # own stage, scheduled at delivery time by _schedule_seal
         service = self._service_interval * len(batch)
         if self._seal_share:
             service *= 1.0 - self._seal_share
         self._sim.schedule(service, deliver, label=self._label)
 
     def _schedule_seal(self, batch_size: int) -> None:
-        """Take the delivered batch's state-seal stage off the critical
-        path: start the wall-clock flush (if the enclave actually
-        deferred one) and, under ``virtual_split``, schedule its virtual
-        completion.
+        """Schedule the delivered batch's seal stage on the virtual clock.
 
-        The virtual model treats the seal as a second pipeline stage
-        with a single unit: it starts when the batch delivers *and* the
+        The model treats the seal as a second pipeline stage with a
+        single unit: it starts when the batch delivers *and* the
         previous seal finished, and takes ``seal_share`` of the batch's
-        service time.  It is charged for every batch — also when the
-        enclave sealed synchronously (cache invalidation, membership
-        events, malicious hosts without the deferred surface) — so the
-        virtual schedule never depends on which case occurred.
+        service time.
         """
-        seal_work = self._take_seal()
-        join: Callable[[], None] | None = None
-        if seal_work is not None:
-            self.seals_deferred += 1
-            prev = self._last_flush_join
-
-            def chained(prev=prev, run=seal_work.run) -> None:
-                if prev is not None:
-                    try:
-                        prev()
-                    except Exception:
-                        pass  # surfaced at the earlier seal's own join event
-                run()
-
-            submit_flush = getattr(self._execution, "submit_flush", None)
-            if submit_flush is not None:
-                join = submit_flush(chained)
-            else:
-                chained()
-            self._last_flush_join = join
-
-        if not self._seal_share:
-            # wall-only mode: no virtual seal event — the flush joins at
-            # the next batch's chain, a barrier ecall, quiesce, or
-            # deliver()'s idle drain, whichever comes first
-            return
-
         now = self._sim.now
         seal_time = self._service_interval * batch_size * self._seal_share
         ready_at = max(now, self._seal_free_at) + seal_time
         self._seal_free_at = ready_at
         self._seal_pending += 1
 
-        def seal_done(join=join) -> None:
-            if join is not None:
-                join()  # a flush failure surfaces at its own seal event
+        def seal_done() -> None:
             self._seal_pending -= 1
             self._fire_idle()
 
         self._sim.schedule(ready_at - now, seal_done, label=f"{self._label}-seal")
-
-    def _drain_flush(self) -> None:
-        """Join the outstanding wall-clock flush (idle drain).
-
-        A flush failure propagates here — the same fail-stop surface a
-        synchronous seal failure would have had inside the batch ecall.
-        """
-        flush = self._last_flush_join
-        if flush is not None:
-            self._last_flush_join = None
-            flush()
 
     @property
     def sealing(self) -> bool:
@@ -361,12 +299,6 @@ class GroupDispatcher:
                 pending()
             except Exception:
                 pass  # surfaced again (and handled) at the delivery event
-        flush = self._last_flush_join
-        if flush is not None:
-            try:
-                flush()
-            except Exception:
-                pass  # surfaced again at the seal's own join event
 
     def _handle_violation(self, violation: SecurityViolation) -> None:
         """Server-side detection: the context halted mid-batch.  Stop

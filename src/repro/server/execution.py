@@ -2,7 +2,7 @@
 
 A :class:`~repro.server.dispatch.GroupDispatcher` hands each cut batch to
 an execution backend and only *realizes* the replies at the scheduled
-delivery event on the virtual clock.  Four backends exist:
+delivery event on the virtual clock.  Two backends exist:
 
 - :class:`SerialBackend` (the default) runs the ecall immediately on the
   caller's thread — exactly the historical dispatch semantics, fully
@@ -13,42 +13,27 @@ delivery event on the virtual clock.  Four backends exist:
   batches of *different* shards execute concurrently on a multi-core
   host.  Each dispatcher keeps at most one batch in flight (its ``busy``
   flag), so a single enclave is never entered concurrently.
-- :class:`PipelinedBackend` additionally splits the batch ecall into
-  stages: the enclave hands the state-seal stage back as a run-once
-  flush handle (``invoke_batch_deferred``), which the dispatcher runs on
-  the pool *while the same shard's next batch is already unsealing* —
-  the Sec. 5.2 amortization argument applied across batch boundaries.
-  Flushes per shard are FIFO-chained and the dispatcher's durability
-  gate holds back every event that reads the store (batch boundaries,
-  handoff export, reshard fences, crash capture) until the seal landed.
-- :class:`ProcessBackend` runs batch ecalls in worker *processes* over
-  picklable work descriptors (the serialized context plus the raw INVOKE
-  boxes), for pure-Python deployments where the GIL still serializes the
-  threaded backend.  The mutated context state ships back wholesale and
-  is adopted by the live enclave program; untransportable contexts fall
-  back to the in-process ecall.
 
 Determinism contract: the simulator delivers replies at virtual-time
 events whose order is independent of wall-clock completion, and the
 enclave derives every reply nonce from its deterministic per-context
 :class:`~repro.crypto.aead.NonceSequence` — so the bytes on the wire,
 the hash chains, the audit logs and the checker verdicts are identical
-under all four backends (pinned by the cross-backend parity tests).
-A backend only changes *when* the work happens on the wall clock (and,
-for ``pipelined``, how much of it sits on the virtual critical path),
-never what it produces.
+under both backends (pinned by the cross-backend parity tests).  A
+backend only changes *when* the work happens on the wall clock, never
+what it produces or when it is delivered on the virtual clock (the
+seal-stage cost model is a dispatcher parameter, ``seal_share``,
+orthogonal to the backend).
 
-Selection: pass ``execution="threaded"`` (or ``"pipelined"`` /
-``"process"``) to a cluster runtime, or set the ``REPRO_EXEC_BACKEND``
-environment variable; the explicit argument wins.
+Selection: pass ``execution="threaded"`` to a cluster runtime, or set
+the ``REPRO_EXEC_BACKEND`` environment variable; the explicit argument
+wins.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 from repro.errors import ConfigurationError
@@ -116,232 +101,20 @@ class ThreadedBackend:
         self._pool.shutdown(wait=True)
 
 
-#: Measured ``state_seal`` share of the batch ecall's ``wall_total`` on
-#: the native-batch path (PR 9 stage probe, batched-invoke family).  The
-#: pipelined dispatcher charges the seal stage this fraction of the
-#: virtual service time and takes it *off* the delivery critical path, so
-#: the steady-state saturation throughput gain is ``1 / (1 - share)``.
-DEFAULT_SEAL_SHARE = 0.19
-
-
-class PipelinedBackend(ThreadedBackend):
-    """Threaded execution plus a deferred state-seal stage.
-
-    The dispatcher asks the enclave for ``invoke_batch_deferred``: the
-    batch returns as soon as the replies are sealed, handing back a
-    run-once flush for the state seal.  :meth:`submit_flush` runs that
-    flush on the worker pool, overlapping it — on the wall clock — with
-    the next batch's unseal/decrypt stage on the same shard.
-
-    By default the *virtual* schedule is untouched: deliveries land at
-    exactly the serial backend's events, so every trace stays
-    byte-identical to ``serial``/``threaded``/``process`` (the parity
-    contract), and the overlap only shortens wall-clock time on
-    multi-core hosts.  ``virtual_split=True`` additionally applies the
-    split to the performance model itself: delivery after
-    ``(1 - seal_share)`` of the virtual service time, with a separate
-    seal-stage completion event after the rest, during which the
-    dispatcher withholds batch boundaries (reshard fences, handoff
-    export) so everything that reads the store still observes a durably
-    completed seal.  That mode *changes virtual timing by design* — it
-    is the cost-model refinement the frontier harness measures (a
-    closed feedback loop reacts to the earlier deliveries, so its
-    evidence bytes legitimately differ from the serial schedule's).
-    """
-
-    name = "pipelined"
-    pipelined = True
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        seal_share: float | None = None,
-        virtual_split: bool = False,
-    ) -> None:
-        super().__init__(workers)
-        share = DEFAULT_SEAL_SHARE if seal_share is None else float(seal_share)
-        if not 0.0 < share <= 0.5:
-            # past 0.5 the seal stage, not the execute stage, would be the
-            # pipeline bottleneck and the two-stage model below would let
-            # seal completions lag unboundedly behind deliveries
-            raise ConfigurationError(
-                f"seal_share must be in (0, 0.5], got {share}"
-            )
-        self.seal_share = share
-        self.virtual_split = virtual_split
-        #: deferred seal flushes handed to the pool (snapshot diagnostics)
-        self.flushes_submitted = 0
-        #: with a single worker there is nothing to overlap with — a pool
-        #: handoff per batch and per flush would be pure overhead — so
-        #: both the batch ecall and the seal flush run on the caller's
-        #: thread instead.  Exceptions still surface at the dispatcher's
-        #: join points (the delivery boundary), identical to the pooled
-        #: path, so the halt/record/propagate policy does not depend on
-        #: the host's core count.
-        self.inline = (
-            workers if workers is not None else (os.cpu_count() or 1)
-        ) < 2
-        if self.inline:
-            # the dispatcher falls back to running the flush chain on the
-            # spot when the backend offers no pooled flush entry point
-            self.submit_flush = None  # type: ignore[assignment]
-
-    def submit(self, work: Callable[[], list]) -> Callable[[], list]:
-        if not self.inline:
-            return super().submit(work)
-        self.batches_submitted += 1
-        try:
-            value = work()
-        except Exception as exc:
-            def raise_at_join(exc: Exception = exc) -> list:
-                raise exc
-            return raise_at_join
-        return lambda: value
-
-    def submit_flush(self, flush: Callable[[], None]) -> Callable[[], None]:
-        """Run a seal flush on the pool; returns its join."""
-        self.flushes_submitted += 1
-        return self._pool.submit(flush).result
-
-
-class _ChildEnv:
-    """Enclave environment stub for a process-pool replica.
-
-    The batch invoke path touches the environment only to store sealed
-    blobs (captured here and replayed against the parent's storage);
-    keys, attestation and the nonce seed were all consumed at epoch
-    start in the parent, so any other access is a contract violation.
-    """
-
-    __slots__ = ("stored",)
-
-    def __init__(self) -> None:
-        self.stored: list[bytes] = []
-
-    def ocall_store(self, blob: bytes) -> None:
-        self.stored.append(blob)
-
-    def ocall_load(self) -> bytes | None:
-        raise ConfigurationError("process replica must not reload state")
-
-    def secure_random(self, n: int) -> bytes:
-        raise ConfigurationError("process replica must not draw entropy")
-
-    def get_key(self, *context) -> None:
-        raise ConfigurationError("process replica must not derive keys")
-
-    def create_report(self, user_data: bytes) -> None:
-        raise ConfigurationError("process replica must not attest")
-
-
-def _execute_batch_payload(data: bytes):
-    """Worker-process entry: run one batch ecall on a context replica.
-
-    Returns ``(status, value, stored_blobs, context_state)`` where
-    ``value`` is the ecall outcome or the raised exception — the parent
-    re-raises it at the same delivery boundary an in-process ecall
-    would, and adopts the shipped state either way (a halt recorded by
-    the replica must survive adoption).
-    """
-    program, messages = pickle.loads(data)
-    env = _ChildEnv()
-    program._env = env
-    try:
-        value = program.ecall("invoke_batch", messages)
-        status = "ok"
-    except Exception as exc:  # noqa: BLE001 — transported verbatim
-        value = exc
-        status = "err"
-    return status, value, env.stored, program.__getstate__()
-
-
-class ProcessBackend(ThreadedBackend):
-    """Execute batch ecalls in worker processes (GIL-free).
-
-    The dispatch loop is the threaded backend's; what changes is the
-    host's batch ecall itself (:meth:`run_batch`, installed on each
-    correct host as ``remote_executor``): the live context is pickled
-    together with the raw INVOKE boxes into one work descriptor, a
-    worker process runs the ecall — nonces come from the deterministic
-    per-context sequence, so the bytes match the in-process ecall
-    exactly — and the mutated context state ships back and is adopted
-    wholesale.  Contexts that cannot be transported (exotic
-    functionality state, adversarial hosts) fall back to the in-process
-    ecall, preserving behaviour at a bounded speed cost.
-    """
-
-    name = "process"
-    wants_remote = True
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
-        count = workers or min(8, os.cpu_count() or 1)
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # platforms without fork: pay the spawn cost
-            context = multiprocessing.get_context("spawn")
-        self._procs = ProcessPoolExecutor(max_workers=count, mp_context=context)
-        # warm the first worker now, before any dispatcher threads start:
-        # forking from a single-threaded parent sidesteps the classic
-        # locks-held-at-fork hazards for the common one-worker case
-        self._procs.submit(int).result()
-        self.remote_batches = 0
-        self.remote_fallbacks = 0
-
-    def run_batch(self, enclave, payload: list, store: Callable[[bytes], None]):
-        """Run one batch ecall in a worker process.
-
-        Returns ``(ran, outcome)``; ``ran`` is False when the context
-        cannot be transported and the caller must fall back to the
-        in-process ecall.
-        """
-        program = enclave.program
-        if program is None or not hasattr(program, "adopt_exec_state"):
-            self.remote_fallbacks += 1
-            return False, None
-        try:
-            data = pickle.dumps(
-                (program, payload), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception:  # unpicklable functionality state
-            self.remote_fallbacks += 1
-            return False, None
-        status, value, stored, state = self._procs.submit(
-            _execute_batch_payload, data
-        ).result()
-        program.adopt_exec_state(state)
-        for blob in stored:
-            store(blob)
-        enclave.ecalls += 1  # the replica's ecall counts as this enclave's
-        self.remote_batches += 1
-        if status == "err":
-            raise value
-        return True, value
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        self._procs.shutdown(wait=True)
-
-
 _BACKENDS = {
     SerialBackend.name: SerialBackend,
     ThreadedBackend.name: ThreadedBackend,
-    PipelinedBackend.name: PipelinedBackend,
-    ProcessBackend.name: ProcessBackend,
 }
 
 
-def make_execution_backend(
-    name: str | None = None, *, workers: int | None = None
-):
+def make_execution_backend(name: str | None = None):
     """Build an execution backend by name.
 
     ``None`` consults ``REPRO_EXEC_BACKEND`` and falls back to the
     serial default; an unknown name raises
     :class:`~repro.errors.ConfigurationError`.  An already-constructed
-    backend object passes through unchanged (the frontier harness builds
-    :class:`PipelinedBackend` instances with explicit model parameters).
+    backend object passes through unchanged (a caller that needs an
+    explicit worker count builds its own :class:`ThreadedBackend`).
     """
     if name is not None and not isinstance(name, str):
         return name  # pre-built backend instance
@@ -353,6 +126,4 @@ def make_execution_backend(
             f"unknown execution backend {name!r} "
             f"(choose from {sorted(_BACKENDS)})"
         )
-    if backend_cls is SerialBackend:
-        return SerialBackend()
-    return backend_cls(workers)
+    return backend_cls()

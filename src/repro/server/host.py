@@ -43,10 +43,6 @@ class ServerHost:
         self.enclave: Enclave = platform.create_enclave(program_factory, host=self)
         self._batch_limit = batch_limit
         self.requests_handled = 0
-        # set by the ``process`` execution backend: batch ecalls are then
-        # offloaded to a worker process (GIL-free), falling back to the
-        # in-process ecall when the context cannot be transported
-        self.remote_executor = None
 
     # ------------------------------------------------------------- lifecycle
 
@@ -97,35 +93,11 @@ class ServerHost:
         """Forward a batch of (client_id, INVOKE) pairs in one ecall."""
         self.requests_handled += len(messages)
         payload = [message for _, message in messages]
-        if self.remote_executor is not None:
-            ran, outcome = self.remote_executor.run_batch(
-                self.enclave, payload, self.storage.store
-            )
-            if not ran:  # untransportable context: run the ecall in-process
-                outcome = self.enclave.ecall("invoke_batch", payload)
-        else:
-            outcome = self.enclave.ecall("invoke_batch", payload)
+        outcome = self.enclave.ecall("invoke_batch", payload)
         if isinstance(outcome, dict):
             self.storage.store(outcome["state"])
             return outcome["replies"]
         return outcome
-
-    def send_invoke_batch_deferred(
-        self, messages: list[tuple[int, bytes]]
-    ) -> tuple[list[bytes], object | None]:
-        """Batch forward with the state-seal stage handed back as a handle.
-
-        Used by the ``pipelined`` execution backend: the replies are
-        byte-identical to :meth:`send_invoke_batch`, and the returned
-        handle (``None`` when the batch already sealed synchronously)
-        flushes the seal to stable storage when run — the dispatcher
-        overlaps that flush with the next batch's unseal stage while its
-        durability gate holds back every event that reads the store.
-        """
-        self.requests_handled += len(messages)
-        payload = [message for _, message in messages]
-        outcome = self.enclave.ecall("invoke_batch_deferred", payload)
-        return outcome["replies"], outcome["seal"]
 
     def make_batch_queue(
         self, reply_callback: Callable[[int, bytes], None]

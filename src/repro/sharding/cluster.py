@@ -165,12 +165,6 @@ class _Shard:
         self.down: dict[int, Channel] = {}
         self.dispatcher: GroupDispatcher | None = None
         self.rebalance_requested = False
-        #: deferred state-seal handle of the batch in flight (pipelined
-        #: backend) — written by the cluster's send_batch wrapper on the
-        #: executing thread, consumed by the dispatcher at the delivery
-        #: event after the future is joined (same hand-off ordering as
-        #: last_batch_stages)
-        self.pending_seal: Any = None
         #: stage record of the most recent batch ecall (tracing only) —
         #: written by the cluster's send_batch wrapper on the executing
         #: thread, read at the delivery event after the future is joined
@@ -251,6 +245,13 @@ class ShardedCluster:
         so distinct shards execute concurrently on a multi-core host
         while replies still re-enter the virtual-time order at the
         batch boundary — bytes and verdicts are backend-independent.
+    seal_share:
+        Seal-stage cost model applied by every shard dispatcher (see
+        :class:`~repro.server.dispatch.GroupDispatcher`): ``0.0`` (the
+        default) is the serial schedule; a share in ``(0, 0.5]``
+        delivers replies after ``(1 - seal_share)`` of the virtual
+        service time and runs the seal as its own stage.  Independent
+        of ``execution``.
     streaming:
         Run the streaming verifier (:mod:`repro.sharding.observer`)
         alongside the cluster, harvesting audit evidence at every batch
@@ -295,6 +296,7 @@ class ShardedCluster:
         seed: int = 0,
         malicious_shards: tuple[int, ...] = (),
         execution: str | None = None,
+        seal_share: float = 0.0,
         streaming: bool | None = None,
         tracing: bool = False,
         export: Any = None,
@@ -331,12 +333,7 @@ class ShardedCluster:
         #: "threaded" the pool is where cross-shard wall-clock overlap
         #: happens (each dispatcher still keeps one batch in flight).
         self.execution = make_execution_backend(execution)
-        #: pipelined backend: batch ecalls go through the deferred-seal
-        #: entry point and each dispatcher models the seal as its own stage
-        self._pipelined = getattr(self.execution, "pipelined", False)
-        #: process backend: correct hosts offload batch ecalls to worker
-        #: processes (installed per host at provisioning)
-        self._wants_remote = getattr(self.execution, "wants_remote", False)
+        self._seal_share = seal_share
         #: next platform seed serial per shard id — every TeePlatform a
         #: shard id ever gets (initial, rebalance target, recovered
         #: generation) consumes one, so sealing keys never repeat.
@@ -440,13 +437,8 @@ class ShardedCluster:
             on_batch_complete=self._make_batch_complete(shard),
             boundary_gate=lambda shard=shard: self._txn_boundary_clear(shard),
             execution=self.execution,
-            take_seal=lambda shard=shard: self._take_seal(shard),
+            seal_share=self._seal_share,
         )
-        if self._wants_remote and not malicious:
-            # process backend: this host's batch ecalls run in worker
-            # processes (MaliciousServer keeps its in-process fan-out —
-            # the bytes are identical either way, only slower)
-            shard.host.remote_executor = self.execution
         for client_id in self._client_ids:
             up = Channel(
                 f"c{client_id}->s{shard_id}", sim=self.sim, latency=self._latency
@@ -568,27 +560,11 @@ class ShardedCluster:
             # deferred — abandon the move (the violation/fork evidence
             # is already attributed to the shard)
 
-    def _take_seal(self, shard: _Shard):
-        """Consume the delivered batch's deferred seal handle, if any."""
-        seal, shard.pending_seal = shard.pending_seal, None
-        return seal
-
     def _send_batch(self, shard: _Shard, batch: list[tuple[int, bytes]]) -> list[bytes]:
         # send_invoke_batch is part of the required host transport
         # surface (MaliciousServer fans its batches out per routed
         # instance internally)
-        if self._pipelined:
-            deferred = getattr(shard.host, "send_invoke_batch_deferred", None)
-            if deferred is not None:
-                # pipelined backend: same bytes, but the state-seal stage
-                # comes back as a handle the dispatcher flushes off the
-                # critical path (MaliciousServer lacks the surface and
-                # keeps sealing inline — take_seal then yields None)
-                replies, shard.pending_seal = deferred(batch)
-            else:
-                replies = shard.host.send_invoke_batch(batch)
-        else:
-            replies = shard.host.send_invoke_batch(batch)
+        replies = shard.host.send_invoke_batch(batch)
         probe = self._stage_probe
         if probe is not None:
             # same thread as the ecall (a worker thread under the
@@ -1023,15 +999,6 @@ class ShardedCluster:
         registry.gauge("execution.batches_submitted").set(
             self.execution.batches_submitted
         )
-        for attr in ("flushes_submitted", "remote_batches", "remote_fallbacks"):
-            value = getattr(self.execution, attr, None)
-            if value is not None:
-                registry.gauge(f"execution.{attr}").set(value)
-        seals_deferred = sum(
-            self._shards[sid].dispatcher.seals_deferred for sid in self.shard_ids
-        )
-        if seals_deferred:
-            registry.gauge("dispatch.seals_deferred").set(seals_deferred)
         # per-shard load skew: each live shard's share of completed
         # operations relative to a perfectly even split (1.0 = fair),
         # and the cluster-level max/mean the autoscaler watches

@@ -143,26 +143,6 @@ class Enclave:
     def running(self) -> bool:
         return self._state == EnclaveState.RUNNING
 
-    @property
-    def program(self) -> EnclaveProgram | None:
-        """The live program instance (``None`` outside an epoch).
-
-        Exposed for execution backends that transport the program across a
-        process boundary and for white-box tests; the host protocol itself
-        only ever goes through :meth:`ecall`.
-        """
-        return self._program
-
-    def _join_pending_seals(self) -> None:
-        # A deferred state-seal flush (pipelined execution backend) is the
-        # tail of an already-completed ecall; it must reach stable storage
-        # before this epoch's volatile memory is lost, or a crash would
-        # roll the store back past replies that are already on the wire.
-        program = self._program
-        flush = getattr(program, "flush_pending_seals", None)
-        if flush is not None:
-            flush()
-
     def start(self) -> None:
         """Begin a new epoch: fresh program instance, fresh volatile memory."""
         if self._state == EnclaveState.DESTROYED:
@@ -179,20 +159,12 @@ class Enclave:
         """End the epoch.  All volatile enclave memory is lost."""
         if self._state != EnclaveState.RUNNING:
             raise EnclaveError("enclave is not running")
-        self._join_pending_seals()
         self._program = None
         self._state = EnclaveState.STOPPED
 
     def crash(self) -> None:
-        """Abrupt termination (power loss / kill): same memory-loss effect.
-
-        A pending deferred seal still completes first: it models store
-        writes the host already has in flight for a finished ecall, and the
-        durability gate guarantees they land before any crash capture reads
-        the stored state.
-        """
+        """Abrupt termination (power loss / kill): same memory-loss effect."""
         if self._state == EnclaveState.RUNNING:
-            self._join_pending_seals()
             self._program = None
             self._state = EnclaveState.STOPPED
 

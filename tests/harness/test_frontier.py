@@ -41,12 +41,6 @@ class TestRunCell:
         assert cell.saturated
         assert cell.achieved_tps < rate
 
-    def test_pipelined_cell_reports_deferred_seals(self):
-        cell = run_cell("pipelined", 1, shard_capacity(1) * 0.5,
-                        duration=0.02)
-        assert cell.seals_deferred > 0
-        assert cell.violations == 0
-
     def test_pipelined_beats_serial_past_the_serial_knee(self):
         rate = shard_capacity(1) * 1.4
         serial = run_cell("serial", 1, rate, duration=0.04)
@@ -101,7 +95,7 @@ class TestSweep:
                 duration=0.1, offered_ops=0, completed_ops=0, elapsed=0.1,
                 achieved_tps=a, saturated=False, p50=0, p95=0, p99=0,
                 mean_latency=0, queue_depth_peak=0, load_skew=1.0,
-                violations=0, seals_deferred=0,
+                violations=0,
             )
             for r, a in ((10.0, 10.0), (20.0, 19.0), (40.0, 19.5))
         ]

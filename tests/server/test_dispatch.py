@@ -132,157 +132,58 @@ class TestGroupDispatcher:
         assert dispatcher.batches == 3
 
 
-class _Seal:
-    """A fake deferred state-seal handle (run-once flush closure)."""
+class TestSealShare:
+    """``seal_share``: the seal stage as its own virtual pipeline stage.
 
-    def __init__(self, log, tag, fail=False):
-        self.log = log
-        self.tag = tag
-        self.fail = fail
-        self.ran = False
-
-    def run(self):
-        self.ran = True
-        if self.fail:
-            raise RuntimeError(f"flush {self.tag} failed")
-        self.log.append(self.tag)
-
-
-class TestPipelinedSealStage:
-    """The deferred seal stage: wall-only parity mode and virtual split.
-
-    The durability contract under test: a deferred seal is joined before
-    anything can read the sealed state — the next batch's flush chain
-    (FIFO), ``quiesce`` (fault injection), or the dispatcher's own idle
-    drain when the run ends — and a flush failure keeps the synchronous
-    seal's fail-stop surface.
+    The model is DES scheduling only, so every case holds under both
+    execution backends — which backend ran the ecall must not move a
+    single event.
     """
 
-    def _pipelined(self, sim, backend, seal_log, *, fail_tags=(), **kwargs):
-        pending = []
-        state = {"count": 0}
+    @staticmethod
+    def _backends():
+        from repro.server.execution import SerialBackend, ThreadedBackend
 
-        def send_batch(batch):
-            tag = state["count"]
-            state["count"] += 1
-            pending.append(_Seal(seal_log, tag, fail=tag in fail_tags))
-            return [message for _, message in batch]
+        for backend in (SerialBackend(), ThreadedBackend(workers=2)):
+            try:
+                yield backend
+            finally:
+                backend.shutdown()
 
-        def take_seal():
-            return pending.pop(0) if pending else None
-
+    def _run(self, backend, *, enqueue, until=None, **kwargs):
+        sim = Simulator()
+        deliveries = []
+        boundaries = []
         dispatcher = GroupDispatcher(
             sim=sim,
-            send_batch=send_batch,
-            deliver=lambda client_id, reply: None,
+            send_batch=lambda batch: [m for _, m in batch],
+            deliver=lambda client_id, reply: deliveries.append(sim.now),
+            on_idle=lambda: boundaries.append(sim.now),
+            service_interval=1.0,
             execution=backend,
-            take_seal=take_seal,
             **kwargs,
         )
-        return dispatcher
-
-    def test_wall_only_mode_keeps_the_serial_event_schedule(self):
-        from repro.server.execution import PipelinedBackend
-
-        def run(backend, take_seal):
-            sim = Simulator()
-            seal_log = []
-            if take_seal:
-                dispatcher = self._pipelined(
-                    sim, backend, seal_log, batch_limit=2,
-                    service_interval=1.0,
-                )
-            else:
-                dispatcher = GroupDispatcher(
-                    sim=sim,
-                    send_batch=lambda batch: [m for _, m in batch],
-                    deliver=lambda c, r: None,
-                    batch_limit=2,
-                    service_interval=1.0,
-                    execution=backend,
-                )
-            for i in range(5):
-                dispatcher.enqueue(i, b"x")
+        for i in range(enqueue):
+            dispatcher.enqueue(i, b"x")
+        if until is None:
             sim.run()
-            return sim.now, dispatcher
+        else:
+            sim.run_until(until)
+        return sim, dispatcher, deliveries, boundaries
 
-        backend = PipelinedBackend(workers=2)
-        try:
-            pipelined_now, dispatcher = run(backend, take_seal=True)
-        finally:
-            backend.shutdown()
-        serial_now, _ = run(None, take_seal=False)
-        assert pipelined_now == serial_now
-        assert dispatcher.seals_deferred == dispatcher.batches
-        assert not dispatcher.sealing  # no virtual seal stage in this mode
-
-    def test_idle_drain_makes_every_seal_durable_in_fifo_order(self):
-        from repro.server.execution import PipelinedBackend
-
-        sim = Simulator()
-        seal_log = []
-        backend = PipelinedBackend(workers=2)
-        try:
-            dispatcher = self._pipelined(sim, backend, seal_log, batch_limit=1)
-            for i in range(3):
-                dispatcher.enqueue(i, b"x")
-            sim.run()
-        finally:
-            backend.shutdown()
-        # after the run drains the idle drain has joined the chain: every
-        # flush ran, and the FIFO chaining kept per-shard seal order
-        assert seal_log == [0, 1, 2]
-        assert dispatcher._last_flush_join is None
-
-    def test_quiesce_joins_the_outstanding_flush(self):
-        from repro.server.execution import PipelinedBackend
-
-        sim = Simulator()
-        seal_log = []
-        backend = PipelinedBackend(workers=2)
-        try:
-            dispatcher = self._pipelined(
-                sim, backend, seal_log, batch_limit=1, service_interval=1.0
+    def test_delivers_at_the_reduced_service_time(self):
+        for backend in self._backends():
+            sim, _, deliveries, _ = self._run(
+                backend, enqueue=1, batch_limit=1, seal_share=0.5
             )
-            dispatcher.enqueue(1, b"a")
-            dispatcher.enqueue(2, b"b")
-            # run past the first delivery only: its flush is on the pool,
-            # the second batch is mid-ecall — the crash-capture window
-            sim.run_until(1.5)
-            dispatcher.quiesce()
-            assert 0 in seal_log
-            sim.run()
-        finally:
-            backend.shutdown()
+            assert deliveries == [pytest.approx(0.5)]
+            assert sim.now == pytest.approx(1.0)  # seal stage still completes
 
-    def test_flush_failure_propagates_at_the_idle_drain(self):
-        from repro.server.execution import PipelinedBackend
-
-        sim = Simulator()
-        backend = PipelinedBackend(workers=2)
-        try:
-            dispatcher = self._pipelined(
-                sim, backend, [], batch_limit=1, fail_tags={0}
+    def test_withholds_the_boundary_until_seal_completes(self):
+        for backend in self._backends():
+            sim, dispatcher, _, boundaries = self._run(
+                backend, enqueue=1, until=0.75, batch_limit=1, seal_share=0.5
             )
-            dispatcher.enqueue(1, b"x")
-            with pytest.raises(RuntimeError, match="flush 0 failed"):
-                sim.run()
-        finally:
-            backend.shutdown()
-
-    def test_virtual_split_withholds_the_boundary_until_seal_completes(self):
-        from repro.server.execution import PipelinedBackend
-
-        sim = Simulator()
-        boundaries = []
-        backend = PipelinedBackend(workers=2, virtual_split=True, seal_share=0.5)
-        try:
-            dispatcher = self._pipelined(
-                sim, backend, [], batch_limit=1, service_interval=1.0,
-                on_idle=lambda: boundaries.append(sim.now),
-            )
-            dispatcher.enqueue(1, b"x")
-            sim.run_until(0.75)
             # delivery fired at 0.5 but the seal stage runs until 1.0:
             # the boundary hook was withheld, the gauge says why
             assert dispatcher.sealing
@@ -291,59 +192,36 @@ class TestPipelinedSealStage:
             sim.run()
             assert not dispatcher.sealing
             assert boundaries == [pytest.approx(1.0)]
-        finally:
-            backend.shutdown()
 
-    def test_single_worker_backend_runs_inline(self):
-        """With one worker there is nothing to overlap with: the backend
-        executes the ecall and the flush on the caller's thread (no pool
-        handoff tax) while the dispatcher semantics — FIFO seal order,
-        delivery-boundary error surfacing — stay identical."""
-        from repro.server.execution import PipelinedBackend
-
-        sim = Simulator()
-        seal_log = []
-        backend = PipelinedBackend(workers=1)
-        try:
-            assert backend.inline
-            assert backend.submit_flush is None
-            dispatcher = self._pipelined(sim, backend, seal_log, batch_limit=1)
-            for i in range(3):
-                dispatcher.enqueue(i, b"x")
-            sim.run()
-            assert seal_log == [0, 1, 2]
-            assert dispatcher.seals_deferred == 3
-            # errors still surface at the delivery join, not at submit
-            def boom():
-                raise SecurityViolation("late")
-            join = backend.submit(boom)
-            with pytest.raises(SecurityViolation):
-                join()
-        finally:
-            backend.shutdown()
-
-    def test_virtual_split_delivers_at_the_reduced_service_time(self):
-        from repro.server.execution import PipelinedBackend
-
-        deliveries = []
-        sim = Simulator()
-        backend = PipelinedBackend(workers=2, virtual_split=True, seal_share=0.5)
-        try:
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=lambda batch: [m for _, m in batch],
-                deliver=lambda c, r: deliveries.append(sim.now),
-                batch_limit=1,
-                service_interval=1.0,
-                execution=backend,
-                take_seal=lambda: None,
+    def test_seal_stages_queue_behind_each_other(self):
+        """One seal unit: a small batch delivered while the previous big
+        batch is still sealing waits for the unit to free up."""
+        for backend in self._backends():
+            sim, dispatcher, deliveries, boundaries = self._run(
+                backend, enqueue=6, batch_limit=4, seal_share=0.5
             )
-            dispatcher.enqueue(1, b"x")
-            sim.run()
-        finally:
-            backend.shutdown()
-        assert deliveries == [pytest.approx(0.5)]
-        assert sim.now == pytest.approx(1.0)  # seal stage still completes
+            # batches of 1, 4, 1 ops: deliveries at 0.5, 2.5, 3.0; seals
+            # 0.5..1.0, 2.5..4.5, then 4.5..5.0 (not 3.0..3.5: unit busy)
+            assert deliveries == [
+                pytest.approx(t) for t in (0.5, 2.5, 2.5, 2.5, 2.5, 3.0)
+            ]
+            assert sim.now == pytest.approx(5.0)
+            # boundaries at 0.5, 2.5, 3.0 and 4.5 fell while a seal was pending
+            assert boundaries == [pytest.approx(1.0), pytest.approx(5.0)]
+            assert dispatcher.boundaries_deferred == 4
+            assert not dispatcher.sealing
+
+    def test_share_is_validated(self):
+        from repro.errors import ConfigurationError
+
+        for bad in (-0.1, 0.6, 1.0):
+            with pytest.raises(ConfigurationError, match="seal_share"):
+                GroupDispatcher(
+                    sim=Simulator(),
+                    send_batch=lambda batch: [],
+                    deliver=lambda c, r: None,
+                    seal_share=bad,
+                )
 
 
 class TestDispatcherParity:

@@ -1,15 +1,16 @@
 """Cross-backend parity: the execution seam must never change the bytes.
 
-The ISSUE's determinism contract: the same trace through the ``serial``,
-``threaded``, ``pipelined`` and ``process`` execution backends
-(:mod:`repro.server.execution`), and through the ``c`` and
-``python-batch`` crypto fastpaths, must produce identical wire bytes,
-hash chains, audit logs, sealed storage and merged verdicts — a fork
-attack included, which must be detected identically (same shard, same
-violation, same evidence) under every backend, and the combined
-reshard/crash/transaction scenario included, where the pipelined
-backend's seal-durability gate must hold under handoff and crash
-capture.
+The determinism contract: the same trace through the ``serial`` and
+``threaded`` execution backends (:mod:`repro.server.execution`), and
+through the ``c`` and ``python-batch`` crypto fastpaths, must produce
+identical wire bytes, hash chains, audit logs, sealed storage and merged
+verdicts — a fork attack included, which must be detected identically
+(same shard, same violation, same evidence) under both backends, and the
+combined reshard/crash/transaction scenario included.
+
+Every threaded run here builds ``ThreadedBackend(workers=2)`` explicitly:
+the default pool size is ``os.cpu_count()``, which is 1 on small boxes,
+and a one-worker pool cannot reorder anything.
 """
 
 import hashlib
@@ -23,16 +24,19 @@ from repro.errors import ConfigurationError, SecurityViolation
 from repro.kvstore import get, put
 from repro.net.simulation import Simulator
 from repro.server.dispatch import GroupDispatcher
+from repro.server.dispatch import DEFAULT_SEAL_SHARE
 from repro.server.execution import (
-    PipelinedBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadedBackend,
     make_execution_backend,
 )
 from repro.sharding import ShardRouter, ShardedCluster
 
-BACKENDS = ("serial", "threaded", "pipelined", "process")
+BACKENDS = ("serial", "threaded")
+
+
+def _threaded():
+    return ThreadedBackend(workers=2)
 
 
 class _pinned_entropy:
@@ -123,12 +127,9 @@ class _pinned_entropy:
 
 
 def _record_wire(cluster):
-    """Wrap every shard host's batch entrypoints so the exact request and
+    """Wrap every shard host's batch entrypoint so the exact request and
     reply bytes are captured per shard (one batch in flight per shard, so
-    each shard's log order is deterministic even under the pool).  The
-    pipelined backend routes honest-shard traffic through the deferred
-    entrypoint, so both surfaces feed the same per-shard log — a backend
-    switching entrypoints must not change what crosses them."""
+    each shard's log order is deterministic even under the pool)."""
     wire = {shard_id: [] for shard_id in cluster.shard_ids}
     for shard_id in cluster.shard_ids:
         host = cluster.shard_host(shard_id)
@@ -145,27 +146,12 @@ def _record_wire(cluster):
             return replies
 
         host.send_invoke_batch = recording
-        deferred = getattr(host, "send_invoke_batch_deferred", None)
-        if deferred is not None:
-
-            def recording_deferred(batch, _original=deferred, _log=wire[shard_id]):
-                replies, seal = _original(batch)
-                _log.append(
-                    (
-                        tuple(message for _, message in batch),
-                        tuple(replies),
-                    )
-                )
-                return replies, seal
-
-            host.send_invoke_batch_deferred = recording_deferred
     return wire
 
 
 def _stored_digests(cluster, shard_ids=None):
-    """Digest of every sealed blob ever written, per shard — the deferred
-    seal stage must leave stable storage byte-identical, version by
-    version, to the synchronous path."""
+    """Digest of every sealed blob ever written, per shard — stable
+    storage must be byte-identical, version by version."""
     digests = {}
     if shard_ids is None:
         shard_ids = cluster.shard_ids
@@ -205,23 +191,31 @@ def _client_chains(cluster):
     }
 
 
-def _honest_fingerprint(execution):
+def _honest_fingerprint(execution, seal_share=0.0):
     """One deterministic mixed trace over 3 shards; returns everything
     that must be backend-independent."""
     with _pinned_entropy():
-        return _honest_trace(execution)
+        return _honest_trace(execution, seal_share)
 
 
-def _honest_trace(execution):
-    cluster = ShardedCluster(shards=3, clients=3, seed=23, execution=execution)
+def _honest_trace(execution, seal_share):
+    cluster = ShardedCluster(
+        shards=3, clients=3, seed=23, execution=execution, seal_share=seal_share
+    )
     wire = _record_wire(cluster)
     router = ShardRouter(cluster)
+    completed_at = []
+
+    def done(_result):
+        completed_at.append(cluster.sim.now)
+
     for client_id in cluster.client_ids:
         for i in range(8):
             if i % 2 == 0:
-                router.submit(client_id, put(f"key-{client_id}-{i}", f"v{i}"))
+                operation = put(f"key-{client_id}-{i}", f"v{i}")
             else:
-                router.submit(client_id, get(f"key-{client_id}-{i - 1}"))
+                operation = get(f"key-{client_id}-{i - 1}")
+            router.submit(client_id, operation, done)
     cluster.run()
     verdict = router.verdict()
     fingerprint = {
@@ -230,6 +224,7 @@ def _honest_trace(execution):
         "stored": _stored_digests(cluster),
         "chains": _client_chains(cluster),
         "operations": cluster.stats.operations_completed,
+        "completed_at": completed_at,
         "verdict_ok": verdict.ok,
         "forked": verdict.forked_shards,
     }
@@ -287,8 +282,7 @@ def _forked_trace(execution):
 def _scenario_fingerprint(execution):
     """The combined control-plane scenario under a chosen backend:
     cross-shard transactions, an elastic reshard while traffic is in
-    flight, and a crash/recover cycle — the seal-durability gate must
-    hold under both the handoff export and the crash capture."""
+    flight, and a crash/recover cycle."""
     with _pinned_entropy():
         return _scenario_trace(execution)
 
@@ -364,20 +358,12 @@ def _scenario_trace(execution):
 class TestCrossBackendParity:
     def test_honest_trace_byte_identical(self):
         serial = _honest_fingerprint("serial")
-        for backend in BACKENDS[1:]:
-            other = _honest_fingerprint(backend)
-            assert serial["wire"] == other["wire"], backend
-            assert serial["audit"] == other["audit"], backend
-            assert serial["stored"] == other["stored"], backend
-            assert serial["chains"] == other["chains"], backend
-            assert serial["operations"] == other["operations"], backend
-            assert serial["verdict_ok"] and other["verdict_ok"], backend
-            assert serial["forked"] == other["forked"] == [], backend
+        assert serial["verdict_ok"] and serial["forked"] == []
+        assert _honest_fingerprint(_threaded()) == serial
 
     def test_fork_detected_identically_under_every_backend(self):
         serial = _forked_fingerprint("serial")
-        for backend in BACKENDS[1:]:
-            assert _forked_fingerprint(backend) == serial, backend
+        assert _forked_fingerprint(_threaded()) == serial
         assert serial["violation_type"]  # a violation was in fact recorded
         # a *joined-back* fork surfaces as a shard violation, not a
         # maintained-fork entry (those only list diverged, unjoined forks)
@@ -389,8 +375,19 @@ class TestCrossBackendParity:
         serial = _scenario_fingerprint("serial")
         assert serial["committed"] and serial["verdict_ok"]
         assert len(serial["shards"]) == len(serial["initial"]) + 1
-        for backend in BACKENDS[1:]:
-            assert _scenario_fingerprint(backend) == serial, backend
+        assert _scenario_fingerprint(_threaded()) == serial
+
+    def test_seal_share_is_orthogonal_to_the_backend(self):
+        """The seal-stage cost model moves deliveries on the virtual
+        clock identically whichever backend runs the ecall: same
+        evidence bytes *and* same completion times."""
+        modelled = _honest_fingerprint("serial", DEFAULT_SEAL_SHARE)
+        assert _honest_fingerprint(_threaded(), DEFAULT_SEAL_SHARE) == modelled
+        assert modelled["verdict_ok"]
+        # and the model is live: it does move the schedule
+        default = _honest_fingerprint("serial")
+        assert modelled["completed_at"] != default["completed_at"]
+        assert modelled["completed_at"][-1] < default["completed_at"][-1]
 
 
 class TestFastpathMatrixParity:
@@ -432,30 +429,28 @@ messages._fresh_nonce = _pinned
 aead._fresh_nonce = _pinned
 aead._fresh_nonces = lambda count: [_pinned() for _ in range(count)]
 from repro.kvstore import get, put
+from repro.server.execution import ThreadedBackend
 from repro.sharding import ShardRouter, ShardedCluster
-cluster = ShardedCluster(shards=2, clients=2, seed=37)
-assert cluster.execution.name == os.environ["REPRO_EXEC_BACKEND"]
-wire = hashlib.sha256()
+execution = sys.argv[1]
+if execution == "threaded":
+    execution = ThreadedBackend(workers=2)
+cluster = ShardedCluster(shards=2, clients=2, seed=37, execution=execution)
+assert cluster.execution.name == sys.argv[1]
+# one accumulator per shard: the recorder runs on the pool's worker
+# threads in wall-clock completion order, which only orders batches of
+# the *same* shard (one in flight per dispatcher), never across shards
+shard_wire = {}
 for shard_id in cluster.shard_ids:
     host = cluster.shard_host(shard_id)
     original = host.send_invoke_batch
-    def recording(batch, _original=original, _sid=shard_id):
+    shard_wire[shard_id] = hashlib.sha256()
+    def recording(batch, _original=original, _wire=shard_wire[shard_id]):
         replies = _original(batch)
         for (_cid, message), reply in zip(batch, replies):
-            wire.update(_sid.to_bytes(4, "big"))
-            wire.update(message)
-            wire.update(reply)
+            _wire.update(message)
+            _wire.update(reply)
         return replies
     host.send_invoke_batch = recording
-    original_deferred = host.send_invoke_batch_deferred
-    def recording_deferred(batch, _original=original_deferred, _sid=shard_id):
-        replies, seal = _original(batch)
-        for (_cid, message), reply in zip(batch, replies):
-            wire.update(_sid.to_bytes(4, "big"))
-            wire.update(message)
-            wire.update(reply)
-        return replies, seal
-    host.send_invoke_batch_deferred = recording_deferred
 router = ShardRouter(cluster)
 for client_id in cluster.client_ids:
     for i in range(6):
@@ -465,7 +460,11 @@ for client_id in cluster.client_ids:
             router.submit(client_id, get(f"m-{client_id}-{i - 1}"))
 cluster.run()
 assert router.verdict().ok
+cluster.execution.shutdown()
+wire = hashlib.sha256()
 for shard_id in sorted(cluster.shard_ids):
+    wire.update(shard_id.to_bytes(4, "big"))
+    wire.update(shard_wire[shard_id].digest())
     for log in cluster.audit_logs(shard_id):
         for record in log:
             wire.update(record.operation + record.result + record.chain)
@@ -479,14 +478,10 @@ print(wire.hexdigest())
 """
 
     def _cell(self, fastpath_name, execution_name):
-        env = dict(
-            os.environ,
-            REPRO_FASTPATH=fastpath_name,
-            REPRO_EXEC_BACKEND=execution_name,
-        )
+        env = dict(os.environ, REPRO_FASTPATH=fastpath_name)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         proc = subprocess.run(
-            [sys.executable, "-c", self._DRIVER],
+            [sys.executable, "-c", self._DRIVER, execution_name],
             env=env,
             capture_output=True,
             text=True,
@@ -531,6 +526,11 @@ class TestExecutionBackendUnit:
             make_execution_backend("bogus")
         with pytest.raises(ConfigurationError, match="worker"):
             ThreadedBackend(workers=0)
+
+    @pytest.mark.parametrize("name", ["pipelined", "process"])
+    def test_removed_backend_names_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="unknown execution"):
+            make_execution_backend(name)
 
     def test_serial_submit_time_semantics(self):
         backend = SerialBackend()
@@ -605,91 +605,10 @@ class TestExecutionBackendUnit:
         finally:
             backend.shutdown()
 
-    def test_pipelined_seal_share_validated(self):
-        with pytest.raises(ConfigurationError, match="seal_share"):
-            PipelinedBackend(seal_share=0.0)
-        with pytest.raises(ConfigurationError, match="seal_share"):
-            PipelinedBackend(seal_share=0.6)
-        backend = PipelinedBackend(seal_share=0.5)
-        try:
-            assert backend.pipelined and not backend.virtual_split
-        finally:
-            backend.shutdown()
-
     def test_backend_instance_passes_through_factory(self):
-        backend = PipelinedBackend(virtual_split=True, seal_share=0.25)
+        backend = _threaded()
         try:
             assert make_execution_backend(backend) is backend
-        finally:
-            backend.shutdown()
-
-    @pytest.mark.parametrize("backend_name", ["pipelined", "process"])
-    def test_dispatcher_violation_at_delivery_same_policy(self, backend_name):
-        """The new backends surface a mid-batch violation at the same
-        boundary as the threaded backend — the delivery event — with the
-        identical halt/record policy."""
-        backend = make_execution_backend(backend_name)
-        try:
-            sim = Simulator()
-            seen = []
-
-            def send_batch(batch):
-                raise SecurityViolation("mid-batch")
-
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=send_batch,
-                deliver=lambda c, r: None,
-                batch_limit=4,
-                on_violation=seen.append,
-                execution=backend,
-                take_seal=lambda: None,
-            )
-            dispatcher.enqueue(1, b"m")
-            assert not dispatcher.halted  # not joined yet
-            sim.run()
-            assert len(seen) == 1 and isinstance(seen[0], SecurityViolation)
-            assert dispatcher.halted and not dispatcher.healthy
-        finally:
-            backend.shutdown()
-
-    @pytest.mark.parametrize("backend_name", ["pipelined", "process"])
-    def test_dispatcher_violation_without_hook_propagates(self, backend_name):
-        backend = make_execution_backend(backend_name)
-        try:
-            sim = Simulator()
-
-            def send_batch(batch):
-                raise SecurityViolation("mid-batch")
-
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=send_batch,
-                deliver=lambda c, r: None,
-                batch_limit=4,
-                execution=backend,
-                take_seal=lambda: None,
-            )
-            dispatcher.enqueue(1, b"m")
-            with pytest.raises(SecurityViolation):
-                sim.run()
-            assert dispatcher.halted
-        finally:
-            backend.shutdown()
-
-    def test_process_backend_falls_back_without_transportable_context(self):
-        """A host whose enclave program lacks the execution-state surface
-        (the malicious server) must fall back to the in-process ecall."""
-        backend = ProcessBackend(workers=1)
-        try:
-
-            class _Enclave:
-                program = None
-                ecalls = 0
-
-            ran, outcome = backend.run_batch(_Enclave(), [b"m"], lambda b: None)
-            assert not ran and outcome is None
-            assert backend.remote_fallbacks == 1 and backend.remote_batches == 0
         finally:
             backend.shutdown()
 

@@ -96,9 +96,12 @@ class TestSubcommands:
 
     def test_parallel_accepts_backend_list(self, capsys):
         assert main(["parallel", "--shards", "2", "--clients", "4",
-                     "--ops", "8", "--backends", "serial", "pipelined"]) == 0
+                     "--ops", "8", "--backends", "threaded", "serial"]) == 0
         out = capsys.readouterr().out
-        assert "pipelined:" in out
+        assert out.index("threaded:") < out.index("serial:")
+        for removed in ("pipelined", "process"):
+            with pytest.raises(SystemExit):
+                main(["parallel", "--backends", removed])
 
     def test_frontier_quick_smoke(self, capsys, tmp_path):
         output = tmp_path / "frontier.json"
