@@ -71,42 +71,29 @@ def test_micro_invoke_with_state_growth(benchmark):
 
 
 def _batched_invoke_round(host, deployment, clients):
-    """One full batch round trip: seal the batch, one ecall, complete.
-
-    Uses the batch seal API when the revision under test has it (so
-    stash-interleaved A/B runs against older revisions keep working:
-    the old side falls back to per-payload sealing).
-    """
-    import repro.core.messages as messages_mod
+    """One full batch round trip: every client seals its own INVOKE, one
+    ecall serves the batch, every client completes its own REPLY.  The
+    batch codec is the enclave's; clients seal and open per message."""
     from repro.core.messages import InvokePayload
 
     key = deployment.communication_key
-    payloads = [
-        InvokePayload(
-            client_id=client.client_id,
-            last_sequence=client.last_sequence,
-            last_chain=client.last_chain,
-            operation=serde.encode(["PUT", "shared", "v"]),
+    operation = serde.encode(["PUT", "shared", "v"])
+    messages = [
+        (
+            client.client_id,
+            InvokePayload(
+                client_id=client.client_id,
+                last_sequence=client.last_sequence,
+                last_chain=client.last_chain,
+                operation=operation,
+            ).seal(key),
         )
         for client in clients
     ]
-    seal_invokes = getattr(messages_mod, "seal_invokes", None)
-    if seal_invokes is not None:
-        boxes = seal_invokes(payloads, key)
-    else:
-        boxes = [payload.seal(key) for payload in payloads]
-    messages = [
-        (client.client_id, box) for client, box in zip(clients, boxes)
-    ]
     replies = host.send_invoke_batch(messages)
     # feed the replies back so contexts stay current between rounds
-    unseal_replies = getattr(messages_mod, "unseal_replies", None)
-    if unseal_replies is not None:
-        for client, fields in zip(clients, unseal_replies(replies, key)):
-            client._complete_fields(("PUT", "shared", "v"), fields)
-    else:
-        for client, reply in zip(clients, replies):
-            client._complete(("PUT", "shared", "v"), reply)
+    for client, reply in zip(clients, replies):
+        client._complete(("PUT", "shared", "v"), reply)
     return replies
 
 

@@ -11,7 +11,7 @@ this system the same enclave-crypto costs as LCM minus the protocol
 overhead.
 
 The program implements the same ecall surface subset as
-:class:`~repro.core.context.LcmContext` (attest / provision / invoke /
+:class:`~repro.core.context.LcmContext` (attest / provision /
 invoke_batch / status), so it runs on the identical server and TEE
 substrate.
 """
@@ -89,10 +89,6 @@ class SgxKvsProgram:
             return self._env.create_report(payload + self._dh.public_bytes())
         if name == "provision":
             return self._provision(payload)
-        if name == "invoke":
-            reply = self._process(payload)
-            self._seal_and_store()
-            return reply
         if name == "invoke_batch":
             replies = [self._process(message) for message in payload]
             self._seal_and_store()

@@ -24,19 +24,14 @@ from __future__ import annotations
 import collections
 from typing import Any, Callable
 
-from repro import serde
 from repro.crypto.aead import AeadKey
-from repro.crypto.hashing import GENESIS_HASH
 from repro.errors import InvalidReply
-from repro.core.client import LcmResult
-from repro.core.client import _decode_result
-from repro.core.messages import InvokePayload, unseal_reply
-from repro.core.stability import StabilityTracker
+from repro.core.client import Alg1State, LcmResult
 
 CompletionCallback = Callable[[LcmResult], Any]
 
 
-class AsyncLcmClient:
+class AsyncLcmClient(Alg1State):
     """Alg. 1 as an event-driven state machine.
 
     Parameters
@@ -54,33 +49,16 @@ class AsyncLcmClient:
         communication_key: AeadKey,
         send: Callable[[bytes], Any],
     ) -> None:
-        self.client_id = client_id
-        self._key = communication_key
+        super().__init__(client_id, communication_key)
         self._send = send
-        self._last_sequence = 0
-        self._last_chain = GENESIS_HASH
-        self._stable_sequence = 0
         self._outstanding: tuple[Any, CompletionCallback] | None = None
         self._queue: collections.deque[tuple[Any, CompletionCallback]] = (
             collections.deque()
         )
-        self.stability = StabilityTracker()
         self._stability_callbacks: list[tuple[int, Callable[[int], Any]]] = []
         self.completed = 0
 
     # ------------------------------------------------------------ invoking
-
-    @property
-    def last_sequence(self) -> int:
-        return self._last_sequence
-
-    @property
-    def last_chain(self) -> bytes:
-        return self._last_chain
-
-    @property
-    def stable_sequence(self) -> int:
-        return self._stable_sequence
 
     @property
     def busy(self) -> bool:
@@ -104,15 +82,7 @@ class AsyncLcmClient:
             return
         operation, on_complete = self._queue.popleft()
         self._outstanding = (operation, on_complete)
-        payload = InvokePayload(
-            client_id=self.client_id,
-            last_sequence=self._last_sequence,
-            last_chain=self._last_chain,
-            operation=serde.encode(
-                list(operation) if isinstance(operation, tuple) else operation
-            ),
-        )
-        self._send(payload.seal(self._key))
+        self._send(self._seal_invoke(operation))
 
     def retransmit(self) -> bool:
         """Resend the outstanding INVOKE with the retry marker (timeout
@@ -120,16 +90,7 @@ class AsyncLcmClient:
         if self._outstanding is None:
             return False
         operation, _ = self._outstanding
-        payload = InvokePayload(
-            client_id=self.client_id,
-            last_sequence=self._last_sequence,
-            last_chain=self._last_chain,
-            operation=serde.encode(
-                list(operation) if isinstance(operation, tuple) else operation
-            ),
-            retry=True,
-        )
-        self._send(payload.seal(self._key))
+        self._send(self._seal_invoke(operation, retry=True))
         return True
 
     # ------------------------------------------------------------- replies
@@ -138,30 +99,10 @@ class AsyncLcmClient:
         """Feed an incoming REPLY; verifies, completes, and pumps the queue."""
         if self._outstanding is None:
             raise InvalidReply("REPLY received with no outstanding INVOKE")
-        sequence, chain, result_bytes, stable_sequence, previous_chain = (
-            unseal_reply(reply_box, self._key)
-        )
-        if previous_chain != self._last_chain:
-            raise InvalidReply(
-                "REPLY does not extend this client's context "
-                "(previous chain value mismatch)"
-            )
-        if sequence <= self._last_sequence:
-            raise InvalidReply("non-increasing sequence number")
-        if stable_sequence < self._stable_sequence:
-            raise InvalidReply("majority-stable sequence number decreased")
-        operation, on_complete = self._outstanding
+        result = self._accept_reply(reply_box)
+        _, on_complete = self._outstanding
         self._outstanding = None
-        self._last_sequence = sequence
-        self._last_chain = chain
-        self._stable_sequence = max(self._stable_sequence, stable_sequence)
-        self.stability.observe(sequence, stable_sequence)
         self.completed += 1
-        result = LcmResult(
-            result=_decode_result(result_bytes),
-            sequence=sequence,
-            stable_sequence=stable_sequence,
-        )
         self._fire_stability_callbacks()
         on_complete(result)
         self._pump()
@@ -193,6 +134,3 @@ class AsyncLcmClient:
         ]
         for _, callback in ready:
             callback(self._stable_sequence)
-
-    def is_stable(self, sequence: int) -> bool:
-        return sequence <= self._stable_sequence

@@ -115,28 +115,19 @@ class ClientCheckpoint:
     last_chain: bytes
 
 
-class LcmClient:
-    """Alg. 1.  One instance per client ``Ci``; invocations are sequential."""
+class Alg1State:
+    """Alg. 1 without a transport: the ``(tc, ts, hc)`` state, INVOKE
+    construction and REPLY acceptance.  :class:`LcmClient` adds a blocking
+    transport with retries; :class:`~repro.core.async_client.AsyncLcmClient`
+    adds a send function and a queue."""
 
-    def __init__(
-        self,
-        client_id: int,
-        communication_key: AeadKey,
-        transport: Transport,
-        *,
-        max_retries: int = 3,
-    ) -> None:
+    def __init__(self, client_id: int, communication_key: AeadKey) -> None:
         self.client_id = client_id
         self._key = communication_key
-        self._transport = transport
-        self._max_retries = max_retries
         self._last_sequence = 0          # tc
         self._stable_sequence = 0        # ts
         self._last_chain = GENESIS_HASH  # hc
         self.stability = StabilityTracker()
-        self.completed_operations: list[tuple[Any, LcmResult]] = []
-
-    # ----------------------------------------------------------- properties
 
     @property
     def last_sequence(self) -> int:
@@ -150,52 +141,27 @@ class LcmClient:
     def last_chain(self) -> bytes:
         return self._last_chain
 
-    # --------------------------------------------------------------- invoke
+    def is_stable(self, sequence: int) -> bool:
+        """Is the given operation known to be stable among a majority?"""
+        return sequence <= self._stable_sequence
 
-    def invoke(self, operation: Any) -> LcmResult:
-        """Execute one operation through the trusted context.
+    def _seal_invoke(self, operation: Any, retry: bool = False) -> bytes:
+        """The sealed INVOKE ``(tc, hc, o, i)`` for ``operation`` in the
+        current context; ``retry`` marks a retransmission (Sec. 4.6.1)."""
+        return InvokePayload(
+            client_id=self.client_id,
+            last_sequence=self._last_sequence,
+            last_chain=self._last_chain,
+            operation=_encode_operation(operation),
+            retry=retry,
+        ).seal(self._key)
 
-        Raises a :class:`~repro.errors.SecurityViolation` subclass when the
-        protocol detects server misbehaviour; raises
-        :class:`TransportTimeout` if the server stayed unreachable through
-        all retry attempts.
-        """
-        operation_bytes = _encode_operation(operation)
-        attempts = 0
-        retry = False
-        while True:
-            payload = InvokePayload(
-                client_id=self.client_id,
-                last_sequence=self._last_sequence,
-                last_chain=self._last_chain,
-                operation=operation_bytes,
-                retry=retry,
-            )
-            try:
-                reply_box = self._transport.send_invoke(
-                    self.client_id, payload.seal(self._key)
-                )
-            except TransportTimeout:
-                attempts += 1
-                if attempts > self._max_retries:
-                    raise
-                retry = True  # mark the retransmission (Sec. 4.6.1)
-                continue
-            return self._complete(operation, reply_box)
-
-    def _complete(self, operation: Any, reply_box: bytes) -> LcmResult:
-        return self._complete_fields(
-            operation, unseal_reply(reply_box, self._key)
+    def _accept_reply(self, reply_box: bytes) -> LcmResult:
+        """Alg. 1's response handling: open the REPLY, run the three
+        asserts, adopt ``(t, h, q)`` and return ``(r, t, q)``."""
+        sequence, chain, result_bytes, stable_sequence, previous_chain = (
+            unseal_reply(reply_box, self._key)
         )
-
-    def _complete_fields(
-        self, operation: Any, fields: tuple[int, bytes, bytes, int, bytes]
-    ) -> LcmResult:
-        """Alg. 1's response handling over already-opened REPLY fields
-        (batch drivers open many replies in one call via
-        :func:`~repro.core.messages.unseal_replies`, then complete each
-        client from its field tuple)."""
-        sequence, chain, result_bytes, stable_sequence, previous_chain = fields
         # assert h'c = hc — pairs the REPLY with our INVOKE and rejects
         # replies minted against any other history.
         if previous_chain != self._last_chain:
@@ -214,16 +180,61 @@ class LcmClient:
         self._last_chain = chain
         if stable_sequence > self._stable_sequence:
             self._stable_sequence = stable_sequence
-        outcome = LcmResult(
-            result=_decode_result(result_bytes),
-            sequence=sequence,
-            stable_sequence=stable_sequence,
-        )
         # inlined StabilityTracker.observe (hot path)
         stability = self.stability
         stability.own_sequences.append(sequence)
         if stable_sequence > stability.stable_sequence:
             stability.stable_sequence = stable_sequence
+        return LcmResult(
+            result=_decode_result(result_bytes),
+            sequence=sequence,
+            stable_sequence=stable_sequence,
+        )
+
+
+class LcmClient(Alg1State):
+    """Alg. 1.  One instance per client ``Ci``; invocations are sequential."""
+
+    def __init__(
+        self,
+        client_id: int,
+        communication_key: AeadKey,
+        transport: Transport,
+        *,
+        max_retries: int = 3,
+    ) -> None:
+        super().__init__(client_id, communication_key)
+        self._transport = transport
+        self._max_retries = max_retries
+        self.completed_operations: list[tuple[Any, LcmResult]] = []
+
+    # --------------------------------------------------------------- invoke
+
+    def invoke(self, operation: Any) -> LcmResult:
+        """Execute one operation through the trusted context.
+
+        Raises a :class:`~repro.errors.SecurityViolation` subclass when the
+        protocol detects server misbehaviour; raises
+        :class:`TransportTimeout` if the server stayed unreachable through
+        all retry attempts.
+        """
+        attempts = 0
+        retry = False
+        while True:
+            try:
+                reply_box = self._transport.send_invoke(
+                    self.client_id, self._seal_invoke(operation, retry)
+                )
+            except TransportTimeout:
+                attempts += 1
+                if attempts > self._max_retries:
+                    raise
+                retry = True  # mark the retransmission (Sec. 4.6.1)
+                continue
+            return self._complete(operation, reply_box)
+
+    def _complete(self, operation: Any, reply_box: bytes) -> LcmResult:
+        outcome = self._accept_reply(reply_box)
         self.completed_operations.append((operation, outcome))
         return outcome
 
@@ -234,10 +245,6 @@ class LcmClient:
         (the FAUST-style mechanism of Sec. 4.5).  Returns the updated
         majority-stable sequence number."""
         return self.invoke(NOP_OPERATION).stable_sequence
-
-    def is_stable(self, sequence: int) -> bool:
-        """Is the given operation known to be stable among a majority?"""
-        return sequence <= self._stable_sequence
 
     def wait_until_stable(self, sequence: int, *, max_polls: int = 100) -> bool:
         """Poll with dummy operations until ``sequence`` becomes stable.

@@ -10,15 +10,16 @@ lifecycle follows the paper:
     ``kS``, then the protocol/service state with ``kP``, and rederives
     ``(t, h)`` via ``argmax(V)``.
 
-``invoke`` (per INVOKE message, Sec. 4.2.2)
-    Decrypt with ``kC``; verify ``V[i] = (*, tc, hc)``; halt on mismatch
-    (rollback / forking / replay detection — the verification that *is* the
-    protocol); execute ``F``; extend the hash chain; update ``V``; compute
-    ``majority-stable(V)``; seal and store state; return the REPLY.
+``invoke_batch`` (per batch of INVOKE messages, Sec. 4.2.2 / 5.2)
+    For each message: decrypt with ``kC``; verify ``V[i] = (*, tc, hc)``;
+    halt on mismatch (rollback / forking / replay detection — the
+    verification that *is* the protocol); execute ``F``; extend the hash
+    chain; update ``V``; compute ``majority-stable(V)``.  Then seal and
+    store the state once and return the REPLYs.  A single INVOKE is a
+    batch of one.
 
 Extensions implemented:
 
-- batching (Sec. 5.2): one ecall processes many INVOKEs, state stored once;
 - retry (Sec. 4.6.1): a retry-marked INVOKE whose operation was already
   executed gets its stored REPLY re-sent instead of triggering a halt;
 - protocol-level no-op: clients may poll stability with dummy operations
@@ -106,7 +107,9 @@ from repro.crypto.aead import (
     NonceSequence,
     _mac_frame,
     auth_decrypt,
+    auth_decrypt_batch,
     auth_encrypt,
+    auth_encrypt_batch,
     mac_tag,
     stream_decrypt,
     stream_encrypt,
@@ -141,11 +144,8 @@ from repro.core.messages import (
     _REPLY_AD,
     _REPLY_PREFIX,
     ReplyPayload,
+    decode_invoke,
     encode_reply,
-    seal_replies,
-    seal_reply,
-    unseal_invoke,
-    unseal_invokes,
 )
 from repro.core.stability import (
     ClientEntry,
@@ -228,24 +228,6 @@ _frame_bytes = serde.encode
 _HASH_FRAME = b"B" + (32).to_bytes(8, "big")
 
 
-def _row_record(acknowledged: int, reply_box: bytes) -> bytes:
-    """Canonical serde bytes of ``[acknowledged, reply_box]``."""
-    try:
-        encoded_ack = acknowledged.to_bytes(16, "big", signed=True)
-    except OverflowError:
-        raise serde.SerdeError(
-            "acknowledged marker exceeds the canonical 128-bit range"
-        ) from None
-    return (
-        _TWO_LIST_HEADER
-        + b"I"
-        + encoded_ack
-        + b"B"
-        + len(reply_box).to_bytes(8, "big")
-        + reply_box
-    )
-
-
 #: Decoded forms of recently seen operation encodings (real workloads repeat
 #: operations heavily).  Only flat lists of scalars are memoized so a
 #: functionality that mutates nested operation structure cannot corrupt the
@@ -290,6 +272,10 @@ NOP_OPERATION = ("__LCM_NOP__",)
 _NOP_VERB = NOP_OPERATION[0]
 
 _NOP_BYTES = serde.encode(list(NOP_OPERATION))
+
+#: The four Alg.-2 halts, numbered as ``lcm_invoke_batch_open`` reports them
+#: in a violating operation's ``meta[0]``.
+_UNKNOWN_CLIENT, _REPLAY, _ROLLBACK, _FORK = -1, -2, -3, -4
 
 
 @dataclass
@@ -391,7 +377,6 @@ class LcmContext:
         self._migrated_out = False
         self.audit_log: list[AuditRecord] = []
         self._handlers: dict[str, Callable[[Any], Any]] = {
-            "invoke": self._ecall_invoke,
             "invoke_batch": self._ecall_invoke_batch,
             "attest": self._ecall_attest,
             "provision": self._ecall_provision,
@@ -520,8 +505,8 @@ class LcmContext:
 
     def _set_entry(self, client_id: int, entry: ClientEntry) -> None:
         """Update one row of V; its stored record is rebuilt at the next
-        seal (with a synthesized REPLY box — the invoke path instead calls
-        :meth:`_store_row_seal` with the real one)."""
+        seal (with a synthesized REPLY box — the invoke path instead feeds
+        :meth:`_store_row_seals` the real one)."""
         rows = self._rows
         slot = rows.slot.get(client_id)
         if slot is None:
@@ -538,22 +523,12 @@ class LcmContext:
             rows.results[slot] = entry.last_result
         self._dirty_rows.add(client_id)
 
-    def _store_row_seal(
-        self, client_id: int, acknowledged: int, reply_box: bytes
-    ) -> None:
-        """Cache the stored form of one V row from its REPLY box, patching
-        the assembly buffers' slot for that row in place (the O(1) hot
-        path; only membership-scale events rebuild the buffers)."""
-        record = _row_record(acknowledged, reply_box)
-        self._install_row_seal(client_id, record, _sha256(record).digest())
-
     def _store_row_seals(self, pending: dict[int, tuple[int, bytes]]) -> None:
-        """Reseal a whole batch of V rows, hashing every record in one
-        pass (the coalesced per-batch form of :meth:`_store_row_seal`).
-
-        The loop is :meth:`_install_row_seal` unrolled with the per-batch
-        constants hoisted; the produced pieces are byte-identical.
-        """
+        """Cache the stored form of a batch of V rows from their
+        ``(acknowledged, REPLY box)`` pairs, hashing every record in one
+        pass and patching each row's slot of the assembly buffers in
+        place (the O(1)-per-row hot path; only membership-scale events
+        rebuild the buffers)."""
         if not pending:
             return
         row_seals = self._row_seals
@@ -569,8 +544,10 @@ class LcmContext:
                 raise serde.SerdeError(
                     "acknowledged marker exceeds the canonical 128-bit range"
                 ) from None
-            # _row_record's bytes assembled in one pass, framed in place
-            # (record length = header 9 + I 17 + B 9 + box)
+            # canonical serde bytes of ``[acknowledged, reply_box]``,
+            # assembled and framed in one pass (inlined ``B || len ||
+            # value`` framing, pinned by the sealed-blob golden tests;
+            # record length = header 9 + I 17 + B 9 + box)
             blob_piece = (
                 enc_id
                 + b"B"
@@ -603,26 +580,6 @@ class LcmContext:
                     blob_pieces[slot] = blob_piece
                     manifest_pieces[slot] = manifest_piece
             discard(client_id)
-
-    def _install_row_seal(
-        self, client_id: int, record: bytes, digest: bytes
-    ) -> None:
-        cached = self._row_seals.get(client_id)
-        enc_id = cached[0] if cached is not None else serde.encode(client_id)
-        # inlined serde bytes framing (``B || len || value``), identical to
-        # _frame_bytes and pinned by the sealed-blob golden tests
-        blob_piece = (
-            enc_id + b"B" + len(record).to_bytes(8, "big") + record
-        )
-        manifest_piece = enc_id + _HASH_FRAME + digest
-        self._row_seals[client_id] = (enc_id, blob_piece, manifest_piece)
-        if not self._rows_unsorted:
-            slot = self._row_index.get(client_id)
-            if slot is None:
-                self._rows_unsorted = True  # row not laid out yet
-            else:
-                self._row_blob_pieces[slot] = blob_piece
-                self._row_manifest_pieces[slot] = manifest_piece
 
     def _rebuild_row_arrays(self) -> None:
         """Re-derive the canonical row layout (sorted by encoded id) after
@@ -703,6 +660,7 @@ class LcmContext:
             # ever accepts it as a live reply
             rows = self._rows
             kc = self._communication_key
+            pending = {}
             for client_id in sorted(self._dirty_rows):
                 entry = rows.entry(client_id)
                 box = ReplyPayload(
@@ -712,8 +670,8 @@ class LcmContext:
                     stable_sequence=0,
                     previous_chain=b"",
                 ).seal(kc, nonce=self._next_nonce())
-                self._store_row_seal(client_id, entry.acknowledged, box)
-            self._dirty_rows.clear()
+                pending[client_id] = (entry.acknowledged, box)
+            self._store_row_seals(pending)  # clears their dirty marks
         if self._rows_unsorted:
             self._rebuild_row_arrays()
 
@@ -853,95 +811,67 @@ class LcmContext:
 
     # ---------------------------------------------------------------- invoke
 
-    def _ecall_invoke(self, message: bytes):
-        reply = self._process_invoke(message)
-        if self._piggyback_state:
-            # Sec. 5.2: hand the sealed state back with the reply; the
-            # untrusted server writes it to disk (it cannot read or forge
-            # it — only delay or roll it back, which LCM detects anyway).
-            return {"reply": reply, "state": self._sealed_blob()}
-        self._seal_and_store()
-        return reply
-
     def _ecall_invoke_batch(self, messages: list[bytes]):
-        """Batched processing (Sec. 5.2): one crypto pass per direction,
-        one dynamic-layer seal and one state store for the whole batch.
+        """Alg. 2, entered once per batch (Sec. 5.2): one crypto pass per
+        direction, one dynamic-layer seal and one state store for the
+        whole batch.  A single INVOKE is a batch of one.
 
-        All INVOKE boxes are verified and decrypted in a single batch
-        call before any operation executes, so a batch containing a
-        forged message is rejected wholesale (the per-message path
-        rejects exactly that message; either way no forged operation
-        runs and the context does not halt).  All REPLY boxes are
-        sealed in one batch call, and the per-client row-slot patches
-        are coalesced so a client invoked twice in a batch is resealed
-        once.  An *authenticated* verification failure mid-batch still
-        halts the context immediately — operations already executed in
-        the batch are abandoned unsealed, exactly as before.
+        All INVOKE boxes are verified and decrypted before any operation
+        executes, so a batch containing a forged message is rejected
+        wholesale — no forged operation runs and the context does not
+        halt: an unauthentic message carries no evidence about T's own
+        state (it may be network garbage or a removed client's stale
+        key), and halting on it would let anyone deny service with one
+        forged packet.  Halting is reserved for *authenticated* context
+        mismatches, which prove a rollback/forking attack; one mid-batch
+        halts the context immediately, and the operations already
+        executed in the batch are abandoned unsealed.  All REPLY boxes
+        are sealed in one pass, and the per-client row-slot patches are
+        coalesced so a client invoked twice in a batch is resealed once.
 
-        When the compiled fastpath backend is active, the whole batch is
-        verified, decoded, Alg.-2-checked against the packed V columns,
-        chained, and resealed in two C calls; Python only runs the
-        functionality and the slow paths (see
-        :meth:`_invoke_batch_native`).  Every other backend runs the
-        per-op loop below with nonces drawn from the same deterministic
-        sequence, so the wire bytes are identical across backends.
+        With the compiled fastpath backend the batch is verified,
+        decoded, Alg.-2-checked against the packed V columns, chained and
+        resealed in two C calls (:meth:`_invoke_batch_native`).  Without
+        it — or when some authentic INVOKE is not encoded the way the C
+        parser expects, in which case the native pass has touched
+        nothing — the Python encoding of Alg. 2 runs
+        (:meth:`_invoke_batch_python`), drawing nonces from the same
+        deterministic sequence, so the wire bytes are identical.  Both
+        run operations through :meth:`_execute`, halt through
+        :meth:`_violation` and finish in the epilogue below.
         """
         if not self._provisioned:
             raise ConfigurationError("context not provisioned")
-        if messages and self._nonces is not None:
-            backend = _fastpath.BACKEND
-            if backend.invoke_batch_open is not None:
-                outcome = self._invoke_batch_native(backend, messages)
-                if outcome is not None:
-                    return outcome
-                # a non-canonical (but authentic) encoding somewhere in
-                # the batch: fall through and let the generic decoders
-                # produce their exact diagnostics
         probe = self._stage_probe
-        timed = probe is not None
-        if timed:
-            wall_start = _perf_counter()
-        invokes = unseal_invokes(messages, self._communication_key)
-        execute = self._execute_invoke
-        if timed:
-            t_unseal = _perf_counter()
-            per_op: list[float] = []
-            outcomes = []
-            for invoke in invokes:
-                op_start = _perf_counter()
-                outcomes.append(execute(invoke))
-                per_op.append(_perf_counter() - op_start)
-            t_execute = _perf_counter()
-        else:
-            outcomes = [execute(invoke) for invoke in invokes]
-        nonces = self._nonces
-        boxes = seal_replies(
-            [encoded for encoded, _ in outcomes],
-            self._communication_key,
-            nonces=nonces.take(len(outcomes)) if nonces is not None else None,
-        )
-        pending: dict[int, tuple[int, bytes]] = {}
-        for (_, row), box in zip(outcomes, boxes):
-            if row is not None:
-                pending[row[0]] = (row[1], box)  # later reply supersedes
-        self._store_row_seals(pending)
-        if timed:
-            t_reply = _perf_counter()
+        # stage boundaries (start, unseal, execute, reply_seal) and the
+        # per-op execute durations, stamped only when a probe listens
+        stamps: list[float] | None = [] if probe is not None else None
+        per_op: list[float] = []
+        backend = _fastpath.BACKEND
+        path = "native-batch"
+        boxes = None
+        if (
+            messages
+            and self._nonces is not None
+            and backend.invoke_batch_open is not None
+        ):
+            boxes = self._invoke_batch_native(backend, messages, stamps, per_op)
+        if boxes is None:
+            path = "python-batch"
+            boxes = self._invoke_batch_python(messages, stamps, per_op)
         if self._piggyback_state:
+            # Sec. 5.2: hand the sealed state back with the replies; the
+            # untrusted server writes it to disk (it cannot read or forge
+            # it — only delay or roll it back, which LCM detects anyway).
             outcome = {"replies": boxes, "state": self._sealed_blob()}
-            if timed:
-                probe(self._stage_record(
-                    "python-batch", len(messages), per_op,
-                    wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
-                ))
-            return outcome
-        self._seal_and_store()
-        if timed:
+        else:
+            self._seal_and_store()
+            outcome = boxes
+        if stamps is not None:
             probe(self._stage_record(
-                "python-batch", len(messages), per_op,
-                wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
+                path, len(messages), per_op, *stamps, _perf_counter()
             ))
-        return boxes
+        return outcome
 
     @staticmethod
     def _stage_record(
@@ -958,13 +888,12 @@ class LcmContext:
         the native and python-batch paths (only ``path`` tells them
         apart) so spans look the same whichever backend sealed them:
         ``unseal`` covers MAC-scan/decrypt/decode (native pass A also
-        folds the Alg.-2 check in here; the generic loop verifies inside
+        folds the Alg.-2 check in here; the Python pass verifies inside
         ``execute``), ``execute`` the per-op middle loop (itemised per
         operation in ``per_op_execute``), ``reply_seal`` reply encoding
-        + sealing and
-        row-slot bookkeeping, ``state_seal`` the dynamic-layer seal and
-        store.  All durations are wall-clock seconds measured inside the
-        ecall."""
+        + sealing and row-slot bookkeeping, ``state_seal`` the
+        dynamic-layer seal and store.  All durations are wall-clock
+        seconds measured inside the ecall."""
         return {
             "path": path,
             "ops": ops,
@@ -977,24 +906,30 @@ class LcmContext:
             "wall_total": t_store - wall_start,
         }
 
-    def _invoke_batch_native(self, backend, messages: list[bytes]):
+    def _invoke_batch_native(
+        self,
+        backend,
+        messages: list[bytes],
+        stamps: list[float] | None,
+        per_op: list[float],
+    ) -> list[bytes] | None:
         """One-C-call batch processing against the packed V columns.
 
         Pass A (``lcm_invoke_batch_open``) MAC-scans, decrypts, decodes
         and Alg.-2-verifies every INVOKE in order, mutating the live V
         columns, the sorted acknowledged mirror and the (sequence, chain)
-        head exactly as the per-op loop would.  The middle loop below
-        then runs only the functionality (and reads resend results at
-        their in-order positions); pass B (``lcm_invoke_batch_reply``)
-        encodes and seals all replies under deterministically derived
-        nonces.  Returns ``None`` when some box is authentic but not
-        canonically encoded — pass A guarantees it has not touched any
-        state in that case, so the generic path can re-run the batch.
+        head exactly as :meth:`_execute_invoke` would.  The middle loop
+        below then runs only :meth:`_execute` (and reads resend results
+        at their in-order positions); pass B
+        (``lcm_invoke_batch_reply``) encodes and seals all replies under
+        deterministically derived nonces.  Returns the REPLY boxes, or
+        ``None`` when some box is authentic but not canonically encoded —
+        pass A guarantees it has not touched any state in that case, so
+        the Python pass can re-run the batch (and stamp its own stages).
         """
-        probe = self._stage_probe
-        timed = probe is not None
+        timed = stamps is not None
         if timed:
-            wall_start = _perf_counter()
+            stamps.append(_perf_counter())
         rows = self._rows
         kc = self._communication_key
         status, plain, meta, chains_out, sequence, chain_value = (
@@ -1014,14 +949,15 @@ class LcmContext:
                 self._chain,
             )
         )
-        if timed:
-            t_unseal = _perf_counter()
         if status <= -2000:  # non-canonical payload: no state was touched
-            return None  # (the generic re-run stamps its own stage record)
+            if timed:
+                stamps.clear()
+            return None
+        if timed:
+            stamps.append(_perf_counter())
         if status <= -1000:
             # unauthentic box: rejected wholesale without halting, with
-            # the batch unseal's exact diagnostics (see _process_invoke
-            # for why authentication failures never halt)
+            # the batch unseal's exact diagnostics
             bad = -1000 - status
             if len(messages[bad]) < OVERHEAD:
                 raise AuthenticationFailure(
@@ -1039,106 +975,38 @@ class LcmContext:
         # snapshot resend results at their in-order positions (a later
         # operation by the same client overwrites the row's result cell)
         results: list[bytes] = []
-        per_op: list[float] = []
-        functionality = self._functionality
-        audit = self._audit
-        dirty_add = self._dirty_rows.add
+        execute = self._execute
         for index in range(count):
             if timed:
                 op_start = _perf_counter()
             base = 10 * index
             if meta[base] == 1:  # retry resend: stored result, no execution
                 results.append(rows.results[meta[base + 1]])
-                if timed:
-                    per_op.append(_perf_counter() - op_start)
-                continue
-            client_id = meta[base + 2]
-            op_off = meta[base + 4]
-            operation_bytes = plain[op_off : op_off + meta[base + 5]]
-            cached_op = _OP_DECODE_CACHE.get(operation_bytes)
-            if cached_op is not None:
-                try:
-                    _OP_DECODE_CACHE.move_to_end(operation_bytes)
-                except KeyError:
-                    pass
-                operation = cached_op.copy()
             else:
-                operation = _decode_operation(operation_bytes)
-            result: Any
-            if type(operation) is list:  # the canonical decode shape
-                if len(operation) == 1 and operation[0] == _NOP_VERB:
-                    result = None
-                else:
-                    result, self._state = functionality.apply(
-                        self._state, operation
-                    )
-            elif self._is_nop(operation):
-                result = None
-            else:
-                result, self._state = functionality.apply(self._state, operation)
-            if type(result) in _SCALAR_RESULT_TYPES:  # memoized scalar encode
-                result_bytes = _RESULT_ENCODE_CACHE.get(result)
-                if result_bytes is None:
-                    result_bytes = serde.encode(result)
-                    if len(_RESULT_ENCODE_CACHE) >= _RESULT_ENCODE_CACHE_MAX:
-                        _RESULT_ENCODE_CACHE.popitem(last=False)
-                    _RESULT_ENCODE_CACHE[result] = result_bytes
-                else:
-                    try:
-                        _RESULT_ENCODE_CACHE.move_to_end(result)
-                    except KeyError:
-                        pass
-            else:
-                result_bytes = serde.encode(result)
-            rows.results[meta[base + 1]] = result_bytes
-            dirty_add(client_id)
-            results.append(result_bytes)
-            if audit:
-                self.audit_log.append(
-                    AuditRecord(
-                        sequence=meta[base + 8],
-                        client_id=client_id,
-                        operation=operation_bytes,
-                        result=result_bytes,
-                        chain=chains_out[32 * index : 32 * index + 32],
+                op_off = meta[base + 4]
+                results.append(
+                    execute(
+                        meta[base + 1],
+                        meta[base + 2],
+                        plain[op_off : op_off + meta[base + 5]],
+                        meta[base + 8],
+                        chains_out[32 * index : 32 * index + 32],
                     )
                 )
             if timed:
                 per_op.append(_perf_counter() - op_start)
         if timed:
-            t_execute = _perf_counter()
+            stamps.append(_perf_counter())
         if count < total:
-            # authenticated verification failure at position ``count``:
-            # halt with the per-op loop's exact exception (rows before it
-            # stay committed and unsealed, exactly as before)
+            # authenticated verification failure at position ``count``
+            # (rows before it stay committed and unsealed)
             base = 10 * count
-            code = meta[base]
-            client_id = meta[base + 2]
-            presented = meta[base + 3]
-            if code == -1:
-                raise self._halt(
-                    SecurityViolation(f"unknown client {client_id}")
-                )
-            if code == -2:
-                raise self._halt(
-                    ReplayDetected(
-                        f"client {client_id} presented stale sequence "
-                        f"{presented} < {rows.seq[meta[base + 1]]}"
-                    )
-                )
-            if code == -3:
-                raise self._halt(
-                    RollbackDetected(
-                        f"client {client_id} is ahead of T "
-                        f"({presented} > {rows.seq[meta[base + 1]]}): "
-                        "T's state was rolled back"
-                    )
-                )
-            raise self._halt(
-                ForkDetected(
-                    f"client {client_id} hash-chain value diverges from V: "
-                    "histories have forked"
-                )
+            slot = meta[base + 1]
+            raise self._violation(
+                meta[base],
+                meta[base + 2],
+                meta[base + 3],
+                rows.seq[slot] if slot >= 0 else 0,
             )
         nonces = self._nonces
         sealed = backend.invoke_batch_reply(
@@ -1154,32 +1022,31 @@ class LcmContext:
             nonces.counter,
         )
         if sealed is None:  # pragma: no cover - C-side allocation failure
-            encodeds = []
+            outcomes = []
             for index in range(total):
                 base = 10 * index
                 hc_off = meta[base + 6]
-                encodeds.append(
-                    encode_reply(
-                        meta[base + 8],
-                        chains_out[32 * index : 32 * index + 32],
-                        results[index],
-                        meta[base + 9],
-                        plain[hc_off : hc_off + meta[base + 7]],
+                outcomes.append(
+                    (
+                        encode_reply(
+                            meta[base + 8],
+                            chains_out[32 * index : 32 * index + 32],
+                            results[index],
+                            meta[base + 9],
+                            plain[hc_off : hc_off + meta[base + 7]],
+                        ),
+                        (meta[base + 2], meta[base + 3])
+                        if meta[base] == 0
+                        else None,
                     )
                 )
-            boxes = seal_replies(encodeds, kc, nonces=nonces.take(total))
-            pending: dict[int, tuple[int, bytes]] = {}
-            for index in range(total):
-                base = 10 * index
-                if meta[base] == 0:
-                    pending[meta[base + 2]] = (meta[base + 3], boxes[index])
-            self._store_row_seals(pending)
+            boxes = self._seal_reply_batch(outcomes)
         else:
             boxes, row_blobs, row_manifests = sealed
             nonces.counter += total
             # pass B already built each executed row's sealed-blob pieces;
             # all that is left is slot bookkeeping (a later reply to the
-            # same client overwrites, exactly like the per-op loop)
+            # same client overwrites, exactly like _store_row_seals)
             row_seals = self._row_seals
             row_index = self._row_index
             blob_pieces = self._row_blob_pieces
@@ -1205,42 +1072,61 @@ class LcmContext:
                         manifest_pieces[slot] = manifest_piece
                 discard(client_id)
         if timed:
-            t_reply = _perf_counter()
-        if self._piggyback_state:
-            outcome = {"replies": boxes, "state": self._sealed_blob()}
-            if timed:
-                probe(self._stage_record(
-                    "native-batch", total, per_op,
-                    wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
-                ))
-            return outcome
-        self._seal_and_store()
-        if timed:
-            probe(self._stage_record(
-                "native-batch", total, per_op,
-                wall_start, t_unseal, t_execute, t_reply, _perf_counter(),
-            ))
+            stamps.append(_perf_counter())
         return boxes
 
-    def _process_invoke(self, message: bytes) -> bytes:
-        if not self._provisioned:
-            raise ConfigurationError("context not provisioned")
-        # A message that fails authentication is rejected but does NOT halt
-        # the context: it carries no evidence about T's own state (it may be
-        # network garbage or a removed client's stale key), and halting on
-        # it would let anyone deny service with one forged packet.  Halting
-        # is reserved for *authenticated* context mismatches below, which
-        # prove a rollback/forking attack.
-        fields = unseal_invoke(message, self._communication_key)
-        encoded, row = self._execute_invoke(fields)
-        box = seal_reply(
-            encoded, self._communication_key, nonce=self._next_nonce()
+    def _invoke_batch_python(
+        self,
+        messages: list[bytes],
+        stamps: list[float] | None,
+        per_op: list[float],
+    ) -> list[bytes]:
+        """Alg. 2 in Python: one AEAD pass to open the batch,
+        :meth:`_execute_invoke` per message, one AEAD pass to seal the
+        replies.  Returns the REPLY boxes."""
+        timed = stamps is not None
+        if timed:
+            stamps.append(_perf_counter())
+        # all-or-nothing MAC check, see aead.auth_decrypt_batch
+        plains = auth_decrypt_batch(
+            messages, self._communication_key, associated_data=_INVOKE_AD
         )
-        if row is not None:
-            client_id, acknowledged = row
-            self._store_row_seal(client_id, acknowledged, box)
-            self._dirty_rows.discard(client_id)
-        return box
+        invokes = [decode_invoke(plain) for plain in plains]
+        if timed:
+            stamps.append(_perf_counter())
+        outcomes = []
+        for invoke in invokes:
+            if timed:
+                op_start = _perf_counter()
+            outcomes.append(self._execute_invoke(invoke))
+            if timed:
+                per_op.append(_perf_counter() - op_start)
+        if timed:
+            stamps.append(_perf_counter())
+        boxes = self._seal_reply_batch(outcomes)
+        if timed:
+            stamps.append(_perf_counter())
+        return boxes
+
+    def _seal_reply_batch(
+        self, outcomes: list[tuple[bytes, tuple[int, int] | None]]
+    ) -> list[bytes]:
+        """Seal every encoded REPLY of a batch in one AEAD pass and
+        reseal the V rows of the executed ones (``outcomes`` is what
+        :meth:`_execute_invoke` returns, in batch order)."""
+        nonces = self._nonces
+        boxes = auth_encrypt_batch(
+            [encoded for encoded, _ in outcomes],
+            self._communication_key,
+            associated_data=_REPLY_AD,
+            nonces=nonces.take(len(outcomes)) if nonces is not None else None,
+        )
+        pending: dict[int, tuple[int, bytes]] = {}
+        for (_, row), box in zip(outcomes, boxes):
+            if row is not None:
+                pending[row[0]] = (row[1], box)  # later reply supersedes
+        self._store_row_seals(pending)
+        return boxes
 
     def _execute_invoke(
         self, fields: tuple[int, int, bytes, bytes, bool]
@@ -1258,9 +1144,7 @@ class LcmContext:
         rows = self._rows
         slot = rows.slot.get(client_id)
         if slot is None:
-            raise self._halt(
-                SecurityViolation(f"unknown client {client_id}")
-            )
+            raise self._violation(_UNKNOWN_CLIENT, client_id, last_sequence, 0)
         row_sequence = rows.seq[slot]
 
         # Sec. 4.6.1 retry, case "crashed after store": the operation was
@@ -1276,31 +1160,55 @@ class LcmContext:
         # The verification at the heart of the protocol:
         # assert V[i] = (*, tc, hc)
         if row_sequence != last_sequence:
-            if last_sequence < row_sequence:
-                raise self._halt(
-                    ReplayDetected(
-                        f"client {client_id} presented stale sequence "
-                        f"{last_sequence} < {row_sequence}"
-                    )
-                )
-            raise self._halt(
-                RollbackDetected(
-                    f"client {client_id} is ahead of T "
-                    f"({last_sequence} > {row_sequence}): "
-                    "T's state was rolled back"
-                )
+            raise self._violation(
+                _REPLAY if last_sequence < row_sequence else _ROLLBACK,
+                client_id,
+                last_sequence,
+                row_sequence,
             )
         if rows.chain_at(slot) != last_chain:
-            raise self._halt(
-                ForkDetected(
-                    f"client {client_id} hash-chain value diverges from V: "
-                    "histories have forked"
-                )
-            )
+            raise self._violation(_FORK, client_id, last_sequence, row_sequence)
 
-        # Execute, sequence and chain the operation.
+        # Sequence, execute and chain the operation.
         sequence = self._sequence + 1
         self._sequence = sequence
+        chain = chain_extend(self._chain, operation_bytes, sequence, client_id)
+        result_bytes = self._execute(
+            slot, client_id, operation_bytes, sequence, chain
+        )
+        self._chain = chain
+        # update V[i]'s packed cells in place
+        acks = rows.acks
+        del acks[bisect_left(acks, rows.ack[slot])]
+        insort(acks, last_sequence)
+        rows.ack[slot] = last_sequence
+        rows.seq[slot] = sequence
+        rows.chains[slot * 32 : slot * 32 + 32] = chain
+        quorum = self._quorum_cache  # inlined _stable(); V is non-empty here
+        if quorum is None:
+            quorum = self._quorum()
+        encoded = encode_reply(
+            sequence, chain, result_bytes, acks[len(acks) - quorum], last_chain
+        )
+        # the sealed REPLY box doubles as the stored form of this client's
+        # V row; the caller seals the batch and feeds the boxes back
+        # through _store_row_seals
+        return encoded, (client_id, last_sequence)
+
+    def _execute(
+        self,
+        slot: int,
+        client_id: int,
+        operation_bytes: bytes,
+        sequence: int,
+        chain: bytes,
+    ) -> bytes:
+        """The per-operation kernel both passes share: decode ``o``, run
+        ``F`` unless it is the protocol no-op, encode ``r``, record it in
+        ``V[i]`` and append the audit record.  The caller has already
+        verified the INVOKE and assigned ``sequence`` and ``chain``.
+        Returns the encoded result.
+        """
         cached_op = _OP_DECODE_CACHE.get(operation_bytes)  # inlined hit path
         if cached_op is not None:
             try:
@@ -1311,19 +1219,14 @@ class LcmContext:
         else:
             operation = _decode_operation(operation_bytes)
         result: Any
-        if type(operation) is list:  # the canonical decode shape
-            if len(operation) == 1 and operation[0] == _NOP_VERB:
-                result = None
-            else:
-                result, self._state = self._functionality.apply(
-                    self._state, operation
-                )
-        elif self._is_nop(operation):
+        if (
+            type(operation) is list
+            and len(operation) == 1
+            and operation[0] == _NOP_VERB
+        ):
             result = None
         else:
-            result, self._state = self._functionality.apply(self._state, operation)
-        chain = chain_extend(self._chain, operation_bytes, sequence, client_id)
-        self._chain = chain
+            result = self._apply(operation)
         if type(result) in _SCALAR_RESULT_TYPES:  # memoized scalar encode
             result_bytes = _RESULT_ENCODE_CACHE.get(result)
             if result_bytes is None:
@@ -1338,17 +1241,11 @@ class LcmContext:
                     pass
         else:
             result_bytes = serde.encode(result)
-        # update V[i]'s packed cells in place.  The dirty mark stays load-
-        # bearing: if a later operation in this batch aborts the ecall
-        # before the row's REPLY box is sealed, the next seal synthesizes
-        # a box for this row instead of persisting a stale one.
-        acks = rows.acks
-        del acks[bisect_left(acks, rows.ack[slot])]
-        insort(acks, last_sequence)
-        rows.ack[slot] = last_sequence
-        rows.seq[slot] = sequence
-        rows.chains[slot * 32 : slot * 32 + 32] = chain
-        rows.results[slot] = result_bytes
+        # The dirty mark stays load-bearing: if a later operation in this
+        # batch aborts the ecall before the row's REPLY box is sealed, the
+        # next seal synthesizes a box for this row instead of persisting
+        # a stale one.
+        self._rows.results[slot] = result_bytes
         self._dirty_rows.add(client_id)
         if self._audit:
             self.audit_log.append(
@@ -1360,16 +1257,42 @@ class LcmContext:
                     chain=chain,
                 )
             )
-        quorum = self._quorum_cache  # inlined _stable(); V is non-empty here
-        if quorum is None:
-            quorum = self._quorum()
-        encoded = encode_reply(
-            sequence, chain, result_bytes, acks[len(acks) - quorum], last_chain
-        )
-        # the sealed REPLY box doubles as the stored form of this client's
-        # V row; the caller seals it (per box or as part of a batch pass)
-        # and feeds it back through _store_row_seal
-        return encoded, (client_id, last_sequence)
+        return result_bytes
+
+    def _apply(self, operation: Any) -> Any:
+        """Run ``F`` on the service state and adopt the state it returns
+        (client operations and handoff verbs alike)."""
+        result, self._state = self._functionality.apply(self._state, operation)
+        return result
+
+    def _violation(
+        self, code: int, client_id: int, presented: int, recorded: int
+    ) -> SecurityViolation:
+        """Build one of the four Alg.-2 halts and record it: from here on
+        the context refuses all further processing.  ``code`` is pass
+        A's per-op status; ``presented`` is the INVOKE's ``tc`` and
+        ``recorded`` the sequence number in ``V[i]``."""
+        violation: SecurityViolation
+        if code == _UNKNOWN_CLIENT:
+            violation = SecurityViolation(f"unknown client {client_id}")
+        elif code == _REPLAY:
+            violation = ReplayDetected(
+                f"client {client_id} presented stale sequence "
+                f"{presented} < {recorded}"
+            )
+        elif code == _ROLLBACK:
+            violation = RollbackDetected(
+                f"client {client_id} is ahead of T "
+                f"({presented} > {recorded}): "
+                "T's state was rolled back"
+            )
+        else:
+            violation = ForkDetected(
+                f"client {client_id} hash-chain value diverges from V: "
+                "histories have forked"
+            )
+        self._halted = violation
+        return violation
 
     def _resend_reply(self, last_chain: bytes, entry: ClientEntry) -> bytes:
         """Reproduce the lost REPLY from the V[i] record (retry extension),
@@ -1380,14 +1303,6 @@ class LcmContext:
             entry.last_result,
             self._stable(),
             last_chain,
-        )
-
-    @staticmethod
-    def _is_nop(operation: Any) -> bool:
-        return (
-            isinstance(operation, (list, tuple))
-            and len(operation) == 1
-            and operation[0] == NOP_OPERATION[0]
         )
 
     def _quorum(self) -> int:
@@ -1411,11 +1326,6 @@ class LcmContext:
         pool, only before :meth:`on_start` has seeded the sequence)."""
         nonces = self._nonces
         return nonces.next() if nonces is not None else None
-
-    def _halt(self, violation: SecurityViolation) -> SecurityViolation:
-        """Record the violation and refuse all further processing."""
-        self._halted = violation
-        return violation
 
     # ----------------------------------------------------------- membership
 
@@ -1698,8 +1608,7 @@ class LcmContext:
             associated_data = _HANDOFF_AD
         self._guard_undecided_arcs(arcs)
         operation = [HANDOFF_EXPORT_VERB, arcs]
-        items, next_state = self._functionality.apply(self._state, operation)
-        self._state = next_state
+        items = self._apply(operation)
         self._sequence_handoff(operation, items)
         sealed = auth_encrypt(
             serde.encode([items]), channel, associated_data=associated_data
@@ -1731,8 +1640,7 @@ class LcmContext:
             )
         (items,) = serde.decode(plain)
         operation = [HANDOFF_IMPORT_VERB, items]
-        count, next_state = self._functionality.apply(self._state, operation)
-        self._state = next_state
+        count = self._apply(operation)
         self._sequence_handoff(operation, count)
         self._handoff_nonce = None
         self._seal_and_store()

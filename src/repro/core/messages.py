@@ -34,9 +34,7 @@ from repro.crypto.aead import (
     _fresh_nonce,
     _mac_frame,
     auth_decrypt,
-    auth_decrypt_batch,
     auth_encrypt,
-    auth_encrypt_batch,
 )
 from repro.errors import AuthenticationFailure, InvalidReply
 
@@ -206,66 +204,6 @@ def unseal_reply(box: bytes, key: AeadKey) -> tuple[int, bytes, bytes, int, byte
     return decode_reply(auth_decrypt(box, key, associated_data=_REPLY_AD))
 
 
-def unseal_replies(
-    boxes: list[bytes], key: AeadKey
-) -> list[tuple[int, bytes, bytes, int, bytes]]:
-    """Verify, decrypt and decode a whole batch of REPLY boxes in one C
-    call (the client side of an invoke batch: MAC check, keystream, XOR
-    and field decode for every reply share one crossing).
-
-    Semantically identical to ``[unseal_reply(box, key) for box in
-    boxes]``: the first unauthentic box raises with that box's
-    diagnostics, and any authentic-but-non-canonical payload sends the
-    whole batch through the generic per-box decoder.
-    """
-    open_batch = _fastpath.BACKEND.open_reply_batch
-    if open_batch is not None and boxes:
-        opened = open_batch(
-            key._enc_key,
-            key._mac_key,
-            _mac_frame(key, _REPLY_AD),
-            _REPLY_PREFIX,
-            boxes,
-        )
-        if type(opened) is tuple:
-            plain, meta = opened
-            fields = []
-            for index in range(len(boxes)):
-                base = 8 * index
-                fields.append(
-                    (
-                        meta[base],
-                        plain[meta[base + 1] : meta[base + 1] + meta[base + 2]],
-                        plain[meta[base + 3] : meta[base + 3] + meta[base + 4]],
-                        meta[base + 5],
-                        plain[meta[base + 6] : meta[base + 6] + meta[base + 7]],
-                    )
-                )
-            return fields
-        if opened <= -2000:  # non-canonical payload: re-parse generically
-            return [unseal_reply(box, key) for box in boxes]
-        bad = -1000 - opened
-        if len(boxes[bad]) < OVERHEAD:
-            raise AuthenticationFailure("ciphertext too short to be authentic")
-        raise AuthenticationFailure("MAC verification failed")
-    return [unseal_reply(box, key) for box in boxes]
-
-
-def unseal_invoke(box: bytes, key: AeadKey) -> tuple[int, int, bytes, bytes, bool]:
-    """Verify, decrypt and decode one INVOKE box to its field tuple."""
-    return decode_invoke(auth_decrypt(box, key, associated_data=_INVOKE_AD))
-
-
-def unseal_invokes(
-    boxes: list[bytes], key: AeadKey
-) -> list[tuple[int, int, bytes, bytes, bool]]:
-    """Verify, decrypt and decode a whole INVOKE batch to field tuples
-    (one AEAD pass; all-or-nothing MAC check, see
-    :func:`~repro.crypto.aead.auth_decrypt_batch`)."""
-    plains = auth_decrypt_batch(boxes, key, associated_data=_INVOKE_AD)
-    return [decode_invoke(plain) for plain in plains]
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class InvokePayload:
     """Plaintext content of an INVOKE message.
@@ -353,53 +291,6 @@ class InvokePayload:
         return cls.decode(auth_decrypt(box, key, associated_data=_INVOKE_AD))
 
 
-def seal_invokes(
-    payloads: list[InvokePayload],
-    key: AeadKey,
-    *,
-    nonces: list[bytes] | None = None,
-) -> list[bytes]:
-    """Encode and seal a whole batch of INVOKEs in one C call (the
-    client side of an invoke batch; byte-identical to sealing each
-    payload individually under the same nonces).
-
-    ``nonces`` defaults to fresh random nonces, one per payload.
-    """
-    batch = _fastpath.BACKEND.seal_invoke_batch
-    if batch is not None and all(
-        0 <= payload.last_sequence < 2**63
-        and 0 <= payload.client_id < 2**63
-        for payload in payloads
-    ):
-        if nonces is None:
-            nonces = [_fresh_nonce() for _ in payloads]
-        boxes = batch(
-            key._enc_key,
-            key._mac_key,
-            nonces,
-            _mac_frame(key, _INVOKE_AD),
-            _INVOKE_PREFIX,
-            [
-                (
-                    payload.last_sequence,
-                    payload.last_chain,
-                    payload.operation,
-                    payload.client_id,
-                    payload.retry,
-                )
-                for payload in payloads
-            ],
-        )
-        if boxes is not None:
-            return boxes
-    if nonces is None:
-        return [payload.seal(key) for payload in payloads]
-    return [
-        payload.seal(key, nonce=nonce)
-        for payload, nonce in zip(payloads, nonces)
-    ]
-
-
 def encode_reply(
     sequence: int,
     chain: bytes,
@@ -437,27 +328,6 @@ def encode_reply(
         raise serde.SerdeError(
             "REPLY sequence number exceeds the canonical 128-bit range"
         ) from None
-
-
-def seal_reply(
-    encoded: bytes, key: AeadKey, *, nonce: bytes | None = None
-) -> bytes:
-    """Seal one canonically encoded REPLY under ``kC``.
-
-    ``nonce`` pins the box nonce — the trusted context derives its reply
-    nonces from a per-epoch counter sequence so the sealed bytes are
-    independent of pool state and thread interleaving.
-    """
-    return auth_encrypt(encoded, key, associated_data=_REPLY_AD, nonce=nonce)
-
-
-def seal_replies(
-    encoded: list[bytes], key: AeadKey, *, nonces: list[bytes] | None = None
-) -> list[bytes]:
-    """Seal a batch of canonically encoded REPLYs in one AEAD pass."""
-    return auth_encrypt_batch(
-        encoded, key, associated_data=_REPLY_AD, nonces=nonces
-    )
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -84,8 +84,6 @@ class PythonBackend:
     #: trusted context run their per-field Python paths instead.
     seal_invoke = None
     open_reply = None
-    seal_invoke_batch = None
-    open_reply_batch = None
     invoke_batch_open = None
     invoke_batch_reply = None
 
@@ -265,28 +263,6 @@ long long lcm_open_reply(const unsigned char *enc_key,
                          const unsigned char *prefix, size_t prefix_len,
                          const unsigned char *box, size_t box_len,
                          unsigned char *out_pt, long long *meta);
-int lcm_seal_invoke_batch(const unsigned char *enc_key,
-                          const unsigned char *mac_key,
-                          const unsigned char *frame, size_t frame_len,
-                          const unsigned char *prefix, size_t prefix_len,
-                          const unsigned char *nonces,
-                          const long long *tcs,
-                          const unsigned char *hcs,
-                          const unsigned long long *hc_offsets,
-                          const unsigned char *ops,
-                          const unsigned long long *op_offsets,
-                          const long long *cids,
-                          const unsigned char *retries,
-                          size_t n,
-                          unsigned char *out_boxes);
-long long lcm_open_reply_batch(const unsigned char *enc_key,
-                               const unsigned char *mac_key,
-                               const unsigned char *frame, size_t frame_len,
-                               const unsigned char *prefix, size_t prefix_len,
-                               const unsigned char *joined_boxes,
-                               const unsigned long long *offsets, size_t n,
-                               unsigned char *out_pt,
-                               long long *meta);
 long long lcm_invoke_batch_open(const unsigned char *enc_key,
                                 const unsigned char *mac_key,
                                 const unsigned char *frame, size_t frame_len,
@@ -1182,16 +1158,14 @@ int lcm_seal_invoke(const unsigned char *enc_key,
    result_len, q, prev_off, prev_len]; -1 on authentication failure
    (nothing written); -2 when the box is authentic but not canonically
    shaped (out_pt holds the plaintext; the generic codec re-parses). */
-static long long open_reply_core(const unsigned char *enc_key,
-                                 const uint32_t *ipad_state,
-                                 const uint32_t *opad_state,
-                                 const unsigned char *frame,
-                                 size_t frame_len,
-                                 const unsigned char *prefix,
-                                 size_t prefix_len,
-                                 const unsigned char *box, size_t box_len,
-                                 unsigned char *out_pt, long long *meta)
+long long lcm_open_reply(const unsigned char *enc_key,
+                         const unsigned char *mac_key,
+                         const unsigned char *frame, size_t frame_len,
+                         const unsigned char *prefix, size_t prefix_len,
+                         const unsigned char *box, size_t box_len,
+                         unsigned char *out_pt, long long *meta)
 {
+    uint32_t ipad_state[8], opad_state[8];
     unsigned char tag[16];
     size_t size, pos;
     uint64_t flen;
@@ -1199,6 +1173,7 @@ static long long open_reply_core(const unsigned char *enc_key,
 
     if (box_len < 28)
         return -1;
+    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
     derive_tag16(ipad_state, opad_state, frame, frame_len,
                  box, box_len - 16, tag);
     if (tag16_differs(tag, box + box_len - 16))
@@ -1245,128 +1220,6 @@ static long long open_reply_core(const unsigned char *enc_key,
     meta[7] = (long long)flen;
     meta[0] = t;
     meta[5] = q;
-    return 0;
-}
-
-long long lcm_open_reply(const unsigned char *enc_key,
-                         const unsigned char *mac_key,
-                         const unsigned char *frame, size_t frame_len,
-                         const unsigned char *prefix, size_t prefix_len,
-                         const unsigned char *box, size_t box_len,
-                         unsigned char *out_pt, long long *meta)
-{
-    uint32_t ipad_state[8], opad_state[8];
-    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
-    return open_reply_core(enc_key, ipad_state, opad_state,
-                           frame, frame_len, prefix, prefix_len,
-                           box, box_len, out_pt, meta);
-}
-
-/* Client-side whole-batch INVOKE seal: canonical field encode + seal
-   for n independent invokes in one call (one HMAC pad derivation, one
-   scratch buffer).  Box i is 80+prefix_len+hc_len+op_len bytes, written
-   back to back.  Returns 0, or -1 on allocation failure. */
-int lcm_seal_invoke_batch(const unsigned char *enc_key,
-                          const unsigned char *mac_key,
-                          const unsigned char *frame, size_t frame_len,
-                          const unsigned char *prefix, size_t prefix_len,
-                          const unsigned char *nonces,
-                          const long long *tcs,
-                          const unsigned char *hcs,
-                          const unsigned long long *hc_offsets,
-                          const unsigned char *ops,
-                          const unsigned long long *op_offsets,
-                          const long long *cids,
-                          const unsigned char *retries,
-                          size_t n,
-                          unsigned char *out_boxes)
-{
-    uint32_t ipad_state[8], opad_state[8];
-    unsigned char *scratch;
-    size_t scratch_len = 1;
-    size_t i;
-
-    for (i = 0; i < n; i++) {
-        size_t pt_len = 52 + prefix_len
-            + (size_t)(hc_offsets[i + 1] - hc_offsets[i])
-            + (size_t)(op_offsets[i + 1] - op_offsets[i]);
-        if (pt_len > scratch_len)
-            scratch_len = pt_len;
-    }
-    scratch = (unsigned char *)malloc(scratch_len);
-    if (!scratch)
-        return -1;
-    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
-    for (i = 0; i < n; i++) {
-        size_t hc_len = (size_t)(hc_offsets[i + 1] - hc_offsets[i]);
-        size_t op_len = (size_t)(op_offsets[i + 1] - op_offsets[i]);
-        size_t pt_len = 52 + prefix_len + hc_len + op_len;
-        unsigned char *p = scratch;
-
-        memcpy(p, prefix, prefix_len);
-        p += prefix_len;
-        i64_to_i128(tcs[i], p);
-        p += 16;
-        *p++ = 'B';
-        put_be64(p, (uint64_t)hc_len);
-        p += 8;
-        memcpy(p, hcs + hc_offsets[i], hc_len);
-        p += hc_len;
-        *p++ = 'B';
-        put_be64(p, (uint64_t)op_len);
-        p += 8;
-        memcpy(p, ops + op_offsets[i], op_len);
-        p += op_len;
-        *p++ = 'I';
-        i64_to_i128(cids[i], p);
-        p += 16;
-        *p++ = retries[i] ? 'T' : 'F';
-        memcpy(out_boxes, nonces + 12 * i, 12);
-        ctr_xor(enc_key, nonces + 12 * i, scratch, pt_len, out_boxes + 12);
-        derive_tag16(ipad_state, opad_state, frame, frame_len,
-                     out_boxes, 12 + pt_len, out_boxes + 12 + pt_len);
-        out_boxes += 28 + pt_len;
-    }
-    free(scratch);
-    return 0;
-}
-
-/* Client-side whole-batch REPLY open: authenticate, decrypt and parse n
-   independent replies in one call.  Plaintext i occupies
-   [offsets[i]-28*i, offsets[i+1]-28*(i+1)) of out_pt; meta holds 8
-   int64 per reply — [t, chain_off, chain_len, result_off, result_len,
-   q, prev_off, prev_len] with offsets absolute into out_pt.  Returns 0,
-   -1000-i for the first unauthentic box, or -2000-i for the first
-   authentic but non-canonical one (the caller re-parses generically). */
-long long lcm_open_reply_batch(const unsigned char *enc_key,
-                               const unsigned char *mac_key,
-                               const unsigned char *frame, size_t frame_len,
-                               const unsigned char *prefix, size_t prefix_len,
-                               const unsigned char *joined_boxes,
-                               const unsigned long long *offsets, size_t n,
-                               unsigned char *out_pt,
-                               long long *meta)
-{
-    uint32_t ipad_state[8], opad_state[8];
-    size_t i;
-
-    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
-    for (i = 0; i < n; i++) {
-        size_t box_len = (size_t)(offsets[i + 1] - offsets[i]);
-        size_t pt_base = (size_t)offsets[i] - 28 * i;
-        long long *m = meta + 8 * i;
-        long long status = open_reply_core(
-            enc_key, ipad_state, opad_state, frame, frame_len,
-            prefix, prefix_len, joined_boxes + offsets[i], box_len,
-            out_pt + pt_base, m);
-        if (status == -1)
-            return -1000 - (long long)i;
-        if (status == -2)
-            return -2000 - (long long)i;
-        m[1] += (long long)pt_base;
-        m[3] += (long long)pt_base;
-        m[6] += (long long)pt_base;
-    }
     return 0;
 }
 
@@ -1693,8 +1546,6 @@ class CBackend:
         self.open_boxes = self._open_boxes
         self.seal_invoke = self._seal_invoke
         self.open_reply = self._open_reply
-        self.seal_invoke_batch = self._seal_invoke_batch
-        self.open_reply_batch = self._open_reply_batch
         self.invoke_batch_open = self._invoke_batch_open
         self.invoke_batch_reply = self._invoke_batch_reply
         # Reusable per-thread argument/output buffers for the per-message
@@ -1983,99 +1834,6 @@ class CBackend:
         # callers (unseal_reply) consume meta before any further backend
         # call on this thread, so handing out the scratch array is safe
         return bytes(memoryview(out)[: size - 28]), s["meta1"]
-
-    def _seal_invoke_batch(
-        self, enc_key: bytes, mac_key: bytes, nonces: list[bytes],
-        frame: bytes, prefix: bytes, items: list,
-    ) -> list[bytes] | None:
-        """Canonical encode + seal for a whole batch of INVOKEs in one C
-        call; ``items`` holds ``(tc, hc, op, cid, retry)`` per message
-        (None: fall back)."""
-        ffi = self._ffi
-        count = len(items)
-        tcs = array.array("q", bytes(8 * count))
-        cids = array.array("q", bytes(8 * count))
-        retries = bytearray(count)
-        hcs = []
-        ops = []
-        for index, (tc, hc, op, cid, retry) in enumerate(items):
-            tcs[index] = tc
-            cids[index] = cid
-            if retry:
-                retries[index] = 1
-            hcs.append(hc)
-            ops.append(op)
-        hc_offsets = array.array(
-            "Q", chain((0,), accumulate(map(len, hcs)))
-        )
-        op_offsets = array.array(
-            "Q", chain((0,), accumulate(map(len, ops)))
-        )
-        sizes = [
-            80 + len(prefix) + len(hc) + len(op)
-            for hc, op in zip(hcs, ops)
-        ]
-        out = bytearray(sum(sizes))
-        status = self._lib.lcm_seal_invoke_batch(
-            enc_key, mac_key,
-            frame, len(frame),
-            prefix, len(prefix),
-            _join(nonces),
-            ffi.from_buffer("long long[]", tcs),
-            _join(hcs),
-            ffi.from_buffer("unsigned long long[]", hc_offsets),
-            _join(ops),
-            ffi.from_buffer("unsigned long long[]", op_offsets),
-            ffi.from_buffer("long long[]", cids),
-            ffi.from_buffer(retries),
-            count,
-            ffi.from_buffer(out),
-        )
-        if status != 0:
-            return None
-        view = bytes(out)
-        boxes = []
-        cursor = 0
-        for size in sizes:
-            boxes.append(view[cursor : cursor + size])
-            cursor += size
-        return boxes
-
-    def _open_reply_batch(
-        self, enc_key: bytes, mac_key: bytes, frame: bytes, prefix: bytes,
-        boxes: list,
-    ):
-        """Authenticate + decrypt + parse a whole batch of REPLYs in one
-        C call.
-
-        Returns ``(plaintext, meta)`` with 8 int64 of meta per reply
-        (offsets absolute into the joined plaintext) when every box is
-        canonical, or an int status: -1000-i for the first unauthentic
-        box, -2000-i for the first authentic-but-non-canonical one.
-        """
-        ffi = self._ffi
-        count = len(boxes)
-        for index, box in enumerate(boxes):
-            if len(box) < 28:
-                return -1000 - index
-        offsets = array.array(
-            "Q", chain((0,), accumulate(map(len, boxes)))
-        )
-        out_pt = bytearray(offsets[-1] - 28 * count)
-        meta = array.array("q", bytes(64 * count))
-        status = self._lib.lcm_open_reply_batch(
-            enc_key, mac_key,
-            frame, len(frame),
-            prefix, len(prefix),
-            _join(boxes),
-            ffi.from_buffer("unsigned long long[]", offsets),
-            count,
-            ffi.from_buffer(out_pt),
-            ffi.from_buffer("long long[]", meta),
-        )
-        if status != 0:
-            return status
-        return bytes(out_pt), meta
 
     def _invoke_batch_open(
         self, enc_key: bytes, mac_key: bytes, frame: bytes, prefix: bytes,

@@ -84,11 +84,7 @@ class MaliciousServer:
         if self._tamper_hook is not None:
             message = self._tamper_hook(message)
         instance.recorded_invokes.append((client_id, message))
-        outcome = instance.enclave.ecall("invoke", message)
-        if isinstance(outcome, dict):  # Sec. 5.2 piggybacked sealed state
-            instance.storage.store(outcome["state"])
-            return outcome["reply"]
-        return outcome
+        return self._deliver(instance, message)
 
     def send_invoke_batch(self, messages: list[tuple[int, bytes]]) -> list[bytes]:
         """Deliver a batch of INVOKEs, each to whichever instance its
@@ -163,7 +159,7 @@ class MaliciousServer:
         instance = self.instances[instance_index]
         for recorded_id, message in reversed(instance.recorded_invokes):
             if recorded_id == client_id:
-                return instance.enclave.ecall("invoke", message)
+                return self._deliver(instance, message)
         raise StorageError(f"no recorded INVOKE from client {client_id}")
 
     def set_tamper_hook(self, hook: Callable[[bytes], bytes] | None) -> None:
@@ -188,3 +184,12 @@ class MaliciousServer:
 
     def _instance_for(self, client_id: int) -> _Instance:
         return self.instances[self._routing.get(client_id, 0)]
+
+    @staticmethod
+    def _deliver(instance: _Instance, message: bytes) -> bytes:
+        """One INVOKE into ``instance`` (a batch of one), REPLY bytes out."""
+        outcome = instance.enclave.ecall("invoke_batch", [message])
+        if isinstance(outcome, dict):  # Sec. 5.2 piggybacked sealed state
+            instance.storage.store(outcome["state"])
+            outcome = outcome["replies"]
+        return outcome[0]

@@ -6,7 +6,8 @@ context and one stable storage (Fig. 1 / Fig. 3 of the paper).  It exposes:
 - the **ocall surface** the enclave persists its sealed state through
   (:meth:`ocall_store` / :meth:`ocall_load`);
 - the **transport surface** clients send INVOKE messages to
-  (:meth:`send_invoke`), optionally batched (Sec. 5.3);
+  (:meth:`send_invoke`), a batch of one on the batched entry
+  (:meth:`send_invoke_batch`, Sec. 5.2/5.3);
 - **lifecycle** operations (:meth:`start`, :meth:`reboot`) — a correct
   server restarts ``T`` after any crash, and ``T`` recovers from the sealed
   blob (Sec. 4.4).
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.server.batching import BatchQueue
 from repro.server.storage import StableStorage
 from repro.tee.enclave import Enclave, EnclaveProgram
 from repro.tee.platform import TeePlatform
@@ -35,13 +35,11 @@ class ServerHost:
         program_factory: Callable[[], EnclaveProgram],
         *,
         storage: StableStorage | None = None,
-        batch_limit: int | None = None,
     ) -> None:
         self.platform = platform
         self.storage = storage if storage is not None else StableStorage()
         self._program_factory = program_factory
         self.enclave: Enclave = platform.create_enclave(program_factory, host=self)
-        self._batch_limit = batch_limit
         self.requests_handled = 0
 
     # ------------------------------------------------------------- lifecycle
@@ -74,23 +72,22 @@ class ServerHost:
     # ------------------------------------------------------- transport surface
 
     def send_invoke(self, client_id: int, message: bytes) -> bytes:
-        """Forward one INVOKE message into the enclave, return the REPLY.
+        """Forward one INVOKE message into the enclave, return the REPLY
+        (a batch of one).
 
         The functional layer is synchronous call-return; the performance
         model in :mod:`repro.perf` adds queueing and timing around the same
-        operations.  When the context runs with the Sec. 5.2 piggyback
-        optimisation, the sealed state arrives with the reply and the
-        server writes it to disk before forwarding.
+        operations.
         """
-        self.requests_handled += 1
-        outcome = self.enclave.ecall("invoke", message)
-        if isinstance(outcome, dict):
-            self.storage.store(outcome["state"])
-            return outcome["reply"]
-        return outcome
+        return self.send_invoke_batch([(client_id, message)])[0]
 
     def send_invoke_batch(self, messages: list[tuple[int, bytes]]) -> list[bytes]:
-        """Forward a batch of (client_id, INVOKE) pairs in one ecall."""
+        """Forward a batch of (client_id, INVOKE) pairs in one ecall.
+
+        When the context runs with the Sec. 5.2 piggyback optimisation,
+        the sealed state arrives with the replies and the server writes
+        it to disk before forwarding them.
+        """
         self.requests_handled += len(messages)
         payload = [message for _, message in messages]
         outcome = self.enclave.ecall("invoke_batch", payload)
@@ -98,24 +95,6 @@ class ServerHost:
             self.storage.store(outcome["state"])
             return outcome["replies"]
         return outcome
-
-    def make_batch_queue(
-        self, reply_callback: Callable[[int, bytes], None]
-    ) -> BatchQueue:
-        """Build the bounded batching queue of Sec. 5.3.
-
-        Items are (client_id, INVOKE bytes); on flush the whole batch enters
-        the enclave in a single ecall and each reply is routed back to its
-        client via ``reply_callback``.
-        """
-        limit = self._batch_limit or 16
-
-        def flush(batch: list[tuple[int, bytes]]) -> None:
-            replies = self.send_invoke_batch(batch)
-            for (client_id, _), reply in zip(batch, replies):
-                reply_callback(client_id, reply)
-
-        return BatchQueue(limit, flush)
 
     # --------------------------------------------------------------- queries
 

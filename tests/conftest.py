@@ -35,7 +35,6 @@ def build_deployment(
     malicious: bool = False,
     audit: bool = False,
     quorum_override: int | None = None,
-    batch_limit: int | None = None,
 ):
     """Assemble (host, deployment, clients) for a fresh LCM service."""
     group = epid_group or EpidGroup()
@@ -45,7 +44,7 @@ def build_deployment(
     if malicious:
         host = MaliciousServer(tee, factory)
     else:
-        host = ServerHost(tee, factory, batch_limit=batch_limit)
+        host = ServerHost(tee, factory)
     admin = Admin(group.verifier(), TeePlatform.expected_measurement(factory))
     deployment = admin.bootstrap(host, client_ids=list(range(1, clients + 1)),
                                  quorum_override=quorum_override)

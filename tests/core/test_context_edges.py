@@ -61,6 +61,18 @@ class TestBatchPaths:
         assert host_after["sequence"] == 0
         assert host.stored_versions() >= before
 
+    def test_single_invoke_ecall_is_gone(self):
+        """One INVOKE is a batch of one; programs expose no second entry."""
+        from repro.baselines.sgx_kvs import make_sgx_kvs_factory
+        from repro.errors import ConfigurationError
+        from repro.kvstore import KvsFunctionality
+
+        host, _, _ = build_deployment()
+        baseline = make_sgx_kvs_factory(KvsFunctionality)()
+        for program in (host.enclave, baseline):
+            with pytest.raises(ConfigurationError, match="unknown ecall 'invoke'"):
+                program.ecall("invoke", b"")
+
     def test_nop_inside_batch(self):
         host, deployment, (alice, bob, _) = build_deployment()
         messages = [
@@ -104,6 +116,158 @@ class TestBatchPaths:
         host.send_invoke_batch(messages)
         log = host.enclave.ecall("export_audit_log", None)
         assert [record.sequence for record in log] == [1, 2]
+
+
+class TestBatchPathParity:
+    """The native passes (``c`` fastpath) and the Python encoding of
+    Alg. 2 (``python-batch``) must agree on every observable outcome of
+    a batch: replies, diagnostics, committed prefix, halted state."""
+
+    @pytest.fixture
+    def select_fastpath(self):
+        from repro.crypto import fastpath
+
+        if "c" not in fastpath.available_backends():
+            pytest.skip("compiled fastpath backend unavailable")
+        previous = fastpath.active_backend()
+        yield fastpath.select_backend
+        fastpath.BACKEND = previous
+
+    @staticmethod
+    def _sealed(deployment, client_id, tc, hc, operation, retry=False):
+        operation = serde.encode(list(operation))
+        if retry is None:  # outside the C codec: seal the generic encoding
+            from repro.crypto.aead import auth_encrypt
+
+            return auth_encrypt(
+                serde.encode(["INVOKE", tc, hc, operation, client_id, None]),
+                deployment.communication_key,
+                associated_data=b"lcm/invoke",
+            )
+        return InvokePayload(
+            client_id=client_id,
+            last_sequence=tc,
+            last_chain=hc,
+            operation=operation,
+            retry=retry,
+        ).seal(deployment.communication_key)
+
+    def _outcome(self, odd_one):
+        """Run ``[alice, bob, odd_one(carol), dave]`` as one batch on a
+        fresh 4-client deployment (carol has one earlier operation) and
+        project everything observable."""
+        host, deployment, (alice, bob, carol, dave) = build_deployment(
+            clients=4, audit=True
+        )
+        carol.invoke(put("c", "0"))
+        odd = odd_one(carol)
+        messages = [
+            (1, self._sealed(deployment, 1, 0, alice.last_chain, put("a", "1"))),
+            (2, self._sealed(deployment, 2, 0, bob.last_chain, put("b", "2"))),
+            (odd[0], self._sealed(deployment, *odd)),
+            (4, self._sealed(deployment, 4, 0, dave.last_chain, get("a"))),
+        ]
+        try:
+            replies = host.send_invoke_batch(messages)
+        except Exception as exc:
+            served = (type(exc), str(exc))
+        else:
+            served = [
+                ReplyPayload.unseal(reply, deployment.communication_key)
+                for reply in replies
+            ]
+        try:
+            after = host.enclave.ecall("status", None)
+        except Exception as exc:
+            after = (type(exc), str(exc))
+        program = host.enclave._program
+        log = [
+            (r.sequence, r.client_id, r.operation, r.result, r.chain)
+            for r in program.audit_log
+        ]
+        return served, after, log, program._sequence, program._chain
+
+    VIOLATIONS = {
+        "unknown-client": (
+            lambda carol: (99, 0, carol.last_chain, get("c")),
+            "SecurityViolation", "unknown client 99",
+        ),
+        "replay": (
+            lambda carol: (3, 0, carol.last_chain, get("c")),
+            "ReplayDetected", "client 3 presented stale sequence 0 < 1",
+        ),
+        "rollback": (
+            lambda carol: (3, 6, carol.last_chain, get("c")),
+            "RollbackDetected",
+            "client 3 is ahead of T (6 > 1): T's state was rolled back",
+        ),
+        "fork": (
+            lambda carol: (3, 1, b"\x00" * 32, get("c")),
+            "ForkDetected",
+            "client 3 hash-chain value diverges from V: histories have forked",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(VIOLATIONS))
+    def test_mid_batch_halt_is_identical_on_both_paths(
+        self, name, select_fastpath
+    ):
+        odd_one, kind, message = self.VIOLATIONS[name]
+        outcomes = {}
+        for backend in ("c", "python-batch"):
+            select_fastpath(backend)
+            outcomes[backend] = self._outcome(odd_one)
+        assert outcomes["c"] == outcomes["python-batch"]
+        served, after, log, sequence, _ = outcomes["c"]
+        assert (served[0].__name__, served[1]) == (kind, message)
+        assert (after[0].__name__, after[1]) == (
+            kind, f"context halted: {message}"
+        )
+        # carol's earlier operation plus the two ahead of the violation
+        assert [record[:2] for record in log] == [(1, 3), (2, 1), (3, 2)]
+        assert sequence == 3
+
+    NON_CANONICAL = {
+        # never produced by the protocol, whose counters start at zero
+        "tc-beyond-int64": lambda carol: (
+            3, 2**63, carol.last_chain, get("c")
+        ),
+        # a retry marker the C parser rejects; Python reads it as False
+        "retry-none": lambda carol: (3, 1, carol.last_chain, get("c"), None),
+    }
+
+    @pytest.mark.parametrize("name", list(NON_CANONICAL))
+    def test_native_bail_out_touches_nothing_then_python_decides(
+        self, name, select_fastpath, monkeypatch
+    ):
+        odd_one = self.NON_CANONICAL[name]
+        select_fastpath("python-batch")
+        expected = self._outcome(odd_one)
+
+        backend = select_fastpath("c")
+        native_open = backend.invoke_batch_open
+        calls = []
+
+        def spying_open(*args):
+            # args[5:10] are V's columns (ids, ack, seq, chains, acks),
+            # args[11:] the (t, h) head pass A would advance
+            before = [bytes(column) for column in args[5:10]]
+            result = native_open(*args)
+            after = [bytes(column) for column in args[5:10]]
+            calls.append((len(args[4]), result[0], after == before,
+                          result[4:] == args[11:]))
+            return result
+
+        monkeypatch.setattr(backend, "invoke_batch_open", spying_open)
+        assert self._outcome(odd_one) == expected
+        # the 4-message batch bailed out at position 2 with V, t and h
+        # exactly as pass A found them
+        assert calls[-1] == (4, -2002, True, True)
+        served = expected[0]
+        if name == "retry-none":
+            assert [reply.sequence for reply in served] == [2, 3, 4, 5]
+        else:
+            assert served[0].__name__ == "RollbackDetected"
 
 
 class TestMembershipEdges:

@@ -80,6 +80,34 @@ class TestPiggybackMode:
         with pytest.raises(SecurityViolation):
             alice.invoke(get("k"))
 
+    def test_replayed_retry_is_delivered_like_any_invoke(self):
+        """A replayed retry-marked INVOKE takes the Sec. 4.6.1 resend
+        path; the server must hand back REPLY bytes and persist the
+        piggybacked blob, exactly as for ``send_invoke``."""
+        from repro.core.client import LcmClient, TransportTimeout
+        from repro.core.messages import ReplyPayload
+
+        host, deployment, _ = piggyback_deployment(malicious=True)
+
+        class LoseFirstReply:
+            lost = False
+
+            def send_invoke(self, client_id, message):
+                reply = host.send_invoke(client_id, message)
+                if not self.lost:
+                    self.lost = True
+                    raise TransportTimeout("reply lost")
+                return reply
+
+        client = LcmClient(1, deployment.communication_key, LoseFirstReply())
+        result = client.invoke(put("k", "v"))  # second delivery: retry marker
+        before = host.storage.version_count()
+        reply = host.replay_last_invoke(1)
+        assert isinstance(reply, bytes)
+        resent = ReplyPayload.unseal(reply, deployment.communication_key)
+        assert resent.sequence == result.sequence
+        assert host.storage.version_count() == before + 1
+
     def test_interoperates_with_default_mode_semantics(self):
         """Same operations, same sequence numbers and chain values in both
         modes — the optimisation is transport-only."""

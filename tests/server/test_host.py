@@ -45,25 +45,6 @@ class TestOcallSurface:
 
 
 class TestBatchedTransport:
-    def test_batch_replies_routed_per_client(self):
-        host, deployment, clients = build_deployment(clients=3)
-        alice, bob, carol = clients
-        # route through an explicit batch queue, as the real server app does
-        replies: dict[int, bytes] = {}
-        queue = host.make_batch_queue(lambda cid, reply: replies.__setitem__(cid, reply))
-
-        class QueueTransport:
-            def send_invoke(self, client_id, message):
-                queue.add((client_id, message))
-                queue.flush()
-                return replies.pop(client_id)
-
-        transport = QueueTransport()
-        alice2 = deployment.make_client(1, transport)
-        # fresh client object shares alice's identity; use a fresh id instead
-        result = alice2.invoke(put("k", "v"))
-        assert result.sequence == 1
-
     def test_batch_ecall_count(self):
         host, deployment, clients = build_deployment(clients=2)
         alice, bob = clients
