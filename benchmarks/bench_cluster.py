@@ -9,29 +9,35 @@ behind the batching curves of Figs. 5-6.
 
 from repro.harness.experiments import ExperimentResult
 from repro.harness.report import render_series_table
-from repro.harness.simulated_cluster import SimulatedCluster
 from repro.kvstore import get, put
+from repro.sharding import ShardRouter, ShardedCluster
 
 from benchmarks.conftest import register_table
 
 
 def _drive(clients: int, ops_per_client: int = 8, batch_limit: int = 16):
-    cluster = SimulatedCluster(clients=clients, batch_limit=batch_limit, seed=clients)
+    """Run the trace on one LCM group (a 1-shard cluster; the streaming
+    verifier is off so the wall-time canary times the protocol stack)."""
+    cluster = ShardedCluster(
+        shards=1, clients=clients, batch_limit=batch_limit, seed=clients,
+        streaming=False,
+    )
+    router = ShardRouter(cluster)
     for client_id in range(1, clients + 1):
         for round_number in range(ops_per_client):
             if round_number % 2 == 0:
-                cluster.submit(client_id, put(f"k{round_number}", str(client_id)))
+                router.submit(client_id, put(f"k{round_number}", str(client_id)))
             else:
-                cluster.submit(client_id, get(f"k{round_number - 1}"))
+                router.submit(client_id, get(f"k{round_number - 1}"))
     cluster.run()
-    return cluster
+    return cluster, router
 
 
 def test_cluster_emergent_batch_size(benchmark):
     counts = [1, 2, 4, 8, 16]
 
     def sweep():
-        return [_drive(n).stats.mean_batch_size for n in counts]
+        return [_drive(n)[0].stats.mean_batch_size(0) for n in counts]
 
     sizes = benchmark.pedantic(sweep, rounds=1, iterations=1)
     result = ExperimentResult(
@@ -50,8 +56,11 @@ def test_cluster_store_amortisation(benchmark):
     """Sealed-state stores per operation fall as batches grow."""
 
     def run():
-        cluster = _drive(12, ops_per_client=6)
-        return cluster.host.stored_versions() / cluster.stats.operations_completed
+        cluster, _ = _drive(12, ops_per_client=6)
+        return (
+            cluster.shard_host(0).stored_versions()
+            / cluster.stats.operations_completed
+        )
 
     stores_per_op = benchmark.pedantic(run, rounds=1, iterations=1)
     assert stores_per_op < 0.9        # strictly better than one store per op
@@ -60,8 +69,8 @@ def test_cluster_store_amortisation(benchmark):
 def test_cluster_full_run_wall_time(benchmark):
     """End-to-end wall time of a 64-operation protocol run on the DES —
     a regression canary for the whole stack's constant factors."""
-    cluster = benchmark.pedantic(
+    cluster, router = benchmark.pedantic(
         _drive, args=(8,), kwargs={"ops_per_client": 8}, rounds=3, iterations=1
     )
     assert cluster.stats.operations_completed == 64
-    cluster.check_fork_linearizable()
+    router.check_fork_linearizable()

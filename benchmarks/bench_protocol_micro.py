@@ -134,45 +134,6 @@ def test_micro_batched_invoke_sizes(benchmark, batch_size):
     assert len(replies) == batch_size
 
 
-@pytest.mark.slow
-def test_micro_parallel_invoke_4shards(benchmark):
-    """Wall-clock (not virtual-time) cost of one 4-shard trace under the
-    serial vs threaded execution backend.  On a multi-core host the
-    threaded backend overlaps the shards' one-C-call batch ecalls (GIL
-    released inside the C fastpath), so the ratio measures real
-    multi-core scaling; single-core runners skip the speedup assertion
-    (pool overhead with nothing to overlap) but still verify that the
-    audit evidence is byte-identical across backends.  Older revisions
-    without the execution-backend seam skip (stash-interleaved A/B)."""
-    import os
-
-    from repro.harness import experiments
-
-    run_parallel = getattr(experiments, "run_parallel_wallclock", None)
-    if run_parallel is None:
-        pytest.skip("revision predates the execution-backend seam")
-
-    def one_comparison():
-        return run_parallel(shards=4, clients=8, requests_per_client=20)
-
-    result = benchmark.pedantic(
-        one_comparison, rounds=3, iterations=1, warmup_rounds=1
-    )
-    assert result.ratios["identical_digests"]
-    assert result.ratios["zero_violations"]
-    cores = os.cpu_count() or 1
-    if cores >= 2:
-        assert result.ratios["threaded_speedup"] > 1.0
-    else:
-        # same convention as run_micro's missing-bench notices: say why
-        # the assertion is not running instead of silently passing
-        print(
-            "  test_micro_parallel_invoke_4shards: speedup assertion "
-            f"skipped — single-core host (os.cpu_count()={cores}); "
-            "determinism contract still verified"
-        )
-
-
 def test_micro_shard_scaling(benchmark):
     """A fixed uniform workload over 2 sharded groups vs. the same keys
     funneled through 1 group — the per-round cost of the routed path,

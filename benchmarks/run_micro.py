@@ -309,8 +309,8 @@ def compare_against_record(document: dict, record_path: str) -> dict[str, float]
         new_stats = summary.get(name)
         old_stats = record_summary.get(name)
         if old_stats is None:
-            # a bench added after the record was committed (e.g. a new
-            # parallel scenario): nothing to compare against yet, so skip
+            # a bench added after the record was committed: nothing to
+            # compare against yet, so skip
             # with a notice instead of failing — the next record refresh
             # picks it up
             print(f"  {name}: skipped — not in the committed record "

@@ -28,14 +28,6 @@ Subcommands::
         recovers it — then verify the merged evidence across every
         generation.
 
-    python -m repro.cli parallel [--shards N] [--clients N] [--ops N]
-                                 [--backends NAME ...]
-        Run one trace once per execution backend (default serial vs
-        threaded) and report *wall-clock* seconds per backend, the
-        speedup, and whether the audit evidence came out byte-identical
-        (it must).  On a single-core host the speedup comparison is
-        skipped with an explicit notice.
-
     python -m repro.cli frontier [--shards N ...] [--duration S]
                                  [--seeds N] [--output FILE] [--quick]
         Map the open-loop latency–throughput frontier: Poisson arrivals
@@ -160,22 +152,24 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.harness.simulated_cluster import SimulatedCluster
     from repro.kvstore import get, put
+    from repro.sharding import ShardRouter, ShardedCluster
 
-    cluster = SimulatedCluster(clients=args.clients, seed=args.seed)
+    cluster = ShardedCluster(shards=1, clients=args.clients, seed=args.seed)
+    router = ShardRouter(cluster)
     for client_id in range(1, args.clients + 1):
         for round_number in range(args.ops):
             if round_number % 2 == 0:
-                cluster.submit(client_id, put(f"key-{round_number}", str(client_id)))
+                router.submit(client_id, put(f"key-{round_number}", str(client_id)))
             else:
-                cluster.submit(client_id, get(f"key-{round_number - 1}"))
+                router.submit(client_id, get(f"key-{round_number - 1}"))
     cluster.run()
-    cluster.check_fork_linearizable()
+    router.check_fork_linearizable()
+    stats = cluster.stats
     print(
-        f"{cluster.stats.operations_completed} operations across "
-        f"{args.clients} clients in {cluster.stats.batches} batches "
-        f"(mean batch size {cluster.stats.mean_batch_size:.1f}); "
+        f"{stats.operations_completed} operations across "
+        f"{args.clients} clients in {stats.per_shard_batches[0]} batches "
+        f"(mean batch size {stats.mean_batch_size(0):.1f}); "
         "execution verified fork-linearizable"
     )
     return 0
@@ -258,57 +252,6 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
         "all generations verified fork-linearizable "
         "(evidence spans the split, the merge and the recovery)"
     )
-    return 0
-
-
-def _cmd_parallel(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.harness.experiments import run_parallel_wallclock
-
-    if args.shards < 1 or args.clients < 1 or args.ops < 1:
-        print("parallel: --shards, --clients and --ops must all be >= 1")
-        return 2
-    cores = os.cpu_count() or 1
-    result = run_parallel_wallclock(
-        shards=args.shards,
-        clients=args.clients,
-        requests_per_client=args.ops,
-        backends=tuple(args.backends),
-        seed=args.seed,
-    )
-    for backend, wall, ops, violations in zip(
-        result.series["backend"],
-        result.series["wall_seconds"],
-        result.series["operations_completed"],
-        result.series["violations"],
-    ):
-        note = f" [{violations} VIOLATION(S)]" if violations else ""
-        print(
-            f"{backend:>8}: {ops} operations in {wall:.3f}s wall "
-            f"({ops / wall:,.0f} ops/s real){note}"
-        )
-    ratios = result.ratios
-    if not ratios["identical_digests"]:
-        print("PARALLEL RUN FAILED: audit evidence differs across backends")
-        return 1
-    if not ratios["zero_violations"]:
-        print("PARALLEL RUN FAILED: consistency violations (see above)")
-        return 1
-    if cores < 2:
-        # same convention as run_micro's missing-bench notices: an
-        # explicit skipped line, never a silent pass
-        print(
-            "  threaded_speedup: skipped — single-core host "
-            f"(os.cpu_count()={cores}); no wall-clock overlap possible, "
-            "determinism contract still verified"
-        )
-    else:
-        print(
-            f"threaded speedup: {ratios['threaded_speedup']:.2f}x "
-            f"wall-clock on {cores} core(s); audit evidence "
-            "byte-identical across backends"
-        )
     return 0
 
 
@@ -617,23 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     elastic.add_argument("--seed", type=int, default=0)
     elastic.set_defaults(handler=_cmd_elastic)
 
-    parallel = sub.add_parser(
-        "parallel",
-        help="wall-clock cross-backend comparison + determinism check",
-    )
-    parallel.add_argument("--shards", type=int, default=4)
-    parallel.add_argument("--clients", type=int, default=8)
-    parallel.add_argument("--ops", type=int, default=60,
-                          help="logical YCSB requests per client")
-    parallel.add_argument("--seed", type=int, default=0)
-    parallel.add_argument(
-        "--backends", nargs="+", default=["serial", "threaded"],
-        choices=["serial", "threaded"],
-        help="execution backends to compare (evidence must stay "
-        "byte-identical across them)",
-    )
-    parallel.set_defaults(handler=_cmd_parallel)
-
     frontier = sub.add_parser(
         "frontier",
         help="open-loop latency-throughput frontier sweep",
@@ -641,9 +567,9 @@ def build_parser() -> argparse.ArgumentParser:
     frontier.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
     frontier.add_argument(
         "--backends", nargs="+", default=["serial", "pipelined"],
-        choices=["serial", "threaded", "pipelined"],
-        help="arms to sweep; 'pipelined' is the seal_share cost model "
-        "over the serial backend, not an execution backend",
+        choices=["serial", "pipelined"],
+        help="arms to sweep; 'pipelined' is the dispatcher's seal_share "
+        "cost model",
     )
     frontier.add_argument("--duration", type=float, default=0.25,
                           help="virtual seconds of Poisson arrivals per cell")

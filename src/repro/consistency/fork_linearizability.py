@@ -250,10 +250,9 @@ def check_cluster_execution(
 ) -> ForkTree:
     """Assemble the Sec. 3.2.1 checker inputs from live cluster objects.
 
-    The one place the evidence construction lives, shared by every cluster
-    runtime (the single-group ``SimulatedCluster``, the per-shard
-    ``ShardRouter`` checks): ``clients`` maps client id to any object
-    exposing ``last_sequence``/``last_chain``; ``history`` is the
+    The one place the evidence construction lives (the per-shard
+    ``ShardRouter`` checks call it): ``clients`` maps client id to any
+    object exposing ``last_sequence``/``last_chain``; ``history`` is the
     :class:`~repro.consistency.history.History` recorded while the
     execution ran.  Returns the :class:`ForkTree` or raises the first
     :class:`~repro.errors.SecurityViolation` found.

@@ -140,10 +140,14 @@ class ClientView:
         return all(record.op_id in ids_in_view for record in own)
 
     def respects_real_time(self) -> bool:
-        """Serialization order must respect real-time precedence."""
-        position = {record.op_id: idx for idx, record in enumerate(self.records)}
-        for a in self.records:
-            for b in self.records:
-                if a.precedes(b) and position[a.op_id] > position[b.op_id]:
-                    return False
+        """Serialization order must respect real-time precedence: no
+        record may have responded before a record serialized ahead of it
+        was invoked (one sweep in view order over the running maximum of
+        ``invoked_at``)."""
+        latest_invocation = float("-inf")
+        for record in self.records:
+            if record.responded_at < latest_invocation:
+                return False
+            if record.invoked_at > latest_invocation:
+                latest_invocation = record.invoked_at
         return True

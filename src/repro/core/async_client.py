@@ -14,7 +14,7 @@ context tracking, previous-chain verification, monotone stability.
 Operations invoked while one is outstanding are queued, preserving the
 paper's sequential-client assumption.
 
-Used by :mod:`repro.harness.simulated_cluster` to run the real protocol
+Used by :mod:`repro.sharding.cluster` to run the real protocol
 over the discrete-event network with batching at the server — the full
 Fig. 3 architecture under virtual time.
 """

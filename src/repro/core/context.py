@@ -338,9 +338,9 @@ class LcmContext:
         # quorum size memo; invalidated on any membership-size change
         self._quorum_cache: int | None = None
         # deterministic nonce chain for every box sealed on the invoke /
-        # store path; seeded once per epoch in on_start.  Worker threads
-        # (threaded execution backend) never touch the shared process
-        # nonce pool, so serial and threaded runs emit identical bytes.
+        # store path; seeded once per epoch in on_start.  Sealing never
+        # touches the shared process nonce pool, so the bytes depend on
+        # this context's history alone.
         self._nonces: NonceSequence | None = None
         self._state: Any = None                      # s
         # seal caches (see module docstring): reusable sealed boxes for

@@ -110,7 +110,7 @@ def _cache_store(cache_key: tuple[bytes, bytes], stream: bytes) -> None:
         while (
             len(cache) > entry_floor or _ks_cache_bytes > byte_floor
         ) and len(cache) > 1:
-            # the threaded execution backend seals from worker threads;
+            # callers may seal from several threads at once;
             # another thread may evict the same entry between the iter and
             # the pop, so both steps tolerate a concurrent mutation
             try:
@@ -129,9 +129,9 @@ class NonceSequence:
     side of the backend seam carries byte-identical nonces.  The 32-byte
     seed is drawn once from platform randomness when the enclave context
     starts; the counter then advances without further entropy draws,
-    which keeps worker-thread sealing off the shared process nonce pool
-    (and therefore keeps the ``serial`` and ``threaded`` execution
-    backends, and every fastpath backend, emitting identical wire bytes).
+    which keeps enclave sealing off the shared process nonce pool (and
+    therefore keeps every fastpath backend emitting identical wire bytes,
+    whatever else in the process draws nonces in between).
     """
 
     __slots__ = ("seed", "counter")

@@ -660,8 +660,8 @@ void lcm_sha256_batch(const unsigned char *data,
    and opened by another inside the same interpreter, so the opener's
    keystream is a cache hit.  Reuse is safe because a slot only answers
    for the exact (enc_key, nonce) pair that filled it, and the stream for
-   a pair is deterministic.  cffi releases the GIL around these calls and
-   the threaded execution backend runs them concurrently, so the cache is
+   a pair is deterministic.  cffi releases the GIL around these calls, so
+   threads of one process can be inside them concurrently and the cache is
    thread-local: a lazily allocated per-thread table (a __thread array of
    this size could exhaust the static TLS block when the module is
    dlopened; a __thread pointer cannot).  Allocation failure falls back
@@ -1553,8 +1553,8 @@ class CBackend:
         # allocating fresh arrays and exporting them through
         # ``ffi.from_buffer`` costs more than the C work they carry at
         # typical batch sizes, so the cdata handles are built once and
-        # kept.  Thread-local because the threaded execution backend
-        # seals from worker threads; each buffer is only live within one
+        # kept.  Thread-local because callers may seal from several
+        # threads at once; each buffer is only live within one
         # wrapper call (callers consume or copy before the next call).
         self._scratch = threading.local()
 

@@ -1032,155 +1032,6 @@ def run_group_commit(
     )
 
 
-# ------------------------------------------- parallel wall clock (new)
-
-
-def run_parallel_wallclock(
-    *,
-    shards: int = 4,
-    clients: int = 8,
-    requests_per_client: int = 60,
-    object_size: int = 100,
-    backends: tuple[str, ...] = ("serial", "threaded"),
-    seed: int = 0,
-) -> ExperimentResult:
-    """Beyond the paper: real multi-core scaling of N sharded groups.
-
-    Every other harness measures *simulated* time — the virtual clock
-    advances identically however long the host takes.  This one runs
-    the exact same uniform YCSB-A trace through a :class:`ShardedCluster`
-    once per execution backend (:mod:`repro.server.execution`) and
-    measures **wall-clock** seconds: under ``"threaded"`` each shard's
-    one-C-call batch ecall runs on a worker pool with the GIL released,
-    so on a multi-core host the shards' crypto genuinely overlaps.
-
-    The determinism contract is asserted, not assumed: per-shard audit
-    logs are digested and must be byte-identical across backends, and
-    every backend's merged verdict must be fork-linearizable.  The
-    speedup ratio is only meaningful on a multi-core runner — callers
-    (bench/CI) gate on ``os.cpu_count()``.
-    """
-    import hashlib as _hashlib
-    import time as _time
-
-    from repro.net.latency import LatencyModel
-    from repro.sharding import ShardRouter, ShardedCluster
-    from repro.workload.ycsb import WORKLOAD_A, WorkloadGenerator
-
-    workload = WORKLOAD_A.with_params(
-        distribution="uniform", value_size=object_size
-    )
-    series: dict[str, list] = {
-        "backend": [],
-        "wall_seconds": [],
-        "simulated_seconds": [],
-        "operations_completed": [],
-        "violations": [],
-        "audit_digest": [],
-        "streaming_parity": [],
-    }
-    metrics_snapshot: dict = {}
-    for backend in backends:
-        cluster = ShardedCluster(
-            shards=shards,
-            clients=clients,
-            seed=seed,
-            execution=backend,
-            latency=LatencyModel(
-                propagation=100e-6, jitter_fraction=0.2, seed=seed
-            ),
-        )
-        try:
-            router = ShardRouter(cluster)
-            # same seed per backend: identical request streams, so any output
-            # difference is the backend's fault, not the workload's
-            generator = WorkloadGenerator(workload, seed=seed)
-            streams = {
-                client_id: [
-                    generator.next_operations() for _ in range(requests_per_client)
-                ]
-                for client_id in cluster.client_ids
-            }
-
-            def start(client_id: int) -> None:
-                def pump(_result=None) -> None:
-                    stream = streams[client_id]
-                    if not stream:
-                        return
-                    request = stream.pop(0)
-                    if len(request) == 1:
-                        router.submit(client_id, request[0], pump)
-                    else:
-                        router.submit_many(client_id, request, pump)
-
-                pump()
-
-            for client_id in cluster.client_ids:
-                start(client_id)
-            began = _time.perf_counter()
-            cluster.run()
-            wall = _time.perf_counter() - began
-            verdict = router.verdict()
-            digest = _hashlib.sha256()
-            for shard_id in sorted(cluster.shard_ids):
-                for log in cluster.audit_logs(shard_id):
-                    for record in log:
-                        digest.update(record.sequence.to_bytes(8, "big"))
-                        digest.update(record.client_id.to_bytes(8, "big"))
-                        digest.update(record.operation)
-                        digest.update(record.result)
-                        digest.update(record.chain)
-            # parity needs live enclaves, so check before the backend shuts down
-            parity = _streaming_parity(cluster, router, verdict)
-            metrics_snapshot = cluster.metrics()
-        finally:
-            cluster.execution.shutdown()
-        series["backend"].append(backend)
-        series["wall_seconds"].append(wall)
-        series["simulated_seconds"].append(cluster.sim.now)
-        series["operations_completed"].append(
-            cluster.stats.operations_completed
-        )
-        series["violations"].append(len(verdict.violations))
-        series["audit_digest"].append(digest.hexdigest())
-        series["streaming_parity"].append(parity)
-    wall_by_backend = dict(zip(series["backend"], series["wall_seconds"]))
-    speedup = 0.0
-    if "serial" in wall_by_backend and "threaded" in wall_by_backend:
-        threaded = wall_by_backend["threaded"]
-        speedup = wall_by_backend["serial"] / threaded if threaded else 0.0
-    return ExperimentResult(
-        experiment="parallel_wallclock",
-        description=(
-            f"Wall-clock scaling of {shards} sharded groups across "
-            "execution backends (uniform YCSB-A)"
-        ),
-        parameters={
-            "shards": shards,
-            "clients": clients,
-            "requests_per_client": requests_per_client,
-            "object_size": object_size,
-            "backends": list(backends),
-            "seed": seed,
-        },
-        series=series,
-        ratios={
-            "wall_seconds_by_backend": wall_by_backend,
-            "threaded_speedup": speedup,
-            "identical_digests": len(set(series["audit_digest"])) <= 1,
-            "zero_violations": not any(series["violations"]),
-            "streaming_parity": all(series["streaming_parity"]),
-        },
-        paper_expectation={
-            # not a paper figure: the ISSUE's acceptance bar for this PR
-            "identical_digests": True,
-            "zero_violations": True,
-            "streaming_parity": True,
-        },
-        metrics=metrics_snapshot,
-    )
-
-
 # ----------------------------------------------------------------- Sec 6.5
 
 

@@ -20,13 +20,12 @@ load generator politely backing off.  Per-operation latency
 cluster's ``dispatch.queue_depth``/``queue_depth_peak`` and
 ``cluster.load_skew`` gauges.
 
-Backends: on the virtual clock ``threaded`` is *defined* to match
-``serial`` (it only moves wall-clock work), so the frontier compares
-``serial`` against a ``pipelined`` arm — the dispatcher's ``seal_share``
-cost model: the measured ``state_seal`` share of the batch ecall taken
-off the delivery critical path, which raises the per-shard saturation
-cadence by ``1 / (1 - seal_share)``.  The arm names the modelled
-enclave, not an execution backend; its ecalls run on the serial one.
+Arms: the frontier compares ``serial`` against ``pipelined`` — the
+dispatcher's ``seal_share`` cost model: the measured ``state_seal``
+share of the batch ecall taken off the delivery critical path, which
+raises the per-shard saturation cadence by ``1 / (1 - seal_share)``.
+The arm names the modelled enclave (the cells' ``backend`` field); the
+ecall itself runs inline either way.
 
 Every (backend, shards, rate, seed) cell is persisted, saturation is
 detected per cell (achieved throughput falls measurably below offered
@@ -42,12 +41,16 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
+from repro.errors import ConfigurationError
 from repro.kvstore import get, put
 from repro.net.latency import LatencyModel
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL
 from repro.obs.metrics import QuantileHistogram
 from repro.server.dispatch import DEFAULT_SEAL_SHARE
 from repro.sharding import ShardRouter, ShardedCluster
+
+#: ``seal_share`` each arm runs its shard dispatchers with
+ARM_SEAL_SHARE = {"serial": 0.0, "pipelined": DEFAULT_SEAL_SHARE}
 
 #: offered-vs-achieved shortfall that counts as saturation (with queue
 #: corroboration): 5% lets sub-saturation cells absorb drain-tail noise
@@ -108,16 +111,20 @@ def run_cell(
     shard dispatchers — not the links — are the bottleneck under load;
     ``clients_per_shard`` keeps enough independent protocol machines
     that per-client sequencing does not cap the offered rate first.
-    ``backend="pipelined"`` selects the seal-stage cost model
-    (``seal_share=DEFAULT_SEAL_SHARE``) over the serial backend.
+    ``backend`` names the arm: ``"pipelined"`` selects the seal-stage
+    cost model (``seal_share=DEFAULT_SEAL_SHARE``).
     """
+    if backend not in ARM_SEAL_SHARE:
+        raise ConfigurationError(
+            f"unknown frontier arm {backend!r} "
+            f"(choose from {sorted(ARM_SEAL_SHARE)})"
+        )
     # stable across interpreters (str hash() is salted per process): the
     # same cell always replays the same arrival stream and network jitter
     tag = f"{backend}|{shards}|{offered_rate:.6g}|{seed}".encode()
     derived = int.from_bytes(
         hashlib.sha256(tag).digest()[:4], "big"
     ) & 0x7FFFFFFF
-    pipelined = backend == "pipelined"
     cluster = ShardedCluster(
         shards=shards,
         clients=clients_per_shard * shards,
@@ -126,99 +133,92 @@ def run_cell(
         latency=LatencyModel(
             propagation=20e-6, jitter_fraction=0.2, seed=derived
         ),
-        execution="serial" if pipelined else backend,
-        seal_share=DEFAULT_SEAL_SHARE if pipelined else 0.0,
+        seal_share=ARM_SEAL_SHARE[backend],
     )
-    try:
-        router = ShardRouter(cluster)
-        rng = random.Random(derived)
-        client_ids = list(cluster.client_ids)
-        state = {"completed": 0}
+    router = ShardRouter(cluster)
+    rng = random.Random(derived)
+    client_ids = list(cluster.client_ids)
+    state = {"completed": 0}
 
-        def complete(_result) -> None:
-            state["completed"] += 1
+    def complete(_result) -> None:
+        state["completed"] += 1
 
-        # schedule the whole arrival process up front: open loop by
-        # construction — completions cannot modulate the offered load
-        offered = 0
-        at = 0.0
-        while True:
-            at += rng.expovariate(offered_rate)
-            if at >= duration:
-                break
-            client_id = client_ids[rng.randrange(len(client_ids))]
-            key = f"fk-{rng.randrange(key_space)}"
-            operation = (
-                put(key, f"v{offered}") if rng.random() < 0.5 else get(key)
-            )
-
-            def arrive(client_id=client_id, operation=operation) -> None:
-                router.submit(client_id, operation, complete)
-
-            cluster.sim.schedule_at(at, arrive, label="frontier-arrival")
-            offered += 1
-
-        cluster.run()
-        elapsed = cluster.sim.now
-        completed = state["completed"]
-        achieved = completed / elapsed if elapsed > 0 else 0.0
-
-        snapshot = cluster.metrics()
-        gauges = snapshot.get("gauges", {})
-        queue_peak = max(
-            (
-                int(value)
-                for key, value in gauges.items()
-                if key.startswith("dispatch.queue_depth_peak")
-            ),
-            default=0,
+    # schedule the whole arrival process up front: open loop by
+    # construction — completions cannot modulate the offered load
+    offered = 0
+    at = 0.0
+    while True:
+        at += rng.expovariate(offered_rate)
+        if at >= duration:
+            break
+        client_id = client_ids[rng.randrange(len(client_ids))]
+        key = f"fk-{rng.randrange(key_space)}"
+        operation = (
+            put(key, f"v{offered}") if rng.random() < 0.5 else get(key)
         )
-        load_skew = float(gauges.get("cluster.load_skew", 0.0))
 
-        merged = QuantileHistogram()
-        for histogram in cluster.metrics_registry.quantiles_named(
-            "router.op_latency"
-        ):
-            merged.merge_from(histogram)
+        def arrive(client_id=client_id, operation=operation) -> None:
+            router.submit(client_id, operation, complete)
 
-        violations = sum(
-            1
-            for shard_id in cluster.verdict_shard_ids
-            if cluster.shard_violation(shard_id) is not None
-        )
-        saturated = achieved < SATURATION_SHORTFALL * offered_rate and (
-            queue_peak > SATURATION_QUEUE_FACTOR * batch_limit
-            or elapsed > SATURATION_OVERRUN * duration
-        )
-        cell = FrontierCell(
-            backend=backend,
-            shards=shards,
-            offered_rate=offered_rate,
-            seed=seed,
-            duration=duration,
-            offered_ops=offered,
-            completed_ops=completed,
-            elapsed=elapsed,
-            achieved_tps=achieved,
-            saturated=saturated,
-            p50=merged.quantile(0.50),
-            p95=merged.quantile(0.95),
-            p99=merged.quantile(0.99),
-            mean_latency=merged.mean,
-            queue_depth_peak=queue_peak,
-            load_skew=load_skew,
-            violations=violations,
-            extra={
-                "batch_limit": batch_limit,
-                "clients": clients_per_shard * shards,
-                "batches": sum(
-                    cluster.stats.per_shard_batches.values()
-                ),
-            },
-        )
-    finally:
-        cluster.execution.shutdown()
-    return cell
+        cluster.sim.schedule_at(at, arrive, label="frontier-arrival")
+        offered += 1
+
+    cluster.run()
+    elapsed = cluster.sim.now
+    completed = state["completed"]
+    achieved = completed / elapsed if elapsed > 0 else 0.0
+
+    snapshot = cluster.metrics()
+    gauges = snapshot.get("gauges", {})
+    queue_peak = max(
+        (
+            int(value)
+            for key, value in gauges.items()
+            if key.startswith("dispatch.queue_depth_peak")
+        ),
+        default=0,
+    )
+    load_skew = float(gauges.get("cluster.load_skew", 0.0))
+
+    merged = QuantileHistogram()
+    for histogram in cluster.metrics_registry.quantiles_named(
+        "router.op_latency"
+    ):
+        merged.merge_from(histogram)
+
+    violations = sum(
+        1
+        for shard_id in cluster.verdict_shard_ids
+        if cluster.shard_violation(shard_id) is not None
+    )
+    saturated = achieved < SATURATION_SHORTFALL * offered_rate and (
+        queue_peak > SATURATION_QUEUE_FACTOR * batch_limit
+        or elapsed > SATURATION_OVERRUN * duration
+    )
+    return FrontierCell(
+        backend=backend,
+        shards=shards,
+        offered_rate=offered_rate,
+        seed=seed,
+        duration=duration,
+        offered_ops=offered,
+        completed_ops=completed,
+        elapsed=elapsed,
+        achieved_tps=achieved,
+        saturated=saturated,
+        p50=merged.quantile(0.50),
+        p95=merged.quantile(0.95),
+        p99=merged.quantile(0.99),
+        mean_latency=merged.mean,
+        queue_depth_peak=queue_peak,
+        load_skew=load_skew,
+        violations=violations,
+        extra={
+            "batch_limit": batch_limit,
+            "clients": clients_per_shard * shards,
+            "batches": sum(cluster.stats.per_shard_batches.values()),
+        },
+    )
 
 
 def shard_capacity(shards: int) -> float:

@@ -26,10 +26,9 @@ from typing import Any, Callable
 from repro.errors import SimulationError
 
 #: Virtual enclave service time per request in a batch, shared by every
-#: cluster runtime that schedules batch delivery on this clock
-#: (``SimulatedCluster``, ``ShardedCluster``).  Harness code estimating
-#: run length (e.g. a mid-run rebalance point) must reference it rather
-#: than hardcode a copy.
+#: dispatcher that schedules batch delivery on this clock.  Harness code
+#: estimating run length (e.g. a mid-run rebalance point) must reference
+#: it rather than hardcode a copy.
 ENCLAVE_SERVICE_INTERVAL = 50e-6
 
 

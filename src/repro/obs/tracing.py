@@ -35,7 +35,6 @@ path allocates nothing.  Finished spans live in a bounded deque.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Any, Callable
 
@@ -220,31 +219,25 @@ class SpanTracer:
 
 
 class StageProbe:
-    """Thread-local landing pad for per-batch enclave stage records.
+    """Landing pad for per-batch enclave stage records.
 
-    The trusted context calls the probe from *inside* the ecall — on the
-    dispatcher's thread under the serial execution backend, on a worker
-    thread under the threaded one.  The cluster's ``send_batch`` wrapper
-    runs on that same thread immediately after the ecall returns, takes
-    the record and parks it on the shard; the dispatcher's delivery
-    event (which joins the execution future first, establishing the
-    happens-before edge) then hands it to the tracer.  Stage timings
-    thus re-enter the virtual-time order at the batch boundary exactly
-    like the replies they describe, and serial/threaded runs produce
-    records with identical fields — only the wall-clock durations
-    differ.
+    The trusted context calls the probe from *inside* the ecall.  The
+    cluster's ``send_batch`` wrapper runs immediately after the ecall
+    returns, takes the record and parks it on the shard; the
+    dispatcher's delivery event then hands it to the tracer.  Stage
+    timings thus enter the virtual-time order at the batch boundary
+    exactly like the replies they describe.
     """
 
-    __slots__ = ("_local",)
+    __slots__ = ("_record",)
 
     def __init__(self) -> None:
-        self._local = threading.local()
+        self._record: dict[str, Any] | None = None
 
     def __call__(self, record: dict[str, Any]) -> None:
-        self._local.record = record
+        self._record = record
 
     def take(self) -> dict[str, Any] | None:
-        """Return and clear the calling thread's parked record."""
-        record = getattr(self._local, "record", None)
-        self._local.record = None
+        """Return and clear the parked record."""
+        record, self._record = self._record, None
         return record

@@ -10,8 +10,8 @@ environment (Sec. 2.3).
 - :mod:`repro.server.host` — the correct server runtime;
 - :mod:`repro.server.batching` — the bounded request batch queue of Sec. 5.3
   and the bounded batch-size histogram;
-- :mod:`repro.server.dispatch` — the per-group batch dispatch loop shared
-  by every cluster runtime;
+- :mod:`repro.server.dispatch` — the per-group batch dispatch loop every
+  shard runs;
 - :mod:`repro.server.faults` — the malicious server: rollback, forking,
   replay, tampering and partitioning primitives used by attack tests.
 """

@@ -1,13 +1,12 @@
-"""The per-group batch dispatch loop (Sec. 5.3), shared by every cluster.
+"""The per-group batch dispatch loop (Sec. 5.3).
 
-``SimulatedCluster`` and ``ShardedCluster`` used to carry near-identical
-~60-line ``_maybe_dispatch`` bodies — batch slicing, enclave-busy gating,
-deliver scheduling on the virtual clock — differing only in how a
-detected violation is recorded.  :class:`GroupDispatcher` is that loop,
-extracted once: the cluster runtimes supply the transport (``send_batch``
-into their host, ``deliver`` back onto their per-client channels) and
-optional hooks, so Sec. 5.2/5.3 batching changes land in one place and
-reach every runtime at once.
+:class:`GroupDispatcher` is the one place batch slicing, enclave-busy
+gating and deliver scheduling on the virtual clock live: the cluster
+runtime supplies the transport (``send_batch`` into a shard's host,
+``deliver`` back onto its per-client channels) and optional hooks, so
+Sec. 5.2/5.3 batching changes land here and reach every shard at once.
+The batch ecall runs inline at dispatch time; its replies are realized
+at the scheduled delivery event.
 
 Dispatch semantics (unchanged from the paper's prototype):
 
@@ -21,13 +20,12 @@ Dispatch semantics (unchanged from the paper's prototype):
 - a :class:`~repro.errors.SecurityViolation` raised by the enclave halts
   the dispatcher: pending requests stay queued, nothing further enters
   the enclave.  With an ``on_violation`` hook the violation is recorded
-  and the simulation continues (the sharded runtime's per-shard
-  attribution); without one it propagates (the single-group runtime's
-  fail-stop behaviour).
+  and the simulation continues (the cluster's per-shard attribution);
+  without one it propagates (fail-stop).
 
 Batch-size statistics live in the queue's
-:class:`~repro.server.batching.BatchSizeHistogram` — one bounded source
-both cluster stats objects read from.
+:class:`~repro.server.batching.BatchSizeHistogram` — the one bounded
+source the cluster stats read from.
 
 The router's transaction group commit composes with this loop rather
 than extending it: a group of prepares/decisions flushed against one
@@ -45,7 +43,6 @@ from typing import Callable
 from repro.errors import ConfigurationError, SecurityViolation
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL, Simulator
 from repro.server.batching import BatchQueue, BatchSizeHistogram
-from repro.server.execution import SerialBackend
 
 #: Measured ``state_seal`` share of the batch ecall's ``wall_total`` on
 #: the native-batch path (PR 9 stage probe, batched-invoke family).  A
@@ -103,19 +100,10 @@ class GroupDispatcher:
         through this dispatcher (the idle hooks are level-triggered, so
         nothing is lost by skipping).  Ordinary dispatching is
         unaffected; only the boundary hook waits.
-    execution:
-        The :mod:`~repro.server.execution` backend that runs the batch
-        ecall.  The serial default executes at submit time (historical
-        semantics); the threaded backend runs it on a worker pool and
-        the dispatcher joins the result at the scheduled delivery event,
-        so replies re-enter the virtual-time event order at the batch
-        boundary regardless of wall-clock completion.  A violation
-        raised by the worker is handled at that same boundary with the
-        identical halt/record/propagate policy.
     seal_share:
-        Seal-stage cost model, orthogonal to the execution backend.  The
-        default ``0.0`` keeps the serial schedule: replies deliver after
-        the whole service interval.  A share in ``(0, 0.5]`` models an
+        Seal-stage cost model, on the virtual clock only.  The default
+        ``0.0`` keeps the serial schedule: replies deliver after the
+        whole service interval.  A share in ``(0, 0.5]`` models an
         enclave that takes the ``state_seal`` stage off the delivery
         path: replies deliver after ``(1 - seal_share)`` of the virtual
         service time and a separate seal-stage event completes after the
@@ -141,7 +129,6 @@ class GroupDispatcher:
         on_idle: Callable[[], None] | None = None,
         on_batch_complete: Callable[[int], None] | None = None,
         boundary_gate: Callable[[], bool] | None = None,
-        execution=None,
         seal_share: float = 0.0,
     ) -> None:
         if seal_share and not 0.0 < seal_share <= 0.5:
@@ -163,10 +150,6 @@ class GroupDispatcher:
         self._on_idle = on_idle
         self._on_batch_complete = on_batch_complete
         self._boundary_gate = boundary_gate
-        self._execution = execution if execution is not None else SerialBackend()
-        #: in-flight batch result, joined at the delivery event (and by
-        #: :meth:`quiesce` when a fault is injected mid-flight)
-        self._pending: Callable[[], list[bytes]] | None = None
         #: deliveries whose boundary hook was withheld mid-transaction
         self.boundaries_deferred = 0
         #: size of the batch currently delivering replies (None outside
@@ -216,19 +199,12 @@ class GroupDispatcher:
         batch = self.queue.take()
         self.busy = True
         try:
-            pending = self._execution.submit(lambda: self._send_batch(batch))
+            replies = self._send_batch(batch)
         except SecurityViolation as violation:
             self._handle_violation(violation)
             return
-        self._pending = pending
 
         def deliver() -> None:
-            self._pending = None
-            try:
-                replies = pending()
-            except SecurityViolation as violation:
-                self._handle_violation(violation)
-                return
             self.delivering_batch_size = len(batch)
             try:
                 for (client_id, _), reply in zip(batch, replies):
@@ -280,32 +256,10 @@ class GroupDispatcher:
         """True while a batch's seal stage has not virtually completed."""
         return self._seal_pending > 0
 
-    def quiesce(self) -> None:
-        """Join any in-flight batch ecall without consuming its delivery.
-
-        Fault injection (``crash_shard``) fires at a virtual time that
-        may fall between a batch's submit and its delivery event.  The
-        serial backend already ran the ecall at submit time, so the
-        crash can only land between ecalls; this blocks until a threaded
-        worker's ecall has likewise left the enclave, preserving the
-        ecall-is-atomic semantics (and keeping the crash path's own
-        audit-export ecall from entering the enclave concurrently).  The
-        joined result is *not* delivered here — the scheduled delivery
-        event re-joins the same future and handles replies or violations
-        exactly as it would have."""
-        pending = self._pending
-        if pending is not None:
-            try:
-                pending()
-            except Exception:
-                pass  # surfaced again (and handled) at the delivery event
-
     def _handle_violation(self, violation: SecurityViolation) -> None:
         """Server-side detection: the context halted mid-batch.  Stop
         dispatching (pending requests stay queued) and either let the
-        cluster record it or fail the whole run.  With the serial
-        backend this fires at submit time; with the threaded backend,
-        at the delivery event where the worker's result is joined."""
+        cluster record it or fail the whole run."""
         self.busy = False
         self.halt()
         if self._on_violation is None:

@@ -57,10 +57,30 @@ from repro.obs import MetricsRegistry, SpanTracer, StageProbe
 from repro.obs.export import make_exporter
 from repro.server import MaliciousServer, ServerHost
 from repro.server.dispatch import GroupDispatcher
-from repro.server.execution import make_execution_backend
 from repro.sharding.observer import ClusterObserver
 from repro.sharding.partitioner import HashRing
 from repro.tee import TeePlatform
+
+
+class SerialBackend:
+    """The seam every shard's batch ecall passes through exactly once.
+
+    ``submit(work)`` runs the ecall inline on the caller's thread and
+    returns its replies; exceptions (including the protocol's
+    :class:`~repro.errors.SecurityViolation` halts) raise out of it.  It
+    is an object with a class-level ``submit`` because instrumentation
+    installed from outside wraps that method to time the ecall
+    (``benchmarks/e2e/spans.py``).
+    """
+
+    def __init__(self) -> None:
+        #: batches handed through (plain int — the cluster's
+        #: snapshot-time collector mirrors it into a registry gauge)
+        self.batches_submitted = 0
+
+    def submit(self, work: Callable[[], list]) -> list:
+        self.batches_submitted += 1
+        return work()
 
 
 class ShardedStats:
@@ -68,7 +88,7 @@ class ShardedStats:
 
     Per-shard batch counts delegate to each shard dispatcher's bounded
     :class:`~repro.server.batching.BatchSizeHistogram`, the single source
-    of batch statistics for every cluster runtime."""
+    of batch statistics."""
 
     def __init__(self, dispatchers: dict[int, GroupDispatcher]) -> None:
         self.operations_completed = 0
@@ -166,8 +186,8 @@ class _Shard:
         self.dispatcher: GroupDispatcher | None = None
         self.rebalance_requested = False
         #: stage record of the most recent batch ecall (tracing only) —
-        #: written by the cluster's send_batch wrapper on the executing
-        #: thread, read at the delivery event after the future is joined
+        #: written by the cluster's send_batch wrapper, read at the
+        #: delivery event
         self.last_batch_stages: dict | None = None
         self.violation: SecurityViolation | None = None
         self.crashed = False
@@ -237,21 +257,12 @@ class ShardedCluster:
         Per-shard bounded batch queue size (Sec. 5.3).
     malicious_shards:
         Shard ids provisioned on a :class:`MaliciousServer` (attack tests).
-    execution:
-        Execution-backend name (``"serial"`` | ``"threaded"``) shared by
-        every shard dispatcher; ``None`` defers to ``REPRO_EXEC_BACKEND``
-        and the serial default.  Under ``"threaded"`` each shard's batch
-        ecall runs on a worker pool (the C hot path releases the GIL),
-        so distinct shards execute concurrently on a multi-core host
-        while replies still re-enter the virtual-time order at the
-        batch boundary — bytes and verdicts are backend-independent.
     seal_share:
         Seal-stage cost model applied by every shard dispatcher (see
         :class:`~repro.server.dispatch.GroupDispatcher`): ``0.0`` (the
         default) is the serial schedule; a share in ``(0, 0.5]``
         delivers replies after ``(1 - seal_share)`` of the virtual
-        service time and runs the seal as its own stage.  Independent
-        of ``execution``.
+        service time and runs the seal as its own stage.
     streaming:
         Run the streaming verifier (:mod:`repro.sharding.observer`)
         alongside the cluster, harvesting audit evidence at every batch
@@ -295,7 +306,6 @@ class ShardedCluster:
         audit: bool = True,
         seed: int = 0,
         malicious_shards: tuple[int, ...] = (),
-        execution: str | None = None,
         seal_share: float = 0.0,
         streaming: bool | None = None,
         tracing: bool = False,
@@ -321,18 +331,15 @@ class ShardedCluster:
         )
         #: enclave-depth stage probe (tracing opt-in): the factory-held
         #: probe reaches every program object a platform ever creates —
-        #: initial bootstrap, rebalance target, recovered generation —
-        #: and its thread-local record survives the threaded backend's
-        #: worker hand-off (see :class:`~repro.obs.tracing.StageProbe`)
+        #: initial bootstrap, rebalance target, recovered generation
+        #: (see :class:`~repro.obs.tracing.StageProbe`)
         self._stage_probe = StageProbe() if tracing else None
         self._factory = make_lcm_program_factory(
             functionality, audit=audit, stage_probe=self._stage_probe
         )
         self._client_ids = list(range(1, clients + 1))
-        #: one execution backend shared by every shard dispatcher — under
-        #: "threaded" the pool is where cross-shard wall-clock overlap
-        #: happens (each dispatcher still keeps one batch in flight).
-        self.execution = make_execution_backend(execution)
+        #: every shard's batch ecall runs inline through this one object
+        self.execution = SerialBackend()
         self._seal_share = seal_share
         #: next platform seed serial per shard id — every TeePlatform a
         #: shard id ever gets (initial, rebalance target, recovered
@@ -425,7 +432,9 @@ class ShardedCluster:
                 shard.down[client_id].send(reply)
         shard.dispatcher = GroupDispatcher(
             sim=self.sim,
-            send_batch=lambda batch, shard=shard: self._send_batch(shard, batch),
+            send_batch=lambda batch, shard=shard: self.execution.submit(
+                lambda: self._send_batch(shard, batch)
+            ),
             deliver=deliver,
             batch_limit=self._batch_limit,
             label=f"shard{shard_id}-batch",
@@ -436,7 +445,6 @@ class ShardedCluster:
             on_idle=lambda shard=shard: self._at_batch_boundary(shard),
             on_batch_complete=self._make_batch_complete(shard),
             boundary_gate=lambda shard=shard: self._txn_boundary_clear(shard),
-            execution=self.execution,
             seal_share=self._seal_share,
         )
         for client_id in self._client_ids:
@@ -567,11 +575,8 @@ class ShardedCluster:
         replies = shard.host.send_invoke_batch(batch)
         probe = self._stage_probe
         if probe is not None:
-            # same thread as the ecall (a worker thread under the
-            # threaded backend): take the thread-local stage record and
-            # park it on the shard.  The delivery event joins the
-            # execution future before reading it, so the hand-off is
-            # ordered even across threads.  A MaliciousServer fans one
+            # take the ecall's stage record and park it on the shard for
+            # the delivery event to read.  A MaliciousServer fans one
             # batch into several per-instance ecalls; the last
             # sub-batch's record wins, which is fine — a forked shard's
             # spans are evidence of the attack, not a timing source.
@@ -709,10 +714,6 @@ class ShardedCluster:
             raise ConfigurationError(
                 f"shard {shard_id} is already down; nothing to crash"
             )
-        # a threaded-backend worker may be inside the enclave right now;
-        # the crash lands between ecalls, never mid-ecall (matching the
-        # serial backend, whose ecalls always complete at submit time)
-        shard.dispatcher.quiesce()
         if self._audit:
             shard.crash_logs = self.audit_logs(shard_id)
         shard.crashed = True

@@ -1,5 +1,8 @@
 """History recording: real-time order, concurrency, views."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.consistency.history import ClientView, History, OperationRecord
 from repro.kvstore import get, put
 
@@ -93,3 +96,26 @@ class TestClientView:
         b = record(2, 2, 2, 4)
         assert ClientView(1, [a, b]).respects_real_time()
         assert ClientView(1, [b, a]).respects_real_time()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 6)), max_size=9
+        )
+    )
+    def test_sweep_agrees_with_the_pairwise_definition(self, spans):
+        """The one-pass sweep against the definition it replaced, written
+        out as the literal double loop.  A small time range makes ties
+        (``responded_at == invoked_at``, which is *not* precedence) and
+        zero-length operations common."""
+        view = [
+            record(op_id, 1, invoked, invoked + length)
+            for op_id, (invoked, length) in enumerate(spans)
+        ]
+        position = {rec.op_id: idx for idx, rec in enumerate(view)}
+        pairwise = not any(
+            a.precedes(b) and position[a.op_id] > position[b.op_id]
+            for a in view
+            for b in view
+        )
+        assert ClientView(1, view).respects_real_time() == pairwise

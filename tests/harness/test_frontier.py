@@ -47,6 +47,13 @@ class TestRunCell:
         pipelined = run_cell("pipelined", 1, rate, duration=0.04)
         assert pipelined.achieved_tps > serial.achieved_tps
 
+    def test_unknown_arm_rejected(self):
+        from repro.errors import ConfigurationError
+
+        for name in ("threaded", "bogus"):
+            with pytest.raises(ConfigurationError, match="unknown frontier arm"):
+                run_cell(name, 1, 1000.0, duration=0.01)
+
     def test_gauges_populated(self):
         cell = run_cell("serial", 2, shard_capacity(2) * 0.75, duration=0.02)
         assert cell.queue_depth_peak >= 1

@@ -199,13 +199,11 @@ class TestReconcileStream:
 
 
 class TestClusterExport:
-    def _run_cluster(self, export, **kwargs):
+    def _run_cluster(self, export):
         from repro.kvstore import get, put
         from repro.sharding import ShardRouter, ShardedCluster
 
-        cluster = ShardedCluster(
-            shards=2, clients=3, seed=3, export=export, **kwargs
-        )
+        cluster = ShardedCluster(shards=2, clients=3, seed=3, export=export)
         router = ShardRouter(cluster)
 
         # closed loop: the next submit rides the previous completion, so
@@ -249,13 +247,6 @@ class TestClusterExport:
         assert reconcile_stream(records, snapshot) == []
         # records are stamped with virtual flush times
         assert records[-1]["time"] == cluster.sim.now
-
-    def test_stream_reconciles_under_threaded_backend(self):
-        ring = RingSink()
-        cluster = self._run_cluster(ring, execution="threaded")
-        snapshot = cluster.metrics()
-        cluster.exporter.close(snapshot)
-        assert reconcile_stream(list(ring.records), snapshot) == []
 
 
 class TestHarnessEndToEnd:

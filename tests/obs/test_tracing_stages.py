@@ -5,16 +5,12 @@ The contracts pinned here:
 - with tracing on, *every* delivered operation's span carries the batch's
   enclave stage record (mac-scan/decrypt/verify -> per-op execute ->
   reply-encode/seal) plus its position within the batch;
-- the record's wall-clock stamps are taken *inside* the ecall on
-  whichever thread executes it, and joined to the span at the
-  virtual-time delivery event — so serial and threaded execution
-  backends produce identical spans modulo the wall-clock durations;
+- the record's wall-clock stamps are taken *inside* the ecall and
+  joined to the span at the virtual-time delivery event;
 - the generic (pure-Python) batch path stamps a record of its own with
   the same fields, so the observability surface does not depend on the
   compiled fastpath being available.
 """
-
-import pytest
 
 from repro.kvstore import get, put
 from repro.sharding import ShardRouter, ShardedCluster
@@ -24,19 +20,9 @@ STAGE_FIELDS = {
     "per_op_execute", "wall_start", "wall_total",
 }
 
-#: span fields that must be backend-independent (everything except the
-#: wall-clock stage durations)
-VIRTUAL_FIELDS = (
-    "kind", "client_id", "shard_id", "operation", "submitted_at",
-    "delivered_at", "completed_at", "batch_size", "sequence",
-    "batch_index",
-)
-
-
-def run_traced(execution, *, ops=6, shards=2, clients=3, seed=13):
+def run_traced(*, ops=6, shards=2, clients=3, seed=13):
     cluster = ShardedCluster(
-        shards=shards, clients=clients, seed=seed,
-        tracing=True, execution=execution,
+        shards=shards, clients=clients, seed=seed, tracing=True
     )
     router = ShardRouter(cluster)
     for client_id in cluster.client_ids:
@@ -54,7 +40,7 @@ def run_traced(execution, *, ops=6, shards=2, clients=3, seed=13):
 
 class TestStageTimings:
     def test_every_delivered_span_carries_stages(self):
-        cluster = run_traced("serial")
+        cluster = run_traced()
         spans = cluster.tracer.finished("operation")
         assert spans
         for span in spans:
@@ -62,7 +48,7 @@ class TestStageTimings:
             assert span.batch_index is not None
 
     def test_stage_record_fields_and_invariants(self):
-        cluster = run_traced("serial")
+        cluster = run_traced()
         for span in cluster.tracer.finished("operation"):
             stages = span.stages
             assert set(stages) == STAGE_FIELDS
@@ -80,7 +66,7 @@ class TestStageTimings:
             assert 0 <= span.batch_index < stages["ops"]
 
     def test_batch_index_orders_spans_within_batch(self):
-        cluster = run_traced("serial")
+        cluster = run_traced()
         by_record: dict[int, list] = {}
         for span in cluster.tracer.finished("operation"):
             by_record.setdefault(id(span.stages), []).append(span)
@@ -91,7 +77,7 @@ class TestStageTimings:
             assert len(group) <= group[0].stages["ops"]
 
     def test_spans_stamp_both_clocks(self):
-        cluster = run_traced("serial")
+        cluster = run_traced()
         for span in cluster.tracer.finished("operation"):
             # virtual-time trip through the stack...
             assert span.completed_at >= span.delivered_at >= span.submitted_at
@@ -100,30 +86,12 @@ class TestStageTimings:
             assert span.stages["wall_total"] > 0.0
 
 
-class TestBackendParity:
-    def test_serial_and_threaded_spans_identical_modulo_wall_clock(self):
-        serial = run_traced("serial")
-        threaded = run_traced("threaded")
-
-        def project(cluster):
-            rows = []
-            for span in cluster.tracer.finished("operation"):
-                row = {field: getattr(span, field) for field in VIRTUAL_FIELDS}
-                row["stage_path"] = span.stages["path"]
-                row["stage_ops"] = span.stages["ops"]
-                row["per_op_count"] = len(span.stages["per_op_execute"])
-                rows.append(row)
-            return rows
-
-        assert project(serial) == project(threaded)
-
-
 class TestPythonBatchFallback:
     def test_generic_path_stamps_its_own_record(self, monkeypatch):
         from repro.crypto import fastpath
 
         monkeypatch.setattr(fastpath.BACKEND, "invoke_batch_open", None)
-        cluster = run_traced("serial")
+        cluster = run_traced()
         spans = cluster.tracer.finished("operation")
         assert spans
         for span in spans:

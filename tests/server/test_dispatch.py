@@ -1,9 +1,9 @@
-"""The shared per-group dispatcher and its cluster-runtime parity.
+"""The per-group dispatcher, alone and inside a 1-shard cluster.
 
-The acceptance bar for the dispatch unification: exactly one dispatch
-loop implementation, used by both ``SimulatedCluster`` and
-``ShardedCluster`` — so a 1-shard sharded cluster must produce *batch
-stats identical* to the single-group harness on the same trace.
+There is exactly one dispatch loop and one cluster runtime: a 1-shard
+``ShardedCluster`` *is* the single-group Fig. 3 deployment, and must keep
+producing the batch stats the deleted single-group harness recorded on
+the same trace.
 """
 
 import pytest
@@ -133,24 +133,10 @@ class TestGroupDispatcher:
 
 
 class TestSealShare:
-    """``seal_share``: the seal stage as its own virtual pipeline stage.
+    """``seal_share``: the seal stage as its own virtual pipeline stage
+    (DES scheduling only — the ecall itself is untouched)."""
 
-    The model is DES scheduling only, so every case holds under both
-    execution backends — which backend ran the ecall must not move a
-    single event.
-    """
-
-    @staticmethod
-    def _backends():
-        from repro.server.execution import SerialBackend, ThreadedBackend
-
-        for backend in (SerialBackend(), ThreadedBackend(workers=2)):
-            try:
-                yield backend
-            finally:
-                backend.shutdown()
-
-    def _run(self, backend, *, enqueue, until=None, **kwargs):
+    def _run(self, *, enqueue, until=None, **kwargs):
         sim = Simulator()
         deliveries = []
         boundaries = []
@@ -160,7 +146,6 @@ class TestSealShare:
             deliver=lambda client_id, reply: deliveries.append(sim.now),
             on_idle=lambda: boundaries.append(sim.now),
             service_interval=1.0,
-            execution=backend,
             **kwargs,
         )
         for i in range(enqueue):
@@ -172,44 +157,41 @@ class TestSealShare:
         return sim, dispatcher, deliveries, boundaries
 
     def test_delivers_at_the_reduced_service_time(self):
-        for backend in self._backends():
-            sim, _, deliveries, _ = self._run(
-                backend, enqueue=1, batch_limit=1, seal_share=0.5
-            )
-            assert deliveries == [pytest.approx(0.5)]
-            assert sim.now == pytest.approx(1.0)  # seal stage still completes
+        sim, _, deliveries, _ = self._run(
+            enqueue=1, batch_limit=1, seal_share=0.5
+        )
+        assert deliveries == [pytest.approx(0.5)]
+        assert sim.now == pytest.approx(1.0)  # seal stage still completes
 
     def test_withholds_the_boundary_until_seal_completes(self):
-        for backend in self._backends():
-            sim, dispatcher, _, boundaries = self._run(
-                backend, enqueue=1, until=0.75, batch_limit=1, seal_share=0.5
-            )
-            # delivery fired at 0.5 but the seal stage runs until 1.0:
-            # the boundary hook was withheld, the gauge says why
-            assert dispatcher.sealing
-            assert dispatcher.boundaries_deferred == 1
-            assert boundaries == []
-            sim.run()
-            assert not dispatcher.sealing
-            assert boundaries == [pytest.approx(1.0)]
+        sim, dispatcher, _, boundaries = self._run(
+            enqueue=1, until=0.75, batch_limit=1, seal_share=0.5
+        )
+        # delivery fired at 0.5 but the seal stage runs until 1.0:
+        # the boundary hook was withheld, the gauge says why
+        assert dispatcher.sealing
+        assert dispatcher.boundaries_deferred == 1
+        assert boundaries == []
+        sim.run()
+        assert not dispatcher.sealing
+        assert boundaries == [pytest.approx(1.0)]
 
     def test_seal_stages_queue_behind_each_other(self):
         """One seal unit: a small batch delivered while the previous big
         batch is still sealing waits for the unit to free up."""
-        for backend in self._backends():
-            sim, dispatcher, deliveries, boundaries = self._run(
-                backend, enqueue=6, batch_limit=4, seal_share=0.5
-            )
-            # batches of 1, 4, 1 ops: deliveries at 0.5, 2.5, 3.0; seals
-            # 0.5..1.0, 2.5..4.5, then 4.5..5.0 (not 3.0..3.5: unit busy)
-            assert deliveries == [
-                pytest.approx(t) for t in (0.5, 2.5, 2.5, 2.5, 2.5, 3.0)
-            ]
-            assert sim.now == pytest.approx(5.0)
-            # boundaries at 0.5, 2.5, 3.0 and 4.5 fell while a seal was pending
-            assert boundaries == [pytest.approx(1.0), pytest.approx(5.0)]
-            assert dispatcher.boundaries_deferred == 4
-            assert not dispatcher.sealing
+        sim, dispatcher, deliveries, boundaries = self._run(
+            enqueue=6, batch_limit=4, seal_share=0.5
+        )
+        # batches of 1, 4, 1 ops: deliveries at 0.5, 2.5, 3.0; seals
+        # 0.5..1.0, 2.5..4.5, then 4.5..5.0 (not 3.0..3.5: unit busy)
+        assert deliveries == [
+            pytest.approx(t) for t in (0.5, 2.5, 2.5, 2.5, 2.5, 3.0)
+        ]
+        assert sim.now == pytest.approx(5.0)
+        # boundaries at 0.5, 2.5, 3.0 and 4.5 fell while a seal was pending
+        assert boundaries == [pytest.approx(1.0), pytest.approx(5.0)]
+        assert dispatcher.boundaries_deferred == 4
+        assert not dispatcher.sealing
 
     def test_share_is_validated(self):
         from repro.errors import ConfigurationError
@@ -225,7 +207,9 @@ class TestSealShare:
 
 
 class TestDispatcherParity:
-    """1-shard ShardedCluster == SimulatedCluster on the same trace."""
+    """A 1-shard ShardedCluster reproduces, on the same trace, the batch
+    stats recorded from the single-group ``harness`` runtime at the
+    commit that deleted it (it drove the same dispatcher)."""
 
     TRACE = [
         (client_id, operation)
@@ -236,16 +220,7 @@ class TestDispatcherParity:
         )
     ]
 
-    def _run_simulated(self):
-        from repro.harness.simulated_cluster import SimulatedCluster
-
-        cluster = SimulatedCluster(clients=4, batch_limit=4, seed=7)
-        for client_id, operation in self.TRACE:
-            cluster.submit(client_id, operation)
-        cluster.run()
-        return cluster
-
-    def _run_sharded(self):
+    def test_identical_batch_stats_on_same_trace(self):
         from repro.sharding import ShardRouter, ShardedCluster
 
         cluster = ShardedCluster(shards=1, clients=4, batch_limit=4, seed=7)
@@ -253,34 +228,19 @@ class TestDispatcherParity:
         for client_id, operation in self.TRACE:
             router.submit_to_shard(0, client_id, operation)
         cluster.run()
-        return cluster
-
-    def test_identical_batch_stats_on_same_trace(self):
-        simulated = self._run_simulated()
-        sharded = self._run_sharded()
-        assert simulated.stats.operations_completed == len(self.TRACE)
-        assert sharded.stats.operations_completed == len(self.TRACE)
-        assert (
-            simulated.stats.batches == sharded.stats.per_shard_batches[0]
-        )
-        assert simulated.stats.batch_size_histogram == (
-            sharded.stats.batch_size_histogram(0)
-        )
-        assert simulated.stats.mean_batch_size == pytest.approx(
-            sharded.stats.mean_batch_size(0)
-        )
+        stats = cluster.stats
+        assert stats.operations_completed == len(self.TRACE)
+        assert stats.per_shard_batches[0] == 21
+        assert stats.batch_size_histogram(0) == {1: 19, 2: 1, 3: 1}
+        assert stats.mean_batch_size(0) == pytest.approx(24 / 21)
 
     def test_both_runtimes_share_the_dispatcher_implementation(self):
-        """The duplicated ``_maybe_dispatch`` bodies are gone: both
-        cluster runtimes drive GroupDispatcher instances."""
-        from repro.harness.simulated_cluster import SimulatedCluster
+        """One runtime is left and it has no dispatch loop of its own:
+        every shard of it drives a GroupDispatcher."""
         from repro.sharding import ShardedCluster
 
-        assert not hasattr(SimulatedCluster, "_maybe_dispatch")
         assert not hasattr(ShardedCluster, "_maybe_dispatch")
-        simulated = SimulatedCluster(clients=2)
         sharded = ShardedCluster(shards=2, clients=2)
-        assert isinstance(simulated.dispatcher, GroupDispatcher)
         for shard_id in range(sharded.shard_count):
             assert isinstance(
                 sharded._shard(shard_id).dispatcher, GroupDispatcher

@@ -1,16 +1,13 @@
-"""Cross-backend parity: the execution seam must never change the bytes.
+"""Fastpath parity: which crypto backend ran must never change the bytes.
 
-The determinism contract: the same trace through the ``serial`` and
-``threaded`` execution backends (:mod:`repro.server.execution`), and
-through the ``c`` and ``python-batch`` crypto fastpaths, must produce
-identical wire bytes, hash chains, audit logs, sealed storage and merged
-verdicts — a fork attack included, which must be detected identically
-(same shard, same violation, same evidence) under both backends, and the
-combined reshard/crash/transaction scenario included.
-
-Every threaded run here builds ``ThreadedBackend(workers=2)`` explicitly:
-the default pool size is ``os.cpu_count()``, which is 1 on small boxes,
-and a one-worker pool cannot reorder anything.
+The determinism contract: the same trace through the ``c``,
+``python-batch`` and ``python`` crypto fastpaths must produce identical
+wire bytes, hash chains, audit logs, sealed storage, completion times
+and merged verdicts — a fork attack included, which must be detected
+identically (same shard, same violation, same evidence) under every
+fastpath, and the combined reshard/crash/transaction scenario included.
+The batch ecall runs inline at dispatch time, so there is no other axis:
+one trace, one schedule.
 """
 
 import hashlib
@@ -20,46 +17,64 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigurationError, SecurityViolation
+from repro.crypto import fastpath
+from repro.errors import SecurityViolation
 from repro.kvstore import get, put
-from repro.net.simulation import Simulator
-from repro.server.dispatch import GroupDispatcher
 from repro.server.dispatch import DEFAULT_SEAL_SHARE
-from repro.server.execution import (
-    SerialBackend,
-    ThreadedBackend,
-    make_execution_backend,
-)
 from repro.sharding import ShardRouter, ShardedCluster
+from repro.sharding.cluster import SerialBackend
 
-BACKENDS = ("serial", "threaded")
+
+def _under_each_fastpath(trace, *args):
+    """``{fastpath name: trace fingerprint}`` over every fastpath that
+    can be instantiated here, each run under pinned entropy."""
+    previous = fastpath.active_backend()
+    try:
+        fingerprints = {}
+        for name in fastpath.available_backends():
+            fastpath.select_backend(name)
+            with _pinned_entropy():
+                fingerprints[name] = trace(*args)
+        return fingerprints
+    finally:
+        fastpath.BACKEND = previous
 
 
-def _threaded():
-    return ThreadedBackend(workers=2)
+def _assert_all_equal(fingerprints):
+    """Every fastpath's fingerprint equals the first one's; returns it."""
+    (reference_name, reference), *others = fingerprints.items()
+    assert others, "need at least two fastpaths to compare"
+    for name, fingerprint in others:
+        assert fingerprint == reference, (reference_name, name)
+    return reference
 
 
 class _pinned_entropy:
     """Make one trace's randomness reproducible so its wire bytes can be
-    compared byte-for-byte across execution backends.
+    compared byte-for-byte across fastpaths.
 
-    Two sources are pinned: the client-side invoke-nonce pool (random by
+    Two sources are pinned: the fresh-nonce entry points (random by
     design — replaced with a counter, still unique per box) and
     ``os.urandom`` (the bootstrap key material — replaced with a keyed
-    deterministic stream, so both runs derive the *same* communication
-    keys and the same plaintext encrypts to the same box).  Clients seal
-    on the simulator thread in deterministic event order, so the counter
-    assignment itself is backend-independent; worker-thread draws (state
-    sealing under the threaded backend) never reach the fingerprinted
-    bytes but get a lock so concurrent draws stay unique."""
+    deterministic stream, so every run derives the *same* communication
+    keys and the same plaintext encrypts to the same box).  Both nonce
+    entry points share one counter: with the C fastpath the client
+    invoke seal draws via ``messages._fresh_nonce`` before the C call;
+    without it the fallback ``auth_encrypt`` draws from the aead pool
+    instead — same logical draw site, different module.  Sharing the
+    counter makes the nth draw get the nth nonce on every fastpath (and
+    bypasses the aead pool, whose leftover state from earlier tests
+    would otherwise shift this run's draw sequence)."""
 
     def __enter__(self):
-        import threading
-
         import repro.core.messages as messages
+        import repro.crypto.aead as aead
 
         self._messages = messages
+        self._aead = aead
         self._original_fresh = messages._fresh_nonce
+        self._original_aead_fresh = aead._fresh_nonce
+        self._original_aead_freshes = aead._fresh_nonces
         self._original_urandom = os.urandom
         nonce_state = {"next": 0}
 
@@ -67,13 +82,11 @@ class _pinned_entropy:
             nonce_state["next"] += 1
             return nonce_state["next"].to_bytes(12, "big")
 
-        lock = threading.Lock()
         draw_state = {"next": 0}
 
         def deterministic_urandom(size: int) -> bytes:
-            with lock:
-                draw_state["next"] += 1
-                serial = draw_state["next"]
+            draw_state["next"] += 1
+            serial = draw_state["next"]
             out = b""
             block = 0
             while len(out) < size:
@@ -85,29 +98,9 @@ class _pinned_entropy:
                 block += 1
             return out[:size]
 
-        # the aead module's nonce pool is module-global and refills from
-        # os.urandom only when low — leftover pool state from earlier
-        # tests would shift this run's draw sequence, so bypass the pool
-        # with an independent counter (distinct range from the client
-        # counter; nonces stay unique)
-        import repro.crypto.aead as aead
-
-        self._aead = aead
-        self._original_aead_fresh = aead._fresh_nonce
-        self._original_aead_freshes = aead._fresh_nonces
-        pool_state = {"next": 1 << 40}
-
-        def pool_fresh() -> bytes:
-            with lock:
-                pool_state["next"] += 1
-                return pool_state["next"].to_bytes(12, "big")
-
-        def pool_freshes(count: int) -> list:
-            return [pool_fresh() for _ in range(count)]
-
-        aead._fresh_nonce = pool_fresh
-        aead._fresh_nonces = pool_freshes
         messages._fresh_nonce = fresh
+        aead._fresh_nonce = fresh
+        aead._fresh_nonces = lambda count: [fresh() for _ in range(count)]
         os.urandom = deterministic_urandom
         # Admin's rng keyword default bound the real os.urandom at import
         from repro.core.bootstrap import Admin
@@ -128,8 +121,7 @@ class _pinned_entropy:
 
 def _record_wire(cluster):
     """Wrap every shard host's batch entrypoint so the exact request and
-    reply bytes are captured per shard (one batch in flight per shard, so
-    each shard's log order is deterministic even under the pool)."""
+    reply bytes are captured per shard."""
     wire = {shard_id: [] for shard_id in cluster.shard_ids}
     for shard_id in cluster.shard_ids:
         host = cluster.shard_host(shard_id)
@@ -191,17 +183,10 @@ def _client_chains(cluster):
     }
 
 
-def _honest_fingerprint(execution, seal_share=0.0):
+def _honest_trace(seal_share=0.0):
     """One deterministic mixed trace over 3 shards; returns everything
-    that must be backend-independent."""
-    with _pinned_entropy():
-        return _honest_trace(execution, seal_share)
-
-
-def _honest_trace(execution, seal_share):
-    cluster = ShardedCluster(
-        shards=3, clients=3, seed=23, execution=execution, seal_share=seal_share
-    )
+    that must be fastpath-independent."""
+    cluster = ShardedCluster(shards=3, clients=3, seed=23, seal_share=seal_share)
     wire = _record_wire(cluster)
     router = ShardRouter(cluster)
     completed_at = []
@@ -228,22 +213,13 @@ def _honest_trace(execution, seal_share):
         "verdict_ok": verdict.ok,
         "forked": verdict.forked_shards,
     }
-    cluster.execution.shutdown()
     return fingerprint
 
 
-def _forked_fingerprint(execution):
-    """The fork attack from the sharded attack tests, under a chosen
-    execution backend: shard 1 forks, the server joins the forks back,
-    and the victim client must detect it."""
-    with _pinned_entropy():
-        return _forked_trace(execution)
-
-
-def _forked_trace(execution):
-    cluster = ShardedCluster(
-        shards=3, clients=3, seed=29, malicious_shards=(1,), execution=execution
-    )
+def _forked_trace():
+    """The fork attack from the sharded attack tests: shard 1 forks, the
+    server joins the forks back, and the victim client must detect it."""
+    cluster = ShardedCluster(shards=3, clients=3, seed=29, malicious_shards=(1,))
     router = ShardRouter(cluster)
     victim_keys = []
     index = 0
@@ -275,22 +251,14 @@ def _forked_trace(execution):
         # the evidence), so only the honest shards' logs are digestible
         "audit": _audit_digests(cluster, shard_ids=(0, 2)),
     }
-    cluster.execution.shutdown()
     return fingerprint
 
 
-def _scenario_fingerprint(execution):
-    """The combined control-plane scenario under a chosen backend:
-    cross-shard transactions, an elastic reshard while traffic is in
-    flight, and a crash/recover cycle."""
-    with _pinned_entropy():
-        return _scenario_trace(execution)
-
-
-def _scenario_trace(execution):
-    cluster = ShardedCluster(
-        shards=3, clients=3, seed=41, execution=execution
-    )
+def _scenario_trace():
+    """The combined control-plane scenario: cross-shard transactions, an
+    elastic reshard while traffic is in flight, and a crash/recover
+    cycle."""
+    cluster = ShardedCluster(shards=3, clients=3, seed=41)
     initial_shards = tuple(cluster.shard_ids)
     wire = _record_wire(cluster)
     router = ShardRouter(cluster, failover=True)
@@ -351,49 +319,47 @@ def _scenario_trace(execution):
         "shards": sorted(cluster.shard_ids),
         "initial": initial_shards,
     }
-    cluster.execution.shutdown()
     return fingerprint
 
 
 class TestCrossBackendParity:
     def test_honest_trace_byte_identical(self):
-        serial = _honest_fingerprint("serial")
-        assert serial["verdict_ok"] and serial["forked"] == []
-        assert _honest_fingerprint(_threaded()) == serial
+        reference = _assert_all_equal(_under_each_fastpath(_honest_trace))
+        assert reference["verdict_ok"] and reference["forked"] == []
 
     def test_fork_detected_identically_under_every_backend(self):
-        serial = _forked_fingerprint("serial")
-        assert _forked_fingerprint(_threaded()) == serial
-        assert serial["violation_type"]  # a violation was in fact recorded
+        reference = _assert_all_equal(_under_each_fastpath(_forked_trace))
+        assert reference["violation_type"]  # a violation was in fact recorded
         # a *joined-back* fork surfaces as a shard violation, not a
         # maintained-fork entry (those only list diverged, unjoined forks)
-        assert serial["forked"] == []
-        assert serial["honest_ok"] == (True, True)
-        assert not serial["victim_ok"]
+        assert reference["forked"] == []
+        assert reference["honest_ok"] == (True, True)
+        assert not reference["victim_ok"]
 
     def test_reshard_crash_txn_scenario_byte_identical(self):
-        serial = _scenario_fingerprint("serial")
-        assert serial["committed"] and serial["verdict_ok"]
-        assert len(serial["shards"]) == len(serial["initial"]) + 1
-        assert _scenario_fingerprint(_threaded()) == serial
+        reference = _assert_all_equal(_under_each_fastpath(_scenario_trace))
+        assert reference["committed"] and reference["verdict_ok"]
+        assert len(reference["shards"]) == len(reference["initial"]) + 1
 
     def test_seal_share_is_orthogonal_to_the_backend(self):
         """The seal-stage cost model moves deliveries on the virtual
-        clock identically whichever backend runs the ecall: same
+        clock identically whichever fastpath runs the ecall: same
         evidence bytes *and* same completion times."""
-        modelled = _honest_fingerprint("serial", DEFAULT_SEAL_SHARE)
-        assert _honest_fingerprint(_threaded(), DEFAULT_SEAL_SHARE) == modelled
+        modelled = _assert_all_equal(
+            _under_each_fastpath(_honest_trace, DEFAULT_SEAL_SHARE)
+        )
         assert modelled["verdict_ok"]
         # and the model is live: it does move the schedule
-        default = _honest_fingerprint("serial")
+        with _pinned_entropy():
+            default = _honest_trace()
         assert modelled["completed_at"] != default["completed_at"]
         assert modelled["completed_at"][-1] < default["completed_at"][-1]
 
 
 class TestFastpathMatrixParity:
-    #: one digest per (fastpath, execution) cell, computed in a fresh
-    #: interpreter so the fastpath selection is genuinely what the env
-    #: variable says (it is pinned at import time)
+    #: one digest per fastpath, computed in a fresh interpreter so the
+    #: fastpath selection is genuinely what the env variable says (it is
+    #: pinned at import time)
     _DRIVER = r"""
 import hashlib, os, sys
 # pin entropy BEFORE any repro import so import-time default-arg bindings
@@ -429,16 +395,9 @@ messages._fresh_nonce = _pinned
 aead._fresh_nonce = _pinned
 aead._fresh_nonces = lambda count: [_pinned() for _ in range(count)]
 from repro.kvstore import get, put
-from repro.server.execution import ThreadedBackend
 from repro.sharding import ShardRouter, ShardedCluster
-execution = sys.argv[1]
-if execution == "threaded":
-    execution = ThreadedBackend(workers=2)
-cluster = ShardedCluster(shards=2, clients=2, seed=37, execution=execution)
-assert cluster.execution.name == sys.argv[1]
-# one accumulator per shard: the recorder runs on the pool's worker
-# threads in wall-clock completion order, which only orders batches of
-# the *same* shard (one in flight per dispatcher), never across shards
+cluster = ShardedCluster(shards=2, clients=2, seed=37)
+# one accumulator per shard, folded in shard order below
 shard_wire = {}
 for shard_id in cluster.shard_ids:
     host = cluster.shard_host(shard_id)
@@ -460,7 +419,6 @@ for client_id in cluster.client_ids:
             router.submit(client_id, get(f"m-{client_id}-{i - 1}"))
 cluster.run()
 assert router.verdict().ok
-cluster.execution.shutdown()
 wire = hashlib.sha256()
 for shard_id in sorted(cluster.shard_ids):
     wire.update(shard_id.to_bytes(4, "big"))
@@ -477,11 +435,11 @@ for shard_id in sorted(cluster.shard_ids):
 print(wire.hexdigest())
 """
 
-    def _cell(self, fastpath_name, execution_name):
+    def _cell(self, fastpath_name):
         env = dict(os.environ, REPRO_FASTPATH=fastpath_name)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         proc = subprocess.run(
-            [sys.executable, "-c", self._DRIVER, execution_name],
+            [sys.executable, "-c", self._DRIVER],
             env=env,
             capture_output=True,
             text=True,
@@ -489,145 +447,41 @@ print(wire.hexdigest())
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
-    def test_wire_identical_across_fastpath_and_execution_matrix(self):
-        from repro.crypto import fastpath
-
+    def test_wire_identical_across_fastpath_and_interpreter(self):
         fastpaths = ["python-batch"]
         if fastpath._get_backend("c") is not None:
             fastpaths.insert(0, "c")
-        digests = {
-            (fp, ex): self._cell(fp, ex)
-            for fp in fastpaths
-            for ex in BACKENDS
-        }
+        digests = {name: self._cell(name) for name in fastpaths}
         assert len(set(digests.values())) == 1, digests
 
 
 class TestExecutionBackendUnit:
-    def test_serial_is_default_and_env_selects(self, monkeypatch):
-        # the suite itself may run under REPRO_EXEC_BACKEND (the CI
-        # threaded pass does exactly that) — the default claim is about
-        # an unset environment
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        assert make_execution_backend().name == "serial"
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "threaded")
-        backend = make_execution_backend()
-        assert backend.name == "threaded"
-        backend.shutdown()
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "")
-        assert make_execution_backend().name == "serial"
-
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_BACKEND", "threaded")
-        assert make_execution_backend("serial").name == "serial"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown execution"):
-            make_execution_backend("bogus")
-        with pytest.raises(ConfigurationError, match="worker"):
-            ThreadedBackend(workers=0)
-
     @pytest.mark.parametrize("name", ["pipelined", "process"])
     def test_removed_backend_names_rejected(self, name):
-        with pytest.raises(ConfigurationError, match="unknown execution"):
-            make_execution_backend(name)
+        """Nothing takes a backend name any more — not even to refuse it."""
+        with pytest.raises(TypeError, match="execution"):
+            ShardedCluster(shards=1, clients=1, execution=name)
 
     def test_serial_submit_time_semantics(self):
         backend = SerialBackend()
         order = []
-        completion = backend.submit(lambda: order.append("ran") or [1])
-        assert order == ["ran"]  # executed at submit, not at completion
-        assert completion() == [1]
+        replies = backend.submit(lambda: order.append("ran") or [1])
+        assert order == ["ran"] and replies == [1]  # ran inline, at submit
+        assert backend.batches_submitted == 1
         with pytest.raises(SecurityViolation):
             backend.submit(self._boom)
-
-    def test_threaded_defers_exception_to_completion(self):
-        backend = ThreadedBackend(workers=1)
-        try:
-            completion = backend.submit(self._boom)
-            with pytest.raises(SecurityViolation):
-                completion()
-            assert backend.submit(lambda: [7])() == [7]
-        finally:
-            backend.shutdown()
 
     @staticmethod
     def _boom():
         raise SecurityViolation("boom")
 
-    def test_dispatcher_handles_threaded_violation_at_delivery(self):
-        """Under the threaded backend a mid-batch violation surfaces when
-        the worker's result is joined at the delivery event — and gets
-        the identical halt/record policy as the serial submit-time path."""
-        backend = ThreadedBackend(workers=1)
-        try:
-            sim = Simulator()
-            seen = []
-
-            def send_batch(batch):
-                raise SecurityViolation("mid-batch")
-
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=send_batch,
-                deliver=lambda c, r: None,
-                batch_limit=4,
-                on_violation=seen.append,
-                execution=backend,
-            )
-            dispatcher.enqueue(1, b"m")
-            assert not dispatcher.halted  # not joined yet
-            sim.run()
-            assert len(seen) == 1 and isinstance(seen[0], SecurityViolation)
-            assert dispatcher.halted and not dispatcher.healthy
-        finally:
-            backend.shutdown()
-
-    def test_dispatcher_threaded_violation_without_hook_raises_at_delivery(self):
-        backend = ThreadedBackend(workers=1)
-        try:
-            sim = Simulator()
-
-            def send_batch(batch):
-                raise SecurityViolation("mid-batch")
-
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=send_batch,
-                deliver=lambda c, r: None,
-                batch_limit=4,
-                execution=backend,
-            )
-            dispatcher.enqueue(1, b"m")
-            with pytest.raises(SecurityViolation):
-                sim.run()
-            assert dispatcher.halted
-        finally:
-            backend.shutdown()
-
-    def test_backend_instance_passes_through_factory(self):
-        backend = _threaded()
-        try:
-            assert make_execution_backend(backend) is backend
-        finally:
-            backend.shutdown()
-
-    def test_dispatcher_threaded_replies_delivered_in_order(self):
-        backend = ThreadedBackend(workers=2)
-        try:
-            sim = Simulator()
-            log = []
-            dispatcher = GroupDispatcher(
-                sim=sim,
-                send_batch=lambda batch: [m.upper() for _, m in batch],
-                deliver=lambda c, r: log.append((c, r)),
-                batch_limit=2,
-                execution=backend,
-            )
-            for i in range(5):
-                dispatcher.enqueue(i, b"m%d" % i)
-            sim.run()
-            assert [cid for cid, _ in log] == [0, 1, 2, 3, 4]
-            assert log[0] == (0, b"M0")
-        finally:
-            backend.shutdown()
+    def test_every_batch_ecall_passes_through_the_seam_once(self):
+        cluster = ShardedCluster(shards=2, clients=2, seed=5)
+        router = ShardRouter(cluster)
+        for client_id in cluster.client_ids:
+            for i in range(4):
+                router.submit(client_id, put(f"s-{client_id}-{i}", "v"))
+        cluster.run()
+        assert cluster.execution.batches_submitted == sum(
+            cluster.stats.per_shard_batches.values()
+        )

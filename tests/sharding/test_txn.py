@@ -425,3 +425,75 @@ class TestForkedDecisions:
         verdict = router.verdict()
         assert verdict.ok, (verdict.violations, verdict.txn_violations)
         assert verdict.shards[1].fork_points
+
+
+class TestMixedRoleClients:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a client that pipelines transactions *and* single-key "
+        "operations stalls: the run drains with lock waiters still parked "
+        "(ROADMAP 'Broken at HEAD', direction 1(a)/(d))",
+    )
+    def test_pipelined_txns_beside_a_single_key_loop_all_complete(self):
+        """Every client keeps four ``submit_txn`` in flight *and* runs a
+        closed single-key loop on the same 64 keys (the shape marked
+        "stalls at HEAD" in ``benchmarks/e2e/workloads.py::run_txn``)."""
+        import random
+
+        from repro.net.latency import LatencyModel
+
+        cluster, router = build(
+            shards=4, clients=8, seed=0,
+            latency=LatencyModel(propagation=20e-6, jitter_fraction=0.2, seed=0),
+        )
+        keys = populate(cluster, router, count=64)
+        rng = random.Random(0)
+        completed = []
+
+        def pipeline(plan, submit_one, depth):
+            """Keep ``depth`` items of ``plan`` in flight until it ends."""
+            remaining = iter(plan)
+
+            def issue(result=None):
+                if result is not None:
+                    completed.append(result)
+                item = next(remaining, None)
+                if item is not None:
+                    submit_one(item, issue)
+
+            for _ in range(depth):
+                issue()
+
+        planned = 0
+        for client_id in cluster.client_ids:
+            txns = []
+            for index in range(20):
+                first, second = rng.sample(keys, 2)
+                txns.append(
+                    [put(first, f"t{client_id}-{index}"), get(second)]
+                    if rng.random() < 0.5
+                    else [
+                        put(first, f"t{client_id}-{index}a"),
+                        put(second, f"t{client_id}-{index}b"),
+                    ]
+                )
+            singles = [
+                put(rng.choice(keys), f"s{client_id}-{index}")
+                if rng.random() < 0.5
+                else get(rng.choice(keys))
+                for index in range(40)
+            ]
+            planned += len(txns) + len(singles)
+            pipeline(
+                txns,
+                lambda ops, then, c=client_id: router.submit_txn(c, ops, then),
+                depth=4,
+            )
+            pipeline(
+                singles,
+                lambda op, then, c=client_id: router.submit(c, op, then),
+                depth=1,
+            )
+        cluster.run()
+        waiters = cluster.metrics()["gauges"]["router.txn_waiter_depth"]
+        assert (len(completed), waiters) == (planned, 0)

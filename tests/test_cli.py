@@ -83,25 +83,10 @@ class TestSubcommands:
         assert main(["figures", "--only", "fig4", "--duration", "0.2"]) == 0
         assert "fig4" in capsys.readouterr().out
 
-    def test_parallel_notices_single_core_gate(self, capsys):
-        assert main(["parallel", "--shards", "2", "--clients", "4",
-                     "--ops", "8"]) == 0
-        out = capsys.readouterr().out
-        import os
-        if (os.cpu_count() or 1) < 2:
-            assert "threaded_speedup: skipped" in out
-            assert "os.cpu_count()" in out
-        else:
-            assert "threaded speedup" in out
-
-    def test_parallel_accepts_backend_list(self, capsys):
-        assert main(["parallel", "--shards", "2", "--clients", "4",
-                     "--ops", "8", "--backends", "threaded", "serial"]) == 0
-        out = capsys.readouterr().out
-        assert out.index("threaded:") < out.index("serial:")
-        for removed in ("pipelined", "process"):
+    def test_frontier_arms_are_serial_and_pipelined(self):
+        for removed in ("threaded", "process"):
             with pytest.raises(SystemExit):
-                main(["parallel", "--backends", removed])
+                main(["frontier", "--quick", "--backends", removed])
 
     def test_frontier_quick_smoke(self, capsys, tmp_path):
         output = tmp_path / "frontier.json"

@@ -55,7 +55,6 @@ PUBLIC_MODULES = [
     "repro.harness",
     "repro.harness.experiments",
     "repro.harness.report",
-    "repro.harness.simulated_cluster",
     "repro.harness.trace",
 ]
 
@@ -74,6 +73,29 @@ class TestModuleSurface:
         import repro
 
         assert repro.__version__
+
+
+class TestOneWayToRunAShard:
+    """The batch ecall runs inline on ``ShardedCluster`` and nothing names
+    an alternative."""
+
+    def test_cluster_takes_no_execution_backend(self):
+        from repro.sharding import ShardedCluster
+
+        with pytest.raises(TypeError, match="execution"):
+            ShardedCluster(shards=1, clients=1, execution="threaded")
+
+    def test_single_group_runtime_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.harness.simulated_cluster")
+
+    def test_execution_seam_keeps_its_hook_point(self):
+        # benchmarks/e2e/spans.py patches type(cluster.execution).submit
+        # to time the batch ecall; a cleanup must not remove it silently
+        from repro.sharding import ShardedCluster
+
+        cluster = ShardedCluster(shards=1, clients=1)
+        assert callable(type(cluster.execution).__dict__["submit"])
 
 
 class TestExportedNames:
