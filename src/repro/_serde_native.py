@@ -27,10 +27,10 @@ With the fallbacks registered, :mod:`repro.serde` rebinds its public
 path pays no Python wrapper frame at all.
 
 The compiled module never raises protocol errors itself: every edge
-case defers to the pure implementation so error messages, exception
-types and golden bytes stay exactly as before.  Set ``REPRO_SERDE=python``
-to skip the native backend, ``REPRO_SERDE=c`` to fail loudly when it
-cannot be built.
+case defers to the pure implementation, which owns the error messages,
+exception types and golden bytes.  When the extension cannot be built
+(no compiler or Python headers) :func:`load` returns ``None`` and
+:mod:`repro.serde` keeps its pure-Python codec.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import subprocess
 import sysconfig
 
 _BUILD_DIR = pathlib.Path(__file__).resolve().with_name("_serde_build")
-_ENV_VAR = "REPRO_SERDE"
 
 _C_SOURCE = r"""
 #define PY_SSIZE_T_CLEAN
@@ -543,22 +542,9 @@ def _build() -> pathlib.Path | None:
 
 
 def load():
-    """The compiled codec module, or None (pure-Python serde still works).
-
-    ``REPRO_SERDE=python`` disables the native backend; ``REPRO_SERDE=c``
-    turns a failed build into a loud error instead of silent fallback.
-    """
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if requested == "python":
-        return None
+    """The compiled codec module, or None (pure-Python serde still works)."""
     try:
         so_path = _build()
-        module = _load_compiled(so_path) if so_path else None
+        return _load_compiled(so_path) if so_path else None
     except Exception:
-        module = None
-    if module is None and requested == "c":
-        raise RuntimeError(
-            "REPRO_SERDE=c but the native serde backend could not be built "
-            "(compiler or Python headers missing)"
-        )
-    return module
+        return None

@@ -104,15 +104,8 @@ class History:
         """
         return self._records[offset:]
 
-    def completed_count(self) -> int:
-        return len(self._records)
-
     def incomplete_count(self) -> int:
         return len(self._pending)
-
-    def pending_clients(self) -> set[int]:
-        """Clients with at least one invocation awaiting its response."""
-        return {client_id for client_id, _, _ in self._pending.values()}
 
     def real_time_pairs(self) -> Iterable[tuple[OperationRecord, OperationRecord]]:
         """All (a, b) pairs with a preceding b in real time."""

@@ -759,26 +759,6 @@ class StreamingChecker:
             if self._locate(client_id) is None
         ]
 
-    def has_violation_evidence(self) -> bool:
-        """True when the retained state already implies a violation —
-        the online analogue of "the verdict will not be clean"."""
-        if any(log.chain_error for log in self._logs):
-            return True
-        if self._none_seq:
-            return True
-        if self.unlocated_clients():
-            return True
-        for client_id in self._client_ids:
-            located = self._locate(client_id)
-            if located is None:
-                return True
-            log, upto = located
-            if any(seq <= upto for seq in log.mismatches):
-                return True
-            if log.rt_first is not None and log.rt_first <= upto:
-                return True
-        return False
-
     # -------------------------------------------------------------- verdict
 
     def _locate(self, client_id: int) -> tuple[_LogState, int] | None:

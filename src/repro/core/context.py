@@ -850,11 +850,7 @@ class LcmContext:
         backend = _fastpath.BACKEND
         path = "native-batch"
         boxes = None
-        if (
-            messages
-            and self._nonces is not None
-            and backend.invoke_batch_open is not None
-        ):
+        if messages and self._nonces is not None and backend.native:
             boxes = self._invoke_batch_native(backend, messages, stamps, per_op)
         if boxes is None:
             path = "python-batch"

@@ -179,11 +179,11 @@ def unseal_reply(box: bytes, key: AeadKey) -> tuple[int, bytes, bytes, int, byte
     authentic-but-non-canonical payload falls back to the generic
     decoder on the C-returned plaintext.
     """
-    open_reply = _fastpath.BACKEND.open_reply
-    if open_reply is not None:
+    backend = _fastpath.BACKEND
+    if backend.native:
         if len(box) < OVERHEAD:
             raise AuthenticationFailure("ciphertext too short to be authentic")
-        plain, meta = open_reply(
+        plain, meta = backend.open_reply(
             key._enc_key,
             key._mac_key,
             _mac_frame(key, _REPLY_AD),
@@ -262,13 +262,13 @@ class InvokePayload:
         produced by the protocol, whose counters start at zero) take the
         generic path.
         """
-        seal_invoke = _fastpath.BACKEND.seal_invoke
+        backend = _fastpath.BACKEND
         if (
-            seal_invoke is not None
+            backend.native
             and 0 <= self.last_sequence < 2**63
             and 0 <= self.client_id < 2**63
         ):
-            box = seal_invoke(
+            box = backend.seal_invoke(
                 key._enc_key,
                 key._mac_key,
                 nonce if nonce is not None else _fresh_nonce(),

@@ -27,23 +27,20 @@ golden-vector tests and unchanged):
 
 - :class:`AeadKey` derives its encrypt/MAC subkeys and the HMAC key
   schedule once at construction instead of on every box;
-- the keystream is produced in whole 32-byte blocks through the pluggable
-  block-loop backend of :mod:`repro.crypto.fastpath` (compiled C when
-  available, hashlib otherwise), and XORed against the payload as one big
-  integer or numpy vector rather than byte by byte;
-- a small bounded cache keeps recently generated keystreams keyed by
-  (subkey, nonce).  In this in-process simulation every box is encrypted
-  by one party and decrypted by another within the same interpreter, so
-  the decrypt side's keystream is a cache hit.  Reuse is safe because the
-  cached bytes are only ever applied to the same (key, nonce) pair that
-  produced them;
+- :mod:`repro.crypto.fastpath` provides one of two tiers, and every
+  function here asks it one question, ``BACKEND.native``.  On the native
+  tier a whole box (keystream, XOR and MAC) — or a whole batch of them —
+  is one C call.  Otherwise the keystream comes from the backend's
+  hashlib block loop in whole 32-byte blocks, is XORed against the
+  payload as one big integer or numpy vector rather than byte by byte,
+  and the MAC is cloned from the key's cached pad states;
 - :func:`auth_encrypt_batch` / :func:`auth_decrypt_batch` process a whole
-  invoke batch in one pass: a single backend call generates the keystream
-  for every box (one concatenated counter table), one vector XOR covers
-  the joined payloads, and the MACs are emitted/verified with the per-key
-  pad states shared across the batch.  Each box's wire bytes are
-  byte-identical to the per-box functions given the same (key, nonce,
-  plaintext, associated data).
+  invoke batch in one pass: on the hashlib tier a single backend call
+  generates the keystream for every box (one concatenated counter table),
+  one vector XOR covers the joined payloads, and the MACs are
+  emitted/verified with the per-key pad states shared across the batch.
+  Each box's wire bytes are byte-identical to the per-box functions given
+  the same (key, nonce, plaintext, associated data).
 
 Batch tamper contract: :func:`auth_decrypt_batch` verifies **every** MAC
 before releasing any plaintext, and a single tampered box rejects the
@@ -77,47 +74,6 @@ _BLOCK = hashlib.sha256().digest_size
 
 _sha256 = hashlib.sha256
 _join = b"".join
-
-#: Recently generated keystreams, keyed by (enc subkey, nonce).  Bounded by
-#: entry count and total bytes; evicted FIFO.
-_KS_CACHE: dict[tuple[bytes, bytes], bytes] = {}
-_KS_CACHE_MAX_ENTRIES = 256
-_KS_CACHE_MAX_BYTES = 4 * 1024 * 1024
-_ks_cache_bytes = 0
-
-
-def _cache_store(cache_key: tuple[bytes, bytes], stream: bytes) -> None:
-    """Insert one generated keystream, evicting oldest-first past the caps.
-
-    Eviction frees an extra eighth of the entry budget in one sweep so a
-    full cache pays the scan once per ~32 inserts instead of per insert.
-    """
-    global _ks_cache_bytes
-    if len(stream) > _KS_CACHE_MAX_BYTES:
-        return
-    cache = _KS_CACHE
-    previous = cache.get(cache_key)
-    if previous is not None:
-        _ks_cache_bytes -= len(previous)
-    cache[cache_key] = stream
-    _ks_cache_bytes += len(stream)
-    if len(cache) > _KS_CACHE_MAX_ENTRIES or _ks_cache_bytes > _KS_CACHE_MAX_BYTES:
-        # evict oldest-first down to 7/8 of the caps; the just-inserted
-        # entry is newest, and the >1 guard means it is never evicted
-        # before its decrypt-side hit
-        entry_floor = _KS_CACHE_MAX_ENTRIES - _KS_CACHE_MAX_ENTRIES // 8
-        byte_floor = _KS_CACHE_MAX_BYTES - _KS_CACHE_MAX_BYTES // 8
-        while (
-            len(cache) > entry_floor or _ks_cache_bytes > byte_floor
-        ) and len(cache) > 1:
-            # callers may seal from several threads at once;
-            # another thread may evict the same entry between the iter and
-            # the pop, so both steps tolerate a concurrent mutation
-            try:
-                oldest = next(iter(cache))
-                _ks_cache_bytes -= len(cache.pop(oldest))
-            except (KeyError, RuntimeError, StopIteration):
-                break
 
 
 class NonceSequence:
@@ -162,74 +118,37 @@ class NonceSequence:
         ]
 
 
-def _generate_stream(key: "AeadKey", nonce: bytes, nblocks: int) -> bytes:
-    """``nblocks`` fresh keystream blocks through the fastpath backend."""
-    backend = _fastpath.BACKEND
-    if backend.native:
-        return backend.blocks(key._ctr_prefix + nonce, nblocks)
-    seeded = key._ctr_base.copy()
-    seeded.update(nonce)
-    return backend.blocks(key._ctr_prefix + nonce, nblocks, seeded=seeded)
-
-
-def _keystream(
-    key: "AeadKey",
-    nonce: bytes,
-    length: int,
-    cache: bool = True,
-) -> bytes:
+def _keystream(key: "AeadKey", nonce: bytes, length: int) -> bytes:
     """``length`` bytes of SHA-256 counter-mode keystream for one box.
 
     The block loop itself runs in the selected
-    :mod:`~repro.crypto.fastpath` backend; every backend produces the
+    :mod:`~repro.crypto.fastpath` backend; both backends produce the
     same bytes (``SHA-256(b"lcm-ctr" || enc_key || nonce || counter)``
-    per 32-byte block).  ``cache=False`` skips storing the stream (for
-    boxes that are never decrypted by an in-process peer, e.g. sealed
-    state sections).
+    per 32-byte block).
     """
     if length <= 0:
         return b""
-    cache_key = (key._enc_key, nonce)
-    cached = _KS_CACHE.get(cache_key)
-    if cached is not None and len(cached) >= length:
-        return cached[:length] if len(cached) != length else cached
-    stream = _generate_stream(key, nonce, -(-length // _BLOCK))
-    if cache:
-        _cache_store(cache_key, stream)
+    stream = _fastpath.BACKEND.blocks(
+        key._ctr_prefix + nonce, -(-length // _BLOCK)
+    )
     return stream[:length] if len(stream) != length else stream
 
 
 def _keystreams(
-    key: "AeadKey",
-    nonces: list[bytes],
-    lengths: list[int],
-    cache: bool = True,
+    key: "AeadKey", nonces: list[bytes], lengths: list[int]
 ) -> list[bytes]:
-    """Per-box keystreams for a batch, generating every cache miss in one
-    backend call over a single concatenated counter table."""
-    enc_key = key._enc_key
-    streams: list[bytes | None] = []
-    miss_slots: list[int] = []
-    for nonce, length in zip(nonces, lengths):
-        cached = _KS_CACHE.get((enc_key, nonce)) if length else b""
-        if cached is not None and len(cached) >= length:
-            streams.append(cached)
-        else:
-            streams.append(None)
-            miss_slots.append(len(streams) - 1)
-    if miss_slots:
-        prefix = key._ctr_prefix
-        counts = [-(-lengths[slot] // _BLOCK) for slot in miss_slots]
-        joined = _fastpath.BACKEND.blocks_many(
-            [prefix + nonces[slot] for slot in miss_slots], counts
-        )
-        offset = 0
-        for slot, nblocks in zip(miss_slots, counts):
-            stream = joined[offset : offset + nblocks * _BLOCK]
-            offset += nblocks * _BLOCK
-            streams[slot] = stream
-            if cache:
-                _cache_store((enc_key, nonces[slot]), stream)
+    """Per-box keystreams for a batch on the hashlib tier, generated in
+    one backend call over a single concatenated counter table."""
+    prefix = key._ctr_prefix
+    counts = [-(-length // _BLOCK) for length in lengths]
+    joined = _fastpath.BACKEND.blocks_many(
+        [prefix + nonce for nonce in nonces], counts
+    )
+    streams = []
+    offset = 0
+    for length, nblocks in zip(lengths, counts):
+        streams.append(joined[offset : offset + length])
+        offset += nblocks * _BLOCK
     return streams
 
 
@@ -341,18 +260,9 @@ def _tags_for_batch(
     """Truncated tags over ``frame || segment`` for every segment.
 
     ``segment`` is the contiguous ``nonce || ciphertext`` run of one box,
-    so the digests equal :func:`_tag_for` byte for byte.  One backend
-    call emits the whole batch when the compiled backend is active; the
-    fallback shares the pre-fed inner states exactly like
-    :func:`_tag_for`.
+    so the digests equal :func:`_tag_for` byte for byte; the batch shares
+    the pre-fed inner state exactly like :func:`_tag_for`.
     """
-    hmac_tags = _fastpath.BACKEND.hmac_tags
-    if hmac_tags is not None:
-        frame = _mac_frame(key, associated_data)
-        return [
-            digest[:TAG_SIZE]
-            for digest in hmac_tags(key._mac_key, frame, segments)
-        ]
     inners = key._mac_inners
     seeded = inners.get(associated_data)
     if seeded is None:
@@ -400,9 +310,6 @@ class AeadKey:
         object.__setattr__(self, "_mac_inners", {})
         object.__setattr__(self, "_mac_frames", {})
         object.__setattr__(self, "_ctr_prefix", b"lcm-ctr" + self._enc_key)
-        object.__setattr__(
-            self, "_ctr_base", hashlib.sha256(b"lcm-ctr" + self._enc_key)
-        )
 
     @classmethod
     def generate(
@@ -448,8 +355,8 @@ def auth_encrypt(
         raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
     backend = _fastpath.BACKEND
     if backend.native:
-        # inlined CBackend.seal_box: one Python frame per box (this runs
-        # four times per protocol round trip)
+        # lcm_seal_box called on ``_lib`` directly: one Python frame per
+        # box (this runs four times per protocol round trip)
         frame = key._mac_frames.get(associated_data)
         if frame is None:
             frame = _mac_frame(key, associated_data)
@@ -500,9 +407,9 @@ def auth_encrypt_batch(
                 raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
     if not count:
         return []
-    seal_boxes = _fastpath.BACKEND.seal_boxes
-    if seal_boxes is not None:
-        return seal_boxes(
+    backend = _fastpath.BACKEND
+    if backend.native:
+        return backend.seal_boxes(
             key._enc_key,
             key._mac_key,
             nonces,
@@ -510,15 +417,9 @@ def auth_encrypt_batch(
             plaintexts,
         )
     lengths = [len(plaintext) for plaintext in plaintexts]
-    streams = _keystreams(key, nonces, lengths)
-    total = sum(lengths)
     joined_ct = _xor_bytes(
-        _join(plaintexts),
-        _join(
-            stream[:length] if len(stream) != length else stream
-            for stream, length in zip(streams, lengths)
-        ),
-    ) if total else b""
+        _join(plaintexts), _join(_keystreams(key, nonces, lengths))
+    ) if any(lengths) else b""
     segments = []  # nonce || ciphertext, the box minus its tag
     offset = 0
     for nonce, length in zip(nonces, lengths):
@@ -544,7 +445,8 @@ def auth_decrypt(
         raise AuthenticationFailure("ciphertext too short to be authentic")
     backend = _fastpath.BACKEND
     if backend.native:
-        # inlined CBackend.open_box (the length guard ran above)
+        # lcm_open_box called on ``_lib`` directly (the length guard it
+        # needs ran above)
         frame = key._mac_frames.get(associated_data)
         if frame is None:
             frame = _mac_frame(key, associated_data)
@@ -590,9 +492,9 @@ def auth_decrypt_batch(
     """
     if not boxes:
         return []
-    open_boxes = _fastpath.BACKEND.open_boxes
-    if open_boxes is not None:
-        plaintexts, bad = open_boxes(
+    backend = _fastpath.BACKEND
+    if backend.native:
+        plaintexts, bad = backend.open_boxes(
             key._enc_key, key._mac_key, _mac_frame(key, associated_data), boxes
         )
         if plaintexts is None:
@@ -626,13 +528,9 @@ def auth_decrypt_batch(
         )
     nonces = [bytes(view[:NONCE_SIZE]) for view in views]
     lengths = [len(view) - OVERHEAD for view in views]
-    streams = _keystreams(key, nonces, lengths)
     joined_pt = _xor_bytes(
         _join(view[NONCE_SIZE:-TAG_SIZE] for view in views),
-        _join(
-            stream[:length] if len(stream) != length else stream
-            for stream, length in zip(streams, lengths)
-        ),
+        _join(_keystreams(key, nonces, lengths)),
     ) if any(lengths) else b""
     plaintexts = []
     offset = 0
@@ -651,8 +549,7 @@ def stream_encrypt(
     external MAC (:func:`mac_tag`) before trusting :func:`stream_decrypt`
     output.  The trusted context uses this for sealed-state sections whose
     integrity the manifest tag provides; protocol messages keep the full
-    AEAD.  Keystreams are not cached: these boxes are only decrypted on
-    restore, never by an in-process peer.
+    AEAD.
     """
     if nonce is None:
         nonce = _fresh_nonce()
@@ -670,7 +567,7 @@ def stream_encrypt(
             backend._ffi.from_buffer(out),
         )
         return bytes(out)
-    stream = _keystream(key, nonce, len(plaintext), cache=False)
+    stream = _keystream(key, nonce, len(plaintext))
     return nonce + _xor_bytes(plaintext, stream)
 
 
@@ -681,7 +578,7 @@ def stream_decrypt(box: bytes, key: AeadKey) -> bytes:
         raise AuthenticationFailure("stream box shorter than its nonce")
     nonce = box[:NONCE_SIZE]
     ciphertext = box[NONCE_SIZE:]
-    stream = _keystream(key, nonce, len(ciphertext), cache=False)
+    stream = _keystream(key, nonce, len(ciphertext))
     return _xor_bytes(ciphertext, stream)
 
 

@@ -1,29 +1,30 @@
-"""Pluggable fast keystream / MAC backend for the AEAD hot path.
+"""The two crypto tiers behind the AEAD, the hash chain and Alg. 2.
 
-The ROADMAP identifies the SHA-256-CTR block loop as the invoke hot
-path's floor: every 32-byte keystream block costs one hashlib state
-clone, one update and one digest (~0.3-0.5 µs of Python/C boundary
-overhead per block), and every HMAC tag costs two more clones.  This
-module concentrates that loop behind a small backend interface so the
-primitive can be swapped without touching the wire format:
+A backend is either **native** or it is not, and callers ask exactly
+that — ``BACKEND.native``:
 
-``c``
-    A cffi-compiled C block loop (SHA-256 compression function plus CTR
-    and HMAC drivers).  Compiled once into ``_fastpath_build/`` next to
-    this module and reused across processes; needs ``cffi`` and a C
-    compiler at first import.
-``python-batch``
-    Pure Python, hashlib-copy-minimizing batch variant: one locals-bound
-    loop over all blocks of all boxes in a batch, one ``join``.
-``python``
-    The reference per-box block loop (the PR 1 implementation).
+``c`` (native)
+    A cffi-compiled C module holding the SHA-256 compression function
+    and every fused primitive built on it: the CTR block loop, whole AEAD
+    boxes singly and in batches, the hash-chain step, batched SHA-256,
+    and the protocol codecs (client INVOKE seal / REPLY open, and the
+    enclave's whole-batch INVOKE open and REPLY seal).  Compiled once
+    into ``_fastpath_build/`` next to this module and reused across
+    processes; needs ``cffi`` and a C compiler at first import.
+``python`` (not native)
+    The SHA-256-CTR block loop on hashlib, and nothing else: the AEAD
+    layer, the hash chain and the trusted context compose everything
+    above it from hashlib themselves.  It is the only tier that runs
+    without cffi or a compiler, and the reference the parity suite
+    compares ``c`` against.
 
-Every backend produces **byte-identical** keystreams and tags — the
-golden-vector tests run against whichever backend is active, and
-``tests/crypto/test_fastpath.py`` cross-checks the backends against each
-other.  Selection happens at import: the accelerated backend when it is
-buildable, else ``python-batch``; the ``REPRO_FASTPATH`` environment
-variable (or :func:`select_backend` at runtime) overrides.
+Both tiers produce **byte-identical** keystreams, tags, boxes and wire
+messages — the golden-vector tests run against whichever backend is
+active, ``tests/crypto/test_fastpath.py`` checks each against independent
+stdlib computations, and ``tests/server/test_execution_parity.py`` pins
+whole traces.  Selection happens at import: ``c`` when it is buildable,
+else ``python``; the ``REPRO_FASTPATH`` environment variable (or
+:func:`select_backend` at runtime) names one of the two explicitly.
 
 A keystream block is ``SHA-256(b"lcm-ctr" || enc_key || nonce ||
 counter_8be)`` (see :mod:`repro.crypto.aead`); backends receive the
@@ -39,7 +40,6 @@ import os
 import pathlib
 import shutil
 import threading
-from typing import Callable
 
 from repro.errors import ConfigurationError
 
@@ -60,134 +60,30 @@ def _counters(nblocks: int):
 
 
 class PythonBackend:
-    """Reference per-box block loop (pure Python + hashlib)."""
+    """The hashlib block loop (pure Python, no fused primitives)."""
 
     name = "python"
-    #: True for the compiled backend (callers may skip building hashlib
-    #: seed states when the backend ignores them).
+    #: The one question callers ask of a backend: does it carry the fused
+    #: C primitives, or do they compose from hashlib themselves?
     native = False
-    #: Optional accelerated primitives; ``None`` means the caller keeps
-    #: its own hashlib path (see aead._tag_for).
-    hmac3: Callable[[bytes, bytes, bytes, bytes], bytes] | None = None
-    sha256_oneshot: Callable[[bytes], bytes] | None = None
-    #: Fused whole-box AEAD primitives (keystream + XOR + MAC in one C
-    #: call); ``None`` means the AEAD layer composes them from the block
-    #: loop and hashlib instead.
-    seal_box = None
-    open_box = None
-    seal_boxes = None
-    open_boxes = None
-    sha256_many: Callable[[list], list[bytes]] | None = None
-    chain_extend: Callable[[bytes, bytes, int, int], bytes] | None = None
-    #: Fused protocol codecs (whole-message or whole-batch field codec +
-    #: AEAD in one C call); ``None`` means the message layer and the
-    #: trusted context run their per-field Python paths instead.
-    seal_invoke = None
-    open_reply = None
-    invoke_batch_open = None
-    invoke_batch_reply = None
 
-    def blocks(self, prefix: bytes, nblocks: int, *, seeded=None) -> bytes:
-        """``nblocks * 32`` keystream bytes for one (key, nonce).
+    def blocks(self, prefix: bytes, nblocks: int) -> bytes:
+        """``nblocks * 32`` keystream bytes for one (key, nonce)."""
+        return self.blocks_many((prefix,), (nblocks,))
 
-        ``seeded`` is an optional SHA-256 state already fed with
-        ``prefix`` (cached per key+nonce by the caller); cloning it per
-        block skips re-hashing the constant bytes.
-        """
-        if seeded is None:
-            seeded = _sha256(prefix)
-        clone = seeded.copy
-        blocks = []
-        append = blocks.append
-        for counter in _counters(nblocks):
-            block = clone()
-            block.update(counter)
-            append(block.digest())
-        return _join(blocks)
-
-    def blocks_many(
-        self, prefixes: list[bytes], counts: list[int], *, seeded=None
-    ) -> bytes:
-        """Concatenated keystreams for a batch of (prefix, count) spans."""
-        return _join(
-            self.blocks(prefix, count)
-            for prefix, count in zip(prefixes, counts)
-        )
-
-    # The batch HMAC pass: the C backend computes tags for a whole invoke
-    # batch in one native call; the pure-Python backends amortize the
-    # expensive part instead — the HMAC key schedule and the framed inner
-    # state are built once per (key, frame) and *cloned* per segment, so
-    # each additional tag costs two hash updates and two finalizations
-    # rather than a full ``hmac.new`` (byte-identical, test-pinned).
-
-    #: (mac_key, frame) -> SHA-256 states (inner pre-fed with pads+frame,
-    #: outer pre-fed with pads); tiny — a handful of protocol constants
-    #: per key — but bounded anyway, evicted FIFO.
-    _HMAC_STATE_CACHE_MAX = 64
-
-    def __init__(self) -> None:
-        self._hmac_states: dict[tuple[bytes, bytes], tuple] = {}
-
-    def _hmac_seeds(self, key: bytes, frame: bytes):
-        cached = self._hmac_states.get((key, frame))
-        if cached is not None:
-            return cached
-        padded = key + b"\x00" * (64 - len(key))
-        inner = _sha256(bytes(b ^ 0x36 for b in padded))
-        inner.update(frame)
-        outer = _sha256(bytes(b ^ 0x5C for b in padded))
-        if len(self._hmac_states) >= self._HMAC_STATE_CACHE_MAX:
-            self._hmac_states.pop(next(iter(self._hmac_states)))
-        self._hmac_states[(key, frame)] = (inner, outer)
-        return inner, outer
-
-    def hmac_tags(self, key: bytes, frame: bytes, segments: list) -> list[bytes]:
-        """Full ``HMAC-SHA256(key, frame || segment)`` digests for every
-        segment, sharing one key schedule across the batch."""
-        inner, outer = self._hmac_seeds(key, frame)
-        clone = inner.copy
-        outer_clone = outer.copy
-        tags = []
-        append = tags.append
-        for segment in segments:
-            mac = clone()
-            mac.update(segment)
-            tag = outer_clone()
-            tag.update(mac.digest())
-            append(tag.digest())
-        return tags
-
-
-class BatchPythonBackend(PythonBackend):
-    """Hashlib-copy-minimizing batch variant.
-
-    The per-box entry point is identical to :class:`PythonBackend`; the
-    batch entry runs one locals-bound loop over every block of every box
-    and emits a single ``join``, so the Python interpreter executes one
-    frame for the whole batch instead of one per box.
-    """
-
-    name = "python-batch"
-
-    def blocks_many(
-        self, prefixes: list[bytes], counts: list[int], *, seeded=None
-    ) -> bytes:
+    def blocks_many(self, prefixes: list[bytes], counts: list[int]) -> bytes:
+        """Concatenated keystreams for a batch of (prefix, count) spans:
+        one locals-bound loop over every block of every box and a single
+        ``join``, so the interpreter executes one frame per batch."""
         sha256 = _sha256
-        counters = _COUNTERS
         blocks: list[bytes] = []
         append = blocks.append
         for prefix, count in zip(prefixes, counts):
             clone = sha256(prefix).copy
-            for counter in counters[:count]:
+            for counter in _counters(count):
                 block = clone()
                 block.update(counter)
                 append(block.digest())
-            if count > len(counters):  # beyond the precomputed table
-                for extra in range(len(counters), count):
-                    block = clone()
-                    block.update(extra.to_bytes(8, "big"))
-                    append(block.digest())
         return _join(blocks)
 
 
@@ -197,22 +93,6 @@ _CDEF = """
 void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
                        unsigned long long first_counter,
                        unsigned long long nblocks, unsigned char *out);
-void lcm_ctr_keystream_batch(const unsigned char *prefixes,
-                             size_t prefix_len,
-                             const unsigned long long *counts,
-                             size_t nboxes, unsigned char *out);
-void lcm_hmac_sha256_3(const unsigned char *key, size_t keylen,
-                       const unsigned char *p1, size_t n1,
-                       const unsigned char *p2, size_t n2,
-                       const unsigned char *p3, size_t n3,
-                       unsigned char *out);
-void lcm_hmac_tags(const unsigned char *key, size_t keylen,
-                   const unsigned char *frame, size_t frame_len,
-                   const unsigned char *segs,
-                   const unsigned long long *offsets,
-                   size_t n, unsigned char *out);
-void lcm_sha256_oneshot(const unsigned char *data, size_t n,
-                        unsigned char *out);
 void lcm_sha256_batch(const unsigned char *data,
                       const unsigned long long *offsets, size_t n,
                       unsigned char *out);
@@ -558,55 +438,6 @@ void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
     }
 }
 
-void lcm_ctr_keystream_batch(const unsigned char *prefixes,
-                             size_t prefix_len,
-                             const unsigned long long *counts,
-                             size_t nboxes, unsigned char *out)
-{
-    size_t box;
-    for (box = 0; box < nboxes; box++) {
-        lcm_ctr_keystream(prefixes + box * prefix_len, prefix_len, 0,
-                          counts[box], out);
-        out += 32 * counts[box];
-    }
-}
-
-void lcm_hmac_sha256_3(const unsigned char *key, size_t keylen,
-                       const unsigned char *p1, size_t n1,
-                       const unsigned char *p2, size_t n2,
-                       const unsigned char *p3, size_t n3,
-                       unsigned char *out)
-{
-    uint8_t pad[64], inner[32];
-    sha_ctx c;
-    size_t i;
-    /* keys longer than the block size would need pre-hashing; the AEAD
-       only ever passes 32-byte derived subkeys */
-    for (i = 0; i < 64; i++)
-        pad[i] = (i < keylen ? key[i] : 0) ^ 0x36;
-    sha_init(&c);
-    sha_update(&c, pad, 64);
-    if (n1) sha_update(&c, p1, n1);
-    if (n2) sha_update(&c, p2, n2);
-    if (n3) sha_update(&c, p3, n3);
-    sha_final(&c, inner);
-    for (i = 0; i < 64; i++)
-        pad[i] = (i < keylen ? key[i] : 0) ^ 0x5c;
-    sha_init(&c);
-    sha_update(&c, pad, 64);
-    sha_update(&c, inner, 32);
-    sha_final(&c, out);
-}
-
-void lcm_sha256_oneshot(const unsigned char *data, size_t n,
-                        unsigned char *out)
-{
-    sha_ctx c;
-    sha_init(&c);
-    sha_update(&c, data, n);
-    sha_final(&c, out);
-}
-
 /* hash(len8(prev) || prev || len8(op) || op || seq8 || cid8) — the LCM
    hash-chain step with its injective field framing built C-side, so one
    crossing replaces four int.to_bytes and a five-way concat. */
@@ -655,17 +486,16 @@ void lcm_sha256_batch(const unsigned char *data,
 
 /* ---- fused AEAD box primitives -------------------------------------- */
 
-/* Direct-mapped in-process keystream cache, mirroring the AEAD layer's
-   Python-side cache: in this simulation every box is sealed by one party
-   and opened by another inside the same interpreter, so the opener's
-   keystream is a cache hit.  Reuse is safe because a slot only answers
-   for the exact (enc_key, nonce) pair that filled it, and the stream for
-   a pair is deterministic.  cffi releases the GIL around these calls, so
-   threads of one process can be inside them concurrently and the cache is
-   thread-local: a lazily allocated per-thread table (a __thread array of
-   this size could exhaust the static TLS block when the module is
-   dlopened; a __thread pointer cannot).  Allocation failure falls back
-   to uncached streaming. */
+/* Direct-mapped in-process keystream cache: in this simulation every box
+   is sealed by one party and opened by another inside the same
+   interpreter, so the opener's keystream is a cache hit.  Reuse is safe
+   because a slot only answers for the exact (enc_key, nonce) pair that
+   filled it, and the stream for a pair is deterministic.  cffi releases
+   the GIL around these calls, so threads of one process can be inside
+   them concurrently and the cache is thread-local: a lazily allocated
+   per-thread table (a __thread array of this size could exhaust the
+   static TLS block when the module is dlopened; a __thread pointer
+   cannot).  Allocation failure falls back to uncached streaming. */
 #define KS_SLOTS 512
 #define KS_MAX_STREAM 1024
 
@@ -947,47 +777,6 @@ int lcm_open_boxes(const unsigned char *enc_key,
         out_pt += box_len - 28;
     }
     return 0;
-}
-
-/* One call, many tags: HMAC-SHA-256 over (frame || seg_i) for every
-   segment, sharing the pad-block compressions across the batch.  The
-   inner/outer key-pad states are computed once; each tag then resumes
-   from the saved state with nbytes pre-set to the pad block's 64. */
-void lcm_hmac_tags(const unsigned char *key, size_t keylen,
-                   const unsigned char *frame, size_t frame_len,
-                   const unsigned char *segs,
-                   const unsigned long long *offsets,
-                   size_t n, unsigned char *out)
-{
-    uint8_t pad[64], inner_digest[32];
-    uint32_t ipad_state[8], opad_state[8];
-    sha_ctx c;
-    size_t i, t;
-
-    memcpy(ipad_state, SHA_IV, sizeof ipad_state);
-    for (i = 0; i < 64; i++)
-        pad[i] = (i < keylen ? key[i] : 0) ^ 0x36;
-    sha_compress(ipad_state, pad);
-    memcpy(opad_state, SHA_IV, sizeof opad_state);
-    for (i = 0; i < 64; i++)
-        pad[i] = (i < keylen ? key[i] : 0) ^ 0x5c;
-    sha_compress(opad_state, pad);
-
-    for (t = 0; t < n; t++) {
-        const unsigned char *seg = segs + offsets[t];
-        size_t seg_len = (size_t)(offsets[t + 1] - offsets[t]);
-        memcpy(c.state, ipad_state, sizeof ipad_state);
-        c.nbytes = 64;
-        c.buflen = 0;
-        sha_update(&c, frame, frame_len);
-        sha_update(&c, seg, seg_len);
-        sha_final(&c, inner_digest);
-        memcpy(c.state, opad_state, sizeof opad_state);
-        c.nbytes = 64;
-        c.buflen = 0;
-        sha_update(&c, inner_digest, 32);
-        sha_final(&c, out + 32 * t);
-    }
 }
 
 /* ---- batched INVOKE/REPLY protocol codec ---------------------------- */
@@ -1527,7 +1316,14 @@ _BUILD_DIR = pathlib.Path(__file__).resolve().with_name("_fastpath_build")
 
 
 class CBackend:
-    """cffi-compiled CTR/HMAC block loops (byte-identical to hashlib)."""
+    """The cffi-compiled block loop and fused primitives (byte-identical
+    to the hashlib compositions they replace).
+
+    ``lcm_seal_box`` / ``lcm_open_box`` / ``lcm_stream_box`` /
+    ``lcm_chain_extend`` have no wrapper method: :mod:`repro.crypto.aead`
+    and :mod:`repro.crypto.hashing` call them on ``_lib`` directly, one
+    Python frame per box or chain step.
+    """
 
     name = "c"
     native = True
@@ -1535,19 +1331,6 @@ class CBackend:
     def __init__(self, ffi, lib) -> None:
         self._ffi = ffi
         self._lib = lib
-        self.hmac3 = self._hmac3
-        self.hmac_tags = self._hmac_tags
-        self.sha256_oneshot = self._sha256_oneshot
-        self.sha256_many = self._sha256_many
-        self.chain_extend = self._chain_extend
-        self.seal_box = self._seal_box
-        self.open_box = self._open_box
-        self.seal_boxes = self._seal_boxes
-        self.open_boxes = self._open_boxes
-        self.seal_invoke = self._seal_invoke
-        self.open_reply = self._open_reply
-        self.invoke_batch_open = self._invoke_batch_open
-        self.invoke_batch_reply = self._invoke_batch_reply
         # Reusable per-thread argument/output buffers for the per-message
         # wrappers (seal_invoke, open_reply, invoke_batch_open/_reply):
         # allocating fresh arrays and exporting them through
@@ -1595,86 +1378,14 @@ class CBackend:
             s[key + "_cd"] = self._ffi.from_buffer(buf)
         return buf, s[key + "_cd"]
 
-    def blocks(self, prefix: bytes, nblocks: int, *, seeded=None) -> bytes:
+    def blocks(self, prefix: bytes, nblocks: int) -> bytes:
         out = bytearray(nblocks * 32)
         self._lib.lcm_ctr_keystream(
             prefix, len(prefix), 0, nblocks, self._ffi.from_buffer(out)
         )
         return bytes(out)
 
-    def blocks_many(
-        self, prefixes: list[bytes], counts: list[int], *, seeded=None
-    ) -> bytes:
-        joined = _join(prefixes)
-        plen = len(prefixes[0]) if prefixes else 0
-        out = bytearray(32 * sum(counts))
-        counts_arr = array.array("Q", counts)
-        self._lib.lcm_ctr_keystream_batch(
-            joined,
-            plen,
-            self._ffi.from_buffer("unsigned long long[]", counts_arr),
-            len(counts),
-            self._ffi.from_buffer(out),
-        )
-        return bytes(out)
-
-    def _hmac3(self, key: bytes, p1, p2, p3) -> bytes:
-        ffi = self._ffi
-        out = bytearray(32)
-        self._lib.lcm_hmac_sha256_3(
-            key, len(key),
-            ffi.from_buffer(p1), len(p1),
-            ffi.from_buffer(p2), len(p2),
-            ffi.from_buffer(p3), len(p3),
-            ffi.from_buffer(out),
-        )
-        return bytes(out)
-
-    def _hmac_tags(self, key: bytes, frame: bytes, segments: list) -> list[bytes]:
-        """HMAC-SHA-256 digests of ``frame || segment`` per segment,
-        computed in one C call with the key-pad compressions shared."""
-        count = len(segments)
-        offsets = array.array(
-            "Q", chain((0,), accumulate(map(len, segments)))
-        )
-        segs = _join(segments)
-        out = bytearray(32 * count)
-        self._lib.lcm_hmac_tags(
-            key, len(key),
-            frame, len(frame),
-            segs,
-            self._ffi.from_buffer("unsigned long long[]", offsets),
-            count,
-            self._ffi.from_buffer(out),
-        )
-        view = bytes(out)
-        return [view[start : start + 32] for start in range(0, 32 * count, 32)]
-
-    def _sha256_oneshot(self, data: bytes) -> bytes:
-        out = bytearray(32)
-        self._lib.lcm_sha256_oneshot(
-            self._ffi.from_buffer(data), len(data), self._ffi.from_buffer(out)
-        )
-        return bytes(out)
-
-    def _chain_extend(
-        self, previous: bytes, operation: bytes, sequence: int, client_id: int
-    ) -> bytes:
-        """One hash-chain step (framing + SHA-256) in a single C call.
-
-        Raises OverflowError for field values outside 64 bits, exactly
-        like the Python framing's ``int.to_bytes(8, "big")``.
-        """
-        out = bytearray(32)
-        self._lib.lcm_chain_extend(
-            previous, len(previous),
-            operation, len(operation),
-            sequence, client_id,
-            self._ffi.from_buffer(out),
-        )
-        return bytes(out)
-
-    def _sha256_many(self, segments: list) -> list[bytes]:
+    def sha256_many(self, segments: list) -> list[bytes]:
         """SHA-256 digests of every segment in one C call."""
         offsets = array.array(
             "Q", chain((0,), accumulate(map(len, segments)))
@@ -1689,42 +1400,7 @@ class CBackend:
         view = bytes(out)
         return [view[start : start + 32] for start in range(0, len(view), 32)]
 
-    def _seal_box(
-        self, enc_key: bytes, mac_key: bytes, nonce: bytes,
-        frame: bytes, plaintext,
-    ) -> bytes:
-        """Whole AEAD box (nonce || ct || tag) in one C call."""
-        size = len(plaintext)
-        out = bytearray(28 + size)
-        if type(plaintext) is not bytes:  # cffi takes bytes pointers directly
-            plaintext = self._ffi.from_buffer(plaintext)
-        self._lib.lcm_seal_box(
-            enc_key, mac_key, nonce,
-            frame, len(frame),
-            plaintext, size,
-            self._ffi.from_buffer(out),
-        )
-        return bytes(out)
-
-    def _open_box(
-        self, enc_key: bytes, mac_key: bytes, frame: bytes, box
-    ) -> bytes | None:
-        """Verify-and-decrypt in one C call; None on a bad MAC."""
-        size = len(box)
-        if size < 28:
-            return None
-        out = bytearray(size - 28)
-        if type(box) is not bytes:
-            box = self._ffi.from_buffer(box)
-        ok = self._lib.lcm_open_box(
-            enc_key, mac_key,
-            frame, len(frame),
-            box, size,
-            self._ffi.from_buffer(out),
-        )
-        return bytes(out) if ok == 0 else None
-
-    def _seal_boxes(
+    def seal_boxes(
         self, enc_key: bytes, mac_key: bytes, nonces: list[bytes],
         frame: bytes, plaintexts: list,
     ) -> list[bytes]:
@@ -1751,7 +1427,7 @@ class CBackend:
             cursor += size
         return boxes
 
-    def _open_boxes(
+    def open_boxes(
         self, enc_key: bytes, mac_key: bytes, frame: bytes, boxes: list
     ) -> "tuple[list[bytes] | None, int]":
         """Batch verify-then-decrypt in one C call.
@@ -1786,7 +1462,7 @@ class CBackend:
             cursor += size
         return plaintexts, -1
 
-    def _seal_invoke(
+    def seal_invoke(
         self, enc_key: bytes, mac_key: bytes, nonce: bytes, frame: bytes,
         prefix: bytes, tc: int, hc: bytes, op: bytes, cid: int, retry: bool,
     ) -> bytes | None:
@@ -1803,7 +1479,7 @@ class CBackend:
         )
         return bytes(memoryview(out)[:size]) if status == 0 else None
 
-    def _open_reply(
+    def open_reply(
         self, enc_key: bytes, mac_key: bytes, frame: bytes, prefix: bytes, box
     ):
         """Authenticate + decrypt + parse a REPLY in one C call.
@@ -1835,7 +1511,7 @@ class CBackend:
         # call on this thread, so handing out the scratch array is safe
         return bytes(memoryview(out)[: size - 28]), s["meta1"]
 
-    def _invoke_batch_open(
+    def invoke_batch_open(
         self, enc_key: bytes, mac_key: bytes, frame: bytes, prefix: bytes,
         boxes: list, ids, ack, seq, chains, acks, quorum: int,
         sequence: int, chain_value: bytes,
@@ -1890,7 +1566,7 @@ class CBackend:
             bytes(s["chain_io"]),
         )
 
-    def _invoke_batch_reply(
+    def invoke_batch_reply(
         self, enc_key: bytes, mac_key: bytes, frame: bytes, prefix: bytes,
         meta, chains_out: bytes, plain: bytes, results: list,
         nonce_seed: bytes, nonce_counter: int,
@@ -2023,8 +1699,6 @@ def _get_backend(name: str):
         return backend
     if name == "python":
         backend = PythonBackend()
-    elif name == "python-batch":
-        backend = BatchPythonBackend()
     elif name == "c":
         if _c_attempted:
             return None
@@ -2034,8 +1708,7 @@ def _get_backend(name: str):
             return None
     else:
         raise ConfigurationError(
-            f"unknown fastpath backend {name!r} "
-            "(expected 'c', 'python-batch' or 'python')"
+            f"unknown fastpath backend {name!r} (expected 'c' or 'python')"
         )
     _BACKENDS[name] = backend
     return backend
@@ -2043,7 +1716,7 @@ def _get_backend(name: str):
 
 def available_backends() -> list[str]:
     """Names of the backends that can actually be instantiated here."""
-    names = ["python", "python-batch"]
+    names = ["python"]
     if _get_backend("c") is not None:
         names.insert(0, "c")
     return names
@@ -2052,15 +1725,15 @@ def available_backends() -> list[str]:
 def select_backend(name: str | None = None):
     """Install (and return) the active backend.
 
-    ``name=None`` applies the default policy: the accelerated C backend
-    when it is buildable, else the hashlib-copy-minimizing batch
-    variant.  Requesting ``"c"`` explicitly when it cannot be built
-    raises :class:`~repro.errors.ConfigurationError` instead of silently
+    ``name=None`` applies the default policy: the compiled backend when
+    it is buildable, else the hashlib one.  Requesting ``"c"`` explicitly
+    when it cannot be built raises
+    :class:`~repro.errors.ConfigurationError` instead of silently
     degrading.
     """
     global BACKEND
     if name is None:
-        backend = _get_backend("c") or _get_backend("python-batch")
+        backend = _get_backend("c") or _get_backend("python")
     else:
         backend = _get_backend(name)
         if backend is None:

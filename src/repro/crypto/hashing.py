@@ -41,9 +41,9 @@ def secure_hash(data: bytes) -> bytes:
 def secure_hash_many(segments: list[bytes]) -> list[bytes]:
     """SHA-256 of every segment, amortizing the native crossing when the
     compiled fastpath backend is active (one C call per batch)."""
-    many = _fastpath.BACKEND.sha256_many
-    if many is not None and len(segments) > 2:
-        return many(segments)
+    backend = _fastpath.BACKEND
+    if backend.native and len(segments) > 2:
+        return backend.sha256_many(segments)
     sha256 = hashlib.sha256
     return [sha256(segment).digest() for segment in segments]
 
@@ -71,11 +71,6 @@ def ring_point(data: bytes | str) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:RING_POINT_BYTES], "big")
 
 
-def _encode_field(data: bytes) -> bytes:
-    """Length-prefix a field so concatenation is injective."""
-    return len(data).to_bytes(8, "big") + data
-
-
 def chain_extend(previous: bytes, operation: bytes, sequence: int, client_id: int) -> bytes:
     """Compute ``hash(h || o || t || i)`` with injective field encoding.
 
@@ -86,8 +81,8 @@ def chain_extend(previous: bytes, operation: bytes, sequence: int, client_id: in
     both routes raise OverflowError for fields outside the 64-bit framing.
     """
     backend = _fastpath.BACKEND
-    if backend.chain_extend is not None:
-        # inlined CBackend.chain_extend: one Python frame per step (this
+    if backend.native:
+        # called on ``_lib`` directly: one Python frame per step (this
         # runs twice per protocol round trip, client and context side)
         out = bytearray(32)
         backend._lib.lcm_chain_extend(

@@ -100,48 +100,3 @@ def _render(value) -> str:
     if isinstance(value, dict):
         return "{" + ", ".join(f"{k}:{_render(v)}" for k, v in value.items()) + "}"
     return _format_value(value)
-
-
-def render_metrics_summary(result: ExperimentResult, *, limit: int = 30) -> str:
-    """Highlights from the experiment's observability-plane snapshot.
-
-    ``result.metrics`` is one ``ShardedCluster.metrics()`` snapshot (taken
-    at the end of the run, or of the last configuration for sweep
-    experiments).  The rendering groups counters, gauges, histogram
-    summaries and verifier events so EXPERIMENTS.md shows the same surface
-    the ``repro metrics`` CLI exports as JSON.
-    """
-    lines = [f"# {result.experiment}: metrics snapshot"]
-    snapshot = result.metrics
-    if not snapshot:
-        lines.append("  (observability plane disabled for this run)")
-        return "\n".join(lines)
-    for section in ("counters", "gauges"):
-        entries = sorted(snapshot.get(section, {}).items())
-        if not entries:
-            continue
-        lines.append(f"  {section}:")
-        for name, value in entries[:limit]:
-            lines.append(f"    {name:48s} {_format_value(value)}")
-        if len(entries) > limit:
-            lines.append(f"    ... {len(entries) - limit} more")
-    histograms = sorted(snapshot.get("histograms", {}).items())
-    if histograms:
-        lines.append("  histograms:")
-        for name, summary in histograms[:limit]:
-            lines.append(
-                f"    {name:48s} count={summary['count']} "
-                f"mean={_format_value(summary['mean'])} "
-                f"max={_format_value(summary['max'])}"
-            )
-    events = snapshot.get("events", [])
-    verifier_events = [e for e in events if e["name"].startswith("verifier.")]
-    lines.append(
-        f"  events: {len(events)} total, {len(verifier_events)} from the verifier"
-    )
-    for event in verifier_events[:limit]:
-        fields = ", ".join(
-            f"{k}={v}" for k, v in event.items() if k not in ("name", "time")
-        )
-        lines.append(f"    t={_format_value(event['time'])} {event['name']} {fields}")
-    return "\n".join(lines)

@@ -70,10 +70,6 @@ INT_MIN = -(2**127)
 INT_MAX = 2**127 - 1
 
 
-def _encode_length(n: int) -> bytes:
-    return n.to_bytes(8, "big")
-
-
 def encode(value: Any) -> bytes:
     """Canonical bytes of ``value``.
 

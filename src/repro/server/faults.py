@@ -19,7 +19,6 @@ don't — which is the paper's motivation).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -171,14 +170,6 @@ class MaliciousServer:
         instance = self.instances[instance_index]
         instance.enclave.crash()
         instance.enclave.start()
-
-    def snapshot_versions(self, instance_index: int = 0) -> list[bytes]:
-        """Copy of all sealed blobs this instance has stored (for forensics)."""
-        storage = self.instances[instance_index].storage
-        return [
-            copy.copy(storage.load_version(index))
-            for index in range(storage.version_count())
-        ]
 
     # -------------------------------------------------------------- helpers
 

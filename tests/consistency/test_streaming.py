@@ -15,6 +15,7 @@ from repro.consistency.fork_linearizability import (
     views_from_audit_logs,
 )
 from repro.consistency.stable_subsequence import stable_bound_frontier
+from repro.consistency.history import OperationRecord
 from repro.consistency.streaming import StreamingChecker
 from repro.core.context import AuditRecord
 from repro.core.hashchain import ChainPoint
@@ -59,14 +60,28 @@ def point_at(log, sequence):
     return (sequence, log[sequence - 1].chain) if sequence else (0, GENESIS_HASH)
 
 
-def post_mortem_sig(logs, points):
+def completion(client_id, sequence, operation, result, invoked_at, responded_at):
+    """One completed operation as the recorded history would hold it."""
+    return OperationRecord(
+        op_id=sequence,
+        client_id=client_id,
+        operation=operation,
+        result=result,
+        invoked_at=invoked_at,
+        responded_at=responded_at,
+        sequence=sequence,
+    )
+
+
+def post_mortem_sig(logs, points, records=()):
     """(violation signature, fork points) from the post-mortem pipeline."""
     chain_points = {
         client_id: ChainPoint(sequence, chain)
         for client_id, (sequence, chain) in points.items()
     }
+    lookup = {(record.client_id, record.sequence): record for record in records}
     try:
-        views = views_from_audit_logs(logs, chain_points, {})
+        views = views_from_audit_logs(logs, chain_points, lookup)
         tree = check_fork_linearizable(views, KvsFunctionality())
         return None, tree.fork_points()
     except SecurityViolation as violation:
@@ -90,15 +105,24 @@ BASE = [
 
 
 class TestParity:
-    def assert_parity(self, logs, points, client_ids=(1, 2)):
-        checker = make_checker(client_ids)
+    def assert_parity(self, logs, points, client_ids=(1, 2), records=()):
+        """Both pipelines over the same evidence; ``records`` are the
+        history's completed operations (streamed in after the audit
+        records, and the post-mortem's lookup).  Returns the shared
+        signature and the streaming checker's events."""
+        events = []
+        checker = make_checker(client_ids, events)
         for log in logs:
             log_id = checker.register_log()
             checker.feed_records(log_id, log)
+        for record in records:
+            checker.observe_completion(record)
         for client_id, (sequence, chain) in points.items():
             checker.observe_point(client_id, sequence, chain)
         checker.advance()
-        assert streaming_sig(checker) == post_mortem_sig(logs, points)
+        signature = streaming_sig(checker)
+        assert signature == post_mortem_sig(logs, points, records)
+        return signature, events
 
     def test_honest_shared_log(self):
         log = build_log(BASE)
@@ -176,6 +200,82 @@ class TestParity:
         self.assert_parity(
             [log], {1: point_at(log, 2), 2: (2, b"\xff" * 32)}
         )
+
+    @pytest.mark.parametrize("arrival", ["in-order", "reversed"])
+    def test_real_time_contradiction(self, arrival):
+        """Record 2 responded before record 1 was invoked, yet the log
+        serializes it second — whichever completion streams in last finds
+        the contradiction (as the later or as the earlier element)."""
+        log = build_log(BASE)
+        records = [
+            completion(1, 1, ("PUT", "k", "v1"), None, 10, 11),
+            completion(2, 2, ("GET", "k"), "v1", 1, 2),
+        ]
+        if arrival == "reversed":
+            records.reverse()
+        signature, events = self.assert_parity(
+            [log], {1: point_at(log, 2), 2: point_at(log, 2)}, records=records
+        )
+        assert signature == (
+            (
+                "SecurityViolation",
+                "view of client 1 contradicts real-time order",
+            ),
+            None,
+        )
+        assert [fields for name, fields in events if name == "rt-violation"] == [
+            {"log": 0, "position": 2}
+        ]
+
+    def test_substituted_operation_replays_downstream(self):
+        """The history shows client 1 writing a different value than the
+        audited bytes at sequence 1: the view holds the history's
+        operation, so the read behind it no longer replays."""
+        log = build_log(BASE)
+        records = [completion(1, 1, ("PUT", "k", "other"), None, 1, 2)]
+        signature, events = self.assert_parity(
+            [log], {1: point_at(log, 2), 2: point_at(log, 2)}, records=records
+        )
+        assert signature == (
+            (
+                "SecurityViolation",
+                "view of client 1 is not a correct execution: operation "
+                "['GET', 'k'] returned 'v1', expected 'other'",
+            ),
+            None,
+        )
+        assert ("replay-mismatch", {"log": 0, "sequence": 2}) in events
+
+    def test_substitution_at_a_position_two_forks_share(self):
+        """The same substitution below a fork: both logs' record 2 takes
+        the history's operation (a read of another key, so every replay
+        still holds), the pair is re-derived after each, and the views
+        still share exactly the two-record prefix."""
+        base = build_log(BASE)
+        branch_a = base + build_log(
+            [(1, ("PUT", "k", "a"), "v1")],
+            start_chain=base[-1].chain, start_sequence=2,
+        )
+        branch_b = base + build_log(
+            [(2, ("PUT", "k", "b"), "v1")],
+            start_chain=base[-1].chain, start_sequence=2,
+        )
+        records = [completion(2, 2, ("GET", "elsewhere"), None, 3, 4)]
+        signature, events = self.assert_parity(
+            [branch_a, branch_b],
+            {1: point_at(branch_a, 3), 2: point_at(branch_b, 3)},
+            records=records,
+        )
+        assert signature == (None, [2])
+        # announced at feed time; after both repairs the pair still
+        # diverges at position 3, not at the substituted position
+        assert events == [
+            ("fork-divergence", {"log_a": 0, "log_b": 1, "position": 3}),
+            (
+                "stable-frontier-fork",
+                {"log_a": 0, "log_b": 1, "divergence": 3, "frontier": 3},
+            ),
+        ]
 
 
 class TestOnlineEvents:

@@ -120,7 +120,7 @@ class TestBatchPaths:
 
 class TestBatchPathParity:
     """The native passes (``c`` fastpath) and the Python encoding of
-    Alg. 2 (``python-batch``) must agree on every observable outcome of
+    Alg. 2 (``python`` fastpath) must agree on every observable outcome of
     a batch: replies, diagnostics, committed prefix, halted state."""
 
     @pytest.fixture
@@ -214,10 +214,10 @@ class TestBatchPathParity:
     ):
         odd_one, kind, message = self.VIOLATIONS[name]
         outcomes = {}
-        for backend in ("c", "python-batch"):
+        for backend in ("c", "python"):
             select_fastpath(backend)
             outcomes[backend] = self._outcome(odd_one)
-        assert outcomes["c"] == outcomes["python-batch"]
+        assert outcomes["c"] == outcomes["python"]
         served, after, log, sequence, _ = outcomes["c"]
         assert (served[0].__name__, served[1]) == (kind, message)
         assert (after[0].__name__, after[1]) == (
@@ -241,7 +241,7 @@ class TestBatchPathParity:
         self, name, select_fastpath, monkeypatch
     ):
         odd_one = self.NON_CANONICAL[name]
-        select_fastpath("python-batch")
+        select_fastpath("python")
         expected = self._outcome(odd_one)
 
         backend = select_fastpath("c")

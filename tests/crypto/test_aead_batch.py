@@ -35,10 +35,10 @@ def _payloads():
     return [bytes((i + s) & 0xFF for i in range(s)) for s in SIZES]
 
 
-@pytest.fixture(params=["active", "python", "python-batch"])
+@pytest.fixture(params=["active", "python"])
 def backend(request):
-    """Run every test under the default backend and both pure-Python
-    ones; restore the import-time selection afterwards."""
+    """Run every test under the default backend and the hashlib one;
+    restore the import-time selection afterwards."""
     previous = fastpath.active_backend()
     if request.param != "active":
         fastpath.select_backend(request.param)

@@ -12,6 +12,7 @@ from repro.harness.experiments import (
     run_fig4_object_size,
     run_fig5_clients_async,
     run_fig6_clients_sync,
+    run_group_commit,
     run_sec62_enclave_memory,
     run_sec63_message_overhead,
     run_sec65_tmc_comparison,
@@ -218,3 +219,24 @@ class TestCrossShard:
     def test_single_shard_refused(self):
         with pytest.raises(ValueError, match="two shards"):
             run_cross_shard(shards=1)
+
+
+class TestGroupCommit:
+    def test_throughput_scales_with_merged_flushes_and_clean_verdicts(self):
+        """Pipelined transactions over 2 then 4 shards at a third of the
+        default length: committed throughput rises with the shard count,
+        the router merges lifecycle operations at every point, and both
+        verdict pipelines stay clean and agree."""
+        result = run_group_commit(clients=8, txns_per_client=10)
+        assert result.series["shards"] == [2, 4]
+        assert result.ratios["throughput_scales_with_shards"] is True
+        assert result.ratios["group_flushes_everywhere"] is True
+        assert result.ratios["zero_violations"] is True
+        assert result.ratios["streaming_parity"] is True
+        # every submitted transaction reached a decision
+        assert [
+            committed + aborted
+            for committed, aborted in zip(
+                result.series["committed"], result.series["aborted"]
+            )
+        ] == [8 * 10, 8 * 10]

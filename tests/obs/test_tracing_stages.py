@@ -87,11 +87,15 @@ class TestStageTimings:
 
 
 class TestPythonBatchFallback:
-    def test_generic_path_stamps_its_own_record(self, monkeypatch):
+    def test_generic_path_stamps_its_own_record(self):
         from repro.crypto import fastpath
 
-        monkeypatch.setattr(fastpath.BACKEND, "invoke_batch_open", None)
-        cluster = run_traced()
+        previous = fastpath.active_backend()
+        fastpath.select_backend("python")
+        try:
+            cluster = run_traced()
+        finally:
+            fastpath.BACKEND = previous
         spans = cluster.tracer.finished("operation")
         assert spans
         for span in spans:

@@ -1,11 +1,11 @@
 """Fastpath parity: which crypto backend ran must never change the bytes.
 
-The determinism contract: the same trace through the ``c``,
-``python-batch`` and ``python`` crypto fastpaths must produce identical
-wire bytes, hash chains, audit logs, sealed storage, completion times
-and merged verdicts — a fork attack included, which must be detected
-identically (same shard, same violation, same evidence) under every
-fastpath, and the combined reshard/crash/transaction scenario included.
+The determinism contract: the same trace through the ``c`` and
+``python`` crypto fastpaths must produce identical wire bytes, hash
+chains, audit logs, sealed storage, completion times and merged
+verdicts — a fork attack included, which must be detected identically
+(same shard, same violation, same evidence) under both fastpaths, and
+the combined reshard/crash/transaction scenario included.
 The batch ecall runs inline at dispatch time, so there is no other axis:
 one trace, one schedule.
 """
@@ -448,10 +448,9 @@ print(wire.hexdigest())
         return proc.stdout.strip()
 
     def test_wire_identical_across_fastpath_and_interpreter(self):
-        fastpaths = ["python-batch"]
-        if fastpath._get_backend("c") is not None:
-            fastpaths.insert(0, "c")
-        digests = {name: self._cell(name) for name in fastpaths}
+        digests = {
+            name: self._cell(name) for name in fastpath.available_backends()
+        }
         assert len(set(digests.values())) == 1, digests
 
 

@@ -74,6 +74,17 @@ class TestSubcommands:
         assert main(["txn", "--shards", "1"]) == 2
         assert "--shards must be >= 2" in capsys.readouterr().out
 
+    def test_groupcommit_scales_and_verifies(self, capsys):
+        assert main(["groupcommit", "--clients", "8", "--txns", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "2 shards:" in out and "4 shards:" in out
+        assert "merged flushes" in out
+        assert "all verdicts clean, streaming parity holds" in out
+
+    def test_groupcommit_rejects_nonsense_counts(self, capsys):
+        assert main(["groupcommit", "--shards", "1", "4"]) == 2
+        assert "--shards must all be >= 2" in capsys.readouterr().out
+
     def test_figures_single(self, capsys):
         assert main(["figures", "--only", "sec63"]) == 0
         out = capsys.readouterr().out
