@@ -146,6 +146,13 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
     state = {f"user{i:012d}": "v" * 100 for i in range(100)}
     operation = serde.encode(["PUT", "k" * 40, "v" * 100])
 
+    # per-entry state seal: a PUT on one hot key of a 200-object state
+    # and of a 64 x 4 KiB state
+    _, _, (grower, *_) = build_deployment()
+    for i in range(200):
+        grower.invoke(put(f"user{i:012d}", "v" * 100))
+    from benchmarks.bench_protocol_micro import _large_state_put
+
     # sharded-path round: the same uniform load routed over 1 and 2 groups
     # (provisioning excluded; clusters persist across iterations, and the
     # fixed key set keeps state size — so per-round cost — stationary)
@@ -237,6 +244,10 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
         ),
         "test_micro_serde_encode_state": lambda: serde.encode(state),
         "test_micro_full_invoke_round_trip": lambda: alice.invoke(get("k")),
+        "test_micro_invoke_with_state_growth": lambda: grower.invoke(
+            put("user000000000000", "w" * 100)
+        ),
+        "test_micro_put_large_state": _large_state_put(),
         "test_micro_batched_invoke_sizes[1]": batched(1),
         "test_micro_batched_invoke_sizes[8]": batched(8),
         "test_micro_batched_invoke_sizes[32]": batched(32),

@@ -31,8 +31,8 @@ Extensions implemented:
 Once any verification fails the context **halts permanently** (the
 pseudocode's ``assert``): every later ecall raises the recorded violation.
 
-Sealed-blob layout (static/dynamic split, incremental sealing)
---------------------------------------------------------------
+Sealed-blob layout (static/dynamic split, per-entry incremental sealing)
+------------------------------------------------------------------------
 
 The stored blob is ``serde([key_blob, static_blob, dynamic_blob])``:
 
@@ -45,13 +45,20 @@ The stored blob is ``serde([key_blob, static_blob, dynamic_blob])``:
     the per-operation seal reuses the cached box instead of re-encrypting
     and re-serializing it.
 ``dynamic_blob``
-    ``serde([state_box, {client_id: row_record}, manifest_tag])`` — the
-    mutable state, sealed *incrementally*; a section is regenerated only
-    when it changed since the last seal.
+    ``serde([[section, ...], {client_id: row_record}, manifest_tag])`` —
+    the mutable state, sealed *incrementally*: a piece is regenerated
+    only when what it protects changed since the last seal.
 
-    ``state_box`` is ``s`` stream-encrypted under ``kP``
-    (:func:`~repro.crypto.aead.stream_encrypt` — confidentiality from the
-    keystream, integrity from the manifest tag below).
+    There is one ``section`` per top-level entry of the service state
+    ``s``: ``nonce || E(enc(key) || enc(value))``, stream-encrypted under
+    ``kP`` (:func:`~repro.crypto.aead.stream_encrypt` — confidentiality
+    from the keystream, integrity from the manifest tag below), in
+    canonical order (sorted by encoded key; the key itself stays inside
+    the ciphertext).  A seal diffs the state against the last-sealed one
+    by value identity and re-encrypts only the entries whose value object
+    changed, so a PUT costs O(bytes it dirtied), not O(state).  A state
+    that is not a ``dict`` is one section whose key slot holds
+    ``enc({})`` — an encoding no real key has, dicts being unhashable.
 
     ``row_record`` is ``serde([acknowledged, reply_box])`` where
     ``reply_box`` is the *exact REPLY message* the context last sent that
@@ -70,12 +77,14 @@ The stored blob is ``serde([key_blob, static_blob, dynamic_blob])``:
 
 ``manifest_tag`` restores the atomicity a single box used to provide: it
 is an HMAC under ``kP`` (domain-separated from box tags by its
-associated-data string) over the SHA-256 hashes of ``static_blob``,
-``state_box`` and every ``row_record`` in canonical order.  A host that
-splices sections from different seals — say, ``s`` from version 10 with
-``V`` from version 12, or a pre-rotation static config with a
-post-rotation dynamic layer — or tampers with a plaintext acknowledged
-marker produces a manifest mismatch and the restore raises
+associated-data string) over the SHA-256 hash of ``static_blob``, the
+SHA-256 hash of the *ordered list* of section hashes, and the hash of
+every ``row_record`` in canonical order.  A host that splices pieces from
+different seals — one key's section from version 10 into version 12, two
+sections swapped, one dropped or duplicated, ``s`` from one version with
+``V`` from another, a pre-rotation static config with a post-rotation
+dynamic layer — or tampers with a plaintext acknowledged marker produces
+a manifest mismatch and the restore raises
 :class:`~repro.errors.AuthenticationFailure`.  Clients hold ``kC`` and
 could mint plausible REPLY boxes, but they cannot forge the ``kP``
 manifest tag, so stored rows are exactly as unforgeable as before.
@@ -83,15 +92,24 @@ Replaying one *complete* old blob remains possible, exactly as with the
 monolithic layout; that is the rollback attack LCM detects through
 client verification, not through sealing.
 
+What the host observes: the number of sections (top-level entries), each
+section's length, and — by comparing consecutive versions — which slots
+changed, hence the rank of a written key among the keys and how often a
+slot is rewritten.  Key names and values stay confidential.  This is the
+same class of metadata as the plaintext acknowledged marker; a
+functionality that must hide its access pattern from the host keeps its
+state under a single top-level entry.
+
 Reusing a cached box verbatim across seals is safe: the identical
 (key, nonce, plaintext) box carries no new information, and any change to
-the protected content invalidates the cache and forces a fresh seal
-under a fresh nonce.
+the protected content reseals that piece under a fresh nonce, so no
+(key, nonce) pair ever covers two plaintexts.
 """
 
 from __future__ import annotations
 
 import collections
+import operator
 from bisect import bisect_left, insort
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
@@ -202,16 +220,10 @@ def _list_header(count: int) -> bytes:
     return bytes(buf)
 
 
-_DICT_HEADERS: dict[int, bytes] = {}
-
-
 def _dict_header(count: int) -> bytes:
-    header = _DICT_HEADERS.get(count)
-    if header is None:
-        buf = bytearray()
-        serde.encode_dict_header(buf, count)
-        header = _DICT_HEADERS[count] = bytes(buf)
-    return header
+    buf = bytearray()
+    serde.encode_dict_header(buf, count)
+    return bytes(buf)
 
 
 _TWO_LIST_HEADER = _list_header(2)
@@ -223,9 +235,130 @@ _THREE_LIST_HEADER = _list_header(3)
 #: stays in serde.
 _frame_bytes = serde.encode
 
-#: Framing prefix of a 32-byte hash value (``B || len(32)``), precomputed
-#: for the per-invoke manifest-piece path.
-_HASH_FRAME = b"B" + (32).to_bytes(8, "big")
+
+def _bytes_header(length: int) -> bytes:
+    """Framing prefix of a ``length``-byte bytes value (``B || len``)."""
+    return b"B" + length.to_bytes(8, "big")
+
+
+#: Framing prefix of a 32-byte hash value, precomputed for the per-invoke
+#: manifest-piece path.
+_HASH_FRAME = _bytes_header(32)
+
+
+#: Key slot of the single section a non-``dict`` service state is sealed
+#: as: the encoding of ``{}``, which no entry of a real ``dict`` state can
+#: carry because dicts are unhashable.
+_WHOLE_STATE_KEY = serde.encode({})
+_WHOLE_STATE = object()  # that section's key in the entry views below
+_ABSENT = object()
+
+
+def _entries(state: Any) -> dict:
+    """The service state as the ``{key: value}`` entries it is sealed by."""
+    return state if isinstance(state, dict) else {_WHOLE_STATE: state}
+
+
+def _encode_key(key: Any) -> bytes:
+    return _WHOLE_STATE_KEY if key is _WHOLE_STATE else serde.encode(key)
+
+
+class _PieceTable:
+    """The sealed pieces of one container of the dynamic blob, in
+    canonical (encoded-key) order: a ``blob`` piece and a ``manifest``
+    piece per member, parallel to the sorted ``keys``.  Behind ``header``,
+    the container's framing for the current member count, the blob
+    pieces are the container's stored bytes and the manifest pieces its
+    manifest input.  :meth:`put` patches a member's slot in place.
+
+    This class keeps the pieces as separate strings — right for the V
+    rows (a serde dict): few members, one patched per operation, so a put
+    must cost next to nothing and joining them once per seal is cheap.
+    """
+
+    __slots__ = ("_frame", "header", "keys", "blob", "manifest")
+
+    def __init__(self, frame: Callable[[int], bytes]) -> None:
+        self._frame = frame
+        self.clear()
+
+    def clear(self) -> None:
+        self.keys: list[bytes] = []
+        self.blob: list[bytes] | bytearray = []
+        self.manifest: list[bytes] | bytearray = []
+        self.header = self._frame(0)
+
+    def put(self, key: bytes, blob_piece: bytes, manifest_piece: bytes) -> None:
+        keys = self.keys
+        slot = bisect_left(keys, key)
+        if slot < len(keys) and keys[slot] == key:
+            self.blob[slot] = blob_piece
+            self.manifest[slot] = manifest_piece
+        else:
+            keys.insert(slot, key)
+            self.blob.insert(slot, blob_piece)
+            self.manifest.insert(slot, manifest_piece)
+            self.header = self._frame(len(keys))
+
+    def discard(self, key: bytes) -> None:
+        keys = self.keys
+        slot = bisect_left(keys, key)
+        if slot < len(keys) and keys[slot] == key:
+            del keys[slot], self.blob[slot], self.manifest[slot]
+            self.header = self._frame(len(keys))
+
+
+class _PackedPieceTable(_PieceTable):
+    """The same table with each side packed end to end in one buffer —
+    right for the state sections (a serde list): many members, few
+    patched per seal, so assembling a blob must copy two buffers, not
+    visit every member (a read-only batch would otherwise pay per key).
+    A put overwrites the member's bytes where they lie, found by a
+    prefix sum over the piece lengths; equal-length replacement is a
+    memcpy of the piece, anything else also moves what follows.
+    Manifest pieces are all ``_HASH_FRAME``-framed hashes, one width.
+    """
+
+    __slots__ = ("_lengths",)
+
+    _WIDTH = len(_HASH_FRAME) + 32
+
+    def clear(self) -> None:
+        self.keys = []
+        self.blob = bytearray()
+        self.manifest = bytearray()
+        self._lengths: list[int] = []
+        self.header = self._frame(0)
+
+    def _span(self, slot: int, present: bool) -> tuple[int, int]:
+        lengths = self._lengths
+        start = sum(lengths[:slot]) if slot < len(lengths) else len(self.blob)
+        return start, start + lengths[slot] if present else start
+
+    def put(self, key: bytes, blob_piece: bytes, manifest_piece: bytes) -> None:
+        keys = self.keys
+        slot = bisect_left(keys, key)
+        present = slot < len(keys) and keys[slot] == key
+        start, end = self._span(slot, present)
+        self.blob[start:end] = blob_piece
+        at = slot * self._WIDTH
+        self.manifest[at : at + self._WIDTH if present else at] = manifest_piece
+        if present:
+            self._lengths[slot] = len(blob_piece)
+        else:
+            keys.insert(slot, key)
+            self._lengths.insert(slot, len(blob_piece))
+            self.header = self._frame(len(keys))
+
+    def discard(self, key: bytes) -> None:
+        keys = self.keys
+        slot = bisect_left(keys, key)
+        if slot < len(keys) and keys[slot] == key:
+            start, end = self._span(slot, True)
+            at = slot * self._WIDTH
+            del self.blob[start:end], self.manifest[at : at + self._WIDTH]
+            del keys[slot], self._lengths[slot]
+            self.header = self._frame(len(keys))
 
 
 #: Decoded forms of recently seen operation encodings (real workloads repeat
@@ -251,10 +384,7 @@ _SCALAR_RESULT_TYPES = (str, bytes, int)
 def _decode_operation(data: bytes) -> Any:
     cached = _OP_DECODE_CACHE.get(data)
     if cached is not None:
-        try:
-            _OP_DECODE_CACHE.move_to_end(data)
-        except KeyError:  # evicted by a concurrent worker between get and move
-            pass
+        _OP_DECODE_CACHE.move_to_end(data)
         return cached.copy()
     value = serde.decode(data)
     if type(value) is list and all(
@@ -343,31 +473,26 @@ class LcmContext:
         # this context's history alone.
         self._nonces: NonceSequence | None = None
         self._state: Any = None                      # s
-        # seal caches (see module docstring): reusable sealed boxes for
-        # kP-under-kS, the static config, the service state, and each V row.
+        # seal caches (see module docstring): the kP-under-kS and static
+        # config boxes, and one piece table each for the state sections
+        # and the V rows.
         self._key_blob: bytes | None = None
         self._static_blob: bytes | None = None
         self._static_blob_hash: bytes | None = None  # framed, manifest input
-        # client_id -> (encoded id, blob piece ``enc_id || framed record``,
-        # manifest piece ``enc_id || framed record hash``); ids in
-        # _dirty_rows need resealing before the next store.  The assembly
-        # buffers below mirror the rows in canonical (encoded-id) order so
-        # the per-invoke seal patches the changed row's slot in place —
-        # O(1) Python work per operation — instead of re-joining every row;
-        # _rows_unsorted marks them stale (membership events, restore).
-        self._row_seals: dict[int, tuple[bytes, bytes, bytes]] = {}
+        # The sections are current for _sealed_state, the exact object they
+        # were last diffed against ({} = nothing sealed yet).  Safe because
+        # Functionality.apply must not mutate state in place: an entry
+        # whose value is the same object still has the plaintext its
+        # cached section was sealed from.
+        self._sections = _PackedPieceTable(_list_header)
+        self._sealed_state: Any = {}
+        self._sections_hash: bytes | None = None  # framed, manifest input
+        # audit mode only: key -> the encoded value its section holds
+        self._sealed_values: dict[Any, bytes] = {}
+        # rows in _dirty_rows need a synthesized REPLY box before the next
+        # store; the invoke path feeds the table the real ones
+        self._row_pieces = _PieceTable(_dict_header)
         self._dirty_rows: set[int] = set()
-        self._rows_unsorted = False
-        self._row_index: dict[int, int] = {}
-        self._row_blob_pieces: list[bytes] = []
-        self._row_manifest_pieces: list[bytes] = []
-        # (framed state box, framed box hash) — valid while self._state is
-        # the exact object it sealed.  Safe because Functionality.apply must
-        # not mutate state in place: read-only operations return the same
-        # object, so their seals reuse the cached box.
-        self._state_seal: tuple[bytes, bytes] | None = None
-        self._state_seal_obj: Any = None
-        self._state_enc_audit: bytes | None = None  # audit-mode mutation check
         self._provisioned = False
         self._halted: SecurityViolation | None = None
         self._dh: DhKeyPair | None = None
@@ -424,18 +549,35 @@ class LcmContext:
             blob_static, self._state_key, associated_data=_STATIC_BLOB_AD
         )
         kc_material, ka_material, quorum = serde.decode(static_plain)
+        static_hash = _frame_bytes(_sha256(blob_static).digest())
         try:
-            state_box, row_boxes, tag = serde.decode(blob_dynamic)
-            manifest = self._build_manifest(
-                _frame_bytes(_sha256(blob_static).digest()),
-                _frame_bytes(_sha256(state_box).digest()),
-                sorted(
-                    serde.encode(client_id)
-                    + _frame_bytes(_sha256(record).digest())
-                    for client_id, record in row_boxes.items()
-                ),
+            section_boxes, row_boxes, tag = serde.decode(blob_dynamic)
+            if type(section_boxes) is not list or type(row_boxes) is not dict:
+                raise TypeError("not a [sections, rows, tag] layout")
+            section_hashes = [
+                _HASH_FRAME + _sha256(box).digest() for box in section_boxes
+            ]
+            sections_hash = self._hash_sections(
+                _list_header(len(section_hashes)), b"".join(section_hashes)
             )
-        except Exception as exc:  # malformed dynamic framing
+            # rows in canonical order, NOT the stored dict order: the
+            # decoder accepts any, and adopting the host's order would
+            # make our own next seal disagree with its manifest
+            rows = sorted(
+                (serde.encode(client_id), client_id, record)
+                for client_id, record in row_boxes.items()
+            )
+            row_hashes = [
+                enc_id + _HASH_FRAME + _sha256(record).digest()
+                for enc_id, _, record in rows
+            ]
+            manifest = self._build_manifest(
+                static_hash,
+                sections_hash,
+                _dict_header(len(row_hashes)),
+                row_hashes,
+            )
+        except Exception as exc:  # malformed (or pre-section) dynamic framing
             raise AuthenticationFailure(
                 f"stored dynamic section malformed: {exc}"
             ) from exc
@@ -449,9 +591,24 @@ class LcmContext:
         self._communication_key = AeadKey(kc_material, label="kC")
         self._admin_key = AeadKey(ka_material, label="kA")
         self._quorum_override = quorum if quorum else None
-        # manifest verified above: the stream-encrypted state section and
+        # manifest verified above: the stream-encrypted state sections and
         # the per-row REPLY boxes are authentic, so unseal and adopt them
-        self._state = serde.decode(stream_decrypt(state_box, self._state_key))
+        plains = [stream_decrypt(box, self._state_key) for box in section_boxes]
+        if len(plains) == 1 and plains[0].startswith(_WHOLE_STATE_KEY):
+            self._state = serde.decode(plains[0][len(_WHOLE_STATE_KEY) :])
+        else:
+            # ``enc(key) || enc(value)`` runs in canonical order are the
+            # body of the state dict's own encoding
+            self._state = serde.decode(
+                b"".join([_dict_header(len(plains)), *plains])
+            )
+        keys = sorted(map(_encode_key, _entries(self._state)))
+        if len(keys) != len(plains) or not all(
+            map(bytes.startswith, plains, keys)
+        ):
+            raise AuthenticationFailure(
+                "sealed state sections are not in canonical key order"
+            )
         entries: dict[int, ClientEntry] = {}
         try:
             records = {
@@ -471,32 +628,23 @@ class LcmContext:
                 last_result=reply.result,
             )
         self._reset_entries(entries)
-        # The unsealed sections are exactly what the next seal would produce
+        # The unsealed pieces are exactly what the next seal would produce
         # — adopt them so the first post-restore store reuses them verbatim.
         self._key_blob = _frame_bytes(blob_key)
         self._static_blob = _frame_bytes(blob_static)
-        self._static_blob_hash = _frame_bytes(_sha256(blob_static).digest())
-        self._state_seal = (
-            _frame_bytes(state_box),
-            _frame_bytes(_sha256(state_box).digest()),
-        )
-        self._state_seal_obj = self._state
-        # Adopt the rows in canonical order, NOT the stored dict order: the
-        # manifest MAC is order-independent (both sides sort), so a host
-        # could reorder the records; trusting its order would make our own
-        # next seal emit a manifest that no longer matches its rows.
-        adopted = sorted(
-            (serde.encode(client_id), client_id, record)
-            for client_id, record in row_boxes.items()
-        )
-        for enc_id, client_id, record in adopted:
-            self._row_seals[client_id] = (
-                enc_id,
-                enc_id + _frame_bytes(record),
-                enc_id + _frame_bytes(_sha256(record).digest()),
-            )
+        self._static_blob_hash = static_hash
+        for key, box, piece in zip(keys, section_boxes, section_hashes):
+            self._sections.put(key, _frame_bytes(box), piece)
+        self._sealed_state = self._state
+        self._sections_hash = sections_hash
+        if self._audit:
+            self._sealed_values = {
+                key: serde.encode(value)
+                for key, value in _entries(self._state).items()
+            }
+        for (enc_id, _, record), piece in zip(rows, row_hashes):
+            self._row_pieces.put(enc_id, enc_id + _frame_bytes(record), piece)
         self._dirty_rows.clear()
-        self._rebuild_row_arrays()
         if len(self._rows):
             _, self._sequence, self._chain = self._rows.argmax()
         self._provisioned = True
@@ -511,7 +659,6 @@ class LcmContext:
         slot = rows.slot.get(client_id)
         if slot is None:
             rows.insert(client_id, entry)
-            self._rows_unsorted = True  # new row lands out of canonical order
             self._quorum_cache = None
         else:
             acks = rows.acks
@@ -526,18 +673,14 @@ class LcmContext:
     def _store_row_seals(self, pending: dict[int, tuple[int, bytes]]) -> None:
         """Cache the stored form of a batch of V rows from their
         ``(acknowledged, REPLY box)`` pairs, hashing every record in one
-        pass and patching each row's slot of the assembly buffers in
-        place (the O(1)-per-row hot path; only membership-scale events
-        rebuild the buffers)."""
+        pass and patching each row's slot of the piece table."""
         if not pending:
             return
-        row_seals = self._row_seals
-        ids = []
+        enc_ids = []
         blobs = []
         record_views = []
         for client_id, (acknowledged, reply_box) in pending.items():
-            cached = row_seals.get(client_id)
-            enc_id = cached[0] if cached is not None else serde.encode(client_id)
+            enc_id = serde.encode(client_id)
             try:
                 encoded_ack = acknowledged.to_bytes(16, "big", signed=True)
             except OverflowError:
@@ -546,113 +689,134 @@ class LcmContext:
                 ) from None
             # canonical serde bytes of ``[acknowledged, reply_box]``,
             # assembled and framed in one pass (inlined ``B || len ||
-            # value`` framing, pinned by the sealed-blob golden tests;
+            # value`` framing, pinned by the sealed-blob format tests;
             # record length = header 9 + I 17 + B 9 + box)
             blob_piece = (
                 enc_id
-                + b"B"
-                + (35 + len(reply_box)).to_bytes(8, "big")
+                + _bytes_header(35 + len(reply_box))
                 + _TWO_LIST_HEADER
                 + b"I"
                 + encoded_ack
-                + b"B"
-                + len(reply_box).to_bytes(8, "big")
+                + _bytes_header(len(reply_box))
                 + reply_box
             )
-            ids.append((client_id, enc_id))
+            enc_ids.append(enc_id)
             blobs.append(blob_piece)
             # hash the record bytes straight out of the assembled piece
             record_views.append(memoryview(blob_piece)[len(enc_id) + 9 :])
-        digests = secure_hash_many(record_views)
-        row_index = self._row_index
-        blob_pieces = self._row_blob_pieces
-        manifest_pieces = self._row_manifest_pieces
-        discard = self._dirty_rows.discard
-        unsorted = self._rows_unsorted
-        for (client_id, enc_id), blob_piece, digest in zip(ids, blobs, digests):
-            manifest_piece = enc_id + _HASH_FRAME + digest
-            row_seals[client_id] = (enc_id, blob_piece, manifest_piece)
-            if not unsorted:
-                slot = row_index.get(client_id)
-                if slot is None:
-                    unsorted = self._rows_unsorted = True
-                else:
-                    blob_pieces[slot] = blob_piece
-                    manifest_pieces[slot] = manifest_piece
-            discard(client_id)
-
-    def _rebuild_row_arrays(self) -> None:
-        """Re-derive the canonical row layout (sorted by encoded id) after
-        a membership-scale event: provision, join/leave, restore,
-        migration import, kC rotation."""
-        items = sorted(self._row_seals.items(), key=lambda item: item[1][0])
-        self._row_seals = dict(items)
-        self._row_index = {
-            client_id: slot for slot, (client_id, _) in enumerate(items)
-        }
-        self._row_blob_pieces = [row[1] for _, row in items]
-        self._row_manifest_pieces = [row[2] for _, row in items]
-        self._rows_unsorted = False
+        put = self._row_pieces.put
+        for enc_id, blob_piece, digest in zip(
+            enc_ids, blobs, secure_hash_many(record_views)
+        ):
+            put(enc_id, blob_piece, enc_id + _HASH_FRAME + digest)
+        self._dirty_rows.difference_update(pending)
 
     def _reset_entries(self, entries: dict[int, ClientEntry]) -> None:
         """Replace V wholesale (provision / restore / migration import)."""
         self._rows.replace(entries)
         self._quorum_cache = None
-        self._row_seals = {}
+        self._row_pieces.clear()
         self._dirty_rows = set(entries)
-        self._rows_unsorted = True
 
     def _remove_entry(self, client_id: int) -> None:
         self._rows.remove(client_id)
         self._quorum_cache = None
-        self._row_seals.pop(client_id, None)
+        self._row_pieces.discard(serde.encode(client_id))
         self._dirty_rows.discard(client_id)
-        self._rows_unsorted = True  # slot layout changed
 
     def _invalidate_seal_caches(self) -> None:
         """Drop every cached box (the keys they were sealed under changed)."""
         self._key_blob = None
         self._static_blob = None
         self._static_blob_hash = None
-        self._state_seal = None
-        self._state_seal_obj = None
-        self._row_seals = {}
+        self._sections.clear()
+        self._sealed_state = {}
+        self._sections_hash = None
+        self._sealed_values = {}
+        self._row_pieces.clear()
         self._dirty_rows = set(self._rows.client_ids())
-        self._rows_unsorted = True
-        self._row_index = {}
-        self._row_blob_pieces = []
-        self._row_manifest_pieces = []
 
     # ----------------------------------------------------------------- sealing
 
-    def _refresh_dynamic_seals(self) -> None:
-        """Reseal exactly the dynamic sections that changed since last seal."""
+    def _refresh_sections(self) -> None:
+        """Bring the state sections up to date with ``self._state``:
+        reseal exactly the top-level entries whose value object changed
+        since the last seal and drop those that left.  Outside audit mode
+        the caller skips the call when the state object did not change."""
         state = self._state
-        if self._state_seal is None or state is not self._state_seal_obj:
-            encoded_state = serde.encode(state)
-            box = stream_encrypt(
-                encoded_state, self._state_key, nonce=self._next_nonce()
+        audit = self._audit
+        entries = _entries(state)
+        sealed_values = self._sealed_values
+        if state is not self._sealed_state:
+            sections = self._sections
+            sealed = _entries(self._sealed_state)
+            sealed_get = sealed.get
+            dirty = [
+                key
+                for key, value in entries.items()
+                if sealed_get(key, _ABSENT) is not value
+            ]
+            # len(sealed) + entered - left == len(entries), so the keys
+            # that left are only looked for when the sizes say some did
+            entered = len(dirty) - sum(map(sealed.__contains__, dirty))
+            left = (
+                sealed.keys() - entries.keys()
+                if len(sealed) + entered != len(entries)
+                else ()
             )
-            self._state_seal = (
-                _frame_bytes(box),
-                _frame_bytes(_sha256(box).digest()),
+            for key in left:
+                sections.discard(_encode_key(key))
+                sealed_values.pop(key, None)
+            for twin in (False, True):
+                if twin in entries and twin in sealed:
+                    # False/0 and True/1 are one dict key but two
+                    # encodings, and value identity cannot tell which of
+                    # the two a state holds now: such an entry is
+                    # resealed on every pass, its old section dropped
+                    # under either encoding
+                    sections.discard(serde.encode(twin))
+                    sections.discard(serde.encode(int(twin)))
+                    key = next(key for key in entries if key == twin)
+                    if key not in dirty:
+                        dirty.append(key)
+            if dirty or left:
+                self._sections_hash = None
+            kp = self._state_key
+            # fresh nonces are drawn in canonical section order, so the
+            # sealed bytes do not depend on the state's dict order
+            for enc_key, key in sorted((_encode_key(key), key) for key in dirty):
+                enc_value = serde.encode(entries[key])
+                box = stream_encrypt(
+                    enc_key + enc_value, kp, nonce=self._next_nonce()
+                )
+                sections.put(
+                    enc_key, _frame_bytes(box), _HASH_FRAME + _sha256(box).digest()
+                )
+                if audit:
+                    sealed_values[key] = enc_value
+            self._sealed_state = state
+        if audit and any(
+            map(
+                operator.ne,
+                map(serde.encode, entries.values()),
+                map(sealed_values.get, entries),
             )
-            self._state_seal_obj = state
-            if self._audit:
-                self._state_enc_audit = encoded_state
-        elif (
-            self._audit
-            and self._state_enc_audit is not None  # restore adopts no audit copy
-            and serde.encode(state) != self._state_enc_audit
         ):
-            # The object-identity cache assumes Functionality.apply never
-            # mutates state in place (its documented contract).  Audit mode
-            # pays for a re-encode to catch violations loudly instead of
-            # sealing stale state that a restore would silently resurrect.
+            # The identity diff assumes Functionality.apply never mutates
+            # a top-level value in place (its documented contract).  Audit
+            # mode pays for re-encoding every entry to catch violations
+            # loudly instead of keeping a stale section that a restore
+            # would silently resurrect: each value must still encode to
+            # the bytes its section was sealed from.
             raise ConfigurationError(
                 "functionality mutated the service state in place; "
-                "the sealed state would go stale (see Functionality.apply)"
+                "a sealed section would go stale (see Functionality.apply)"
             )
+
+    def _refresh_dynamic_seals(self) -> None:
+        """Reseal exactly the dynamic pieces that changed since last seal."""
+        if self._state is not self._sealed_state or self._audit:
+            self._refresh_sections()
         if self._dirty_rows:
             # rows dirtied outside the invoke path (provision, membership
             # change, kC rotation, migration import) get a synthesized
@@ -672,61 +836,81 @@ class LcmContext:
                 ).seal(kc, nonce=self._next_nonce())
                 pending[client_id] = (entry.acknowledged, box)
             self._store_row_seals(pending)  # clears their dirty marks
-        if self._rows_unsorted:
-            self._rebuild_row_arrays()
+
+    @staticmethod
+    def _hash_sections(header: bytes, framed_hashes: bytes) -> bytes:
+        """Framed SHA-256 over the serde bytes of the ordered list of
+        section hashes (its list ``header``, then one framed hash per
+        section): the one manifest input that binds every section and
+        their order, and that only a seal which changed a section
+        recomputes."""
+        digest = _sha256(header)
+        digest.update(framed_hashes)
+        return _frame_bytes(digest.digest())
 
     @staticmethod
     def _build_manifest(
         framed_static_hash: bytes,
-        framed_state_hash: bytes,
-        pieces: list[bytes],
+        framed_sections_hash: bytes,
+        rows_header: bytes,
+        row_hashes: list[bytes],
     ) -> bytes:
-        """Serde bytes of ``[static_blob_hash, state_box_hash,
+        """Serde bytes of ``[static_blob_hash, sections_hash,
         {client_id: row_record_hash}]``.
 
         The static-config hash binds the dynamic layer to the exact static
         section it was sealed next to (a kC rotation changes both, and the
         manifest stops a host from pairing a retired static blob with a
-        newer dynamic layer).  ``pieces`` holds ``enc_id || framed hash``
-        chunks sorted by encoded id; seal and restore must build identical
+        newer dynamic layer).  ``row_hashes`` holds the ``enc_id || framed
+        hash`` chunks in encoded-id order behind ``rows_header``, the dict
+        framing for their count; seal and restore must build identical
         bytes.
         """
-        parts = [
-            _THREE_LIST_HEADER,
-            framed_static_hash,
-            framed_state_hash,
-            _dict_header(len(pieces)),
-        ]
-        parts += pieces  # C-level extend: no per-row Python iteration
-        return b"".join(parts)
+        return b"".join(
+            [
+                _THREE_LIST_HEADER,
+                framed_static_hash,
+                framed_sections_hash,
+                rows_header,
+                *row_hashes,
+            ]
+        )
 
-    def _dynamic_blob(self) -> bytes:
-        """Assemble ``serde([state_box, {id: row_record}, manifest_tag])``
-        from the cached section pieces, resealing only what changed.
+    def _dynamic_parts(self) -> list[bytes]:
+        """The pieces of ``serde([[section, ...], {id: row_record},
+        manifest_tag])``, resealing only what changed.
 
         Only called from :meth:`_sealed_blob`, which guarantees the static
         blob (and its hash) exist first.
         """
         self._refresh_dynamic_seals()
-        framed_state_box, framed_state_hash = self._state_seal
-        # the assembly buffers are already canonical: the per-invoke path
-        # patched only the changed row's slot, so no re-sort or per-row
-        # re-join happens here — just two C-level joins over cached pieces
+        sections = self._sections
+        rows = self._row_pieces
+        if self._sections_hash is None:
+            self._sections_hash = self._hash_sections(
+                sections.header, sections.manifest
+            )
+        # both tables are in canonical order already: the seal patched
+        # only the changed slots, so nothing is re-sorted here and no
+        # section is visited
         manifest = self._build_manifest(
-            self._static_blob_hash, framed_state_hash, self._row_manifest_pieces
+            self._static_blob_hash,
+            self._sections_hash,
+            rows.header,
+            rows.manifest,
         )
         tag = mac_tag(manifest, self._state_key, associated_data=_MANIFEST_AD)
-        parts = [
+        return [
             _THREE_LIST_HEADER,
-            framed_state_box,
-            _dict_header(len(self._row_blob_pieces)),
+            sections.header,
+            sections.blob,
+            rows.header,
+            *rows.blob,
+            _frame_bytes(tag),
         ]
-        parts += self._row_blob_pieces
-        parts.append(_frame_bytes(tag))
-        return b"".join(parts)
 
     def _sealed_blob(self) -> bytes:
-        """Seal the mutable sections that changed; reuse the cached static
+        """Seal the mutable pieces that changed; reuse the cached static
         config and kP-under-kS boxes unless they were invalidated."""
         if self._key_blob is None:
             self._key_blob = _frame_bytes(
@@ -753,12 +937,15 @@ class LcmContext:
             )
             self._static_blob = _frame_bytes(box)
             self._static_blob_hash = _frame_bytes(_sha256(box).digest())
+        dynamic = self._dynamic_parts()
+        # one join for the whole blob: the cached pieces are copied once
         return b"".join(
             [
                 _THREE_LIST_HEADER,
                 self._key_blob,
                 self._static_blob,
-                _frame_bytes(self._dynamic_blob()),
+                _bytes_header(sum(map(len, dynamic))),
+                *dynamic,
             ]
         )
 
@@ -1043,30 +1230,16 @@ class LcmContext:
             # pass B already built each executed row's sealed-blob pieces;
             # all that is left is slot bookkeeping (a later reply to the
             # same client overwrites, exactly like _store_row_seals)
-            row_seals = self._row_seals
-            row_index = self._row_index
-            blob_pieces = self._row_blob_pieces
-            manifest_pieces = self._row_manifest_pieces
+            put = self._row_pieces.put
             discard = self._dirty_rows.discard
-            unsorted = self._rows_unsorted
             for index in range(total):
                 base = 10 * index
                 if meta[base] != 0:
                     continue
-                client_id = meta[base + 2]
-                blob_piece = row_blobs[index]
                 manifest_piece = row_manifests[index]
-                row_seals[client_id] = (
-                    manifest_piece[:17], blob_piece, manifest_piece
-                )
-                if not unsorted:
-                    slot = row_index.get(client_id)
-                    if slot is None:
-                        unsorted = self._rows_unsorted = True
-                    else:
-                        blob_pieces[slot] = blob_piece
-                        manifest_pieces[slot] = manifest_piece
-                discard(client_id)
+                # a manifest piece opens with the 17-byte encoded id
+                put(manifest_piece[:17], row_blobs[index], manifest_piece)
+                discard(meta[base + 2])
         if timed:
             stamps.append(_perf_counter())
         return boxes
@@ -1207,10 +1380,7 @@ class LcmContext:
         """
         cached_op = _OP_DECODE_CACHE.get(operation_bytes)  # inlined hit path
         if cached_op is not None:
-            try:
-                _OP_DECODE_CACHE.move_to_end(operation_bytes)
-            except KeyError:  # evicted concurrently by a worker thread
-                pass
+            _OP_DECODE_CACHE.move_to_end(operation_bytes)
             operation = cached_op.copy()
         else:
             operation = _decode_operation(operation_bytes)
@@ -1231,10 +1401,7 @@ class LcmContext:
                     _RESULT_ENCODE_CACHE.popitem(last=False)
                 _RESULT_ENCODE_CACHE[result] = result_bytes
             else:
-                try:
-                    _RESULT_ENCODE_CACHE.move_to_end(result)
-                except KeyError:  # evicted concurrently by a worker thread
-                    pass
+                _RESULT_ENCODE_CACHE.move_to_end(result)
         else:
             result_bytes = serde.encode(result)
         # The dirty mark stays load-bearing: if a later operation in this

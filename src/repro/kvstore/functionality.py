@@ -260,15 +260,36 @@ class Functionality(Protocol):
     def apply(self, state: Any, operation: Operation) -> tuple[Any, Any]:
         """``exec_F``: return ``(result, next_state)``.
 
-        Implementations must not mutate ``state`` in place — the trusted
-        context relies on value semantics when it seals snapshots.  In
-        particular, the per-operation seal caches the encrypted state
-        section by object identity: returning the same object after an
-        in-place mutation persists the *pre-mutation* state, which a later
-        restore silently resurrects.  Audit mode (``audit=True``) detects
-        such violations and raises; production mode trusts this contract
-        for speed.  Read-modify-write operations must copy
-        (``next_state = dict(state)``), as the bundled functionalities do.
+        Implementations must not mutate ``state``, or anything reachable
+        from it, in place — the trusted context relies on value semantics
+        when it seals snapshots, and the contract is *per top-level
+        entry*.  A ``dict`` state is sealed as one encrypted section per
+        key, and a seal re-encrypts exactly the entries whose value object
+        differs (``is not``) from the one last sealed under that key, plus
+        the keys that appeared or vanished; any other state is a single
+        section, resealed when the state object differs.  Hence:
+
+        - an operation that changes nothing returns the same ``state``
+          object (reads then cost no reseal at all);
+        - an operation that changes the value under a key binds a *new*
+          value object under that key in a *new* top-level dict
+          (``next_state = dict(state); next_state[key] = value``).  A
+          shallow copy of the top level is all it takes: untouched
+          entries keep their value objects, and with them their sealed
+          sections;
+        - a nested value is copied on write as well (``inner =
+          dict(state[key]); inner[sub] = value; next_state[key] =
+          inner``).  Mutating it in place (``state[key][sub] = value``,
+          ``state[key].append(item)``) — even through a fresh shallow
+          copy of the top level — leaves that key's section holding the
+          *pre-mutation* value, which a later restore silently
+          resurrects.
+
+        Audit mode (``audit=True``) re-encodes every entry at each seal
+        and raises :class:`~repro.errors.ConfigurationError` on any such
+        violation; production mode trusts this contract for speed.  The
+        bundled functionalities follow it, transaction bookkeeping
+        included.
         """
         ...
 

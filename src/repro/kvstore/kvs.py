@@ -65,9 +65,10 @@ _TXN_RESERVED_PREFIX = "__LCM_TXN_"
 #: The window only needs to cover decisions a coordinator may still
 #: (re-)send — bounded by its in-flight set, since the durable decision
 #: log stops re-driving once the finish record lands.  Retention beyond
-#: that just bloats every sealed state re-encryption: at 256 entries the
-#: decided map dominated the steady-state seal (~8 KB re-encrypted per
-#: operation); 64 keeps a comfortable multiple of any realistic pipeline
+#: that only costs: the decided map is one top-level entry of the sealed
+#: state, so every decision (not every operation — the seal is per
+#: entry) re-encrypts the whole map.  At 256 entries that is ~8 KB per
+#: decision; 64 keeps a comfortable multiple of any realistic pipeline
 #: depth at a quarter of the footprint.
 _TXN_DECIDED_MAX = 64
 

@@ -114,12 +114,16 @@ class CostModel:
         )
     )
 
-    # --- sealed-store geometry.  StableStorage persists consecutive sealed
-    # blobs as prefix deltas (key/static boxes change only on membership or
-    # key events), so a steady-state per-op store writes the changed V row
-    # — a REPLY box carrying the object — plus the manifest reseal, not the
-    # whole blob.  The disk charge uses the delta size; the full size is
-    # kept for cold stores and diagnostics.
+    # --- sealed-store geometry.  The sealed blob is the key box, the static
+    # box, one state section per top-level entry (canonical key order), the
+    # V rows and the manifest tag, and StableStorage persists consecutive
+    # blobs as prefix deltas: a store writes from the first piece that
+    # changed to the end.  A read leaves every section in the shared
+    # prefix and writes the changed V row — a REPLY box carrying the
+    # object — plus the manifest tag; a write starts at the one section
+    # it resealed.  The disk charge models that changed-piece delta (the
+    # unchanged pieces behind it are sequential bytes at disk bandwidth,
+    # not modelled); the full size is kept for cold stores and diagnostics.
     sealed_blob_base: int = 256   # full blob: key/static/state boxes + framing
     sealed_delta_base: int = 96   # per-op delta: changed row + manifest tag
 

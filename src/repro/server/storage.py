@@ -27,47 +27,38 @@ from dataclasses import dataclass
 
 from repro.errors import StorageError
 
-try:  # vectorised first-mismatch scan; the image bakes numpy in
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
 #: Every Nth version is stored in full, bounding delta-chain reconstruction.
 SNAPSHOT_INTERVAL = 64
+
+#: Largest scan step of :func:`_common_prefix_length`.  Slices this size
+#: stay under malloc's mmap threshold, so the temporaries recycle heap
+#: memory; a blob-sized temporary faults in fresh pages on every store,
+#: which on a 340 KiB blob costs several times the comparison itself.
+_SCAN_CHUNK = 1 << 16
 
 
 def _common_prefix_length(a: bytes, b: bytes) -> int:
     """Length of the longest common prefix of two byte strings."""
     n = min(len(a), len(b))
-    if 0 < n <= 1024:
-        # below ~1 KiB a single big-int XOR beats the numpy pass (no
-        # array-object setup); the top set bit locates the first mismatch
-        xor = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
-        if xor == 0:
-            return n
-        return n - ((xor.bit_length() + 7) >> 3)
-    if _np is not None and n > 64:
-        # one vectorised pass, no slice copies (frombuffer is zero-copy);
-        # consecutive sealed blobs usually differ, so the eager equality
-        # slice-compare below would copy both strings just to fail
-        mismatch = (
-            _np.frombuffer(a, dtype=_np.uint8, count=n)
-            != _np.frombuffer(b, dtype=_np.uint8, count=n)
-        )
-        first = int(mismatch.argmax())
-        if first == 0 and not mismatch[0]:
-            return n  # argmax of all-False is 0: fully shared prefix
-        return first
-    if a[:n] == b[:n]:
+    lo = 0
+    step = 4096
+    while lo < n:  # gallop over chunks that compare equal: one memcmp each
+        hi = min(lo + step, n)
+        if a[lo:hi] != b[lo:hi]:
+            break
+        lo = hi
+        step = min(2 * step, _SCAN_CHUNK)
+    else:
         return n
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
+    while hi - lo > 128:  # the first mismatch lies in [lo, hi): bisect
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
             lo = mid
         else:
-            hi = mid - 1
-    return lo
+            hi = mid
+    # one big-int XOR; its top set bit locates the first mismatch
+    xor = int.from_bytes(a[lo:hi], "big") ^ int.from_bytes(b[lo:hi], "big")
+    return hi - ((xor.bit_length() + 7) >> 3)
 
 
 @dataclass(frozen=True)

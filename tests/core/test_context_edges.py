@@ -6,6 +6,7 @@ from repro import serde
 from repro.core.context import NOP_OPERATION
 from repro.core.membership import add_client, remove_client
 from repro.core.messages import InvokePayload, ReplyPayload
+from repro.errors import ConfigurationError
 from repro.kvstore import get, put
 
 from tests.conftest import build_deployment
@@ -339,3 +340,79 @@ class TestSequencePersistence:
             chain_before, serde.encode(["GET", "k"]), 3, 1
         )
         assert alice.last_chain == expected
+
+
+class _InPlaceKvs:
+    """Misbehaving ``F``: PUT mutates the state in place and hands the
+    same object back, against the :meth:`Functionality.apply` contract."""
+
+    def initial_state(self):
+        return {}
+
+    def apply(self, state, operation):
+        verb, key, *rest = operation
+        if verb == "PUT":
+            state[key] = rest[0]
+        return state.get(key), state
+
+
+class _NestedInPlaceKvs:
+    """Misbehaving ``F``: APPEND copies the top level — so the state
+    object *is* new — but grows the list under ``key`` in place.  A
+    whole-state reseal never noticed; a per-entry identity diff sees the
+    same value object and keeps its stale section."""
+
+    def initial_state(self):
+        return {}
+
+    def apply(self, state, operation):
+        verb, key, *rest = operation
+        if verb == "PUT":
+            next_state = dict(state)
+            next_state[key] = [rest[0]]
+            return None, next_state
+        if verb == "APPEND":
+            next_state = dict(state)
+            next_state[key].append(rest[0])
+            return len(next_state[key]), next_state
+        return state.get(key), state
+
+
+class TestInPlaceMutationGuard:
+    """The audit-mode guard of the per-entry seal: every section the
+    identity diff leaves alone must still hold what it was sealed from."""
+
+    def test_same_object_mutation_raises_in_audit_mode(self):
+        _, _, (alice, *_) = build_deployment(functionality=_InPlaceKvs, audit=True)
+        with pytest.raises(ConfigurationError, match="mutated the service state"):
+            alice.invoke(("PUT", "k", "v"))
+
+    def test_nested_mutation_behind_a_shallow_copy_raises_in_audit_mode(self):
+        _, _, (alice, *_) = build_deployment(
+            functionality=_NestedInPlaceKvs, audit=True
+        )
+        alice.invoke(("PUT", "k", "a"))
+        alice.invoke(("PUT", "other", "b"))
+        assert alice.invoke(("GET", "k")).result == ["a"]
+        with pytest.raises(ConfigurationError, match="mutated the service state"):
+            alice.invoke(("APPEND", "k", "b"))
+
+    def test_guard_also_covers_a_restored_state(self):
+        """Restore adopts the stored sections; what they were sealed from
+        is known from the first seal of the new epoch on."""
+        host, _, (alice, *_) = build_deployment(
+            functionality=_NestedInPlaceKvs, audit=True
+        )
+        alice.invoke(("PUT", "k", "a"))
+        host.reboot()
+        with pytest.raises(ConfigurationError, match="mutated the service state"):
+            alice.invoke(("APPEND", "k", "b"))
+
+    def test_production_mode_trusts_the_contract(self):
+        """Without audit the violation goes unnoticed and the stale
+        section is what a restart resurrects — the documented hazard."""
+        host, _, (alice, *_) = build_deployment(functionality=_NestedInPlaceKvs)
+        alice.invoke(("PUT", "k", "a"))
+        assert alice.invoke(("APPEND", "k", "b")).result == 2
+        host.reboot()
+        assert alice.invoke(("GET", "k")).result == ["a"]

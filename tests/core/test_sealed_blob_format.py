@@ -1,21 +1,25 @@
 """The split sealed-blob layout: restore, tamper evidence, splice evidence.
 
 The stored blob is ``serde([key_blob, static_blob, dynamic_blob])`` with
-the dynamic layer sealed incrementally per section (see the
-:mod:`repro.core.context` module docstring).  These tests prove the
-format change keeps the paper's guarantees: a context restores faithfully
-across epoch restarts, key rotation and migration, and any bit of
-tampering — including splicing *authentic* sections from different
-versions — is detected at restore time.
+the dynamic layer sealed incrementally — one stream-encrypted section per
+top-level entry of the service state, one record per V row, bound by one
+manifest tag (see the :mod:`repro.core.context` module docstring).  These
+tests prove the format keeps the paper's guarantees: a context restores
+faithfully across epoch restarts, key rotation and migration, a write
+reseals only what it dirtied, and any bit of tampering — including
+splicing, reordering, dropping or duplicating *authentic* pieces from
+different versions — is detected at restore time.
 """
 
 import pytest
 
 from repro import serde
+from repro.crypto.aead import NONCE_SIZE
 from repro.crypto.attestation import EpidGroup
 from repro.core import Admin, make_lcm_program_factory, migrate
 from repro.errors import AuthenticationFailure
-from repro.kvstore import KvsFunctionality, delete, get, put
+from repro.kvstore import CounterFunctionality, KvsFunctionality, delete, get, put
+from repro.kvstore.functionality import txn_commit, txn_prepare
 from repro.server import ServerHost
 from repro.tee import TeePlatform
 
@@ -28,8 +32,29 @@ def _sections(blob: bytes):
 
 
 def _dynamic_sections(dynamic_blob: bytes):
-    """Decode a dynamic layer into (state_box, row_records, manifest_tag)."""
+    """Decode a dynamic layer into (state_sections, row_records,
+    manifest_tag); the state sections are a list of boxes in canonical
+    key order."""
     return serde.decode(dynamic_blob)
+
+
+def _stored_dynamic(storage, index: int = -1):
+    """The decoded dynamic layer of one stored version (default: latest)."""
+    if index < 0:
+        index += storage.version_count()
+    return _dynamic_sections(_sections(storage.load_version(index))[2])
+
+
+def _with_dynamic(blob: bytes, state_sections, rows, tag) -> bytes:
+    """``blob`` with its dynamic layer replaced by the given pieces."""
+    key_blob, static_blob, _ = _sections(blob)
+    return serde.encode(
+        [key_blob, static_blob, serde.encode([state_sections, rows, tag])]
+    )
+
+
+def _service_state(host):
+    return host.enclave._program._state
 
 
 class TestRestoreAcrossEpochs:
@@ -69,22 +94,50 @@ class TestRestoreAcrossEpochs:
         assert storage.physical_bytes() < storage.total_bytes()
 
     def test_unchanged_state_section_is_reused_for_reads(self):
-        """A read-only operation reseals its V row but not the service
-        state section."""
+        """A read-only operation reseals its V row but no state section."""
         host, _, (alice, *_) = build_deployment()
-        alice.invoke(put("k", "v"))
-        alice.invoke(get("k"))
-        alice.invoke(get("k"))
-        storage = host.storage
-        prev = _dynamic_sections(
-            _sections(storage.load_version(storage.version_count() - 2))[2]
-        )
-        last = _dynamic_sections(
-            _sections(storage.load_version(storage.version_count() - 1))[2]
-        )
-        assert prev[0] == last[0]  # state box reused
+        for key in ("a", "b", "c"):
+            alice.invoke(put(key, "v"))
+        alice.invoke(get("b"))
+        alice.invoke(get("missing"))
+        prev = _stored_dynamic(host.storage, -2)
+        last = _stored_dynamic(host.storage, -1)
+        assert len(last[0]) == 3
+        assert prev[0] == last[0]  # every section box reused byte-for-byte
         assert prev[1] != last[1]  # the reader's row changed
         assert prev[2] != last[2]  # manifest tag follows the row
+
+    def test_one_put_reseals_exactly_one_section(self):
+        """Between consecutive versions a PUT changes one state section,
+        the writer's V row and the manifest tag — nothing else."""
+        host, _, (alice, bob, _) = build_deployment()
+        for key in ("a", "b", "c", "d"):
+            alice.invoke(put(key, "v"))
+        bob.invoke(put("c", "w"))
+        prev_sections, prev_rows, prev_tag = _stored_dynamic(host.storage, -2)
+        sections, rows, tag = _stored_dynamic(host.storage, -1)
+        changed = [
+            slot for slot in range(4) if prev_sections[slot] != sections[slot]
+        ]
+        assert changed == [2]  # "c": third in canonical key order
+        assert [cid for cid in rows if rows[cid] != prev_rows[cid]] == [
+            bob.client_id
+        ]
+        assert tag != prev_tag
+
+    def test_resealed_sections_never_reuse_a_nonce(self):
+        """Every distinct section box ever stored carries its own nonce:
+        no (key, nonce) pair covers two plaintexts."""
+        host, _, (alice, bob, _) = build_deployment()
+        for round_ in range(6):
+            alice.invoke(put("hot", f"v{round_}"))
+            bob.invoke(put(f"k{round_ % 2}", f"w{round_}"))
+            alice.invoke(delete("k0"))
+        boxes = set()
+        for index in range(host.storage.version_count()):
+            boxes.update(_stored_dynamic(host.storage, index)[0])
+        nonces = {box[:NONCE_SIZE] for box in boxes}
+        assert len(nonces) == len(boxes) == 12  # one per PUT, none per DEL
 
     def test_restore_after_membership_change_and_kc_rotation(self):
         """kC rotation forces every stored row to reseal under the new key;
@@ -100,13 +153,121 @@ class TestRestoreAcrossEpochs:
         assert bob.invoke(get("k")).result == "v"
 
 
+class TestRestoreRoundTrips:
+    """Restored state equals the live state for every shape the service
+    state takes."""
+
+    def _assert_round_trip(self, host):
+        before = _service_state(host)
+        host.reboot()
+        after = _service_state(host)
+        assert after == before
+        assert serde.encode(after) == serde.encode(before)
+
+    def test_empty_state(self):
+        host, _, (alice, *_) = build_deployment()
+        assert _stored_dynamic(host.storage)[0] == []  # no entries, no sections
+        self._assert_round_trip(host)
+        assert alice.invoke(get("k")).result is None
+
+    def test_after_delete(self):
+        host, _, (alice, *_) = build_deployment()
+        for key in ("a", "b", "c"):
+            alice.invoke(put(key, "v"))
+        alice.invoke(delete("b"))
+        assert len(_stored_dynamic(host.storage)[0]) == 2
+        self._assert_round_trip(host)
+        assert alice.invoke(get("b")).result is None
+        assert alice.invoke(get("c")).result == "v"
+
+    def test_with_transaction_bookkeeping_present(self):
+        """The reserved ``__LCM_TXN_*`` entries (nested dicts and lists)
+        are top-level entries like any other."""
+        host, _, (alice, bob, _) = build_deployment()
+        alice.invoke(put("a", "1"))
+        alice.invoke(txn_prepare("t1", [put("a", "2"), get("b")]))
+        state = _service_state(host)
+        assert any(str(key).startswith("__LCM_TXN_") for key in state)
+        self._assert_round_trip(host)
+        # the restored lock table still guards the key, and the decision
+        # still finds its prepare
+        assert bob.invoke(get("a")).result[0] == "__LCM_TXN_LOCKED__"
+        alice.invoke(txn_commit("t1"))
+        self._assert_round_trip(host)
+        assert bob.invoke(get("a")).result == "2"
+
+    def test_after_handoff_export_and_import(self):
+        from repro.core.migration import migrate_keys
+        from repro.crypto.hashing import RING_SPAN
+
+        group = EpidGroup()
+        host_a, _, (alice, *_) = build_deployment(
+            epid_group=group, platform=TeePlatform(group, seed=91)
+        )
+        host_b, _, (bella, *_) = build_deployment(
+            epid_group=group, platform=TeePlatform(group, seed=92)
+        )
+        for i in range(24):
+            alice.invoke(put(f"user{i:04d}", f"v{i}"))
+        bella.invoke(put("resident", "r"))
+        moved = migrate_keys(
+            host_a, host_b, group.verifier(), [[0, RING_SPAN // 2]]
+        )
+        assert 0 < moved < 24
+        assert len(_stored_dynamic(host_a.storage)[0]) == 24 - moved
+        assert len(_stored_dynamic(host_b.storage)[0]) == 1 + moved
+        self._assert_round_trip(host_a)
+        self._assert_round_trip(host_b)
+
+    def test_counter_state_is_one_section(self):
+        """A state that is not a dict is sealed whole, as a single section
+        through the same code path."""
+        host, _, (alice, *_) = build_deployment(functionality=CounterFunctionality)
+        assert len(_stored_dynamic(host.storage)[0]) == 1
+        alice.invoke(("ADD", 41))
+        alice.invoke(("INC",))
+        before = _stored_dynamic(host.storage)
+        alice.invoke(("READ",))
+        after = _stored_dynamic(host.storage)
+        assert len(after[0]) == 1 and before[0] == after[0]  # read: reused
+        self._assert_round_trip(host)
+        assert alice.invoke(("READ",)).result == 42
+
+    def test_bool_and_int_keys_do_not_alias(self):
+        """``1`` and ``True`` are one dict key but two encodings; value
+        identity cannot tell them apart, so the seal must not keep the
+        section of the one after the state switched to the other."""
+        value = "same object throughout"
+        states = [{}, {1: value, "k": "v"}, {True: value, "k": "v"}, {1: value}]
+
+        class Scripted:
+            def initial_state(self):
+                return states[0]
+
+            def apply(self, state, operation):
+                return None, states[operation[1]]
+
+        for steps in ((1, 2), (1, 2, 3), (1, 2, 3, 2)):
+            host, _, (alice, *_) = build_deployment(
+                functionality=Scripted, audit=True
+            )
+            for step in steps:  # no restart in between: identities persist
+                alice.invoke(("STEP", step))
+            assert len(_stored_dynamic(host.storage)[0]) == len(states[steps[-1]])
+            live = serde.encode(_service_state(host))
+            host.reboot()
+            assert serde.encode(_service_state(host)) == live
+
+
 class TestTamperEvidence:
     def test_any_flipped_byte_is_rejected_at_restore(self):
         """Sample byte positions across the whole blob (key blob, static
-        blob, state box, row records including the plaintext acknowledged
-        markers, manifest tag): every flip must fail authentication."""
+        blob, state sections and their framing, row records including the
+        plaintext acknowledged markers, manifest tag): every flip must
+        fail authentication."""
         host, _, (alice, *_) = build_deployment()
         alice.invoke(put("k", "v" * 50))
+        alice.invoke(put("k2", "w" * 30))
         alice.invoke(get("k"))
         good = host.storage.load()
         for offset in range(0, len(good), 23):
@@ -128,52 +289,120 @@ class TestTamperEvidence:
         with pytest.raises(AuthenticationFailure):
             host.reboot()
 
+    def test_old_layout_and_malformed_dynamic_blobs_rejected(self):
+        """A dynamic layer of any other shape — the former single state
+        box included — is an authentication failure, never an unhandled
+        decode error."""
+        host, _, (alice, *_) = build_deployment()
+        alice.invoke(put("k", "v"))
+        good = host.storage.load()
+        sections, rows, tag = _stored_dynamic(host.storage)
+        key_blob, static_blob, _ = _sections(good)
+        malformed = [
+            serde.encode([b"".join(sections), rows, tag]),  # one state box
+            serde.encode([sections, list(rows.values()), tag]),
+            serde.encode([[1, 2], rows, tag]),
+            serde.encode([[sections], rows, tag]),
+            serde.encode([sections, {cid: 7 for cid in rows}, tag]),
+            serde.encode([sections, rows, "tag"]),
+            serde.encode([sections, rows]),
+            serde.encode({"sections": sections}),
+            b"not serde at all",
+            b"",
+        ]
+        for dynamic_blob in malformed:
+            host.storage.store(serde.encode([key_blob, static_blob, dynamic_blob]))
+            with pytest.raises(AuthenticationFailure):
+                host.reboot()
+        host.storage.store(good)
+        host.reboot()
+        assert alice.invoke(get("k")).result == "v"
+
 
 class TestSpliceEvidence:
-    """Mix-and-match of *authentic* sections from different versions —
+    """Mix-and-match of *authentic* pieces from different versions —
     the attack the manifest tag exists to stop."""
 
     def _two_versions(self):
         host, _, (alice, *_) = build_deployment()
-        alice.invoke(put("k", "old"))
-        alice.invoke(get("k"))
+        for key in ("a", "b", "c"):
+            alice.invoke(put(key, "old"))
+        alice.invoke(get("b"))
         earlier = host.storage.load()
-        alice.invoke(put("k", "new"))
-        alice.invoke(get("k"))
+        alice.invoke(put("b", "new"))
+        alice.invoke(get("b"))
         later = host.storage.load()
         return host, earlier, later
+
+    def _assert_rejected(self, host, blob):
+        host.storage.store(blob)
+        with pytest.raises(AuthenticationFailure, match="manifest"):
+            host.reboot()
 
     def test_spliced_state_section_rejected(self):
         """Service state from version N, V rows from version M: the
         classic stale-read rollback a monolithic seal would also stop."""
         host, earlier, later = self._two_versions()
-        key_blob, static_blob, dyn_later = _sections(later)
-        old_state_box = _dynamic_sections(_sections(earlier)[2])[0]
-        _, rows, tag = _dynamic_sections(dyn_later)
-        hybrid = serde.encode(
-            [key_blob, static_blob, serde.encode([old_state_box, rows, tag])]
+        old_sections = _dynamic_sections(_sections(earlier)[2])[0]
+        _, rows, tag = _dynamic_sections(_sections(later)[2])
+        self._assert_rejected(host, _with_dynamic(later, old_sections, rows, tag))
+
+    def test_one_stale_section_rejected(self):
+        """One key's own older (authentic) section spliced into a newer
+        version — per-key rollback must be as detectable as whole-blob
+        rollback."""
+        host, earlier, later = self._two_versions()
+        old_sections = _dynamic_sections(_sections(earlier)[2])[0]
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        assert old_sections[1] != sections[1]  # "b" was rewritten
+        spliced = [sections[0], old_sections[1], sections[2]]
+        self._assert_rejected(host, _with_dynamic(later, spliced, rows, tag))
+
+    def test_swapped_sections_rejected(self):
+        host, _earlier, later = self._two_versions()
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        swapped = [sections[1], sections[0], sections[2]]
+        self._assert_rejected(host, _with_dynamic(later, swapped, rows, tag))
+
+    def test_dropped_section_rejected(self):
+        host, _earlier, later = self._two_versions()
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        for victim in range(3):
+            kept = sections[:victim] + sections[victim + 1 :]
+            self._assert_rejected(host, _with_dynamic(later, kept, rows, tag))
+
+    def test_duplicated_section_rejected(self):
+        host, _earlier, later = self._two_versions()
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        self._assert_rejected(
+            host, _with_dynamic(later, sections + sections[-1:], rows, tag)
         )
-        host.storage.store(hybrid)
-        with pytest.raises(AuthenticationFailure, match="manifest"):
-            host.reboot()
+        self._assert_rejected(
+            host,
+            _with_dynamic(later, [sections[0], sections[0], sections[2]], rows, tag),
+        )
+
+    def test_truncated_section_list_rejected(self):
+        host, _earlier, later = self._two_versions()
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        for length in range(3):
+            self._assert_rejected(
+                host, _with_dynamic(later, sections[:length], rows, tag)
+            )
 
     def test_spliced_row_record_rejected(self):
         """One client's stored row replaced by its own older (authentic)
         record — per-row rollback must be as detectable as whole-blob
         rollback."""
         host, earlier, later = self._two_versions()
-        key_blob, static_blob, dyn_later = _sections(later)
         old_rows = _dynamic_sections(_sections(earlier)[2])[1]
-        state_box, rows, tag = _dynamic_sections(dyn_later)
-        victim = next(iter(rows))
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        victim = next(cid for cid in rows if rows[cid] != old_rows[cid])
         spliced_rows = dict(rows)
         spliced_rows[victim] = old_rows[victim]
-        hybrid = serde.encode(
-            [key_blob, static_blob, serde.encode([state_box, spliced_rows, tag])]
+        self._assert_rejected(
+            host, _with_dynamic(later, sections, spliced_rows, tag)
         )
-        host.storage.store(hybrid)
-        with pytest.raises(AuthenticationFailure, match="manifest"):
-            host.reboot()
 
     def test_spliced_static_section_rejected(self):
         """A retired static config (pre-kC-rotation) paired with a newer
@@ -189,23 +418,24 @@ class TestSpliceEvidence:
         after_rotation = host.storage.load()
         key_blob, _old_static, _ = _sections(before_rotation)
         _, _new_static, dyn = _sections(after_rotation)
-        hybrid = serde.encode([key_blob, _old_static, dyn])
-        host.storage.store(hybrid)
-        with pytest.raises(AuthenticationFailure, match="manifest"):
-            host.reboot()
+        self._assert_rejected(host, serde.encode([key_blob, _old_static, dyn]))
 
     def test_dropped_row_rejected(self):
         host, _earlier, later = self._two_versions()
-        key_blob, static_blob, dyn = _sections(later)
-        state_box, rows, tag = _dynamic_sections(dyn)
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
         shrunk = dict(rows)
         shrunk.pop(next(iter(shrunk)))
-        hybrid = serde.encode(
-            [key_blob, static_blob, serde.encode([state_box, shrunk, tag])]
-        )
-        host.storage.store(hybrid)
-        with pytest.raises(AuthenticationFailure, match="manifest"):
-            host.reboot()
+        self._assert_rejected(host, _with_dynamic(later, sections, shrunk, tag))
+
+    def test_the_authentic_blob_still_restores(self):
+        """The rejections above are the manifest's doing, not the
+        harness's: the untouched pieces reassemble into a blob that
+        restores."""
+        host, _earlier, later = self._two_versions()
+        sections, rows, tag = _dynamic_sections(_sections(later)[2])
+        host.storage.store(_with_dynamic(later, sections, rows, tag))
+        host.reboot()
+        assert _service_state(host) == {"a": "old", "b": "new", "c": "old"}
 
 
 class TestReorderedRows:
@@ -219,12 +449,12 @@ class TestReorderedRows:
         alice.invoke(put("k", "v"))
         bob.invoke(get("k"))
         key_blob, static_blob, dyn = _sections(host.storage.load())
-        state_box, rows, tag = _dynamic_sections(dyn)
+        state_sections, rows, tag = _dynamic_sections(dyn)
         # hand-assemble the dynamic section with the row records in reverse
         # canonical order (serde.encode would re-sort a dict)
         buf = bytearray()
         serde.encode_list_header(buf, 3)
-        buf += serde.encode(state_box)
+        buf += serde.encode(state_sections)
         serde.encode_dict_header(buf, len(rows))
         for enc_id, client_id in sorted(
             ((serde.encode(cid), cid) for cid in rows), reverse=True

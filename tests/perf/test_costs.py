@@ -84,21 +84,49 @@ class TestSealedStoreGeometry:
 
     def test_functional_layer_matches_the_delta_model(self, costs):
         """The quantity the disk is charged for is what StableStorage
-        physically appends: once the stored row lengths reach steady state,
-        a per-op store shares the sealed-blob prefix with its predecessor
-        and persists a suffix of the changed row's magnitude — not the full
-        blob the model used to charge for."""
+        physically appends: the suffix from the first stored piece that
+        changed.  The blob is the key box, the static box, the state
+        sections in canonical key order, the V rows and the manifest tag,
+        so a read persists its row onward and a write its section onward
+        — never the boxes and sections in front of them, let alone the
+        full blob the model used to charge for."""
         from tests.conftest import build_deployment
+        from repro import serde
         from repro.kvstore import get, put
 
         host, _, (alice, _bob, carol) = build_deployment()
-        for index in range(3):
-            alice.invoke(put("hot-key", f"{'v' * 100}{index}"))
-        carol.invoke(get("hot-key"))
-        carol.invoke(get("hot-key"))  # row lengths now steady
         storage = host.storage
+
+        def shared_prefix():
+            return len(storage.load()) - storage.last_delta_bytes()
+
+        def dynamic_pieces():
+            return serde.decode(serde.decode(storage.load())[2])
+
+        for key in ("key-a", "key-b", "key-z"):
+            alice.invoke(put(key, "v" * 100))
+        for index in range(3):
+            alice.invoke(put("key-z", f"{'v' * 100}{index}"))
+        # a write to the key that sorts last (canonical order is by
+        # encoded key) persists from its own section box on: the shared
+        # prefix ends on that box's 9 bytes of framing, with the two
+        # sections in front of it inside
+        sections, _rows, _tag = dynamic_pieces()
+        box_at = storage.load().index(sections[-1])
+        assert shared_prefix() == box_at
+        assert box_at > len(sections[0]) + len(sections[1])
+        write_delta = storage.last_delta_bytes()
+        carol.invoke(get("key-z"))
+        carol.invoke(get("key-z"))  # row lengths now steady
+        # a read by the client whose row sorts last persists from the
+        # first byte of that row's record that moved (its acknowledged
+        # marker, 35 bytes of framing in) to the end of the blob
+        _sections, rows, _tag = dynamic_pieces()
+        record_at = storage.load().index(rows[carol.client_id])
+        assert record_at < shared_prefix() < record_at + 35
         delta = storage.last_delta_bytes()
         full = len(storage.load())
+        assert delta < write_delta
         assert delta < full / 2
         # the model's charge sits at the delta's magnitude: between the raw
         # changed-section estimate and the measured suffix, far from full

@@ -19,7 +19,7 @@ import pytest
 
 from repro.crypto import fastpath
 from repro.errors import SecurityViolation
-from repro.kvstore import get, put
+from repro.kvstore import delete, get, put
 from repro.server.dispatch import DEFAULT_SEAL_SHARE
 from repro.sharding import ShardRouter, ShardedCluster
 from repro.sharding.cluster import SerialBackend
@@ -216,6 +216,37 @@ def _honest_trace(seal_share=0.0):
     return fingerprint
 
 
+def _large_value_trace():
+    """4 KiB values written, overwritten, deleted and read back: every
+    state section is larger than the C keystream cache's 1024-byte slot,
+    so the compiled tier streams it block by block — a different branch
+    from the small-value traces — and the stored blobs must still match
+    the hashlib tier byte for byte."""
+    cluster = ShardedCluster(shards=2, clients=2, seed=47)
+    router = ShardRouter(cluster)
+    keys = [f"big-{i}" for i in range(6)]
+    for round_ in range(3):
+        for index, key in enumerate(keys):
+            client_id = cluster.client_ids[(index + round_) % 2]
+            if round_ == 2 and index % 3 == 0:
+                router.submit(client_id, delete(key))
+            else:
+                value = f"{round_}{index}" * 2048 + "x" * index
+                router.submit(client_id, put(key, value))
+        cluster.run()
+    for index, key in enumerate(keys):
+        router.submit(cluster.client_ids[index % 2], get(key))
+    cluster.run()
+    verdict = router.verdict()
+    return {
+        "audit": _audit_digests(cluster),
+        "stored": _stored_digests(cluster),
+        "chains": _client_chains(cluster),
+        "operations": cluster.stats.operations_completed,
+        "verdict_ok": verdict.ok,
+    }
+
+
 def _forked_trace():
     """The fork attack from the sharded attack tests: shard 1 forks, the
     server joins the forks back, and the victim client must detect it."""
@@ -326,6 +357,10 @@ class TestCrossBackendParity:
     def test_honest_trace_byte_identical(self):
         reference = _assert_all_equal(_under_each_fastpath(_honest_trace))
         assert reference["verdict_ok"] and reference["forked"] == []
+
+    def test_large_value_sections_byte_identical(self):
+        reference = _assert_all_equal(_under_each_fastpath(_large_value_trace))
+        assert reference["verdict_ok"] and reference["operations"] == 24
 
     def test_fork_detected_identically_under_every_backend(self):
         reference = _assert_all_equal(_under_each_fastpath(_forked_trace))
