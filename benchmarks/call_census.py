@@ -10,8 +10,12 @@ Writes a ``sitecustomize.py`` into a temp dir that installs a
 ``src`` on ``PYTHONPATH``, and prints the functions no process entered,
 with their line counts.  A sizing tool for deletion work, not a CI gate:
 a function listed by the census of *both* the test suite and the
-benchmark is called by neither.  Profiling slows the command several
-times over.
+benchmark is called by neither.  The two crypto tiers take different
+paths through ``core/`` and ``crypto/`` (the ``python`` tier's Sec. 4.6.1
+retry-resend is ``LcmContext._resend_reply``; the ``c`` tier does it
+inside the fused codec), so a function is dead only if the census of
+tier-1 under *each* ``REPRO_FASTPATH`` misses it.  Profiling slows the
+command several times over.
 """
 
 import ast

@@ -31,12 +31,11 @@ Subcommands::
     python -m repro.cli frontier [--shards N ...] [--duration S]
                                  [--seeds N] [--output FILE] [--quick]
         Map the open-loop latency–throughput frontier: Poisson arrivals
-        at a ladder of offered rates, serial vs the pipelined arm (the
-        dispatcher's seal_share cost model), per-cell p50/p95/p99, queue
-        and skew gauges, saturation detection, and the per-arm
-        saturation throughput ratio.  --quick runs a tiny sweep and asserts
-        monotone achieved throughput plus zero violations below
-        saturation (the CI smoke).
+        at a ladder of offered rates per shard count, per-cell
+        p50/p95/p99, queue and skew gauges, saturation detection, and
+        each shard count's saturation throughput.  --quick runs a tiny
+        sweep and asserts monotone achieved throughput plus zero
+        violations below saturation (the CI smoke).
 
     python -m repro.cli txn [--shards N] [--clients N] [--ops N]
                             [--txn-fraction F] [--no-faults]
@@ -273,20 +272,19 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         duration = args.duration
         seeds = tuple(range(args.seed, args.seed + args.seeds))
     result = run_frontier(
-        backends=tuple(args.backends),
         shard_counts=shard_counts,
         rates=rates,
         seeds=seeds,
         duration=duration,
     )
     print(
-        f"{'backend':>10} {'shards':>6} {'offered/s':>10} {'achieved/s':>10} "
+        f"{'shards':>6} {'offered/s':>10} {'achieved/s':>10} "
         f"{'p50us':>8} {'p95us':>8} {'p99us':>9} {'qpeak':>5} "
         f"{'skew':>5} {'sat':>4}"
     )
     for cell in result.cells:
         print(
-            f"{cell.backend:>10} {cell.shards:>6} "
+            f"{cell.shards:>6} "
             f"{cell.offered_rate:>10,.0f} {cell.achieved_tps:>10,.0f} "
             f"{cell.p50 * 1e6:>8.1f} {cell.p95 * 1e6:>8.1f} "
             f"{cell.p99 * 1e6:>9.1f} {cell.queue_depth_peak:>5} "
@@ -299,27 +297,17 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         failures.append(
             f"{len(violated)} below-saturation cell(s) recorded violations"
         )
-    for backend, arms in sorted(result.saturation.items()):
-        for shards, tps in sorted(arms.items()):
-            print(
-                f"saturation: {backend} @ {shards} shard(s) = {tps:,.0f} "
-                f"ops/s (nominal serial capacity {shard_capacity(shards):,.0f})"
-            )
-    serial_arms = result.saturation.get("serial", {})
-    pipelined_arms = result.saturation.get("pipelined", {})
-    for shards in sorted(set(serial_arms) & set(pipelined_arms)):
-        if serial_arms[shards]:
-            ratio = pipelined_arms[shards] / serial_arms[shards]
-            print(
-                f"pipelined/serial saturation throughput @ {shards} "
-                f"shard(s): {ratio:.2f}x"
-            )
+    for shards, tps in sorted(result.saturation.items()):
+        print(
+            f"saturation @ {shards} shard(s) = {tps:,.0f} "
+            f"ops/s (nominal capacity {shard_capacity(shards):,.0f})"
+        )
     if args.quick:
         # CI smoke: below the knee, offering more must achieve more
-        by_arm: dict = {}
+        by_shards: dict = {}
         for cell in result.cells:
-            by_arm.setdefault((cell.backend, cell.shards), []).append(cell)
-        for (backend, shards), cells in sorted(by_arm.items()):
+            by_shards.setdefault(cell.shards, []).append(cell)
+        for shards, cells in sorted(by_shards.items()):
             cells.sort(key=lambda c: c.offered_rate)
             achieved = [
                 c.achieved_tps for c in cells
@@ -329,7 +317,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
             if any(b < a for a, b in zip(achieved, achieved[1:])):
                 failures.append(
                     f"achieved throughput not monotone below saturation "
-                    f"for {backend} @ {shards} shard(s): {achieved}"
+                    f"@ {shards} shard(s): {achieved}"
                 )
     if args.output:
         result.dump(args.output)
@@ -565,16 +553,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop latency-throughput frontier sweep",
     )
     frontier.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
-    frontier.add_argument(
-        "--backends", nargs="+", default=["serial", "pipelined"],
-        choices=["serial", "pipelined"],
-        help="arms to sweep; 'pipelined' is the dispatcher's seal_share "
-        "cost model",
-    )
     frontier.add_argument("--duration", type=float, default=0.25,
                           help="virtual seconds of Poisson arrivals per cell")
     frontier.add_argument("--seeds", type=int, default=1,
-                          help="seeds per (backend, shards, rate) cell")
+                          help="seeds per (shards, rate) cell")
     frontier.add_argument("--seed", type=int, default=0,
                           help="first seed of the per-cell seed range")
     frontier.add_argument("--output", type=str, default=None,

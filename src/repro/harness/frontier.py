@@ -20,14 +20,7 @@ load generator politely backing off.  Per-operation latency
 cluster's ``dispatch.queue_depth``/``queue_depth_peak`` and
 ``cluster.load_skew`` gauges.
 
-Arms: the frontier compares ``serial`` against ``pipelined`` — the
-dispatcher's ``seal_share`` cost model: the measured ``state_seal``
-share of the batch ecall taken off the delivery critical path, which
-raises the per-shard saturation cadence by ``1 / (1 - seal_share)``.
-The arm names the modelled enclave (the cells' ``backend`` field); the
-ecall itself runs inline either way.
-
-Every (backend, shards, rate, seed) cell is persisted, saturation is
+Every (shards, rate, seed) cell is persisted, saturation is
 detected per cell (achieved throughput falls measurably below offered
 *and* the dispatcher queues show real pressure), and zero protocol
 violations below saturation is asserted by the CLI's ``--quick`` smoke.
@@ -41,16 +34,11 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
-from repro.errors import ConfigurationError
 from repro.kvstore import get, put
 from repro.net.latency import LatencyModel
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL
 from repro.obs.metrics import QuantileHistogram
-from repro.server.dispatch import DEFAULT_SEAL_SHARE
 from repro.sharding import ShardRouter, ShardedCluster
-
-#: ``seal_share`` each arm runs its shard dispatchers with
-ARM_SEAL_SHARE = {"serial": 0.0, "pipelined": DEFAULT_SEAL_SHARE}
 
 #: offered-vs-achieved shortfall that counts as saturation (with queue
 #: corroboration): 5% lets sub-saturation cells absorb drain-tail noise
@@ -66,12 +54,18 @@ SATURATION_QUEUE_FACTOR = 2
 #: machines, which the dispatcher gauges cannot see)
 SATURATION_OVERRUN = 1.1
 
+#: the sweep's fixed cluster shape: enough independent protocol machines
+#: per shard that per-client sequencing does not cap the offered rate
+#: before the dispatchers do, the Sec. 5.3 batch limit, and the key space
+CLIENTS_PER_SHARD = 6
+BATCH_LIMIT = 16
+KEY_SPACE = 64
+
 
 @dataclass
 class FrontierCell:
-    """One measured (backend, shards, rate, seed) configuration."""
+    """One measured (shards, rate, seed) configuration."""
 
-    backend: str
     shards: int
     offered_rate: float
     seed: int
@@ -95,45 +89,33 @@ class FrontierCell:
 
 
 def run_cell(
-    backend: str,
     shards: int,
     offered_rate: float,
     *,
     seed: int = 0,
     duration: float = 0.25,
-    clients_per_shard: int = 6,
-    batch_limit: int = 16,
-    key_space: int = 64,
 ) -> FrontierCell:
     """Measure one open-loop configuration and return its cell.
 
     The client links run at LAN-fast latency (20 µs propagation) so the
-    shard dispatchers — not the links — are the bottleneck under load;
-    ``clients_per_shard`` keeps enough independent protocol machines
-    that per-client sequencing does not cap the offered rate first.
-    ``backend`` names the arm: ``"pipelined"`` selects the seal-stage
-    cost model (``seal_share=DEFAULT_SEAL_SHARE``).
+    shard dispatchers — not the links — are the bottleneck under load.
     """
-    if backend not in ARM_SEAL_SHARE:
-        raise ConfigurationError(
-            f"unknown frontier arm {backend!r} "
-            f"(choose from {sorted(ARM_SEAL_SHARE)})"
-        )
     # stable across interpreters (str hash() is salted per process): the
-    # same cell always replays the same arrival stream and network jitter
-    tag = f"{backend}|{shards}|{offered_rate:.6g}|{seed}".encode()
+    # same cell always replays the same arrival stream and network jitter.
+    # The ``serial|`` prefix is part of the committed FRONTIER.json cells'
+    # seed derivation; dropping it would move every arrival stream.
+    tag = f"serial|{shards}|{offered_rate:.6g}|{seed}".encode()
     derived = int.from_bytes(
         hashlib.sha256(tag).digest()[:4], "big"
     ) & 0x7FFFFFFF
     cluster = ShardedCluster(
         shards=shards,
-        clients=clients_per_shard * shards,
+        clients=CLIENTS_PER_SHARD * shards,
         seed=derived,
-        batch_limit=batch_limit,
+        batch_limit=BATCH_LIMIT,
         latency=LatencyModel(
             propagation=20e-6, jitter_fraction=0.2, seed=derived
         ),
-        seal_share=ARM_SEAL_SHARE[backend],
     )
     router = ShardRouter(cluster)
     rng = random.Random(derived)
@@ -152,7 +134,7 @@ def run_cell(
         if at >= duration:
             break
         client_id = client_ids[rng.randrange(len(client_ids))]
-        key = f"fk-{rng.randrange(key_space)}"
+        key = f"fk-{rng.randrange(KEY_SPACE)}"
         operation = (
             put(key, f"v{offered}") if rng.random() < 0.5 else get(key)
         )
@@ -192,11 +174,10 @@ def run_cell(
         if cluster.shard_violation(shard_id) is not None
     )
     saturated = achieved < SATURATION_SHORTFALL * offered_rate and (
-        queue_peak > SATURATION_QUEUE_FACTOR * batch_limit
+        queue_peak > SATURATION_QUEUE_FACTOR * BATCH_LIMIT
         or elapsed > SATURATION_OVERRUN * duration
     )
     return FrontierCell(
-        backend=backend,
         shards=shards,
         offered_rate=offered_rate,
         seed=seed,
@@ -214,15 +195,15 @@ def run_cell(
         load_skew=load_skew,
         violations=violations,
         extra={
-            "batch_limit": batch_limit,
-            "clients": clients_per_shard * shards,
+            "batch_limit": BATCH_LIMIT,
+            "clients": CLIENTS_PER_SHARD * shards,
             "batches": sum(cluster.stats.per_shard_batches.values()),
         },
     )
 
 
 def shard_capacity(shards: int) -> float:
-    """Nominal serial capacity: one op per service interval per shard."""
+    """Nominal capacity: one op per service interval per shard."""
     return shards / ENCLAVE_SERVICE_INTERVAL
 
 
@@ -234,17 +215,17 @@ def default_rates(shards: int) -> list[float]:
 
 @dataclass
 class FrontierResult:
-    """The full sweep: every cell plus per-arm saturation summaries."""
+    """The full sweep: every cell plus each shard count's saturation
+    throughput."""
 
     cells: list[FrontierCell]
-    saturation: dict[str, dict[int, float]]
+    saturation: dict[int, float]
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "cells": [cell.as_dict() for cell in self.cells],
             "saturation": {
-                backend: {str(shards): tps for shards, tps in arms.items()}
-                for backend, arms in self.saturation.items()
+                str(shards): tps for shards, tps in self.saturation.items()
             },
         }
 
@@ -255,46 +236,33 @@ class FrontierResult:
 
 
 def saturation_throughput(cells: Sequence[FrontierCell]) -> float:
-    """The arm's saturation throughput: the best achieved rate over the
-    sweep (below the knee achieved tracks offered; past it the extra
-    offered load only grows queues, so the max is the plateau)."""
+    """One shard count's saturation throughput: the best achieved rate
+    over its rate ladder (below the knee achieved tracks offered; past
+    it the extra offered load only grows queues, so the max is the
+    plateau)."""
     return max((cell.achieved_tps for cell in cells), default=0.0)
 
 
 def run_frontier(
     *,
-    backends: Sequence[str] = ("serial", "pipelined"),
     shard_counts: Sequence[int] = (1, 2, 4),
     rates: Sequence[float] | None = None,
     seeds: Sequence[int] = (0,),
     duration: float = 0.25,
-    clients_per_shard: int = 6,
-    batch_limit: int = 16,
 ) -> FrontierResult:
-    """Sweep offered rate × shard count × backend × seed.
+    """Sweep offered rate × shard count × seed.
 
     Every cell is retained (the persisted matrix is the artifact);
-    ``saturation`` summarizes each (backend, shards) arm's plateau.
+    ``saturation`` summarizes each shard count's plateau.
     """
     cells: list[FrontierCell] = []
-    saturation: dict[str, dict[int, float]] = {}
-    for backend in backends:
-        arms = saturation.setdefault(backend, {})
-        for shards in shard_counts:
-            rate_ladder = list(rates) if rates else default_rates(shards)
-            arm_cells: list[FrontierCell] = []
-            for rate in rate_ladder:
-                for seed in seeds:
-                    cell = run_cell(
-                        backend,
-                        shards,
-                        rate,
-                        seed=seed,
-                        duration=duration,
-                        clients_per_shard=clients_per_shard,
-                        batch_limit=batch_limit,
-                    )
-                    arm_cells.append(cell)
-                    cells.append(cell)
-            arms[shards] = saturation_throughput(arm_cells)
+    saturation: dict[int, float] = {}
+    for shards in shard_counts:
+        ladder_cells = [
+            run_cell(shards, rate, seed=seed, duration=duration)
+            for rate in (rates or default_rates(shards))
+            for seed in seeds
+        ]
+        cells.extend(ladder_cells)
+        saturation[shards] = saturation_throughput(ladder_cells)
     return FrontierResult(cells=cells, saturation=saturation)

@@ -10,7 +10,7 @@ the batching variants scale in Fig. 6.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, TypeVar
+from typing import Generic, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -62,70 +62,34 @@ class BatchSizeHistogram:
 
 
 class BatchQueue(Generic[T]):
-    """Collects items and flushes them in bounded batches.
+    """Collects items and hands them out in bounded batches.
 
-    ``flush_callback`` receives the list of items in arrival order.  The
-    queue auto-flushes when ``limit`` items are pending; callers flush any
-    remainder (the "no more requests available" case) explicitly via
-    :meth:`flush`.
-
-    A consumer that gates batch formation on external state (the shared
-    :class:`~repro.server.dispatch.GroupDispatcher`, whose enclave may be
-    busy) constructs the queue without a callback and drains it with
-    :meth:`take` instead; both drain paths feed the same counters and
-    :class:`BatchSizeHistogram`, so batch statistics come from one place.
+    The consumer (:class:`~repro.server.dispatch.GroupDispatcher`) gates
+    batch formation on external state — its enclave may be busy — so the
+    queue never flushes on its own: items accumulate in arrival order and
+    :meth:`take` cuts up to ``limit`` of them, recording each batch in
+    the :class:`BatchSizeHistogram` all batch statistics come from.
     """
 
-    def __init__(
-        self,
-        limit: int,
-        flush_callback: Callable[[list[T]], None] | None = None,
-    ) -> None:
+    def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ConfigurationError("batch limit must be >= 1")
         self.limit = limit
-        self._flush_callback = flush_callback
         self._pending: list[T] = []
-        self.batches_flushed = 0
-        self.items_flushed = 0
         self.histogram = BatchSizeHistogram()
 
     def add(self, item: T) -> None:
         self._pending.append(item)
-        if self._flush_callback is not None and len(self._pending) >= self.limit:
-            self.flush()
-
-    def flush(self) -> int:
-        """Flush pending items (if any).  Returns the batch size flushed."""
-        if not self._pending:
-            return 0
-        if self._flush_callback is None:
-            raise ConfigurationError(
-                "queue was built without a flush callback; drain with take()"
-            )
-        batch, self._pending = self._pending, []
-        self.batches_flushed += 1
-        self.items_flushed += len(batch)
-        self.histogram.record(len(batch))
-        self._flush_callback(batch)
-        return len(batch)
 
     def take(self) -> list[T]:
-        """Pop up to ``limit`` pending items, counting them as flushed."""
+        """Pop up to ``limit`` pending items as one recorded batch."""
         pending = self._pending
         batch = pending[: self.limit]
         if batch:
             del pending[: len(batch)]
-            self.batches_flushed += 1
-            self.items_flushed += len(batch)
             self.histogram.record(len(batch))
         return batch
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def mean_batch_size(self) -> float:
-        if self.batches_flushed == 0:
-            return 0.0
-        return self.items_flushed / self.batches_flushed

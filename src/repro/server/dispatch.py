@@ -40,16 +40,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import ConfigurationError, SecurityViolation
+from repro.errors import SecurityViolation
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL, Simulator
 from repro.server.batching import BatchQueue, BatchSizeHistogram
-
-#: Measured ``state_seal`` share of the batch ecall's ``wall_total`` on
-#: the native-batch path (PR 9 stage probe, batched-invoke family).  A
-#: dispatcher built with this ``seal_share`` takes that fraction of the
-#: virtual service time *off* the delivery critical path, so the
-#: steady-state saturation throughput gain is ``1 / (1 - share)``.
-DEFAULT_SEAL_SHARE = 0.19
 
 
 class GroupDispatcher:
@@ -100,20 +93,6 @@ class GroupDispatcher:
         through this dispatcher (the idle hooks are level-triggered, so
         nothing is lost by skipping).  Ordinary dispatching is
         unaffected; only the boundary hook waits.
-    seal_share:
-        Seal-stage cost model, on the virtual clock only.  The default
-        ``0.0`` keeps the serial schedule: replies deliver after the
-        whole service interval.  A share in ``(0, 0.5]`` models an
-        enclave that takes the ``state_seal`` stage off the delivery
-        path: replies deliver after ``(1 - seal_share)`` of the virtual
-        service time and a separate seal-stage event completes after the
-        rest (queued behind the previous batch's seal stage).  Until
-        that event fires the dispatcher reports :attr:`sealing` and
-        withholds the ``on_idle`` boundary (reshard fences, handoff
-        export), so every consumer of the stored state observes a
-        completed seal.  This *changes virtual timing by design* — a
-        closed feedback loop reacts to the earlier deliveries — and
-        never what the ecall itself does.
     """
 
     def __init__(
@@ -129,15 +108,7 @@ class GroupDispatcher:
         on_idle: Callable[[], None] | None = None,
         on_batch_complete: Callable[[int], None] | None = None,
         boundary_gate: Callable[[], bool] | None = None,
-        seal_share: float = 0.0,
     ) -> None:
-        if seal_share and not 0.0 < seal_share <= 0.5:
-            # past 0.5 the seal stage, not the execute stage, would be the
-            # pipeline bottleneck and the two-stage model below would let
-            # seal completions lag unboundedly behind deliveries
-            raise ConfigurationError(
-                f"seal_share must be 0 or in (0, 0.5], got {seal_share}"
-            )
         self.queue: BatchQueue[tuple[int, bytes]] = BatchQueue(batch_limit)
         self.busy = False
         self.halted = False
@@ -160,13 +131,6 @@ class GroupDispatcher:
         #: gauge source (one compare per enqueue; the registry is only
         #: consulted at snapshot time)
         self.queue_depth_peak = 0
-        self._seal_share = seal_share
-        #: seal-stage events scheduled but not yet completed
-        self._seal_pending = 0
-        #: virtual time the (single) seal unit frees up — consecutive
-        #: batches' seal stages queue behind each other, exactly like a
-        #: second pipeline stage would
-        self._seal_free_at = 0.0
 
     # ---------------------------------------------------------------- intake
 
@@ -212,8 +176,6 @@ class GroupDispatcher:
             finally:
                 self.delivering_batch_size = None
             self.busy = False
-            if self._seal_share:
-                self._schedule_seal(len(batch))
             if self._on_batch_complete is not None:
                 # evidence harvest runs before the idle hook: the streaming
                 # verifier must see this batch's audit suffix before a
@@ -222,39 +184,9 @@ class GroupDispatcher:
             self._fire_idle()
             self.maybe_dispatch()
 
-        # model the enclave service interval so more requests can queue;
-        # under a seal-stage cost model only the unseal/execute/reply
-        # share sits on the delivery path — the seal share becomes its
-        # own stage, scheduled at delivery time by _schedule_seal
+        # model the enclave service interval so more requests can queue
         service = self._service_interval * len(batch)
-        if self._seal_share:
-            service *= 1.0 - self._seal_share
         self._sim.schedule(service, deliver, label=self._label)
-
-    def _schedule_seal(self, batch_size: int) -> None:
-        """Schedule the delivered batch's seal stage on the virtual clock.
-
-        The model treats the seal as a second pipeline stage with a
-        single unit: it starts when the batch delivers *and* the
-        previous seal finished, and takes ``seal_share`` of the batch's
-        service time.
-        """
-        now = self._sim.now
-        seal_time = self._service_interval * batch_size * self._seal_share
-        ready_at = max(now, self._seal_free_at) + seal_time
-        self._seal_free_at = ready_at
-        self._seal_pending += 1
-
-        def seal_done() -> None:
-            self._seal_pending -= 1
-            self._fire_idle()
-
-        self._sim.schedule(ready_at - now, seal_done, label=f"{self._label}-seal")
-
-    @property
-    def sealing(self) -> bool:
-        """True while a batch's seal stage has not virtually completed."""
-        return self._seal_pending > 0
 
     def _handle_violation(self, violation: SecurityViolation) -> None:
         """Server-side detection: the context halted mid-batch.  Stop
@@ -275,12 +207,6 @@ class GroupDispatcher:
         instead of spinning."""
         if self._on_idle is None:
             return
-        if self._seal_pending:
-            # the durability gate: a batch boundary is not safe until the
-            # delivered batch's state seal virtually completed (the event
-            # that decrements _seal_pending re-fires this hook)
-            self.boundaries_deferred += 1
-            return
         if self._boundary_gate is None or self._boundary_gate():
             self._on_idle()
             return
@@ -290,11 +216,11 @@ class GroupDispatcher:
 
     @property
     def batches(self) -> int:
-        return self.queue.batches_flushed
+        return self.queue.histogram.batches
 
     @property
     def items(self) -> int:
-        return self.queue.items_flushed
+        return self.queue.histogram.items
 
     @property
     def histogram(self) -> BatchSizeHistogram:

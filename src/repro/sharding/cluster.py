@@ -214,10 +214,7 @@ class _Shard:
         control plane's quiescence condition (a batch boundary with
         nothing pending)."""
         dispatcher = self.dispatcher
-        if dispatcher.busy or dispatcher.pending or dispatcher.sealing:
-            # ``sealing``: a delivered batch's state seal has not
-            # virtually completed — the reshard fence must wait it out
-            # (the control-plane barrier polls this per service slot)
+        if dispatcher.busy or dispatcher.pending:
             return False
         for machine in self.clients.values():
             if machine.busy or machine.queued:
@@ -257,12 +254,6 @@ class ShardedCluster:
         Per-shard bounded batch queue size (Sec. 5.3).
     malicious_shards:
         Shard ids provisioned on a :class:`MaliciousServer` (attack tests).
-    seal_share:
-        Seal-stage cost model applied by every shard dispatcher (see
-        :class:`~repro.server.dispatch.GroupDispatcher`): ``0.0`` (the
-        default) is the serial schedule; a share in ``(0, 0.5]``
-        delivers replies after ``(1 - seal_share)`` of the virtual
-        service time and runs the seal as its own stage.
     streaming:
         Run the streaming verifier (:mod:`repro.sharding.observer`)
         alongside the cluster, harvesting audit evidence at every batch
@@ -306,7 +297,6 @@ class ShardedCluster:
         audit: bool = True,
         seed: int = 0,
         malicious_shards: tuple[int, ...] = (),
-        seal_share: float = 0.0,
         streaming: bool | None = None,
         tracing: bool = False,
         export: Any = None,
@@ -340,7 +330,6 @@ class ShardedCluster:
         self._client_ids = list(range(1, clients + 1))
         #: every shard's batch ecall runs inline through this one object
         self.execution = SerialBackend()
-        self._seal_share = seal_share
         #: next platform seed serial per shard id — every TeePlatform a
         #: shard id ever gets (initial, rebalance target, recovered
         #: generation) consumes one, so sealing keys never repeat.
@@ -445,7 +434,6 @@ class ShardedCluster:
             on_idle=lambda shard=shard: self._at_batch_boundary(shard),
             on_batch_complete=self._make_batch_complete(shard),
             boundary_gate=lambda shard=shard: self._txn_boundary_clear(shard),
-            seal_share=self._seal_share,
         )
         for client_id in self._client_ids:
             up = Channel(

@@ -216,11 +216,6 @@ class TxnRecord:
     def committed(self) -> bool:
         return self.decision == "C"
 
-    @property
-    def complete(self) -> bool:
-        """The decision (if any) round-tripped on every participant."""
-        return self.done
-
 
 @dataclass
 class ShardedVerdict:
@@ -268,6 +263,13 @@ class ShardRouter:
     protocol machines.  Operations that were already in flight on a
     shard when it crashed (invoked but never answered) are tracked and
     replayed the same way.
+
+    Every submission completes exactly once.  A reply that was already on
+    the wire when its generation was retired arrives after the replay
+    took the submission over: it is dropped — not recorded in the retired
+    generation's history, ``on_complete`` not fired — and counted as
+    ``router.replies_after_retire``; the operation's one completion is
+    the replay's.
     """
 
     def __init__(
@@ -275,10 +277,8 @@ class ShardRouter:
         cluster: ShardedCluster,
         *,
         failover: bool = False,
-        retry_locked: bool = True,
         group_commit: bool = True,
         txn_store: StableStorage | None = None,
-        prune_txn_log: bool = True,
     ) -> None:
         if not cluster.audit:
             # verdict() feeds every shard's audit logs to the checker and
@@ -288,17 +288,10 @@ class ShardRouter:
             )
         self.cluster = cluster
         self.failover = failover
-        #: resubmit a single-key operation that was deterministically
-        #: rejected because its key is locked by a pending transaction
-        #: (the rejection is a real, chained operation either way)
-        self.retry_locked = retry_locked
         #: accumulate lifecycle operations headed for a busy (client,
         #: shard) machine and flush them as one merged sealed operation;
         #: an idle machine takes the byte-identical legacy single verb
         self.group_commit = group_commit
-        #: drop finished TxnRecords from :attr:`txn_log`, keeping only
-        #: the compact CoordinatorDecision the checkers consume
-        self.prune_txn_log = prune_txn_log
         #: durable coordinator decision log: ``["B", ...]`` at begin,
         #: ``["D", txn_id, decision]`` *before* phase 2 is driven,
         #: ``["F", txn_id]`` once every participant acked — the recovery
@@ -324,6 +317,9 @@ class ShardRouter:
         self._ctr_parked = registry.counter("router.operations_parked")
         self._ctr_replayed = registry.counter("router.operations_replayed")
         self._ctr_dropped = registry.counter("router.operations_dropped")
+        self._ctr_replies_after_retire = registry.counter(
+            "router.replies_after_retire"
+        )
         self._ctr_lock_retried = registry.counter(
             "router.operations_lock_retried"
         )
@@ -348,7 +344,8 @@ class ShardRouter:
         self._latency_quantiles: dict[tuple[int, str], Any] = {}
         registry.register_collector(self._collect_control_gauges)
         #: live (undecided or unacked) transactions, by txn id; finished
-        #: records are pruned (``prune_txn_log=False`` keeps them)
+        #: records are pruned, leaving only the compact
+        #: CoordinatorDecision the checkers consume
         self.txn_log: dict[str, TxnRecord] = {}
         #: the coordinator decision log the checkers consume: one compact
         #: entry per transaction that reached a decision, never pruned
@@ -408,6 +405,12 @@ class ShardRouter:
     @property
     def operations_dropped(self) -> int:
         return self._ctr_dropped.value
+
+    @property
+    def replies_after_retire(self) -> int:
+        """Replies dropped because their submission had been retired
+        (replayed onto a recovered generation) before they arrived."""
+        return self._ctr_replies_after_retire.value
 
     @property
     def operations_lock_retried(self) -> int:
@@ -554,7 +557,12 @@ class ShardRouter:
         )
 
         def complete(result: LcmResult) -> None:
-            self._inflight.pop(submission, None)
+            if self._inflight.pop(submission, None) is None:
+                # a late reply from a retired generation: the submission
+                # was replayed onto the recovered one, and that replay is
+                # the operation's one completion
+                self._ctr_replies_after_retire.inc()
+                return
             history.respond(token, result.result, sequence=result.sequence)
             cluster.stats.operations_completed += 1
             cluster.stats.per_shard_operations[shard_id] += 1
@@ -563,9 +571,9 @@ class ShardRouter:
             )
             if span is not None:
                 cluster.tracer.finish(span, sequence=result.sequence)
+            requeued = False
             if (
                 reroute
-                and self.retry_locked
                 and lock_attempts < self.MAX_LOCK_RETRIES
                 and type(result.result) is list
                 and len(result.result) == 2
@@ -581,7 +589,7 @@ class ShardRouter:
                 # value that merely looks like the marker never matches
                 # a real txn id, so it is delivered, not queued.
                 holder = self.txn_log.get(result.result[1])
-                if holder is not None and not holder.done:
+                if holder is not None:
                     # queue on the holder instead of spinning retries:
                     # _txn_finish resubmits every waiter the moment the
                     # decision completes (the historical counter name
@@ -590,8 +598,8 @@ class ShardRouter:
                     holder.lock_waiters.append(
                         (client_id, operation, on_complete, lock_attempts + 1)
                     )
-                    return
-                if result.result[1] in self._decisions_cache:
+                    requeued = True
+                elif result.result[1] in self._decisions_cache:
                     # the holder already decided (record finished or
                     # pruned): its locks are released, or were claimed by
                     # a resolved waiter — resubmit and queue on the new
@@ -603,13 +611,14 @@ class ShardRouter:
                         on_complete,
                         _lock_attempts=lock_attempts + 1,
                     )
-                    return
-            if on_complete is not None:
+                    requeued = True
+            if not requeued and on_complete is not None:
                 on_complete(result)
             if self._txn_buffers:
                 # the machine just went idle (and on_complete may have
-                # buffered lifecycle work against it): flush one merged
-                # operation per direction
+                # buffered lifecycle work against it, or the bounced
+                # operation now waits on a decision buffered here): flush
+                # one merged operation per direction
                 self._flush_txn_buffer(shard_id, client_id)
 
         cluster.client_machine(shard_id, client_id).invoke(operation, complete)
@@ -1119,9 +1128,8 @@ class ShardRouter:
             # unknown to this coordinator incarnation
         else:
             self._ctr_txn_aborted.inc()
-        if self.prune_txn_log:
-            self.txn_log.pop(record.txn_id, None)
-            self._gauge_txn_retained.set(len(self.txn_log))
+        self.txn_log.pop(record.txn_id, None)
+        self._gauge_txn_retained.set(len(self.txn_log))
         waiters, record.lock_waiters = record.lock_waiters, []
         for client_id, operation, on_complete, attempts in waiters:
             # the decision completed: the locks that bounced these
@@ -1170,9 +1178,7 @@ class ShardRouter:
             self._txn_store.store(serde.encode(records))
 
     def _txn_log_quiesce(self) -> None:
-        if self._txn_log_deferred and not any(
-            not record.done for record in self.txn_log.values()
-        ):
+        if self._txn_log_deferred and not self.txn_log:
             self._txn_log_flush()
 
     def recover_transactions(self) -> dict[str, list[str]]:

@@ -72,3 +72,33 @@ def malicious_deployment(epid_group, platform):
     return build_deployment(
         epid_group=epid_group, platform=platform, malicious=True, audit=True
     )
+
+
+class CompletionCounts:
+    """Exactly-once oracle for completion callbacks.
+
+    ``once(callback)`` wraps one submission's ``on_complete`` and counts
+    how often the router fires it; ``assert_exactly_once()`` fails on a
+    submission that never completed or completed twice.
+    """
+
+    def __init__(self) -> None:
+        self.fires: dict[int, int] = {}
+
+    def once(self, callback):
+        submission = len(self.fires)
+        self.fires[submission] = 0
+
+        def fired(result):
+            self.fires[submission] += 1
+            callback(result)
+
+        return fired
+
+    def assert_exactly_once(self) -> None:
+        assert self.fires, "no submission was counted"
+        assert set(self.fires.values()) == {1}, {
+            submission: count
+            for submission, count in self.fires.items()
+            if count != 1
+        }

@@ -1,4 +1,4 @@
-"""Batch queue: auto-flush at the limit, manual drain, accounting."""
+"""Batch queue: bounded take() drain and its accounting."""
 
 import pytest
 
@@ -7,58 +7,44 @@ from repro.server.batching import BatchQueue
 
 
 class TestBatchQueue:
-    def test_auto_flush_at_limit(self):
-        flushed = []
-        queue = BatchQueue(3, flushed.append)
-        for item in range(3):
-            queue.add(item)
-        assert flushed == [[0, 1, 2]]
-        assert queue.pending_count == 0
-
     def test_manual_flush_of_partial_batch(self):
-        flushed = []
-        queue = BatchQueue(10, flushed.append)
+        queue = BatchQueue(10)
         queue.add("a")
         queue.add("b")
-        assert flushed == []
-        assert queue.flush() == 2
-        assert flushed == [["a", "b"]]
+        assert queue.take() == ["a", "b"]
+        assert queue.pending_count == 0
 
     def test_flush_empty_is_noop(self):
-        flushed = []
-        queue = BatchQueue(4, flushed.append)
-        assert queue.flush() == 0
-        assert flushed == []
-        assert queue.batches_flushed == 0
+        queue = BatchQueue(4)
+        assert queue.take() == []
+        assert queue.histogram.batches == 0
+        assert queue.histogram.as_dict() == {}
 
     def test_order_preserved_across_batches(self):
-        flushed = []
-        queue = BatchQueue(2, flushed.append)
+        queue = BatchQueue(2)
         for item in range(5):
             queue.add(item)
-        queue.flush()
-        assert flushed == [[0, 1], [2, 3], [4]]
+        assert [queue.take() for _ in range(3)] == [[0, 1], [2, 3], [4]]
 
     def test_mean_batch_size(self):
-        flushed = []
-        queue = BatchQueue(2, flushed.append)
+        queue = BatchQueue(2)
         for item in range(3):
             queue.add(item)
-        queue.flush()
-        assert queue.mean_batch_size() == pytest.approx(1.5)
-        assert queue.items_flushed == 3
-        assert queue.batches_flushed == 2
+        queue.take()
+        queue.take()
+        assert queue.histogram.mean == pytest.approx(1.5)
+        assert queue.histogram.items == 3
+        assert queue.histogram.batches == 2
 
     def test_limit_validation(self):
         with pytest.raises(ConfigurationError):
-            BatchQueue(0, lambda batch: None)
+            BatchQueue(0)
 
     def test_limit_one_flushes_each_item(self):
-        flushed = []
-        queue = BatchQueue(1, flushed.append)
+        queue = BatchQueue(1)
         queue.add("x")
         queue.add("y")
-        assert flushed == [["x"], ["y"]]
+        assert [queue.take(), queue.take()] == [["x"], ["y"]]
 
 
 class TestBatchSizeHistogram:
@@ -90,28 +76,11 @@ class TestTakeDrain:
         queue = BatchQueue(3)
         for i in range(7):
             queue.add(i)
-        assert queue.pending_count == 7  # no callback: no auto-flush
+        assert queue.pending_count == 7  # add never cuts a batch
         assert queue.take() == [0, 1, 2]
         assert queue.take() == [3, 4, 5]
         assert queue.take() == [6]
         assert queue.take() == []
-        assert queue.batches_flushed == 3
-        assert queue.items_flushed == 7
+        assert queue.histogram.batches == 3
+        assert queue.histogram.items == 7
         assert queue.histogram.as_dict() == {1: 1, 3: 2}
-
-    def test_flush_without_callback_is_rejected(self):
-        from repro.errors import ConfigurationError
-
-        queue = BatchQueue(2)
-        queue.add("x")
-        with pytest.raises(ConfigurationError):
-            queue.flush()
-
-    def test_callback_flush_feeds_same_histogram(self):
-        batches = []
-        queue = BatchQueue(2, batches.append)
-        for i in range(5):
-            queue.add(i)
-        queue.flush()
-        assert batches == [[0, 1], [2, 3], [4]]
-        assert queue.histogram.as_dict() == {1: 1, 2: 2}

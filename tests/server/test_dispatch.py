@@ -132,80 +132,6 @@ class TestGroupDispatcher:
         assert dispatcher.batches == 3
 
 
-class TestSealShare:
-    """``seal_share``: the seal stage as its own virtual pipeline stage
-    (DES scheduling only — the ecall itself is untouched)."""
-
-    def _run(self, *, enqueue, until=None, **kwargs):
-        sim = Simulator()
-        deliveries = []
-        boundaries = []
-        dispatcher = GroupDispatcher(
-            sim=sim,
-            send_batch=lambda batch: [m for _, m in batch],
-            deliver=lambda client_id, reply: deliveries.append(sim.now),
-            on_idle=lambda: boundaries.append(sim.now),
-            service_interval=1.0,
-            **kwargs,
-        )
-        for i in range(enqueue):
-            dispatcher.enqueue(i, b"x")
-        if until is None:
-            sim.run()
-        else:
-            sim.run_until(until)
-        return sim, dispatcher, deliveries, boundaries
-
-    def test_delivers_at_the_reduced_service_time(self):
-        sim, _, deliveries, _ = self._run(
-            enqueue=1, batch_limit=1, seal_share=0.5
-        )
-        assert deliveries == [pytest.approx(0.5)]
-        assert sim.now == pytest.approx(1.0)  # seal stage still completes
-
-    def test_withholds_the_boundary_until_seal_completes(self):
-        sim, dispatcher, _, boundaries = self._run(
-            enqueue=1, until=0.75, batch_limit=1, seal_share=0.5
-        )
-        # delivery fired at 0.5 but the seal stage runs until 1.0:
-        # the boundary hook was withheld, the gauge says why
-        assert dispatcher.sealing
-        assert dispatcher.boundaries_deferred == 1
-        assert boundaries == []
-        sim.run()
-        assert not dispatcher.sealing
-        assert boundaries == [pytest.approx(1.0)]
-
-    def test_seal_stages_queue_behind_each_other(self):
-        """One seal unit: a small batch delivered while the previous big
-        batch is still sealing waits for the unit to free up."""
-        sim, dispatcher, deliveries, boundaries = self._run(
-            enqueue=6, batch_limit=4, seal_share=0.5
-        )
-        # batches of 1, 4, 1 ops: deliveries at 0.5, 2.5, 3.0; seals
-        # 0.5..1.0, 2.5..4.5, then 4.5..5.0 (not 3.0..3.5: unit busy)
-        assert deliveries == [
-            pytest.approx(t) for t in (0.5, 2.5, 2.5, 2.5, 2.5, 3.0)
-        ]
-        assert sim.now == pytest.approx(5.0)
-        # boundaries at 0.5, 2.5, 3.0 and 4.5 fell while a seal was pending
-        assert boundaries == [pytest.approx(1.0), pytest.approx(5.0)]
-        assert dispatcher.boundaries_deferred == 4
-        assert not dispatcher.sealing
-
-    def test_share_is_validated(self):
-        from repro.errors import ConfigurationError
-
-        for bad in (-0.1, 0.6, 1.0):
-            with pytest.raises(ConfigurationError, match="seal_share"):
-                GroupDispatcher(
-                    sim=Simulator(),
-                    send_batch=lambda batch: [],
-                    deliver=lambda c, r: None,
-                    seal_share=bad,
-                )
-
-
 class TestDispatcherParity:
     """A 1-shard ShardedCluster reproduces, on the same trace, the batch
     stats recorded from the single-group ``harness`` runtime at the

@@ -20,12 +20,11 @@ import pytest
 from repro.crypto import fastpath
 from repro.errors import SecurityViolation
 from repro.kvstore import delete, get, put
-from repro.server.dispatch import DEFAULT_SEAL_SHARE
 from repro.sharding import ShardRouter, ShardedCluster
 from repro.sharding.cluster import SerialBackend
 
 
-def _under_each_fastpath(trace, *args):
+def _under_each_fastpath(trace):
     """``{fastpath name: trace fingerprint}`` over every fastpath that
     can be instantiated here, each run under pinned entropy."""
     previous = fastpath.active_backend()
@@ -34,7 +33,7 @@ def _under_each_fastpath(trace, *args):
         for name in fastpath.available_backends():
             fastpath.select_backend(name)
             with _pinned_entropy():
-                fingerprints[name] = trace(*args)
+                fingerprints[name] = trace()
         return fingerprints
     finally:
         fastpath.BACKEND = previous
@@ -183,10 +182,10 @@ def _client_chains(cluster):
     }
 
 
-def _honest_trace(seal_share=0.0):
+def _honest_trace():
     """One deterministic mixed trace over 3 shards; returns everything
     that must be fastpath-independent."""
-    cluster = ShardedCluster(shards=3, clients=3, seed=23, seal_share=seal_share)
+    cluster = ShardedCluster(shards=3, clients=3, seed=23)
     wire = _record_wire(cluster)
     router = ShardRouter(cluster)
     completed_at = []
@@ -375,20 +374,6 @@ class TestCrossBackendParity:
         reference = _assert_all_equal(_under_each_fastpath(_scenario_trace))
         assert reference["committed"] and reference["verdict_ok"]
         assert len(reference["shards"]) == len(reference["initial"]) + 1
-
-    def test_seal_share_is_orthogonal_to_the_backend(self):
-        """The seal-stage cost model moves deliveries on the virtual
-        clock identically whichever fastpath runs the ecall: same
-        evidence bytes *and* same completion times."""
-        modelled = _assert_all_equal(
-            _under_each_fastpath(_honest_trace, DEFAULT_SEAL_SHARE)
-        )
-        assert modelled["verdict_ok"]
-        # and the model is live: it does move the schedule
-        with _pinned_entropy():
-            default = _honest_trace()
-        assert modelled["completed_at"] != default["completed_at"]
-        assert modelled["completed_at"][-1] < default["completed_at"][-1]
 
 
 class TestFastpathMatrixParity:

@@ -20,6 +20,7 @@ from repro.kvstore import get, put
 from repro.kvstore.functionality import HANDOFF_EXPORT_VERB, HANDOFF_IMPORT_VERB
 from repro.sharding import ShardRouter, ShardedCluster
 from repro import serde
+from tests.conftest import CompletionCounts
 
 
 def build(shards=2, clients=3, seed=1, **kwargs):
@@ -122,10 +123,14 @@ class TestAddShard:
             for client_id in cluster.client_ids
         }
 
+        counts = CompletionCounts()
+
         def start(client_id):
             def pump(_result=None):
                 if streams[client_id]:
-                    router.submit(client_id, streams[client_id].pop(0), pump)
+                    router.submit(
+                        client_id, streams[client_id].pop(0), counts.once(pump)
+                    )
             pump()
 
         for client_id in cluster.client_ids:
@@ -134,6 +139,7 @@ class TestAddShard:
         cluster.run()
         # every logical operation completed exactly once, parked or not
         assert cluster.stats.operations_completed == 80
+        counts.assert_exactly_once()
         assert router.operations_parked > 0
         assert router.operations_replayed >= router.operations_parked
         report = cluster.control.reports[-1]
@@ -201,7 +207,8 @@ class TestCrashRecover:
         cluster.crash_shard(0)
         key = keys_owned_by(cluster, 0, 1)[0]
         results = []
-        router.submit(1, put(key, "parked"), results.append)
+        counts = CompletionCounts()
+        router.submit(1, put(key, "parked"), counts.once(results.append))
         assert router.parked_operations(0) == 1
         cluster.recover_shard(0)
         cluster.run()
@@ -211,6 +218,7 @@ class TestCrashRecover:
         cluster._notify_reconfiguration("recovered", (0,))
         cluster.run()
         assert len(results) == 1
+        counts.assert_exactly_once()
         assert cluster.stats.operations_completed == completed
         assert router.parked_operations(0) == 0
 
@@ -220,12 +228,14 @@ class TestCrashRecover:
         cluster, router = build(shards=2, clients=2, seed=13, failover=True)
         keys = keys_owned_by(cluster, 0, 2)
         results = []
-        router.submit(1, put(keys[0], "lost"), results.append)
-        router.submit(2, put(keys[1], "also-lost"), results.append)
+        counts = CompletionCounts()
+        router.submit(1, put(keys[0], "lost"), counts.once(results.append))
+        router.submit(2, put(keys[1], "also-lost"), counts.once(results.append))
         cluster.crash_shard(0)  # before the sim ever delivers them
         cluster.recover_shard(0)
         cluster.run()
         assert len(results) == 2
+        counts.assert_exactly_once()
         assert router.operations_replayed == 2
         assert router.check_fork_linearizable().ok
 

@@ -13,12 +13,16 @@ verifier's event *before* any verdict is computed) and the memory bound
 (retained evidence tracks the unstable suffix, not the history).
 """
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, RollbackDetected
 from repro.kvstore import get, put
+from repro.net.latency import LatencyModel
 from repro.sharding import ShardRouter, ShardedCluster
 from repro.sharding.observer import parity_report
+from tests.conftest import CompletionCounts
 
 
 def build(shards=3, clients=3, seed=1, **kwargs):
@@ -98,6 +102,56 @@ class TestCleanRuns:
         assert streaming.ok
         # retired generations were streamed and sealed, not re-derived
         assert len(streaming.shards[0].generations) == 2
+
+
+class TestLateReplies:
+    def test_reply_from_a_retired_generation_is_dropped_and_counted(self):
+        """Crash-after-unfence: ``remove_shard`` replays parked operations
+        onto shard 0, shard 0 crashes with their replies on the wire and
+        is recovered (the router replays them onto generation 1) before
+        those replies land.  The late replies must not complete anything:
+        every callback fires once and both verdicts stay clean."""
+        cluster, router = build(
+            shards=3, clients=16, seed=0, failover=True,
+            latency=LatencyModel(propagation=20e-6, jitter_fraction=0.2, seed=0),
+        )
+        rng = random.Random(0)
+        counts = CompletionCounts()
+
+        def closed_loop(client_id):
+            plan = iter([
+                put(f"k{rng.randrange(64)}", f"c{client_id}-{index}")
+                if rng.random() < 0.5
+                else get(f"k{rng.randrange(64)}")
+                for index in range(120)
+            ])
+
+            def issue(_result=None):
+                operation = next(plan, None)
+                if operation is not None:
+                    router.submit(client_id, operation, counts.once(issue))
+
+            issue()
+
+        for client_id in cluster.client_ids:
+            closed_loop(client_id)
+        cluster.remove_shard(1, at=0.004)
+        armed = []
+
+        def crash_after_unfence(event, _shard_ids):
+            if event == "resharded" and not armed:
+                armed.append(event)
+                cluster.schedule_crash(125e-6, 0)
+                cluster.recover_shard(0, at=350e-6)
+
+        cluster.subscribe_reconfiguration(crash_after_unfence)
+        cluster.run()
+        # the schedule did hit the window: replies arrived after retirement
+        assert router.replies_after_retire > 0
+        assert len(counts.fires) == 16 * 120
+        counts.assert_exactly_once()
+        streaming, post = assert_parity(router)
+        assert streaming.ok and post.ok
 
 
 class TestAttacks:

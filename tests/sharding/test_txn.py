@@ -20,18 +20,13 @@ from repro.kvstore.functionality import (
     TXN_PREPARED,
 )
 from repro.sharding import ShardRouter, ShardedCluster
+from tests.conftest import CompletionCounts
 
 
 def build(shards=3, clients=4, seed=5, **kwargs):
     router_kwargs = {
         key: kwargs.pop(key)
-        for key in (
-            "failover",
-            "retry_locked",
-            "group_commit",
-            "txn_store",
-            "prune_txn_log",
-        )
+        for key in ("failover", "group_commit", "txn_store")
         if key in kwargs
     }
     cluster = ShardedCluster(shards=shards, clients=clients, seed=seed, **kwargs)
@@ -126,12 +121,16 @@ class TestCommit:
         assert router.verdict().ok
 
     def test_locked_marker_surfaces_when_retry_disabled(self):
-        cluster, router = build(retry_locked=False)
+        """Only key-routed submissions wait out a lock; an explicit-shard
+        submission is never retried, so its caller sees the marker."""
+        cluster, router = build()
         keys = populate(cluster, router)
         (k_a, k_b), _ = cross_shard_keys(cluster, keys)
         seen = []
         router.submit_txn(2, [put(k_a, "T"), put(k_b, "T")])
-        router.submit(3, get(k_a), lambda r: seen.append(r.result))
+        router.submit_to_shard(
+            cluster.ring.owner(k_a), 3, get(k_a), lambda r: seen.append(r.result)
+        )
         cluster.run()
         assert len(seen) == 1
         if isinstance(seen[0], list):  # the read raced into the lock window
@@ -428,12 +427,6 @@ class TestForkedDecisions:
 
 
 class TestMixedRoleClients:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a client that pipelines transactions *and* single-key "
-        "operations stalls: the run drains with lock waiters still parked "
-        "(ROADMAP 'Broken at HEAD', direction 1(a)/(d))",
-    )
     def test_pipelined_txns_beside_a_single_key_loop_all_complete(self):
         """Every client keeps four ``submit_txn`` in flight *and* runs a
         closed single-key loop on the same 64 keys (the shape marked
@@ -449,6 +442,7 @@ class TestMixedRoleClients:
         keys = populate(cluster, router, count=64)
         rng = random.Random(0)
         completed = []
+        counts = CompletionCounts()
 
         def pipeline(plan, submit_one, depth):
             """Keep ``depth`` items of ``plan`` in flight until it ends."""
@@ -459,7 +453,7 @@ class TestMixedRoleClients:
                     completed.append(result)
                 item = next(remaining, None)
                 if item is not None:
-                    submit_one(item, issue)
+                    submit_one(item, counts.once(issue))
 
             for _ in range(depth):
                 issue()
@@ -497,3 +491,4 @@ class TestMixedRoleClients:
         cluster.run()
         waiters = cluster.metrics()["gauges"]["router.txn_waiter_depth"]
         assert (len(completed), waiters) == (planned, 0)
+        counts.assert_exactly_once()

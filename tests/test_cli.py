@@ -94,16 +94,15 @@ class TestSubcommands:
         assert main(["figures", "--only", "fig4", "--duration", "0.2"]) == 0
         assert "fig4" in capsys.readouterr().out
 
-    def test_frontier_arms_are_serial_and_pipelined(self):
-        for removed in ("threaded", "process"):
-            with pytest.raises(SystemExit):
-                main(["frontier", "--quick", "--backends", removed])
+    def test_frontier_is_one_sweep_without_arms(self):
+        with pytest.raises(SystemExit):
+            main(["frontier", "--quick", "--backends", "serial"])
 
     def test_frontier_quick_smoke(self, capsys, tmp_path):
         output = tmp_path / "frontier.json"
         assert main(["frontier", "--quick", "--output", str(output)]) == 0
         out = capsys.readouterr().out
-        assert "saturation: serial @ 2 shard(s)" in out
-        assert "pipelined/serial saturation throughput" in out
+        assert out.count("saturation @ ") == 1
+        assert "saturation @ 2 shard(s)" in out
         assert "FRONTIER FAILED" not in out
         assert output.exists()
