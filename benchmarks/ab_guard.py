@@ -48,8 +48,16 @@ threshold for this guard).  What it catches: an exporter flush or
 stage probe accidentally becoming super-linear in batch size, or
 tracing overhead creeping from "bounded tax" toward "2x the run".
 
+``--guard verifier`` is the same round with the *verification* plane
+on the scales: ``audit=True`` in both arms (the enclaves keep their
+audit logs either way), streaming verification ON versus OFF.  What it
+catches: work leaking back into the per-batch harvest — a per-boundary
+pass over every client or every retained record, a re-encode or a
+second ``F`` application per audit record — which no unit test times.
+
     PYTHONPATH=src:. python benchmarks/ab_guard.py [--threshold 1.05]
     PYTHONPATH=src:. python benchmarks/ab_guard.py --guard tracing
+    PYTHONPATH=src:. python benchmarks/ab_guard.py --guard verifier
 """
 
 from __future__ import annotations
@@ -144,33 +152,43 @@ ITERATIONS = {
     "batched_invoke_sizes[32]": 20,
 }
 
-# ------------------------------------------------------- tracing guard
+# ---------------------------------------------- sharded-round guards
 
-TRACING_SCENARIO = "sharded_closed_loop_round"
-TRACING_ITERATIONS = 3
+ROUND_SCENARIO = "sharded_closed_loop_round"
+ROUND_ITERATIONS = 3
 #: documented bound for the tracing-on arm: opt-in instrumentation may
 #: tax the run, but the tax must stay bounded (see module docstring)
 TRACING_THRESHOLD = 1.60
+#: bound for the streaming-verifier-on arm, set from PR 23's own
+#: interleaved measurement of parent and change (three alternating runs
+#: of this guard on each tree, 15 rounds per run): the parent's median
+#: round ratio read 1.554 / 1.559 / 1.528, the change's 1.323 / 1.362 /
+#: 1.344.  The bound sits midway, so the harvest cannot drift back to
+#: its old cost unnoticed
+VERIFIER_THRESHOLD = 1.45
+ROUND_THRESHOLDS = {"tracing": TRACING_THRESHOLD, "verifier": VERIFIER_THRESHOLD}
 
 
-def _build_tracing_arm(enabled: bool):
-    """A sharded closed-loop round with the tracing plane on or off.
+def _build_round_arm(guard: str, enabled: bool):
+    """A sharded closed-loop round with one plane on or off.
 
-    ``streaming=False`` in both arms so the ratio isolates spans, stage
-    probes and the batch-boundary export flush — not the verifier.
+    ``tracing``: spans, stage probes and the batch-boundary export flush,
+    with ``streaming=False`` in both arms so the verifier stays out of
+    the ratio.  ``verifier``: streaming verification, with ``audit=True``
+    in both arms so the ratio holds the harvest and the checker only.
     """
     from repro.kvstore import get, put
     from repro.sharding import ShardRouter, ShardedCluster
 
-    export = None
-    if enabled:
-        from repro.obs.export import RingSink
+    if guard == "verifier":
+        plane = {"audit": True, "streaming": enabled}
+    else:
+        plane = {"streaming": False, "tracing": enabled}
+        if enabled:
+            from repro.obs.export import RingSink
 
-        export = RingSink(capacity=4096)
-    cluster = ShardedCluster(
-        shards=2, clients=4, seed=11, streaming=False,
-        tracing=enabled, export=export,
-    )
+            plane["export"] = RingSink(capacity=4096)
+    cluster = ShardedCluster(shards=2, clients=4, seed=11, **plane)
     router = ShardRouter(cluster)
     keys = [f"guard-{index}" for index in range(8)]
 
@@ -185,11 +203,14 @@ def _build_tracing_arm(enabled: bool):
     return round_fn
 
 
-def run_interleaved_tracing(*, rounds: int, warmup: int) -> dict:
-    """ABBA-interleaved tracing-on vs tracing-off closed-loop rounds."""
+def run_interleaved_round(guard: str, *, rounds: int, warmup: int) -> dict:
+    """ABBA-interleaved plane-on vs plane-off closed-loop rounds."""
     import gc
 
-    arm_fns = {"on": _build_tracing_arm(True), "off": _build_tracing_arm(False)}
+    arm_fns = {
+        "on": _build_round_arm(guard, True),
+        "off": _build_round_arm(guard, False),
+    }
     timings = {"on": [], "off": []}
     ratios = []
     for round_number in range(warmup + rounds):
@@ -198,7 +219,7 @@ def run_interleaved_tracing(*, rounds: int, warmup: int) -> dict:
         gc.disable()
         try:
             per_op = {
-                arm: _time_round(arm_fns[arm], TRACING_ITERATIONS)
+                arm: _time_round(arm_fns[arm], ROUND_ITERATIONS)
                 for arm in order
             }
         finally:
@@ -278,17 +299,20 @@ def main() -> None:
     parser.add_argument(
         "--threshold", type=float, default=None,
         help="fail when median(on)/median(off) exceeds this (default "
-        "1.05 for --guard hotpath — the within-noise bound — and "
+        "1.05 for --guard hotpath — the within-noise bound — "
         f"{TRACING_THRESHOLD} for --guard tracing, the documented "
-        "bounded-tax ceiling)",
+        f"bounded-tax ceiling, and {VERIFIER_THRESHOLD} for --guard "
+        "verifier)",
     )
     parser.add_argument(
-        "--guard", choices=("hotpath", "tracing"),
+        "--guard", choices=("hotpath", "tracing", "verifier"),
         default="hotpath",
         help="hotpath: registry-free invoke path with the plane merely "
         "alive in-process (gated-instrumentation guard); tracing: "
         "sharded closed-loop round with tracing+export ON vs OFF "
-        "(bounded-overhead guard for the opt-in plane)",
+        "(bounded-overhead guard for the opt-in plane); verifier: the "
+        "same round, audit on in both arms, streaming verification ON "
+        "vs OFF (the harvest must stay O(new evidence))",
     )
     parser.add_argument(
         "--arm", choices=("on", "off"), default=None,
@@ -302,13 +326,16 @@ def main() -> None:
     )
     args = parser.parse_args()
     if args.threshold is None:
-        args.threshold = TRACING_THRESHOLD if args.guard == "tracing" else 1.05
+        args.threshold = ROUND_THRESHOLDS.get(args.guard, 1.05)
 
-    if args.guard == "tracing":
+    if args.guard in ROUND_THRESHOLDS:
         if args.arm is not None:
             parser.error("--arm only applies to --guard hotpath")
-        scenario = TRACING_SCENARIO
-        result = run_interleaved_tracing(rounds=args.rounds, warmup=args.warmup)
+        scenario = ROUND_SCENARIO
+        plane = "tracing+export" if args.guard == "tracing" else "verifier"
+        result = run_interleaved_round(
+            args.guard, rounds=args.rounds, warmup=args.warmup
+        )
         median_on = statistics.median(result["timings"]["on"])
         median_off = statistics.median(result["timings"]["off"])
         ratio = statistics.median(result["ratios"])
@@ -339,12 +366,12 @@ def main() -> None:
             )
         if ratio > args.threshold:
             print(
-                f"AB GUARD FAILED: tracing-on overhead {ratio:.3f}x beyond "
+                f"AB GUARD FAILED: {plane}-on overhead {ratio:.3f}x beyond "
                 f"the documented {args.threshold:.2f}x bound"
             )
             raise SystemExit(1)
         print(
-            "ab guard ok: tracing+export overhead bounded "
+            f"ab guard ok: {plane} overhead bounded "
             f"(<= {args.threshold:.2f}x median round ratio)"
         )
         return

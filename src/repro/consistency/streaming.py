@@ -12,7 +12,8 @@ checker maintains just enough state to
 - replay each log through ``F`` as it grows, recording result
   mismatches (view-correctness, check 1 of the post-mortem);
 - track real-time precedence violations per log (check 3) using only
-  the retained suffix plus an O(1) summary of the discarded prefix;
+  the retained suffix's own timestamps plus an O(1) summary of the
+  discarded prefix;
 - compare logs positionally for divergence and later agreement — the
   no-join property (check 4).  Because an operation's key embeds its
   sequence number and every verified log numbers records 1..n, a shared
@@ -39,7 +40,21 @@ client's observed point.  Anything at or below it has been endorsed by
 there any more; the majority quorum frontier (Definition 2) is exported
 as a metric but is *not* a safe GC bound — a minority client's view may
 still extend below it.  Retained evidence is therefore O(unstable
-suffix), not O(history).
+suffix), not O(history) — the real-time evidence included: it lives on
+the retained records, beside two scalars per log.
+
+**Cost contract.**  Work is proportional to new evidence.  Per audit
+record: one chain link, two decodes, one application of ``F`` (GC
+adopts the state the replay computed) — O(1) amortised.  Per
+completion: O(1) amortised and no encode while there is one log and the
+history shows the audited operation; a record's canonical key is
+derived when a second log or a differing completion first compares it.
+The real-time check leaves through two O(1) exits when completions
+arrive in response order (as a recorded history delivers them); an
+out-of-order arrival walks the retained window, never further than the
+highest timed position.  Per batch boundary: O(records + completions +
+moved points) — a point that did not move is neither observed nor
+located again.
 
 :meth:`result` evaluates the checks in exactly the post-mortem order
 (chain errors per log, unlocated points, replay, own-operation
@@ -106,8 +121,8 @@ class _Rec:
 
     __slots__ = (
         "sequence", "client_id", "chain", "operation", "operation_view",
-        "result_audit", "result_shown", "expected", "key", "is_nop",
-        "completed", "invoked_at", "responded_at",
+        "result_audit", "result_shown", "expected", "state", "_key",
+        "is_nop", "in_txn", "completed", "invoked_at", "responded_at",
     )
 
     def __init__(self, sequence: int, client_id: int, chain: bytes,
@@ -124,117 +139,29 @@ class _Rec:
         self.result_audit = result
         self.result_shown = result
         self.expected: Any = None
-        self.key = _canonical_key(client_id, operation, sequence)
+        #: F state after this record, as the replay computed it — what
+        #: the GC checkpoint adopts (``apply`` is persistent by contract)
+        self.state: Any = None
+        self._key: bytes | None = None
         self.is_nop = _is_nop_operation(operation)
+        #: the audited bytes touched a transaction (GC re-folds only those)
+        self.in_txn = False
         self.completed = False
         # untimed until a history completion supplies real timestamps —
         # concurrent with everything, exactly like a synthesized record
         self.invoked_at = 0
         self.responded_at = _UNTIMED_RESPONSE
 
-
-class _RtIndex:
-    """Positional index over completed records' timestamps (check 3).
-
-    A flat segment tree keyed by log position: each set position carries
-    ``(invoked_at, responded_at)``, internal nodes aggregate the max
-    invocation and min response of their range.  The two real-time
-    queries the incremental check needs — "latest invocation strictly
-    before position p" and "leftmost position after p that responded
-    before a threshold" — drop from O(retained records) scans per
-    completion to O(log n).  Positions garbage-collected from the log
-    keep their stale leaves: they sit at or below the GC checkpoint,
-    whose ``gc_max_inv`` summary already dominates their invocations,
-    and every query that looks *rightward* starts above the checkpoint.
-    """
-
-    __slots__ = ("_cap", "_inv", "_resp")
-
-    _NO_RESP = float("inf")
-
-    def __init__(self) -> None:
-        self._cap = 64
-        self._inv = [0.0] * (2 * self._cap)
-        self._resp = [self._NO_RESP] * (2 * self._cap)
-
-    def _grow(self, needed: int) -> None:
-        cap = self._cap
-        while cap < needed:
-            cap *= 2
-        old_inv, old_resp, old_cap = self._inv, self._resp, self._cap
-        self._cap = cap
-        self._inv = [0.0] * (2 * cap)
-        self._resp = [self._NO_RESP] * (2 * cap)
-        self._inv[cap:cap + old_cap] = old_inv[old_cap:2 * old_cap]
-        self._resp[cap:cap + old_cap] = old_resp[old_cap:2 * old_cap]
-        for node in range(cap - 1, 0, -1):
-            self._inv[node] = max(self._inv[2 * node], self._inv[2 * node + 1])
-            self._resp[node] = min(
-                self._resp[2 * node], self._resp[2 * node + 1]
+    @property
+    def key(self) -> bytes:
+        """Canonical key of the view's operation, encoded on first use:
+        only a second log (or a differing completion) ever compares it."""
+        key = self._key
+        if key is None:
+            key = self._key = _canonical_key(
+                self.client_id, self.operation_view, self.sequence
             )
-
-    def set(self, position: int, invoked_at: float, responded_at: float) -> None:
-        if position > self._cap:
-            self._grow(position)
-        node = self._cap + position - 1
-        self._inv[node] = invoked_at
-        self._resp[node] = responded_at
-        node //= 2
-        while node:
-            self._inv[node] = max(self._inv[2 * node], self._inv[2 * node + 1])
-            self._resp[node] = min(
-                self._resp[2 * node], self._resp[2 * node + 1]
-            )
-            node //= 2
-
-    def max_invoked_before(self, position: int) -> float:
-        """Max ``invoked_at`` over positions ``[1, position - 1]``."""
-        hi = min(position - 1, self._cap)
-        if hi <= 0:
-            return 0.0
-        lo_node = self._cap
-        hi_node = self._cap + hi - 1
-        best = 0.0
-        while lo_node <= hi_node:
-            if lo_node & 1:
-                best = max(best, self._inv[lo_node])
-                lo_node += 1
-            if not hi_node & 1:
-                best = max(best, self._inv[hi_node])
-                hi_node -= 1
-            lo_node //= 2
-            hi_node //= 2
-        return best
-
-    def first_responded_before(
-        self, position: int, threshold: float
-    ) -> int | None:
-        """Leftmost position ``> position`` whose ``responded_at`` is
-        strictly below ``threshold``, or ``None``."""
-        lo = position + 1
-        if lo > self._cap:
-            return None
-        lo_node = self._cap + lo - 1
-        hi_node = 2 * self._cap - 1
-        left: list[int] = []
-        right: list[int] = []
-        while lo_node <= hi_node:
-            if lo_node & 1:
-                left.append(lo_node)
-                lo_node += 1
-            if not hi_node & 1:
-                right.append(hi_node)
-                hi_node -= 1
-            lo_node //= 2
-            hi_node //= 2
-        for node in left + right[::-1]:
-            if self._resp[node] < threshold:
-                while node < self._cap:
-                    node *= 2
-                    if not self._resp[node] < threshold:
-                        node += 1
-                return node - self._cap + 1
-        return None
+        return key
 
 
 class _LogState:
@@ -244,7 +171,7 @@ class _LogState:
         "log_id", "length", "chain_head", "chain_error", "dead",
         "base", "base_chain", "base_state", "base_traces", "gc_max_inv",
         "records", "state", "mismatches", "rt_first", "traces",
-        "rt_index", "open_txns",
+        "max_inv", "top_timed", "open_txns",
     )
 
     def __init__(self, log_id: int, initial_state: Any) -> None:
@@ -265,7 +192,11 @@ class _LogState:
         self.mismatches: dict[int, tuple[Any, Any, Any]] = {}
         self.rt_first: int | None = None  # first position whose prefix violates
         self.traces: dict[str, TxnTrace] = {}
-        self.rt_index = _RtIndex()
+        #: real-time summary over every timed record so far: the largest
+        #: ``invoked_at`` (discarded prefix included) and the highest timed
+        #: position — the two O(1) exits of :meth:`_observe_timing`
+        self.max_inv = 0
+        self.top_timed = 0
         #: txn ids currently prepared-but-undecided *in this log* — the
         #: only candidates the withheld-decision scan must revisit
         self.open_txns: set[str] = set()
@@ -334,6 +265,9 @@ class StreamingChecker:
         #: first completion per client that carried no sequence number —
         #: such a record can never appear in any view (check 2)
         self._none_seq: dict[int, OperationRecord] = {}
+        #: clients whose point may lie on no log: everyone else is located
+        #: and stays so (the floor never passes a client's own point)
+        self._suspects: set[int] = set(self._client_ids)
         self._floor = 0
         self.frontier = 0
 
@@ -382,7 +316,7 @@ class StreamingChecker:
                     for txn_id, trace in log.traces.items()
                     if trace.prepared and not trace.decisions
                 }
-                log.gc_max_inv = source.gc_max_inv
+                log.gc_max_inv = log.max_inv = source.gc_max_inv
                 log.length = source.base
                 log.chain_head = source.base_chain
                 log.mismatches = {
@@ -457,6 +391,7 @@ class StreamingChecker:
         # the post-mortem extractor)
         touched = trace_txn_operation(log.traces, operation, shown)
         if touched:
+            rec.in_txn = True
             self._update_open_txns(log, touched)
         # replay through F
         self._replay_one(log, rec)
@@ -475,11 +410,12 @@ class StreamingChecker:
     def _replay_one(self, log: _LogState, rec: _Rec) -> None:
         if rec.is_nop:
             rec.expected = None
+            rec.state = log.state
             return
-        expected, log.state = self._functionality.apply(
+        rec.expected, rec.state = self._functionality.apply(
             log.state, rec.operation_view
         )
-        rec.expected = expected
+        log.state = rec.state
         self._refresh_mismatch(log, rec)
 
     def _refresh_mismatch(self, log: _LogState, rec: _Rec) -> None:
@@ -513,26 +449,31 @@ class StreamingChecker:
                 self._substitute(log, rec, record)
 
     def _substitute(self, log: _LogState, rec: _Rec, record: OperationRecord) -> None:
-        same_view = record.operation == rec.operation_view
+        operation = record.operation
+        view = rec.operation_view
+        # The history holds the operation as the client invoked it (a
+        # tuple), the view what the audited bytes decoded to (a list);
+        # serde encodes the two alike.  An honest completion therefore
+        # shows the very operation the view already held — its canonical
+        # key and nop-ness are unchanged by construction, nothing encodes
+        changed = not (
+            operation == view
+            or (type(operation) is tuple and list(operation) == view)
+        )
+        if changed:
+            new_key = _canonical_key(rec.client_id, operation, rec.sequence)
+            new_nop = _is_nop_operation(operation)
+            changed = new_key != rec.key or new_nop != rec.is_nop
         rec.completed = True
-        rec.operation_view = record.operation
+        rec.operation_view = operation
         rec.result_shown = record.result
         rec.invoked_at = record.invoked_at
         rec.responded_at = record.responded_at
-        if same_view:
-            # the history shows the very operation the view already held
-            # (the overwhelmingly common case): its canonical key and
-            # nop-ness are unchanged by construction, skip the re-encode
-            new_key = rec.key
-            new_nop = rec.is_nop
-        else:
-            new_key = _canonical_key(rec.client_id, record.operation, rec.sequence)
-            new_nop = _is_nop_operation(record.operation)
-        if new_key != rec.key or new_nop != rec.is_nop:
+        if changed:
             # the view's operation differs from the audited bytes: the
             # replayed state downstream of this record changes, and so
             # may the positional comparisons at this position
-            rec.key = new_key
+            rec._key = new_key
             rec.is_nop = new_nop
             self._recompute_replay(log)
             self._repair_pairs(log, rec.sequence)
@@ -550,10 +491,12 @@ class StreamingChecker:
             rec = log.records[seq]
             if rec.is_nop:
                 rec.expected = None
+                rec.state = state
                 continue
             rec.expected, state = self._functionality.apply(
                 state, rec.operation_view
             )
+            rec.state = state
             self._refresh_mismatch(log, rec)
         log.state = state
 
@@ -574,22 +517,34 @@ class StreamingChecker:
 
     def _observe_timing(self, log: _LogState, rec: _Rec) -> None:
         """Real-time check 3, incremental: when a record gains timing,
-        look for a contradiction via the positional timestamp index plus
-        the discarded prefix's invocation-time summary.  The index keeps
-        both directions O(log n) per completion instead of a scan over
-        the retained suffix."""
+        look for a contradiction against the retained records' timestamps
+        plus the discarded prefix's invocation-time summary.  Completions
+        arrive in response order on an honest run, so both directions
+        leave through an O(1) exit; only an out-of-order arrival walks
+        the retained window, and only as far as the evidence reaches."""
         s = rec.sequence
+        records = log.records
         # as the later element: some earlier operation invoked after we
-        # responded (prefix max over discarded + retained timed records)
-        max_inv = max(log.gc_max_inv, log.rt_index.max_invoked_before(s))
-        if max_inv > 0 and rec.responded_at < max_inv:
+        # responded.  A response at or above every invocation seen cannot
+        # be one; otherwise take the exact prefix maximum (discarded
+        # summary + retained records below us)
+        if rec.responded_at < log.max_inv and rec.responded_at < max(
+            [log.gc_max_inv]
+            + [records[p].invoked_at for p in range(log.base + 1, s)]
+        ):
             self._note_rt(log, s)
-        # as the earlier element: some later retained operation responded
-        # before we were invoked
-        later = log.rt_index.first_responded_before(s, rec.invoked_at)
-        if later is not None:
-            self._note_rt(log, later)
-        log.rt_index.set(s, rec.invoked_at, rec.responded_at)
+        # as the earlier element: the leftmost later operation that
+        # responded before we were invoked.  Nothing above the highest
+        # timed position carries a timestamp
+        if s < log.top_timed:
+            for position in range(s + 1, log.top_timed + 1):
+                if records[position].responded_at < rec.invoked_at:
+                    self._note_rt(log, position)
+                    break
+        else:
+            log.top_timed = s
+        if rec.invoked_at > log.max_inv:
+            log.max_inv = rec.invoked_at
 
     def _note_rt(self, log: _LogState, position: int) -> None:
         if log.rt_first is None or position < log.rt_first:
@@ -600,6 +555,7 @@ class StreamingChecker:
 
     def observe_point(self, client_id: int, sequence: int, chain: bytes) -> None:
         self._points[client_id] = (sequence, chain)
+        self._suspects.add(client_id)
 
     # ------------------------------------------------------------ pairwise
 
@@ -711,13 +667,13 @@ class StreamingChecker:
                 rec = log.records.pop(seq)
                 log.base = seq
                 log.base_chain = rec.chain
-                if not rec.is_nop:
-                    _, log.base_state = self._functionality.apply(
-                        log.base_state, rec.operation_view
-                    )
+                log.base_state = rec.state
                 if rec.completed:
                     log.gc_max_inv = max(log.gc_max_inv, rec.invoked_at)
-                trace_txn_operation(log.base_traces, rec.operation, rec.result_audit)
+                if rec.in_txn:
+                    trace_txn_operation(
+                        log.base_traces, rec.operation, rec.result_audit
+                    )
         for key in [k for k in self._completions if k[1] <= floor]:
             del self._completions[key]
 
@@ -752,11 +708,19 @@ class StreamingChecker:
 
     def unlocated_clients(self) -> list[int]:
         """Clients whose current point lies on no log (online detection
-        of an invented history)."""
+        of an invented history).  Only points that moved since the last
+        call, or were unlocated then, are looked up again."""
+        self._suspects = {
+            client_id
+            for client_id in self._suspects
+            if self._locate(client_id) is None
+        }
+        if not self._suspects:
+            return []
         return [
             client_id
             for client_id in self._client_ids
-            if self._locate(client_id) is None
+            if client_id in self._suspects
         ]
 
     # -------------------------------------------------------------- verdict

@@ -109,6 +109,7 @@ the protected content reseals that piece under a fresh nonce, so no
 from __future__ import annotations
 
 import collections
+import itertools
 import operator
 from bisect import bisect_left, insort
 from time import perf_counter as _perf_counter
@@ -252,6 +253,8 @@ _HASH_FRAME = _bytes_header(32)
 _WHOLE_STATE_KEY = serde.encode({})
 _WHOLE_STATE = object()  # that section's key in the entry views below
 _ABSENT = object()
+#: value types that cannot change behind an unchanged object identity
+_IMMUTABLE_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
 
 
 def _entries(state: Any) -> dict:
@@ -487,8 +490,10 @@ class LcmContext:
         self._sections = _PackedPieceTable(_list_header)
         self._sealed_state: Any = {}
         self._sections_hash: bytes | None = None  # framed, manifest input
-        # audit mode only: key -> the encoded value its section holds
+        # audit mode only: key -> the encoded value its section holds,
+        # and -> the value object itself where that is an immutable scalar
         self._sealed_values: dict[Any, bytes] = {}
+        self._sealed_scalars: dict[Any, Any] = {}
         # rows in _dirty_rows need a synthesized REPLY box before the next
         # store; the invoke path feeds the table the real ones
         self._row_pieces = _PieceTable(_dict_header)
@@ -642,6 +647,11 @@ class LcmContext:
                 key: serde.encode(value)
                 for key, value in _entries(self._state).items()
             }
+            self._sealed_scalars = {
+                key: value
+                for key, value in _entries(self._state).items()
+                if type(value) in _IMMUTABLE_SCALARS
+            }
         for (enc_id, _, record), piece in zip(rows, row_hashes):
             self._row_pieces.put(enc_id, enc_id + _frame_bytes(record), piece)
         self._dirty_rows.clear()
@@ -733,6 +743,7 @@ class LcmContext:
         self._sealed_state = {}
         self._sections_hash = None
         self._sealed_values = {}
+        self._sealed_scalars = {}
         self._row_pieces.clear()
         self._dirty_rows = set(self._rows.client_ids())
 
@@ -747,6 +758,7 @@ class LcmContext:
         audit = self._audit
         entries = _entries(state)
         sealed_values = self._sealed_values
+        sealed_scalars = self._sealed_scalars
         if state is not self._sealed_state:
             sections = self._sections
             sealed = _entries(self._sealed_state)
@@ -767,6 +779,7 @@ class LcmContext:
             for key in left:
                 sections.discard(_encode_key(key))
                 sealed_values.pop(key, None)
+                sealed_scalars.pop(key, None)
             for twin in (False, True):
                 if twin in entries and twin in sealed:
                     # False/0 and True/1 are one dict key but two
@@ -785,7 +798,8 @@ class LcmContext:
             # fresh nonces are drawn in canonical section order, so the
             # sealed bytes do not depend on the state's dict order
             for enc_key, key in sorted((_encode_key(key), key) for key in dirty):
-                enc_value = serde.encode(entries[key])
+                value = entries[key]
+                enc_value = serde.encode(value)
                 box = stream_encrypt(
                     enc_key + enc_value, kp, nonce=self._next_nonce()
                 )
@@ -794,20 +808,30 @@ class LcmContext:
                 )
                 if audit:
                     sealed_values[key] = enc_value
+                    if type(value) in _IMMUTABLE_SCALARS:
+                        sealed_scalars[key] = value
+                    else:
+                        sealed_scalars.pop(key, None)
             self._sealed_state = state
         if audit and any(
-            map(
-                operator.ne,
-                map(serde.encode, entries.values()),
-                map(sealed_values.get, entries),
+            serde.encode(entries[key]) != sealed_values.get(key)
+            for key in itertools.compress(
+                entries,
+                map(
+                    operator.is_not,
+                    entries.values(),
+                    map(sealed_scalars.get, entries, itertools.repeat(_ABSENT)),
+                ),
             )
         ):
             # The identity diff assumes Functionality.apply never mutates
             # a top-level value in place (its documented contract).  Audit
-            # mode pays for re-encoding every entry to catch violations
-            # loudly instead of keeping a stale section that a restore
-            # would silently resurrect: each value must still encode to
-            # the bytes its section was sealed from.
+            # mode pays for re-encoding entries to catch violations loudly
+            # instead of keeping a stale section that a restore would
+            # silently resurrect: each value must still encode to the
+            # bytes its section was sealed from.  Only an entry that still
+            # holds the very immutable scalar it was sealed from is exempt
+            # — it cannot have changed.
             raise ConfigurationError(
                 "functionality mutated the service state in place; "
                 "a sealed section would go stale (see Functionality.apply)"

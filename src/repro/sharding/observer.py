@@ -109,7 +109,7 @@ class _Stream:
 
     __slots__ = (
         "shard_id", "generation", "checker", "history_offset",
-        "violated", "frozen", "withheld_emitted", "gauges",
+        "violated", "frozen", "withheld_emitted", "gauges", "points",
     )
 
     def __init__(self, shard_id: int, generation: int, checker: StreamingChecker):
@@ -123,6 +123,8 @@ class _Stream:
         #: (frontier, floor, retained) gauge triple, resolved once — the
         #: registry lookup is per-boundary hot
         self.gauges: tuple | None = None
+        #: client id -> the (sequence, chain) point last handed to the checker
+        self.points: dict[int, tuple[int, bytes]] = {}
 
 
 class ClusterObserver:
@@ -282,10 +284,12 @@ class ClusterObserver:
         stream.history_offset += len(fresh)
         for record in fresh:
             checker.observe_completion(record)
+        points = stream.points
         for client_id, machine in clients.items():
-            checker.observe_point(
-                client_id, machine.last_sequence, machine.last_chain
-            )
+            point = (machine.last_sequence, machine.last_chain)
+            if points.get(client_id) != point:
+                points[client_id] = point
+                checker.observe_point(client_id, *point)
         checker.advance()
         if self._registry is not None:
             if stream.gauges is None:

@@ -171,7 +171,56 @@ class TestParity:
         points = {1: point_at(joined_a, 4), 2: point_at(fake_joined_b, 4)}
         sig, _ = post_mortem_sig([joined_a, fake_joined_b], points)
         assert sig is not None  # the attack IS caught post-mortem...
-        self.assert_parity([joined_a, fake_joined_b], points)
+        _, events = self.assert_parity([joined_a, fake_joined_b], points)
+        # the spliced tail does not extend branch b's chain
+        assert events == [
+            ("fork-divergence", {"log_a": 0, "log_b": 1, "position": 3}),
+            (
+                "chain-violation",
+                {"log": 1, "message": "audit log chain mismatch at sequence 4"},
+            ),
+            (
+                "stable-frontier-fork",
+                {"log_a": 0, "log_b": 1, "divergence": 3, "frontier": 4},
+            ),
+        ]
+
+    def test_rechained_join(self):
+        """The same join with the shared operation re-chained onto branch
+        b: both logs verify, and the operation two diverged views share at
+        position 4 is the join."""
+        base = build_log(BASE)
+        branch_a = base + build_log(
+            [(1, ("PUT", "k", "a"), "v1"), (2, ("GET", "k"), "a")],
+            start_chain=base[-1].chain, start_sequence=2,
+        )
+        branch_b = base + build_log(
+            [(2, ("PUT", "k", "b"), "v1"), (2, ("GET", "k"), "b")],
+            start_chain=base[-1].chain, start_sequence=2,
+        )
+        signature, events = self.assert_parity(
+            [branch_a, branch_b],
+            {1: point_at(branch_a, 4), 2: point_at(branch_b, 4)},
+        )
+        assert signature == (
+            (
+                "ForkDetected",
+                "views of clients 1 and 2 diverge at position 2 but later "
+                "share 1 operation(s): forks were joined",
+            ),
+            None,
+        )
+        assert events == [
+            ("fork-divergence", {"log_a": 0, "log_b": 1, "position": 3}),
+            (
+                "fork-join",
+                {"log_a": 0, "log_b": 1, "position": 4, "divergence": 2},
+            ),
+            (
+                "stable-frontier-fork",
+                {"log_a": 0, "log_b": 1, "divergence": 3, "frontier": 4},
+            ),
+        ]
 
     def test_chain_mismatch(self):
         log = build_log(BASE)
@@ -197,9 +246,19 @@ class TestParity:
 
     def test_unlocated_point(self):
         log = build_log(BASE)
-        self.assert_parity(
+        signature, events = self.assert_parity(
             [log], {1: point_at(log, 2), 2: (2, b"\xff" * 32)}
         )
+        assert signature == (
+            (
+                "SecurityViolation",
+                "client 2 observed a chain value on no enclave log",
+            ),
+            None,
+        )
+        # the checker itself stays silent: the observer reports an
+        # unlocated point per boundary (see the sharding parity suite)
+        assert events == []
 
     @pytest.mark.parametrize("arrival", ["in-order", "reversed"])
     def test_real_time_contradiction(self, arrival):
@@ -227,6 +286,21 @@ class TestParity:
             {"log": 0, "position": 2}
         ]
 
+    def test_late_invocation_names_the_leftmost_contradicted_record(self):
+        """Records 2 and 3 both responded before record 1 was invoked and
+        record 1's completion streams in last: the view stops respecting
+        real time at position 2, the first of the two."""
+        log = build_log(BASE + [(2, ("GET", "k"), "v1")])
+        records = [
+            completion(2, 3, ("GET", "k"), "v1", 3, 4),
+            completion(2, 2, ("GET", "k"), "v1", 1, 2),
+            completion(1, 1, ("PUT", "k", "v1"), None, 10, 11),
+        ]
+        _, events = self.assert_parity(
+            [log], {1: point_at(log, 1), 2: point_at(log, 3)}, records=records
+        )
+        assert events == [("rt-violation", {"log": 0, "position": 2})]
+
     def test_substituted_operation_replays_downstream(self):
         """The history shows client 1 writing a different value than the
         audited bytes at sequence 1: the view holds the history's
@@ -245,6 +319,69 @@ class TestParity:
             None,
         )
         assert ("replay-mismatch", {"log": 0, "sequence": 2}) in events
+        assert events == [("replay-mismatch", {"log": 0, "sequence": 2})]
+
+    def test_differing_completion_rekeys(self, monkeypatch):
+        """The substitution above is found by key: the completion and the
+        audited operation are both encoded, and the record holds the
+        history's key from then on."""
+        from repro.consistency import streaming
+
+        encoded = []
+        canonical_key = streaming._canonical_key
+        monkeypatch.setattr(
+            streaming, "_canonical_key",
+            lambda *fields: encoded.append(fields) or canonical_key(*fields),
+        )
+        checker = make_checker()
+        log = build_log(BASE)
+        checker.feed_records(checker.register_log(), log)
+        assert encoded == []
+        checker.observe_completion(
+            completion(1, 1, ("PUT", "k", "other"), None, 1, 2)
+        )
+        assert sorted(encoded, key=repr) == [
+            (1, ("PUT", "k", "other"), 1),
+            (1, ["PUT", "k", "v1"], 1),
+        ]
+        assert checker._logs[0].records[1].key == canonical_key(
+            1, ["PUT", "k", "other"], 1
+        )
+
+    def test_single_log_run_never_encodes_a_key(self, monkeypatch):
+        """One log, and every completion carries the audited operation as
+        the tuple ``ShardRouter`` records: the decoded list the view holds
+        is the same operation, so no record is ever keyed."""
+        from repro.consistency import streaming
+
+        encodes = []
+        monkeypatch.setattr(
+            streaming, "_canonical_key",
+            lambda *fields: encodes.append(fields) or b"",
+        )
+        spec = [
+            (1, ("PUT", "k", "v1"), None),
+            (2, ("GET", "k"), "v1"),
+            (1, ("__LCM_TXN_PREPARE__", "t", [["PUT", "k", "v2"]]),
+             ["__LCM_TXN_PREPARED__", ["v1"]]),
+            (2, ("DEL", "other"), None),
+        ]
+        log = build_log(spec)
+        checker = make_checker()
+        log_id = checker.register_log()
+        for sequence, (client_id, operation, result) in enumerate(spec, start=1):
+            checker.feed_records(log_id, [log[sequence - 1]])
+            checker.observe_completion(
+                completion(
+                    client_id, sequence, operation, result,
+                    2 * sequence, 2 * sequence + 1,
+                )
+            )
+            checker.observe_point(client_id, *point_at(log, sequence))
+            checker.advance()
+        assert checker.result().ok
+        assert checker.floor == 3 and checker.retained_records == 1
+        assert encodes == []
 
     def test_substitution_at_a_position_two_forks_share(self):
         """The same substitution below a fork: both logs' record 2 takes
@@ -297,6 +434,9 @@ class TestOnlineEvents:
         # detected the moment the diverging position streamed in — no
         # verdict call needed
         assert ("fork-divergence", {"log_a": 0, "log_b": 1, "position": 3}) in events
+        assert events == [
+            ("fork-divergence", {"log_a": 0, "log_b": 1, "position": 3})
+        ]
 
     def test_chain_violation_emitted_at_feed_time(self):
         events = []

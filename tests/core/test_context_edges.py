@@ -408,6 +408,27 @@ class TestInPlaceMutationGuard:
         with pytest.raises(ConfigurationError, match="mutated the service state"):
             alice.invoke(("APPEND", "k", "b"))
 
+    def test_unchanged_immutable_entries_are_not_re_encoded(self, monkeypatch):
+        """An entry that still holds the very ``str`` it was sealed from
+        cannot have changed: a PUT into a 64-entry store encodes the
+        value it writes (its section, its reply), not the other 63."""
+        _, _, (alice, *_) = build_deployment(audit=True)
+        for index in range(64):
+            alice.invoke(put(f"k-{index}", f"stored-{index}"))
+        encoded = []
+        encode = serde.encode
+
+        def counting(value):
+            if type(value) is str and value.startswith("stored-"):
+                encoded.append(value)
+            return encode(value)
+
+        monkeypatch.setattr(serde, "encode", counting)
+        for index in range(8):
+            alice.invoke(put(f"k-{index}", f"stored-again-{index}"))
+        assert 8 <= len(encoded) <= 2 * 8
+        assert alice.invoke(get("k-63")).result == "stored-63"
+
     def test_production_mode_trusts_the_contract(self):
         """Without audit the violation goes unnoticed and the stale
         section is what a restart resurrects — the documented hazard."""

@@ -59,6 +59,27 @@ def keys_by_shard(cluster, keys):
     return grouped
 
 
+def verifier_events(cluster):
+    """The verifier's full ordered event stream as ``[(name, fields)]``."""
+    return [
+        (event.name, event.fields)
+        for event in cluster.metrics_registry.events
+        if event.name.startswith("verifier.")
+    ]
+
+
+#: label fields of every pairwise fork event in this suite: the forked
+#: instance is always log 1 of shard 1's first generation
+FORK = {"shard": 1, "generation": 0, "log_a": 0, "log_b": 1}
+
+
+def withheld_event(txn_id):
+    return (
+        "verifier.txn-withheld",
+        {"shard": 1, "generation": 0, "txn_id": txn_id, "decision": "C"},
+    )
+
+
 def assert_parity(router):
     post = router.verdict()
     streaming = router.streaming_verdict()
@@ -184,8 +205,19 @@ class TestAttacks:
             ).value
             >= 1
         )
+        divergence = ("verifier.fork-divergence", {**FORK, "position": 4})
+        assert verifier_events(cluster) == [divergence]
         streaming, post = assert_parity(router)
         assert streaming.forked_shards == [1] == post.forked_shards
+        # the verdict-time harvest observes the final points: the majority
+        # frontier now lies past the divergence
+        assert verifier_events(cluster) == [
+            divergence,
+            (
+                "verifier.stable-frontier-fork",
+                {**FORK, "divergence": 4, "frontier": 4},
+            ),
+        ]
 
     def test_join_attempt(self):
         cluster, router, victim_keys = self._forked_cluster(seed=34)
@@ -196,6 +228,11 @@ class TestAttacks:
         assert not streaming.ok and not post.ok
         assert not streaming.shards[1].ok
         assert streaming.shards[0].ok and streaming.shards[2].ok
+        # the join dies on the client's own chain check: the live
+        # violation is the evidence and the stream stops consuming
+        assert verifier_events(cluster) == [
+            ("verifier.fork-divergence", {**FORK, "position": 4})
+        ]
 
     def test_rollback_across_generation_bump(self):
         """Recovery bumps the generation; a rollback of the *new*
@@ -218,6 +255,12 @@ class TestAttacks:
         generations = streaming.shards[0].generations
         assert generations[0].ok
         assert isinstance(generations[1].violation, RollbackDetected)
+        # caught by the enclave, not the verifier: no verifier event
+        assert verifier_events(cluster) == []
+        assert [
+            event.fields["generation"]
+            for event in cluster.metrics_registry.events_named("shard-violation")
+        ] == [1]
 
     def test_crashed_shard_without_recovery(self):
         cluster, router = build(shards=2, clients=2, seed=36)
@@ -275,9 +318,20 @@ class TestTransactions:
         # online promise: the withheld decision is already an event
         withheld = cluster.metrics_registry.events_named("verifier.txn-withheld")
         assert withheld and withheld[0].fields["decision"] == "C"
+        online = [
+            ("verifier.fork-divergence", {**FORK, "position": 23}),
+            withheld_event("txn-2-00000000"),
+        ]
+        assert verifier_events(cluster) == online
         streaming, post = assert_parity(router)
         assert not streaming.ok and not post.ok
         assert len(streaming.txn_violations) == 1
+        assert verifier_events(cluster) == online + [
+            (
+                "verifier.stable-frontier-fork",
+                {**FORK, "divergence": 23, "frontier": 23},
+            ),
+        ]
 
     def test_withheld_grouped_decision_detected_online(self):
         """The same attack against the group-commit plane: pipelined
@@ -319,9 +373,81 @@ class TestTransactions:
         assert router.txn_group_flushes > 0
         withheld = cluster.metrics_registry.events_named("verifier.txn-withheld")
         assert withheld and withheld[0].fields["decision"] == "C"
+        # the first withheld decision completes a boundary before the
+        # fork's first own record streams in
+        online = [
+            withheld_event("txn-2-00000001"),
+            ("verifier.fork-divergence", {**FORK, "position": 37}),
+            withheld_event("txn-2-00000002"),
+            withheld_event("txn-2-00000003"),
+            withheld_event("txn-2-00000004"),
+        ]
+        assert verifier_events(cluster) == online
         streaming, post = assert_parity(router)
         assert not streaming.ok and not post.ok
         assert streaming.txn_violations
+        assert verifier_events(cluster) == online
+
+
+def _held_items(log):
+    """Entries held by every container reachable from one log's
+    verification state through slotted objects — whatever structures the
+    checker keeps — except the replayed ``F`` state, which is the
+    service's size, not the verifier's."""
+    total = 0
+    stack = [
+        getattr(log, slot)
+        for slot in type(log).__slots__
+        if slot not in ("state", "base_state")
+    ]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, dict, set, tuple)):
+            total += len(item)
+        elif hasattr(type(item), "__slots__"):
+            stack.extend(getattr(item, slot) for slot in type(item).__slots__)
+    return total
+
+
+class TestUnlocatedPoint:
+    def test_reported_at_every_boundary_while_it_stays_unlocated(self):
+        cluster, router = build(shards=1, clients=3, seed=42)
+        for client_id in cluster.client_ids:
+            router.submit(client_id, put(f"u-{client_id}", "v"))
+        cluster.run()
+        assert verifier_events(cluster) == []
+        shard = cluster._shard(0)
+        machine = shard.clients[2]
+        honest_chain = machine.last_chain
+        machine._last_chain = b"\xff" * 32  # a chain value on no enclave log
+        reported = (
+            "verifier.unlocated-point",
+            {"shard": 0, "generation": 0, "client": 2},
+        )
+        cluster.observer.on_batch_boundary(shard)
+        cluster.observer.on_batch_boundary(shard)  # nothing moved in between
+        assert verifier_events(cluster) == [reported, reported]
+        # other clients' traffic neither hides nor multiplies the report:
+        # once per boundary, for as long as the point stays off every log
+        boundaries = []
+        harvest = cluster.observer.on_batch_boundary
+
+        def counted(shard):
+            boundaries.append(shard.shard_id)
+            harvest(shard)
+
+        cluster.observer.on_batch_boundary = counted
+        router.submit(1, put("u-more", "v"))
+        router.submit(3, put("u-most", "v"))
+        cluster.run()
+        del cluster.observer.on_batch_boundary
+        events = verifier_events(cluster)
+        assert boundaries and events == [reported] * (2 + len(boundaries))
+        machine._last_chain = honest_chain
+        cluster.observer.on_batch_boundary(shard)
+        assert verifier_events(cluster) == events  # located again: silence
+        streaming, post = assert_parity(router)
+        assert streaming.ok and post.ok
 
 
 class TestMemoryBound:
@@ -353,6 +479,21 @@ class TestMemoryBound:
         assert total >= rounds * per_round  # the history kept growing...
         assert max(samples) <= 2 * per_round  # ...the retained window didn't
         assert samples[-1] <= 2 * per_round
+        # ten times the history later, everything a log's verification
+        # state holds — the real-time evidence included — is still sized
+        # by the retained window, not by the log
+        for round_number in range(rounds, 11 * rounds):
+            for index in range(per_round):
+                client_id = cluster.client_ids[index % len(cluster.client_ids)]
+                router.submit(
+                    client_id, put(f"gc-{round_number}-{index}", "v")
+                )
+            cluster.run()
+        for shard_id in cluster.shard_ids:
+            checker = cluster.observer._streams[(shard_id, 0)].checker
+            assert checker.log_length(0) >= 4 * rounds * per_round
+            assert checker.retained_records <= 2 * per_round
+            assert _held_items(checker._logs[0]) <= 4 * 2 * per_round
         assert_parity(router)
 
     def test_frontier_and_floor_gauges_track_the_checker(self):
