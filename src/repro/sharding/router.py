@@ -5,7 +5,14 @@ shards behind the familiar submit-an-operation surface.
 
 - **single-key operations** (``GET``/``PUT``/``DEL``) are routed to the
   shard owning the operation's key, onto that shard's per-client Alg. 1
-  machine;
+  machine.  Each is one *submission record* in one table, in one state:
+  ``parked`` (its shard is fenced by a reshard, or down under failover),
+  ``inflight`` (dispatched, awaiting the reply), ``waiting`` (bounced by
+  a transaction's lock until that transaction's decision completes), or
+  terminal ``done`` / ``dropped``.  Four methods move records: ``_place``
+  parks or dispatches, ``_on_reply`` takes a reply, ``_replay`` resubmits
+  after a reconfiguration, and ``_finish`` — the only caller of the
+  submitter's callback — completes a record exactly once;
 - **multi-key requests** (YCSB scans map to multi-GET sequences,
   read-modify-write pairs, arbitrary batches) fan out across the owning
   shards *concurrently* — the per-(client, shard) machines are independent
@@ -19,19 +26,15 @@ shards behind the familiar submit-an-operation surface.
   the writes as a sequenced, hash-chained, sealed operation, and the
   commit/abort decision lands the same way — so the whole lifecycle is
   covered by exactly the verification machinery that protects a PUT;
-- **group commit**: with ``group_commit=True`` (the default) the router
-  amortises the transaction fast path.  While a (client, shard) protocol
-  machine is idle, lifecycle operations take the exact legacy single-verb
-  path — byte-identical evidence, no added latency.  While the machine is
-  busy, prepares and decisions headed for it accumulate in a coordinator
-  buffer and flush as one merged ``TXN_PREPARE_MANY`` /
-  ``TXN_DECIDE_MANY`` operation the moment the in-flight operation
-  completes: one sealed, hash-chained ecall carries a whole boundary's
-  worth of lifecycle traffic per participant.  Lock conflicts no longer
-  bounce: a prepare that loses queues as a FIFO *waiter* inside the
-  shard's sealed state (wound-wait ordered, so waits-for chains are
-  acyclic) and its vote arrives later, piggybacked on the releasing
-  decision's ack;
+- **group commit**: with ``group_commit=True`` (the default) lifecycle
+  operations headed for an idle (client, shard) machine take the legacy
+  single verb — byte-identical evidence, no added latency — while those
+  headed for a busy one accumulate and flush as one merged
+  ``TXN_PREPARE_MANY`` / ``TXN_DECIDE_MANY`` operation the moment the
+  in-flight operation completes.  A prepare that loses a lock conflict
+  queues as a FIFO *waiter* inside the shard's sealed state (wound-wait
+  ordered, so waits-for chains are acyclic) and its vote arrives later,
+  piggybacked on the releasing decision's ack;
 - **durable coordination**: every begin and decision is appended to a
   :class:`~repro.server.storage.StableStorage` decision log *before*
   phase 2 is driven, so a coordinator that stops between phases can be
@@ -40,25 +43,22 @@ shards behind the familiar submit-an-operation surface.
   logged decision; begun-but-undecided ones are presumed aborted).
   Finished transactions are pruned from the in-memory ``txn_log``; the
   compact per-txn decision summary the checkers need is retained forever;
-- **verification** merges per-shard fork-linearizability evidence into a
-  single :class:`ShardedVerdict`: each shard's audit logs (spanning
-  migrations and forks), client chain points, and recorded history are fed
-  to the Sec. 3.2.1 checker, and violations detected live during the run
-  (a halting context, a client rejecting a forked reply) are attributed to
-  their shard.  One forked shard is therefore detected even when every
-  other shard is honest.  On top of the per-shard checks, the
-  coordinator's decision log and the per-shard audit logs are fed to the
-  cross-shard transaction checker
-  (:func:`~repro.consistency.transactions.check_transaction_atomicity`),
-  which verifies every decided transaction is atomic *across* the shard
-  histories — all-or-nothing, decisions consistent with the coordinator,
-  and no live history (fork instances included) left holding a prepare
-  whose completed decision it never saw.
+- **verification** merges per-shard evidence into one
+  :class:`ShardedVerdict`: every generation of every shard (migrations
+  and forks included) is fed to the Sec. 3.2.1 checker and violations
+  detected live are attributed to their shard, so one forked shard is
+  detected even when every other shard is honest; the coordinator's
+  decision log is checked against every audit log for cross-shard
+  atomicity (:func:`~repro.consistency.transactions.check_transaction_atomicity`)
+  — all-or-nothing, decisions consistent with the coordinator, and no
+  live history left holding a prepare whose decision it never saw.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro import serde
@@ -76,7 +76,6 @@ from repro.errors import (
     LCMError,
     SecurityViolation,
     ShardUnavailable,
-    TxnAtomicityViolation,
 )
 from repro.kvstore.functionality import (
     TXN_ABORTED,
@@ -93,6 +92,11 @@ from repro.kvstore.functionality import (
 )
 from repro.server.storage import StableStorage
 from repro.sharding.cluster import ShardedCluster
+
+
+def _decision_operation(txn_id: str, decision: str) -> tuple:
+    """The single-verb commit or abort of one transaction."""
+    return txn_commit(txn_id) if decision == "C" else txn_abort(txn_id)
 
 
 def routing_key(operation: Any) -> str | bytes:
@@ -204,9 +208,6 @@ class TxnRecord:
     conflict_with: str | None = None
     on_complete: Callable[[TxnResult], Any] | None = None
     done: bool = False
-    #: single-key operations rejected with TXN_LOCKED naming this txn as
-    #: the holder — resubmitted (FIFO) when the decision completes
-    lock_waiters: list[tuple] = field(default_factory=list)
     #: virtual submit time (txn-lifecycle latency source); ``None`` on
     #: records reconstructed by recovery, whose lifetime spans a crash
     #: and would poison the distribution
@@ -215,6 +216,37 @@ class TxnRecord:
     @property
     def committed(self) -> bool:
         return self.decision == "C"
+
+
+#: submission states; ``done`` and ``dropped`` are terminal
+_PARKED, _INFLIGHT, _WAITING, _DONE, _DROPPED = (
+    "parked", "inflight", "waiting", "done", "dropped"
+)
+
+
+class _Submission:
+    """One single-key operation, from ``submit`` to its one completion.
+
+    ``state`` is ``parked`` on ``shard_id``; ``inflight`` on ``shard_id``
+    (with ``history``/``token``, ``submitted_at`` and ``span``);
+    ``waiting`` on the lock ``holder`` transaction; or terminal ``done``
+    / ``dropped``.  A state's payload slots are set by the transition
+    into it.  ``epoch`` counts placements, so a reply to any dispatch but
+    the latest is stale.  ``reroute`` re-resolves the owner at every
+    placement; ``attempts`` counts lock waits since the last replay.
+    """
+
+    __slots__ = (
+        "shard_id", "client_id", "operation", "on_complete", "reroute",
+        "attempts", "state", "epoch", "history", "token", "submitted_at",
+        "span", "holder",
+    )
+
+    def __init__(self, shard_id, client_id, operation, on_complete, reroute):
+        self.shard_id, self.client_id = shard_id, client_id
+        self.operation, self.on_complete = operation, on_complete
+        self.reroute, self.state = reroute, None
+        self.attempts = self.epoch = 0
 
 
 @dataclass
@@ -264,9 +296,12 @@ class ShardRouter:
     shard when it crashed (invoked but never answered) are tracked and
     replayed the same way.
 
-    Every submission completes exactly once.  A reply that was already on
-    the wire when its generation was retired arrives after the replay
-    took the submission over: it is dropped — not recorded in the retired
+    Every submission completes exactly once, or is ``dropped`` with
+    attribution in :attr:`replay_failures` and
+    ``router.operations_dropped`` (a replay that cannot deliver it); a
+    second completion raises.  A reply that was already on the wire when
+    its generation was retired arrives after the replay took the
+    submission over: it is dropped — not recorded in the retired
     generation's history, ``on_complete`` not fired — and counted as
     ``router.replies_after_retire``; the operation's one completion is
     the replay's.
@@ -312,29 +347,20 @@ class ShardRouter:
         #: historical attribute names stay readable as properties below.
         #: Hot paths hold the Counter objects directly (one int add).
         registry = cluster.metrics_registry
-        self._ctr_submitted = registry.counter("router.operations_submitted")
-        self._ctr_fanout = registry.counter("router.fanout_requests")
-        self._ctr_parked = registry.counter("router.operations_parked")
-        self._ctr_replayed = registry.counter("router.operations_replayed")
-        self._ctr_dropped = registry.counter("router.operations_dropped")
-        self._ctr_replies_after_retire = registry.counter(
-            "router.replies_after_retire"
-        )
-        self._ctr_lock_retried = registry.counter(
-            "router.operations_lock_retried"
-        )
-        self._ctr_txn_started = registry.counter("router.transactions_started")
-        self._ctr_txn_committed = registry.counter(
-            "router.transactions_committed"
-        )
-        self._ctr_txn_aborted = registry.counter("router.transactions_aborted")
-        self._ctr_txn_parked = registry.counter("router.transactions_parked")
-        self._ctr_txn_group_flushes = registry.counter(
-            "router.txn_group_flushes"
-        )
-        self._ctr_txn_group_entries = registry.counter(
-            "router.txn_group_entries"
-        )
+        counter = registry.counter
+        self._ctr_submitted = counter("router.operations_submitted")
+        self._ctr_fanout = counter("router.fanout_requests")
+        self._ctr_parked = counter("router.operations_parked")
+        self._ctr_replayed = counter("router.operations_replayed")
+        self._ctr_dropped = counter("router.operations_dropped")
+        self._ctr_replies_after_retire = counter("router.replies_after_retire")
+        self._ctr_lock_retried = counter("router.operations_lock_retried")
+        self._ctr_txn_started = counter("router.transactions_started")
+        self._ctr_txn_committed = counter("router.transactions_committed")
+        self._ctr_txn_aborted = counter("router.transactions_aborted")
+        self._ctr_txn_parked = counter("router.transactions_parked")
+        self._ctr_txn_group_flushes = counter("router.txn_group_flushes")
+        self._ctr_txn_group_entries = counter("router.txn_group_entries")
         self._gauge_txn_retained = registry.gauge("router.txn_log_retained")
         #: per-(shard, op-kind) virtual-time latency quantile histograms
         #: (submit -> completion callback); the dict caches the metric
@@ -367,14 +393,11 @@ class ShardRouter:
         #: shard, or its shard died again before the replay) — dropped
         #: with attribution instead of raising inside a simulator event
         self.replay_failures: list[tuple[int, int, Any, LCMError]] = []
-        #: parked work per shard id: (client_id, operation, on_complete,
-        #: reroute) — reroute=True re-resolves the owner at replay time
-        self._parked: dict[int, list[tuple]] = {}
-        #: submissions invoked on a machine but not yet completed, in
-        #: submission order: {submission_id: (shard_id, client_id,
-        #: operation, on_complete, reroute)}
-        self._inflight: dict[int, tuple] = {}
-        self._next_submission = 0
+        #: every live (not done, not dropped) submission, in the order of
+        #: its last transition — an insertion-ordered set
+        self._submissions: dict[_Submission, None] = {}
+        #: shard labels the parked-operations gauge has ever carried
+        self._parked_gauge_shards: set[int] = set()
         cluster.subscribe_reconfiguration(self._on_reconfiguration)
         if cluster.observer.enabled:
             # the streaming verifier needs the coordinator's decision log
@@ -460,17 +483,12 @@ class ShardRouter:
         client_id: int,
         operation: Any,
         on_complete: Callable[[LcmResult], Any] | None = None,
-        *,
-        _lock_attempts: int = 0,
     ) -> int:
         """Queue a single-key operation; returns the owning shard id (the
         owner at submission time — a parked operation may land elsewhere
         after a reshard)."""
-        shard_id = self.owner(operation)
-        if self._defer(shard_id, client_id, operation, on_complete, reroute=True):
-            return shard_id
-        return self._dispatch(
-            shard_id, client_id, operation, on_complete, True, _lock_attempts
+        return self._place(
+            _Submission(None, client_id, operation, on_complete, True)
         )
 
     def submit_to_shard(
@@ -490,30 +508,37 @@ class ShardRouter:
         a :meth:`submit_many` fan-out the operations already handed to
         healthy shards proceed normally either way.
         """
-        if self._defer(shard_id, client_id, operation, on_complete, reroute=False):
-            return shard_id
-        return self._dispatch(shard_id, client_id, operation, on_complete, False, 0)
+        return self._place(
+            _Submission(shard_id, client_id, operation, on_complete, False)
+        )
 
-    def _defer(
-        self, shard_id: int, client_id: int, operation, on_complete, *, reroute
-    ) -> bool:
-        """Park the operation if its shard cannot take it right now.
-        Returns True when parked; raises when the shard is down and the
-        router is not in failover mode."""
+    def _place(self, record: _Submission) -> int:
+        """Park ``record`` if its shard cannot take it right now, else
+        dispatch it onto the (client, shard) protocol machine.  A
+        key-routed record re-resolves its owner first.  Raises — leaving
+        the record unplaced — when the shard is down and the router does
+        not fail over.  Returns the shard id."""
         cluster = self.cluster
+        operation = record.operation
+        # a placement retires the record's previous dispatch: a reply to
+        # that one now carries a stale epoch
+        record.epoch = epoch = record.epoch + 1
+        if record.reroute:
+            record.shard_id = self.owner(operation)
+        shard_id = record.shard_id
         if shard_id in cluster.fenced_shards:
-            if is_txn_decision(operation) and cluster.shard_healthy(shard_id):
-                # a fence parks *new* work, but a commit/abort resolves a
-                # prepare that is already inside the fenced shard — the
-                # barrier's drain is waiting on exactly this decision, so
-                # holding it back would deadlock fence against decision
-                return False
-            self._park(shard_id, client_id, operation, on_complete, reroute)
-            return True
-        if not cluster.shard_healthy(shard_id):
-            if self.failover:
-                self._park(shard_id, client_id, operation, on_complete, reroute)
-                return True
+            # a fence parks *new* work, but a commit/abort resolves a
+            # prepare that is already inside the fenced shard — the
+            # barrier's drain is waiting on exactly this decision, so
+            # holding it back would deadlock fence against decision
+            park = not (
+                is_txn_decision(operation) and cluster.shard_healthy(shard_id)
+            )
+        elif cluster.shard_healthy(shard_id):
+            park = False
+        elif self.failover:
+            park = True
+        else:
             violation = cluster.shard_violation(shard_id)
             cause = repr(violation) if violation else "a hardware crash"
             raise ShardUnavailable(
@@ -521,201 +546,187 @@ class ShardRouter:
                 "instead of queueing behind a stopped dispatcher "
                 "(failover=True parks and replays instead)"
             )
-        return False
-
-    def _park(self, shard_id, client_id, operation, on_complete, reroute) -> None:
-        self._ctr_parked.inc()
-        self._parked.setdefault(shard_id, []).append(
-            (client_id, operation, on_complete, reroute)
-        )
-
-    def _dispatch(
-        self,
-        shard_id: int,
-        client_id: int,
-        operation,
-        on_complete,
-        reroute,
-        lock_attempts: int = 0,
-    ) -> int:
-        cluster = self.cluster
-        history = cluster.shard_history(shard_id)
-        token = history.invoke(client_id, operation)
+        # every transition moves the record to the table's tail, so the
+        # table filtered by state is in dispatch, park or wait order
+        table = self._submissions
+        table.pop(record, None)
+        table[record] = None
+        if park:
+            self._ctr_parked.inc()
+            record.state = _PARKED
+            return shard_id
+        history = record.history = cluster.shard_history(shard_id)
+        record.token = history.invoke(record.client_id, operation)
         self._ctr_submitted.inc()
-        op_kind = str(operation[0]) if operation else "?"
-        submitted_at = cluster.sim.now
-        span = cluster.tracer.start(
+        record.submitted_at = cluster.sim.now
+        record.span = cluster.tracer.start(
             "operation",
-            client_id=client_id,
+            client_id=record.client_id,
             shard_id=shard_id,
-            operation=op_kind if operation else None,
+            operation=str(operation[0]) if operation else None,
         ) if cluster.tracer.enabled else None
-        submission = self._next_submission
-        self._next_submission = submission + 1
-        self._inflight[submission] = (
-            shard_id, client_id, operation, on_complete, reroute,
+        record.state = _INFLIGHT
+        cluster.client_machine(shard_id, record.client_id).invoke(
+            operation, partial(self._on_reply, record, epoch)
         )
-
-        def complete(result: LcmResult) -> None:
-            if self._inflight.pop(submission, None) is None:
-                # a late reply from a retired generation: the submission
-                # was replayed onto the recovered one, and that replay is
-                # the operation's one completion
-                self._ctr_replies_after_retire.inc()
-                return
-            history.respond(token, result.result, sequence=result.sequence)
-            cluster.stats.operations_completed += 1
-            cluster.stats.per_shard_operations[shard_id] += 1
-            self._observe_latency(
-                shard_id, op_kind, cluster.sim.now - submitted_at
-            )
-            if span is not None:
-                cluster.tracer.finish(span, sequence=result.sequence)
-            requeued = False
-            if (
-                reroute
-                and lock_attempts < self.MAX_LOCK_RETRIES
-                and type(result.result) is list
-                and len(result.result) == 2
-                and result.result[0] == TXN_LOCKED
-            ):
-                # the key is locked by a pending transaction: the
-                # rejection is a real chained operation (the checkers
-                # replay it), but the caller asked for the value.  Only
-                # key-routed submissions wait; explicit submit_to_shard
-                # callers (tests, transaction internals) see the marker.
-                # The holder must be a transaction *this* coordinator ran
-                # (it always is — one router per cluster): a stored user
-                # value that merely looks like the marker never matches
-                # a real txn id, so it is delivered, not queued.
-                holder = self.txn_log.get(result.result[1])
-                if holder is not None:
-                    # queue on the holder instead of spinning retries:
-                    # _txn_finish resubmits every waiter the moment the
-                    # decision completes (the historical counter name
-                    # counts queued waits the same as retries)
-                    self._ctr_lock_retried.inc()
-                    holder.lock_waiters.append(
-                        (client_id, operation, on_complete, lock_attempts + 1)
-                    )
-                    requeued = True
-                elif result.result[1] in self._decisions_cache:
-                    # the holder already decided (record finished or
-                    # pruned): its locks are released, or were claimed by
-                    # a resolved waiter — resubmit and queue on the new
-                    # holder if so
-                    self._ctr_lock_retried.inc()
-                    self.submit(
-                        client_id,
-                        operation,
-                        on_complete,
-                        _lock_attempts=lock_attempts + 1,
-                    )
-                    requeued = True
-            if not requeued and on_complete is not None:
-                on_complete(result)
-            if self._txn_buffers:
-                # the machine just went idle (and on_complete may have
-                # buffered lifecycle work against it, or the bounced
-                # operation now waits on a decision buffered here): flush
-                # one merged operation per direction
-                self._flush_txn_buffer(shard_id, client_id)
-
-        cluster.client_machine(shard_id, client_id).invoke(operation, complete)
         return shard_id
 
-    # -------------------------------------------------- latency and gauges
-
-    def _observe_latency(
-        self, shard_id: int, op_kind: str, latency: float
-    ) -> None:
-        """Feed one completed operation's submit->completion virtual-time
-        latency into its (shard, op-kind) quantile histogram."""
-        key = (shard_id, op_kind)
+    def _on_reply(self, record: _Submission, epoch: int, result: LcmResult) -> None:
+        """The protocol machine answered dispatch ``epoch`` of ``record``."""
+        if epoch != record.epoch:
+            # a late reply from a retired generation: the record was
+            # replayed onto the recovered one, and that replay owns the
+            # operation's one completion
+            self._ctr_replies_after_retire.inc()
+            return
+        if record.state is not _INFLIGHT:
+            raise RuntimeError(
+                f"dispatch {epoch} of {record.operation!r} answered twice"
+            )
+        cluster = self.cluster
+        shard_id, operation = record.shard_id, record.operation
+        record.history.respond(record.token, result.result, sequence=result.sequence)
+        cluster.stats.operations_completed += 1
+        cluster.stats.per_shard_operations[shard_id] += 1
+        # per-(shard, op-kind) submit -> completion virtual latency
+        key = (shard_id, str(operation[0]) if operation else "?")
         quantile = self._latency_quantiles.get(key)
         if quantile is None:
             quantile = self._latency_quantiles[key] = (
-                self.cluster.metrics_registry.quantile(
-                    "router.op_latency", op=op_kind, shard=str(shard_id)
+                cluster.metrics_registry.quantile(
+                    "router.op_latency", op=key[1], shard=str(shard_id)
                 )
             )
-        quantile.observe(latency)
+        quantile.observe(cluster.sim.now - record.submitted_at)
+        if record.span is not None:
+            cluster.tracer.finish(record.span, sequence=result.sequence)
+        value = result.result
+        if (
+            record.reroute
+            and record.attempts < self.MAX_LOCK_RETRIES
+            and type(value) is list
+            and len(value) == 2
+            and value[0] == TXN_LOCKED
+            and (value[1] in self.txn_log or value[1] in self._decisions_cache)
+        ):
+            # the key is locked by a pending transaction: the rejection is
+            # a real chained operation (the checkers replay it), but the
+            # caller asked for the value.  Only key-routed submissions
+            # wait; explicit submit_to_shard callers (tests, transaction
+            # internals) see the marker, and so does a stored user value
+            # that merely looks like it (it names no txn this coordinator
+            # ran).  The historical counter name counts waits as retries.
+            self._ctr_lock_retried.inc()
+            record.attempts += 1
+            if value[1] in self.txn_log:
+                # wait on the live holder: _txn_finish resubmits its
+                # waiters the moment the decision completes
+                record.state, record.holder = _WAITING, value[1]
+                del self._submissions[record]
+                self._submissions[record] = None
+            else:
+                # the holder already decided (record finished or pruned):
+                # its locks are released, or were claimed by a resolved
+                # waiter — resubmit, and wait on the new holder if so
+                self._place(record)
+        else:
+            self._finish(record, result)
+        if self._txn_buffers:
+            # the machine just went idle (and on_complete may have
+            # buffered lifecycle work against it, or the bounced operation
+            # now waits on a decision buffered here): flush one merged
+            # operation per direction
+            self._flush_txn_buffer(shard_id, record.client_id)
+
+    def _finish(self, record: _Submission, result: LcmResult) -> None:
+        """Complete ``record``: the only caller of a submission's
+        ``on_complete``, and the exactly-once check."""
+        if record.state is _DONE:
+            raise RuntimeError(f"{record.operation!r} completed twice")
+        record.state = _DONE
+        del self._submissions[record]
+        if record.on_complete is not None:
+            record.on_complete(result)
+
+    # ---------------------------------------------------------------- gauges
 
     def _collect_control_gauges(self, registry) -> None:
-        """Snapshot-time control-plane gauges (the autoscaler's inputs):
-        parked work, transaction waiter-queue depth, in-flight
-        submissions.  Read-through — the submit/complete hot paths never
-        touch the registry for these."""
-        parked_total = 0
-        for shard_id in set(self.cluster.shard_ids) | set(self._parked):
-            parked = len(self._parked.get(shard_id, ()))
-            parked_total += parked
+        """Snapshot-time control-plane gauges (the autoscaler's inputs),
+        counted off the submission table: parked work per shard, in-flight
+        submissions, lock waiters.  Read-through — the submit/complete hot
+        paths never touch the registry for these."""
+        states = Counter(record.state for record in self._submissions)
+        parked = Counter(
+            record.shard_id
+            for record in self._submissions
+            if record.state is _PARKED
+        )
+        # every label ever set is rewritten: a shard whose parked work was
+        # replayed, or that left the ring, reads 0 rather than its last count
+        labels = self._parked_gauge_shards
+        labels.update(self.cluster.shard_ids, parked)
+        for shard_id in labels:
             registry.gauge(
                 "router.parked_operations", shard=str(shard_id)
-            ).set(parked)
-        registry.gauge("router.parked_operations_total").set(parked_total)
+            ).set(parked[shard_id])
+        registry.gauge("router.parked_operations_total").set(states[_PARKED])
         registry.gauge("router.parked_transactions").set(len(self._parked_txns))
-        registry.gauge("router.txn_waiter_depth").set(
-            sum(len(record.lock_waiters) for record in self.txn_log.values())
+        registry.gauge("router.txn_waiter_depth").set(states[_WAITING])
+        registry.gauge("router.inflight_operations").set(states[_INFLIGHT])
+
+    def parked_operations(self, shard_id: int) -> int:
+        """Operations currently parked against one shard id."""
+        return sum(
+            1
+            for record in self._submissions
+            if record.state is _PARKED and record.shard_id == shard_id
         )
-        registry.gauge("router.inflight_operations").set(len(self._inflight))
 
     # --------------------------------------------------------------- replay
 
     def _on_reconfiguration(self, event: str, shard_ids: tuple[int, ...]) -> None:
-        if event == "recovered":
-            # operations lost in flight were submitted before anything
-            # could be parked against the outage: replay them first so
-            # per-client order is preserved on the fresh machines
-            self._replay_inflight(shard_ids)
-        self._replay_parked(shard_ids)
+        self._replay(shard_ids, recovered=event == "recovered")
         self._replay_parked_txns()
         # a crash can swallow the completion that would have flushed a
         # buffer; drain any buffer whose machine is (now) idle
         self._flush_idle_buffers()
 
-    def _replay_one(
-        self, shard_id: int, client_id: int, operation, on_complete, reroute
-    ) -> None:
-        """Resubmit one parked/lost operation.  Replay runs inside the
-        cluster's reconfiguration callback (a simulator event): raising
-        there would abort every other shard's run and wedge the
-        control-plane queue, so an undeliverable operation — pinned to a
-        since-removed shard, or whose shard died again before the replay
-        — is dropped with attribution instead."""
-        try:
-            if reroute:
-                self.submit(client_id, operation, on_complete)
-            else:
-                self.submit_to_shard(shard_id, client_id, operation, on_complete)
-        except LCMError as error:
-            self._ctr_dropped.inc()
-            self.replay_failures.append((shard_id, client_id, operation, error))
-        else:
-            self._ctr_replayed.inc()
+    def _replay(self, shard_ids: tuple[int, ...], recovered: bool) -> None:
+        """Resubmit what a reconfiguration of ``shard_ids`` may have
+        unblocked: after a recovery, the dispatches lost in flight first,
+        in dispatch order (they predate anything parked against the
+        outage, so per-client order holds on the fresh machines); then
+        the parked records, shard by shard in park order.  Each shard's
+        parked set is taken when its turn comes, so a record re-parked by
+        an earlier replay is replayed again there.
 
-    def _replay_inflight(self, shard_ids: tuple[int, ...]) -> None:
-        lost = [
-            (submission, entry)
-            for submission, entry in self._inflight.items()
-            if entry[0] in shard_ids
-        ]
-        for submission, entry in lost:
-            del self._inflight[submission]
-            shard_id, client_id, operation, on_complete, reroute = entry
-            self._replay_one(shard_id, client_id, operation, on_complete, reroute)
-
-    def _replay_parked(self, shard_ids: tuple[int, ...]) -> None:
-        for shard_id in shard_ids:
-            parked = self._parked.pop(shard_id, None)
-            if not parked:
-                continue
-            for client_id, operation, on_complete, reroute in parked:
-                self._replay_one(shard_id, client_id, operation, on_complete, reroute)
-
-    def parked_operations(self, shard_id: int) -> int:
-        """Operations currently parked against one shard id."""
-        return len(self._parked.get(shard_id, ()))
+        Replay runs inside a simulator event: raising there would abort
+        every other shard's run and wedge the control-plane queue, so an
+        undeliverable record — pinned to a since-removed shard, or whose
+        shard died again — is dropped with attribution instead."""
+        table = self._submissions
+        selections = [(_INFLIGHT, shard_ids)] if recovered else []
+        selections += [(_PARKED, (shard_id,)) for shard_id in shard_ids]
+        for state, shards in selections:
+            for record in [
+                record
+                for record in table
+                if record.state is state and record.shard_id in shards
+            ]:
+                shard_id = record.shard_id
+                # a replay is a fresh submission with a fresh retry budget
+                record.attempts = 0
+                try:
+                    self._place(record)
+                except LCMError as error:
+                    record.state = _DROPPED
+                    del table[record]
+                    self._ctr_dropped.inc()
+                    self.replay_failures.append(
+                        (shard_id, record.client_id, record.operation, error)
+                    )
+                else:
+                    self._ctr_replayed.inc()
 
     def submit_many(
         self,
@@ -738,20 +749,17 @@ class ShardRouter:
                 on_complete([])
             return {}
         results: list[LcmResult | None] = [None] * len(operations)
-        remaining = {"count": len(operations)}
+        remaining = [len(operations)]
         fanout: dict[int, int] = {}
 
-        def make_slot(index: int) -> Callable[[LcmResult], Any]:
-            def complete(result: LcmResult) -> None:
-                results[index] = result
-                remaining["count"] -= 1
-                if remaining["count"] == 0 and on_complete is not None:
-                    on_complete(list(results))
-
-            return complete
+        def complete(index: int, result: LcmResult) -> None:
+            results[index] = result
+            remaining[0] -= 1
+            if remaining[0] == 0 and on_complete is not None:
+                on_complete(list(results))
 
         for index, operation in enumerate(operations):
-            shard_id = self.submit(client_id, operation, make_slot(index))
+            shard_id = self.submit(client_id, operation, partial(complete, index))
             fanout[shard_id] = fanout.get(shard_id, 0) + 1
         return fanout
 
@@ -824,19 +832,13 @@ class ShardRouter:
         participants: dict[int, list[int]] = {}
         for index, operation in enumerate(record.operations):
             participants.setdefault(self.owner(operation), []).append(index)
-        blocked = [
+        fenced = cluster.fenced_shards
+        down = [
             shard_id
             for shard_id in participants
-            if shard_id in cluster.fenced_shards
-            or not cluster.shard_healthy(shard_id)
+            if shard_id not in fenced and not cluster.shard_healthy(shard_id)
         ]
-        if blocked:
-            down = [
-                shard_id
-                for shard_id in blocked
-                if shard_id not in cluster.fenced_shards
-                and not cluster.shard_healthy(shard_id)
-            ]
+        if down or not fenced.isdisjoint(participants):
             if down and not self.failover:
                 raise ShardUnavailable(
                     f"transaction {record.txn_id} needs shard(s) {down} "
@@ -871,10 +873,7 @@ class ShardRouter:
         self, record: TxnRecord, shard_id: int, indices: list[int]
     ) -> None:
         sub_ops = [list(record.operations[index]) for index in indices]
-
-        def on_vote(vote: Any) -> None:
-            self._on_vote(record, shard_id, vote)
-
+        on_vote = partial(self._on_vote, record, shard_id)
         if self._buffer_txn_op(
             shard_id, record.client_id, "prepares",
             (record.txn_id, sub_ops, on_vote),
@@ -888,23 +887,16 @@ class ShardRouter:
         )
 
     def _txn_send_decision(self, record: TxnRecord, shard_id: int) -> None:
-        def on_ack(ack: Any) -> None:
-            self._on_decision_ack(record, shard_id, ack)
-
+        on_ack = partial(self._on_decision_ack, record, shard_id)
         if self._buffer_txn_op(
             shard_id, record.client_id, "decisions",
             (record.txn_id, record.decision, on_ack),
         ):
             return
-        operation = (
-            txn_commit(record.txn_id)
-            if record.decision == "C"
-            else txn_abort(record.txn_id)
-        )
         self.submit_to_shard(
             shard_id,
             record.client_id,
-            operation,
+            _decision_operation(record.txn_id, record.decision),
             lambda result: on_ack(result.result),
         )
 
@@ -941,33 +933,21 @@ class ShardRouter:
         buffer = self._txn_buffers.pop((shard_id, client_id), None)
         if buffer is None:
             return
-        decisions, prepares = buffer["decisions"], buffer["prepares"]
-        if decisions:
-            handlers = [handler for _, _, handler in decisions]
-            if len(decisions) == 1:
-                txn_id, decision, _ = decisions[0]
-                operation = (
-                    txn_commit(txn_id) if decision == "C" else txn_abort(txn_id)
-                )
+        for entries, single, merged in (
+            (buffer["decisions"], _decision_operation, txn_decide_many),
+            (buffer["prepares"], txn_prepare, txn_prepare_many),
+        ):
+            if not entries:
+                continue
+            if len(entries) == 1:
+                operation = single(*entries[0][:2])
             else:
                 self._ctr_txn_group_flushes.inc()
-                self._ctr_txn_group_entries.inc(len(decisions))
-                operation = txn_decide_many(
-                    [(txn_id, decision) for txn_id, decision, _ in decisions]
-                )
-            self._submit_grouped(shard_id, client_id, operation, handlers)
-        if prepares:
-            handlers = [handler for _, _, handler in prepares]
-            if len(prepares) == 1:
-                txn_id, sub_ops, _ = prepares[0]
-                operation = txn_prepare(txn_id, sub_ops)
-            else:
-                self._ctr_txn_group_flushes.inc()
-                self._ctr_txn_group_entries.inc(len(prepares))
-                operation = txn_prepare_many(
-                    [(txn_id, sub_ops) for txn_id, sub_ops, _ in prepares]
-                )
-            self._submit_grouped(shard_id, client_id, operation, handlers)
+                self._ctr_txn_group_entries.inc(len(entries))
+                operation = merged([entry[:2] for entry in entries])
+            self._submit_grouped(
+                shard_id, client_id, operation, [entry[2] for entry in entries]
+            )
 
     def _submit_grouped(
         self, shard_id: int, client_id: int, operation, handlers: list
@@ -977,15 +957,9 @@ class ShardRouter:
             on_complete = lambda result: handler(result.result)
         else:
             def on_complete(result: LcmResult) -> None:
-                entry_results = (
-                    result.result if type(result.result) is list else []
-                )
+                entries = result.result if type(result.result) is list else []
                 for index, handler in enumerate(handlers):
-                    handler(
-                        entry_results[index]
-                        if index < len(entry_results)
-                        else None
-                    )
+                    handler(entries[index] if index < len(entries) else None)
 
         self.submit_to_shard(shard_id, client_id, operation, on_complete)
 
@@ -1050,11 +1024,8 @@ class ShardRouter:
                         record.conflict_with = vote[1]
                     break
         self._txn_log_append(["D", record.txn_id, record.decision])
-        self._decisions_cache[record.txn_id] = CoordinatorDecision(
-            txn_id=record.txn_id,
-            decision=record.decision,
-            participants=tuple(sorted(record.participants)),
-            complete=False,
+        self._cache_decision(
+            record.txn_id, record.decision, record.participants, complete=False
         )
         # an abort also goes to shards whose prepare is still queued as a
         # waiter — it dequeues the waiter (or aborts the prepare, if the
@@ -1096,15 +1067,22 @@ class ShardRouter:
             if waiter is not None:
                 self._on_vote(waiter, shard_id, vote)
 
+    def _cache_decision(
+        self, txn_id: str, decision: str, participants, *, complete: bool
+    ) -> None:
+        self._decisions_cache[txn_id] = CoordinatorDecision(
+            txn_id=txn_id,
+            decision=decision,
+            participants=tuple(sorted(participants)),
+            complete=complete,
+        )
+
     def _txn_finish(self, record: TxnRecord) -> None:
         record.done = True
         self._txn_log_deferred.append(["F", record.txn_id])
         if record.decision is not None:
-            self._decisions_cache[record.txn_id] = CoordinatorDecision(
-                txn_id=record.txn_id,
-                decision=record.decision,
-                participants=tuple(sorted(record.participants)),
-                complete=True,
+            self._cache_decision(
+                record.txn_id, record.decision, record.participants, complete=True
             )
         if record.submitted_at is not None and record.decision is not None:
             # submit -> decision-ack lifecycle latency, labelled by the
@@ -1130,13 +1108,15 @@ class ShardRouter:
             self._ctr_txn_aborted.inc()
         self.txn_log.pop(record.txn_id, None)
         self._gauge_txn_retained.set(len(self.txn_log))
-        waiters, record.lock_waiters = record.lock_waiters, []
-        for client_id, operation, on_complete, attempts in waiters:
+        waiters = [
+            waiter
+            for waiter in self._submissions
+            if waiter.state is _WAITING and waiter.holder == record.txn_id
+        ]
+        for waiter in waiters:
             # the decision completed: the locks that bounced these
             # single-key operations are released — resubmit in FIFO order
-            self.submit(
-                client_id, operation, on_complete, _lock_attempts=attempts
-            )
+            self._place(waiter)
         if record.on_complete is not None:
             record.on_complete(
                 TxnResult(
@@ -1150,7 +1130,8 @@ class ShardRouter:
         # ``B`` append already carried the deferred finishes); if none are
         # in flight any more, no future append is coming — flush the tail
         # so a clean shutdown leaves a complete log
-        self._txn_log_quiesce()
+        if self._txn_log_deferred and not self.txn_log:
+            self._txn_log_flush()
 
     # ----------------------------------------------- durability and recovery
 
@@ -1176,10 +1157,6 @@ class ShardRouter:
         if self._txn_log_deferred:
             records, self._txn_log_deferred = self._txn_log_deferred, []
             self._txn_store.store(serde.encode(records))
-
-    def _txn_log_quiesce(self) -> None:
-        if self._txn_log_deferred and not self.txn_log:
-            self._txn_log_flush()
 
     def recover_transactions(self) -> dict[str, list[str]]:
         """Re-drive every transaction the durable log left unfinished.
@@ -1234,12 +1211,10 @@ class ShardRouter:
                     # the checkers still need the compact decision entry
                     # to validate the decisions participant histories
                     # already carry
-                    self._decisions_cache[txn_id] = CoordinatorDecision(
-                        txn_id=txn_id,
-                        decision=decided[txn_id],
-                        participants=tuple(
-                            sorted(shard_id for shard_id, _ in participants)
-                        ),
+                    self._cache_decision(
+                        txn_id,
+                        decided[txn_id],
+                        [shard_id for shard_id, _ in participants],
                         complete=True,
                     )
                 continue
@@ -1261,11 +1236,8 @@ class ShardRouter:
             else:
                 record.decision = decision
                 redriven.append(txn_id)
-            self._decisions_cache[txn_id] = CoordinatorDecision(
-                txn_id=txn_id,
-                decision=record.decision,
-                participants=tuple(sorted(record.participants)),
-                complete=False,
+            self._cache_decision(
+                txn_id, record.decision, record.participants, complete=False
             )
             record.pending_decisions = set(record.participants)
             for shard_id in sorted(record.participants):
@@ -1381,13 +1353,7 @@ class ShardRouter:
     def _check_shard(self, shard_id: int) -> ShardVerdict:
         cluster = self.cluster
         generations = [
-            self._check_generation(
-                evidence.generation,
-                evidence.logs,
-                evidence.clients,
-                evidence.history,
-                evidence.violation,
-            )
+            self._check_generation(evidence)
             for evidence in cluster.retired_generations(shard_id)
         ]
         if cluster.is_live(shard_id):
@@ -1426,12 +1392,12 @@ class ShardRouter:
             return GenerationVerdict(generation, violation=violation)
         return GenerationVerdict(generation, fork_tree=tree)
 
-    def _check_generation(
-        self, generation: int, logs, clients, history, violation
-    ) -> GenerationVerdict:
-        if violation is not None:
-            return GenerationVerdict(generation, violation=violation)
-        if logs is None:
+    def _check_generation(self, evidence) -> GenerationVerdict:
+        """Check one retired generation's frozen evidence."""
+        generation = evidence.generation
+        if evidence.violation is not None:
+            return GenerationVerdict(generation, violation=evidence.violation)
+        if evidence.logs is None:
             return GenerationVerdict(
                 generation,
                 violation=EnclaveError(
@@ -1440,7 +1406,10 @@ class ShardRouter:
             )
         try:
             tree = check_cluster_execution(
-                logs, clients, history, self.cluster.functionality()
+                evidence.logs,
+                evidence.clients,
+                evidence.history,
+                self.cluster.functionality(),
             )
         except (SecurityViolation, EnclaveError) as caught:
             return GenerationVerdict(generation, violation=caught)
