@@ -3,34 +3,32 @@
 LCM's headline guarantee is fork-linearizability (Sec. 3.2.1): every client
 observes a linearizable history, and once the server has shown two clients
 diverging histories it can never join them again without detection.  This
-package provides the offline machinery the tests use to *verify* that
-guarantee on executions produced by the protocol (including executions under
-attack):
+package provides the machinery that *verifies* that guarantee on
+executions produced by the protocol (including executions under attack):
 
 - :mod:`repro.consistency.history` — invocation/response events, real-time
   precedence, per-client views;
 - :mod:`repro.consistency.linearizability` — a Wing & Gong style
   exhaustive checker for small histories against a sequential
   functionality;
-- :mod:`repro.consistency.fork_linearizability` — checks a set of client
-  views (derived from enclave audit logs + client observations) for
-  fork-linearizability: per-view correctness, own-operation inclusion,
-  real-time order, and the no-join property across forks;
-- :mod:`repro.consistency.transactions` — cross-shard transaction
-  atomicity over the per-shard audit logs: all-or-nothing decisions,
-  coordinator consistency, and detection of a forked shard withholding
-  a completed decision from some clients;
-- :mod:`repro.consistency.streaming` — the *online* counterpart of the
-  fork-linearizability checker: consumes audit evidence incrementally at
-  batch boundaries, emits violations the moment they are detectable, and
-  garbage-collects evidence below the majority-stable frontier so its
-  memory tracks the unstable suffix rather than the whole history, while
-  producing a verdict provably equal to the post-mortem one.
+- :mod:`repro.consistency.streaming` — the checker every cluster verdict
+  runs: consumes audit evidence record by record, emits violations the
+  moment they are detectable and garbage-collects evidence below the
+  stable frontier when driven online, and judges a generation's retained
+  evidence in one pass when ``ShardRouter.verdict()`` replays it;
+- :mod:`repro.consistency.fork_linearizability` — the view-level
+  reference checker: builds each client's view from enclave audit logs +
+  client observations and checks per-view correctness, own-operation
+  inclusion, real-time order and the no-join property across forks; the
+  test suites compare the streaming checker against it;
+- :mod:`repro.consistency.transactions` — the cross-shard transaction
+  rules over the per-log traces the checker folds: all-or-nothing
+  decisions, coordinator consistency, and detection of a forked shard
+  withholding a completed decision from some clients.
 """
 
 from repro.consistency.fork_linearizability import (
     ForkTree,
-    check_cluster_execution,
     check_fork_linearizable,
     views_from_audit_logs,
 )
@@ -41,15 +39,10 @@ from repro.consistency.stable_subsequence import (
     stable_bound_frontier,
     stable_subsequence,
 )
-from repro.consistency.streaming import (
-    StreamingChecker,
-    StreamingGenerationVerdict,
-)
+from repro.consistency.streaming import GenerationVerdict, StreamingChecker
 from repro.consistency.transactions import (
     CoordinatorDecision,
-    TxnEvidence,
     TxnTrace,
-    check_transaction_atomicity,
     check_txn_traces,
     trace_txn_operation,
     withheld_decision,
@@ -57,20 +50,17 @@ from repro.consistency.transactions import (
 
 __all__ = [
     "CoordinatorDecision",
-    "TxnEvidence",
     "TxnTrace",
-    "check_transaction_atomicity",
     "check_txn_traces",
     "trace_txn_operation",
     "withheld_decision",
     "StreamingChecker",
-    "StreamingGenerationVerdict",
+    "GenerationVerdict",
     "stable_bound_frontier",
     "History",
     "OperationRecord",
     "ClientView",
     "is_linearizable",
-    "check_cluster_execution",
     "check_fork_linearizable",
     "views_from_audit_logs",
     "ForkTree",

@@ -26,6 +26,14 @@ This module verifies the property on executions produced by the protocol:
 Violations raise :class:`~repro.errors.SecurityViolation` subclasses with a
 description of the offending pair, so attack tests can assert precisely
 *what* was detected.
+
+This is the view-level *reference* checker: it materialises every
+client's view and replays each one through ``F``, so it costs one log
+replay per client.  The cluster verdicts run the same rules through
+:class:`~repro.consistency.streaming.StreamingChecker` in one pass; the
+streaming unit, property and cluster parity suites, the integration
+tests and ``examples/offline_audit.py`` keep this checker as the
+independent oracle they are compared against.
 """
 
 from __future__ import annotations
@@ -240,32 +248,3 @@ def _check_no_join(view_a: ClientView, view_b: ClientView) -> None:
             f"diverge at position {common} but later share {len(joined)} "
             "operation(s): forks were joined"
         )
-
-
-def check_cluster_execution(
-    logs: list[list[AuditRecord]],
-    clients: dict[int, Any],
-    history: Any,
-    functionality: Functionality,
-) -> ForkTree:
-    """Assemble the Sec. 3.2.1 checker inputs from live cluster objects.
-
-    The one place the evidence construction lives (the per-shard
-    ``ShardRouter`` checks call it): ``clients`` maps client id to any
-    object exposing ``last_sequence``/``last_chain``; ``history`` is the
-    :class:`~repro.consistency.history.History` recorded while the
-    execution ran.  Returns the :class:`ForkTree` or raises the first
-    :class:`~repro.errors.SecurityViolation` found.
-    """
-    points = {
-        client_id: ChainPoint(client.last_sequence, client.last_chain)
-        for client_id, client in clients.items()
-    }
-    lookup = {
-        (record.client_id, record.sequence): record
-        for record in history.records()
-        if record.sequence is not None
-    }
-    own = {client_id: history.by_client(client_id) for client_id in clients}
-    views = views_from_audit_logs(logs, points, lookup)
-    return check_fork_linearizable(views, functionality, own_operations=own)

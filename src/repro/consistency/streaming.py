@@ -1,16 +1,20 @@
 """Streaming (incremental) fork-linearizability verification.
 
-The post-mortem checker (:mod:`repro.consistency.fork_linearizability`)
-consumes whole audit logs after the run.  :class:`StreamingChecker` is
-the same Sec. 3.2.1 verification restructured as an online fold: audit
-records are fed per batch boundary as the run produces them, client
-``(t, h)`` points and completed operations stream in alongside, and the
-checker maintains just enough state to
+The view-level reference checker
+(:mod:`repro.consistency.fork_linearizability`) builds every client's
+view from whole audit logs and replays each one.  :class:`StreamingChecker`
+is the same Sec. 3.2.1 verification restructured as a fold over the
+evidence, and it is the one checker every cluster verdict runs: the
+online observer feeds it audit records per batch boundary as the run
+produces them, with client ``(t, h)`` points and completed operations
+streaming in alongside, and ``ShardRouter.verdict()`` replays a
+generation's retained evidence through a fresh one in a single pass.
+The checker maintains just enough state to
 
 - verify the hash chain incrementally (gap / chain-mismatch, with the
-  exact post-mortem messages);
+  reference checker's exact messages);
 - replay each log through ``F`` as it grows, recording result
-  mismatches (view-correctness, check 1 of the post-mortem);
+  mismatches (view-correctness, check 1 of the reference checker);
 - track real-time precedence violations per log (check 3) using only
   the retained suffix's own timestamps plus an O(1) summary of the
   discarded prefix;
@@ -18,7 +22,7 @@ checker maintains just enough state to
   no-join property (check 4).  Because an operation's key embeds its
   sequence number and every verified log numbers records 1..n, a shared
   operation between two logs always sits at the *same* position, so the
-  post-mortem's suffix-set intersection reduces to per-position
+  reference checker's suffix-set intersection reduces to per-position
   equality;
 - fold transaction lifecycle traces for the cross-shard checker.
 
@@ -56,16 +60,17 @@ highest timed position.  Per batch boundary: O(records + completions +
 moved points) — a point that did not move is neither observed nor
 located again.
 
-:meth:`result` evaluates the checks in exactly the post-mortem order
-(chain errors per log, unlocated points, replay, own-operation
+:meth:`result` evaluates the checks in exactly the reference checker's
+order (chain errors per log, unlocated points, replay, own-operation
 completeness, real time, pairwise no-join) and reproduces its exception
-types and messages, so a run verified online and the same run verified
-post-mortem yield the same verdict — ``parity_report`` in
-:mod:`repro.sharding.observer` asserts this in the test suite.
+types and messages.  A replay that never calls :meth:`advance` discards
+nothing and judges the full evidence in one pass, linear in it (the
+view-level checker replays the log once per client).
 
-Known parity corners (adversarial evidence *below* the GC floor): a
-fork whose prefix diverges below every client's observed point cannot
-be positionally compared against the discarded region (its chain
+Known parity corners of the *online* verdict (adversarial evidence
+*below* the GC floor, which a replay never collects): a fork whose
+prefix diverges below every client's observed point cannot be
+positionally compared against the discarded region (its chain
 checkpoint mismatch is still reported as a divergence at the
 checkpoint), and a history record substituting different operation
 bytes for an already-discarded audit record is no longer replayed.
@@ -90,7 +95,7 @@ from repro.errors import ForkDetected, LCMError, SecurityViolation
 
 
 def _canonical_key(client_id: int, operation: Any, sequence: int | None) -> bytes:
-    """The post-mortem ``_record_key`` over raw fields (serde encodes
+    """The reference checker's ``_record_key`` over raw fields (serde encodes
     tuples and lists identically, so view/audit operation shapes agree)."""
     if isinstance(operation, tuple):
         operation = list(operation)
@@ -135,7 +140,7 @@ class _Rec:
         #: what the view shows: history operation once completed
         self.operation_view = operation
         #: decoded audit result — the transaction-trace fold always uses
-        #: the audited bytes, like the post-mortem extractor
+        #: the audited bytes
         self.result_audit = result
         self.result_shown = result
         self.expected: Any = None
@@ -188,7 +193,7 @@ class _LogState:
         self.records: dict[int, _Rec] = {}
         self.state = initial_state  # F state after records 1..length
         #: seq -> (operation_view, shown, expected); survives GC so the
-        #: exact post-mortem message can still be produced
+        #: reference checker's exact message can still be produced
         self.mismatches: dict[int, tuple[Any, Any, Any]] = {}
         self.rt_first: int | None = None  # first position whose prefix violates
         self.traces: dict[str, TxnTrace] = {}
@@ -221,8 +226,11 @@ class _Pair:
 
 
 @dataclass
-class StreamingGenerationVerdict:
-    """Online counterpart of the router's ``GenerationVerdict``."""
+class GenerationVerdict:
+    """Fork-linearizability outcome for one generation of a shard: its
+    pre-recovery life, a removed shard's final evidence, or the live
+    group.  ``fork_points`` are the 0-based depths at which two client
+    views carry distinct operations."""
 
     generation: int
     violation: LCMError | None = None
@@ -387,8 +395,7 @@ class StreamingChecker:
             shown = None
         rec = _Rec(position, record.client_id, record.chain, operation, shown)
         log.records[position] = rec
-        # transaction lifecycle fold (always from the audit bytes, like
-        # the post-mortem extractor)
+        # transaction lifecycle fold (always from the audit bytes)
         touched = trace_txn_operation(log.traces, operation, shown)
         if touched:
             rec.in_txn = True
@@ -441,7 +448,7 @@ class StreamingChecker:
             self._emit("own-op-unsequenced", client=record.client_id)
             return
         if record.sequence > self._floor:
-            # last-wins, mirroring the post-mortem lookup dict
+            # last-wins, mirroring the reference checker's lookup dict
             self._completions[(record.client_id, record.sequence)] = record
         for log in self._logs:
             rec = log.records.get(record.sequence)
@@ -695,8 +702,8 @@ class StreamingChecker:
         return self._logs[log_id].length
 
     def txn_traces(self) -> list[dict[str, TxnTrace]]:
-        """Per-log transaction traces (registration order), equal to the
-        post-mortem extraction over the full logs."""
+        """Per-log transaction traces (registration order), folded from
+        the audited bytes of every record fed."""
         return [log.traces for log in self._logs]
 
     def open_txn_traces(self) -> list[tuple[dict[str, TxnTrace], set[str]]]:
@@ -727,7 +734,7 @@ class StreamingChecker:
 
     def _locate(self, client_id: int) -> tuple[_LogState, int] | None:
         """First log (registration order) the client's point lies on —
-        exactly ``prefix_for`` tried in the post-mortem log order."""
+        exactly ``prefix_for`` tried in the reference checker's log order."""
         sequence, chain = self._points[client_id]
         if not self._logs:
             return None
@@ -745,14 +752,14 @@ class StreamingChecker:
                 return log, sequence
         return None
 
-    def result(self) -> StreamingGenerationVerdict:
-        """Evaluate the retained evidence, mirroring the post-mortem
+    def result(self) -> GenerationVerdict:
+        """Evaluate the retained evidence, mirroring the reference
         checker's order, exception types and messages exactly."""
         # 0. chain consistency, in log order (views_from_audit_logs
         # verifies every log before building any view)
         for log in self._logs:
             if log.chain_error is not None:
-                return StreamingGenerationVerdict(
+                return GenerationVerdict(
                     self.generation, violation=SecurityViolation(log.chain_error)
                 )
         # locate every client's view (first unlocatable point wins)
@@ -760,7 +767,7 @@ class StreamingChecker:
         for client_id in self._client_ids:
             located = self._locate(client_id)
             if located is None:
-                return StreamingGenerationVerdict(
+                return GenerationVerdict(
                     self.generation,
                     violation=SecurityViolation(
                         f"client {client_id} observed a chain value on no "
@@ -774,7 +781,7 @@ class StreamingChecker:
             bad = [seq for seq in log.mismatches if seq <= upto]
             if bad:
                 operation, shown, expected = log.mismatches[min(bad)]
-                return StreamingGenerationVerdict(
+                return GenerationVerdict(
                     self.generation,
                     violation=SecurityViolation(
                         f"view of client {client_id} is not a correct "
@@ -785,7 +792,7 @@ class StreamingChecker:
         # 2. completeness: an unsequenced completion appears in no view
         for client_id in self._client_ids:
             if client_id in self._none_seq:
-                return StreamingGenerationVerdict(
+                return GenerationVerdict(
                     self.generation,
                     violation=SecurityViolation(
                         f"view of client {client_id} misses its own "
@@ -796,7 +803,7 @@ class StreamingChecker:
         for client_id in self._client_ids:
             log, upto = assignments[client_id]
             if log.rt_first is not None and log.rt_first <= upto:
-                return StreamingGenerationVerdict(
+                return GenerationVerdict(
                     self.generation,
                     violation=SecurityViolation(
                         f"view of client {client_id} contradicts real-time "
@@ -820,7 +827,7 @@ class StreamingChecker:
                     1 for position in pair.agreed if common < position <= shorter
                 )
                 if joined:
-                    return StreamingGenerationVerdict(
+                    return GenerationVerdict(
                         self.generation,
                         violation=ForkDetected(
                             f"views of clients {a_id} and {b_id} diverge at "
@@ -842,6 +849,6 @@ class StreamingChecker:
                 for position in range(pair.matched + 1, shorter + 1):
                     if position not in pair.agreed:
                         depths.add(position - 1)
-        return StreamingGenerationVerdict(
+        return GenerationVerdict(
             self.generation, fork_points=sorted(depths)
         )

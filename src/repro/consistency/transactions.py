@@ -1,14 +1,17 @@
 """Cross-shard transaction atomicity checking.
 
-The per-shard checker (:mod:`repro.consistency.fork_linearizability`)
+The per-shard checker (:class:`~repro.consistency.streaming.StreamingChecker`)
 certifies each LCM group's history independently; it cannot see that a
 transaction spanning two groups committed on one and vanished on the
 other, because each half is a perfectly well-formed operation in its own
-chain.  This module adds the missing cross-shard phase: it extracts the
-transaction lifecycle records (prepare / commit / abort, see
-:mod:`repro.kvstore.functionality`) from every audit log a global
-observer holds — live generations, their forked instances, and retired
-generations — and verifies, against the coordinator's decision log:
+chain.  This module holds the missing cross-shard rules.  The checker
+folds every audit record it is fed into per-transaction
+:class:`TxnTrace` values (:func:`trace_txn_operation`, over the prepare /
+commit / abort lifecycle of :mod:`repro.kvstore.functionality`), one set
+per audit log; the cluster verdict hands the traces of every log a
+global observer holds — live generations, their forked instances, and
+retired generations — to :func:`check_txn_traces`, which verifies them
+against the coordinator's decision log:
 
 1. **no divergent applied decisions** — no transaction has a commit
    *applied* in one history and an abort *applied* in another (any
@@ -28,18 +31,18 @@ generations — and verifies, against the coordinator's decision log:
    another".  Histories of *crashed* generations are exempt: their
    decision was physically lost with the hardware, and the coordinator's
    replay lands on the next generation (where rule 2 still checks it).
+   :func:`withheld_decision` is this rule for one trace; the online
+   observer also runs it at batch boundaries.
 
 Violations are reported as :class:`~repro.errors.TxnAtomicityViolation`
-values (never raised from here — the router's merged verdict collects
-them per run, and ``check_fork_linearizable`` raises the first one).
+values (never raised from here — the merged verdict collects them per
+run, and ``ShardRouter.check_fork_linearizable`` raises the first one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import serde
-from repro.core.context import AuditRecord
 from repro.errors import TxnAtomicityViolation
 from repro.kvstore.functionality import (
     TXN_ABORTED,
@@ -60,20 +63,6 @@ class CoordinatorDecision:
 
 
 @dataclass
-class TxnEvidence:
-    """One audit log a global observer holds, tagged with provenance.
-
-    ``live`` is True for the current generation's histories (the primary
-    and any forked instances) — the ones rule 3 applies to; retired
-    generations (crashes, removals) pass ``live=False``.
-    """
-
-    shard_id: int
-    log: list[AuditRecord]
-    live: bool
-
-
-@dataclass
 class TxnTrace:
     """What one log says about one transaction."""
 
@@ -89,19 +78,13 @@ class TxnTrace:
     applied: set[str] = field(default_factory=set)
 
 
-#: backwards-compatible alias (the class predates the streaming verifier,
-#: which needed it public to accumulate traces incrementally)
-_TxnTrace = TxnTrace
-
-
 def trace_txn_operation(
     traces: dict[str, TxnTrace], operation: object, result: object
 ) -> list[str]:
     """Fold one decoded (operation, result) pair into per-txn traces.
 
-    The shared per-record core of transaction-lifecycle extraction: the
-    post-mortem checker calls it over whole logs, the streaming verifier
-    calls it once per audit record as evidence is harvested.  A grouped
+    The per-record core of transaction-lifecycle extraction: the
+    streaming checker calls it once per audit record it is fed.  A grouped
     operation folds exactly like the equivalent sequence of single ones
     (both walk :func:`~repro.kvstore.functionality.iter_txn_lifecycle`),
     so grouped and per-txn evidence reach identical traces — the parity
@@ -135,33 +118,16 @@ def trace_txn_operation(
     return touched
 
 
-def _extract_traces(log: list[AuditRecord]) -> dict[str, TxnTrace]:
-    traces: dict[str, TxnTrace] = {}
-    for record in log:
-        try:
-            operation = serde.decode(record.operation)
-        except Exception:
-            continue  # chain verification elsewhere flags malformed logs
-        if next(iter_txn_lifecycle(operation, None), None) is None:
-            continue
-        try:
-            result = serde.decode(record.result)
-        except Exception:
-            result = None
-        trace_txn_operation(traces, operation, result)
-    return traces
-
-
 def check_txn_traces(
     per_log: list[tuple[int, bool, dict[str, TxnTrace]]],
     decisions: dict[str, CoordinatorDecision],
 ) -> list[TxnAtomicityViolation]:
-    """The three cross-shard checks over pre-extracted traces.
+    """The three cross-shard checks over per-log traces; returns
+    violations, never raises.
 
     ``per_log`` holds ``(shard_id, live, traces)`` triples in evidence
-    order.  Shared by :func:`check_transaction_atomicity` (which extracts
-    traces from whole logs) and the streaming verifier (which accumulated
-    them record by record) — one rule implementation, two feeding modes.
+    order, the traces being what the streaming checker folded record by
+    record.
     """
     violations: list[TxnAtomicityViolation] = []
 
@@ -246,15 +212,3 @@ def withheld_decision(
     if shard_id not in coordinated.participants:
         return None
     return coordinated.decision
-
-
-def check_transaction_atomicity(
-    evidence: list[TxnEvidence],
-    decisions: dict[str, CoordinatorDecision],
-) -> list[TxnAtomicityViolation]:
-    """Run the three cross-shard checks; returns violations, never raises."""
-    per_log = [
-        (entry.shard_id, entry.live, _extract_traces(entry.log))
-        for entry in evidence
-    ]
-    return check_txn_traces(per_log, decisions)

@@ -11,8 +11,10 @@ same ``(t, h)`` pair have (except with negligible probability) observed the
 same prefix of operations in the same order.
 
 :class:`HashChain` is the reusable chain object; :func:`chain_extend` is the
-pure function underneath it, used directly by the checker in
-:mod:`repro.consistency.fork_linearizability` to recompute expected values.
+pure function underneath it, used directly by the streaming checker in
+:mod:`repro.consistency.streaming` (and, through
+:func:`~repro.core.hashchain.verify_audit_chain`, by the view-level
+reference checker) to recompute expected values.
 """
 
 from __future__ import annotations

@@ -21,7 +21,10 @@ package runs **many LCM groups side by side**:
   across shards concurrently, parks + replays operations across outages
   (``failover=True``), and merges per-shard fork-linearizability
   evidence — every generation of every shard id — into one
-  :class:`ShardedVerdict`.
+  :class:`ShardedVerdict`;
+- :mod:`~repro.sharding.observer` — :class:`ClusterObserver`, the online
+  streaming verifier, and the one verdict walk both the online and the
+  replayed verdict run.
 
 Every shard individually keeps LCM's rollback/forking guarantees; the
 compound system adds horizontal scale and elasticity without weakening
@@ -35,12 +38,14 @@ from repro.sharding.cluster import (
     ShardedStats,
 )
 from repro.sharding.controlplane import ControlPlane, ReshardReport
-from repro.sharding.partitioner import ArcMove, HashRing
-from repro.sharding.router import (
+from repro.sharding.observer import (
     GenerationVerdict,
-    ShardRouter,
     ShardVerdict,
     ShardedVerdict,
+)
+from repro.sharding.partitioner import ArcMove, HashRing
+from repro.sharding.router import (
+    ShardRouter,
     TxnRecord,
     TxnResult,
     routing_key,

@@ -20,11 +20,21 @@ deferred rebalance folds the live log into the migration prefix):
   seals it; a recovered shard gets a fresh stream for its new
   generation.
 
-:meth:`verdict` assembles a :class:`StreamingVerdict` mirroring the
-router's post-mortem :meth:`~repro.sharding.router.ShardRouter.verdict`
-shape — per-shard, per-generation, plus the cross-shard transaction
-checks over the incrementally folded traces — and
-:func:`parity_report` diffs the two for the equivalence test suite.
+This module also holds the one verdict walk, :func:`cluster_verdict`:
+every shard id × (retired generations, then the live one), each judged
+by a :class:`~repro.consistency.streaming.StreamingChecker`, then the
+cross-shard transaction rules over every judged log's folded traces.
+Both verdicts run it and differ only in the checker they hand it:
+
+- :meth:`ClusterObserver.verdict` (``router.streaming_verdict()``) uses
+  the online streams, synced one last time;
+- ``router.verdict()`` uses :func:`replay_checker` — a fresh checker per
+  generation fed the retained evidence in one pass, linear in it, with
+  no event sink and no garbage collection.
+
+Both return one :class:`ShardedVerdict` of :class:`ShardVerdict` of
+:class:`~repro.consistency.streaming.GenerationVerdict`;
+:func:`parity_report` diffs two of them.
 
 All verifier activity is observable: per-shard gauges
 (``verifier.frontier``, ``verifier.floor``, ``verifier.retained_records``)
@@ -40,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.consistency.streaming import StreamingChecker, StreamingGenerationVerdict
+from repro.consistency.streaming import GenerationVerdict, StreamingChecker
 from repro.consistency.transactions import (
     CoordinatorDecision,
     check_txn_traces,
@@ -53,14 +63,29 @@ from repro.errors import (
     SecurityViolation,
 )
 
+#: the coordinator's decision log, by transaction id
+Decisions = dict[str, CoordinatorDecision]
+
 
 @dataclass
-class StreamingShardVerdict:
-    """Online counterpart of the router's ``ShardVerdict``."""
+class ShardVerdict:
+    """Fork-linearizability outcome for one shard id, merged across every
+    generation that id ever ran (crash/recovery bumps the generation;
+    each generation is an independent group with its own keys and chain,
+    so each is checked against a fresh initial state)."""
 
     shard_id: int
-    violation: LCMError | None = None
-    generations: list[StreamingGenerationVerdict] = field(default_factory=list)
+    generations: list[GenerationVerdict] = field(default_factory=list)
+
+    @property
+    def violation(self) -> LCMError | None:
+        """The first violation found in any generation — usually a
+        :class:`SecurityViolation`; a stopped enclave whose evidence is
+        unreachable surfaces as the :class:`EnclaveError` export raised."""
+        return next(
+            (gen.violation for gen in self.generations if gen.violation is not None),
+            None,
+        )
 
     @property
     def ok(self) -> bool:
@@ -68,6 +93,7 @@ class StreamingShardVerdict:
 
     @property
     def fork_points(self) -> list[int]:
+        """Fork depths observed in any generation of this shard."""
         points: set[int] = set()
         for generation in self.generations:
             points.update(generation.fork_points)
@@ -75,10 +101,11 @@ class StreamingShardVerdict:
 
 
 @dataclass
-class StreamingVerdict:
-    """Online counterpart of the router's ``ShardedVerdict``."""
+class ShardedVerdict:
+    """Per-shard evidence merged into one cluster-level verdict."""
 
-    shards: dict[int, StreamingShardVerdict] = field(default_factory=dict)
+    shards: dict[int, ShardVerdict] = field(default_factory=dict)
+    #: cross-shard transaction checks (empty when no transactions ran)
     txn_violations: list = field(default_factory=list)
 
     @property
@@ -97,6 +124,7 @@ class StreamingVerdict:
 
     @property
     def forked_shards(self) -> list[int]:
+        """Shards whose evidence shows diverged (but unjoined) histories."""
         return sorted(
             shard_id
             for shard_id, verdict in self.shards.items()
@@ -135,21 +163,16 @@ class ClusterObserver:
         self._registry = registry
         self.enabled = enabled
         self._streams: dict[tuple[int, int], _Stream] = {}
-        #: router-attached providers for the transaction checks
-        self._decisions: Callable[[], dict[str, CoordinatorDecision]] | None = None
-        self._has_txns: Callable[[], bool] | None = None
+        #: router-attached provider of the coordinator's decision log
+        #: (``None`` while no transaction ever ran)
+        self._decisions: Callable[[], Decisions | None] | None = None
 
     # ------------------------------------------------------------- wiring
 
-    def attach_decisions(
-        self,
-        decisions: Callable[[], dict[str, CoordinatorDecision]],
-        has_txns: Callable[[], bool],
-    ) -> None:
+    def attach_decisions(self, decisions: Callable[[], Decisions | None]) -> None:
         """Called by the shard router: the coordinator's decision log,
         for both the online withheld-decision scan and the verdict."""
         self._decisions = decisions
-        self._has_txns = has_txns
 
     def _make_on_event(self, shard_id: int, generation: int):
         def on_event(name: str, fields: dict) -> None:
@@ -182,8 +205,8 @@ class ClusterObserver:
 
     def on_violation(self, shard: Any) -> None:
         """A live violation was recorded: the violation *is* the
-        evidence; the stream stops consuming (mirroring the post-mortem,
-        which never exports a halted shard's logs)."""
+        evidence; the stream stops consuming (the verdict never exports a
+        halted shard's logs either)."""
         stream = self._stream(shard)
         if stream is not None:
             stream.violated = True
@@ -230,8 +253,8 @@ class ClusterObserver:
         try:
             self._harvest_logs(stream, shard)
         except (SecurityViolation, EnclaveError):
-            # an unreachable enclave at a boundary; the verdict-time
-            # harvest retries and reports it exactly like the post-mortem
+            # an unreachable enclave at a boundary; the verdict's own
+            # export retries and reports it against the generation
             return
         self._harvest_rest(stream, shard.history, shard.clients)
         for client_id in stream.checker.unlocated_clients():
@@ -347,150 +370,169 @@ class ClusterObserver:
         stream = self._streams[(shard_id, generation)]
         return stream.checker.retained_records
 
-    def verdict(self) -> StreamingVerdict:
-        """The online verdict, shaped exactly like the router's merged
-        post-mortem verdict (same shard ids, per-generation evaluation
-        order, transaction evidence order)."""
+    def verdict(self) -> ShardedVerdict:
+        """The online verdict: :func:`cluster_verdict` over the streams,
+        each live one synced a last time."""
         if not self.enabled:
             raise ConfigurationError(
                 "streaming verification is disabled on this cluster"
             )
-        cluster = self._cluster
-        merged = StreamingVerdict()
-        for shard_id in cluster.verdict_shard_ids:
-            generations = [
-                self._retired_verdict(shard_id, evidence)
-                for evidence in cluster.retired_generations(shard_id)
-            ]
-            if cluster.is_live(shard_id):
-                generations.append(self._live_verdict(shard_id))
-            violation = next(
-                (gen.violation for gen in generations if gen.violation is not None),
-                None,
-            )
-            merged.shards[shard_id] = StreamingShardVerdict(
-                shard_id, violation=violation, generations=generations
-            )
-        if self._has_txns is not None and self._has_txns():
-            merged.txn_violations = check_txn_traces(
-                self._txn_triples(), self._decisions() if self._decisions else {}
-            )
-        return merged
+        return cluster_verdict(
+            self._cluster,
+            self._stream_checker,
+            self._decisions() if self._decisions is not None else None,
+        )
 
-    def _retired_verdict(
-        self, shard_id: int, evidence: Any
-    ) -> StreamingGenerationVerdict:
-        if evidence.violation is not None:
-            return StreamingGenerationVerdict(
-                evidence.generation, violation=evidence.violation
-            )
-        if evidence.logs is None:
-            return StreamingGenerationVerdict(
-                evidence.generation,
-                violation=EnclaveError(
-                    f"generation {evidence.generation} retired without audit "
-                    "evidence"
-                ),
-            )
-        stream = self._streams.get((shard_id, evidence.generation))
-        if stream is None:
-            return StreamingGenerationVerdict(
-                evidence.generation,
-                violation=EnclaveError(
-                    f"generation {evidence.generation} was never streamed"
-                ),
-            )
-        return stream.checker.result()
-
-    def _live_verdict(self, shard_id: int) -> StreamingGenerationVerdict:
-        cluster = self._cluster
-        generation = cluster.shard_generation(shard_id)
-        live = cluster.shard_violation(shard_id)
-        if live is not None:
-            return StreamingGenerationVerdict(generation, violation=live)
+    def _stream_checker(
+        self, shard_id: int, generation: int, logs: list, history: Any, clients: dict
+    ) -> StreamingChecker:
         stream = self._streams[(shard_id, generation)]
-        shard = cluster._shard(shard_id)
+        if not stream.frozen:
+            # the live generation: a final sync against the evidence the
+            # replay reads (retirement already synced and sealed the rest)
+            self._sync_full_logs(stream, logs)
+            self._harvest_rest(stream, history, clients)
+        return stream.checker
+
+
+def cluster_verdict(
+    cluster: Any,
+    checker_for: Callable[..., StreamingChecker],
+    decisions: Decisions | None,
+) -> ShardedVerdict:
+    """The one verdict walk: every shard id that ever carried evidence,
+    its retired generations oldest first and then the live one, each
+    judged by the checker ``checker_for(shard_id, generation, logs,
+    history, clients)`` returns; then, unless
+    ``decisions`` is ``None`` (no transaction ever ran), the cross-shard
+    transaction rules over every judged log's traces in the same order.
+
+    A generation that died holding a violation, retired without audit
+    evidence, or whose live audit export fails is judged by that error
+    alone and contributes no transaction evidence.  Never raises.
+    """
+    merged = ShardedVerdict()
+    per_log: list[tuple[int, bool, dict]] = []
+    for shard_id in cluster.verdict_shard_ids:
+        verdict = merged.shards[shard_id] = ShardVerdict(shard_id)
+        for generation, violation, logs, history, clients, live in _generations(
+            cluster, shard_id
+        ):
+            if violation is not None:
+                verdict.generations.append(GenerationVerdict(generation, violation))
+                continue
+            checker = checker_for(shard_id, generation, logs, history, clients)
+            verdict.generations.append(checker.result())
+            per_log.extend((shard_id, live, traces) for traces in checker.txn_traces())
+    if decisions is not None:
+        merged.txn_violations = check_txn_traces(per_log, decisions)
+    return merged
+
+
+def _generations(cluster: Any, shard_id: int):
+    """One shard id's generations as ``(generation, violation, logs,
+    history, clients, live)``: the retired ones, then the live one.
+    ``live`` marks the histories the withheld-decision rule applies to —
+    a healthy live generation's, not a crashed or retired one's."""
+    for evidence in cluster.retired_generations(shard_id):
+        violation = evidence.violation
+        if violation is None and evidence.logs is None:
+            violation = EnclaveError(
+                f"generation {evidence.generation} retired without audit evidence"
+            )
+        yield (
+            evidence.generation, violation, evidence.logs,
+            evidence.history, evidence.clients, False,
+        )
+    if not cluster.is_live(shard_id):
+        return
+    shard = cluster._shard(shard_id)
+    # a violation caught during the run *is* the evidence: the halted
+    # enclave refuses exports
+    violation, logs = shard.violation, None
+    if violation is None:
         try:
-            # final sync through the same accessor the post-mortem uses,
-            # so an unreachable enclave surfaces the identical violation
             logs = cluster.audit_logs(shard_id)
-        except (SecurityViolation, EnclaveError) as violation:
-            return StreamingGenerationVerdict(generation, violation=violation)
-        self._sync_full_logs(stream, logs)
-        self._harvest_rest(stream, shard.history, shard.clients)
-        return stream.checker.result()
-
-    def _txn_triples(self) -> list[tuple[int, bool, dict]]:
-        """Per-log transaction traces in exactly the post-mortem
-        ``_txn_evidence`` order."""
-        cluster = self._cluster
-        triples: list[tuple[int, bool, dict]] = []
-        for shard_id in cluster.verdict_shard_ids:
-            for retired in cluster.retired_generations(shard_id):
-                if not retired.logs:
-                    continue
-                stream = self._streams.get((shard_id, retired.generation))
-                if stream is None:
-                    continue
-                for traces in stream.checker.txn_traces():
-                    triples.append((shard_id, False, traces))
-            if not cluster.is_live(shard_id):
-                continue
-            if cluster.shard_violation(shard_id) is not None:
-                continue
-            generation = cluster.shard_generation(shard_id)
-            stream = self._streams.get((shard_id, generation))
-            if stream is None:
-                continue
-            live = cluster.shard_healthy(shard_id)
-            for traces in stream.checker.txn_traces():
-                triples.append((shard_id, live, traces))
-        return triples
+        except (SecurityViolation, EnclaveError) as caught:
+            # a stopped enclave whose audit log is unreachable
+            violation = caught
+    yield (
+        shard.generation, violation, logs, shard.history, shard.clients,
+        shard.healthy,
+    )
 
 
-def parity_report(streaming: StreamingVerdict, post: Any) -> list[str]:
-    """Diff the online verdict against the post-mortem one; an empty
+def replay_checker(
+    cluster: Any,
+    shard_id: int,
+    generation: int,
+    logs: list,
+    history: Any,
+    clients: dict,
+) -> StreamingChecker:
+    """A fresh checker fed one generation's retained evidence in one pass:
+    every audit log in order, then the recorded history's completions,
+    then each client's final ``(t, h)`` point.  It never advances, so it
+    collects nothing, and it has no event sink, so a replay emits no
+    ``verifier.*`` event.  ``shard_id`` is unused: the signature is
+    :func:`cluster_verdict`'s ``checker_for``."""
+    checker = StreamingChecker(
+        functionality=cluster.functionality(),
+        client_ids=list(clients),
+        generation=generation,
+    )
+    for log in logs:
+        checker.feed_records(checker.register_log(), log)
+    for record in history.records():
+        checker.observe_completion(record)
+    for client_id, machine in clients.items():
+        checker.observe_point(client_id, machine.last_sequence, machine.last_chain)
+    return checker
+
+
+def parity_report(streaming: ShardedVerdict, replay: ShardedVerdict) -> list[str]:
+    """Diff the online verdict against the replayed one; an empty
     list means full parity (same violations, same attribution, same
     fork points, same transaction findings)."""
     issues: list[str] = []
-    if sorted(streaming.shards) != sorted(post.shards):
+    if sorted(streaming.shards) != sorted(replay.shards):
         issues.append(
             f"shard ids differ: streaming={sorted(streaming.shards)} "
-            f"post={sorted(post.shards)}"
+            f"replay={sorted(replay.shards)}"
         )
         return issues
-    for shard_id in sorted(post.shards):
+    for shard_id in sorted(replay.shards):
         sv = streaming.shards[shard_id]
-        pv = post.shards[shard_id]
-        if _violation_sig(sv.violation) != _violation_sig(pv.violation):
+        rv = replay.shards[shard_id]
+        if _violation_sig(sv.violation) != _violation_sig(rv.violation):
             issues.append(
                 f"shard {shard_id} violation differs: "
                 f"streaming={_violation_sig(sv.violation)} "
-                f"post={_violation_sig(pv.violation)}"
+                f"replay={_violation_sig(rv.violation)}"
             )
-        if sv.fork_points != pv.fork_points:
+        if sv.fork_points != rv.fork_points:
             issues.append(
                 f"shard {shard_id} fork points differ: "
-                f"streaming={sv.fork_points} post={pv.fork_points}"
+                f"streaming={sv.fork_points} replay={rv.fork_points}"
             )
-        if len(sv.generations) != len(pv.generations):
+        if len(sv.generations) != len(rv.generations):
             issues.append(
                 f"shard {shard_id} generation counts differ: "
-                f"streaming={len(sv.generations)} post={len(pv.generations)}"
+                f"streaming={len(sv.generations)} replay={len(rv.generations)}"
             )
             continue
-        for s_gen, p_gen in zip(sv.generations, pv.generations):
-            if _violation_sig(s_gen.violation) != _violation_sig(p_gen.violation):
+        for s_gen, r_gen in zip(sv.generations, rv.generations):
+            if _violation_sig(s_gen.violation) != _violation_sig(r_gen.violation):
                 issues.append(
-                    f"shard {shard_id} generation {p_gen.generation} differs: "
+                    f"shard {shard_id} generation {r_gen.generation} differs: "
                     f"streaming={_violation_sig(s_gen.violation)} "
-                    f"post={_violation_sig(p_gen.violation)}"
+                    f"replay={_violation_sig(r_gen.violation)}"
                 )
-    post_txn = [_violation_sig(v) for v in post.txn_violations]
+    replay_txn = [_violation_sig(v) for v in replay.txn_violations]
     stream_txn = [_violation_sig(v) for v in streaming.txn_violations]
-    if post_txn != stream_txn:
+    if replay_txn != stream_txn:
         issues.append(
-            f"txn violations differ: streaming={stream_txn} post={post_txn}"
+            f"txn violations differ: streaming={stream_txn} replay={replay_txn}"
         )
     return issues
 

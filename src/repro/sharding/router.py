@@ -44,14 +44,18 @@ shards behind the familiar submit-an-operation surface.
   Finished transactions are pruned from the in-memory ``txn_log``; the
   compact per-txn decision summary the checkers need is retained forever;
 - **verification** merges per-shard evidence into one
-  :class:`ShardedVerdict`: every generation of every shard (migrations
-  and forks included) is fed to the Sec. 3.2.1 checker and violations
-  detected live are attributed to their shard, so one forked shard is
-  detected even when every other shard is honest; the coordinator's
-  decision log is checked against every audit log for cross-shard
-  atomicity (:func:`~repro.consistency.transactions.check_transaction_atomicity`)
+  :class:`~repro.sharding.observer.ShardedVerdict`: :meth:`ShardRouter.verdict`
+  replays every generation of every shard (migrations and forks
+  included) through a fresh streaming checker in one pass, linear in
+  the evidence, and violations detected live are attributed to their
+  shard, so one forked shard is detected even when every other shard is
+  honest; the transaction traces the checkers fold from every audit log
+  are checked against the coordinator's decision log for cross-shard
+  atomicity (:func:`~repro.consistency.transactions.check_txn_traces`)
   — all-or-nothing, decisions consistent with the coordinator, and no
-  live history left holding a prepare whose decision it never saw.
+  live history left holding a prepare whose decision it never saw.  The
+  walk is :func:`~repro.sharding.observer.cluster_verdict`, the same one
+  :meth:`ShardRouter.streaming_verdict` runs over the online streams.
 """
 
 from __future__ import annotations
@@ -62,21 +66,9 @@ from functools import partial
 from typing import Any, Callable
 
 from repro import serde
-from repro.consistency import check_cluster_execution
-from repro.consistency.fork_linearizability import ForkTree
-from repro.consistency.transactions import (
-    CoordinatorDecision,
-    TxnEvidence,
-    check_transaction_atomicity,
-)
+from repro.consistency.transactions import CoordinatorDecision
 from repro.core.client import LcmResult
-from repro.errors import (
-    ConfigurationError,
-    EnclaveError,
-    LCMError,
-    SecurityViolation,
-    ShardUnavailable,
-)
+from repro.errors import ConfigurationError, LCMError, ShardUnavailable
 from repro.kvstore.functionality import (
     TXN_ABORTED,
     TXN_COMMITTED,
@@ -92,6 +84,7 @@ from repro.kvstore.functionality import (
 )
 from repro.server.storage import StableStorage
 from repro.sharding.cluster import ShardedCluster
+from repro.sharding.observer import ShardedVerdict, cluster_verdict, replay_checker
 
 
 def _decision_operation(txn_id: str, decision: str) -> tuple:
@@ -111,58 +104,6 @@ def routing_key(operation: Any) -> str | bytes:
         f"operation {operation!r} carries no routable key; "
         "use submit_to_shard for keyless (e.g. no-op) operations"
     )
-
-
-@dataclass
-class GenerationVerdict:
-    """Fork-linearizability outcome for one generation of a shard: its
-    pre-recovery life, a removed shard's final evidence, or the live
-    group."""
-
-    generation: int
-    fork_tree: ForkTree | None = None
-    violation: LCMError | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    @property
-    def fork_points(self) -> list[int]:
-        return self.fork_tree.fork_points() if self.fork_tree else []
-
-
-@dataclass
-class ShardVerdict:
-    """Fork-linearizability outcome for one shard id, merged across every
-    generation that id ever ran (crash/recovery bumps the generation;
-    each generation is an independent group with its own keys and chain,
-    so each is checked against a fresh initial state).
-
-    ``violation`` is the first violation found in any generation —
-    usually a :class:`SecurityViolation`; a stopped enclave whose
-    evidence is unreachable surfaces as the
-    :class:`~repro.errors.EnclaveError` that export raised.
-    ``fork_tree`` is the newest generation's tree (single-generation
-    shards: exactly the pre-elastic behaviour).
-    """
-
-    shard_id: int
-    fork_tree: ForkTree | None = None
-    violation: LCMError | None = None
-    generations: list[GenerationVerdict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.violation is None
-
-    @property
-    def fork_points(self) -> list[int]:
-        """Fork depths observed in any generation of this shard."""
-        points = set(self.fork_tree.fork_points() if self.fork_tree else [])
-        for generation in self.generations:
-            points.update(generation.fork_points)
-        return sorted(points)
 
 
 @dataclass
@@ -247,38 +188,6 @@ class _Submission:
         self.operation, self.on_complete = operation, on_complete
         self.reroute, self.state = reroute, None
         self.attempts = self.epoch = 0
-
-
-@dataclass
-class ShardedVerdict:
-    """Per-shard evidence merged into one cluster-level verdict."""
-
-    shards: dict[int, ShardVerdict] = field(default_factory=dict)
-    #: cross-shard transaction checks (empty when no transactions ran)
-    txn_violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.txn_violations and all(
-            verdict.ok for verdict in self.shards.values()
-        )
-
-    @property
-    def violations(self) -> dict[int, LCMError]:
-        return {
-            shard_id: verdict.violation
-            for shard_id, verdict in self.shards.items()
-            if verdict.violation is not None
-        }
-
-    @property
-    def forked_shards(self) -> list[int]:
-        """Shards whose evidence shows diverged (but unjoined) histories."""
-        return sorted(
-            shard_id
-            for shard_id, verdict in self.shards.items()
-            if verdict.fork_points
-        )
 
 
 class ShardRouter:
@@ -402,10 +311,7 @@ class ShardRouter:
         if cluster.observer.enabled:
             # the streaming verifier needs the coordinator's decision log
             # for its online withheld-decision scan and its verdict
-            cluster.observer.attach_decisions(
-                self._coordinator_decisions,
-                lambda: bool(self.txn_log) or bool(self._decisions_cache),
-            )
+            cluster.observer.attach_decisions(self._coordinator_decisions)
 
     # ------------------------------------------- counter read-through views
 
@@ -1277,25 +1183,25 @@ class ShardRouter:
         Covers every shard id that ever carried evidence: live shards,
         removed shards (their final audit logs were retired at removal)
         and, for shards that crashed and were recovered, each generation
-        independently — merged into one :class:`ShardVerdict` per id.
-        When transactions ran, the coordinator's decision log and every
-        audit log are additionally fed to the cross-shard transaction
-        checker; its findings land in ``txn_violations``.
+        independently — merged into one ``ShardVerdict`` per id.  Each
+        generation's retained evidence is replayed through a fresh
+        streaming checker in one pass, so the cost is linear in the
+        evidence and no ``verifier.*`` event is emitted.  When
+        transactions ran, the traces those checkers folded are checked
+        against the coordinator's decision log; the findings land in
+        ``txn_violations``.
         """
-        merged = ShardedVerdict()
-        for shard_id in self.cluster.verdict_shard_ids:
-            merged.shards[shard_id] = self._check_shard(shard_id)
-        if self.txn_log or self._decisions_cache:
-            merged.txn_violations = check_transaction_atomicity(
-                self._txn_evidence(), self._coordinator_decisions()
-            )
-        return merged
+        return cluster_verdict(
+            self.cluster,
+            partial(replay_checker, self.cluster),
+            self._coordinator_decisions(),
+        )
 
-    def streaming_verdict(self):
+    def streaming_verdict(self) -> ShardedVerdict:
         """The online verdict the cluster's streaming verifier assembled
-        from evidence harvested at batch boundaries — provably equivalent
-        to :meth:`verdict` (the parity test suite asserts it on every
-        scenario), but available without a post-mortem replay and with
+        from evidence harvested at batch boundaries — the same walk and
+        checker as :meth:`verdict` (the parity test suite asserts the two
+        agree on every scenario), but available without a replay and with
         violations already emitted as registry events mid-run."""
         return self.cluster.observer.verdict()
 
@@ -1315,102 +1221,11 @@ class ShardRouter:
             raise merged.txn_violations[0]
         return merged
 
-    def _txn_evidence(self) -> list[TxnEvidence]:
-        """Every audit log a global observer holds, tagged for the
-        transaction checker.  A shard whose enclave halted on a live
-        violation contributes nothing (its log is unreachable and the
-        per-shard verdict already carries the violation); a crashed
-        generation's reconstruction participates as non-live evidence
-        (no decision can land there any more)."""
-        cluster = self.cluster
-        evidence: list[TxnEvidence] = []
-        for shard_id in cluster.verdict_shard_ids:
-            for retired in cluster.retired_generations(shard_id):
-                for log in retired.logs or []:
-                    evidence.append(TxnEvidence(shard_id, log, live=False))
-            if not cluster.is_live(shard_id):
-                continue
-            if cluster.shard_violation(shard_id) is not None:
-                continue
-            try:
-                logs = cluster.audit_logs(shard_id)
-            except LCMError:
-                continue
-            live = cluster.shard_healthy(shard_id)
-            for log in logs:
-                evidence.append(TxnEvidence(shard_id, log, live=live))
-        return evidence
-
-    def _coordinator_decisions(self) -> dict[str, CoordinatorDecision]:
-        """The decision log as the transaction checker consumes it
-        (undecided — in-flight or parked — transactions are absent: no
-        participant can legitimately carry a decision for them yet).
-        Returns the live compact cache, not a copy: the streaming
-        observer reads it at every batch boundary and the checkers only
-        ever read."""
-        return self._decisions_cache
-
-    def _check_shard(self, shard_id: int) -> ShardVerdict:
-        cluster = self.cluster
-        generations = [
-            self._check_generation(evidence)
-            for evidence in cluster.retired_generations(shard_id)
-        ]
-        if cluster.is_live(shard_id):
-            generations.append(self._check_live_generation(shard_id))
-        violation = next(
-            (gen.violation for gen in generations if gen.violation is not None),
-            None,
-        )
-        tree = next(
-            (gen.fork_tree for gen in reversed(generations) if gen.fork_tree),
-            None,
-        )
-        return ShardVerdict(
-            shard_id, fork_tree=tree, violation=violation, generations=generations
-        )
-
-    def _check_live_generation(self, shard_id: int) -> GenerationVerdict:
-        cluster = self.cluster
-        generation = cluster.shard_generation(shard_id)
-        live = cluster.shard_violation(shard_id)
-        if live is not None:
-            # the shard's context (or a client) already caught the attack
-            # during the run; its enclave refuses further ecalls, so the
-            # live violation *is* the evidence
-            return GenerationVerdict(generation, violation=live)
-        try:
-            tree = check_cluster_execution(
-                cluster.audit_logs(shard_id),
-                cluster.shard_clients(shard_id),
-                cluster.shard_history(shard_id),
-                cluster.functionality(),
-            )
-        except (SecurityViolation, EnclaveError) as violation:
-            # EnclaveError: a stopped/crashed enclave whose audit log is
-            # unreachable — report it against the shard, never raise
-            return GenerationVerdict(generation, violation=violation)
-        return GenerationVerdict(generation, fork_tree=tree)
-
-    def _check_generation(self, evidence) -> GenerationVerdict:
-        """Check one retired generation's frozen evidence."""
-        generation = evidence.generation
-        if evidence.violation is not None:
-            return GenerationVerdict(generation, violation=evidence.violation)
-        if evidence.logs is None:
-            return GenerationVerdict(
-                generation,
-                violation=EnclaveError(
-                    f"generation {generation} retired without audit evidence"
-                ),
-            )
-        try:
-            tree = check_cluster_execution(
-                evidence.logs,
-                evidence.clients,
-                evidence.history,
-                self.cluster.functionality(),
-            )
-        except (SecurityViolation, EnclaveError) as caught:
-            return GenerationVerdict(generation, violation=caught)
-        return GenerationVerdict(generation, fork_tree=tree)
+    def _coordinator_decisions(self) -> dict[str, CoordinatorDecision] | None:
+        """The decision log as the transaction checker consumes it, or
+        ``None`` while no transaction ever ran (undecided — in-flight or
+        parked — transactions are absent: no participant can legitimately
+        carry a decision for them yet).  Returns the live compact cache,
+        not a copy: the streaming observer reads it at every batch
+        boundary and the checkers only ever read."""
+        return self._decisions_cache if self.txn_log or self._decisions_cache else None

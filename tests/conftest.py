@@ -102,3 +102,88 @@ class CompletionCounts:
             for submission, count in self.fires.items()
             if count != 1
         }
+
+
+def violation_sig(violation) -> tuple[str, str] | None:
+    """A violation as ``(type name, message)``, comparable across runs."""
+    if violation is None:
+        return None
+    return (type(violation).__name__, str(violation))
+
+
+def generation_signatures(verdict) -> dict[int, list[tuple]]:
+    """A merged verdict as ``{shard_id: [(generation, violation
+    signature, fork points), ...]}``, generations in verdict order."""
+    return {
+        shard_id: [
+            (gen.generation, violation_sig(gen.violation), gen.fork_points)
+            for gen in shard.generations
+        ]
+        for shard_id, shard in verdict.shards.items()
+    }
+
+
+def reference_generations(cluster) -> dict[int, list[tuple]]:
+    """Every shard generation's evidence judged by the view-level
+    reference checker (``views_from_audit_logs`` + ``check_fork_linearizable``),
+    in the shape of :func:`generation_signatures`.
+
+    The independent oracle for the cluster verdicts, which run the
+    streaming checker instead: it rebuilds each client's view from the
+    same audit logs, points and history and replays every view.  A
+    generation that holds a recorded violation, or whose audit export
+    fails, is judged by that error alone, as the cluster verdicts do."""
+    from repro.consistency import check_fork_linearizable, views_from_audit_logs
+    from repro.core.hashchain import ChainPoint
+    from repro.errors import LCMError
+
+    def judge(generation, logs, clients, history):
+        points = {
+            client_id: ChainPoint(machine.last_sequence, machine.last_chain)
+            for client_id, machine in clients.items()
+        }
+        lookup = {
+            (record.client_id, record.sequence): record
+            for record in history.records()
+            if record.sequence is not None
+        }
+        own = {client_id: history.by_client(client_id) for client_id in clients}
+        try:
+            views = views_from_audit_logs(logs, points, lookup)
+            tree = check_fork_linearizable(
+                views, cluster.functionality(), own_operations=own
+            )
+        except LCMError as violation:
+            return generation, violation_sig(violation), []
+        return generation, None, tree.fork_points()
+
+    judged: dict[int, list[tuple]] = {}
+    for shard_id in cluster.verdict_shard_ids:
+        generations = judged[shard_id] = []
+        for evidence in cluster.retired_generations(shard_id):
+            if evidence.violation is not None:
+                generations.append(
+                    (evidence.generation, violation_sig(evidence.violation), [])
+                )
+            else:
+                generations.append(judge(
+                    evidence.generation, evidence.logs, evidence.clients,
+                    evidence.history,
+                ))
+        if not cluster.is_live(shard_id):
+            continue
+        generation = cluster.shard_generation(shard_id)
+        violation = cluster.shard_violation(shard_id)
+        if violation is None:
+            try:
+                logs = cluster.audit_logs(shard_id)
+            except LCMError as caught:
+                violation = caught
+        if violation is not None:
+            generations.append((generation, violation_sig(violation), []))
+            continue
+        generations.append(judge(
+            generation, logs, cluster.shard_clients(shard_id),
+            cluster.shard_history(shard_id),
+        ))
+    return judged

@@ -1,28 +1,39 @@
-"""End-to-end parity: the streaming verdict equals the post-mortem one.
+"""End-to-end parity: the streaming verdict equals the one-pass replay.
 
 Every scenario the harness exercises — clean scaling, rebalances,
 elastic membership, crash + recovery, fork attacks, rollback across a
 generation bump, cross-shard transactions with a withheld decision —
-runs once and is judged twice: online (:meth:`ShardRouter.streaming_verdict`)
-and post-mortem (:meth:`ShardRouter.verdict`).  ``parity_report`` must
-come back empty: same violations, same attribution, same fork points,
-same transaction findings.
+runs once and is judged three times: online
+(:meth:`ShardRouter.streaming_verdict`), by the one-pass replay of the
+retained evidence (:meth:`ShardRouter.verdict`), and per generation by
+the view-level reference checker (``tests.conftest.reference_generations``).
+``parity_report`` must come back empty — same violations, same
+attribution, same fork points, same transaction findings — and the
+reference must agree with the replay on every generation, so the
+streaming checker is never only compared against itself.
 
 The suite also pins the online-detection promise (the registry holds the
-verifier's event *before* any verdict is computed) and the memory bound
-(retained evidence tracks the unstable suffix, not the history).
+verifier's event *before* any verdict is computed), the memory bound
+(retained evidence tracks the unstable suffix, not the history) and the
+replay's cost (one application of ``F`` per audit record per log).
 """
 
 import random
 
 import pytest
 
+from repro import serde
+from repro.core.context import NOP_OPERATION
 from repro.errors import ConfigurationError, RollbackDetected
 from repro.kvstore import get, put
 from repro.net.latency import LatencyModel
 from repro.sharding import ShardRouter, ShardedCluster
 from repro.sharding.observer import parity_report
-from tests.conftest import CompletionCounts
+from tests.conftest import (
+    CompletionCounts,
+    generation_signatures,
+    reference_generations,
+)
 
 
 def build(shards=3, clients=3, seed=1, **kwargs):
@@ -85,7 +96,54 @@ def assert_parity(router):
     streaming = router.streaming_verdict()
     report = parity_report(streaming, post)
     assert report == [], report
+    assert reference_generations(router.cluster) == generation_signatures(post)
     return streaming, post
+
+
+def forked_cluster(seed, shards=3, victim=1, **kwargs):
+    """Fork ``victim``, serve client 3 from the fork and keep it there: a
+    maintained fork, two logs on the victim."""
+    cluster, router = build(
+        shards=shards, clients=3, seed=seed, malicious_shards=(victim,), **kwargs
+    )
+    victim_keys = keys_owned_by(cluster, victim, 3)
+    for client_id in cluster.client_ids:
+        router.submit(client_id, put(victim_keys[0], f"base-{client_id}"))
+    cluster.run()
+    fork = cluster.fork_shard(victim)
+    cluster.route_client(victim, 3, fork)
+    router.submit(1, put(victim_keys[1], "main-side"))
+    router.submit(3, put(victim_keys[2], "fork-side"))
+    cluster.run()
+    return cluster, router, victim_keys
+
+
+def joined_fork(seed, **kwargs):
+    """A maintained fork on shard 1 that the server then joins back."""
+    cluster, router, victim_keys = forked_cluster(seed, **kwargs)
+    cluster.route_client(1, 3, 0)
+    router.submit(3, get(victim_keys[0]))
+    cluster.run()
+    return cluster, router
+
+
+def rollback_after_recovery(seed, **kwargs):
+    """Shard 0 crashes and recovers into generation 1, whose sealed state
+    is then rolled back and rebooted."""
+    cluster, router = build(shards=2, clients=1, seed=seed, failover=True, **kwargs)
+    populate(cluster, router, 10)
+    cluster.crash_shard(0)
+    cluster.recover_shard(0)
+    keys = keys_owned_by(cluster, 0, 2, prefix="gen1")
+    router.submit(1, put(keys[0], "a"))
+    router.submit(1, put(keys[1], "b"))
+    cluster.run()
+    host = cluster.shard_host(0)
+    host.storage.rollback_to(1)
+    host.reboot()
+    router.submit(1, get(keys[0]))
+    cluster.run()
+    return cluster, router
 
 
 class TestCleanRuns:
@@ -176,23 +234,8 @@ class TestLateReplies:
 
 
 class TestAttacks:
-    def _forked_cluster(self, seed):
-        cluster, router = build(
-            shards=3, clients=3, seed=seed, malicious_shards=(1,)
-        )
-        victim_keys = keys_owned_by(cluster, 1, 3)
-        for client_id in cluster.client_ids:
-            router.submit(client_id, put(victim_keys[0], f"base-{client_id}"))
-        cluster.run()
-        fork = cluster.fork_shard(1)
-        cluster.route_client(1, 3, fork)
-        router.submit(1, put(victim_keys[1], "main-side"))
-        router.submit(3, put(victim_keys[2], "fork-side"))
-        cluster.run()
-        return cluster, router, victim_keys
-
     def test_maintained_fork_detected_online(self):
-        cluster, router, _ = self._forked_cluster(seed=33)
+        cluster, router, _ = forked_cluster(seed=33)
         # online promise: the divergence is already in the event channel,
         # before any verdict is computed
         divergences = cluster.metrics_registry.events_named(
@@ -220,10 +263,7 @@ class TestAttacks:
         ]
 
     def test_join_attempt(self):
-        cluster, router, victim_keys = self._forked_cluster(seed=34)
-        cluster.route_client(1, 3, 0)  # server joins the forks back
-        router.submit(3, get(victim_keys[0]))
-        cluster.run()
+        cluster, router = joined_fork(seed=34)
         streaming, post = assert_parity(router)
         assert not streaming.ok and not post.ok
         assert not streaming.shards[1].ok
@@ -238,19 +278,7 @@ class TestAttacks:
         """Recovery bumps the generation; a rollback of the *new*
         generation's sealed state must be attributed to generation 1 by
         both pipelines."""
-        cluster, router = build(shards=2, clients=1, seed=35, failover=True)
-        populate(cluster, router, 10)
-        cluster.crash_shard(0)
-        cluster.recover_shard(0)
-        keys = keys_owned_by(cluster, 0, 2, prefix="gen1")
-        router.submit(1, put(keys[0], "a"))
-        router.submit(1, put(keys[1], "b"))
-        cluster.run()
-        host = cluster.shard_host(0)
-        host.storage.rollback_to(1)
-        host.reboot()
-        router.submit(1, get(keys[0]))
-        cluster.run()
+        cluster, router = rollback_after_recovery(seed=35)
         streaming, post = assert_parity(router)
         generations = streaming.shards[0].generations
         assert generations[0].ok
@@ -509,6 +537,41 @@ class TestMemoryBound:
         assert frontier >= 1  # a majority observed something
 
 
+class TestOnePassReplay:
+    def test_replay_applies_f_once_per_audit_record_per_log(self):
+        """``verdict()`` feeds each generation's evidence to one checker in
+        one pass: ``F`` runs once per non-nop audit record of every log,
+        however many clients view that log — where the view-level
+        checker replays the log once per client view."""
+        cluster, router, _ = forked_cluster(seed=43, shards=1, victim=0)
+        logs = cluster.audit_logs(0)
+        assert len(logs) == 2 and len(cluster.client_ids) == 3
+        applied = []
+        make = cluster.functionality
+
+        class CountingFunctionality:
+            def __init__(self):
+                self._inner = make()
+
+            def initial_state(self):
+                return self._inner.initial_state()
+
+            def apply(self, state, operation):
+                applied.append(operation)
+                return self._inner.apply(state, operation)
+
+        cluster.functionality = CountingFunctionality
+        verdict = router.verdict()
+        assert verdict.forked_shards == [0]
+        audited = [
+            record
+            for log in logs
+            for record in log
+            if serde.decode(record.operation) != [NOP_OPERATION[0]]
+        ]
+        assert len(applied) == len(audited)
+
+
 class TestConfiguration:
     def test_streaming_requires_audit_mode(self):
         with pytest.raises(ConfigurationError, match="audit"):
@@ -527,10 +590,12 @@ class TestConfiguration:
             router.streaming_verdict()
 
     def test_post_mortem_verdict_unaffected_by_streaming_mode(self):
-        """The post-mortem checker must not depend on the observer: the
-        same seed with streaming on and off yields identical verdicts."""
-        results = {}
-        for streaming in (True, False):
+        """The replayed verdict must not depend on the observer: the same
+        seed with streaming on and off yields identical verdicts — same
+        violation types, messages, attribution and fork points — on a
+        clean run, a maintained fork, a joined fork and a rollback."""
+
+        def clean(streaming):
             cluster, router = build(
                 shards=2, clients=3, seed=41, streaming=streaming
             )
@@ -538,10 +603,36 @@ class TestConfiguration:
                 for index in range(5):
                     router.submit(client_id, put(f"s-{index}", "v"))
             cluster.run()
-            verdict = router.verdict()
-            results[streaming] = (
-                verdict.ok,
-                sorted(verdict.shards),
-                [len(v.generations) for _, v in sorted(verdict.shards.items())],
-            )
-        assert results[True] == results[False]
+            return router
+
+        scenarios = {
+            "clean": clean,
+            "maintained fork": lambda streaming: forked_cluster(
+                33, streaming=streaming
+            )[1],
+            "joined fork": lambda streaming: joined_fork(
+                34, streaming=streaming
+            )[1],
+            "rollback": lambda streaming: rollback_after_recovery(
+                35, streaming=streaming
+            )[1],
+        }
+        judged = {}
+        for name, scenario in scenarios.items():
+            results = {}
+            for streaming in (True, False):
+                verdict = scenario(streaming).verdict()
+                results[streaming] = (
+                    verdict.ok,
+                    generation_signatures(verdict),
+                    [repr(violation) for violation in verdict.txn_violations],
+                )
+            assert results[True] == results[False], name
+            judged[name] = results[False][1]
+        # the attacked inputs were judged, not waved through
+        assert judged["maintained fork"][1] == [(0, None, [3])]
+        for name, shard_id, generation in (
+            ("joined fork", 1, 0), ("rollback", 0, 1)
+        ):
+            last = judged[name][shard_id][-1]
+            assert last[0] == generation and last[1][0] == "RollbackDetected"
