@@ -2,8 +2,15 @@
 
 Subcommands::
 
-    python -m repro.cli figures [--only fig4|fig5|fig6|sec62|sec63|sec65]
-        Regenerate the paper's tables/figures and print paper-vs-measured.
+    python -m repro.cli run [NAME ...] [--set KEY=VALUE ...]
+        Run experiments by name (fig4 fig5 fig6 sec62 sec63 sec65
+        shard_scaling elastic_scaling cross_shard group_commit; no name
+        runs the paper's six) and print each one's series table and
+        paper-vs-measured summary.  Each --set value (a Python literal,
+        else a string) is passed to every named experiment as a keyword
+        argument.  Exits 1 when a boolean expectation diverges — the
+        cluster experiments' zero violations, completed requests and
+        streaming parity among them — and 2 on bad input.
 
     python -m repro.cli demo
         Run the quickstart flow (bootstrap, operate, reboot, stability).
@@ -15,19 +22,6 @@ Subcommands::
         Run the real protocol over the simulated network and verify
         fork-linearizability of the resulting execution.
 
-    python -m repro.cli shard [--shards N] [--clients N] [--ops N]
-                              [--distribution uniform|zipfian]
-        Run a YCSB mix across N sharded LCM groups (with a mid-run
-        migration-driven rebalance unless --no-rebalance) and verify
-        every shard's execution; zipfian mixes also report per-shard
-        load skew.
-
-    python -m repro.cli elastic [--clients N] [--ops N]
-        Drive a YCSB-A trace through a live cluster while the control
-        plane splits the ring, merges it back, crashes a shard and
-        recovers it — then verify the merged evidence across every
-        generation.
-
     python -m repro.cli frontier [--shards N ...] [--duration S]
                                  [--seeds N] [--output FILE] [--quick]
         Map the open-loop latency–throughput frontier: Poisson arrivals
@@ -36,14 +30,6 @@ Subcommands::
         each shard count's saturation throughput.  --quick runs a tiny
         sweep and asserts monotone achieved throughput plus zero
         violations below saturation (the CI smoke).
-
-    python -m repro.cli txn [--shards N] [--clients N] [--ops N]
-                            [--txn-fraction F] [--no-faults]
-        Run a transactional YCSB mix where multi-key requests commit
-        atomically across shards through the router's 2PC coordinator,
-        inject the crash-at-prepare and crash-after-decision fault
-        windows, and verify per-shard fork-linearizability plus
-        cross-shard transaction atomicity.
 
     python -m repro.cli metrics [--shards N] [--clients N] [--ops N]
                                 [--tracing] [--output FILE]
@@ -56,32 +42,54 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import ast
+import inspect
 import sys
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.harness import experiments as exp
-    from repro.harness.report import render_series_table, summarize_bands
+def _setting(text: str) -> tuple[str, object]:
+    """``KEY=VALUE`` -> ``(KEY, value)``: a Python literal, else the raw
+    string (so ``distribution=zipfian`` needs no quotes)."""
+    key, sep, raw = text.partition("=")
+    if not key or not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    try:
+        return key, ast.literal_eval(raw)
+    except (ValueError, SyntaxError):
+        return key, raw
 
-    registry = {
-        "fig4": (exp.run_fig4_object_size, "object_size"),
-        "fig5": (exp.run_fig5_clients_async, "clients"),
-        "fig6": (exp.run_fig6_clients_sync, "clients"),
-        "sec62": (exp.run_sec62_enclave_memory, "objects"),
-        "sec63": (exp.run_sec63_message_overhead, "object_size"),
-        "sec65": (exp.run_sec65_tmc_comparison, "clients"),
-    }
-    selected = [args.only] if args.only else list(registry)
-    for name in selected:
-        runner, x_key = registry[name]
-        kwargs = {}
-        if name in ("fig4", "fig5", "fig6", "sec65") and args.duration:
-            kwargs["duration"] = args.duration
-        result = runner(**kwargs)
-        print(render_series_table(result, x_key=x_key))
-        print(summarize_bands(result))
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.errors import ConfigurationError
+    from repro.harness import report
+    from repro.harness.experiments import EXPERIMENTS, PAPER_EXPERIMENTS
+
+    names = args.names or PAPER_EXPERIMENTS
+    settings = dict(args.settings)
+    for name in names:
+        if name not in EXPERIMENTS:
+            print(f"run: unknown experiment {name!r} "
+                  f"(choose from {', '.join(EXPERIMENTS)})", file=sys.stderr)
+            return 2
+        unknown = settings.keys() - inspect.signature(EXPERIMENTS[name]).parameters
+        if unknown:
+            print(f"run: {name} takes no {', '.join(sorted(unknown))}",
+                  file=sys.stderr)
+            return 2
+    failed = []
+    for name in names:
+        try:
+            result = EXPERIMENTS[name](**settings)
+        except (ValueError, ConfigurationError) as error:
+            print(f"run: {name}: {error}", file=sys.stderr)
+            return 2
+        print(report.render_series_table(result))
+        print(report.summarize_bands(result))
         print()
-    return 0
+        failed += [f"{name}.{gate}" for gate in report.failed_gates(result)]
+    for gate in failed:
+        print(f"DIVERGES: {gate}")
+    return 1 if failed else 0
 
 
 def _cmd_demo(_args: argparse.Namespace) -> int:
@@ -174,86 +182,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_shard_scaling
-
-    if args.shards < 1 or args.clients < 1 or args.ops < 1:
-        print("shard: --shards, --clients and --ops must all be >= 1")
-        return 2
-    result = run_shard_scaling(
-        shard_counts=[1, args.shards] if args.shards > 1 else [1],
-        clients=args.clients,
-        requests_per_client=args.ops,
-        rebalance=args.rebalance,
-        distribution=args.distribution,
-        seed=args.seed,
-    )
-    for shards, rate, moved, violations, skew in zip(
-        result.series["shards"],
-        result.series["ops_per_second"],
-        result.series["rebalances"],
-        result.series["violations"],
-        result.series["load_skew"],
-    ):
-        note = f" ({moved} rebalance)" if moved else ""
-        if shards > 1:
-            note += f" [load skew {skew:.2f}x]"
-        if violations:
-            note += f" [{violations} VIOLATION(S)]"
-        print(f"{shards} shard(s): {rate:,.0f} ops/s simulated{note}")
-    speedup = result.ratios["speedup_at_max"]
-    if not result.ratios["zero_violations"]:
-        print(
-            f"aggregate speedup at {result.series['shards'][-1]} shards: "
-            f"{speedup:.2f}x; CONSISTENCY VIOLATIONS DETECTED (see above)"
-        )
-        return 1
-    print(
-        f"aggregate speedup at {result.series['shards'][-1]} shards: "
-        f"{speedup:.2f}x; all shards verified fork-linearizable"
-    )
-    return 0
-
-
-def _cmd_elastic(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_elastic_scaling
-
-    if args.clients < 1 or args.ops < 1:
-        print("elastic: --clients and --ops must be >= 1")
-        return 2
-    result = run_elastic_scaling(
-        clients=args.clients,
-        requests_per_client=args.ops,
-        seed=args.seed,
-    )
-    labels = {"add": "split", "remove": "merge", "recover": "recover"}
-    for kind, shard_id, ok, at, moved in zip(
-        result.series["event"],
-        result.series["event_shard"],
-        result.series["event_ok"],
-        result.series["event_completed_at"],
-        result.series["event_keys_moved"],
-    ):
-        note = f", {moved} keys handed off" if moved else ""
-        status = f"completed at {at * 1e3:.2f} ms" if ok else "ABORTED"
-        print(f"{labels.get(kind, kind)} shard {shard_id}: {status}{note}")
-    ratios = result.ratios
-    print(
-        f"{ratios['requests_completed']} requests completed "
-        f"({ratios['ops_per_second']:,.0f} ops/s simulated); "
-        f"{ratios['operations_parked']} parked during outages, "
-        f"{ratios['operations_replayed']} replayed"
-    )
-    if not ratios["zero_violations"] or not ratios["all_requests_completed"]:
-        print("ELASTIC RUN FAILED: violations or lost requests (see above)")
-        return 1
-    print(
-        "all generations verified fork-linearizable "
-        "(evidence spans the split, the merge and the recovery)"
-    )
-    return 0
-
-
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from repro.harness.frontier import (
         SATURATION_SHORTFALL,
@@ -327,88 +255,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         for failure in failures:
             print(f"FRONTIER FAILED: {failure}")
         return 1
-    return 0
-
-
-def _cmd_txn(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_cross_shard
-
-    if args.shards < 2 or args.clients < 1 or args.ops < 1:
-        print("txn: --shards must be >= 2, --clients and --ops >= 1")
-        return 2
-    result = run_cross_shard(
-        shards=args.shards,
-        clients=args.clients,
-        requests_per_client=args.ops,
-        txn_fraction=args.txn_fraction,
-        faults=args.faults,
-        group_commit=args.group_commit,
-        seed=args.seed,
-    )
-    ratios = result.ratios
-    for kind, shard_id in zip(result.series["fault"], result.series["fault_shard"]):
-        print(f"injected {kind} on shard {shard_id} (recovered)")
-    print(
-        f"{ratios['requests_completed']} requests completed "
-        f"({ratios['ops_per_second']:,.0f} ops/s simulated); "
-        f"{ratios['transactions_committed']} transactions committed across "
-        f"up to {ratios['max_participants']} shards, "
-        f"{ratios['conflict_retries']} conflict-aborts retried, "
-        f"{ratios['lock_retries']} locked single-key reads retried"
-    )
-    if (
-        not ratios["zero_violations"]
-        or not ratios["all_requests_completed"]
-        or not ratios["spans_multiple_shards"]
-    ):
-        print("CROSS-SHARD RUN FAILED: violations, lost requests or no "
-              "multi-shard transaction (see above)")
-        return 1
-    print(
-        "all shards fork-linearizable and every decided transaction "
-        "atomic across shard histories "
-        f"({ratios['cross_shard_txns']} cross-shard transactions checked)"
-    )
-    return 0
-
-
-def _cmd_group_commit(args: argparse.Namespace) -> int:
-    from repro.harness.experiments import run_group_commit
-
-    if min(args.shards) < 2 or args.clients < 1 or args.txns < 1:
-        print("groupcommit: --shards must all be >= 2, --clients and "
-              "--txns >= 1")
-        return 2
-    result = run_group_commit(
-        shard_counts=tuple(args.shards),
-        clients=args.clients,
-        txns_per_client=args.txns,
-        pipeline_depth=args.depth,
-        seed=args.seed,
-    )
-    series = result.series
-    for index, count in enumerate(series["shards"]):
-        print(
-            f"{count} shards: {series['txns_per_second'][index]:,.0f} txn/s "
-            f"simulated ({series['committed'][index]} committed, "
-            f"{series['aborted'][index]} wound-wait aborts, "
-            f"{series['group_flushes'][index]} merged flushes carrying "
-            f"{series['group_entries'][index]} lifecycle entries)"
-        )
-    ratios = result.ratios
-    if not (
-        ratios["zero_violations"]
-        and ratios["throughput_scales_with_shards"]
-        and ratios["group_flushes_everywhere"]
-    ):
-        print("GROUP-COMMIT RUN FAILED: violations, flat scaling or no "
-              "merged flushes (see above)")
-        return 1
-    print(
-        f"throughput scaled {ratios['scaling_factor']:.2f}x from "
-        f"{series['shards'][0]} to {series['shards'][-1]} shards; "
-        "all verdicts clean, streaming parity holds"
-    )
     return 0
 
 
@@ -501,11 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figures = sub.add_parser("figures", help="regenerate the paper's figures")
-    figures.add_argument("--only", choices=["fig4", "fig5", "fig6", "sec62", "sec63", "sec65"])
-    figures.add_argument("--duration", type=float, default=None,
-                         help="simulation window override (seconds)")
-    figures.set_defaults(handler=_cmd_figures)
+    run = sub.add_parser(
+        "run", help="run experiments by name and check their expectations"
+    )
+    run.add_argument("names", nargs="*", metavar="NAME",
+                     help="experiment ids (default: the paper's six)")
+    run.add_argument("--set", dest="settings", nargs="+", action="extend",
+                     type=_setting, default=[], metavar="KEY=VALUE",
+                     help="keyword argument for every named experiment")
+    run.set_defaults(handler=_cmd_run)
 
     demo = sub.add_parser("demo", help="run the quickstart flow")
     demo.set_defaults(handler=_cmd_demo)
@@ -520,33 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--ops", type=int, default=6)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.set_defaults(handler=_cmd_cluster)
-
-    shard = sub.add_parser(
-        "shard", help="sharded-group scaling run + per-shard checker"
-    )
-    shard.add_argument("--shards", type=int, default=4)
-    shard.add_argument("--clients", type=int, default=24)
-    shard.add_argument("--ops", type=int, default=16,
-                       help="logical YCSB requests per client")
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument("--no-rebalance", dest="rebalance",
-                       action="store_false",
-                       help="skip the mid-run shard migration")
-    shard.add_argument("--distribution", choices=["uniform", "zipfian"],
-                       default="uniform",
-                       help="request-key distribution (zipfian skews "
-                       "per-shard load)")
-    shard.set_defaults(handler=_cmd_shard)
-
-    elastic = sub.add_parser(
-        "elastic",
-        help="split/merge/crash+recover a live cluster + merged checker",
-    )
-    elastic.add_argument("--clients", type=int, default=16)
-    elastic.add_argument("--ops", type=int, default=40,
-                         help="logical YCSB requests per client")
-    elastic.add_argument("--seed", type=int, default=0)
-    elastic.set_defaults(handler=_cmd_elastic)
 
     frontier = sub.add_parser(
         "frontier",
@@ -567,39 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         "achieved throughput below saturation and zero violations",
     )
     frontier.set_defaults(handler=_cmd_frontier)
-
-    txn = sub.add_parser(
-        "txn",
-        help="cross-shard atomic-commit run + merged transaction checker",
-    )
-    txn.add_argument("--shards", type=int, default=3)
-    txn.add_argument("--clients", type=int, default=12)
-    txn.add_argument("--ops", type=int, default=30,
-                     help="logical requests per client")
-    txn.add_argument("--txn-fraction", type=float, default=0.35,
-                     help="fraction of requests run as multi-key transactions")
-    txn.add_argument("--no-faults", dest="faults", action="store_false",
-                     help="skip the crash-at-prepare / crash-after-decision "
-                     "fault injection")
-    txn.add_argument("--no-group-commit", dest="group_commit",
-                     action="store_false",
-                     help="send every lifecycle operation as its own "
-                     "sealed ecall instead of merging per boundary")
-    txn.add_argument("--seed", type=int, default=0)
-    txn.set_defaults(handler=_cmd_txn)
-
-    groupcommit = sub.add_parser(
-        "groupcommit",
-        help="transaction throughput vs. shard count under group commit",
-    )
-    groupcommit.add_argument("--shards", type=int, nargs="+", default=[2, 4])
-    groupcommit.add_argument("--clients", type=int, default=8)
-    groupcommit.add_argument("--txns", type=int, default=30,
-                             help="transactions per client")
-    groupcommit.add_argument("--depth", type=int, default=4,
-                             help="transactions each client keeps in flight")
-    groupcommit.add_argument("--seed", type=int, default=7)
-    groupcommit.set_defaults(handler=_cmd_group_commit)
 
     metrics = sub.add_parser(
         "metrics",

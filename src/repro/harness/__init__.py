@@ -1,9 +1,12 @@
 """Experiment harness: one entry point per paper table/figure.
 
 - :mod:`repro.harness.experiments` — runs each experiment and returns
-  structured series;
+  structured series; ``EXPERIMENTS`` names every runner by the
+  ``experiment`` id its result carries (``repro run NAME`` runs them);
 - :mod:`repro.harness.report` — renders the series as the paper-style
-  tables and compares the measured ratios against the published bands;
+  tables, compares the measured ratios against the published bands and
+  lists the boolean expectations a result misses (``repro run``'s exit
+  status);
 - :mod:`repro.harness.frontier` — the open-loop latency–throughput
   frontier sweep (offered rate × shard count, saturation detection).
 """

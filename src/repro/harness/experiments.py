@@ -3,17 +3,25 @@
 Each ``run_*`` function returns an :class:`ExperimentResult` containing the
 measured series, the paper's published expectation and derived comparison
 ratios — everything the benchmark scripts and EXPERIMENTS.md need.
+:data:`EXPERIMENTS` maps each result's ``experiment`` id to its runner,
+which is how ``repro run NAME`` finds it.
 """
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass, field
 
 from repro.crypto.aead import AeadKey
 from repro.core.messages import invoke_metadata_overhead, reply_metadata_overhead
+from repro.net.latency import LatencyModel
 from repro.perf.costs import CostModel
 from repro.perf.model import measure_throughput
+from repro.sharding import ShardRouter, ShardedCluster
+from repro.sharding.observer import parity_report
 from repro.tee.sgx import EpcModel, MapMemoryModel
+from repro.workload.ycsb import WORKLOAD_A, WorkloadGenerator
 from repro import serde
 
 FIG4_OBJECT_SIZES = [100, 500, 1000, 1500, 2000, 2500]
@@ -38,23 +46,26 @@ class ExperimentResult:
     metrics: dict = field(default_factory=dict)
 
 
-def _streaming_parity(cluster, router, verdict) -> bool:
-    """True when the online verdict matches the post-mortem one exactly
-    (see :func:`repro.sharding.observer.parity_report`).  Cluster-backed
-    experiments assert this ratio so every harness scenario doubles as a
-    streaming-equivalence check."""
-    from repro.sharding.observer import parity_report
-
-    if not cluster.observer.enabled:
-        return True
-    return not parity_report(router.streaming_verdict(), verdict)
-
-
 def _band(values: list[float]) -> tuple[float, float]:
     return (min(values), max(values)) if values else (0.0, 0.0)
 
 
-# --------------------------------------------------------------------- Fig 4
+# ------------------------------------------------------- throughput figures
+
+
+def _throughput_sweep(
+    systems, axis: str, points: list, **fixed
+) -> dict[str, list]:
+    """One closed-loop :func:`measure_throughput` run per (system, point)
+    of ``axis`` (``"clients"`` or ``"object_size"``), the other settings
+    ``fixed``: the series of Figs. 4-6 and Sec. 6.5."""
+    series: dict[str, list] = {axis: points}
+    for system in systems:
+        series[system] = [
+            measure_throughput(system, **{axis: point}, **fixed).ops_per_second
+            for point in points
+        ]
+    return series
 
 
 def run_fig4_object_size(
@@ -66,18 +77,10 @@ def run_fig4_object_size(
 ) -> ExperimentResult:
     """Fig. 4: throughput vs. object size, SGX vs. LCM, async writes."""
     sizes = object_sizes or FIG4_OBJECT_SIZES
-    series: dict[str, list] = {"object_size": sizes, "sgx": [], "lcm": []}
-    for size in sizes:
-        for system in ("sgx", "lcm"):
-            result = measure_throughput(
-                system,
-                clients=clients,
-                object_size=size,
-                fsync=False,
-                costs=costs,
-                duration=duration,
-            )
-            series[system].append(result.ops_per_second)
+    series = _throughput_sweep(
+        ("sgx", "lcm"), "object_size", sizes,
+        clients=clients, fsync=False, costs=costs, duration=duration,
+    )
     overheads = [
         1.0 - lcm / sgx for sgx, lcm in zip(series["sgx"], series["lcm"])
     ]
@@ -102,7 +105,46 @@ def run_fig4_object_size(
     )
 
 
-# --------------------------------------------------------------------- Fig 5
+#: ratio name -> (numerator, denominator) series of Figs. 5/6
+_CLIENT_RATIOS = {
+    "sgx_vs_native": ("sgx", "native"),
+    "lcm_vs_sgx": ("lcm", "sgx"),
+    "lcm_batch_vs_sgx": ("lcm_batch", "sgx"),
+    "lcm_batch_vs_sgx_batch": ("lcm_batch", "sgx_batch"),
+}
+
+
+def _clients_figure(
+    experiment: str, description: str, paper_expectation: dict, *,
+    fsync: bool, client_counts, systems, object_size: int, costs, duration,
+) -> ExperimentResult:
+    """Figs. 5/6: every system's throughput vs. the number of clients."""
+    counts = client_counts or FIG56_CLIENT_COUNTS
+    series = _throughput_sweep(
+        systems or FIG5_SYSTEMS, "clients", counts,
+        object_size=object_size, fsync=fsync, costs=costs, duration=duration,
+    )
+    ratios: dict[str, object] = {
+        name: _band([a / b for a, b in zip(series[top], series[bottom])])
+        for name, (top, bottom) in _CLIENT_RATIOS.items()
+        if top in series and bottom in series
+    }
+
+    def _flat(name: str) -> bool:
+        values = series.get(name, [])
+        return bool(values) and max(values) <= 2.0 * min(values)
+
+    ratios["flat_systems"] = {
+        name: _flat(name) for name in ("native", "sgx", "lcm", "sgx_tmc") if name in series
+    }
+    return ExperimentResult(
+        experiment=experiment,
+        description=description,
+        parameters={"object_size": object_size, "clients": counts},
+        series=series,
+        ratios=ratios,
+        paper_expectation=paper_expectation,
+    )
 
 
 def run_fig5_clients_async(
@@ -114,52 +156,21 @@ def run_fig5_clients_async(
     duration: float | None = None,
 ) -> ExperimentResult:
     """Fig. 5: throughput vs. number of clients, async disk writes."""
-    counts = client_counts or FIG56_CLIENT_COUNTS
-    names = systems or FIG5_SYSTEMS
-    series: dict[str, list] = {"clients": counts}
-    for name in names:
-        series[name] = [
-            measure_throughput(
-                name,
-                clients=n,
-                object_size=object_size,
-                fsync=False,
-                costs=costs,
-                duration=duration,
-            ).ops_per_second
-            for n in counts
-        ]
-    ratios: dict[str, object] = {}
-    if "sgx" in series and "native" in series:
-        ratios["sgx_vs_native"] = _band(
-            [s / n for s, n in zip(series["sgx"], series["native"])]
-        )
-    if "lcm" in series and "sgx" in series:
-        ratios["lcm_vs_sgx"] = _band(
-            [l / s for l, s in zip(series["lcm"], series["sgx"])]
-        )
-    if "lcm_batch" in series and "sgx_batch" in series:
-        ratios["lcm_batch_vs_sgx_batch"] = _band(
-            [l / s for l, s in zip(series["lcm_batch"], series["sgx_batch"])]
-        )
-    if "sgx_tmc" in series:
-        ratios["tmc_ops_per_second"] = _band(series["sgx_tmc"])
-    return ExperimentResult(
-        experiment="fig5",
-        description="Throughput with different numbers of clients (async disk writes)",
-        parameters={"object_size": object_size, "clients": counts},
-        series=series,
-        ratios=ratios,
-        paper_expectation={
+    result = _clients_figure(
+        "fig5",
+        "Throughput with different numbers of clients (async disk writes)",
+        {
             "sgx_vs_native": (0.42, 0.78),
             "lcm_vs_sgx": (0.67, 0.95),
             "lcm_batch_vs_sgx_batch": (0.72, 0.98),
             "tmc_ops_per_second": (12.0, 12.0),
         },
+        fsync=False, client_counts=client_counts, systems=systems,
+        object_size=object_size, costs=costs, duration=duration,
     )
-
-
-# --------------------------------------------------------------------- Fig 6
+    if "sgx_tmc" in result.series:
+        result.ratios["tmc_ops_per_second"] = _band(result.series["sgx_tmc"])
+    return result
 
 
 def run_fig6_clients_sync(
@@ -171,58 +182,49 @@ def run_fig6_clients_sync(
     duration: float | None = None,
 ) -> ExperimentResult:
     """Fig. 6: throughput vs. number of clients, synchronous (fsync) writes."""
-    counts = client_counts or FIG56_CLIENT_COUNTS
-    names = systems or FIG5_SYSTEMS
-    series: dict[str, list] = {"clients": counts}
-    for name in names:
-        series[name] = [
-            measure_throughput(
-                name,
-                clients=n,
-                object_size=object_size,
-                fsync=True,
-                costs=costs,
-                duration=duration,
-            ).ops_per_second
-            for n in counts
-        ]
-    ratios: dict[str, object] = {}
-    if "sgx" in series and "native" in series:
-        ratios["sgx_vs_native"] = _band(
-            [s / n for s, n in zip(series["sgx"], series["native"])]
-        )
-    if "lcm" in series and "sgx" in series:
-        ratios["lcm_vs_sgx"] = _band(
-            [l / s for l, s in zip(series["lcm"], series["sgx"])]
-        )
-    if "lcm_batch" in series and "sgx" in series:
-        ratios["lcm_batch_vs_sgx"] = _band(
-            [l / s for l, s in zip(series["lcm_batch"], series["sgx"])]
-        )
-    if "lcm_batch" in series and "sgx_batch" in series:
-        ratios["lcm_batch_vs_sgx_batch"] = _band(
-            [l / s for l, s in zip(series["lcm_batch"], series["sgx_batch"])]
-        )
-
-    def _flat(name: str) -> bool:
-        values = series.get(name, [])
-        return bool(values) and max(values) <= 2.0 * min(values)
-
-    ratios["flat_systems"] = {
-        name: _flat(name) for name in ("native", "sgx", "lcm", "sgx_tmc") if name in series
-    }
-    return ExperimentResult(
-        experiment="fig6",
-        description="Throughput with different numbers of clients (sync disk writes)",
-        parameters={"object_size": object_size, "clients": counts},
-        series=series,
-        ratios=ratios,
-        paper_expectation={
+    return _clients_figure(
+        "fig6",
+        "Throughput with different numbers of clients (sync disk writes)",
+        {
             "sgx_vs_native": (0.98, 0.98),
             "lcm_vs_sgx": (0.69, 0.69),
             "lcm_batch_vs_sgx": (0.72, 9.87),
             "lcm_batch_vs_sgx_batch": (0.71, 0.75),
             "flat_systems": {"native": True, "sgx": True, "lcm": True, "sgx_tmc": True},
+        },
+        fsync=True, client_counts=client_counts, systems=systems,
+        object_size=object_size, costs=costs, duration=duration,
+    )
+
+
+def run_sec65_tmc_comparison(
+    *,
+    client_counts: list[int] | None = None,
+    costs: CostModel | None = None,
+    duration: float | None = None,
+) -> ExperimentResult:
+    """Sec. 6.5: TMC throughput vs. LCM-with-batching speedup band."""
+    counts = client_counts or FIG56_CLIENT_COUNTS
+    series = _throughput_sweep(
+        ("sgx_tmc", "lcm_batch"), "clients", counts,
+        costs=costs, duration=duration,
+    )
+    tmc = series["sgx_tmc"]
+    speedups = [l / t for l, t in zip(series["lcm_batch"], tmc)]
+    return ExperimentResult(
+        experiment="sec65",
+        description="Trusted monotonic counter performance impact",
+        parameters={"clients": counts},
+        series=series,
+        ratios={
+            "tmc_mean_ops": sum(tmc) / len(tmc),
+            "tmc_flat": max(tmc) <= 1.5 * min(tmc),
+            "speedup_band": _band(speedups),
+        },
+        paper_expectation={
+            "tmc_mean_ops": 12.0,
+            "tmc_flat": True,
+            "speedup_band": (96.0, 2063.0),
         },
     )
 
@@ -319,7 +321,83 @@ def run_sec63_message_overhead(
     )
 
 
-# ----------------------------------------------------- shard scaling (new)
+# ------------------------------------------------------ cluster experiments
+
+
+def _cluster(
+    shards: int, clients: int, seed: int, per_client: int, **router_options
+) -> tuple[ShardedCluster, ShardRouter]:
+    """The cluster every cluster experiment runs on — ``shards`` groups,
+    ``clients`` clients sending ``per_client`` logical requests each,
+    100 µs links with 20 % jitter — and its router."""
+    if per_client < 1:
+        raise ValueError("every client needs at least one request")
+    cluster = ShardedCluster(
+        shards=shards,
+        clients=clients,
+        seed=seed,
+        latency=LatencyModel(propagation=100e-6, jitter_fraction=0.2, seed=seed),
+    )
+    return cluster, ShardRouter(cluster, **router_options)
+
+
+def _closed_loop(requests: dict, submit, *, depth: int = 1) -> list:
+    """Start one closed-loop client per ``requests`` entry (client id ->
+    its requests, in order): ``depth`` requests in flight, the next one
+    submitted when one completes.  ``submit(client_id, request, done)``
+    sends a request and calls ``done(result)`` exactly once when it has
+    completed.  Returns the list the results land in as the run goes."""
+    results: list = []
+
+    def start(client_id: int, stream) -> None:
+        def done(result) -> None:
+            results.append(result)
+            pump()
+
+        def pump() -> None:
+            request = next(stream, None)
+            if request is not None:
+                submit(client_id, request, done)
+
+        for _ in range(depth):
+            pump()
+
+    for client_id, stream in requests.items():
+        start(client_id, iter(stream))
+    return results
+
+
+def _submit_request(router: ShardRouter, client_id: int, request, done) -> None:
+    """Submit one YCSB request: a single operation, or a multi-key
+    fan-out that completes when every shard has answered."""
+    if len(request) == 1:
+        router.submit(client_id, request[0], done)
+    else:
+        router.submit_many(client_id, request, done)
+
+
+def _draw_requests(cluster, per_client: int, next_request) -> dict:
+    """Every client's requests, drawn client by client before the run."""
+    return {
+        client_id: [next_request() for _ in range(per_client)]
+        for client_id in cluster.client_ids
+    }
+
+
+def _outcome(cluster: ShardedCluster, router: ShardRouter):
+    """Read a drained run: ``(verdict, elapsed, ops_per_second,
+    streaming_parity)`` — the replayed verdict, the virtual seconds the run
+    took, completed operations per virtual second, and whether the online
+    verdict matches the replay exactly (see
+    :func:`repro.sharding.observer.parity_report`), so every cluster
+    experiment doubles as a streaming-equivalence check."""
+    verdict = router.verdict()
+    elapsed = cluster.sim.now
+    rate = cluster.stats.operations_completed / elapsed if elapsed else 0.0
+    parity = not cluster.observer.enabled or not parity_report(
+        router.streaming_verdict(), verdict
+    )
+    return verdict, elapsed, rate, parity
 
 
 def run_shard_scaling(
@@ -331,7 +409,6 @@ def run_shard_scaling(
     rebalance: bool = True,
     distribution: str = "uniform",
     seed: int = 0,
-    export=None,
 ) -> ExperimentResult:
     """Beyond the paper: aggregate throughput of N LCM groups side by side.
 
@@ -351,18 +428,7 @@ def run_shard_scaling(
     the per-shard ``load_skew`` series — max over mean per-shard
     operations, 1.0 = perfectly balanced — surfaces the partitioner's
     balance limits as the shard count grows.
-
-    ``export`` (a sink or sink list, see :mod:`repro.obs.export`)
-    attaches a push exporter to the *final* shard count of the sweep —
-    the configuration whose metrics snapshot the result carries — and
-    closes it with that snapshot, so a caller gets one reconcilable
-    telemetry stream per sweep rather than interleaved streams from
-    every configuration.
     """
-    from repro.net.latency import LatencyModel
-    from repro.sharding import ShardRouter, ShardedCluster
-    from repro.workload.ycsb import WORKLOAD_A, WorkloadGenerator
-
     counts = shard_counts or SHARD_COUNTS
     workload = WORKLOAD_A.with_params(
         distribution=distribution, value_size=object_size
@@ -378,45 +444,19 @@ def run_shard_scaling(
         "streaming_parity": [],
     }
     metrics_snapshot: dict = {}
-    for index, shard_count in enumerate(counts):
-        cluster = ShardedCluster(
-            shards=shard_count,
-            clients=clients,
-            seed=seed,
-            latency=LatencyModel(
-                propagation=100e-6, jitter_fraction=0.2, seed=seed
-            ),
-            export=export if index == len(counts) - 1 else None,
+    for shard_count in counts:
+        cluster, router = _cluster(
+            shard_count, clients, seed, requests_per_client
         )
-        router = ShardRouter(cluster)
         # same seed for every shard count: identical request streams, so
         # the speedup ratio isolates the shard-count variable
         generator = WorkloadGenerator(workload, seed=seed)
-        streams = {
-            client_id: [
-                generator.next_operations() for _ in range(requests_per_client)
-            ]
-            for client_id in cluster.client_ids
-        }
-
-        def start(client_id: int) -> None:
-            # closed loop: the next logical request goes out when the
-            # previous one completes (multi-op requests fan out and
-            # complete when every shard has answered)
-            def pump(_result=None) -> None:
-                stream = streams[client_id]
-                if not stream:
-                    return
-                request = stream.pop(0)
-                if len(request) == 1:
-                    router.submit(client_id, request[0], pump)
-                else:
-                    router.submit_many(client_id, request, pump)
-
-            pump()
-
-        for client_id in cluster.client_ids:
-            start(client_id)
+        _closed_loop(
+            _draw_requests(
+                cluster, requests_per_client, generator.next_operations
+            ),
+            functools.partial(_submit_request, router),
+        )
         if rebalance:
             # aim for roughly mid-run: half the serialised enclave time
             midpoint = (
@@ -429,11 +469,8 @@ def run_shard_scaling(
         cluster.run()
         # non-raising checker: a violation is recorded in the series (and
         # fails the zero_violations ratio) instead of crashing the sweep
-        verdict = router.verdict()
-        elapsed = cluster.sim.now
-        series["ops_per_second"].append(
-            cluster.stats.operations_completed / elapsed if elapsed else 0.0
-        )
+        verdict, elapsed, rate, parity = _outcome(cluster, router)
+        series["ops_per_second"].append(rate)
         series["simulated_seconds"].append(elapsed)
         series["rebalances"].append(cluster.stats.rebalances)
         series["violations"].append(len(verdict.violations))
@@ -448,9 +485,7 @@ def run_shard_scaling(
         series["per_shard_share"].append(
             [round(count / total, 4) for count in per_shard]
         )
-        series["streaming_parity"].append(
-            _streaming_parity(cluster, router, verdict)
-        )
+        series["streaming_parity"].append(parity)
         # balance figures live in the registry too, so one metrics
         # snapshot carries the whole run's observability surface
         cluster.metrics_registry.gauge("experiment.load_skew").set(skew)
@@ -459,8 +494,6 @@ def run_shard_scaling(
                 "experiment.per_shard_share", shard=str(shard_id)
             ).set(round(count / total, 4))
         metrics_snapshot = cluster.metrics()
-        if cluster.exporter is not None:
-            cluster.exporter.close(metrics_snapshot)
     baseline = series["ops_per_second"][0]
     speedups = [
         rate / baseline if baseline else 0.0
@@ -499,9 +532,6 @@ def run_shard_scaling(
     )
 
 
-# ------------------------------------------------- elastic scaling (new)
-
-
 def run_elastic_scaling(
     *,
     shards: int = 2,
@@ -531,48 +561,19 @@ def run_elastic_scaling(
     retired logs, and both generations of the crashed shard — shows zero
     fork-linearizability violations.
     """
-    from repro.net.latency import LatencyModel
-    from repro.sharding import ShardRouter, ShardedCluster
-    from repro.workload.ycsb import WORKLOAD_A, WorkloadGenerator
-
     if shards < 2:
         raise ValueError("the merge phase needs at least two initial shards")
-    cluster = ShardedCluster(
-        shards=shards,
-        clients=clients,
-        seed=seed,
-        latency=LatencyModel(propagation=100e-6, jitter_fraction=0.2, seed=seed),
+    cluster, router = _cluster(
+        shards, clients, seed, requests_per_client, failover=True
     )
-    router = ShardRouter(cluster, failover=True)
     workload = WORKLOAD_A.with_params(
         distribution=distribution, value_size=object_size
     )
     generator = WorkloadGenerator(workload, seed=seed)
-    streams = {
-        client_id: [
-            generator.next_operations() for _ in range(requests_per_client)
-        ]
-        for client_id in cluster.client_ids
-    }
-    completed = {"requests": 0}
-
-    def start(client_id: int) -> None:
-        def pump(result=None) -> None:
-            if result is not None:
-                completed["requests"] += 1
-            stream = streams[client_id]
-            if not stream:
-                return
-            request = stream.pop(0)
-            if len(request) == 1:
-                router.submit(client_id, request[0], pump)
-            else:
-                router.submit_many(client_id, request, pump)
-
-        pump()
-
-    for client_id in cluster.client_ids:
-        start(client_id)
+    results = _closed_loop(
+        _draw_requests(cluster, requests_per_client, generator.next_operations),
+        functools.partial(_submit_request, router),
+    )
 
     estimated = (
         clients * requests_per_client * ShardedCluster.SERVICE_INTERVAL / shards
@@ -585,9 +586,7 @@ def run_elastic_scaling(
     cluster.recover_shard(crashed_id, at=0.85 * estimated)
     cluster.run()
 
-    verdict = router.verdict()
-    elapsed = cluster.sim.now
-    total_requests = clients * requests_per_client
+    verdict, _elapsed, rate, parity = _outcome(cluster, router)
     reports = cluster.control.reports
     series: dict[str, list] = {
         "event": [report.kind for report in reports],
@@ -619,18 +618,18 @@ def run_elastic_scaling(
         },
         series=series,
         ratios={
-            "ops_per_second": (
-                cluster.stats.operations_completed / elapsed if elapsed else 0.0
+            "ops_per_second": rate,
+            "requests_completed": len(results),
+            "all_requests_completed": (
+                len(results) == clients * requests_per_client
             ),
-            "requests_completed": completed["requests"],
-            "all_requests_completed": completed["requests"] == total_requests,
             "reshards_completed": cluster.stats.reshards,
             "recoveries_completed": cluster.stats.recoveries,
             "keys_migrated": cluster.stats.keys_migrated,
             "operations_parked": router.operations_parked,
             "operations_replayed": router.operations_replayed,
             "zero_violations": verdict.ok,
-            "streaming_parity": _streaming_parity(cluster, router, verdict),
+            "streaming_parity": parity,
         },
         paper_expectation={
             # not a paper figure: the ISSUE's acceptance bar for this PR
@@ -644,9 +643,6 @@ def run_elastic_scaling(
     )
 
 
-# ------------------------------------------------- cross-shard txns (new)
-
-
 def run_cross_shard(
     *,
     shards: int = 3,
@@ -657,7 +653,6 @@ def run_cross_shard(
     object_size: int = 100,
     distribution: str = "zipfian",
     faults: bool = True,
-    group_commit: bool = True,
     seed: int = 0,
 ) -> ExperimentResult:
     """Cross-shard atomic commit under fire: a transactional YCSB mix.
@@ -688,26 +683,16 @@ def run_cross_shard(
     fork-linearizability plus the cross-shard transaction checks — shows
     zero violations.
     """
-    from repro.net.latency import LatencyModel
-    from repro.sharding import ShardRouter, ShardedCluster
-    from repro.workload.ycsb import WORKLOAD_A, WorkloadGenerator
-
     if shards < 2:
         raise ValueError("cross-shard transactions need at least two shards")
-    cluster = ShardedCluster(
-        shards=shards,
-        clients=clients,
-        seed=seed,
-        latency=LatencyModel(propagation=100e-6, jitter_fraction=0.2, seed=seed),
+    cluster, router = _cluster(
+        shards, clients, seed, requests_per_client, failover=True
     )
-    router = ShardRouter(cluster, failover=True, group_commit=group_commit)
     workload = WORKLOAD_A.with_params(
         distribution=distribution, value_size=object_size
     )
     generator = WorkloadGenerator(workload, seed=seed)
-    import random as _random
-
-    mix = _random.Random(seed + 101)
+    mix = random.Random(seed + 101)
 
     def next_request() -> tuple[str, list]:
         if mix.random() < txn_fraction:
@@ -728,59 +713,43 @@ def run_cross_shard(
             return "txn", operations
         return "plain", generator.next_operations()
 
-    streams = {
-        client_id: [next_request() for _ in range(requests_per_client)]
-        for client_id in cluster.client_ids
-    }
-    completed = {"requests": 0, "txn_requests": 0, "conflict_retries": 0}
+    requests = _draw_requests(cluster, requests_per_client, next_request)
+    counts = {"txn_requests": 0, "conflict_retries": 0}
     exhausted: list[str] = []
     MAX_TXN_ATTEMPTS = 50
 
-    def start(client_id: int) -> None:
-        def pump(_result=None) -> None:
-            stream = streams[client_id]
-            if not stream:
-                return
-            kind, request = stream.pop(0)
-            if kind == "txn":
-                run_txn(request, attempt=0)
-            elif len(request) == 1:
-                router.submit(client_id, request[0], complete_plain)
-            else:
-                router.submit_many(client_id, request, complete_plain)
+    def submit(client_id: int, request: tuple[str, list], done) -> None:
+        kind, operations = request
+        if kind == "plain":
+            _submit_request(router, client_id, operations, done)
+            return
 
-        def complete_plain(_result) -> None:
-            completed["requests"] += 1
-            pump()
-
-        def run_txn(operations: list, attempt: int) -> None:
-            def on_txn(result) -> None:
+        def attempt(number: int) -> None:
+            def decided(result) -> None:
                 if result.committed:
-                    completed["requests"] += 1
-                    completed["txn_requests"] += 1
-                    pump()
-                    return
-                if attempt + 1 >= MAX_TXN_ATTEMPTS:
+                    counts["txn_requests"] += 1
+                elif number + 1 >= MAX_TXN_ATTEMPTS:
                     exhausted.append(result.txn_id)
-                    pump()
+                else:
+                    counts["conflict_retries"] += 1
+                    # deterministic per-client stagger breaks conflict
+                    # lockstep without wall-clock randomness
+                    delay = (
+                        ShardedCluster.SERVICE_INTERVAL
+                        * (1 + number)
+                        * (1.0 + 0.13 * client_id)
+                    )
+                    cluster.sim.schedule(
+                        delay,
+                        lambda: attempt(number + 1),
+                        label=f"txn-retry-c{client_id}",
+                    )
                     return
-                completed["conflict_retries"] += 1
-                # deterministic per-client stagger breaks conflict
-                # lockstep without wall-clock randomness
-                delay = (
-                    ShardedCluster.SERVICE_INTERVAL
-                    * (1 + attempt)
-                    * (1.0 + 0.13 * client_id)
-                )
-                cluster.sim.schedule(
-                    delay,
-                    lambda: run_txn(operations, attempt + 1),
-                    label=f"txn-retry-c{client_id}",
-                )
+                done(result)
 
-            router.submit_txn(client_id, operations, on_txn)
+            router.submit_txn(client_id, operations, decided)
 
-        pump()
+        attempt(0)
 
     fault_events: list[tuple[str, int]] = []
     if faults:
@@ -811,13 +780,11 @@ def run_cross_shard(
 
         router.txn_phase_hook = phase_hook
 
-    for client_id in cluster.client_ids:
-        start(client_id)
+    results = _closed_loop(requests, submit)
     cluster.run()
 
-    verdict = router.verdict()
-    elapsed = cluster.sim.now
-    total_requests = clients * requests_per_client
+    verdict, _elapsed, rate, parity = _outcome(cluster, router)
+    completed = len(results) - len(exhausted)
     decisions = router.coordinator_decisions()
     cross_shard_txns = sum(
         1 for entry in decisions.values() if len(entry.participants) >= 2
@@ -849,22 +816,19 @@ def run_cross_shard(
             "object_size": object_size,
             "distribution": distribution,
             "faults": faults,
-            "group_commit": group_commit,
             "seed": seed,
         },
         series=series,
         ratios={
-            "ops_per_second": (
-                cluster.stats.operations_completed / elapsed if elapsed else 0.0
-            ),
-            "requests_completed": completed["requests"],
+            "ops_per_second": rate,
+            "requests_completed": completed,
             "all_requests_completed": (
-                completed["requests"] == total_requests and not exhausted
+                completed == clients * requests_per_client and not exhausted
             ),
-            "txn_requests_completed": completed["txn_requests"],
+            "txn_requests_completed": counts["txn_requests"],
             "transactions_committed": router.transactions_committed,
             "transactions_aborted": router.transactions_aborted,
-            "conflict_retries": completed["conflict_retries"],
+            "conflict_retries": counts["conflict_retries"],
             "cross_shard_txns": cross_shard_txns,
             "max_participants": max_participants,
             "spans_multiple_shards": cross_shard_txns > 0,
@@ -875,7 +839,7 @@ def run_cross_shard(
             "recoveries_completed": cluster.stats.recoveries,
             "zero_violations": verdict.ok,
             "txn_violations": len(verdict.txn_violations),
-            "streaming_parity": _streaming_parity(cluster, router, verdict),
+            "streaming_parity": parity,
         },
         paper_expectation={
             # not a paper figure: the ISSUE's acceptance bar for this PR
@@ -886,9 +850,6 @@ def run_cross_shard(
         },
         metrics=cluster.metrics(),
     )
-
-
-# --------------------------------------------- transaction group commit
 
 
 def run_group_commit(
@@ -918,11 +879,8 @@ def run_group_commit(
     more shards — with zero violations and a non-zero number of merged
     flushes at every point.
     """
-    import random as _random
-
-    from repro.net.latency import LatencyModel
-    from repro.sharding import ShardRouter, ShardedCluster
-
+    if min(shard_counts) < 2:
+        raise ValueError("group commit needs at least two shards")
     series: dict[str, list] = {
         "shards": list(shard_counts),
         "txns_per_second": [],
@@ -935,16 +893,8 @@ def run_group_commit(
     violations = 0
     parity = True
     for count in shard_counts:
-        cluster = ShardedCluster(
-            shards=count,
-            clients=clients,
-            seed=seed,
-            latency=LatencyModel(
-                propagation=100e-6, jitter_fraction=0.2, seed=seed
-            ),
-        )
-        router = ShardRouter(cluster)
-        rng = _random.Random(seed + count)
+        cluster, router = _cluster(count, clients, seed, txns_per_client)
+        rng = random.Random(seed + count)
         keys = [f"gc-key-{index:04d}" for index in range(key_universe)]
         for index, key in enumerate(keys):
             router.submit(
@@ -953,38 +903,28 @@ def run_group_commit(
         cluster.run()
 
         value = "v" * object_size
-        done = {"committed": 0, "aborted": 0}
 
-        def start(client_id: int, budget: list) -> None:
-            def submit_next(_result=None) -> None:
-                if _result is not None:
-                    if _result.committed:
-                        done["committed"] += 1
-                    else:
-                        done["aborted"] += 1
-                if not budget:
-                    return
-                budget.pop()
-                chosen = rng.sample(keys, txn_size)
-                operations = [("PUT", key, value) for key in chosen]
-                router.submit_txn(client_id, operations, submit_next)
+        def transactions():
+            # keys are drawn at submit time, interleaved across clients
+            for _ in range(txns_per_client):
+                yield [("PUT", key, value) for key in rng.sample(keys, txn_size)]
 
-            for _ in range(pipeline_depth):
-                submit_next()
-
-        for client_id in cluster.client_ids:
-            start(client_id, [None] * txns_per_client)
+        results = _closed_loop(
+            {client_id: transactions() for client_id in cluster.client_ids},
+            router.submit_txn,
+            depth=pipeline_depth,
+        )
         cluster.run()
 
-        verdict = router.verdict()
+        verdict, elapsed, _rate, shard_parity = _outcome(cluster, router)
         violations += 0 if verdict.ok else 1
-        parity = parity and _streaming_parity(cluster, router, verdict)
-        elapsed = cluster.sim.now
+        parity = parity and shard_parity
+        committed = sum(result.committed for result in results)
         series["txns_per_second"].append(
-            done["committed"] / elapsed if elapsed else 0.0
+            committed / elapsed if elapsed else 0.0
         )
-        series["committed"].append(done["committed"])
-        series["aborted"].append(done["aborted"])
+        series["committed"].append(committed)
+        series["aborted"].append(len(results) - committed)
         series["group_flushes"].append(router.txn_group_flushes)
         series["group_entries"].append(router.txn_group_entries)
         series["lock_waits"].append(router.operations_lock_retried)
@@ -1032,43 +972,17 @@ def run_group_commit(
     )
 
 
-# ----------------------------------------------------------------- Sec 6.5
-
-
-def run_sec65_tmc_comparison(
-    *,
-    client_counts: list[int] | None = None,
-    costs: CostModel | None = None,
-    duration: float | None = None,
-) -> ExperimentResult:
-    """Sec. 6.5: TMC throughput vs. LCM-with-batching speedup band."""
-    counts = client_counts or FIG56_CLIENT_COUNTS
-    tmc = [
-        measure_throughput(
-            "sgx_tmc", clients=n, costs=costs, duration=duration
-        ).ops_per_second
-        for n in counts
-    ]
-    lcm_batch = [
-        measure_throughput(
-            "lcm_batch", clients=n, costs=costs, duration=duration
-        ).ops_per_second
-        for n in counts
-    ]
-    speedups = [l / t for l, t in zip(lcm_batch, tmc)]
-    return ExperimentResult(
-        experiment="sec65",
-        description="Trusted monotonic counter performance impact",
-        parameters={"clients": counts},
-        series={"clients": counts, "sgx_tmc": tmc, "lcm_batch": lcm_batch},
-        ratios={
-            "tmc_mean_ops": sum(tmc) / len(tmc),
-            "tmc_flat": max(tmc) <= 1.5 * min(tmc),
-            "speedup_band": _band(speedups),
-        },
-        paper_expectation={
-            "tmc_mean_ops": 12.0,
-            "tmc_flat": True,
-            "speedup_band": (96.0, 2063.0),
-        },
-    )
+#: every experiment by the id its result carries; the paper's six first
+EXPERIMENTS = {
+    "fig4": run_fig4_object_size,
+    "fig5": run_fig5_clients_async,
+    "fig6": run_fig6_clients_sync,
+    "sec62": run_sec62_enclave_memory,
+    "sec63": run_sec63_message_overhead,
+    "sec65": run_sec65_tmc_comparison,
+    "shard_scaling": run_shard_scaling,
+    "elastic_scaling": run_elastic_scaling,
+    "cross_shard": run_cross_shard,
+    "group_commit": run_group_commit,
+}
+PAPER_EXPERIMENTS = ("fig4", "fig5", "fig6", "sec62", "sec63", "sec65")

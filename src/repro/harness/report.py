@@ -26,18 +26,24 @@ def render_series_table(result: ExperimentResult, *, x_key: str | None = None) -
     """Render an experiment's series as an aligned text table.
 
     The first column is the x-axis (``x_key`` or the first series entry);
-    the remaining columns are the measured series, one per system.
+    the remaining columns are the measured series, one per system.  Series
+    of different lengths render as many rows as the longest, with blank
+    cells below the shorter ones.
     """
     keys = list(result.series)
     x = x_key or keys[0]
     columns = [x] + [key for key in keys if key != x]
-    rows = len(result.series[x])
-    widths = {}
-    rendered: dict[str, list[str]] = {}
-    for column in columns:
-        cells = [_format_value(v) for v in result.series[column]]
-        rendered[column] = cells
-        widths[column] = max(len(column), *(len(c) for c in cells)) if cells else len(column)
+    rendered = {
+        column: [_format_value(v) for v in result.series[column]]
+        for column in columns
+    }
+    rows = max(len(cells) for cells in rendered.values())
+    for cells in rendered.values():
+        cells += [""] * (rows - len(cells))
+    widths = {
+        column: max([len(column), *map(len, cells)])
+        for column, cells in rendered.items()
+    }
     lines = [f"# {result.experiment}: {result.description}"]
     if result.parameters:
         lines.append(
@@ -74,7 +80,8 @@ def _within_band(measured, expected, tolerance: float) -> bool:
 
 
 def summarize_bands(result: ExperimentResult, *, tolerance: float = 0.5) -> str:
-    """Paper-vs-measured comparison for each published ratio.
+    """Paper-vs-measured comparison for each published ratio, then the
+    measured ratios no expectation covers.
 
     ``tolerance`` is the relative slack applied to the paper's value — the
     reproduction targets shape, not absolute equality (see DESIGN.md
@@ -91,7 +98,30 @@ def summarize_bands(result: ExperimentResult, *, tolerance: float = 0.5) -> str:
             f"  {key:32s} paper={_render(expected):24s} "
             f"measured={_render(measured):24s} [{verdict}]"
         )
+    for key, measured in result.ratios.items():
+        if key not in result.paper_expectation:
+            lines.append(f"  {key:32s} measured={_render(measured)}")
     return "\n".join(lines)
+
+
+def failed_gates(result: ExperimentResult) -> list[str]:
+    """The boolean expectations the measured ratios miss, booleans inside
+    a dict expectation included (as ``key.name``): the pass/fail bars,
+    which no tolerance widens."""
+    failed = []
+    for key, expected in result.paper_expectation.items():
+        measured = result.ratios.get(key)
+        if isinstance(expected, bool):
+            if measured != expected:
+                failed.append(key)
+        elif isinstance(expected, dict):
+            measured = measured if isinstance(measured, dict) else {}
+            failed += [
+                f"{key}.{name}"
+                for name, value in expected.items()
+                if isinstance(value, bool) and measured.get(name) != value
+            ]
+    return failed
 
 
 def _render(value) -> str:

@@ -21,6 +21,53 @@ from repro.harness.experiments import (
 
 FAST = dict(duration=0.3)
 SMALL_CLIENTS = [1, 8, 32]
+PINNED = dict(duration=0.2)
+
+
+class TestPinnedSeries:
+    """The throughput figures are deterministic: short windows pin every
+    measured point exactly."""
+
+    def test_fig4(self):
+        assert run_fig4_object_size(**PINNED).series == {
+            "object_size": [100, 500, 1000, 1500, 2000, 2500],
+            "sgx": [13565.0, 12115.0, 10455.0, 9195.0, 8205.0, 7405.0],
+            "lcm": [11125.0, 9965.0, 8810.0, 7895.0, 7160.0, 6540.0],
+        }
+
+    def test_fig5(self):
+        result = run_fig5_clients_async(client_counts=[1, 8], **PINNED)
+        assert result.series == {
+            "clients": [1, 8],
+            "sgx": [1775.0, 13565.0],
+            "sgx_batch": [1775.0, 13540.0],
+            "native": [2070.0, 16405.0],
+            "lcm": [1715.0, 11125.0],
+            "lcm_batch": [1715.0, 12345.0],
+            "redis": [2065.0, 16370.0],
+            "sgx_tmc": [15.0, 15.0],
+        }
+
+    def test_fig6(self):
+        result = run_fig6_clients_sync(client_counts=[1, 8], **PINNED)
+        assert result.series == {
+            "clients": [1, 8],
+            "sgx": [220.0, 245.0],
+            "sgx_batch": [220.0, 960.0],
+            "native": [220.0, 250.0],
+            "lcm": [160.0, 170.0],
+            "lcm_batch": [160.0, 645.0],
+            "redis": [220.0, 965.0],
+            "sgx_tmc": [10.0, 10.0],
+        }
+
+    def test_sec65(self):
+        result = run_sec65_tmc_comparison(client_counts=[1, 8], **PINNED)
+        assert result.series == {
+            "clients": [1, 8],
+            "sgx_tmc": [15.0, 15.0],
+            "lcm_batch": [1715.0, 12345.0],
+        }
 
 
 class TestFig4:
@@ -219,6 +266,25 @@ class TestCrossShard:
     def test_single_shard_refused(self):
         with pytest.raises(ValueError, match="two shards"):
             run_cross_shard(shards=1)
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs",
+    [
+        (run_shard_scaling, dict(requests_per_client=0)),
+        (run_elastic_scaling, dict(requests_per_client=0)),
+        (run_cross_shard, dict(requests_per_client=0)),
+        (run_group_commit, dict(txns_per_client=0)),
+    ],
+)
+def test_clients_without_requests_refused(runner, kwargs):
+    with pytest.raises(ValueError, match="at least one request"):
+        runner(**kwargs)
+
+
+def test_group_commit_refuses_a_single_shard():
+    with pytest.raises(ValueError, match="two shards"):
+        run_group_commit(shard_counts=(1, 4))
 
 
 class TestGroupCommit:

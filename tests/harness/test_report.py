@@ -1,7 +1,11 @@
 """Report rendering: tables and band comparisons."""
 
 from repro.harness.experiments import ExperimentResult
-from repro.harness.report import render_series_table, summarize_bands
+from repro.harness.report import (
+    failed_gates,
+    render_series_table,
+    summarize_bands,
+)
 
 
 def make_result():
@@ -39,6 +43,24 @@ class TestRenderSeriesTable:
         ][0]
         assert header.split()[0] == "clients"
 
+    def test_ragged_series_render_every_row(self):
+        """A shorter column (two faults, three shards) gets blank cells
+        instead of cutting the longer one off."""
+        result = make_result()
+        result.series = {
+            "fault": ["crash-at-prepare", "crash-after-decision"],
+            "violations_by_shard": [0, 0, 7],
+        }
+        lines = render_series_table(result).splitlines()
+        assert lines[-1].split() == ["7"]
+        assert len(lines) == 2 + 2 + 3     # titles, header + rule, rows
+
+    def test_empty_x_column_still_renders_the_rest(self):
+        result = make_result()
+        result.series = {"fault": [], "violations_by_shard": [0, 0, 0]}
+        lines = render_series_table(result).splitlines()
+        assert [line.split() for line in lines[-3:]] == [["0"]] * 3
+
 
 class TestSummarizeBands:
     def test_ok_verdict_inside_band(self):
@@ -67,3 +89,30 @@ class TestSummarizeBands:
         result.ratios["lcm_vs_sgx"] = (0.7, 0.7)
         assert "DIVERGES" in summarize_bands(result, tolerance=0.01)
         assert "DIVERGES" not in summarize_bands(result, tolerance=0.9)
+
+    def test_ratios_without_expectation_listed_last(self):
+        result = make_result()
+        result.ratios["conflict_retries"] = 124
+        lines = summarize_bands(result).splitlines()
+        assert lines[-1].split() == ["conflict_retries", "measured=124"]
+
+
+class TestFailedGates:
+    def test_clean_result_passes(self):
+        assert failed_gates(make_result()) == []
+
+    def test_booleans_fail_but_bands_do_not(self):
+        result = make_result()
+        result.ratios.update(flat=False, lcm_vs_sgx=(0.1, 0.1))
+        assert failed_gates(result) == ["flat"]
+
+    def test_missing_boolean_fails(self):
+        result = make_result()
+        del result.ratios["flat"]
+        assert failed_gates(result) == ["flat"]
+
+    def test_booleans_inside_a_dict_expectation(self):
+        result = make_result()
+        result.paper_expectation["flat_systems"] = {"sgx": True, "lcm": True}
+        result.ratios["flat_systems"] = {"sgx": True, "lcm": False}
+        assert failed_gates(result) == ["flat_systems.lcm"]

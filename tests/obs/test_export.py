@@ -249,33 +249,6 @@ class TestClusterExport:
         assert records[-1]["time"] == cluster.sim.now
 
 
-class TestHarnessEndToEnd:
-    def test_shard_scaling_jsonl_stream_replays_into_final_snapshot(
-        self, tmp_path
-    ):
-        from repro.harness.experiments import run_shard_scaling
-
-        path = tmp_path / "telemetry.jsonl"
-        result = run_shard_scaling(
-            shard_counts=[2],
-            clients=4,
-            requests_per_client=6,
-            rebalance=False,
-            export=JsonlSink(path),
-        )
-        records = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        assert records[0]["type"] == "open"
-        assert records[-1]["type"] == "close"
-        # the stream replays into exactly the counters/events the final
-        # snapshot reports — no gaps, every drop accounted (here: none)
-        assert reconcile_stream(records, result.metrics) == []
-        accounting = records[-1]["accounting"]
-        assert accounting["dropped"] == {}
-        assert accounting["events_overflowed"] == 0
-
-
 class TestCliFollow:
     def test_metrics_follow_output_reconciles(self, tmp_path, capsys):
         from repro.cli import main

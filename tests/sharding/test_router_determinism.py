@@ -2,20 +2,26 @@
 
 Every ``virt_*`` number the benchmark reports depends on the exact order
 in which the router parks, replays, queues and resubmits operations.  The
-control-plane experiments exercise all of it at their CLI defaults
-(``repro elastic``, ``repro txn`` and ``repro txn --no-group-commit``),
-and a shortened ``repro groupcommit`` exercises the merged flushes:
-these tests pin their router counters exactly, so a reordering fails
-tier-1 instead of only shifting a benchmark metric.
+control-plane experiments exercise all of it at their defaults
+(``repro run elastic_scaling cross_shard``), a shortened
+``group_commit`` exercises the merged flushes and a shortened
+``shard_scaling`` the mid-run rebalance: these tests pin their router
+counters exactly, so a reordering fails tier-1 instead of only shifting a
+benchmark metric.
 """
+
+import functools
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import (
     run_cross_shard,
     run_elastic_scaling,
     run_group_commit,
+    run_shard_scaling,
 )
+from repro.sharding import ShardRouter
 
 
 def router_counts(result):
@@ -70,10 +76,15 @@ def test_elastic_scaling_schedule_is_pinned():
 
 
 @pytest.mark.parametrize("group_commit", [True, False])
-def test_cross_shard_schedule_is_pinned(group_commit):
+def test_cross_shard_schedule_is_pinned(group_commit, monkeypatch):
     """A closed-loop client never finds its machine busy, so grouping
-    never engages and both settings run the same schedule."""
-    result = run_cross_shard(group_commit=group_commit)
+    never engages and both router settings run the same schedule."""
+    monkeypatch.setattr(
+        experiments,
+        "ShardRouter",
+        functools.partial(ShardRouter, group_commit=group_commit),
+    )
+    result = run_cross_shard()
     assert result.ratios["requests_completed"] == 360
     assert result.ratios["conflict_retries"] == 124
     assert router_counts(result) == {
@@ -89,6 +100,38 @@ def test_cross_shard_schedule_is_pinned(group_commit):
         "operations_completed": 1390,
         "latency_samples": 1390,
         "virtual_end_s": 0.03933488784376244,
+    }
+
+
+def test_shard_scaling_schedule_is_pinned():
+    """A short sweep with the mid-run rebalance at both shard counts."""
+    result = run_shard_scaling(
+        shard_counts=[1, 2], clients=8, requests_per_client=6
+    )
+    assert result.series == {
+        "shards": [1, 2],
+        "ops_per_second": [16004.102155027862, 20173.70957545079],
+        "simulated_seconds": [0.0029992310430810567, 0.0023793343420790976],
+        "rebalances": [1, 1],
+        "violations": [0, 0],
+        "load_skew": [1.0, 1.1666666666666667],
+        "per_shard_share": [[1.0], [0.4167, 0.5833]],
+        "streaming_parity": [True, True],
+    }
+    # the snapshot is the last shard count's run
+    assert router_counts(result) == {
+        "operations_parked": 0,
+        "operations_replayed": 0,
+        "operations_dropped": 0,
+        "operations_lock_retried": 0,
+        "replies_after_retire": 0,
+        "transactions_committed": 0,
+        "transactions_aborted": 0,
+        "txn_group_flushes": 0,
+        "txn_group_entries": 0,
+        "operations_completed": 48,
+        "latency_samples": 48,
+        "virtual_end_s": 0.0023793343420790976,
     }
 
 

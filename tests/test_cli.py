@@ -10,13 +10,36 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_figures_only_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figures", "--only", "fig99"])
+    def test_figures_only_validated(self, capsys):
+        assert main(["run", "fig99"]) == 2
+        assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
     def test_attack_kind_default(self):
         args = build_parser().parse_args(["attack"])
         assert args.kind == "rollback"
+
+    @pytest.mark.parametrize(
+        "command", ["figures", "shard", "elastic", "txn", "groupcommit"]
+    )
+    def test_experiments_run_only_by_name(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
+    def test_set_values_are_literals_else_strings(self):
+        args = build_parser().parse_args([
+            "run", "group_commit", "--set", "shard_counts=(4,2)",
+            "distribution=zipfian", "--set", "faults=False",
+        ])
+        assert args.names == ["group_commit"]
+        assert args.settings == [
+            ("shard_counts", (4, 2)),
+            ("distribution", "zipfian"),
+            ("faults", False),
+        ]
+
+    def test_set_needs_key_and_value(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig4", "--set", "duration"])
 
 
 class TestSubcommands:
@@ -31,68 +54,117 @@ class TestSubcommands:
         assert "fork-linearizable" in out
 
     def test_shard_scales_and_verifies(self, capsys):
-        assert main(["shard", "--shards", "2", "--clients", "8", "--ops", "6"]) == 0
+        assert main([
+            "run", "shard_scaling", "--set", "shard_counts=[1,2]",
+            "clients=8", "requests_per_client=6",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "1 shard(s):" in out and "2 shard(s):" in out
-        assert "rebalance" in out
-        assert "all shards verified fork-linearizable" in out
+        assert "# shard_scaling: paper vs. measured" in out
+        assert "zero_violations" in out and "DIVERGES:" not in out
 
     def test_shard_rejects_nonsense_counts(self, capsys):
-        assert main(["shard", "--shards", "0"]) == 2
-        assert "must all be >= 1" in capsys.readouterr().out
+        assert main(["run", "shard_scaling", "--set", "clients=0"]) == 2
+        assert "need at least one client" in capsys.readouterr().err
 
     def test_shard_zipfian_reports_load_skew(self, capsys):
-        assert main(
-            ["shard", "--shards", "2", "--clients", "6", "--ops", "5",
-             "--distribution", "zipfian", "--no-rebalance"]
-        ) == 0
+        assert main([
+            "run", "shard_scaling", "--set", "shard_counts=[1,2]",
+            "clients=6", "requests_per_client=5", "distribution=zipfian",
+            "rebalance=False",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "load skew" in out
-        assert "all shards verified fork-linearizable" in out
+        assert "(zipfian YCSB-A)" in out
+        assert "max_load_skew" in out
 
     def test_elastic_reshapes_and_verifies(self, capsys):
-        assert main(["elastic", "--clients", "6", "--ops", "12"]) == 0
+        assert main([
+            "run", "elastic_scaling", "--set", "clients=6",
+            "requests_per_client=12",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "split shard" in out
-        assert "merge shard" in out
-        assert "recover shard" in out
-        assert "all generations verified fork-linearizable" in out
+        first_cells = {line.split()[0] for line in out.splitlines() if line}
+        assert {"add", "remove", "recover"} <= first_cells
+        assert "[DIVERGES]" not in out
 
     def test_elastic_rejects_nonsense_counts(self, capsys):
-        assert main(["elastic", "--clients", "0"]) == 2
-        assert "must be >= 1" in capsys.readouterr().out
+        assert main(["run", "elastic_scaling", "--set", "shards=1"]) == 2
+        assert "two initial shards" in capsys.readouterr().err
 
     def test_txn_commits_across_shards_and_verifies(self, capsys):
-        assert main(["txn", "--clients", "8", "--ops", "12"]) == 0
+        assert main([
+            "run", "cross_shard", "--set", "clients=8",
+            "requests_per_client=12",
+        ]) == 0
         out = capsys.readouterr().out
         assert "crash-at-prepare" in out
         assert "crash-after-decision" in out
-        assert "transactions committed" in out
-        assert "atomic across shard histories" in out
+        assert "transactions_committed" in out
+        assert "[DIVERGES]" not in out
 
     def test_txn_rejects_nonsense_counts(self, capsys):
-        assert main(["txn", "--shards", "1"]) == 2
-        assert "--shards must be >= 2" in capsys.readouterr().out
+        assert main(["run", "cross_shard", "--set", "shards=1"]) == 2
+        assert "at least two shards" in capsys.readouterr().err
 
     def test_groupcommit_scales_and_verifies(self, capsys):
-        assert main(["groupcommit", "--clients", "8", "--txns", "10"]) == 0
+        assert main([
+            "run", "group_commit", "--set", "clients=8", "txns_per_client=10",
+        ]) == 0
         out = capsys.readouterr().out
-        assert "2 shards:" in out and "4 shards:" in out
-        assert "merged flushes" in out
-        assert "all verdicts clean, streaming parity holds" in out
+        assert "group_flushes_everywhere" in out
+        assert "[DIVERGES]" not in out
 
     def test_groupcommit_rejects_nonsense_counts(self, capsys):
-        assert main(["groupcommit", "--shards", "1", "4"]) == 2
-        assert "--shards must all be >= 2" in capsys.readouterr().out
+        assert main(
+            ["run", "group_commit", "--set", "shard_counts=(1,4)"]
+        ) == 2
+        assert "at least two shards" in capsys.readouterr().err
+
+    def test_failing_gate_exits_one(self, capsys):
+        """Four shards first: the sweep's throughput falls (7,475 then
+        5,425 txn/s), so the scaling expectation diverges."""
+        assert main([
+            "run", "group_commit", "--set", "shard_counts=(4,2)",
+            "clients=8", "txns_per_client=10",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "DIVERGES: group_commit.throughput_scales_with_shards" in out
+
+    def test_key_a_runner_does_not_take_exits_two(self, capsys):
+        assert main(["run", "sec63", "--set", "duration=0.2"]) == 2
+        assert "sec63 takes no duration" in capsys.readouterr().err
+
+    def test_nonsense_request_count_exits_two(self, capsys):
+        assert main([
+            "run", "elastic_scaling", "--set", "requests_per_client=0",
+        ]) == 2
+        assert "at least one request" in capsys.readouterr().err
 
     def test_figures_single(self, capsys):
-        assert main(["figures", "--only", "sec63"]) == 0
+        assert main(["run", "sec63"]) == 0
         out = capsys.readouterr().out
         assert "sec63" in out and "paper" in out
 
     def test_figures_fast_fig4(self, capsys):
-        assert main(["figures", "--only", "fig4", "--duration", "0.2"]) == 0
+        assert main(["run", "fig4", "--set", "duration=0.2"]) == 0
         assert "fig4" in capsys.readouterr().out
+
+    def test_throughput_figures_at_short_windows(self, capsys):
+        assert main([
+            "run", "fig5", "fig6", "sec65", "--set", "duration=0.2",
+            "client_counts=[1,8]",
+        ]) == 0
+        out = capsys.readouterr().out
+        for name in ("fig5", "fig6", "sec65"):
+            assert f"# {name}: paper vs. measured" in out
+
+    def test_no_name_runs_the_paper_experiments(self, capsys, monkeypatch):
+        from repro.harness import experiments
+
+        monkeypatch.setattr(experiments, "PAPER_EXPERIMENTS", ("sec62", "sec63"))
+        assert main(["run"]) == 0
+        out = capsys.readouterr().out
+        assert "# sec62: paper vs. measured" in out
+        assert "# sec63: paper vs. measured" in out
 
     def test_frontier_is_one_sweep_without_arms(self):
         with pytest.raises(SystemExit):
