@@ -58,13 +58,20 @@ def _throughput_sweep(
 ) -> dict[str, list]:
     """One closed-loop :func:`measure_throughput` run per (system, point)
     of ``axis`` (``"clients"`` or ``"object_size"``), the other settings
-    ``fixed``: the series of Figs. 4-6 and Sec. 6.5."""
+    ``fixed``: the series of Figs. 4-6 and Sec. 6.5.  A point that
+    completes no operation in its window is a ``ValueError`` — the
+    figures' ratios would divide by it."""
     series: dict[str, list] = {axis: points}
     for system in systems:
-        series[system] = [
-            measure_throughput(system, **{axis: point}, **fixed).ops_per_second
-            for point in points
-        ]
+        series[system] = []
+        for point in points:
+            result = measure_throughput(system, **{axis: point}, **fixed)
+            if not result.operations:
+                raise ValueError(
+                    f"{system} completed no operation at {axis}={point} "
+                    f"in a {result.window} s window"
+                )
+            series[system].append(result.ops_per_second)
     return series
 
 

@@ -25,8 +25,8 @@ from typing import Any, Callable
 
 from repro.errors import SimulationError
 
-#: Virtual enclave service time per request in a batch, shared by every
-#: dispatcher that schedules batch delivery on this clock.  Harness code
+#: Virtual enclave service time per request in a batch: the flat price
+#: every cluster shard's dispatcher pays on this clock.  Harness code
 #: estimating run length (e.g. a mid-run rebalance point) must reference
 #: it rather than hardcode a copy.
 ENCLAVE_SERVICE_INTERVAL = 50e-6

@@ -3,9 +3,10 @@
 - :mod:`repro.perf.costs` — the calibrated cost model: service-time
   constants for every pipeline stage (network, untrusted server thread,
   ecall, enclave crypto, LCM protocol work, disk, TMC);
-- :mod:`repro.perf.model` — a closed-loop discrete-event throughput engine
-  that drives the modelled server with YCSB-style clients and measures
-  simulated operations per second.
+- :mod:`repro.perf.model` — the per-system batch price over those
+  constants, and a closed-loop measurement that drives the cluster's
+  batch loop (:class:`~repro.server.dispatch.GroupDispatcher`) with
+  YCSB-style clients and counts simulated operations per second.
 
 The constants are calibrated so the *relative* results reproduce the
 paper's bands (who wins, by what factor, where curves saturate); absolute

@@ -1,8 +1,11 @@
-"""Closed-loop throughput engine for the evaluation figures.
+"""Closed-loop throughput model for the evaluation figures.
 
-The engine reproduces the paper's measurement setup: ``n`` closed-loop
+The model reproduces the paper's measurement setup: ``n`` closed-loop
 YCSB clients (zero think time) drive one server over a simulated LAN; a
 measurement window counts completed operations per simulated second.
+The server thread is the cluster's own batch loop, a
+:class:`~repro.server.dispatch.GroupDispatcher`, priced per batch by
+:func:`service_time` over the :class:`~repro.perf.costs.CostModel`.
 
 Pipeline per system (Fig. 3):
 
@@ -22,19 +25,20 @@ Pipeline per system (Fig. 3):
 ``sgx_tmc``   sgx plus one trusted-monotonic-counter increment per store.
 
 All service stages of the single-threaded server (including blocking fsync
-and the TMC increment, which the enclave waits on) occupy the server-thread
-resource, which is what makes the saturation behaviour emerge rather than
+and the TMC increment, which the enclave waits on) occupy the server
+thread, which is what makes the saturation behaviour emerge rather than
 being hard-coded.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.net.simulation import Simulator, WorkerPool
 from repro.perf.costs import CostModel
+from repro.server.dispatch import GroupDispatcher
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,6 @@ class SystemSpec:
     stunnel: bool = False
     group_commit: bool = False         # drain-the-queue batching (Redis AOF)
 
-    @property
-    def batching(self) -> bool:
-        return self.batch_limit is not None or self.group_commit
-
 
 SYSTEMS: dict[str, SystemSpec] = {
     "native": SystemSpec("native", enclave=False, stunnel=True),
@@ -65,101 +65,51 @@ SYSTEMS: dict[str, SystemSpec] = {
 }
 
 
-class ServerEngine:
-    """The single server thread: queue, batch dispatch, service times."""
+def service_time(
+    spec: SystemSpec, costs: CostModel, object_size: int, *, fsync: bool
+) -> Callable[[int], float]:
+    """The server thread's price of one batch: batch size -> total
+    occupancy in virtual seconds."""
+    z = object_size
+    per_op = costs.frontend_per_request + costs.kvs_op_time
+    per_batch = 0.0
 
-    def __init__(
-        self,
-        sim: Simulator,
-        spec: SystemSpec,
-        costs: CostModel,
-        object_size: int,
-        *,
-        fsync: bool,
-    ) -> None:
-        self._sim = sim
-        self._spec = spec
-        self._costs = costs
-        self._object_size = object_size
-        self._fsync = fsync
-        self._queue: collections.deque = collections.deque()
-        self._busy = False
-        self.batches = 0
-        self.requests = 0
+    if spec.enclave:
+        request_bytes = costs.geometry.request_bytes(z, lcm=spec.lcm)
+        reply_bytes = costs.geometry.reply_bytes(z, lcm=spec.lcm)
+        per_op += costs.enclave_crypto_time(request_bytes)
+        per_op += costs.enclave_crypto_time(reply_bytes)
+        # one ecall + one sealed store per batch (Sec. 5.2 optimisation);
+        # without batching the batch size is 1, i.e. per request.
+        per_batch += costs.ecall_overhead
+        per_batch += costs.state_seal_time(z)
+        if spec.lcm:
+            per_op += costs.lcm_hash_chain_time + costs.lcm_v_update_time
+            per_batch += costs.lcm_state_seal_extra
+        if spec.tmc:
+            per_batch += costs.tmc_increment_latency
+        # StableStorage delta-compresses consecutive sealed blobs, so
+        # the steady-state store hits the disk with the suffix only
+        write_time = costs.disk.write_time(costs.sealed_store_bytes(z), fsync=fsync)
+        if spec.lcm and fsync:
+            write_time *= costs.lcm_sync_write_factor
+        per_batch += write_time
+    elif spec.group_commit:
+        # Native / Redis persistence on the server thread.  Half the
+        # YCSB-A requests are writes; the log flush is shared by the whole
+        # drained queue.
+        per_batch += costs.disk.write_time(64 + z, fsync=fsync)
 
-    # ------------------------------------------------------------- arrival
+        def group_commit(batch_size: int) -> float:
+            writes = max(1, batch_size // 2)
+            bookkeeping = (writes / batch_size) * 1e-6  # log append
+            return (per_op + bookkeeping) * batch_size + per_batch
 
-    def arrive(self, deliver_reply) -> None:
-        """A request reached the server thread's queue."""
-        self._queue.append(deliver_reply)
-        if not self._busy:
-            self._dispatch()
+        return group_commit
+    else:
+        per_op += costs.disk.write_time(128 + z, fsync=fsync)
 
-    def _dispatch(self) -> None:
-        spec = self._spec
-        if spec.group_commit:
-            batch_size = len(self._queue)
-        else:
-            batch_size = min(len(self._queue), spec.batch_limit or 1)
-        batch = [self._queue.popleft() for _ in range(batch_size)]
-        service = self._batch_service_time(batch_size)
-        self._busy = True
-        self.batches += 1
-        self.requests += batch_size
-
-        def complete() -> None:
-            self._busy = False
-            for deliver_reply in batch:
-                deliver_reply()
-            if self._queue:
-                self._dispatch()
-
-        self._sim.schedule(service, complete, label=f"{spec.name}:batch")
-
-    # ------------------------------------------------------------- service
-
-    def _batch_service_time(self, batch_size: int) -> float:
-        """Total server-thread occupancy for one batch of requests."""
-        costs = self._costs
-        spec = self._spec
-        z = self._object_size
-        per_op = costs.frontend_per_request + costs.kvs_op_time
-        per_batch = 0.0
-
-        if spec.enclave:
-            request_bytes = costs.geometry.request_bytes(z, lcm=spec.lcm)
-            reply_bytes = costs.geometry.reply_bytes(z, lcm=spec.lcm)
-            per_op += costs.enclave_crypto_time(request_bytes)
-            per_op += costs.enclave_crypto_time(reply_bytes)
-            # one ecall + one sealed store per batch (Sec. 5.2 optimisation);
-            # without batching the batch size is 1, i.e. per request.
-            per_batch += costs.ecall_overhead
-            per_batch += costs.state_seal_time(z)
-            if spec.lcm:
-                per_op += costs.lcm_hash_chain_time + costs.lcm_v_update_time
-                per_batch += costs.lcm_state_seal_extra
-            if spec.tmc:
-                per_batch += costs.tmc_increment_latency
-            # StableStorage delta-compresses consecutive sealed blobs, so
-            # the steady-state store hits the disk with the suffix only
-            write_time = costs.disk.write_time(
-                costs.sealed_store_bytes(z), fsync=self._fsync
-            )
-            if spec.lcm and self._fsync:
-                write_time *= costs.lcm_sync_write_factor
-            per_batch += write_time
-        else:
-            # Native / Redis persistence on the server thread.
-            if spec.group_commit:
-                # Half the YCSB-A requests are writes; the log flush is
-                # shared by the whole drained queue.
-                writes = max(1, batch_size // 2)
-                per_batch += costs.disk.write_time(64 + z, fsync=self._fsync)
-                per_op += (writes / batch_size) * 1e-6  # log append bookkeeping
-            else:
-                per_op += costs.disk.write_time(128 + z, fsync=self._fsync)
-
-        return per_op * batch_size + per_batch
+    return lambda batch_size: per_op * batch_size + per_batch
 
 
 @dataclass
@@ -175,8 +125,6 @@ class ThroughputResult:
 
     @property
     def ops_per_second(self) -> float:
-        if self.window <= 0:
-            return 0.0
         return self.operations / self.window
 
 
@@ -204,9 +152,24 @@ def measure_throughput(
         duration = 20.0 if spec.tmc else (4.0 if fsync else 0.8)
     if warmup is None:
         warmup = duration / 4.0
+    if duration <= 0 or warmup < 0:
+        raise ConfigurationError(
+            f"need duration > 0 and warmup >= 0 (got {duration}, {warmup})"
+        )
 
     sim = Simulator()
-    engine = ServerEngine(sim, spec, costs, object_size, fsync=fsync)
+    # A queued request is its own reply continuation: the batch "replies"
+    # by handing the continuations back and delivery calls each one.  A
+    # closed loop never queues more than one request per client, so a
+    # limit of ``clients`` drains the whole queue (Redis' group commit).
+    server = GroupDispatcher(
+        sim=sim,
+        send_batch=lambda batch: [reply for _, reply in batch],
+        deliver=lambda _client, reply: reply(),
+        batch_limit=clients if spec.group_commit else spec.batch_limit or 1,
+        label=f"{spec.name}:batch",
+        service_time=service_time(spec, costs, object_size, fsync=fsync),
+    )
     stunnel = (
         WorkerPool(sim, costs.stunnel_workers, "stunnel") if spec.stunnel else None
     )
@@ -222,7 +185,7 @@ def measure_throughput(
     # it adds latency to the enclave paths without using server capacity.
     client_side = costs.client_crypto_latency if spec.enclave else 0.0
 
-    def client_loop() -> None:
+    def client_loop(client: int) -> None:
         # request travels to the server...
         delay_up = client_side + costs.latency.one_way(request_bytes)
 
@@ -230,10 +193,10 @@ def measure_throughput(
             if stunnel is not None:
                 stunnel.acquire_for(
                     costs.host_crypto_time(request_bytes),
-                    lambda: engine.arrive(reply_path),
+                    lambda: server.enqueue(client, reply_path),
                 )
             else:
-                engine.arrive(reply_path)
+                server.enqueue(client, reply_path)
 
         def reply_path() -> None:
             # server finished; reply crypto (stunnel) then network back.
@@ -244,7 +207,7 @@ def measure_throughput(
                     if window_start <= sim.now <= window_end:
                         completed["count"] += 1
                     if sim.now < window_end:
-                        client_loop()
+                        client_loop(client)
 
                 sim.schedule(delay_down, complete)
 
@@ -257,8 +220,8 @@ def measure_throughput(
 
         sim.schedule(delay_up, reach_server)
 
-    for _ in range(clients):
-        client_loop()
+    for client in range(clients):
+        client_loop(client)
     sim.run_until(window_end)
 
     return ThroughputResult(

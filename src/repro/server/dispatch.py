@@ -1,12 +1,15 @@
 """The per-group batch dispatch loop (Sec. 5.3).
 
 :class:`GroupDispatcher` is the one place batch slicing, enclave-busy
-gating and deliver scheduling on the virtual clock live: the cluster
-runtime supplies the transport (``send_batch`` into a shard's host,
-``deliver`` back onto its per-client channels) and optional hooks, so
-Sec. 5.2/5.3 batching changes land here and reach every shard at once.
-The batch ecall runs inline at dispatch time; its replies are realized
-at the scheduled delivery event.
+gating and deliver scheduling on the virtual clock live.  The caller
+supplies the transport (``send_batch`` into the server, ``deliver`` back
+to a client), the batch price and optional hooks.  Two callers share it:
+the cluster runtime (a shard's host and per-client channels, priced flat
+per request) and the paper-figure model in :mod:`repro.perf.model`
+(closed-loop clients, priced by the cost model), so Sec. 5.2/5.3
+batching changes land here and reach both.  The batch ecall runs inline
+at dispatch time; its replies are realized at the scheduled delivery
+event.
 
 Dispatch semantics (unchanged from the paper's prototype):
 
@@ -15,8 +18,8 @@ Dispatch semantics (unchanged from the paper's prototype):
   up to ``batch_limit`` of them ("once the queue reaches its limit *or no
   more client requests are available*", Sec. 5.3);
 - the whole batch enters the enclave in one ecall; replies are delivered
-  after a virtual service interval proportional to the batch size, after
-  which the loop immediately tries to cut the next batch;
+  after ``service_time(len(batch))`` virtual seconds, after which the
+  loop immediately tries to cut the next batch;
 - a :class:`~repro.errors.SecurityViolation` raised by the enclave halts
   the dispatcher: pending requests stay queued, nothing further enters
   the enclave.  With an ``on_violation`` hook the violation is recorded
@@ -32,8 +35,8 @@ than extending it: a group of prepares/decisions flushed against one
 (client, shard) machine arrives here as *one* queued request (a single
 ``TXN_PREPARE_MANY``/``TXN_DECIDE_MANY`` operation), so it crosses the
 boundary as one unit — one queue slot, one slice of the batch, one
-sealed operation in the ecall — and the per-batch service interval is
-paid once for the whole group.
+sealed operation in the ecall — and it is priced as one request of the
+batch.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import SecurityViolation
-from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL, Simulator
+from repro.net.simulation import Simulator
 from repro.server.batching import BatchQueue, BatchSizeHistogram
 
 
@@ -63,8 +66,9 @@ class GroupDispatcher:
         Bounded batch queue size (Sec. 5.3).
     label:
         Event label for the simulator agenda (diagnostics).
-    service_interval:
-        Virtual enclave service time per request in a batch.
+    service_time:
+        ``(batch_size) -> float`` — the virtual seconds the enclave is
+        busy serving one batch of that size.
     on_violation:
         Optional hook for a :class:`SecurityViolation` raised by
         ``send_batch``.  When set, the dispatcher halts itself, calls the
@@ -101,9 +105,9 @@ class GroupDispatcher:
         sim: Simulator,
         send_batch: Callable[[list[tuple[int, bytes]]], list[bytes]],
         deliver: Callable[[int, bytes], None],
+        service_time: Callable[[int], float],
         batch_limit: int = 16,
         label: str = "enclave-batch",
-        service_interval: float = ENCLAVE_SERVICE_INTERVAL,
         on_violation: Callable[[SecurityViolation], None] | None = None,
         on_idle: Callable[[], None] | None = None,
         on_batch_complete: Callable[[int], None] | None = None,
@@ -116,7 +120,7 @@ class GroupDispatcher:
         self._send_batch = send_batch
         self._deliver = deliver
         self._label = label
-        self._service_interval = service_interval
+        self._service_time = service_time
         self._on_violation = on_violation
         self._on_idle = on_idle
         self._on_batch_complete = on_batch_complete
@@ -184,9 +188,9 @@ class GroupDispatcher:
             self._fire_idle()
             self.maybe_dispatch()
 
-        # model the enclave service interval so more requests can queue
-        service = self._service_interval * len(batch)
-        self._sim.schedule(service, deliver, label=self._label)
+        # the enclave stays busy for the batch's price, so more requests
+        # can queue behind it
+        self._sim.schedule(self._service_time(len(batch)), deliver, label=self._label)
 
     def _handle_violation(self, violation: SecurityViolation) -> None:
         """Server-side detection: the context halted mid-batch.  Stop

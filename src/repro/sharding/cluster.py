@@ -427,7 +427,7 @@ class ShardedCluster:
             deliver=deliver,
             batch_limit=self._batch_limit,
             label=f"shard{shard_id}-batch",
-            service_interval=self.SERVICE_INTERVAL,
+            service_time=lambda batch_size: self.SERVICE_INTERVAL * batch_size,
             on_violation=lambda violation, shard=shard: self._record_violation(
                 shard, violation
             ),

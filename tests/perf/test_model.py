@@ -31,6 +31,13 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             measure_throughput("native", clients=0)
 
+    @pytest.mark.parametrize(
+        "window", [dict(duration=0.0), dict(duration=-1.0), dict(warmup=-0.1)]
+    )
+    def test_empty_or_negative_window_rejected(self, window):
+        with pytest.raises(ConfigurationError):
+            measure_throughput("native", clients=1, **window)
+
     def test_all_registered_systems_run(self):
         for name in SYSTEMS:
             duration = 5.0 if name == "sgx_tmc" else 0.3

@@ -1,20 +1,15 @@
-"""Batch service-time arithmetic: hand-computed values against the engine."""
+"""Batch service-time arithmetic: hand-computed values against the
+price function the figure model hands its dispatcher."""
 
 import pytest
 
-from repro.net.simulation import Simulator
 from repro.perf.costs import CostModel
-from repro.perf.model import SYSTEMS, ServerEngine
+from repro.perf.model import SYSTEMS, service_time
 
 
-def engine_for(name: str, *, object_size=100, fsync=False):
+def price_for(name: str, *, object_size=100, fsync=False):
     costs = CostModel()
-    return (
-        ServerEngine(
-            Simulator(), SYSTEMS[name], costs, object_size, fsync=fsync
-        ),
-        costs,
-    )
+    return service_time(SYSTEMS[name], costs, object_size, fsync=fsync), costs
 
 
 def expected_sgx_per_op(costs: CostModel, object_size: int, *, lcm=False) -> float:
@@ -33,19 +28,19 @@ def expected_sgx_per_op(costs: CostModel, object_size: int, *, lcm=False) -> flo
 
 class TestEnclaveServiceTimes:
     def test_sgx_single_request(self):
-        engine, costs = engine_for("sgx")
+        price, costs = price_for("sgx")
         per_batch = (
             costs.ecall_overhead
             + costs.state_seal_time(100)
             + costs.disk.write_time(costs.sealed_store_bytes(100), fsync=False)
         )
         expected = expected_sgx_per_op(costs, 100) + per_batch
-        assert engine._batch_service_time(1) == pytest.approx(expected)
+        assert price(1) == pytest.approx(expected)
 
     def test_lcm_adds_protocol_work(self):
-        sgx_engine, costs = engine_for("sgx")
-        lcm_engine, _ = engine_for("lcm")
-        delta = lcm_engine._batch_service_time(1) - sgx_engine._batch_service_time(1)
+        sgx_price, costs = price_for("sgx")
+        lcm_price, _ = price_for("lcm")
+        delta = lcm_price(1) - sgx_price(1)
         # hash chain + V update + extra seal + metadata crypto
         metadata_crypto = 2 * costs.enclave_crypto_per_byte * costs.geometry.lcm_metadata_bytes
         expected_delta = (
@@ -57,10 +52,10 @@ class TestEnclaveServiceTimes:
         assert delta == pytest.approx(expected_delta)
 
     def test_batching_amortises_per_batch_costs(self):
-        engine, costs = engine_for("sgx_batch")
+        price, costs = price_for("sgx_batch")
         k = 16
-        single = engine._batch_service_time(1)
-        batch = engine._batch_service_time(k)
+        single = price(1)
+        batch = price(k)
         per_batch = (
             costs.ecall_overhead
             + costs.state_seal_time(100)
@@ -70,20 +65,20 @@ class TestEnclaveServiceTimes:
         assert batch == pytest.approx(single * k - per_batch * (k - 1))
 
     def test_fsync_adds_full_flush(self):
-        sync_engine, costs = engine_for("sgx", fsync=True)
-        async_engine, _ = engine_for("sgx", fsync=False)
-        delta = sync_engine._batch_service_time(1) - async_engine._batch_service_time(1)
+        sync_price, costs = price_for("sgx", fsync=True)
+        async_price, _ = price_for("sgx", fsync=False)
+        delta = sync_price(1) - async_price(1)
         expected = costs.disk.write_time(
             costs.sealed_store_bytes(100), fsync=True
         ) - costs.disk.write_time(costs.sealed_store_bytes(100), fsync=False)
         assert delta == pytest.approx(expected)
 
     def test_lcm_sync_write_factor_applied(self):
-        lcm_engine, costs = engine_for("lcm", fsync=True)
-        sgx_engine, _ = engine_for("sgx", fsync=True)
+        lcm_price, costs = price_for("lcm", fsync=True)
+        sgx_price, _ = price_for("sgx", fsync=True)
         lcm_write = costs.disk.write_time(costs.sealed_store_bytes(100), fsync=True) * costs.lcm_sync_write_factor
         sgx_write = costs.disk.write_time(costs.sealed_store_bytes(100), fsync=True)
-        delta = lcm_engine._batch_service_time(1) - sgx_engine._batch_service_time(1)
+        delta = lcm_price(1) - sgx_price(1)
         metadata_crypto = 2 * costs.enclave_crypto_per_byte * costs.geometry.lcm_metadata_bytes
         expected_delta = (
             costs.lcm_hash_chain_time
@@ -95,26 +90,30 @@ class TestEnclaveServiceTimes:
         assert delta == pytest.approx(expected_delta)
 
     def test_tmc_increment_per_batch(self):
-        tmc_engine, costs = engine_for("sgx_tmc")
-        sgx_engine, _ = engine_for("sgx")
-        delta = tmc_engine._batch_service_time(1) - sgx_engine._batch_service_time(1)
+        tmc_price, costs = price_for("sgx_tmc")
+        sgx_price, _ = price_for("sgx")
+        delta = tmc_price(1) - sgx_price(1)
         assert delta == pytest.approx(costs.tmc_increment_latency)
 
 
 class TestHostServiceTimes:
     def test_native_per_request(self):
-        engine, costs = engine_for("native")
+        price, costs = price_for("native")
         expected = (
             costs.frontend_per_request
             + costs.kvs_op_time
             + costs.disk.write_time(228, fsync=False)
         )
-        assert engine._batch_service_time(1) == pytest.approx(expected)
+        assert price(1) == pytest.approx(expected)
 
     def test_redis_group_commit_shares_one_flush(self):
-        engine, costs = engine_for("redis", fsync=True)
-        k = 10
-        batch = engine._batch_service_time(k)
+        price, costs = price_for("redis", fsync=True)
+        k = 11
         flush = costs.disk.write_time(164, fsync=True)
-        # one shared flush regardless of batch size
-        assert batch < k * (costs.frontend_per_request + costs.kvs_op_time) + 2 * flush
+        # per-op work k times, 1 µs of log bookkeeping per write (half the
+        # batch), and one flush shared by the whole drained queue
+        assert price(k) == pytest.approx(
+            k * (costs.frontend_per_request + costs.kvs_op_time)
+            + (k // 2) * 1e-6
+            + flush
+        )

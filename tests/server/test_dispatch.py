@@ -15,7 +15,10 @@ from repro.server.dispatch import GroupDispatcher
 
 
 class TestGroupDispatcher:
-    def _dispatcher(self, sim, replies_log, batch_limit=4, **kwargs):
+    def _dispatcher(
+        self, sim, replies_log, batch_limit=4, service_time=lambda n: 1e-3 * n,
+        **kwargs,
+    ):
         def send_batch(batch):
             return [message.upper() for _, message in batch]
 
@@ -26,6 +29,7 @@ class TestGroupDispatcher:
             sim=sim,
             send_batch=send_batch,
             deliver=deliver,
+            service_time=service_time,
             batch_limit=batch_limit,
             **kwargs,
         )
@@ -43,17 +47,35 @@ class TestGroupDispatcher:
         assert dispatcher.histogram.as_dict() == {1: 1, 2: 2}
         assert dispatcher.histogram.max_size == 2
 
-    def test_service_interval_scales_with_batch_size(self):
+    def test_each_batch_pays_its_price(self):
         sim = Simulator()
         log = []
-        dispatcher = self._dispatcher(
-            sim, log, batch_limit=8, service_interval=1.0
-        )
+        sizes = []
+
+        def price(n):
+            sizes.append(n)
+            return 1.0 + 0.5 * n
+
+        dispatcher = self._dispatcher(sim, log, batch_limit=8, service_time=price)
         for i in range(3):
             dispatcher.enqueue(i, b"x")
         sim.run()
         # first batch has size 1 (cut on first enqueue), second size 2
-        assert sim.now == pytest.approx(3.0)
+        assert sizes == [1, 2]
+        assert sim.now == pytest.approx(1.5 + 2.0)
+
+    def test_limit_at_queue_length_drains_the_queue_in_one_batch(self):
+        """The group-commit shape: while one batch is served the rest of
+        the clients queue up, and the next cut takes all of them."""
+        sim = Simulator()
+        log = []
+        dispatcher = self._dispatcher(sim, log, batch_limit=5)
+        for i in range(5):
+            dispatcher.enqueue(i, b"x")
+        assert dispatcher.pending == 4
+        sim.run()
+        assert dispatcher.histogram.as_dict() == {1: 1, 4: 1}
+        assert [cid for cid, _ in log] == [0, 1, 2, 3, 4]
 
     def test_violation_without_hook_propagates_and_halts(self):
         sim = Simulator()
@@ -63,7 +85,7 @@ class TestGroupDispatcher:
 
         dispatcher = GroupDispatcher(
             sim=sim, send_batch=send_batch, deliver=lambda c, r: None,
-            batch_limit=4,
+            service_time=lambda n: 1e-3 * n, batch_limit=4,
         )
         with pytest.raises(SecurityViolation):
             dispatcher.enqueue(1, b"m")
@@ -82,7 +104,8 @@ class TestGroupDispatcher:
 
         dispatcher = GroupDispatcher(
             sim=sim, send_batch=send_batch, deliver=lambda c, r: None,
-            batch_limit=4, on_violation=seen.append,
+            service_time=lambda n: 1e-3 * n, batch_limit=4,
+            on_violation=seen.append,
         )
         dispatcher.enqueue(1, b"m")
         assert len(seen) == 1 and isinstance(seen[0], SecurityViolation)

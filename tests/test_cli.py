@@ -139,6 +139,18 @@ class TestSubcommands:
         ]) == 2
         assert "at least one request" in capsys.readouterr().err
 
+    def test_window_without_operations_exits_two(self, capsys):
+        assert main(["run", "sec65", "--set", "duration=0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "sgx_tmc completed no operation at clients=1" in err
+
+    def test_negative_duration_exits_two(self, capsys):
+        assert main(["run", "fig4", "--set", "duration=-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "need duration > 0" in err
+
     def test_figures_single(self, capsys):
         assert main(["run", "sec63"]) == 0
         out = capsys.readouterr().out
