@@ -60,8 +60,8 @@ def test_micro_invoke_with_state_growth(benchmark):
     """PUT on one of 200 objects (a scaled-down version of the paper's
     1000-object working set).  The seal re-encrypts only the written
     entry; what still grows with the state is memcpy-speed work — the
-    dict copy in ``F``, assembling the blob and the stable-storage prefix
-    scan."""
+    dict copy in ``F``, assembling the blob and stable storage's block
+    compare, which keeps only the changed runs."""
     _, _, (alice, *_) = build_deployment()
     for i in range(200):  # scaled-down load phase to keep the suite quick
         alice.invoke(put(f"user{i:012d}", "v" * 100))

@@ -182,9 +182,12 @@ class Alg1State:
             self._stable_sequence = stable_sequence
         # inlined StabilityTracker.observe (hot path)
         stability = self.stability
-        stability.own_sequences.append(sequence)
+        own = stability.own_sequences
+        own.append(sequence)
         if stable_sequence > stability.stable_sequence:
             stability.stable_sequence = stable_sequence
+        while own and own[0] <= stability.stable_sequence:
+            own.popleft()
         return LcmResult(
             result=_decode_result(result_bytes),
             sequence=sequence,

@@ -66,18 +66,3 @@ def prefix_for(log: list[AuditRecord], point: ChainPoint) -> list[AuditRecord]:
             f"chain value at sequence {point.sequence} does not match this log"
         )
     return log[: point.sequence]
-
-
-def common_prefix_length(log_a: list[AuditRecord], log_b: list[AuditRecord]) -> int:
-    """Length of the longest common prefix of two audit logs."""
-    length = 0
-    for record_a, record_b in zip(log_a, log_b):
-        if (
-            record_a.sequence != record_b.sequence
-            or record_a.client_id != record_b.client_id
-            or record_a.operation != record_b.operation
-            or record_a.chain != record_b.chain
-        ):
-            break
-        length += 1
-    return length

@@ -16,17 +16,19 @@ operation with sequence number ``q`` is known to have been observed by
 client ``j`` once ``ta_j >= q`` (by completing its operation ``ta_j``,
 ``Cj`` observed the whole history prefix up to ``ta_j``).
 
-:class:`StabilityTracker` is the client-side mirror: it records each
-completed operation's sequence number and lets applications ask which of
-*their* operations are stable among a majority (and therefore linearizable
-— "any subsequence of a history that contains only operations that are
-stable among a majority is linearizable", Sec. 3.2.2).
+:class:`StabilityTracker` is the client-side mirror: it records the
+sequence numbers of completed operations until they are stable and lets
+applications ask which of *their* operations are stable among a majority
+(and therefore linearizable — "any subsequence of a history that contains
+only operations that are stable among a majority is linearizable",
+Sec. 3.2.2).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import GENESIS_HASH
@@ -259,16 +261,23 @@ class StabilityTracker:
 
     ``observe(sequence, stable_sequence)`` is called for every completed
     operation (and for stability updates piggybacked on later replies).
+    Only the unstable suffix of the client's own sequence numbers is
+    kept: an operation that is stable stays stable, so its number is
+    dropped, and the tracker holds no more than the pending operations —
+    the "small, constant storage at the clients" the protocol promises.
     """
 
-    own_sequences: list[int] = field(default_factory=list)
+    own_sequences: deque[int] = field(default_factory=deque)
     stable_sequence: int = 0
 
     def observe(self, sequence: int | None, stable_sequence: int) -> None:
+        own = self.own_sequences
         if sequence is not None:
-            self.own_sequences.append(sequence)
+            own.append(sequence)
         # stable sequence numbers never decrease (Sec. 3.2.2)
         self.stable_sequence = max(self.stable_sequence, stable_sequence)
+        while own and own[0] <= self.stable_sequence:
+            own.popleft()
 
     def is_stable(self, sequence: int) -> bool:
         """Is the operation with this sequence number stable among a majority?"""

@@ -89,7 +89,7 @@ def service_time(
         if spec.tmc:
             per_batch += costs.tmc_increment_latency
         # StableStorage delta-compresses consecutive sealed blobs, so
-        # the steady-state store hits the disk with the suffix only
+        # the steady-state store hits the disk with the changed blocks only
         write_time = costs.disk.write_time(costs.sealed_store_bytes(z), fsync=fsync)
         if spec.lcm and fsync:
             write_time *= costs.lcm_sync_write_factor

@@ -6,14 +6,18 @@ what gives a malicious server its rollback ammunition ("a malicious server
 may still return a correctly protected but outdated state", Sec. 2.3) and
 lets tests assert exactly which stale state was replayed.
 
-Since the trusted context seals its state as ``[key_blob, static_blob,
-dynamic_blob]``, consecutive per-operation versions share a long common
-prefix (the key and static-config boxes change only on membership or key
-events).  The store exploits that: each version is kept as a delta against
-the previously appended one — ``(shared prefix length, suffix bytes)`` —
-with a full snapshot every :data:`SNAPSHOT_INTERVAL` versions so any
-version reconstructs in a bounded number of joins.  The external contract
-is unchanged: ``load``/``load_version`` return the exact bytes stored.
+Consecutive per-batch versions of a sealed state blob differ in a few
+places: the sections a batch resealed, the V rows of the clients it
+answered and the manifest tag; the key and static-config boxes change
+only on membership or key events.  The store exploits that: each version
+is kept as ``(length, runs)`` — the ``(offset, bytes)`` runs of
+:data:`~repro.crypto.fastpath.DIFF_BLOCK`-byte blocks that differ from
+the previously appended version, found in one pass by the fastpath
+backend's ``diff_blocks`` — with a full snapshot every
+:data:`SNAPSHOT_INTERVAL` versions so any version reconstructs from a
+bounded number of records.  A store therefore retains O(bytes it
+changed), wherever in the blob they lie.  The external contract is
+unchanged: ``load``/``load_version`` return the exact bytes stored.
 
 ``DiskModel`` supplies the timing side for the performance experiments:
 Fig. 5 runs with asynchronous writes (the write syscall returns after
@@ -25,40 +29,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto import fastpath as _fastpath
 from repro.errors import StorageError
 
 #: Every Nth version is stored in full, bounding delta-chain reconstruction.
 SNAPSHOT_INTERVAL = 64
 
-#: Largest scan step of :func:`_common_prefix_length`.  Slices this size
-#: stay under malloc's mmap threshold, so the temporaries recycle heap
-#: memory; a blob-sized temporary faults in fresh pages on every store,
-#: which on a 340 KiB blob costs several times the comparison itself.
-_SCAN_CHUNK = 1 << 16
+#: A stored version: the whole blob (a snapshot), or its length and the
+#: ``(offset, bytes)`` runs that differ from the previously appended one.
+_Record = bytes | tuple[int, list[tuple[int, bytes]]]
 
 
-def _common_prefix_length(a: bytes, b: bytes) -> int:
-    """Length of the longest common prefix of two byte strings."""
-    n = min(len(a), len(b))
-    lo = 0
-    step = 4096
-    while lo < n:  # gallop over chunks that compare equal: one memcmp each
-        hi = min(lo + step, n)
-        if a[lo:hi] != b[lo:hi]:
-            break
-        lo = hi
-        step = min(2 * step, _SCAN_CHUNK)
-    else:
-        return n
-    while hi - lo > 128:  # the first mismatch lies in [lo, hi): bisect
-        mid = (lo + hi) // 2
-        if a[lo:mid] == b[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    # one big-int XOR; its top set bit locates the first mismatch
-    xor = int.from_bytes(a[lo:hi], "big") ^ int.from_bytes(b[lo:hi], "big")
-    return hi - ((xor.bit_length() + 7) >> 3)
+def _retained_bytes(record: _Record) -> int:
+    if isinstance(record, bytes):
+        return len(record)
+    return sum(len(data) for _, data in record[1])
 
 
 @dataclass(frozen=True)
@@ -93,15 +78,12 @@ class StableStorage:
 
     def __init__(self, name: str = "stable-storage", *, delta: bool = True) -> None:
         self.name = name
-        #: prefix-sharing only pays off when consecutive versions are
+        #: block deltas only pay off when consecutive versions are
         #: near-copies (sealed state blobs); stores whose versions are
         #: unrelated records (the coordinator's decision log) pass
-        #: ``delta=False`` and skip the scan — every version is a snapshot
+        #: ``delta=False`` and skip the diff — every version is a snapshot
         self._delta = delta
-        # (shared prefix length vs the previously appended version, suffix);
-        # snapshot versions have shared length 0
-        self._records: list[tuple[int, bytes]] = []
-        self._lengths: list[int] = []
+        self._records: list[_Record] = []
         self._tail: bytes = b""  # full bytes of the newest version
         self._current: int = -1
         self.stores = 0
@@ -114,12 +96,13 @@ class StableStorage:
         if not isinstance(blob, (bytes, bytearray)):
             raise StorageError("stable storage holds bytes only")
         blob = bytes(blob)
-        if self._delta and self._records and len(self._records) % SNAPSHOT_INTERVAL:
-            shared = _common_prefix_length(self._tail, blob)
+        if self._delta and len(self._records) % SNAPSHOT_INTERVAL:
+            runs = _fastpath.BACKEND.diff_blocks(self._tail, blob)
+            self._records.append(
+                (len(blob), [(lo, blob[lo:hi]) for lo, hi in runs])
+            )
         else:
-            shared = 0
-        self._records.append((shared, blob[shared:]))
-        self._lengths.append(len(blob))
+            self._records.append(blob)
         self._tail = blob
         self._current = len(self._records) - 1
         self.stores += 1
@@ -143,13 +126,14 @@ class StableStorage:
         if index == len(self._records) - 1:
             return self._tail
         base = index
-        while self._records[base][0]:
+        while not isinstance(self._records[base], bytes):
             base -= 1
-        blob = self._records[base][1]
-        for position in range(base + 1, index + 1):
-            shared, suffix = self._records[position]
-            blob = blob[:shared] + suffix
-        return blob
+        blob = bytearray(self._records[base])
+        for length, runs in self._records[base + 1 : index + 1]:
+            del blob[length:]
+            for offset, data in runs:
+                blob[offset : offset + len(data)] = data
+        return bytes(blob)
 
     def rollback_to(self, index: int) -> None:
         """Repoint "current" at an older version (rollback attack setup)."""
@@ -162,19 +146,22 @@ class StableStorage:
 
     def total_bytes(self) -> int:
         """Logical bytes across all versions (as if each were stored whole)."""
-        return sum(self._lengths)
+        return sum(
+            len(record) if isinstance(record, bytes) else record[0]
+            for record in self._records
+        )
 
     def physical_bytes(self) -> int:
-        """Bytes actually retained after prefix-sharing delta compression."""
-        return sum(len(suffix) for _, suffix in self._records)
+        """Bytes actually retained: snapshots plus every delta's runs."""
+        return sum(map(_retained_bytes, self._records))
 
     def last_delta_bytes(self) -> int | None:
-        """Bytes the most recent store physically appended (its suffix).
+        """Bytes the most recent store physically retained (its runs).
 
         This is the quantity the :class:`DiskModel` charges a steady-state
-        sync write for (``CostModel.sealed_store_bytes``): the sealed-blob
-        prefix shared with the previous version never hits the disk again.
+        sync write for (``CostModel.sealed_store_bytes``): the blocks equal
+        to the previous version's never hit the disk again.
         """
         if not self._records:
             return None
-        return len(self._records[-1][1])
+        return _retained_bytes(self._records[-1])

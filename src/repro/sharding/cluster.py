@@ -40,6 +40,7 @@ failure.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -396,15 +397,19 @@ class ShardedCluster:
         self, shard_id: int, *, malicious: bool, generation: int = 0
     ) -> _Shard:
         shard = _Shard(shard_id, generation)
-        shard.platform = TeePlatform(
-            self.group, seed=self._platform_seed(shard_id, self._next_serial(shard_id))
-        )
+        seed = self._platform_seed(shard_id, self._next_serial(shard_id))
+        shard.platform = TeePlatform(self.group, seed=seed)
         if malicious:
             shard.host = MaliciousServer(shard.platform, self._factory)
         else:
             shard.host = ServerHost(shard.platform, self._factory)
+        # the admin's keys come from the same seed as the platform, so a
+        # run's sealed bytes, and what storage retains of them, repeat
+        # exactly for one cluster seed
         admin = Admin(
-            self.group.verifier(), TeePlatform.expected_measurement(self._factory)
+            self.group.verifier(),
+            TeePlatform.expected_measurement(self._factory),
+            rng=random.Random(f"lcm-admin:{seed}").randbytes,
         )
         shard.deployment = admin.bootstrap(shard.host, client_ids=self._client_ids)
         if self.tracer.enabled:

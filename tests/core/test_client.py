@@ -144,5 +144,21 @@ class TestBookkeeping:
     def test_stability_tracker_follows_replies(self):
         _, _, (alice, *_) = build_deployment(clients=1)
         alice.invoke(put("a", "1"))
+        assert list(alice.stability.own_sequences) == [1]
         alice.invoke(put("b", "2"))
-        assert alice.stability.own_sequences == [1, 2]
+        # the second INVOKE acknowledged the first, which makes it stable
+        # for a group of one: the tracker keeps only the pending suffix
+        assert alice.stability.stable_sequence == 1
+        assert list(alice.stability.own_sequences) == [2]
+        assert alice.stability.pending() == [2]
+
+    def test_stability_tracker_stays_bounded(self):
+        """Client state is constant-size: after 1,000 operations the
+        tracker holds no more numbers than operations still pending."""
+        _, _, clients = build_deployment()
+        for index in range(1000):
+            client = clients[index % len(clients)]
+            client.invoke(put(f"k{index % 7}", str(index)))
+            for each in clients:
+                own = each.stability.own_sequences
+                assert len(own) <= len(each.stability.pending()) <= 2

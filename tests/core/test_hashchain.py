@@ -6,7 +6,6 @@ from repro.core.context import AuditRecord
 from repro.core.hashchain import (
     ChainPoint,
     chain_points,
-    common_prefix_length,
     prefix_for,
     verify_audit_chain,
 )
@@ -86,11 +85,3 @@ class TestHelpers:
         points = chain_points(log)
         assert [p.sequence for p in points] == [1, 2]
         assert points[1].chain == log[1].chain
-
-    def test_common_prefix_length(self):
-        base = [(1, b"a"), (2, b"b")]
-        log_a = make_log(base + [(1, b"x")])
-        log_b = make_log(base + [(2, b"y")])
-        assert common_prefix_length(log_a, log_b) == 2
-        assert common_prefix_length(log_a, log_a) == 3
-        assert common_prefix_length(log_a, []) == 0

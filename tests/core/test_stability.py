@@ -116,5 +116,5 @@ class TestStabilityTracker:
     def test_observe_without_sequence_updates_stability_only(self):
         tracker = StabilityTracker()
         tracker.observe(None, 9)
-        assert tracker.own_sequences == []
+        assert not tracker.own_sequences
         assert tracker.stable_sequence == 9

@@ -84,67 +84,86 @@ class TestSealedStoreGeometry:
 
     def test_functional_layer_matches_the_delta_model(self, costs):
         """The quantity the disk is charged for is what StableStorage
-        physically appends: the suffix from the first stored piece that
-        changed.  The blob is the key box, the static box, the state
+        physically retains: the ``DIFF_BLOCK``-byte blocks of the blob
+        that changed.  The blob is the key box, the static box, the state
         sections in canonical key order, the V rows and the manifest tag,
-        so a read persists its row onward and a write its section onward
-        — never the boxes and sections in front of them, let alone the
-        full blob the model used to charge for."""
+        so a write retains the blocks of its own section, of the writer's
+        row and of the tag — never the sections around it — and a read
+        only those of the reader's row and the tag, no section at all."""
         from tests.conftest import build_deployment
         from repro import serde
+        from repro.crypto import fastpath
         from repro.kvstore import get, put
 
+        # objects several blocks long, so a section's interior is whole
+        # blocks that no neighbouring piece shares; with 100-byte objects
+        # every piece shares its blocks and the rounding to whole blocks
+        # outweighs the object the model charges for
+        size = 1000
         host, _, (alice, _bob, carol) = build_deployment()
         storage = host.storage
 
-        def shared_prefix():
-            return len(storage.load()) - storage.last_delta_bytes()
+        def pieces():
+            """``[start, end)`` of each section, each V row and the tag."""
+            blob = storage.load()
+            sections, rows, tag = serde.decode(serde.decode(blob)[2])
 
-        def dynamic_pieces():
-            return serde.decode(serde.decode(storage.load())[2])
+            def span(piece):
+                at = blob.rindex(piece)
+                return at, at + len(piece)
 
-        def moved_from(before, offset):
-            """The first offset at or after ``offset`` where the stored
-            blob differs from ``before``.  Re-sealed bytes are fresh
-            ciphertext, so a few of them can match the old ones by
-            chance (each with probability 1/256) and extend the shared
-            prefix past the piece that changed."""
-            after = storage.load()
-            end = min(len(before), len(after))
-            while offset < end and before[offset] == after[offset]:
-                offset += 1
-            return offset
+            return [span(s) for s in sections], {
+                client: span(row) for client, row in rows.items()
+            }, span(tag)
+
+        def retained_blocks(before):
+            """The blocks the last store kept (the storage's own count of
+            them must agree)."""
+            runs = fastpath.BACKEND.diff_blocks(before, storage.load())
+            assert storage.last_delta_bytes() == sum(hi - lo for lo, hi in runs)
+            return [
+                (lo, min(lo + fastpath.DIFF_BLOCK, hi))
+                for start, hi in runs
+                for lo in range(start, hi, fastpath.DIFF_BLOCK)
+            ]
+
+        def overlaps(a, b):
+            return a[0] < b[1] and b[0] < a[1]
+
+        def covers_exactly(blocks, changed):
+            """Every retained block holds a changed piece, and every
+            changed piece is in a retained block."""
+            return all(
+                any(overlaps(block, piece) for piece in changed) for block in blocks
+            ) and all(
+                any(overlaps(block, piece) for block in blocks) for piece in changed
+            )
 
         for key in ("key-a", "key-b", "key-z"):
-            alice.invoke(put(key, "v" * 100))
-        for index in range(3):
+            alice.invoke(put(key, "v" * size))
+        for index in range(3):  # section and row lengths steady after one
             before = storage.load()
-            alice.invoke(put("key-z", f"{'v' * 100}{index}"))
-        # a write to the key that sorts last (canonical order is by
-        # encoded key) persists from its own section box on: the shared
-        # prefix ends on that box's 9 bytes of framing, with the two
-        # sections in front of it inside
-        sections, _rows, _tag = dynamic_pieces()
-        box_at = storage.load().index(sections[-1])
-        assert shared_prefix() == moved_from(before, box_at) <= box_at + 4
-        assert box_at > len(sections[0]) + len(sections[1])
+            alice.invoke(put("key-b", f"{'v' * size}{index}"))
+        # a write to the middle key (canonical order is by encoded key)
+        # retains its own section, the writer's row and the tag; the whole
+        # blocks of key-a's and key-z's sections stay shared
+        sections, rows, tag = pieces()
+        blocks = retained_blocks(before)
+        assert covers_exactly(blocks, [sections[1], rows[alice.client_id], tag])
         write_delta = storage.last_delta_bytes()
         carol.invoke(get("key-z"))
         before = storage.load()
         carol.invoke(get("key-z"))  # row lengths now steady
-        # a read by the client whose row sorts last persists from the
-        # first byte of that row's record that moved (its acknowledged
-        # marker, 35 bytes of framing in) to the end of the blob
-        _sections, rows, _tag = dynamic_pieces()
-        record_at = storage.load().index(rows[carol.client_id])
-        assert record_at < shared_prefix() == moved_from(before, record_at)
-        assert shared_prefix() < record_at + 35
+        sections, rows, tag = pieces()
+        blocks = retained_blocks(before)
+        assert covers_exactly(blocks, [rows[carol.client_id], tag])
+        assert not any(overlaps(b, s) for b in blocks for s in sections)
         delta = storage.last_delta_bytes()
         full = len(storage.load())
         assert delta < write_delta
         assert delta < full / 2
-        # the model's charge sits at the delta's magnitude: between the raw
-        # changed-section estimate and the measured suffix, far from full
-        charged = costs.sealed_store_bytes(100, delta=True)
+        # the model's charge (the changed row plus the manifest tag) sits
+        # at the retained bytes' magnitude, far from the full blob
+        charged = costs.sealed_store_bytes(size, delta=True)
         assert charged < full / 2
         assert delta / 2 < charged < 2 * delta

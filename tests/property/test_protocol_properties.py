@@ -17,7 +17,6 @@ from repro.core.context import AuditRecord
 from repro.core.gossip import ChainWindow, compare_windows, cross_check
 from repro.core.hashchain import (
     ChainPoint,
-    common_prefix_length,
     prefix_for,
     verify_audit_chain,
 )
@@ -75,14 +74,6 @@ class TestAuditLogProperties:
         sequence = (sequence - 1) % len(log) + 1
         point = ChainPoint(sequence, log[sequence - 1].chain)
         assert prefix_for(log, point) == log[:sequence]
-
-    @given(op_specs, op_specs)
-    def test_common_prefix_is_symmetric_and_bounded(self, spec_a, spec_b):
-        log_a = build_log(spec_a)
-        log_b = build_log(spec_b)
-        length = common_prefix_length(log_a, log_b)
-        assert length == common_prefix_length(log_b, log_a)
-        assert length <= min(len(log_a), len(log_b))
 
     @given(op_specs, op_specs, op_specs)
     def test_forked_suffix_points_rejected_by_other_branch(

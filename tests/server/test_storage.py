@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.fastpath import DIFF_BLOCK
 from repro.errors import StorageError
 from repro.server.storage import DiskModel, StableStorage
 
@@ -70,14 +71,30 @@ class TestStableStorage:
         assert storage.latest_index() == 0
 
     def test_last_delta_bytes_tracks_the_persisted_suffix(self):
+        """A store retains the blocks that differ from the previous
+        version and whatever lies beyond its length — not the suffix from
+        the first change on."""
         storage = StableStorage()
         assert storage.last_delta_bytes() is None
-        storage.store(b"shared-prefix|old-tail")
-        assert storage.last_delta_bytes() == len(b"shared-prefix|old-tail")
-        storage.store(b"shared-prefix|new-tail!")
-        # only the diverging suffix is physically appended
-        assert storage.last_delta_bytes() == len(b"new-tail!")
-        assert storage.load() == b"shared-prefix|new-tail!"
+        old = bytes(range(256)) * 4  # four blocks
+        storage.store(old)
+        assert storage.last_delta_bytes() == len(old)  # a snapshot
+        patched = bytearray(old)
+        patched[300] ^= 1  # block 1
+        patched[1000] ^= 1  # block 3
+        grown = bytes(patched) + b"tail"
+        storage.store(grown)
+        # blocks 1 and 3 plus the four bytes past the old length
+        assert DIFF_BLOCK == 256
+        assert storage.last_delta_bytes() == 256 + 256 + 4
+        storage.store(grown)
+        assert storage.last_delta_bytes() == 0
+        storage.store(grown[:600])  # a shrink keeps its equal prefix
+        assert storage.last_delta_bytes() == 0
+        assert storage.physical_bytes() == len(old) + 516
+        assert [storage.load_version(i) for i in range(4)] == [
+            old, grown, grown, grown[:600]
+        ]
 
 
 class TestDiskModel:

@@ -342,6 +342,25 @@ class TestForkDetection:
         }
         assert len(seeds) == 150 * 4
 
+    def test_one_seed_stores_the_same_bytes(self):
+        """The admin's keys come from the cluster seed like the platform
+        secret does, so every stored version — and how many of its blocks
+        storage retains — repeats exactly for one seed, and only for it."""
+
+        def stored(seed):
+            cluster, router = build(shards=2, clients=2, seed=seed)
+            for index in range(12):
+                router.submit(1 + index % 2, put(f"key-{index % 5}", str(index)))
+            cluster.run()
+            return [
+                [storage.load_version(i) for i in range(storage.version_count())]
+                for storage in (cluster.shard_host(s).storage for s in range(2))
+            ]
+
+        first = stored(24)
+        assert stored(24) == first
+        assert stored(25) != first
+
     def test_stopped_enclave_reported_not_raised(self):
         """A shard whose enclave was stopped out-of-band (no recorded live
         violation) must surface in the verdict, not crash the sweep."""
