@@ -2,14 +2,15 @@
 
 Subcommands::
 
-    python -m repro.cli run [NAME ...] [--set KEY=VALUE ...]
+    python -m repro.cli run [NAME ...] [--set KEY=VALUE ...] [--output FILE]
         Run experiments by name (fig4 fig5 fig6 sec62 sec63 sec65
-        shard_scaling elastic_scaling cross_shard group_commit; no name
-        runs the paper's six) and print each one's series table and
-        paper-vs-measured summary.  Each --set value (a Python literal,
-        else a string) is passed to every named experiment as a keyword
-        argument.  Exits 1 when a boolean expectation diverges — the
-        cluster experiments' zero violations, completed requests and
+        shard_scaling elastic_scaling cross_shard group_commit frontier;
+        no name runs the paper's six) and print each one's series table
+        and paper-vs-measured summary.  Each --set value (a Python
+        literal, else a string) is passed to every named experiment as a
+        keyword argument.  --output writes every result as JSON, keyed
+        by experiment id.  Exits 1 when a boolean expectation diverges —
+        the cluster experiments' zero violations, completed requests and
         streaming parity among them — and 2 on bad input.
 
     python -m repro.cli demo
@@ -21,15 +22,6 @@ Subcommands::
     python -m repro.cli cluster [--clients N] [--ops N]
         Run the real protocol over the simulated network and verify
         fork-linearizability of the resulting execution.
-
-    python -m repro.cli frontier [--shards N ...] [--duration S]
-                                 [--seeds N] [--output FILE] [--quick]
-        Map the open-loop latency–throughput frontier: Poisson arrivals
-        at a ladder of offered rates per shard count, per-cell
-        p50/p95/p99, queue and skew gauges, saturation detection, and
-        each shard count's saturation throughput.  --quick runs a tiny
-        sweep and asserts monotone achieved throughput plus zero
-        violations below saturation (the CI smoke).
 
     python -m repro.cli metrics [--shards N] [--clients N] [--ops N]
                                 [--tracing] [--output FILE]
@@ -60,6 +52,9 @@ def _setting(text: str) -> tuple[str, object]:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    import dataclasses
+    import json
+
     from repro.errors import ConfigurationError
     from repro.harness import report
     from repro.harness.experiments import EXPERIMENTS, PAPER_EXPERIMENTS
@@ -77,6 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     failed = []
+    results = {}
     for name in names:
         try:
             result = EXPERIMENTS[name](**settings)
@@ -87,6 +83,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(report.summarize_bands(result))
         print()
         failed += [f"{name}.{gate}" for gate in report.failed_gates(result)]
+        results[name] = dataclasses.asdict(result)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            json.dump(results, handle, indent=2, default=str)
+            handle.write("\n")
     for gate in failed:
         print(f"DIVERGES: {gate}")
     return 1 if failed else 0
@@ -179,82 +180,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         f"(mean batch size {stats.mean_batch_size(0):.1f}); "
         "execution verified fork-linearizable"
     )
-    return 0
-
-
-def _cmd_frontier(args: argparse.Namespace) -> int:
-    from repro.harness.frontier import (
-        SATURATION_SHORTFALL,
-        run_frontier,
-        shard_capacity,
-    )
-
-    if args.quick:
-        shard_counts: tuple[int, ...] = (2,)
-        rates = [shard_capacity(2) * f for f in (0.5, 0.9, 1.3)]
-        duration = 0.04
-        seeds: tuple[int, ...] = (args.seed,)
-    else:
-        shard_counts = tuple(args.shards)
-        rates = None  # per-shard-count default ladder
-        duration = args.duration
-        seeds = tuple(range(args.seed, args.seed + args.seeds))
-    result = run_frontier(
-        shard_counts=shard_counts,
-        rates=rates,
-        seeds=seeds,
-        duration=duration,
-    )
-    print(
-        f"{'shards':>6} {'offered/s':>10} {'achieved/s':>10} "
-        f"{'p50us':>8} {'p95us':>8} {'p99us':>9} {'qpeak':>5} "
-        f"{'skew':>5} {'sat':>4}"
-    )
-    for cell in result.cells:
-        print(
-            f"{cell.shards:>6} "
-            f"{cell.offered_rate:>10,.0f} {cell.achieved_tps:>10,.0f} "
-            f"{cell.p50 * 1e6:>8.1f} {cell.p95 * 1e6:>8.1f} "
-            f"{cell.p99 * 1e6:>9.1f} {cell.queue_depth_peak:>5} "
-            f"{cell.load_skew:>5.2f} {'yes' if cell.saturated else 'no':>4}"
-        )
-    failures = []
-    below = [c for c in result.cells if not c.saturated]
-    violated = [c for c in below if c.violations]
-    if violated:
-        failures.append(
-            f"{len(violated)} below-saturation cell(s) recorded violations"
-        )
-    for shards, tps in sorted(result.saturation.items()):
-        print(
-            f"saturation @ {shards} shard(s) = {tps:,.0f} "
-            f"ops/s (nominal capacity {shard_capacity(shards):,.0f})"
-        )
-    if args.quick:
-        # CI smoke: below the knee, offering more must achieve more
-        by_shards: dict = {}
-        for cell in result.cells:
-            by_shards.setdefault(cell.shards, []).append(cell)
-        for shards, cells in sorted(by_shards.items()):
-            cells.sort(key=lambda c: c.offered_rate)
-            achieved = [
-                c.achieved_tps for c in cells
-                if not c.saturated
-                and c.achieved_tps >= SATURATION_SHORTFALL * c.offered_rate
-            ]
-            if any(b < a for a, b in zip(achieved, achieved[1:])):
-                failures.append(
-                    f"achieved throughput not monotone below saturation "
-                    f"@ {shards} shard(s): {achieved}"
-                )
-    if args.output:
-        result.dump(args.output)
-        print(f"frontier matrix written to {args.output} "
-              f"({len(result.cells)} cells)")
-    if failures:
-        for failure in failures:
-            print(f"FRONTIER FAILED: {failure}")
-        return 1
     return 0
 
 
@@ -355,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", dest="settings", nargs="+", action="extend",
                      type=_setting, default=[], metavar="KEY=VALUE",
                      help="keyword argument for every named experiment")
+    run.add_argument("--output", default=None, metavar="FILE",
+                     help="write every result as JSON, keyed by "
+                     "experiment id")
     run.set_defaults(handler=_cmd_run)
 
     demo = sub.add_parser("demo", help="run the quickstart flow")
@@ -370,26 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--ops", type=int, default=6)
     cluster.add_argument("--seed", type=int, default=0)
     cluster.set_defaults(handler=_cmd_cluster)
-
-    frontier = sub.add_parser(
-        "frontier",
-        help="open-loop latency-throughput frontier sweep",
-    )
-    frontier.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
-    frontier.add_argument("--duration", type=float, default=0.25,
-                          help="virtual seconds of Poisson arrivals per cell")
-    frontier.add_argument("--seeds", type=int, default=1,
-                          help="seeds per (shards, rate) cell")
-    frontier.add_argument("--seed", type=int, default=0,
-                          help="first seed of the per-cell seed range")
-    frontier.add_argument("--output", type=str, default=None,
-                          help="write the full cell matrix as JSON")
-    frontier.add_argument(
-        "--quick", action="store_true",
-        help="tiny CI smoke: 2-shard rate ladder, asserts monotone "
-        "achieved throughput below saturation and zero violations",
-    )
-    frontier.set_defaults(handler=_cmd_frontier)
 
     metrics = sub.add_parser(
         "metrics",

@@ -6,17 +6,13 @@
 - :mod:`repro.harness.report` — renders the series as the paper-style
   tables, compares the measured ratios against the published bands and
   lists the boolean expectations a result misses (``repro run``'s exit
-  status);
-- :mod:`repro.harness.frontier` — the open-loop latency–throughput
-  frontier sweep (offered rate × shard count, saturation detection).
+  status).
+
+The open-loop latency–throughput frontier (offered rate × shard count,
+saturation detection) is one of those experiments: ``repro run
+frontier``.
 """
 
-from repro.harness.frontier import (
-    FrontierCell,
-    FrontierResult,
-    run_cell,
-    run_frontier,
-)
 from repro.harness.experiments import (
     run_fig4_object_size,
     run_fig5_clients_async,
@@ -29,10 +25,6 @@ from repro.harness.experiments import (
 from repro.harness.report import render_series_table, summarize_bands
 
 __all__ = [
-    "FrontierCell",
-    "FrontierResult",
-    "run_cell",
-    "run_frontier",
     "run_fig4_object_size",
     "run_fig5_clients_async",
     "run_fig6_clients_sync",

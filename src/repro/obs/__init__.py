@@ -3,7 +3,7 @@
 Every layer of the sharded runtime used to keep its own ad-hoc stats —
 router counters, dispatcher batch histograms, control-plane report
 timings, harness series.  This package is the single substrate they all
-write to (and the autoscaler / latency-frontier harness read from):
+write to (and the autoscaler / the ``frontier`` experiment read from):
 
 - :mod:`repro.obs.metrics` — counter/gauge/histogram registry stamped
   with the simulator's *virtual* clock, plus streaming log-bucket

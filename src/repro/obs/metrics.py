@@ -197,9 +197,9 @@ class QuantileHistogram:
 
     def merge_from(self, other: "QuantileHistogram") -> None:
         """Fold another histogram into this one (identical bucketing, so
-        the merge is exact: bucket counts add).  The frontier harness
-        aggregates per-(shard, op) latency histograms into one cluster
-        distribution this way before asking for percentiles."""
+        the merge is exact: bucket counts add).  The ``frontier``
+        experiment aggregates per-(shard, op) latency histograms into one
+        cluster distribution this way before asking for percentiles."""
         self.count += other.count
         self.total += other.total
         self.floor += other.floor
@@ -304,8 +304,8 @@ class MetricsRegistry:
 
     def quantiles_named(self, name: str) -> list[QuantileHistogram]:
         """Every registered quantile histogram under ``name``, across all
-        label sets — the frontier harness merges these (exact: identical
-        bucketing) into one cluster-wide latency distribution."""
+        label sets — the ``frontier`` experiment merges these (exact:
+        identical bucketing) into one cluster-wide latency distribution."""
         prefix = name + "{"
         return [
             metric

@@ -100,12 +100,6 @@ class MaliciousServer:
             for client_id, message in messages
         ]
 
-    def ocall_store(self, blob: bytes) -> None:  # pragma: no cover - compat shim
-        self.instances[0].ocall_store(blob)
-
-    def ocall_load(self) -> bytes | None:  # pragma: no cover - compat shim
-        return self.instances[0].ocall_load()
-
     @property
     def storage(self) -> StableStorage:
         return self.instances[0].storage

@@ -275,7 +275,7 @@ class ShardRouter:
         #: (submit -> completion callback); the dict caches the metric
         #: objects so the completion path pays one lookup, not a key
         #: render.  Always on: the router is not the ab-guarded enclave
-        #: hot path, and the frontier harness needs the percentiles.
+        #: hot path, and the ``frontier`` experiment needs the percentiles.
         self._latency_quantiles: dict[tuple[int, str], Any] = {}
         registry.register_collector(self._collect_control_gauges)
         #: live (undecided or unacked) transactions, by txn id; finished

@@ -19,7 +19,8 @@ class TestParser:
         assert args.kind == "rollback"
 
     @pytest.mark.parametrize(
-        "command", ["figures", "shard", "elastic", "txn", "groupcommit"]
+        "command",
+        ["figures", "shard", "elastic", "txn", "groupcommit", "frontier"],
     )
     def test_experiments_run_only_by_name(self, command):
         with pytest.raises(SystemExit):
@@ -178,15 +179,50 @@ class TestSubcommands:
         assert "# sec62: paper vs. measured" in out
         assert "# sec63: paper vs. measured" in out
 
-    def test_frontier_is_one_sweep_without_arms(self):
-        with pytest.raises(SystemExit):
-            main(["frontier", "--quick", "--backends", "serial"])
+    @pytest.mark.parametrize("name, setting", [
+        ("shard_scaling", "shard_counts=2"),
+        ("fig5", "client_counts=4"),
+        ("sec63", "object_sizes=[]"),
+    ])
+    def test_malformed_sequence_exits_two(self, name, setting, capsys):
+        assert main(["run", name, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"run: {name}: {setting.partition('=')[0]} needs a " in err
 
     def test_frontier_quick_smoke(self, capsys, tmp_path):
         output = tmp_path / "frontier.json"
-        assert main(["frontier", "--quick", "--output", str(output)]) == 0
+        assert main([
+            "run", "frontier", "--set", "shard_counts=[2]",
+            "load_fractions=[0.5,0.9,1.3]", "duration=0.04",
+            "--output", str(output),
+        ]) == 0
         out = capsys.readouterr().out
-        assert out.count("saturation @ ") == 1
-        assert "saturation @ 2 shard(s)" in out
-        assert "FRONTIER FAILED" not in out
+        assert "saturation_by_shards" in out
+        assert "DIVERGES" not in out
         assert output.exists()
+
+    @pytest.mark.parametrize("setting, message", [
+        ("duration=0", "need duration > 0"),
+        ("load_fractions=[0.5,-1]", "need load_fractions > 0"),
+    ])
+    def test_frontier_rejects_nonsense_settings(self, setting, message, capsys):
+        assert main(["run", "frontier", "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
+
+    def test_failing_frontier_gate_exits_one(self, capsys, monkeypatch):
+        from repro.harness import experiments
+
+        measure = experiments._frontier_cell
+
+        def violated(*args):
+            return {**measure(*args), "violations": 1}
+
+        monkeypatch.setattr(experiments, "_frontier_cell", violated)
+        assert main([
+            "run", "frontier", "--set", "shard_counts=[1]",
+            "load_fractions=[0.5]", "duration=0.01",
+        ]) == 1
+        assert "DIVERGES: frontier.zero_violations" in capsys.readouterr().out
