@@ -59,9 +59,9 @@ def test_micro_full_invoke_round_trip(benchmark):
 def test_micro_invoke_with_state_growth(benchmark):
     """PUT on one of 200 objects (a scaled-down version of the paper's
     1000-object working set).  The seal re-encrypts only the written
-    entry; what still grows with the state is memcpy-speed work — the
-    dict copy in ``F``, assembling the blob and stable storage's block
-    compare, which keeps only the changed runs."""
+    entry and the store hands storage only that section, the writer's
+    row and the tag; what still grows with the state is the dict copy in
+    ``F``."""
     _, _, (alice, *_) = build_deployment()
     for i in range(200):  # scaled-down load phase to keep the suite quick
         alice.invoke(put(f"user{i:012d}", "v" * 100))
@@ -75,7 +75,9 @@ def test_micro_invoke_with_state_growth(benchmark):
 
 def _large_state_put():
     """64 keys x 4 KiB with one hot key: the state seal's own number — a
-    PUT encrypts and hashes one 4 KiB section of a 256 KiB state."""
+    PUT encrypts and hashes one 4 KiB section of a 256 KiB state, and
+    the store copies that section, the writer's row and the tag into
+    storage's newest version; no 256 KiB blob is joined or compared."""
     _, _, (alice, *_) = build_deployment()
     for i in range(64):
         alice.invoke(put(f"object{i:04d}", "v" * 4096))

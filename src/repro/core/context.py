@@ -104,6 +104,13 @@ Reusing a cached box verbatim across seals is safe: the identical
 (key, nonce, plaintext) box carries no new information, and any change to
 the protected content reseals that piece under a fresh nonce, so no
 (key, nonce) pair ever covers two plaintexts.
+
+A store hands the host only what the seal rewrote: the ``(offset,
+bytes)`` runs of the changed pieces, against the blob the same context
+stored last (:mod:`repro.server.storage`).  The first store after a
+start, a restore, a provision or a migration import is the whole blob.
+The runs tell the host nothing that comparing consecutive versions
+would not.
 """
 
 from __future__ import annotations
@@ -320,9 +327,15 @@ class _PackedPieceTable(_PieceTable):
     prefix sum over the piece lengths; equal-length replacement is a
     memcpy of the piece, anything else also moves what follows.
     Manifest pieces are all ``_HASH_FRAME``-framed hashes, one width.
+
+    The table also records what changed in ``blob`` since the last
+    :meth:`take_changes`: the pieces rewritten at equal length, by
+    offset, and the lowest offset from which bytes moved (an insert, a
+    removal or a resize), so the store after a seal can hand over just
+    those bytes.
     """
 
-    __slots__ = ("_lengths",)
+    __slots__ = ("_lengths", "_rewritten", "_moved")
 
     _WIDTH = len(_HASH_FRAME) + 32
 
@@ -332,11 +345,25 @@ class _PackedPieceTable(_PieceTable):
         self.manifest = bytearray()
         self._lengths: list[int] = []
         self.header = self._frame(0)
+        self._rewritten: dict[int, bytes] = {}
+        self._moved: int | None = 0  # every byte is new
+
+    def take_changes(self) -> tuple[dict[int, bytes], int | None]:
+        """The changes to ``blob`` since the last call: the pieces
+        rewritten at equal length, by offset (the newest per offset), and
+        the offset bytes moved from (None if none did)."""
+        changes = self._rewritten, self._moved
+        self._rewritten, self._moved = {}, None
+        return changes
 
     def _span(self, slot: int, present: bool) -> tuple[int, int]:
         lengths = self._lengths
         start = sum(lengths[:slot]) if slot < len(lengths) else len(self.blob)
         return start, start + lengths[slot] if present else start
+
+    def _moved_from(self, start: int) -> None:
+        if self._moved is None or start < self._moved:
+            self._moved = start
 
     def put(self, key: bytes, blob_piece: bytes, manifest_piece: bytes) -> None:
         keys = self.keys
@@ -344,6 +371,10 @@ class _PackedPieceTable(_PieceTable):
         present = slot < len(keys) and keys[slot] == key
         start, end = self._span(slot, present)
         self.blob[start:end] = blob_piece
+        if present and end - start == len(blob_piece):
+            self._rewritten[start] = blob_piece
+        else:
+            self._moved_from(start)
         at = slot * self._WIDTH
         self.manifest[at : at + self._WIDTH if present else at] = manifest_piece
         if present:
@@ -362,6 +393,76 @@ class _PackedPieceTable(_PieceTable):
             del self.blob[start:end], self.manifest[at : at + self._WIDTH]
             del keys[slot], self._lengths[slot]
             self.header = self._frame(len(keys))
+            self._moved_from(start)
+
+
+#: Where :meth:`LcmContext._blob_pieces` puts the state sections buffer:
+#: behind the outer list header, the key and static boxes, the dynamic
+#: layer's length header and list header, and the sections' list header.
+_SECTIONS_SLOT = 6
+
+
+def _store_runs(
+    stored: list,
+    starts: list[int],
+    pieces: list,
+    rewritten: dict[int, bytes],
+    moved: int | None,
+) -> tuple[list[tuple[int, bytes]], list[int]]:
+    """The ascending ``(offset, bytes)`` runs that turn the blob a
+    context stored last into the join of ``pieces``, and the new
+    pieces' offsets.
+
+    ``stored`` is that store's piece list, the sections buffer standing
+    in by its length then, and ``starts`` its pieces' offsets and its
+    length; ``rewritten`` and ``moved`` are the buffer's changes since
+    (:meth:`_PackedPieceTable.take_changes`).  A piece that is the stored
+    one, or equal to it, adds nothing, and one replaced at equal length
+    is a run of its own.  The first length change moves every byte after
+    it, so the last run goes from there to the end; until one does, the
+    offsets stay ``starts``.  A run is an immutable piece itself, or a
+    copy out of the buffer, never a view of it.
+    """
+    # most pieces are the very objects stored last: visit only the others
+    # (the sections slot always, its stand-in being a length)
+    changed = [
+        *itertools.compress(itertools.count(), map(operator.is_not, pieces, stored)),
+        *range(len(stored), len(pieces)),
+    ]
+    runs: list[tuple[int, bytes]] = []
+    append = runs.append
+    known = len(stored)
+    for index in changed:
+        piece = pieces[index]
+        if index == _SECTIONS_SLOT:
+            at = starts[index]
+            cut = len(piece) if moved is None else moved
+            runs.extend(
+                (at + start, data)
+                for start, data in sorted(rewritten.items())
+                if start < cut
+            )
+            if moved is None:
+                continue
+            if stored[index] == len(piece):
+                append((at + moved, bytes(memoryview(piece)[moved:])))
+                continue
+            at += moved
+            rest = [memoryview(piece)[moved:], *pieces[index + 1 :]]
+        elif index < known and len(stored[index]) == len(piece):
+            if stored[index] != piece:
+                append((starts[index], piece))
+            continue
+        else:
+            at = starts[index]
+            rest = pieces[index:]
+        # a length changed here: every byte after it moved
+        append((at, b"".join(rest)))
+        break
+    else:
+        if len(pieces) == known:
+            return runs, starts
+    return runs, [0, *itertools.accumulate(map(len, pieces))]
 
 
 #: Decoded forms of recently seen operation encodings (real workloads repeat
@@ -498,6 +599,12 @@ class LcmContext:
         # store; the invoke path feeds the table the real ones
         self._row_pieces = _PieceTable(_dict_header)
         self._dirty_rows: set[int] = set()
+        # the pieces of the blob this context stored last (the sections
+        # buffer standing in by its length) and their offsets: the base of
+        # the next store's delta (None: the next store is a whole blob —
+        # so is a restored context's first, as storage's newest version
+        # may be another than the one it restored after a rollback)
+        self._stored: tuple[list, list[int]] | None = None
         self._provisioned = False
         self._halted: SecurityViolation | None = None
         self._dh: DhKeyPair | None = None
@@ -746,6 +853,7 @@ class LcmContext:
         self._sealed_scalars = {}
         self._row_pieces.clear()
         self._dirty_rows = set(self._rows.client_ids())
+        self._stored = None
 
     # ----------------------------------------------------------------- sealing
 
@@ -904,7 +1012,7 @@ class LcmContext:
         """The pieces of ``serde([[section, ...], {id: row_record},
         manifest_tag])``, resealing only what changed.
 
-        Only called from :meth:`_sealed_blob`, which guarantees the static
+        Only called from :meth:`_blob_pieces`, which guarantees the static
         blob (and its hash) exist first.
         """
         self._refresh_dynamic_seals()
@@ -933,9 +1041,11 @@ class LcmContext:
             _frame_bytes(tag),
         ]
 
-    def _sealed_blob(self) -> bytes:
+    def _blob_pieces(self) -> list:
         """Seal the mutable pieces that changed; reuse the cached static
-        config and kP-under-kS boxes unless they were invalidated."""
+        config and kP-under-kS boxes unless they were invalidated.
+        Returns the sealed blob as its pieces, in order, the sections
+        buffer at :data:`_SECTIONS_SLOT`."""
         if self._key_blob is None:
             self._key_blob = _frame_bytes(
                 auth_encrypt(
@@ -962,20 +1072,41 @@ class LcmContext:
             self._static_blob = _frame_bytes(box)
             self._static_blob_hash = _frame_bytes(_sha256(box).digest())
         dynamic = self._dynamic_parts()
-        # one join for the whole blob: the cached pieces are copied once
-        return b"".join(
-            [
-                _THREE_LIST_HEADER,
-                self._key_blob,
-                self._static_blob,
-                _bytes_header(sum(map(len, dynamic))),
-                *dynamic,
-            ]
-        )
+        return [
+            _THREE_LIST_HEADER,
+            self._key_blob,
+            self._static_blob,
+            _bytes_header(sum(map(len, dynamic))),
+            *dynamic,
+        ]
+
+    def _sealed_blob(self) -> bytes:
+        """The whole sealed blob, joined from its pieces.  Leaves the
+        record of what changed since the last store alone, so the next
+        store's delta still covers it."""
+        return b"".join(self._blob_pieces())
+
+    def _seal_for_store(self) -> bytes | tuple[int, int, list]:
+        """Seal, and return what the host stores: the delta
+        ``(base_length, length, runs)`` against the blob this context
+        stored last (:mod:`repro.server.storage`), or the whole blob when
+        this context has not stored since it started, restored or
+        dropped its seal caches."""
+        pieces = self._blob_pieces()
+        rewritten, moved = self._sections.take_changes()
+        layout = pieces.copy()
+        layout[_SECTIONS_SLOT] = len(pieces[_SECTIONS_SLOT])
+        if self._stored is None:
+            self._stored = (layout, [0, *itertools.accumulate(map(len, pieces))])
+            return b"".join(pieces)
+        base, base_starts = self._stored
+        runs, starts = _store_runs(base, base_starts, pieces, rewritten, moved)
+        self._stored = (layout, starts)
+        return base_starts[-1], starts[-1], runs
 
     def _seal_and_store(self) -> None:
         """Seal the state and persist it through the (untrusted) host."""
-        self._env.ocall_store(self._sealed_blob())
+        self._env.ocall_store(self._seal_for_store())
 
     # ----------------------------------------------------------------- ecalls
 
@@ -1070,7 +1201,7 @@ class LcmContext:
             # Sec. 5.2: hand the sealed state back with the replies; the
             # untrusted server writes it to disk (it cannot read or forge
             # it — only delay or roll it back, which LCM detects anyway).
-            outcome = {"replies": boxes, "state": self._sealed_blob()}
+            outcome = {"replies": boxes, "state": self._seal_for_store()}
         else:
             self._seal_and_store()
             outcome = boxes

@@ -8,15 +8,13 @@ that — ``BACKEND.native``:
     and every fused primitive built on it: the CTR block loop, whole AEAD
     boxes singly and in batches, the hash-chain step, batched SHA-256,
     and the protocol codecs (client INVOKE seal / REPLY open, and the
-    enclave's whole-batch INVOKE open and REPLY seal), plus stable
-    storage's block diff.  Compiled once into ``_fastpath_build/`` next
-    to this module and reused across processes; needs ``cffi`` and a C
-    compiler at first import.
+    enclave's whole-batch INVOKE open and REPLY seal).  Compiled once
+    into ``_fastpath_build/`` next to this module and reused across
+    processes; needs ``cffi`` and a C compiler at first import.
 ``python`` (not native)
-    The SHA-256-CTR block loop on hashlib and the block diff on
-    ``bytes.startswith``, and nothing else: the AEAD layer, the hash
-    chain and the trusted context compose everything above it from
-    hashlib themselves.  It is the only tier that runs without cffi or a
+    The SHA-256-CTR block loop on hashlib, and nothing else: the AEAD
+    layer, the hash chain and the trusted context compose everything
+    above it from hashlib themselves.  It is the only tier that runs without cffi or a
     compiler, and the reference the parity suite compares ``c`` against.
 
 Both tiers produce **byte-identical** keystreams, tags, boxes and wire
@@ -53,13 +51,6 @@ _COUNTERS = tuple(counter.to_bytes(8, "big") for counter in range(4096))
 
 _ENV_VAR = "REPRO_FASTPATH"
 
-#: Granularity of ``diff_blocks`` on both tiers: stable storage keeps the
-#: 256-byte blocks of a version that differ from the previous one.
-#: Smaller blocks retain fewer unchanged bytes around a change but cost
-#: more compares and more, shorter runs per store.
-DIFF_BLOCK = 256
-
-
 def _counters(nblocks: int):
     if nblocks <= len(_COUNTERS):
         return _COUNTERS[:nblocks]
@@ -67,8 +58,7 @@ def _counters(nblocks: int):
 
 
 class PythonBackend:
-    """The hashlib block loop and the block diff (pure Python, no fused
-    primitives)."""
+    """The hashlib block loop (pure Python, no fused primitives)."""
 
     name = "python"
     #: The one question callers ask of a backend: does it carry the fused
@@ -93,26 +83,6 @@ class PythonBackend:
                 block.update(counter)
                 append(block.digest())
         return _join(blocks)
-
-    def diff_blocks(self, a: bytes, b: bytes) -> list[tuple[int, int]]:
-        """The ``[start, end)`` runs of ``b`` whose :data:`DIFF_BLOCK`-byte
-        blocks differ from the bytes at the same offsets of ``a``, adjacent
-        changed blocks coalesced.  A block reaching past the end of ``a``
-        differs, so the runs cover everything ``b`` has beyond ``a``."""
-        view = memoryview(b)
-        startswith = a.startswith
-        runs: list[tuple[int, int]] = []
-        end = -1
-        for lo in range(0, len(b), DIFF_BLOCK):
-            block = view[lo : lo + DIFF_BLOCK]
-            if startswith(block, lo):
-                continue
-            hi = lo + len(block)
-            if lo == end:  # extends the previous run
-                lo = runs.pop()[0]
-            runs.append((lo, hi))
-            end = hi
-        return runs
 
 
 # --------------------------------------------------------------------- C
@@ -201,9 +171,6 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
                            unsigned char *out_boxes,
                            unsigned char *out_rows,
                            unsigned char *out_manifests);
-size_t lcm_diff_blocks(const unsigned char *a, size_t a_len,
-                       const unsigned char *b, size_t b_len,
-                       size_t block, unsigned long long *runs);
 """
 
 _C_SOURCE = r"""
@@ -1341,31 +1308,6 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
     free(scratch);
     return 0;
 }
-
-/* Stable storage's block diff: one memcmp per `block`-byte block of b
-   against the same offsets of a (a block reaching past the end of a
-   differs).  Writes the coalesced [start, end) runs of differing blocks
-   to `runs` as start/end pairs and returns their count; at most every
-   other block starts a run, so ceil(blocks / 2) pairs always fit. */
-size_t lcm_diff_blocks(const unsigned char *a, size_t a_len,
-                       const unsigned char *b, size_t b_len,
-                       size_t block, unsigned long long *runs)
-{
-    size_t count = 0, lo, hi;
-    for (lo = 0; lo < b_len; lo = hi) {
-        hi = b_len - lo > block ? lo + block : b_len;
-        if (hi <= a_len && memcmp(a + lo, b + lo, hi - lo) == 0)
-            continue;
-        if (count && runs[2 * count - 1] == lo) {
-            runs[2 * count - 1] = hi;
-        } else {
-            runs[2 * count] = lo;
-            runs[2 * count + 1] = hi;
-            count++;
-        }
-    }
-    return count;
-}
 """
 
 _BUILD_DIR = pathlib.Path(__file__).resolve().with_name("_fastpath_build")
@@ -1388,8 +1330,7 @@ class CBackend:
         self._ffi = ffi
         self._lib = lib
         # Reusable per-thread argument/output buffers for the per-message
-        # wrappers (seal_invoke, open_reply, invoke_batch_open/_reply,
-        # diff_blocks):
+        # wrappers (seal_invoke, open_reply, invoke_batch_open/_reply):
         # allocating fresh arrays and exporting them through
         # ``ffi.from_buffer`` costs more than the C work they carry at
         # typical batch sizes, so the cdata handles are built once and
@@ -1425,25 +1366,15 @@ class CBackend:
             s["chain_io_cd"] = ffi.from_buffer(s["chain_io"])
         return s
 
-    def _byte_scratch(self, s: dict, key: str, size: int, ctype: str = "char[]"):
+    def _byte_scratch(self, s: dict, key: str, size: int):
         """A per-thread output bytearray of at least ``size`` bytes plus
         its cached cdata handle (grown geometrically on demand)."""
         buf = s.get(key)
         if buf is None or len(buf) < size:
             buf = bytearray(max(1024, 2 * size))
             s[key] = buf
-            s[key + "_cd"] = self._ffi.from_buffer(ctype, buf)
+            s[key + "_cd"] = self._ffi.from_buffer(buf)
         return buf, s[key + "_cd"]
-
-    def diff_blocks(self, a: bytes, b: bytes) -> list[tuple[int, int]]:
-        """:meth:`PythonBackend.diff_blocks` in one C pass."""
-        pairs = -(-len(b) // DIFF_BLOCK) // 2 + 2
-        runs, runs_cd = self._byte_scratch(
-            self._scratch.__dict__, "runs", 16 * pairs, "unsigned long long[]"
-        )
-        count = self._lib.lcm_diff_blocks(a, len(a), b, len(b), DIFF_BLOCK, runs_cd)
-        bounds = iter(memoryview(runs).cast("Q")[: 2 * count].tolist())
-        return list(zip(bounds, bounds))
 
     def blocks(self, prefix: bytes, nblocks: int) -> bytes:
         out = bytearray(nblocks * 32)

@@ -116,14 +116,13 @@ class CostModel:
 
     # --- sealed-store geometry.  The sealed blob is the key box, the static
     # box, one state section per top-level entry (canonical key order), the
-    # V rows and the manifest tag, and StableStorage persists consecutive
-    # blobs as block deltas: a store writes the 256-byte blocks that
-    # changed.  A read writes no section, only the changed V row — a
-    # REPLY box carrying the object — plus the manifest tag; a write adds
-    # the one section it resealed.  The disk charge models the read's
-    # changed pieces (the rounding to whole blocks is not modelled; it
-    # outweighs the pieces only for objects well under a block); the full
-    # size is kept for cold stores and diagnostics.
+    # V rows and the manifest tag, and a store hands StableStorage only the
+    # pieces the seal rewrote.  A read writes no section, only the changed
+    # V row — a REPLY box carrying the object — plus the manifest tag; a
+    # write adds the one section it resealed.  The disk charge models the
+    # read's changed pieces (the framing around them is not modelled: at
+    # 100-byte objects a read retains 371 B against the 196 B charged); the
+    # full size is kept for cold stores and diagnostics.
     sealed_blob_base: int = 256   # full blob: key/static/state boxes + framing
     sealed_delta_base: int = 96   # per-op delta: changed row + manifest tag
 
@@ -153,8 +152,8 @@ class CostModel:
     def sealed_store_bytes(self, object_size: int, *, delta: bool = True) -> int:
         """Bytes one per-op state store writes to disk.
 
-        ``delta=True`` (the steady state) charges the changed pieces whose
-        blocks StableStorage actually retains; ``delta=False`` the whole
+        ``delta=True`` (the steady state) charges the changed pieces
+        StableStorage actually retains; ``delta=False`` the whole
         sealed blob (first store of an epoch, membership/key events).
         """
         base = self.sealed_delta_base if delta else self.sealed_blob_base

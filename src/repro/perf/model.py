@@ -88,8 +88,8 @@ def service_time(
             per_batch += costs.lcm_state_seal_extra
         if spec.tmc:
             per_batch += costs.tmc_increment_latency
-        # StableStorage delta-compresses consecutive sealed blobs, so
-        # the steady-state store hits the disk with the changed blocks only
+        # the seal hands StableStorage only the pieces it rewrote, so
+        # the steady-state store hits the disk with those bytes only
         write_time = costs.disk.write_time(costs.sealed_store_bytes(z), fsync=fsync)
         if spec.lcm and fsync:
             write_time *= costs.lcm_sync_write_factor

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import StorageError
-from repro.server.storage import StableStorage
+from repro.server.storage import Delta, StableStorage
 from repro.tee.enclave import Enclave, EnclaveProgram
 from repro.tee.platform import TeePlatform
 
@@ -41,7 +41,7 @@ class _Instance:
     name: str = ""
     recorded_invokes: list[tuple[int, bytes]] = field(default_factory=list)
 
-    def ocall_store(self, blob: bytes) -> None:
+    def ocall_store(self, blob: bytes | Delta) -> None:
         self.storage.store(blob)
 
     def ocall_load(self) -> bytes | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.server.storage import StableStorage
+from repro.server.storage import Delta, StableStorage
 from repro.tee.enclave import Enclave, EnclaveProgram
 from repro.tee.platform import TeePlatform
 
@@ -61,8 +61,9 @@ class ServerHost:
 
     # ---------------------------------------------------------- ocall surface
 
-    def ocall_store(self, blob: bytes) -> None:
-        """Persist a sealed blob on behalf of the enclave (correct host)."""
+    def ocall_store(self, blob: bytes | Delta) -> None:
+        """Persist a sealed blob, or a delta against the last one, on
+        behalf of the enclave (correct host)."""
         self.storage.store(blob)
 
     def ocall_load(self) -> bytes | None:
@@ -85,8 +86,9 @@ class ServerHost:
         """Forward a batch of (client_id, INVOKE) pairs in one ecall.
 
         When the context runs with the Sec. 5.2 piggyback optimisation,
-        the sealed state arrives with the replies and the server writes
-        it to disk before forwarding them.
+        the sealed state (the same blob or delta the ocall would have
+        carried) arrives with the replies and the server writes it to
+        disk before forwarding them.
         """
         self.requests_handled += len(messages)
         payload = [message for _, message in messages]

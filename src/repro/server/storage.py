@@ -6,18 +6,25 @@ what gives a malicious server its rollback ammunition ("a malicious server
 may still return a correctly protected but outdated state", Sec. 2.3) and
 lets tests assert exactly which stale state was replayed.
 
-Consecutive per-batch versions of a sealed state blob differ in a few
-places: the sections a batch resealed, the V rows of the clients it
-answered and the manifest tag; the key and static-config boxes change
-only on membership or key events.  The store exploits that: each version
-is kept as ``(length, runs)`` — the ``(offset, bytes)`` runs of
-:data:`~repro.crypto.fastpath.DIFF_BLOCK`-byte blocks that differ from
-the previously appended version, found in one pass by the fastpath
-backend's ``diff_blocks`` — with a full snapshot every
+:meth:`StableStorage.store` takes one of two things:
+
+- a whole blob (``bytes``), kept as a snapshot;
+- a **delta** ``(base_length, length, runs)``: the new version is the
+  newest stored one (which must be ``base_length`` bytes long), cut or
+  grown to ``length`` bytes, with each ``(offset, bytes)`` run of
+  ``runs`` written at its offset.  Runs ascend, do not overlap, lie
+  inside ``[0, length]`` and cover everything past ``base_length``.
+
+The LCM context emits the delta itself: it knows which pieces of its
+sealed blob each seal rewrote (the sections a batch resealed, the V rows
+of the clients it answered, the manifest tag), so a per-batch store
+hands over those bytes and nothing else — no whole-blob join and no
+compare.  The store keeps its newest version as one buffer patched in
+place and appends ``(length, runs)``, with a full snapshot every
 :data:`SNAPSHOT_INTERVAL` versions so any version reconstructs from a
 bounded number of records.  A store therefore retains O(bytes it
-changed), wherever in the blob they lie.  The external contract is
-unchanged: ``load``/``load_version`` return the exact bytes stored.
+changed).  The external contract is unchanged: ``load``/``load_version``
+return the exact bytes of each version, as ``bytes``.
 
 ``DiskModel`` supplies the timing side for the performance experiments:
 Fig. 5 runs with asynchronous writes (the write syscall returns after
@@ -29,14 +36,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import fastpath as _fastpath
 from repro.errors import StorageError
 
 #: Every Nth version is stored in full, bounding delta-chain reconstruction.
 SNAPSHOT_INTERVAL = 64
 
+#: What :meth:`StableStorage.store` takes besides a whole blob: the base
+#: version's length, the new length and the ascending ``(offset, bytes)``
+#: runs that turn the one into the other.
+Delta = tuple[int, int, list[tuple[int, bytes]]]
+
 #: A stored version: the whole blob (a snapshot), or its length and the
-#: ``(offset, bytes)`` runs that differ from the previously appended one.
+#: ``(offset, bytes)`` runs written over the previously appended one.
 _Record = bytes | tuple[int, list[tuple[int, bytes]]]
 
 
@@ -44,6 +55,32 @@ def _retained_bytes(record: _Record) -> int:
     if isinstance(record, bytes):
         return len(record)
     return sum(len(data) for _, data in record[1])
+
+
+def _check_runs(base_length: int, length: int, runs: list) -> None:
+    """Refuse runs that would not patch a ``base_length``-byte version
+    into a ``length``-byte one.  Slice assignment past the end of a
+    ``bytearray`` appends at the end instead of at the offset, so a gap
+    or a stray offset would silently store the wrong bytes."""
+    end = 0  # where the previous run stopped
+    covered = base_length  # the new bytes are known up to here
+    for offset, data in runs:
+        if type(data) is not bytes:
+            raise StorageError("a delta run holds bytes only")
+        stop = offset + len(data)
+        if offset < 0 or stop > length:
+            raise StorageError(
+                f"delta run [{offset}, {stop}) lies outside [0, {length}]"
+            )
+        if offset < end:
+            raise StorageError("delta runs are not ascending")
+        if offset <= covered < stop:
+            covered = stop
+        end = stop
+    if covered < length:
+        raise StorageError(
+            f"delta leaves [{covered}, {length}) past its base uncovered"
+        )
 
 
 @dataclass(frozen=True)
@@ -76,37 +113,49 @@ class StableStorage:
     the next enclave restart.
     """
 
-    def __init__(self, name: str = "stable-storage", *, delta: bool = True) -> None:
+    def __init__(self, name: str = "stable-storage") -> None:
         self.name = name
-        #: block deltas only pay off when consecutive versions are
-        #: near-copies (sealed state blobs); stores whose versions are
-        #: unrelated records (the coordinator's decision log) pass
-        #: ``delta=False`` and skip the diff — every version is a snapshot
-        self._delta = delta
         self._records: list[_Record] = []
-        self._tail: bytes = b""  # full bytes of the newest version
+        #: the newest version: a snapshot's bytes, or the buffer the
+        #: deltas since then patched in place
+        self._tail: bytes | bytearray = b""
         self._current: int = -1
         self.stores = 0
         self.loads = 0
 
     # -------------------------------------------------- correct-host surface
 
-    def store(self, blob: bytes) -> int:
-        """Persist a blob; returns its version index."""
-        if not isinstance(blob, (bytes, bytearray)):
-            raise StorageError("stable storage holds bytes only")
-        blob = bytes(blob)
-        if self._delta and len(self._records) % SNAPSHOT_INTERVAL:
-            runs = _fastpath.BACKEND.diff_blocks(self._tail, blob)
-            self._records.append(
-                (len(blob), [(lo, blob[lo:hi]) for lo, hi in runs])
-            )
+    def store(self, blob: bytes | Delta) -> int:
+        """Persist a whole blob or a :data:`Delta` against the newest
+        version; returns the new version's index."""
+        if isinstance(blob, tuple):
+            record = self._patch(*blob)
+        elif isinstance(blob, (bytes, bytearray)):
+            record = self._tail = bytes(blob)
         else:
-            self._records.append(blob)
-        self._tail = blob
+            raise StorageError("stable storage holds bytes only")
+        self._records.append(record)
         self._current = len(self._records) - 1
         self.stores += 1
         return self._current
+
+    def _patch(self, base_length: int, length: int, runs: list) -> _Record:
+        """Apply a delta to the newest version; returns its record."""
+        if not self._records or base_length != len(self._tail):
+            raise StorageError(
+                f"a delta against {base_length} bytes does not patch the "
+                "newest version"
+            )
+        _check_runs(base_length, length, runs)
+        tail = self._tail
+        if type(tail) is not bytearray:  # a snapshot: patch a private copy
+            tail = self._tail = bytearray(tail)
+        del tail[length:]
+        for offset, data in runs:
+            tail[offset : offset + len(data)] = data
+        if len(self._records) % SNAPSHOT_INTERVAL == 0:
+            return bytes(tail)
+        return length, runs
 
     def load(self) -> bytes | None:
         """Return the blob at the current pointer (None if nothing stored)."""
@@ -124,7 +173,7 @@ class StableStorage:
         if not 0 <= index < len(self._records):
             raise StorageError(f"no stored version {index}")
         if index == len(self._records) - 1:
-            return self._tail
+            return bytes(self._tail)
         base = index
         while not isinstance(self._records[base], bytes):
             base -= 1
@@ -159,8 +208,9 @@ class StableStorage:
         """Bytes the most recent store physically retained (its runs).
 
         This is the quantity the :class:`DiskModel` charges a steady-state
-        sync write for (``CostModel.sealed_store_bytes``): the blocks equal
-        to the previous version's never hit the disk again.
+        sync write for (``CostModel.sealed_store_bytes``): the bytes a
+        delta leaves out equal the previous version's and never hit the
+        disk again.
         """
         if not self._records:
             return None

@@ -240,8 +240,9 @@ class ShardRouter:
         #: ``["D", txn_id, decision]`` *before* phase 2 is driven,
         #: ``["F", txn_id]`` once every participant acked — the recovery
         #: source for :meth:`recover_transactions`
-        self._txn_store = txn_store if txn_store is not None else (
-            StableStorage("txn-decision-log", delta=False)
+        self._txn_store = (
+            txn_store if txn_store is not None
+            else StableStorage("txn-decision-log")
         )
         #: ``F`` records awaiting the next durable store.  While other
         #: transactions are still in flight a future ``B``/``D`` append is

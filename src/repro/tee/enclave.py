@@ -32,13 +32,15 @@ from repro.errors import EnclaveError, EnclaveStopped
 class HostInterface(Protocol):
     """Ocall surface the untrusted host exposes to the enclave.
 
-    The return value of :meth:`ocall_load` is entirely under host control:
-    a correct host returns the most recently stored blob, a malicious host
-    may return an older blob (rollback) or feed different blobs to different
-    enclave instances (forking).
+    :meth:`ocall_store` takes a whole blob or a delta against the blob
+    last stored (:data:`repro.server.storage.Delta`).  The return value
+    of :meth:`ocall_load` is entirely under host control: a correct host
+    returns the most recently stored blob, a malicious host may return an
+    older blob (rollback) or feed different blobs to different enclave
+    instances (forking).
     """
 
-    def ocall_store(self, blob: bytes) -> None: ...
+    def ocall_store(self, blob: bytes | tuple) -> None: ...
 
     def ocall_load(self) -> bytes | None: ...
 
@@ -72,7 +74,7 @@ class EnclaveEnv:
         self.secure_random = secure_random
         self._host = host
 
-    def ocall_store(self, blob: bytes) -> None:
+    def ocall_store(self, blob: bytes | tuple) -> None:
         self._host.ocall_store(blob)
 
     def ocall_load(self) -> bytes | None:

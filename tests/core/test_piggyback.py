@@ -72,6 +72,32 @@ class TestPiggybackMode:
         assert len(replies) == 2
         assert host.stored_versions() == before + 1
 
+    def test_piggybacked_state_is_the_stores_delta(self):
+        """The outcome carries what the ocall would have stored: after the
+        first (whole) store of an epoch, a delta against it whose result
+        is byte for byte the context's whole sealed blob."""
+        host, _, (alice, *_) = piggyback_deployment()
+        program = host.enclave._program
+        outcomes = []
+        ecall = host.enclave.ecall
+
+        def capture(name, payload):
+            outcome = ecall(name, payload)
+            outcomes.append(outcome)
+            return outcome
+
+        host.enclave.ecall = capture
+        alice.invoke(put("k", "v" * 50))
+        alice.invoke(put("k", "w" * 80))
+        for outcome in outcomes:
+            _, _, runs = outcome["state"]
+            assert all(type(data) is bytes for _, data in runs)
+        assert host.storage.load() == program._sealed_blob()
+        host.reboot()
+        alice.invoke(get("k"))
+        assert isinstance(outcomes[-1]["state"], bytes)  # first store: whole
+        assert alice.invoke(get("k")).result == "w" * 80
+
     def test_rollback_still_detected(self):
         host, _, (alice, *_) = piggyback_deployment(malicious=True)
         alice.invoke(put("k", "v1"))

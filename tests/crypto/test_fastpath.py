@@ -9,7 +9,6 @@ each tier against independent stdlib computations.
 import hashlib
 import hmac
 import os
-import random
 import subprocess
 import sys
 
@@ -128,54 +127,6 @@ class TestBackendEquivalence:
         assert aead._tags_for_batch(KEY, ad, views) == [
             _reference_tag(MAC_KEY, ad, payload) for payload in payloads
         ]
-
-    def test_diff_blocks_identical_across_backends(self):
-        """Stable storage's block diff: both tiers return the runs of
-        whole blocks of ``b`` that differ from ``a`` at the same offsets,
-        adjacent ones coalesced, on the edge shapes and on random pairs."""
-        block = fastpath.DIFF_BLOCK
-
-        def reference(a, b):
-            runs = []
-            for lo in range(0, len(b), block):
-                hi = min(lo + block, len(b))
-                if a[lo:hi] == b[lo:hi]:
-                    continue
-                if runs and runs[-1][1] == lo:
-                    runs[-1] = (runs[-1][0], hi)
-                else:
-                    runs.append((lo, hi))
-            return runs
-
-        def patched(blob, *offsets):
-            out = bytearray(blob)
-            for offset in offsets:
-                out[offset] ^= 0x5A
-            return bytes(out)
-
-        rng = random.Random(7)
-        base = rng.randbytes(5 * block + 13)  # not a multiple of the block
-        cases = [
-            (base, base),  # equal
-            (b"", b""),
-            (b"", base),
-            (base, b""),
-            (base, base + rng.randbytes(700)),  # growth
-            (base, base[: 2 * block + 1]),  # shrinkage
-            (base, patched(base, 0)),  # first block
-            (base, patched(base, len(base) - 1)),  # last, partial block
-            (base, patched(base, block - 1, block, 3 * block)),  # coalesced
-            (base[:block], patched(base, 5)[: block - 1]),
-        ]
-        for _ in range(200):
-            a = rng.randbytes(rng.randrange(4 * block))
-            b = patched(a, *rng.sample(range(len(a)), min(len(a), rng.randrange(4))))
-            b = b[: rng.randrange(len(b) + 1)] + rng.randbytes(rng.choice((0, 0, 300)))
-            cases.append((a, b))
-        for a, b in cases:
-            expected = reference(a, b)
-            for backend in _all_backends():
-                assert backend.diff_blocks(a, b) == expected, backend.name
 
     def test_native_sha256_matches_stdlib(self):
         backend = fastpath._get_backend("c")

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.crypto.fastpath import DIFF_BLOCK
 from repro.errors import StorageError
-from repro.server.storage import DiskModel, StableStorage
+from repro.server.storage import SNAPSHOT_INTERVAL, DiskModel, StableStorage
 
 
 class TestStableStorage:
@@ -70,31 +69,119 @@ class TestStableStorage:
         assert storage.total_bytes() == 3
         assert storage.latest_index() == 0
 
-    def test_last_delta_bytes_tracks_the_persisted_suffix(self):
-        """A store retains the blocks that differ from the previous
-        version and whatever lies beyond its length — not the suffix from
-        the first change on."""
+    def test_whole_blobs_are_snapshots(self):
         storage = StableStorage()
         assert storage.last_delta_bytes() is None
-        old = bytes(range(256)) * 4  # four blocks
-        storage.store(old)
-        assert storage.last_delta_bytes() == len(old)  # a snapshot
-        patched = bytearray(old)
-        patched[300] ^= 1  # block 1
-        patched[1000] ^= 1  # block 3
-        grown = bytes(patched) + b"tail"
-        storage.store(grown)
-        # blocks 1 and 3 plus the four bytes past the old length
-        assert DIFF_BLOCK == 256
-        assert storage.last_delta_bytes() == 256 + 256 + 4
-        storage.store(grown)
+        for blob in (b"abcdef", b"abcdef", b"abc"):
+            storage.store(blob)
+            assert storage.last_delta_bytes() == len(blob)
+        assert storage.physical_bytes() == storage.total_bytes() == 15
+
+
+class TestDeltaStores:
+    """A delta ``(base_length, length, runs)`` patches the newest version."""
+
+    def test_delta_patches_the_newest_version(self):
+        storage = StableStorage()
+        storage.store(b"0123456789")
+        # equal length: two runs rewritten in place
+        storage.store((10, 10, [(1, b"ab"), (7, b"x")]))
+        assert storage.load() == b"0ab3456x89"
+        assert storage.last_delta_bytes() == 3
+        # growth: the last run covers everything past the base
+        storage.store((10, 13, [(8, b"YYZZZ")]))
+        assert storage.load() == b"0ab3456xYYZZZ"
+        # shrink: cut to the new length, then patch
+        storage.store((13, 4, [(0, b"Q")]))
+        assert storage.load() == b"Qab3"
+        # nothing changed: an empty delta retains nothing
+        storage.store((4, 4, []))
         assert storage.last_delta_bytes() == 0
-        storage.store(grown[:600])  # a shrink keeps its equal prefix
-        assert storage.last_delta_bytes() == 0
-        assert storage.physical_bytes() == len(old) + 516
-        assert [storage.load_version(i) for i in range(4)] == [
-            old, grown, grown, grown[:600]
+        assert [storage.load_version(i) for i in range(5)] == [
+            b"0123456789", b"0ab3456x89", b"0ab3456xYYZZZ", b"Qab3", b"Qab3"
         ]
+        assert storage.physical_bytes() == 10 + 3 + 5 + 1 + 0
+        assert storage.total_bytes() == 10 + 10 + 13 + 4 + 4
+
+    def test_loads_return_bytes_the_next_delta_cannot_change(self):
+        storage = StableStorage()
+        storage.store(b"aaaa")
+        storage.store((4, 4, [(0, b"b")]))
+        newest = storage.load()
+        assert type(newest) is bytes and newest == b"baaa"
+        storage.store((4, 4, [(1, b"c")]))
+        assert newest == b"baaa"
+        assert type(storage.load_version(1)) is bytes
+
+    def test_delta_after_a_rollback_patches_the_newest_not_the_current(self):
+        storage = StableStorage()
+        storage.store(b"old!")
+        storage.store(b"newer")
+        storage.rollback_to(0)
+        storage.store((5, 5, [(0, b"N")]))
+        assert storage.load() == b"Newer"
+
+    def test_base_length_mismatch_refused(self):
+        storage = StableStorage()
+        with pytest.raises(StorageError):
+            storage.store((0, 1, [(0, b"x")]))  # nothing to patch yet
+        storage.store(b"abc")
+        with pytest.raises(StorageError):
+            storage.store((4, 4, [(0, b"x")]))
+        assert storage.version_count() == 1
+
+    def test_run_outside_the_new_length_refused(self):
+        storage = StableStorage()
+        storage.store(b"abcdef")
+        with pytest.raises(StorageError):
+            storage.store((6, 6, [(5, b"xy")]))  # past the end
+        with pytest.raises(StorageError):
+            storage.store((6, 6, [(-1, b"x")]))
+        with pytest.raises(StorageError):
+            storage.store((6, 3, [(2, b"xy")]))  # past a shrunk end
+        assert storage.load() == b"abcdef"
+
+    def test_runs_out_of_order_refused(self):
+        storage = StableStorage()
+        storage.store(b"abcdef")
+        with pytest.raises(StorageError):
+            storage.store((6, 6, [(3, b"x"), (1, b"y")]))
+        with pytest.raises(StorageError):
+            storage.store((6, 6, [(1, b"xyz"), (2, b"q")]))  # overlapping
+        assert storage.load() == b"abcdef"
+
+    def test_uncovered_growth_refused(self):
+        """A run past the end of a ``bytearray`` would land at its end,
+        not at its offset: growth must be covered from the base on."""
+        storage = StableStorage()
+        storage.store(b"abc")
+        with pytest.raises(StorageError):
+            storage.store((3, 6, [(4, b"xy")]))  # [3, 4) left out
+        with pytest.raises(StorageError):
+            storage.store((3, 6, [(3, b"x")]))  # [4, 6) left out
+        with pytest.raises(StorageError):
+            storage.store((3, 6, []))
+        storage.store((3, 6, [(2, b"Xx"), (4, b"yz")]))
+        assert storage.load() == b"abXxyz"
+
+    def test_runs_hold_bytes_only(self):
+        storage = StableStorage()
+        storage.store(b"abc")
+        with pytest.raises(StorageError):
+            storage.store((3, 3, [(0, bytearray(b"x"))]))
+        with pytest.raises(StorageError):
+            storage.store((3, 3, [(0, memoryview(b"x"))]))
+
+    def test_snapshot_every_interval(self):
+        storage = StableStorage()
+        storage.store(b"v" * 8)
+        for index in range(1, 2 * SNAPSHOT_INTERVAL + 1):
+            storage.store((8, 8, [(0, bytes([index % 256]))]))
+            snapshot = index % SNAPSHOT_INTERVAL == 0
+            assert storage.last_delta_bytes() == (8 if snapshot else 1)
+        assert storage.load_version(SNAPSHOT_INTERVAL + 3) == (
+            bytes([SNAPSHOT_INTERVAL + 3]) + b"v" * 7
+        )
 
 
 class TestDiskModel:
