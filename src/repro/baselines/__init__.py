@@ -1,24 +1,19 @@
 """The evaluation's comparison systems (Sec. 6).
 
-- :mod:`repro.baselines.native` — the KVS without any TEE ("Native"), with
-  Stunnel-style transport encryption handled off the critical path;
 - :mod:`repro.baselines.sgx_kvs` — the KVS inside an enclave with sealing
   but *no* rollback/forking protection ("SGX") — the paper's baseline and
   the system whose silent rollback vulnerability motivates LCM;
 - :mod:`repro.baselines.tmc` — trusted monotonic counter: immediate
-  rollback detection at a ~60 ms/increment cost ("SGX + TMC", Sec. 6.5);
-- :mod:`repro.baselines.redis_like` — a Redis-with-TLS stand-in: in-memory
-  KVS with an append-only persistence log ("Redis TLS").
+  rollback detection at a ~60 ms/increment cost ("SGX + TMC", Sec. 6.5).
+
+The figures' "Native" and "Redis TLS" rows have no program here: they are
+cost-model lines (:mod:`repro.perf.costs`).
 """
 
-from repro.baselines.native import NativeKvsServer
-from repro.baselines.redis_like import RedisLikeServer
 from repro.baselines.sgx_kvs import SgxKvsClient, SgxKvsProgram, make_sgx_kvs_factory
 from repro.baselines.tmc import TmcKvsProgram, TrustedMonotonicCounter, make_tmc_kvs_factory
 
 __all__ = [
-    "NativeKvsServer",
-    "RedisLikeServer",
     "SgxKvsProgram",
     "SgxKvsClient",
     "make_sgx_kvs_factory",

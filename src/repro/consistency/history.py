@@ -18,13 +18,18 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class OperationRecord:
     """One complete operation: invocation + response, with metadata.
 
     ``invoked_at`` / ``responded_at`` are global logical timestamps;
     ``sequence`` is the LCM-assigned sequence number (``None`` for
     non-LCM baselines); ``op_id`` is unique per record.
+
+    Slots (not frozen) keep construction cheap: one record is built per
+    completed operation, and a frozen ``__init__`` pays an
+    ``object.__setattr__`` per field.  Equality and hashing are the
+    frozen dataclass's; treat instances as immutable.
     """
 
     op_id: int
@@ -71,13 +76,8 @@ class History:
         """Record the matching response event and complete the operation."""
         client_id, operation, invoked_at = self._pending.pop(token)
         record = OperationRecord(
-            op_id=token,
-            client_id=client_id,
-            operation=operation,
-            result=result,
-            invoked_at=invoked_at,
-            responded_at=next(self._clock),
-            sequence=sequence,
+            token, client_id, operation, result, invoked_at,
+            next(self._clock), sequence,
         )
         self._records.append(record)
         return record

@@ -75,14 +75,14 @@ class AsyncLcmClient(Alg1State):
     def invoke(self, operation: Any, on_complete: CompletionCallback) -> None:
         """Queue an operation; ``on_complete`` fires when its REPLY lands."""
         self._queue.append((operation, on_complete))
-        self._pump()
+        if self._outstanding is None:
+            self._pump()
 
     def _pump(self) -> None:
         if self._outstanding is not None or not self._queue:
             return
-        operation, on_complete = self._queue.popleft()
-        self._outstanding = (operation, on_complete)
-        self._send(self._seal_invoke(operation))
+        entry = self._outstanding = self._queue.popleft()
+        self._send(self._seal_invoke(entry[0]))
 
     def retransmit(self) -> bool:
         """Resend the outstanding INVOKE with the retry marker (timeout
@@ -100,12 +100,14 @@ class AsyncLcmClient(Alg1State):
         if self._outstanding is None:
             raise InvalidReply("REPLY received with no outstanding INVOKE")
         result = self._accept_reply(reply_box)
-        _, on_complete = self._outstanding
+        on_complete = self._outstanding[1]
         self._outstanding = None
         self.completed += 1
-        self._fire_stability_callbacks()
+        if self._stability_callbacks:
+            self._fire_stability_callbacks()
         on_complete(result)
-        self._pump()
+        if self._queue:
+            self._pump()
         return result
 
     # --------------------------------------------------- stability callbacks
@@ -120,8 +122,6 @@ class AsyncLcmClient(Alg1State):
         self._stability_callbacks.append((sequence, callback))
 
     def _fire_stability_callbacks(self) -> None:
-        if not self._stability_callbacks:
-            return
         ready = [
             (sequence, callback)
             for sequence, callback in self._stability_callbacks

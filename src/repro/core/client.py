@@ -31,7 +31,7 @@ from repro.crypto.aead import AeadKey
 from repro.crypto.hashing import GENESIS_HASH
 from repro.errors import InvalidReply, LCMError
 from repro.core.context import NOP_OPERATION
-from repro.core.messages import InvokePayload, unseal_reply
+from repro.core.messages import seal_invoke, unseal_reply
 from repro.core.stability import StabilityTracker
 
 
@@ -148,13 +148,10 @@ class Alg1State:
     def _seal_invoke(self, operation: Any, retry: bool = False) -> bytes:
         """The sealed INVOKE ``(tc, hc, o, i)`` for ``operation`` in the
         current context; ``retry`` marks a retransmission (Sec. 4.6.1)."""
-        return InvokePayload(
-            client_id=self.client_id,
-            last_sequence=self._last_sequence,
-            last_chain=self._last_chain,
-            operation=_encode_operation(operation),
-            retry=retry,
-        ).seal(self._key)
+        return seal_invoke(
+            self._key, self.client_id, self._last_sequence, self._last_chain,
+            _encode_operation(operation), retry,
+        )
 
     def _accept_reply(self, reply_box: bytes) -> LcmResult:
         """Alg. 1's response handling: open the REPLY, run the three

@@ -253,42 +253,54 @@ class InvokePayload:
         )
 
     def seal(self, key: AeadKey, *, nonce: bytes | None = None) -> bytes:
-        """Encode and seal in one step.
-
-        With the compiled fastpath backend the canonical encode, keystream,
-        XOR and MAC fuse into a single C call — the client builds one
-        INVOKE per attempt, so this removes the other half of its per-op
-        crypto overhead.  Fields outside the C codec's int64 range (never
-        produced by the protocol, whose counters start at zero) take the
-        generic path.
-        """
-        backend = _fastpath.BACKEND
-        if (
-            backend.native
-            and 0 <= self.last_sequence < 2**63
-            and 0 <= self.client_id < 2**63
-        ):
-            box = backend.seal_invoke(
-                key._enc_key,
-                key._mac_key,
-                nonce if nonce is not None else _fresh_nonce(),
-                _mac_frame(key, _INVOKE_AD),
-                _INVOKE_PREFIX,
-                self.last_sequence,
-                self.last_chain,
-                self.operation,
-                self.client_id,
-                self.retry,
-            )
-            if box is not None:
-                return box
-        return auth_encrypt(
-            self.encode(), key, associated_data=_INVOKE_AD, nonce=nonce
+        """Encode and seal in one step (:func:`seal_invoke`)."""
+        return seal_invoke(
+            key, self.client_id, self.last_sequence, self.last_chain,
+            self.operation, self.retry, nonce=nonce,
         )
 
     @classmethod
     def unseal(cls, box: bytes, key: AeadKey) -> "InvokePayload":
         return cls.decode(auth_decrypt(box, key, associated_data=_INVOKE_AD))
+
+
+def seal_invoke(
+    key: AeadKey,
+    client_id: int,
+    last_sequence: int,
+    last_chain: bytes,
+    operation: bytes,
+    retry: bool = False,
+    *,
+    nonce: bytes | None = None,
+) -> bytes:
+    """The sealed INVOKE ``[tc, hc, o, i, retry]``, from its fields.
+
+    With the compiled fastpath backend the canonical encode, keystream,
+    XOR and MAC fuse into a single C call — the client builds one INVOKE
+    per attempt, so this removes the other half of its per-op crypto
+    overhead, and no :class:`InvokePayload` is built for it.  Fields
+    outside the C codec's int64 range (never produced by the protocol,
+    whose counters start at zero) take the generic path.
+    """
+    backend = _fastpath.BACKEND
+    if backend.native and 0 <= last_sequence < 2**63 and 0 <= client_id < 2**63:
+        box = backend.seal_invoke(
+            key._enc_key,
+            key._mac_key,
+            nonce if nonce is not None else _fresh_nonce(),
+            _mac_frame(key, _INVOKE_AD),
+            _INVOKE_PREFIX,
+            last_sequence,
+            last_chain,
+            operation,
+            client_id,
+            retry,
+        )
+        if box is not None:
+            return box
+    payload = InvokePayload(client_id, last_sequence, last_chain, operation, retry)
+    return auth_encrypt(payload.encode(), key, associated_data=_INVOKE_AD, nonce=nonce)
 
 
 def encode_reply(

@@ -43,6 +43,13 @@ class Channel:
         # FIFO ordering under virtual time: ensure a later send never
         # overtakes an earlier one even with size-dependent delays.
         self._last_delivery_time = 0.0
+        # messages on the wire, oldest first.  Delivery times never
+        # decrease and equal times fire in scheduling order, so every
+        # delivery event takes the oldest one: the events share one bound
+        # method and one label instead of a closure and an f-string each
+        self._wire: collections.deque[bytes] = collections.deque()
+        self._deliver = self._deliver_oldest
+        self._label = f"{name}:deliver"
 
     def connect(self, handler: Handler) -> None:
         """Attach the receiving endpoint."""
@@ -58,21 +65,23 @@ class Channel:
     def send(self, message: bytes) -> None:
         if self._handler is None:
             raise SimulationError(f"channel {self.name!r} has no receiver")
+        size = len(message)
         self.sent += 1
-        self.bytes_sent += len(message)
-        if self._sim is None:
+        self.bytes_sent += size
+        sim = self._sim
+        if sim is None:
             self.delivered += 1
             self._handler(message)
             return
-        delay = self._latency.one_way(len(message))
-        deliver_at = max(self._sim.now + delay, self._last_delivery_time)
+        delay = self._latency.one_way(size)
+        deliver_at = max(sim.now + delay, self._last_delivery_time)
         self._last_delivery_time = deliver_at
+        self._wire.append(message)
+        sim.schedule_at(deliver_at, self._deliver, self._label)
 
-        def _deliver() -> None:
-            self.delivered += 1
-            self._handler(message)
-
-        self._sim.schedule_at(deliver_at, _deliver, label=f"{self.name}:deliver")
+    def _deliver_oldest(self) -> None:
+        self.delivered += 1
+        self._handler(self._wire.popleft())
 
 
 class AdversarialChannel:

@@ -47,9 +47,15 @@ class LatencyModel:
         self._rng = random.Random(self.seed)
 
     def one_way(self, size_bytes: int) -> float:
-        delay = self.propagation + self.bandwidth.transfer_time(size_bytes)
-        if self.jitter_fraction > 0:
-            delay *= 1.0 + self._rng.uniform(0, self.jitter_fraction)
+        # BandwidthModel.transfer_time inlined (one call per message)
+        delay = self.propagation + (
+            size_bytes / self.bandwidth.bytes_per_second if size_bytes > 0 else 0.0
+        )
+        jitter = self.jitter_fraction
+        if jitter > 0:
+            # ``uniform(0, jitter)`` is ``0 + (jitter - 0) * random()``:
+            # the same draw and the same float, without its frame
+            delay *= 1.0 + jitter * self._rng.random()
         return delay
 
     def round_trip(self, request_bytes: int, reply_bytes: int) -> float:

@@ -33,11 +33,11 @@ ENCLAVE_SERVICE_INTERVAL = 50e-6
 
 
 class Event:
-    """A scheduled callback.  Ordering: (time, tiebreak).
+    """A scheduled callback, fired in ``(time, tiebreak)`` order.
 
-    A plain ``__slots__`` class rather than a dataclass: the agenda heap
-    compares events on every push/pop, and the hand-written ``__lt__``
-    avoids building two field tuples per comparison on the hot path.
+    The agenda heap holds ``(time, tiebreak, event)`` entries, so every
+    push/pop compares in C; ``tiebreak`` is unique, so the event itself
+    is never compared.
     """
 
     __slots__ = ("time", "tiebreak", "callback", "label", "cancelled")
@@ -55,11 +55,6 @@ class Event:
         self.callback = callback
         self.label = label
         self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.tiebreak < other.tiebreak
 
     def __repr__(self) -> str:
         return (
@@ -86,7 +81,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._agenda: list[Event] = []
+        self._agenda: list[tuple[float, int, Event]] = []
         self._tiebreak = itertools.count()
         self._processed = 0
 
@@ -103,52 +98,68 @@ class Simulator:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, next(self._tiebreak), callback, label)
-        heapq.heappush(self._agenda, event)
+        at, tiebreak = self._now + delay, next(self._tiebreak)
+        event = Event(at, tiebreak, callback, label)
+        heapq.heappush(self._agenda, (at, tiebreak, event))
         return event
 
     def schedule_at(self, time: float, callback: Callable[[], Any], label: str = "") -> Event:
-        """Schedule ``callback`` at an absolute virtual time."""
-        return self.schedule(time - self._now, callback, label)
+        """Schedule ``callback`` at an absolute virtual time.
+
+        :meth:`schedule` inlined (every message delivery lands here): the
+        event time stays ``now + (time - now)``, which is not always
+        ``time`` in floating point."""
+        now = self._now
+        delay = time - now
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        at, tiebreak = now + delay, next(self._tiebreak)
+        event = Event(at, tiebreak, callback, label)
+        heapq.heappush(self._agenda, (at, tiebreak, event))
+        return event
 
     def step(self) -> bool:
         """Process the next event.  Returns False when the agenda is empty."""
         while self._agenda:
-            event = heapq.heappop(self._agenda)
+            at, _, event = heapq.heappop(self._agenda)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = at
             self._processed += 1
             event.callback()
             return True
         return False
 
     def run(self, max_events: int | None = None) -> None:
-        """Drain the agenda (optionally bounded by an event-count budget)."""
-        remaining = max_events
-        while self.step():
-            if remaining is not None:
-                remaining -= 1
-                if remaining <= 0:
-                    return
+        """Drain the agenda, or process at most ``max_events`` events
+        (0 processes none; a negative budget is an error)."""
+        if max_events is None:
+            while self.step():
+                pass
+            return
+        if max_events < 0:
+            raise SimulationError(f"negative event budget ({max_events})")
+        for _ in range(max_events):
+            if not self.step():
+                return
 
     def run_until(self, deadline: float) -> None:
         """Process all events up to ``deadline``, then set the clock there."""
         if deadline < self._now:
             raise SimulationError("deadline lies in the past")
         while self._agenda:
-            head = self._agenda[0]
+            time, _, head = self._agenda[0]
             if head.cancelled:
                 heapq.heappop(self._agenda)
                 continue
-            if head.time > deadline:
+            if time > deadline:
                 break
             self.step()
         self._now = deadline
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still scheduled."""
-        return sum(1 for event in self._agenda if not event.cancelled)
+        return sum(1 for _, _, event in self._agenda if not event.cancelled)
 
 
 class Resource:

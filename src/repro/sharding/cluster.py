@@ -590,7 +590,7 @@ class ShardedCluster:
         ``stats.rebalances`` (and :meth:`shard_violation`) to tell whether
         a deferred move actually ran.
         """
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if not shard.healthy:
             cause = repr(shard.violation) if shard.violation else "crashed"
             raise ConfigurationError(
@@ -611,7 +611,7 @@ class ShardedCluster:
         move is quietly abandoned — raising inside the simulator callback
         would abort every other shard's run, and the shard's evidence is
         already attributed by the router."""
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
 
         def fire() -> None:
             if not shard.healthy or shard.forks:
@@ -702,7 +702,7 @@ class ShardedCluster:
         the audit evidence is captured first, exactly as for forks and
         rebalances, so the crashed generation remains checkable.
         """
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if not shard.healthy:
             raise ConfigurationError(
                 f"shard {shard_id} is already down; nothing to crash"
@@ -765,7 +765,7 @@ class ShardedCluster:
     def _remove_shard_now(self, shard_id: int) -> None:
         """Retire a (quiesced, already drained-of-keys) shard's evidence
         and shut its group down.  Control-plane use only."""
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         self._retire_generation(shard)
         shard.host.shutdown()
         del self._shards[shard_id]
@@ -773,7 +773,7 @@ class ShardedCluster:
     def _recover_shard_now(self, shard_id: int) -> _Shard:
         """Replace a dead shard with a freshly bootstrapped generation.
         Control-plane use only (the barrier lives there)."""
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if shard.healthy:
             raise ConfigurationError(
                 f"shard {shard_id} is healthy; only a halted or crashed "
@@ -816,7 +816,7 @@ class ShardedCluster:
         """Fork one (malicious) shard's context; returns the new instance
         index.  Use :meth:`route_client` to partition that shard's clients
         between the instances."""
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if not isinstance(shard.host, MaliciousServer):
             raise ConfigurationError(f"shard {shard_id} is not malicious")
         log_prefix: list[AuditRecord] = []
@@ -838,7 +838,7 @@ class ShardedCluster:
 
     def route_client(self, shard_id: int, client_id: int, instance_index: int) -> None:
         """Pin one client of a malicious shard to a forked instance."""
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if not isinstance(shard.host, MaliciousServer):
             raise ConfigurationError(f"shard {shard_id} is not malicious")
         shard.host.route_client(client_id, instance_index)
@@ -851,11 +851,19 @@ class ShardedCluster:
 
     # -------------------------------------------------------------- queries
 
-    def _shard(self, shard_id: int) -> _Shard:
+    def shard(self, shard_id: int) -> _Shard:
+        """The live generation of one shard: its ``healthy`` flag,
+        ``violation``, ``history`` and ``clients`` (client id -> Alg. 1
+        machine).  The router's placement reads all of them through one
+        lookup."""
         shard = self._shards.get(shard_id)
         if shard is None:
             raise ConfigurationError(f"no shard {shard_id}")
         return shard
+
+    #: the accessor's former private name, which the end-to-end
+    #: benchmark's workloads still call
+    _shard = shard
 
     @property
     def shard_count(self) -> int:
@@ -880,7 +888,7 @@ class ShardedCluster:
 
     def shard_generation(self, shard_id: int) -> int:
         """The live generation number of a shard (0 until recovered)."""
-        return self._shard(shard_id).generation
+        return self.shard(shard_id).generation
 
     def retired_generations(self, shard_id: int) -> list[GenerationEvidence]:
         """Frozen evidence of this shard id's retired generations, oldest
@@ -897,20 +905,20 @@ class ShardedCluster:
 
     def shard_host(self, shard_id: int):
         """The (current) untrusted host serving one shard."""
-        return self._shard(shard_id).host
+        return self.shard(shard_id).host
 
     def shard_deployment(self, shard_id: int):
         """One shard's admin-side deployment handle (keys, client ids)."""
-        return self._shard(shard_id).deployment
+        return self.shard(shard_id).deployment
 
     def shard_clients(self, shard_id: int) -> dict[int, AsyncLcmClient]:
         """The per-shard protocol client machines, by logical client id."""
-        return dict(self._shard(shard_id).clients)
+        return dict(self.shard(shard_id).clients)
 
     def client_machine(self, shard_id: int, client_id: int) -> AsyncLcmClient:
         """One (client, shard) protocol machine, without copying the map
         (the router's per-operation hot path)."""
-        return self._shard(shard_id).clients[client_id]
+        return self.shard(shard_id).clients[client_id]
 
     @property
     def audit(self) -> bool:
@@ -919,11 +927,11 @@ class ShardedCluster:
 
     def shard_history(self, shard_id: int) -> History:
         """The invocation/response history recorded against one shard."""
-        return self._shard(shard_id).history
+        return self.shard(shard_id).history
 
     def shard_violation(self, shard_id: int) -> SecurityViolation | None:
         """The first violation detected on this shard during the run."""
-        return self._shard(shard_id).violation
+        return self.shard(shard_id).violation
 
     def shard_healthy(self, shard_id: int) -> bool:
         """False once a violation was detected on this shard or its
@@ -931,7 +939,7 @@ class ShardedCluster:
         submitted to it would queue forever.  The router checks this
         flag to fail fast (or, in failover mode, to park the operation
         for replay once :meth:`recover_shard` re-provisions the group)."""
-        return self._shard(shard_id).healthy
+        return self.shard(shard_id).healthy
 
     def functionality(self):
         """A fresh functionality instance (for the offline checkers)."""
@@ -947,7 +955,7 @@ class ShardedCluster:
         """
         if not self._audit:
             raise ConfigurationError("cluster was not created in audit mode")
-        shard = self._shard(shard_id)
+        shard = self.shard(shard_id)
         if shard.crash_logs is not None:
             # the enclave died with its volatile memory; these are the
             # global observer's reconstruction captured at crash time

@@ -181,13 +181,13 @@ class ControlPlane:
         return shard_id
 
     def remove_shard(self, shard_id: int, *, at: float | None = None) -> ReshardReport:
-        self._cluster._shard(shard_id)  # fail fast on unknown ids
+        self._cluster.shard(shard_id)  # fail fast on unknown ids
         plan = _Plan("remove", shard_id, self._new_report("remove", shard_id))
         self._submit(plan, at)
         return plan.report
 
     def recover_shard(self, shard_id: int, *, at: float | None = None) -> ReshardReport:
-        self._cluster._shard(shard_id)
+        self._cluster.shard(shard_id)
         plan = _Plan("recover", shard_id, self._new_report("recover", shard_id))
         self._submit(plan, at)
         return plan.report
@@ -291,7 +291,7 @@ class ControlPlane:
     def _start(self, plan: _Plan) -> None:
         cluster = self._cluster
         if plan.kind == "recover":
-            shard = cluster._shard(plan.shard_id)
+            shard = cluster.shard(plan.shard_id)
             if shard.healthy:
                 raise ConfigurationError(
                     f"shard {plan.shard_id} is healthy; only a halted or "
@@ -300,7 +300,7 @@ class ControlPlane:
             plan.involved = (plan.shard_id,)
         else:
             if plan.kind == "remove":
-                shard = cluster._shard(plan.shard_id)
+                shard = cluster.shard(plan.shard_id)
                 if not shard.healthy:
                     raise ConfigurationError(
                         f"shard {plan.shard_id} is down; recover it before "
@@ -338,9 +338,9 @@ class ControlPlane:
     def _quiet(self, plan: _Plan) -> bool:
         cluster = self._cluster
         if plan.kind == "recover":
-            return cluster._shard(plan.shard_id).links_drained
+            return cluster.shard(plan.shard_id).links_drained
         return all(
-            cluster._shard(shard_id).drained
+            cluster.shard(shard_id).drained
             and cluster.shard_txn_pending(shard_id) == 0
             for shard_id in plan.involved
         )
@@ -363,7 +363,7 @@ class ControlPlane:
                 return
         if not self._quiet(plan):
             if plan.kind != "recover" and all(
-                cluster._shard(shard_id).drained for shard_id in plan.involved
+                cluster.shard(shard_id).drained for shard_id in plan.involved
             ):
                 # nothing is moving — only an undecided transaction keeps
                 # the barrier waiting.  Its decision normally arrives

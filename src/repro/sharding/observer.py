@@ -446,7 +446,7 @@ def _generations(cluster: Any, shard_id: int):
         )
     if not cluster.is_live(shard_id):
         return
-    shard = cluster._shard(shard_id)
+    shard = cluster.shard(shard_id)
     # a violation caught during the run *is* the evidence: the halted
     # enclave refuses exports
     violation, logs = shard.violation, None

@@ -26,6 +26,9 @@ from dataclasses import dataclass
 from repro.crypto.hashing import RING_SPAN, ring_point as _point
 from repro.errors import ConfigurationError
 
+#: bound on a ring's memo of key points; past it the oldest entry goes
+KEY_POINT_CACHE_MAX = 4096
+
 
 @dataclass(frozen=True)
 class ArcMove:
@@ -68,6 +71,9 @@ class HashRing:
         self._points: list[int] = []
         self._owners: dict[int, object] = {}
         self._shards: list = []
+        #: key -> ring point: a key's point does not depend on membership,
+        #: so the router's per-operation lookup skips the SHA-256
+        self._key_points: dict = {}
         for shard in shards:
             self.add_shard(shard)
         if not self._shards:
@@ -113,7 +119,12 @@ class HashRing:
 
     def owner(self, key) -> object:
         """The shard owning ``key`` (str or bytes)."""
-        point = _point(key)
+        points = self._key_points
+        point = points.get(key)
+        if point is None:
+            if len(points) >= KEY_POINT_CACHE_MAX:
+                del points[next(iter(points))]
+            point = points[key] = _point(key)
         index = bisect.bisect_right(self._points, point)
         if index == len(self._points):
             index = 0  # wrap around the ring

@@ -9,7 +9,8 @@ shards behind the familiar submit-an-operation surface.
   ``parked`` (its shard is fenced by a reshard, or down under failover),
   ``inflight`` (dispatched, awaiting the reply), ``waiting`` (bounced by
   a transaction's lock until that transaction's decision completes), or
-  terminal ``done`` / ``dropped``.  Four methods move records: ``_place``
+  terminal ``done`` / ``dropped`` / ``retired`` (an in-flight record a
+  replay handed to a fresh one).  Four methods move records: ``_place``
   parks or dispatches, ``_on_reply`` takes a reply, ``_replay`` resubmits
   after a reconfiguration, and ``_finish`` — the only caller of the
   submitter's callback — completes a record exactly once;
@@ -159,9 +160,9 @@ class TxnRecord:
         return self.decision == "C"
 
 
-#: submission states; ``done`` and ``dropped`` are terminal
-_PARKED, _INFLIGHT, _WAITING, _DONE, _DROPPED = (
-    "parked", "inflight", "waiting", "done", "dropped"
+#: submission states; ``done``, ``dropped`` and ``retired`` are terminal
+_PARKED, _INFLIGHT, _WAITING, _DONE, _DROPPED, _RETIRED = (
+    "parked", "inflight", "waiting", "done", "dropped", "retired"
 )
 
 
@@ -171,23 +172,29 @@ class _Submission:
     ``state`` is ``parked`` on ``shard_id``; ``inflight`` on ``shard_id``
     (with ``history``/``token``, ``submitted_at`` and ``span``);
     ``waiting`` on the lock ``holder`` transaction; or terminal ``done``
-    / ``dropped``.  A state's payload slots are set by the transition
-    into it.  ``epoch`` counts placements, so a reply to any dispatch but
-    the latest is stale.  ``reroute`` re-resolves the owner at every
+    / ``dropped`` / ``retired``.  A state's payload slots are set by the
+    transition into it.  ``reroute`` re-resolves the owner at every
     placement; ``attempts`` counts lock waits since the last replay.
+
+    The record is its protocol machine's completion callback.  Replaying
+    an in-flight record hands the operation to a fresh record and leaves
+    this one ``retired``, so a reply to the lost dispatch finds it stale.
     """
 
     __slots__ = (
-        "shard_id", "client_id", "operation", "on_complete", "reroute",
-        "attempts", "state", "epoch", "history", "token", "submitted_at",
+        "router", "shard_id", "client_id", "operation", "on_complete",
+        "reroute", "attempts", "state", "history", "token", "submitted_at",
         "span", "holder",
     )
 
-    def __init__(self, shard_id, client_id, operation, on_complete, reroute):
-        self.shard_id, self.client_id = shard_id, client_id
+    def __init__(self, router, shard_id, client_id, operation, on_complete, reroute):
+        self.router, self.shard_id, self.client_id = router, shard_id, client_id
         self.operation, self.on_complete = operation, on_complete
         self.reroute, self.state = reroute, None
-        self.attempts = self.epoch = 0
+        self.attempts = 0
+
+    def __call__(self, result: LcmResult) -> None:
+        self.router._on_reply(self, result)
 
 
 class ShardRouter:
@@ -395,7 +402,7 @@ class ShardRouter:
         owner at submission time — a parked operation may land elsewhere
         after a reshard)."""
         return self._place(
-            _Submission(None, client_id, operation, on_complete, True)
+            _Submission(self, None, client_id, operation, on_complete, True)
         )
 
     def submit_to_shard(
@@ -416,7 +423,7 @@ class ShardRouter:
         healthy shards proceed normally either way.
         """
         return self._place(
-            _Submission(shard_id, client_id, operation, on_complete, False)
+            _Submission(self, shard_id, client_id, operation, on_complete, False)
         )
 
     def _place(self, record: _Submission) -> int:
@@ -427,32 +434,29 @@ class ShardRouter:
         not fail over.  Returns the shard id."""
         cluster = self.cluster
         operation = record.operation
-        # a placement retires the record's previous dispatch: a reply to
-        # that one now carries a stale epoch
-        record.epoch = epoch = record.epoch + 1
         if record.reroute:
-            record.shard_id = self.owner(operation)
+            record.shard_id = cluster.ring.owner(routing_key(operation))
         shard_id = record.shard_id
-        if shard_id in cluster.fenced_shards:
+        if shard_id in cluster.fenced_shards and not is_txn_decision(operation):
             # a fence parks *new* work, but a commit/abort resolves a
             # prepare that is already inside the fenced shard — the
             # barrier's drain is waiting on exactly this decision, so
             # holding it back would deadlock fence against decision
-            park = not (
-                is_txn_decision(operation) and cluster.shard_healthy(shard_id)
-            )
-        elif cluster.shard_healthy(shard_id):
-            park = False
-        elif self.failover:
             park = True
         else:
-            violation = cluster.shard_violation(shard_id)
-            cause = repr(violation) if violation else "a hardware crash"
-            raise ShardUnavailable(
-                f"shard {shard_id} halted on {cause}; failing fast "
-                "instead of queueing behind a stopped dispatcher "
-                "(failover=True parks and replays instead)"
-            )
+            shard = cluster.shard(shard_id)
+            if shard.healthy:
+                park = False
+            elif self.failover or shard_id in cluster.fenced_shards:
+                park = True
+            else:
+                violation = shard.violation
+                cause = repr(violation) if violation else "a hardware crash"
+                raise ShardUnavailable(
+                    f"shard {shard_id} halted on {cause}; failing fast "
+                    "instead of queueing behind a stopped dispatcher "
+                    "(failover=True parks and replays instead)"
+                )
         # every transition moves the record to the table's tail, so the
         # table filtered by state is in dispatch, park or wait order
         table = self._submissions
@@ -462,39 +466,39 @@ class ShardRouter:
             self._ctr_parked.inc()
             record.state = _PARKED
             return shard_id
-        history = record.history = cluster.shard_history(shard_id)
-        record.token = history.invoke(record.client_id, operation)
-        self._ctr_submitted.inc()
+        client_id = record.client_id
+        history = record.history = shard.history
+        record.token = history.invoke(client_id, operation)
+        self._ctr_submitted.value += 1
         record.submitted_at = cluster.sim.now
         record.span = cluster.tracer.start(
             "operation",
-            client_id=record.client_id,
+            client_id=client_id,
             shard_id=shard_id,
             operation=str(operation[0]) if operation else None,
         ) if cluster.tracer.enabled else None
         record.state = _INFLIGHT
-        cluster.client_machine(shard_id, record.client_id).invoke(
-            operation, partial(self._on_reply, record, epoch)
-        )
+        shard.clients[client_id].invoke(operation, record)
         return shard_id
 
-    def _on_reply(self, record: _Submission, epoch: int, result: LcmResult) -> None:
-        """The protocol machine answered dispatch ``epoch`` of ``record``."""
-        if epoch != record.epoch:
-            # a late reply from a retired generation: the record was
-            # replayed onto the recovered one, and that replay owns the
-            # operation's one completion
-            self._ctr_replies_after_retire.inc()
-            return
-        if record.state is not _INFLIGHT:
-            raise RuntimeError(
-                f"dispatch {epoch} of {record.operation!r} answered twice"
-            )
+    def _on_reply(self, record: _Submission, result: LcmResult) -> None:
+        """The protocol machine answered the dispatch of ``record``."""
+        state = record.state
+        if state is not _INFLIGHT:
+            if state is _RETIRED:
+                # a late reply from a retired generation: the record was
+                # replayed onto the recovered one, and that replay owns
+                # the operation's one completion
+                self._ctr_replies_after_retire.inc()
+                return
+            raise RuntimeError(f"{record.operation!r} answered twice")
         cluster = self.cluster
         shard_id, operation = record.shard_id, record.operation
-        record.history.respond(record.token, result.result, sequence=result.sequence)
-        cluster.stats.operations_completed += 1
-        cluster.stats.per_shard_operations[shard_id] += 1
+        value = result.result
+        record.history.respond(record.token, value, result.sequence)
+        stats = cluster.stats
+        stats.operations_completed += 1
+        stats.per_shard_operations[shard_id] += 1
         # per-(shard, op-kind) submit -> completion virtual latency
         key = (shard_id, str(operation[0]) if operation else "?")
         quantile = self._latency_quantiles.get(key)
@@ -507,7 +511,6 @@ class ShardRouter:
         quantile.observe(cluster.sim.now - record.submitted_at)
         if record.span is not None:
             cluster.tracer.finish(record.span, sequence=result.sequence)
-        value = result.result
         if (
             record.reroute
             and record.attempts < self.MAX_LOCK_RETRIES
@@ -621,13 +624,22 @@ class ShardRouter:
                 if record.state is state and record.shard_id in shards
             ]:
                 shard_id = record.shard_id
+                if state is _INFLIGHT:
+                    # the lost dispatch may still answer: it keeps this
+                    # record, now retired, and a fresh one takes over
+                    record.state = _RETIRED
+                    del table[record]
+                    record = _Submission(
+                        self, shard_id, record.client_id, record.operation,
+                        record.on_complete, record.reroute,
+                    )
                 # a replay is a fresh submission with a fresh retry budget
                 record.attempts = 0
                 try:
                     self._place(record)
                 except LCMError as error:
                     record.state = _DROPPED
-                    del table[record]
+                    table.pop(record, None)
                     self._ctr_dropped.inc()
                     self.replay_failures.append(
                         (shard_id, record.client_id, record.operation, error)

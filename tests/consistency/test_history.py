@@ -1,5 +1,8 @@
 """History recording: real-time order, concurrency, views."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +36,66 @@ class TestPrecedence:
         assert not a.precedes(b)
         assert not b.precedes(a)
         assert a.concurrent_with(b)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenRecord:
+    """The frozen form ``OperationRecord`` had: the reference for its
+    equality and hash."""
+
+    op_id: int
+    client_id: int
+    operation: object
+    result: object
+    invoked_at: int
+    responded_at: int
+    sequence: int | None = None
+
+
+FIELDS = ("op_id", "client_id", "operation", "result", "invoked_at",
+          "responded_at", "sequence")
+
+#: field values drawn from small pools, so equal records are common
+RECORD_FIELDS = st.tuples(
+    st.integers(1, 3), st.integers(1, 3),
+    st.sampled_from([("GET", "k"), ("PUT", "k", "v")]),
+    st.sampled_from([None, "v", b"v", 0]),
+    st.integers(1, 3), st.integers(1, 3),
+    st.sampled_from([None, 1, 2]),
+)
+
+
+class TestRecordIdentity:
+    """``OperationRecord`` is slotted, not frozen; equality and hashing
+    must be exactly the frozen dataclass's."""
+
+    @given(RECORD_FIELDS, RECORD_FIELDS)
+    @settings(max_examples=200, deadline=None)
+    def test_equality_and_hash_match_frozen(self, left, right):
+        a, b = OperationRecord(*left), OperationRecord(*right)
+        assert (a == b) == (FrozenRecord(*left) == FrozenRecord(*right))
+        assert hash(a) == hash(FrozenRecord(*left))
+        assert hash(b) == hash(FrozenRecord(*right))
+        if a == b:
+            assert hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_equal_and_unequal_records(self):
+        a = record(1, 1, invoked=1, responded=2, sequence=1)
+        assert a == record(1, 1, invoked=1, responded=2, sequence=1)
+        assert a != record(1, 1, invoked=1, responded=2, sequence=2)
+        assert a != FrozenRecord(*(getattr(a, name) for name in FIELDS))
+        assert dataclasses.astuple(a) == tuple(getattr(a, name) for name in FIELDS)
+
+    def test_unhashable_result_raises_like_frozen(self):
+        fields = (1, 1, ("GET", "k"), ["a", "list"], 1, 2, 1)
+        with pytest.raises(TypeError):
+            hash(FrozenRecord(*fields))
+        with pytest.raises(TypeError):
+            hash(OperationRecord(*fields))
+        assert OperationRecord(*fields) == OperationRecord(*fields)
+
+    def test_slotted(self):
+        assert not hasattr(record(1, 1, invoked=1, responded=2), "__dict__")
 
 
 class TestHistoryRecorder:

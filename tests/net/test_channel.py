@@ -53,6 +53,74 @@ class TestChannel:
         sim.run()
         assert received == [b"x" * 10, b"y"]
 
+    def test_fifo_under_jitter_and_equal_times(self):
+        sim = Simulator()
+        latency = LatencyModel(propagation=1e-4, jitter_fraction=0.5, seed=3)
+        channel = Channel("c", sim=sim, latency=latency)
+        received = []
+        channel.connect(lambda m: received.append((sim.now, m)))
+        messages = [bytes([i]) * (1 + (37 * i) % 200) for i in range(60)]
+        for message in messages:
+            channel.send(message)
+        # same-size sends on a zero-propagation channel land at one instant
+        instant = Channel("i", sim=sim, latency=LatencyModel(propagation=0.0))
+        same_time = []
+        instant.connect(same_time.append)
+        for index in range(5):
+            instant.send(bytes([index]))
+        sim.run()
+        assert [message for _, message in received] == messages
+        times = [time for time, _ in received]
+        assert times == sorted(times)
+        assert same_time == [bytes([index]) for index in range(5)]
+
+    def test_counters_while_messages_are_in_flight(self):
+        sim = Simulator()
+        channel = Channel("c", sim=sim, latency=LatencyModel(propagation=1.0))
+        received = []
+        channel.connect(received.append)
+        channel.send(b"ab")
+        sim.schedule(0.5, lambda: channel.send(b"cde"))
+        sim.run_until(0.75)
+        assert (channel.sent, channel.delivered, channel.pending) == (2, 0, 2)
+        assert channel.bytes_sent == 5
+        sim.run_until(1.25)
+        assert (channel.sent, channel.delivered, channel.pending) == (2, 1, 1)
+        assert received == [b"ab"]
+        sim.run()
+        assert (channel.sent, channel.delivered, channel.pending) == (2, 2, 0)
+        assert received == [b"ab", b"cde"]
+
+    def test_deliveries_share_one_label_and_one_callback(self):
+        sim = Simulator()
+        scheduled = []
+        schedule_at = sim.schedule_at
+
+        def recording(time, callback, label=""):
+            scheduled.append((label, callback))
+            return schedule_at(time, callback, label)
+
+        sim.schedule_at = recording
+        channel = Channel("c1->s0", sim=sim, latency=LatencyModel())
+        received = []
+        channel.connect(received.append)
+        for message in (b"a", b"b", b"c"):
+            channel.send(message)
+        assert [label for label, _ in scheduled] == ["c1->s0:deliver"] * 3
+        assert len({id(callback) for _, callback in scheduled}) == 1
+        sim.run()
+        assert received == [b"a", b"b", b"c"]
+
+    def test_handler_connected_later_receives_in_flight_messages(self):
+        sim = Simulator()
+        channel = Channel("c", sim=sim, latency=LatencyModel(propagation=1.0))
+        first, second = [], []
+        channel.connect(first.append)
+        channel.send(b"m")
+        channel.connect(second.append)
+        sim.run()
+        assert first == [] and second == [b"m"]
+
 
 class TestAdversarialChannel:
     def _wire(self):

@@ -87,6 +87,32 @@ class TestScheduling:
         sim.run(max_events=3)
         assert len(fired) == 3
 
+    def test_zero_budget_processes_nothing(self):
+        sim = Simulator()
+        fired = []
+        for i in range(3):
+            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+        sim.run(max_events=0)
+        assert fired == [] and sim.events_processed == 0 and sim.now == 0.0
+        assert sim.pending() == 3
+
+    def test_negative_budget_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=-1)
+        assert fired == [] and sim.events_processed == 0
+
+    def test_budget_resumes_where_it_stopped(self):
+        sim = Simulator()
+        fired = []
+        for i in range(5):
+            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
+        sim.run(max_events=2)
+        sim.run(max_events=10)
+        assert fired == [0, 1, 2, 3, 4] and sim.events_processed == 5
+
 
 class TestResource:
     def test_jobs_serialize(self):

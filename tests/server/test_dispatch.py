@@ -192,5 +192,5 @@ class TestDispatcherParity:
         sharded = ShardedCluster(shards=2, clients=2)
         for shard_id in range(sharded.shard_count):
             assert isinstance(
-                sharded._shard(shard_id).dispatcher, GroupDispatcher
+                sharded.shard(shard_id).dispatcher, GroupDispatcher
             )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.hashing import RING_SPAN
 from repro.errors import ConfigurationError
-from repro.sharding.partitioner import HashRing
+from repro.sharding.partitioner import KEY_POINT_CACHE_MAX, HashRing
 
 KEYS = [f"user{i:012d}" for i in range(2000)]
 
@@ -30,6 +30,44 @@ class TestOwnership:
     def test_single_shard_owns_everything(self):
         ring = HashRing([0])
         assert all(ring.owner(k) == 0 for k in KEYS[:100])
+
+
+class TestKeyPointCache:
+    """``owner`` memoizes each key's ring point; the answer must be the
+    uncached lookup's, whatever the membership did since."""
+
+    @staticmethod
+    def uncached(ring, key):
+        return ring._owner_at(HashRing.key_point(key))
+
+    def test_cached_owner_matches_uncached_across_membership(self):
+        ring = HashRing(range(4), virtual_nodes=16)
+        keys = KEYS[:300] + [key.encode() for key in KEYS[:300]]
+        for _ in range(2):  # cold, then warm
+            assert [ring.owner(k) for k in keys] == [
+                self.uncached(ring, k) for k in keys
+            ]
+        ring.add_shard(7)
+        assert [ring.owner(k) for k in keys] == [self.uncached(ring, k) for k in keys]
+        assert any(ring.owner(k) == 7 for k in keys)
+        ring.remove_shard(1)
+        assert [ring.owner(k) for k in keys] == [self.uncached(ring, k) for k in keys]
+        assert all(ring.owner(k) != 1 for k in keys)
+
+    def test_str_and_bytes_keys_cache_apart_and_agree(self):
+        ring = HashRing(range(3))
+        assert ring.owner("k1") == ring.owner(b"k1") == self.uncached(ring, "k1")
+        assert "k1" in ring._key_points and b"k1" in ring._key_points
+
+    def test_cache_is_bounded(self):
+        ring = HashRing(range(2), virtual_nodes=4)
+        keys = [f"bound-{index}" for index in range(KEY_POINT_CACHE_MAX + 50)]
+        for key in keys:
+            assert ring.owner(key) == self.uncached(ring, key)
+        assert len(ring._key_points) == KEY_POINT_CACHE_MAX
+        # the oldest entries went first; a re-lookup is still exact
+        assert keys[0] not in ring._key_points and keys[-1] in ring._key_points
+        assert ring.owner(keys[0]) == self.uncached(ring, keys[0])
 
 
 class TestBalance:

@@ -471,7 +471,7 @@ class TestRouterFailFast:
         # nothing was queued: the count did not move and the pending
         # queue of the halted shard stayed empty
         assert router.operations_submitted == submitted_before
-        assert cluster._shard(1).dispatcher.pending == 0
+        assert cluster.shard(1).dispatcher.pending == 0
 
     def test_healthy_shards_still_serve(self):
         cluster, router, _ = self._halted_cluster()

@@ -444,7 +444,7 @@ class TestUnlocatedPoint:
             router.submit(client_id, put(f"u-{client_id}", "v"))
         cluster.run()
         assert verifier_events(cluster) == []
-        shard = cluster._shard(0)
+        shard = cluster.shard(0)
         machine = shard.clients[2]
         honest_chain = machine.last_chain
         machine._last_chain = b"\xff" * 32  # a chain value on no enclave log
