@@ -163,6 +163,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.kvstore import get, put
     from repro.sharding import ShardRouter, ShardedCluster
 
+    if args.clients < 1 or args.ops < 1:
+        print("cluster: --clients and --ops must both be >= 1", file=sys.stderr)
+        return 2
     cluster = ShardedCluster(shards=1, clients=args.clients, seed=args.seed)
     router = ShardRouter(cluster)
     for client_id in range(1, args.clients + 1):

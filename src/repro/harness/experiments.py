@@ -2,7 +2,7 @@
 
 Each ``run_*`` function returns an :class:`ExperimentResult` containing the
 measured series, the paper's published expectation and derived comparison
-ratios — everything the benchmark scripts and EXPERIMENTS.md need.
+ratios — everything ``repro run`` prints and the tests assert.
 :data:`EXPERIMENTS` maps each result's ``experiment`` id to its runner,
 which is how ``repro run NAME`` finds it.
 """

@@ -1,8 +1,7 @@
 """Rendering experiment results as paper-style tables.
 
-The benchmark scripts print these tables (one per figure) so the repository
-output can be compared line-by-line with the paper's plots, and
-EXPERIMENTS.md embeds the same renderings.
+``repro run`` prints these tables (one per figure) so the repository
+output can be compared line-by-line with the paper's plots.
 """
 
 from __future__ import annotations
@@ -22,17 +21,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def render_series_table(result: ExperimentResult, *, x_key: str | None = None) -> str:
+def render_series_table(result: ExperimentResult) -> str:
     """Render an experiment's series as an aligned text table.
 
-    The first column is the x-axis (``x_key`` or the first series entry);
-    the remaining columns are the measured series, one per system.  Series
+    The first column is the x-axis (every experiment lists it first); the
+    remaining columns are the measured series, one per system.  Series
     of different lengths render as many rows as the longest, with blank
     cells below the shorter ones.
     """
-    keys = list(result.series)
-    x = x_key or keys[0]
-    columns = [x] + [key for key in keys if key != x]
+    columns = list(result.series)
     rendered = {
         column: [_format_value(v) for v in result.series[column]]
         for column in columns
@@ -60,12 +57,17 @@ def render_series_table(result: ExperimentResult, *, x_key: str | None = None) -
     return "\n".join(lines)
 
 
-def _within_band(measured, expected, tolerance: float) -> bool:
+#: relative slack :func:`summarize_bands` applies to the paper's value —
+#: the reproduction targets shape, not absolute equality
+TOLERANCE = 0.5
+
+
+def _within_band(measured, expected) -> bool:
     if isinstance(expected, bool):
         return measured == expected
     if isinstance(expected, dict):
         return all(
-            _within_band(measured.get(key), value, tolerance)
+            _within_band(measured.get(key), value)
             for key, value in expected.items()
         )
     if isinstance(expected, tuple):
@@ -73,27 +75,22 @@ def _within_band(measured, expected, tolerance: float) -> bool:
         m_low, m_high = measured if isinstance(measured, tuple) else (measured, measured)
         span = max(abs(low), abs(high), 1e-9)
         return (
-            m_low >= low - tolerance * span and m_high <= high + tolerance * span
+            m_low >= low - TOLERANCE * span and m_high <= high + TOLERANCE * span
         )
     span = max(abs(expected), 1e-9)
-    return abs(measured - expected) <= tolerance * span
+    return abs(measured - expected) <= TOLERANCE * span
 
 
-def summarize_bands(result: ExperimentResult, *, tolerance: float = 0.5) -> str:
-    """Paper-vs-measured comparison for each published ratio, then the
-    measured ratios no expectation covers.
-
-    ``tolerance`` is the relative slack applied to the paper's value — the
-    reproduction targets shape, not absolute equality (see DESIGN.md
-    Sec. 6).
-    """
+def summarize_bands(result: ExperimentResult) -> str:
+    """Paper-vs-measured comparison for each published ratio, within
+    :data:`TOLERANCE`, then the measured ratios no expectation covers."""
     lines = [f"# {result.experiment}: paper vs. measured"]
     for key, expected in result.paper_expectation.items():
         measured = result.ratios.get(key)
         if measured is None:
             lines.append(f"  {key:32s} paper={expected!r}  measured=MISSING")
             continue
-        verdict = "OK" if _within_band(measured, expected, tolerance) else "DIVERGES"
+        verdict = "OK" if _within_band(measured, expected) else "DIVERGES"
         lines.append(
             f"  {key:32s} paper={_render(expected):24s} "
             f"measured={_render(measured):24s} [{verdict}]"

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
 
-from repro import serde
-
 #: An operation is any serde-encodable value; the bundled functionalities
 #: use (verb, *args) tuples.
 Operation = Any
@@ -293,20 +291,3 @@ class Functionality(Protocol):
         """
         ...
 
-
-def encode_operation(operation: Operation) -> bytes:
-    """Canonical bytes of an operation (hashed into the chain as ``o``)."""
-    return serde.encode(operation)
-
-
-def decode_operation(data: bytes) -> Operation:
-    return serde.decode(data)
-
-
-def encode_state(state: Any) -> bytes:
-    """Canonical bytes of a service state (sealed as part of the blob)."""
-    return serde.encode(state)
-
-
-def decode_state(data: bytes) -> Any:
-    return serde.decode(data)

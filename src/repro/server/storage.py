@@ -61,7 +61,10 @@ def _check_runs(base_length: int, length: int, runs: list) -> None:
     """Refuse runs that would not patch a ``base_length``-byte version
     into a ``length``-byte one.  Slice assignment past the end of a
     ``bytearray`` appends at the end instead of at the offset, so a gap
-    or a stray offset would silently store the wrong bytes."""
+    or a stray offset would silently store the wrong bytes, and a
+    negative ``length`` would cut that many bytes off the end."""
+    if length < 0:
+        raise StorageError(f"a delta to {length} bytes has a negative length")
     end = 0  # where the previous run stopped
     covered = base_length  # the new bytes are known up to here
     for offset, data in runs:

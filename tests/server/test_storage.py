@@ -141,6 +141,14 @@ class TestDeltaStores:
             storage.store((6, 3, [(2, b"xy")]))  # past a shrunk end
         assert storage.load() == b"abcdef"
 
+    def test_negative_length_refused(self):
+        storage = StableStorage()
+        storage.store(b"abcdefghij")
+        with pytest.raises(StorageError):
+            storage.store((10, -3, []))
+        assert storage.load() == b"abcdefghij"
+        assert storage.version_count() == 1
+
     def test_runs_out_of_order_refused(self):
         storage = StableStorage()
         storage.store(b"abcdef")

@@ -88,6 +88,39 @@ class TestRouting:
             assert mean <= cluster.stats.per_shard_operations[shard_id]
         assert cluster.stats.mean_batch_size(99) == 0.0  # unknown shard
 
+    @staticmethod
+    def _one_shard_mix(clients, ops_per_client):
+        """Each client alternates PUT and GET on one shard, all
+        submitted at once; the dispatcher batches whatever has queued."""
+        cluster, router = build(
+            shards=1, clients=clients, seed=clients, batch_limit=16,
+            streaming=False,
+        )
+        for client_id in cluster.client_ids:
+            for i in range(ops_per_client):
+                if i % 2 == 0:
+                    router.submit(client_id, put(f"k{i}", str(client_id)))
+                else:
+                    router.submit(client_id, get(f"k{i - 1}"))
+        cluster.run()
+        return cluster
+
+    def test_batches_grow_with_load(self):
+        """Sec. 5.3: batch size is emergent — one client cannot form a
+        batch, sixteen do, and none exceeds the limit."""
+        sizes = [
+            self._one_shard_mix(clients, 8).stats.mean_batch_size(0)
+            for clients in (1, 2, 4, 8, 16)
+        ]
+        assert sizes[0] <= 1.5
+        assert sizes[-1] > sizes[0]
+        assert all(size <= 16 for size in sizes)
+
+    def test_one_store_per_batch_not_per_operation(self):
+        cluster = self._one_shard_mix(12, 6)
+        stores = cluster.shard_host(0).stored_versions()
+        assert stores / cluster.stats.operations_completed < 0.9
+
     def test_keyless_operation_needs_explicit_shard(self):
         cluster, router = build()
         with pytest.raises(ConfigurationError):

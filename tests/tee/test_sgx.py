@@ -57,6 +57,15 @@ class TestEpcModel:
         assert epc.fits(memory.heap_bytes(300_000, 40, 100))
         assert not epc.fits(memory.heap_bytes(400_000, 40, 100))
 
+    def test_larger_epc_moves_the_knee_past_1m_objects(self):
+        working_set = MapMemoryModel().heap_bytes(1_000_000, 40, 100)
+        multipliers = [
+            EpcModel(usable_bytes=mb * MIB).latency_multiplier(working_set)
+            for mb in (64, 93, 128, 256, 512)
+        ]
+        assert multipliers == sorted(multipliers, reverse=True)
+        assert multipliers[-1] == 1.0  # 512 MB holds the whole working set
+
     def test_max_latency_increase_near_paper_240_percent(self):
         memory = MapMemoryModel()
         epc = EpcModel()

@@ -54,6 +54,19 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "fork-linearizable" in out
 
+    @pytest.mark.parametrize("flag, value", [("--clients", "0"), ("--ops", "-3")])
+    def test_cluster_rejects_nonsense_counts(self, flag, value, capsys):
+        assert main(["cluster", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cluster: --clients and --ops must both be >= 1\n"
+
+    def test_demo_recovers_and_stabilises(self, capsys):
+        assert main(["demo"]) == 0
+        out = capsys.readouterr().out
+        assert "carol GET greeting -> hello" in out
+        assert "majority-stable: True" in out
+
     def test_shard_scales_and_verifies(self, capsys):
         assert main([
             "run", "shard_scaling", "--set", "shard_counts=[1,2]",

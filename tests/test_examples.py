@@ -72,9 +72,3 @@ class TestExamples:
         assert "merge: shard 1 left the ring" in proc.stdout
         assert "re-bootstrapped as generation 1" in proc.stdout
         assert "verified fork-linearizable" in proc.stdout
-
-    def test_ycsb_evaluation_fast_mode(self):
-        proc = run_example("ycsb_evaluation.py")
-        assert proc.returncode == 0, proc.stderr
-        for marker in ("fig4", "fig5", "fig6", "sec62", "sec63", "sec65"):
-            assert marker in proc.stdout

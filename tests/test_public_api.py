@@ -33,7 +33,6 @@ PUBLIC_MODULES = [
     "repro.kvstore.functionality",
     "repro.kvstore.kvs",
     "repro.kvstore.counter",
-    "repro.kvstore.filestore",
     "repro.core",
     "repro.core.messages",
     "repro.core.stability",
