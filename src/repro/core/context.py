@@ -30,100 +30,19 @@ Extensions implemented:
 
 Once any verification fails the context **halts permanently** (the
 pseudocode's ``assert``): every later ecall raises the recorded violation.
-
-Sealed-blob layout (static/dynamic split, per-entry incremental sealing)
-------------------------------------------------------------------------
-
-The stored blob is ``serde([key_blob, static_blob, dynamic_blob])``:
-
-``key_blob``
-    ``kP`` sealed under the platform sealing key ``kS`` — recomputed only
-    when ``kP`` or ``kS`` changes (provision, migration import, restore).
-``static_blob``
-    ``(kC, kA, quorum)`` sealed under ``kP`` — configuration that changes
-    only on provision, membership change, key rotation or migration, so
-    the per-operation seal reuses the cached box instead of re-encrypting
-    and re-serializing it.
-``dynamic_blob``
-    ``serde([[section, ...], {client_id: row_record}, manifest_tag])`` —
-    the mutable state, sealed *incrementally*: a piece is regenerated
-    only when what it protects changed since the last seal.
-
-    There is one ``section`` per top-level entry of the service state
-    ``s``: ``nonce || E(enc(key) || enc(value))``, stream-encrypted under
-    ``kP`` (:func:`~repro.crypto.aead.stream_encrypt` — confidentiality
-    from the keystream, integrity from the manifest tag below), in
-    canonical order (sorted by encoded key; the key itself stays inside
-    the ciphertext).  A seal diffs the state against the last-sealed one
-    by value identity and re-encrypts only the entries whose value object
-    changed, so a PUT costs O(bytes it dirtied), not O(state).  A state
-    that is not a ``dict`` is one section whose key slot holds
-    ``enc({})`` — an encoding no real key has, dicts being unhashable.
-
-    ``row_record`` is ``serde([acknowledged, reply_box])`` where
-    ``reply_box`` is the *exact REPLY message* the context last sent that
-    client, already sealed under ``kC``.  Every datum of a ``V`` row
-    except the acknowledged marker — ``(t, h, r)`` — is carried by that
-    REPLY, so storing its box verbatim makes the per-invoke row seal a
-    concatenation plus one hash instead of a fresh encryption.  This
-    leaks nothing new: all group clients share ``kC`` and can already
-    read each other's REPLY boxes off the wire.  The plaintext
-    acknowledged marker reveals only a sequence number, the same class of
-    metadata :meth:`_ecall_status` exposes.  Rows for clients that never
-    received a REPLY (fresh provision/join, migration import, kC
-    rotation) hold a synthesized REPLY box with ``q = 0`` and an empty
-    previous-chain echo, which no client accepts as a live reply because
-    the previous-chain check fails.
-
-``manifest_tag`` restores the atomicity a single box used to provide: it
-is an HMAC under ``kP`` (domain-separated from box tags by its
-associated-data string) over the SHA-256 hash of ``static_blob``, the
-SHA-256 hash of the *ordered list* of section hashes, and the hash of
-every ``row_record`` in canonical order.  A host that splices pieces from
-different seals — one key's section from version 10 into version 12, two
-sections swapped, one dropped or duplicated, ``s`` from one version with
-``V`` from another, a pre-rotation static config with a post-rotation
-dynamic layer — or tampers with a plaintext acknowledged marker produces
-a manifest mismatch and the restore raises
-:class:`~repro.errors.AuthenticationFailure`.  Clients hold ``kC`` and
-could mint plausible REPLY boxes, but they cannot forge the ``kP``
-manifest tag, so stored rows are exactly as unforgeable as before.
-Replaying one *complete* old blob remains possible, exactly as with the
-monolithic layout; that is the rollback attack LCM detects through
-client verification, not through sealing.
-
-What the host observes: the number of sections (top-level entries), each
-section's length, and — by comparing consecutive versions — which slots
-changed, hence the rank of a written key among the keys and how often a
-slot is rewritten.  Key names and values stay confidential.  This is the
-same class of metadata as the plaintext acknowledged marker; a
-functionality that must hide its access pattern from the host keeps its
-state under a single top-level entry.
-
-Reusing a cached box verbatim across seals is safe: the identical
-(key, nonce, plaintext) box carries no new information, and any change to
-the protected content reseals that piece under a fresh nonce, so no
-(key, nonce) pair ever covers two plaintexts.
-
-A store hands the host only what the seal rewrote: the ``(offset,
-bytes)`` runs of the changed pieces, against the blob the same context
-stored last (:mod:`repro.server.storage`).  The first store after a
-start, a restore, a provision or a migration import is the whole blob.
-The runs tell the host nothing that comparing consecutive versions
-would not.
+The sealed state ``T`` persists ``s`` and ``V`` in — its layout, the
+incremental seal and the deltas a store hands the host — lives in
+:mod:`repro.core.sealed_state`; the context reaches it only through
+:class:`~repro.core.sealed_state.SealedState`.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
-import operator
 from bisect import bisect_left, insort
 from time import perf_counter as _perf_counter
 from dataclasses import dataclass
 from typing import Any, Callable
-
-from hashlib import sha256 as _sha256
 
 from repro import serde
 from repro.crypto import fastpath as _fastpath
@@ -136,10 +55,6 @@ from repro.crypto.aead import (
     auth_decrypt_batch,
     auth_encrypt,
     auth_encrypt_batch,
-    mac_tag,
-    stream_decrypt,
-    stream_encrypt,
-    verify_mac_tag,
 )
 from repro.crypto.dh import DhKeyPair, PUBLIC_KEY_BYTES, public_from_bytes
 from repro.crypto.hashing import (
@@ -147,7 +62,6 @@ from repro.crypto.hashing import (
     RING_SPAN,
     chain_extend,
     ring_point,
-    secure_hash_many,
 )
 from repro.errors import (
     AuthenticationFailure,
@@ -157,7 +71,6 @@ from repro.errors import (
     ReplayDetected,
     RollbackDetected,
     SecurityViolation,
-    StaleSequenceNumber,
 )
 from repro.kvstore.functionality import (
     Functionality,
@@ -169,10 +82,10 @@ from repro.core.messages import (
     _INVOKE_PREFIX,
     _REPLY_AD,
     _REPLY_PREFIX,
-    ReplyPayload,
     decode_invoke,
     encode_reply,
 )
+from repro.core.sealed_state import SealedState
 from repro.core.stability import (
     ClientEntry,
     PackedRows,
@@ -180,11 +93,6 @@ from repro.core.stability import (
 )
 from repro.tee.enclave import EnclaveEnv
 
-_KEY_BLOB_AD = b"lcm/state-key"
-_STATIC_BLOB_AD = b"lcm/state-static"
-#: mac_tag domain for the dynamic-section manifest; must never be passed
-#: to auth_encrypt/auth_decrypt (see repro.crypto.aead.mac_tag).
-_MANIFEST_AD = b"lcm/state-manifest"
 _PROVISION_AD = b"lcm/provision"
 _ADMIN_AD = b"lcm/admin"
 _MIGRATION_AD = b"lcm/migration"
@@ -220,249 +128,6 @@ class _HandoffSession:
 def _session_ad(counter: int) -> bytes:
     return _HANDOFF_AD + b"/session/" + counter.to_bytes(8, "big")
 
-
-def _list_header(count: int) -> bytes:
-    """Container framing sourced from serde so the knowledge stays there."""
-    buf = bytearray()
-    serde.encode_list_header(buf, count)
-    return bytes(buf)
-
-
-def _dict_header(count: int) -> bytes:
-    buf = bytearray()
-    serde.encode_dict_header(buf, count)
-    return bytes(buf)
-
-
-_TWO_LIST_HEADER = _list_header(2)
-_THREE_LIST_HEADER = _list_header(3)
-
-
-#: Canonical serde encoding of one bytes value (``B || len || value``) —
-#: exactly serde.encode's bytes fast path; aliased so the wire knowledge
-#: stays in serde.
-_frame_bytes = serde.encode
-
-
-def _bytes_header(length: int) -> bytes:
-    """Framing prefix of a ``length``-byte bytes value (``B || len``)."""
-    return b"B" + length.to_bytes(8, "big")
-
-
-#: Framing prefix of a 32-byte hash value, precomputed for the per-invoke
-#: manifest-piece path.
-_HASH_FRAME = _bytes_header(32)
-
-
-#: Key slot of the single section a non-``dict`` service state is sealed
-#: as: the encoding of ``{}``, which no entry of a real ``dict`` state can
-#: carry because dicts are unhashable.
-_WHOLE_STATE_KEY = serde.encode({})
-_WHOLE_STATE = object()  # that section's key in the entry views below
-_ABSENT = object()
-#: value types that cannot change behind an unchanged object identity
-_IMMUTABLE_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
-
-
-def _entries(state: Any) -> dict:
-    """The service state as the ``{key: value}`` entries it is sealed by."""
-    return state if isinstance(state, dict) else {_WHOLE_STATE: state}
-
-
-def _encode_key(key: Any) -> bytes:
-    return _WHOLE_STATE_KEY if key is _WHOLE_STATE else serde.encode(key)
-
-
-class _PieceTable:
-    """The sealed pieces of one container of the dynamic blob, in
-    canonical (encoded-key) order: a ``blob`` piece and a ``manifest``
-    piece per member, parallel to the sorted ``keys``.  Behind ``header``,
-    the container's framing for the current member count, the blob
-    pieces are the container's stored bytes and the manifest pieces its
-    manifest input.  :meth:`put` patches a member's slot in place.
-
-    This class keeps the pieces as separate strings — right for the V
-    rows (a serde dict): few members, one patched per operation, so a put
-    must cost next to nothing and joining them once per seal is cheap.
-    """
-
-    __slots__ = ("_frame", "header", "keys", "blob", "manifest")
-
-    def __init__(self, frame: Callable[[int], bytes]) -> None:
-        self._frame = frame
-        self.clear()
-
-    def clear(self) -> None:
-        self.keys: list[bytes] = []
-        self.blob: list[bytes] | bytearray = []
-        self.manifest: list[bytes] | bytearray = []
-        self.header = self._frame(0)
-
-    def put(self, key: bytes, blob_piece: bytes, manifest_piece: bytes) -> None:
-        keys = self.keys
-        slot = bisect_left(keys, key)
-        if slot < len(keys) and keys[slot] == key:
-            self.blob[slot] = blob_piece
-            self.manifest[slot] = manifest_piece
-        else:
-            keys.insert(slot, key)
-            self.blob.insert(slot, blob_piece)
-            self.manifest.insert(slot, manifest_piece)
-            self.header = self._frame(len(keys))
-
-    def discard(self, key: bytes) -> None:
-        keys = self.keys
-        slot = bisect_left(keys, key)
-        if slot < len(keys) and keys[slot] == key:
-            del keys[slot], self.blob[slot], self.manifest[slot]
-            self.header = self._frame(len(keys))
-
-
-class _PackedPieceTable(_PieceTable):
-    """The same table with each side packed end to end in one buffer —
-    right for the state sections (a serde list): many members, few
-    patched per seal, so assembling a blob must copy two buffers, not
-    visit every member (a read-only batch would otherwise pay per key).
-    A put overwrites the member's bytes where they lie, found by a
-    prefix sum over the piece lengths; equal-length replacement is a
-    memcpy of the piece, anything else also moves what follows.
-    Manifest pieces are all ``_HASH_FRAME``-framed hashes, one width.
-
-    The table also records what changed in ``blob`` since the last
-    :meth:`take_changes`: the pieces rewritten at equal length, by
-    offset, and the lowest offset from which bytes moved (an insert, a
-    removal or a resize), so the store after a seal can hand over just
-    those bytes.
-    """
-
-    __slots__ = ("_lengths", "_rewritten", "_moved")
-
-    _WIDTH = len(_HASH_FRAME) + 32
-
-    def clear(self) -> None:
-        self.keys = []
-        self.blob = bytearray()
-        self.manifest = bytearray()
-        self._lengths: list[int] = []
-        self.header = self._frame(0)
-        self._rewritten: dict[int, bytes] = {}
-        self._moved: int | None = 0  # every byte is new
-
-    def take_changes(self) -> tuple[dict[int, bytes], int | None]:
-        """The changes to ``blob`` since the last call: the pieces
-        rewritten at equal length, by offset (the newest per offset), and
-        the offset bytes moved from (None if none did)."""
-        changes = self._rewritten, self._moved
-        self._rewritten, self._moved = {}, None
-        return changes
-
-    def _span(self, slot: int, present: bool) -> tuple[int, int]:
-        lengths = self._lengths
-        start = sum(lengths[:slot]) if slot < len(lengths) else len(self.blob)
-        return start, start + lengths[slot] if present else start
-
-    def _moved_from(self, start: int) -> None:
-        if self._moved is None or start < self._moved:
-            self._moved = start
-
-    def put(self, key: bytes, blob_piece: bytes, manifest_piece: bytes) -> None:
-        keys = self.keys
-        slot = bisect_left(keys, key)
-        present = slot < len(keys) and keys[slot] == key
-        start, end = self._span(slot, present)
-        self.blob[start:end] = blob_piece
-        if present and end - start == len(blob_piece):
-            self._rewritten[start] = blob_piece
-        else:
-            self._moved_from(start)
-        at = slot * self._WIDTH
-        self.manifest[at : at + self._WIDTH if present else at] = manifest_piece
-        if present:
-            self._lengths[slot] = len(blob_piece)
-        else:
-            keys.insert(slot, key)
-            self._lengths.insert(slot, len(blob_piece))
-            self.header = self._frame(len(keys))
-
-    def discard(self, key: bytes) -> None:
-        keys = self.keys
-        slot = bisect_left(keys, key)
-        if slot < len(keys) and keys[slot] == key:
-            start, end = self._span(slot, True)
-            at = slot * self._WIDTH
-            del self.blob[start:end], self.manifest[at : at + self._WIDTH]
-            del keys[slot], self._lengths[slot]
-            self.header = self._frame(len(keys))
-            self._moved_from(start)
-
-
-#: Where :meth:`LcmContext._blob_pieces` puts the state sections buffer:
-#: behind the outer list header, the key and static boxes, the dynamic
-#: layer's length header and list header, and the sections' list header.
-_SECTIONS_SLOT = 6
-
-
-def _store_runs(
-    stored: list,
-    starts: list[int],
-    pieces: list,
-    rewritten: dict[int, bytes],
-    moved: int | None,
-) -> tuple[list[tuple[int, bytes]], list[int]]:
-    """The ascending ``(offset, bytes)`` runs that turn the blob a
-    context stored last into the join of ``pieces``, and the new
-    pieces' offsets.
-
-    ``stored`` is that store's piece list, the sections buffer standing
-    in by its length then, and ``starts`` its pieces' offsets and its
-    length; ``rewritten`` and ``moved`` are the buffer's changes since
-    (:meth:`_PackedPieceTable.take_changes`).  A piece that is the stored
-    one, or equal to it, adds nothing, and one replaced at equal length
-    is a run of its own.  The first length change moves every byte after
-    it, so the last run goes from there to the end; until one does, the
-    offsets stay ``starts``.  A run is an immutable piece itself, or a
-    copy out of the buffer, never a view of it.
-    """
-    # most pieces are the very objects stored last: visit only the others
-    # (the sections slot always, its stand-in being a length)
-    changed = [
-        *itertools.compress(itertools.count(), map(operator.is_not, pieces, stored)),
-        *range(len(stored), len(pieces)),
-    ]
-    runs: list[tuple[int, bytes]] = []
-    append = runs.append
-    known = len(stored)
-    for index in changed:
-        piece = pieces[index]
-        if index == _SECTIONS_SLOT:
-            at = starts[index]
-            cut = len(piece) if moved is None else moved
-            runs.extend(
-                (at + start, data)
-                for start, data in sorted(rewritten.items())
-                if start < cut
-            )
-            if moved is None:
-                continue
-            if stored[index] == len(piece):
-                append((at + moved, bytes(memoryview(piece)[moved:])))
-                continue
-            at += moved
-            rest = [memoryview(piece)[moved:], *pieces[index + 1 :]]
-        elif index < known and len(stored[index]) == len(piece):
-            if stored[index] != piece:
-                append((starts[index], piece))
-            continue
-        else:
-            at = starts[index]
-            rest = pieces[index:]
-        # a length changed here: every byte after it moved
-        append((at, b"".join(rest)))
-        break
-    else:
-        if len(pieces) == known:
-            return runs, starts
-    return runs, [0, *itertools.accumulate(map(len, pieces))]
 
 
 #: Decoded forms of recently seen operation encodings (real workloads repeat
@@ -540,15 +205,9 @@ class LcmContext:
     DEVELOPER = "lcm-reproduction"
 
     def __init__(self, functionality: Functionality, *, audit: bool = False,
-                 quorum_override: int | None = None,
-                 piggyback_state: bool = False,
                  stage_probe: Callable[[dict], Any] | None = None) -> None:
         self._functionality = functionality
         self._audit = audit
-        self._quorum_override = quorum_override
-        # Sec. 5.2 optimisation: return the sealed state with the reply
-        # instead of an ocall, eliminating one enclave transition.
-        self._piggyback_state = piggyback_state
         # enclave-depth tracing opt-in: when set, each invoke batch
         # reports its wall-clock stage durations (unseal / execute /
         # reply_seal / state_seal, plus per-op execute) through this
@@ -558,9 +217,6 @@ class LcmContext:
         # volatile protected memory M — lost at epoch end
         self._env: EnclaveEnv | None = None
         self._sealing_key: AeadKey | None = None     # kS
-        self._state_key: AeadKey | None = None       # kP
-        self._communication_key: AeadKey | None = None  # kC
-        self._admin_key: AeadKey | None = None       # kA (admin channel)
         self._sequence = 0                           # t
         self._chain = GENESIS_HASH                   # h
         # V as packed parallel columns (ids/ack/seq as int64 arrays, chains
@@ -577,34 +233,10 @@ class LcmContext:
         # this context's history alone.
         self._nonces: NonceSequence | None = None
         self._state: Any = None                      # s
-        # seal caches (see module docstring): the kP-under-kS and static
-        # config boxes, and one piece table each for the state sections
-        # and the V rows.
-        self._key_blob: bytes | None = None
-        self._static_blob: bytes | None = None
-        self._static_blob_hash: bytes | None = None  # framed, manifest input
-        # The sections are current for _sealed_state, the exact object they
-        # were last diffed against ({} = nothing sealed yet).  Safe because
-        # Functionality.apply must not mutate state in place: an entry
-        # whose value is the same object still has the plaintext its
-        # cached section was sealed from.
-        self._sections = _PackedPieceTable(_list_header)
-        self._sealed_state: Any = {}
-        self._sections_hash: bytes | None = None  # framed, manifest input
-        # audit mode only: key -> the encoded value its section holds,
-        # and -> the value object itself where that is an immutable scalar
-        self._sealed_values: dict[Any, bytes] = {}
-        self._sealed_scalars: dict[Any, Any] = {}
-        # rows in _dirty_rows need a synthesized REPLY box before the next
-        # store; the invoke path feeds the table the real ones
-        self._row_pieces = _PieceTable(_dict_header)
-        self._dirty_rows: set[int] = set()
-        # the pieces of the blob this context stored last (the sections
-        # buffer standing in by its length) and their offsets: the base of
-        # the next store's delta (None: the next store is a whole blob —
-        # so is a restored context's first, as storage's newest version
-        # may be another than the one it restored after a rollback)
-        self._stored: tuple[list, list[int]] | None = None
+        # the sealed blob of s and V, which also holds kP, kC, kA and the
+        # quorum (repro.core.sealed_state); None until provisioned or
+        # restored
+        self._sealed: SealedState | None = None
         self._provisioned = False
         self._halted: SecurityViolation | None = None
         self._dh: DhKeyPair | None = None
@@ -649,464 +281,32 @@ class LcmContext:
     def _restore(self, blob: bytes) -> None:
         """Unseal and adopt a stored state (possibly rolled back by S —
         LCM detects that later, through client verification)."""
-        try:
-            blob_key, blob_static, blob_dynamic = serde.decode(blob)
-        except Exception as exc:  # malformed outer framing
-            raise AuthenticationFailure(f"stored blob malformed: {exc}") from exc
-        key_material = auth_decrypt(
-            blob_key, self._sealing_key, associated_data=_KEY_BLOB_AD
+        self._sealed, self._state, entries = SealedState.restore(
+            blob, self._sealing_key, self._next_nonce, audit=self._audit
         )
-        self._state_key = AeadKey(key_material, label="kP")
-        static_plain = auth_decrypt(
-            blob_static, self._state_key, associated_data=_STATIC_BLOB_AD
-        )
-        kc_material, ka_material, quorum = serde.decode(static_plain)
-        static_hash = _frame_bytes(_sha256(blob_static).digest())
-        try:
-            section_boxes, row_boxes, tag = serde.decode(blob_dynamic)
-            if type(section_boxes) is not list or type(row_boxes) is not dict:
-                raise TypeError("not a [sections, rows, tag] layout")
-            section_hashes = [
-                _HASH_FRAME + _sha256(box).digest() for box in section_boxes
-            ]
-            sections_hash = self._hash_sections(
-                _list_header(len(section_hashes)), b"".join(section_hashes)
-            )
-            # rows in canonical order, NOT the stored dict order: the
-            # decoder accepts any, and adopting the host's order would
-            # make our own next seal disagree with its manifest
-            rows = sorted(
-                (serde.encode(client_id), client_id, record)
-                for client_id, record in row_boxes.items()
-            )
-            row_hashes = [
-                enc_id + _HASH_FRAME + _sha256(record).digest()
-                for enc_id, _, record in rows
-            ]
-            manifest = self._build_manifest(
-                static_hash,
-                sections_hash,
-                _dict_header(len(row_hashes)),
-                row_hashes,
-            )
-        except Exception as exc:  # malformed (or pre-section) dynamic framing
-            raise AuthenticationFailure(
-                f"stored dynamic section malformed: {exc}"
-            ) from exc
-        if not isinstance(tag, bytes) or not verify_mac_tag(
-            tag, manifest, self._state_key, associated_data=_MANIFEST_AD
-        ):
-            raise AuthenticationFailure(
-                "sealed state manifest MAC mismatch "
-                "(sections were spliced or tampered)"
-            )
-        self._communication_key = AeadKey(kc_material, label="kC")
-        self._admin_key = AeadKey(ka_material, label="kA")
-        self._quorum_override = quorum if quorum else None
-        # manifest verified above: the stream-encrypted state sections and
-        # the per-row REPLY boxes are authentic, so unseal and adopt them
-        plains = [stream_decrypt(box, self._state_key) for box in section_boxes]
-        if len(plains) == 1 and plains[0].startswith(_WHOLE_STATE_KEY):
-            self._state = serde.decode(plains[0][len(_WHOLE_STATE_KEY) :])
-        else:
-            # ``enc(key) || enc(value)`` runs in canonical order are the
-            # body of the state dict's own encoding
-            self._state = serde.decode(
-                b"".join([_dict_header(len(plains)), *plains])
-            )
-        keys = sorted(map(_encode_key, _entries(self._state)))
-        if len(keys) != len(plains) or not all(
-            map(bytes.startswith, plains, keys)
-        ):
-            raise AuthenticationFailure(
-                "sealed state sections are not in canonical key order"
-            )
-        entries: dict[int, ClientEntry] = {}
-        try:
-            records = {
-                client_id: serde.decode(record)
-                for client_id, record in row_boxes.items()
-            }
-        except Exception as exc:
-            raise AuthenticationFailure(
-                f"stored row record malformed: {exc}"
-            ) from exc
-        for client_id, (acknowledged, reply_box) in records.items():
-            reply = ReplyPayload.unseal(reply_box, self._communication_key)
-            entries[client_id] = ClientEntry(
-                acknowledged=acknowledged,
-                last_sequence=reply.sequence,
-                last_chain=reply.chain,
-                last_result=reply.result,
-            )
-        self._reset_entries(entries)
-        # The unsealed pieces are exactly what the next seal would produce
-        # — adopt them so the first post-restore store reuses them verbatim.
-        self._key_blob = _frame_bytes(blob_key)
-        self._static_blob = _frame_bytes(blob_static)
-        self._static_blob_hash = static_hash
-        for key, box, piece in zip(keys, section_boxes, section_hashes):
-            self._sections.put(key, _frame_bytes(box), piece)
-        self._sealed_state = self._state
-        self._sections_hash = sections_hash
-        if self._audit:
-            self._sealed_values = {
-                key: serde.encode(value)
-                for key, value in _entries(self._state).items()
-            }
-            self._sealed_scalars = {
-                key: value
-                for key, value in _entries(self._state).items()
-                if type(value) in _IMMUTABLE_SCALARS
-            }
-        for (enc_id, _, record), piece in zip(rows, row_hashes):
-            self._row_pieces.put(enc_id, enc_id + _frame_bytes(record), piece)
-        self._dirty_rows.clear()
+        self._rows.replace(entries)
         if len(self._rows):
             _, self._sequence, self._chain = self._rows.argmax()
         self._provisioned = True
 
-    # ------------------------------------------------------------ seal caches
-
-    def _set_entry(self, client_id: int, entry: ClientEntry) -> None:
-        """Update one row of V; its stored record is rebuilt at the next
-        seal (with a synthesized REPLY box — the invoke path instead feeds
-        :meth:`_store_row_seals` the real one)."""
-        rows = self._rows
-        slot = rows.slot.get(client_id)
-        if slot is None:
-            rows.insert(client_id, entry)
-            self._quorum_cache = None
-        else:
-            acks = rows.acks
-            del acks[bisect_left(acks, rows.ack[slot])]
-            insort(acks, entry.acknowledged)
-            rows.ack[slot] = entry.acknowledged
-            rows.seq[slot] = entry.last_sequence
-            rows.chains[slot * 32 : slot * 32 + 32] = entry.last_chain
-            rows.results[slot] = entry.last_result
-        self._dirty_rows.add(client_id)
-
-    def _store_row_seals(self, pending: dict[int, tuple[int, bytes]]) -> None:
-        """Cache the stored form of a batch of V rows from their
-        ``(acknowledged, REPLY box)`` pairs, hashing every record in one
-        pass and patching each row's slot of the piece table."""
-        if not pending:
-            return
-        enc_ids = []
-        blobs = []
-        record_views = []
-        for client_id, (acknowledged, reply_box) in pending.items():
-            enc_id = serde.encode(client_id)
-            try:
-                encoded_ack = acknowledged.to_bytes(16, "big", signed=True)
-            except OverflowError:
-                raise serde.SerdeError(
-                    "acknowledged marker exceeds the canonical 128-bit range"
-                ) from None
-            # canonical serde bytes of ``[acknowledged, reply_box]``,
-            # assembled and framed in one pass (inlined ``B || len ||
-            # value`` framing, pinned by the sealed-blob format tests;
-            # record length = header 9 + I 17 + B 9 + box)
-            blob_piece = (
-                enc_id
-                + _bytes_header(35 + len(reply_box))
-                + _TWO_LIST_HEADER
-                + b"I"
-                + encoded_ack
-                + _bytes_header(len(reply_box))
-                + reply_box
-            )
-            enc_ids.append(enc_id)
-            blobs.append(blob_piece)
-            # hash the record bytes straight out of the assembled piece
-            record_views.append(memoryview(blob_piece)[len(enc_id) + 9 :])
-        put = self._row_pieces.put
-        for enc_id, blob_piece, digest in zip(
-            enc_ids, blobs, secure_hash_many(record_views)
-        ):
-            put(enc_id, blob_piece, enc_id + _HASH_FRAME + digest)
-        self._dirty_rows.difference_update(pending)
-
-    def _reset_entries(self, entries: dict[int, ClientEntry]) -> None:
-        """Replace V wholesale (provision / restore / migration import)."""
+    def _install(
+        self, kp: bytes, kc: bytes, ka: bytes, quorum: int, entries: dict
+    ) -> None:
+        """Adopt fresh keys, quorum and V (provision / migration import):
+        every piece of the next store is sealed anew."""
         self._rows.replace(entries)
         self._quorum_cache = None
-        self._row_pieces.clear()
-        self._dirty_rows = set(entries)
-
-    def _remove_entry(self, client_id: int) -> None:
-        self._rows.remove(client_id)
-        self._quorum_cache = None
-        self._row_pieces.discard(serde.encode(client_id))
-        self._dirty_rows.discard(client_id)
-
-    def _invalidate_seal_caches(self) -> None:
-        """Drop every cached box (the keys they were sealed under changed)."""
-        self._key_blob = None
-        self._static_blob = None
-        self._static_blob_hash = None
-        self._sections.clear()
-        self._sealed_state = {}
-        self._sections_hash = None
-        self._sealed_values = {}
-        self._sealed_scalars = {}
-        self._row_pieces.clear()
-        self._dirty_rows = set(self._rows.client_ids())
-        self._stored = None
-
-    # ----------------------------------------------------------------- sealing
-
-    def _refresh_sections(self) -> None:
-        """Bring the state sections up to date with ``self._state``:
-        reseal exactly the top-level entries whose value object changed
-        since the last seal and drop those that left.  Outside audit mode
-        the caller skips the call when the state object did not change."""
-        state = self._state
-        audit = self._audit
-        entries = _entries(state)
-        sealed_values = self._sealed_values
-        sealed_scalars = self._sealed_scalars
-        if state is not self._sealed_state:
-            sections = self._sections
-            sealed = _entries(self._sealed_state)
-            sealed_get = sealed.get
-            dirty = [
-                key
-                for key, value in entries.items()
-                if sealed_get(key, _ABSENT) is not value
-            ]
-            # len(sealed) + entered - left == len(entries), so the keys
-            # that left are only looked for when the sizes say some did
-            entered = len(dirty) - sum(map(sealed.__contains__, dirty))
-            left = (
-                sealed.keys() - entries.keys()
-                if len(sealed) + entered != len(entries)
-                else ()
-            )
-            for key in left:
-                sections.discard(_encode_key(key))
-                sealed_values.pop(key, None)
-                sealed_scalars.pop(key, None)
-            for twin in (False, True):
-                if twin in entries and twin in sealed:
-                    # False/0 and True/1 are one dict key but two
-                    # encodings, and value identity cannot tell which of
-                    # the two a state holds now: such an entry is
-                    # resealed on every pass, its old section dropped
-                    # under either encoding
-                    sections.discard(serde.encode(twin))
-                    sections.discard(serde.encode(int(twin)))
-                    key = next(key for key in entries if key == twin)
-                    if key not in dirty:
-                        dirty.append(key)
-            if dirty or left:
-                self._sections_hash = None
-            kp = self._state_key
-            # fresh nonces are drawn in canonical section order, so the
-            # sealed bytes do not depend on the state's dict order
-            for enc_key, key in sorted((_encode_key(key), key) for key in dirty):
-                value = entries[key]
-                enc_value = serde.encode(value)
-                box = stream_encrypt(
-                    enc_key + enc_value, kp, nonce=self._next_nonce()
-                )
-                sections.put(
-                    enc_key, _frame_bytes(box), _HASH_FRAME + _sha256(box).digest()
-                )
-                if audit:
-                    sealed_values[key] = enc_value
-                    if type(value) in _IMMUTABLE_SCALARS:
-                        sealed_scalars[key] = value
-                    else:
-                        sealed_scalars.pop(key, None)
-            self._sealed_state = state
-        if audit and any(
-            serde.encode(entries[key]) != sealed_values.get(key)
-            for key in itertools.compress(
-                entries,
-                map(
-                    operator.is_not,
-                    entries.values(),
-                    map(sealed_scalars.get, entries, itertools.repeat(_ABSENT)),
-                ),
-            )
-        ):
-            # The identity diff assumes Functionality.apply never mutates
-            # a top-level value in place (its documented contract).  Audit
-            # mode pays for re-encoding entries to catch violations loudly
-            # instead of keeping a stale section that a restore would
-            # silently resurrect: each value must still encode to the
-            # bytes its section was sealed from.  Only an entry that still
-            # holds the very immutable scalar it was sealed from is exempt
-            # — it cannot have changed.
-            raise ConfigurationError(
-                "functionality mutated the service state in place; "
-                "a sealed section would go stale (see Functionality.apply)"
-            )
-
-    def _refresh_dynamic_seals(self) -> None:
-        """Reseal exactly the dynamic pieces that changed since last seal."""
-        if self._state is not self._sealed_state or self._audit:
-            self._refresh_sections()
-        if self._dirty_rows:
-            # rows dirtied outside the invoke path (provision, membership
-            # change, kC rotation, migration import) get a synthesized
-            # REPLY box; its empty previous-chain echo means no client
-            # ever accepts it as a live reply
-            rows = self._rows
-            kc = self._communication_key
-            pending = {}
-            for client_id in sorted(self._dirty_rows):
-                entry = rows.entry(client_id)
-                box = ReplyPayload(
-                    sequence=entry.last_sequence,
-                    chain=entry.last_chain,
-                    result=entry.last_result,
-                    stable_sequence=0,
-                    previous_chain=b"",
-                ).seal(kc, nonce=self._next_nonce())
-                pending[client_id] = (entry.acknowledged, box)
-            self._store_row_seals(pending)  # clears their dirty marks
-
-    @staticmethod
-    def _hash_sections(header: bytes, framed_hashes: bytes) -> bytes:
-        """Framed SHA-256 over the serde bytes of the ordered list of
-        section hashes (its list ``header``, then one framed hash per
-        section): the one manifest input that binds every section and
-        their order, and that only a seal which changed a section
-        recomputes."""
-        digest = _sha256(header)
-        digest.update(framed_hashes)
-        return _frame_bytes(digest.digest())
-
-    @staticmethod
-    def _build_manifest(
-        framed_static_hash: bytes,
-        framed_sections_hash: bytes,
-        rows_header: bytes,
-        row_hashes: list[bytes],
-    ) -> bytes:
-        """Serde bytes of ``[static_blob_hash, sections_hash,
-        {client_id: row_record_hash}]``.
-
-        The static-config hash binds the dynamic layer to the exact static
-        section it was sealed next to (a kC rotation changes both, and the
-        manifest stops a host from pairing a retired static blob with a
-        newer dynamic layer).  ``row_hashes`` holds the ``enc_id || framed
-        hash`` chunks in encoded-id order behind ``rows_header``, the dict
-        framing for their count; seal and restore must build identical
-        bytes.
-        """
-        return b"".join(
-            [
-                _THREE_LIST_HEADER,
-                framed_static_hash,
-                framed_sections_hash,
-                rows_header,
-                *row_hashes,
-            ]
+        self._sealed = SealedState(
+            self._sealing_key, kp, kc, ka, quorum, self._next_nonce, audit=self._audit
         )
-
-    def _dynamic_parts(self) -> list[bytes]:
-        """The pieces of ``serde([[section, ...], {id: row_record},
-        manifest_tag])``, resealing only what changed.
-
-        Only called from :meth:`_blob_pieces`, which guarantees the static
-        blob (and its hash) exist first.
-        """
-        self._refresh_dynamic_seals()
-        sections = self._sections
-        rows = self._row_pieces
-        if self._sections_hash is None:
-            self._sections_hash = self._hash_sections(
-                sections.header, sections.manifest
-            )
-        # both tables are in canonical order already: the seal patched
-        # only the changed slots, so nothing is re-sorted here and no
-        # section is visited
-        manifest = self._build_manifest(
-            self._static_blob_hash,
-            self._sections_hash,
-            rows.header,
-            rows.manifest,
-        )
-        tag = mac_tag(manifest, self._state_key, associated_data=_MANIFEST_AD)
-        return [
-            _THREE_LIST_HEADER,
-            sections.header,
-            sections.blob,
-            rows.header,
-            *rows.blob,
-            _frame_bytes(tag),
-        ]
-
-    def _blob_pieces(self) -> list:
-        """Seal the mutable pieces that changed; reuse the cached static
-        config and kP-under-kS boxes unless they were invalidated.
-        Returns the sealed blob as its pieces, in order, the sections
-        buffer at :data:`_SECTIONS_SLOT`."""
-        if self._key_blob is None:
-            self._key_blob = _frame_bytes(
-                auth_encrypt(
-                    self._state_key.material,
-                    self._sealing_key,
-                    associated_data=_KEY_BLOB_AD,
-                    nonce=self._next_nonce(),
-                )
-            )
-        if self._static_blob is None:
-            static_plain = serde.encode(
-                [
-                    self._communication_key.material,
-                    self._admin_key.material,
-                    self._quorum_override or 0,
-                ]
-            )
-            box = auth_encrypt(
-                static_plain,
-                self._state_key,
-                associated_data=_STATIC_BLOB_AD,
-                nonce=self._next_nonce(),
-            )
-            self._static_blob = _frame_bytes(box)
-            self._static_blob_hash = _frame_bytes(_sha256(box).digest())
-        dynamic = self._dynamic_parts()
-        return [
-            _THREE_LIST_HEADER,
-            self._key_blob,
-            self._static_blob,
-            _bytes_header(sum(map(len, dynamic))),
-            *dynamic,
-        ]
-
-    def _sealed_blob(self) -> bytes:
-        """The whole sealed blob, joined from its pieces.  Leaves the
-        record of what changed since the last store alone, so the next
-        store's delta still covers it."""
-        return b"".join(self._blob_pieces())
-
-    def _seal_for_store(self) -> bytes | tuple[int, int, list]:
-        """Seal, and return what the host stores: the delta
-        ``(base_length, length, runs)`` against the blob this context
-        stored last (:mod:`repro.server.storage`), or the whole blob when
-        this context has not stored since it started, restored or
-        dropped its seal caches."""
-        pieces = self._blob_pieces()
-        rewritten, moved = self._sections.take_changes()
-        layout = pieces.copy()
-        layout[_SECTIONS_SLOT] = len(pieces[_SECTIONS_SLOT])
-        if self._stored is None:
-            self._stored = (layout, [0, *itertools.accumulate(map(len, pieces))])
-            return b"".join(pieces)
-        base, base_starts = self._stored
-        runs, starts = _store_runs(base, base_starts, pieces, rewritten, moved)
-        self._stored = (layout, starts)
-        return base_starts[-1], starts[-1], runs
+        self._sealed.dirty_rows.update(entries)
 
     def _seal_and_store(self) -> None:
-        """Seal the state and persist it through the (untrusted) host."""
-        self._env.ocall_store(self._seal_for_store())
+        """Seal the state and persist it through the (untrusted) host: the
+        delta against the blob stored last, or the whole blob."""
+        sealed = self._sealed
+        sealed.seal(self._state, self._rows)
+        self._env.ocall_store(sealed.delta())
 
     # ----------------------------------------------------------------- ecalls
 
@@ -1139,14 +339,11 @@ class LcmContext:
         plain = auth_decrypt(
             payload["bundle"], channel, associated_data=_PROVISION_AD
         )
-        kp_material, kc_material, ka_material, client_ids, quorum = serde.decode(plain)
-        self._state_key = AeadKey(kp_material, label="kP")
-        self._communication_key = AeadKey(kc_material, label="kC")
-        self._admin_key = AeadKey(ka_material, label="kA")
-        self._quorum_override = quorum if quorum else None
-        self._reset_entries({client_id: ClientEntry() for client_id in client_ids})
+        kp, kc, ka, client_ids, quorum = serde.decode(plain)
         self._state = self._functionality.initial_state()
-        self._invalidate_seal_caches()
+        self._install(
+            kp, kc, ka, quorum, {client_id: ClientEntry() for client_id in client_ids}
+        )
         self._provisioned = True
         self._seal_and_store()
         return True
@@ -1197,19 +394,12 @@ class LcmContext:
         if boxes is None:
             path = "python-batch"
             boxes = self._invoke_batch_python(messages, stamps, per_op)
-        if self._piggyback_state:
-            # Sec. 5.2: hand the sealed state back with the replies; the
-            # untrusted server writes it to disk (it cannot read or forge
-            # it — only delay or roll it back, which LCM detects anyway).
-            outcome = {"replies": boxes, "state": self._seal_for_store()}
-        else:
-            self._seal_and_store()
-            outcome = boxes
+        self._seal_and_store()
         if stamps is not None:
             probe(self._stage_record(
                 path, len(messages), per_op, *stamps, _perf_counter()
             ))
-        return outcome
+        return boxes
 
     @staticmethod
     def _stage_record(
@@ -1269,7 +459,7 @@ class LcmContext:
         if timed:
             stamps.append(_perf_counter())
         rows = self._rows
-        kc = self._communication_key
+        kc = self._sealed.communication_key
         status, plain, meta, chains_out, sequence, chain_value = (
             backend.invoke_batch_open(
                 kc._enc_key,
@@ -1384,17 +574,12 @@ class LcmContext:
             nonces.counter += total
             # pass B already built each executed row's sealed-blob pieces;
             # all that is left is slot bookkeeping (a later reply to the
-            # same client overwrites, exactly like _store_row_seals)
-            put = self._row_pieces.put
-            discard = self._dirty_rows.discard
+            # same client overwrites, exactly like SealedState.put_rows)
+            put_row = self._sealed.put_row
             for index in range(total):
                 base = 10 * index
-                if meta[base] != 0:
-                    continue
-                manifest_piece = row_manifests[index]
-                # a manifest piece opens with the 17-byte encoded id
-                put(manifest_piece[:17], row_blobs[index], manifest_piece)
-                discard(meta[base + 2])
+                if meta[base] == 0:
+                    put_row(meta[base + 2], row_blobs[index], row_manifests[index])
         if timed:
             stamps.append(_perf_counter())
         return boxes
@@ -1413,7 +598,7 @@ class LcmContext:
             stamps.append(_perf_counter())
         # all-or-nothing MAC check, see aead.auth_decrypt_batch
         plains = auth_decrypt_batch(
-            messages, self._communication_key, associated_data=_INVOKE_AD
+            messages, self._sealed.communication_key, associated_data=_INVOKE_AD
         )
         invokes = [decode_invoke(plain) for plain in plains]
         if timed:
@@ -1441,7 +626,7 @@ class LcmContext:
         nonces = self._nonces
         boxes = auth_encrypt_batch(
             [encoded for encoded, _ in outcomes],
-            self._communication_key,
+            self._sealed.communication_key,
             associated_data=_REPLY_AD,
             nonces=nonces.take(len(outcomes)) if nonces is not None else None,
         )
@@ -1449,7 +634,7 @@ class LcmContext:
         for (_, row), box in zip(outcomes, boxes):
             if row is not None:
                 pending[row[0]] = (row[1], box)  # later reply supersedes
-        self._store_row_seals(pending)
+        self._sealed.put_rows(pending)
         return boxes
 
     def _execute_invoke(
@@ -1516,7 +701,7 @@ class LcmContext:
         )
         # the sealed REPLY box doubles as the stored form of this client's
         # V row; the caller seals the batch and feeds the boxes back
-        # through _store_row_seals
+        # through SealedState.put_rows
         return encoded, (client_id, last_sequence)
 
     def _execute(
@@ -1564,7 +749,7 @@ class LcmContext:
         # next seal synthesizes a box for this row instead of persisting
         # a stale one.
         self._rows.results[slot] = result_bytes
-        self._dirty_rows.add(client_id)
+        self._sealed.dirty_rows.add(client_id)
         if self._audit:
             self.audit_log.append(
                 AuditRecord(
@@ -1626,8 +811,9 @@ class LcmContext:
     def _quorum(self) -> int:
         quorum = self._quorum_cache
         if quorum is None:
-            if self._quorum_override is not None:
-                quorum = min(self._quorum_override, len(self._rows))
+            override = self._sealed.quorum
+            if override is not None:
+                quorum = min(override, len(self._rows))
             else:
                 quorum = majority_quorum(len(self._rows))
             self._quorum_cache = quorum
@@ -1651,27 +837,30 @@ class LcmContext:
         """Admin requests (join / leave / rotate kC), authenticated with kA."""
         if not self._provisioned:
             raise ConfigurationError("context not provisioned")
-        plain = auth_decrypt(box, self._admin_key, associated_data=_ADMIN_AD)
+        plain = auth_decrypt(box, self._sealed.admin_key, associated_data=_ADMIN_AD)
         request = serde.decode(plain)
         verb = request[0]
         if verb == "ADD_CLIENT":
             (_, client_id) = request
             if client_id in self._rows:
                 raise MembershipError(f"client {client_id} already in the group")
-            self._set_entry(client_id, ClientEntry())
+            self._rows.insert(client_id)
+            self._quorum_cache = None
+            # its stored record gets a synthesized REPLY box at the seal
+            self._sealed.dirty_rows.add(client_id)
             self._seal_and_store()
             return True
         if verb == "REMOVE_CLIENT":
             (_, client_id, new_kc_material) = request
             if client_id not in self._rows:
                 raise MembershipError(f"client {client_id} not in the group")
-            self._remove_entry(client_id)
-            self._communication_key = AeadKey(new_kc_material, label="kC")
+            self._rows.remove(client_id)
+            self._quorum_cache = None
+            self._sealed.discard_row(client_id)
             # kC rotated: the static config and every stored row (REPLY
             # boxes under the old kC) must be resealed
-            self._static_blob = None
-            self._static_blob_hash = None
-            self._dirty_rows.update(self._rows.client_ids())
+            self._sealed.rotate(new_kc_material)
+            self._sealed.dirty_rows.update(self._rows.client_ids())
             self._seal_and_store()
             return True
         raise MembershipError(f"unknown admin request {verb!r}")
@@ -1712,14 +901,15 @@ class LcmContext:
             client_id: entry.to_wire()
             for client_id, entry in self._rows.to_entries().items()
         }
+        keys = self._sealed
         bundle = serde.encode(
             [
-                self._state_key.material,
-                self._communication_key.material,
-                self._admin_key.material,
+                keys.state_key.material,
+                keys.communication_key.material,
+                keys.admin_key.material,
                 self._state,
                 wire_entries,
-                self._quorum_override or 0,
+                keys.quorum or 0,
             ]
         )
         sealed = auth_encrypt(bundle, channel, associated_data=_MIGRATION_AD)
@@ -1738,18 +928,12 @@ class LcmContext:
             payload["bundle"], channel, associated_data=_MIGRATION_AD
         )
         (kp, kc, ka, state, wire_entries, quorum) = serde.decode(plain)
-        self._state_key = AeadKey(kp, label="kP")
-        self._communication_key = AeadKey(kc, label="kC")
-        self._admin_key = AeadKey(ka, label="kA")
         self._state = state
-        self._reset_entries(
-            {
-                client_id: ClientEntry.from_wire(entry)
-                for client_id, entry in wire_entries.items()
-            }
-        )
-        self._quorum_override = quorum if quorum else None
-        self._invalidate_seal_caches()
+        entries = {
+            client_id: ClientEntry.from_wire(entry)
+            for client_id, entry in wire_entries.items()
+        }
+        self._install(kp, kc, ka, quorum, entries)
         if len(self._rows):
             _, self._sequence, self._chain = self._rows.argmax()
         self._provisioned = True
@@ -1815,16 +999,19 @@ class LcmContext:
 
     @staticmethod
     def _check_arcs(arcs: Any) -> list:
+        """The host's ``[lo, hi)`` ring arcs, refused unless they are a
+        list (or tuple) of integer pairs inside the ring."""
         checked = []
-        for arc in arcs:
-            lo, hi = arc
+        for arc in arcs if isinstance(arcs, (list, tuple)) else [arcs]:
             if (
-                type(lo) is not int
-                or type(hi) is not int
-                or not 0 <= lo < hi <= RING_SPAN
+                not isinstance(arc, (list, tuple))
+                or len(arc) != 2
+                or type(arc[0]) is not int
+                or type(arc[1]) is not int
+                or not 0 <= arc[0] < arc[1] <= RING_SPAN
             ):
                 raise ConfigurationError(f"malformed handoff arc {arc!r}")
-            checked.append([lo, hi])
+            checked.append(list(arc))
         return checked
 
     def _ecall_handoff_challenge(self, _payload: Any) -> bytes:
@@ -2028,8 +1215,6 @@ def make_lcm_program_factory(
     functionality_factory: Callable[[], Functionality],
     *,
     audit: bool = False,
-    quorum_override: int | None = None,
-    piggyback_state: bool = False,
     stage_probe: Callable[[dict], Any] | None = None,
 ) -> Callable[[], LcmContext]:
     """Build the program factory handed to the TEE platform.
@@ -2047,8 +1232,6 @@ def make_lcm_program_factory(
         return LcmContext(
             functionality_factory(),
             audit=audit,
-            quorum_override=quorum_override,
-            piggyback_state=piggyback_state,
             stage_probe=stage_probe,
         )
 

@@ -173,8 +173,4 @@ class MaliciousServer:
     @staticmethod
     def _deliver(instance: _Instance, message: bytes) -> bytes:
         """One INVOKE into ``instance`` (a batch of one), REPLY bytes out."""
-        outcome = instance.enclave.ecall("invoke_batch", [message])
-        if isinstance(outcome, dict):  # Sec. 5.2 piggybacked sealed state
-            instance.storage.store(outcome["state"])
-            outcome = outcome["replies"]
-        return outcome[0]
+        return instance.enclave.ecall("invoke_batch", [message])[0]

@@ -83,20 +83,10 @@ class ServerHost:
         return self.send_invoke_batch([(client_id, message)])[0]
 
     def send_invoke_batch(self, messages: list[tuple[int, bytes]]) -> list[bytes]:
-        """Forward a batch of (client_id, INVOKE) pairs in one ecall.
-
-        When the context runs with the Sec. 5.2 piggyback optimisation,
-        the sealed state (the same blob or delta the ocall would have
-        carried) arrives with the replies and the server writes it to
-        disk before forwarding them.
-        """
+        """Forward a batch of (client_id, INVOKE) pairs in one ecall."""
         self.requests_handled += len(messages)
         payload = [message for _, message in messages]
-        outcome = self.enclave.ecall("invoke_batch", payload)
-        if isinstance(outcome, dict):
-            self.storage.store(outcome["state"])
-            return outcome["replies"]
-        return outcome
+        return self.enclave.ecall("invoke_batch", payload)
 
     # --------------------------------------------------------------- queries
 

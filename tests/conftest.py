@@ -39,8 +39,7 @@ def build_deployment(
     """Assemble (host, deployment, clients) for a fresh LCM service."""
     group = epid_group or EpidGroup()
     tee = platform or TeePlatform(group)
-    factory = make_lcm_program_factory(functionality, audit=audit,
-                                       quorum_override=quorum_override)
+    factory = make_lcm_program_factory(functionality, audit=audit)
     if malicious:
         host = MaliciousServer(tee, factory)
     else:

@@ -312,6 +312,18 @@ class TestMembershipEdges:
             host.enclave.ecall("admin", forged)
 
 
+class TestHandoffArcs:
+    @pytest.mark.parametrize("arcs", [[[1, 2, 3]], [[1]], [5], 5])
+    def test_malformed_arcs_from_the_host_are_refused(self, arcs):
+        """The arcs come from the untrusted host: any shape other than a
+        list of ``[lo, hi)`` pairs is the documented configuration error,
+        never a raw unpacking error."""
+        host, _, (alice, *_) = build_deployment()
+        with pytest.raises(ConfigurationError, match="malformed handoff arc"):
+            host.enclave.ecall("handoff_export", {"arcs": arcs})
+        assert alice.invoke(put("k", "v")).sequence == 1
+
+
 class TestSequencePersistence:
     def test_long_history_across_many_restarts(self):
         host, _, (alice, bob, carol) = build_deployment()

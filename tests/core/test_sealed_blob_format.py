@@ -3,8 +3,8 @@
 The stored blob is ``serde([key_blob, static_blob, dynamic_blob])`` with
 the dynamic layer sealed incrementally — one stream-encrypted section per
 top-level entry of the service state, one record per V row, bound by one
-manifest tag (see the :mod:`repro.core.context` module docstring).  These
-tests prove the format keeps the paper's guarantees: a context restores
+manifest tag (see the :mod:`repro.core.sealed_state` module docstring).
+These tests prove the format keeps the paper's guarantees: a context restores
 faithfully across epoch restarts, key rotation and migration, a write
 reseals only what it dirtied, and any bit of tampering — including
 splicing, reordering, dropping or duplicating *authentic* pieces from
@@ -319,6 +319,29 @@ class TestTamperEvidence:
         assert alice.invoke(get("k")).result == "v"
 
 
+    def test_ill_typed_outer_layout_rejected(self):
+        """A blob that decodes, but not to three byte strings, comes from
+        the untrusted host like any other malformed layout: an
+        authentication failure, never a raw type error."""
+        host, _, (alice, *_) = build_deployment()
+        alice.invoke(put("k", "v"))
+        good = host.storage.load()
+        key_blob, static_blob, dynamic_blob = _sections(good)
+        for layout in (
+            [1, 2, 3],
+            [key_blob, 2, dynamic_blob],
+            [key_blob, static_blob, 3],
+            [key_blob, [static_blob], dynamic_blob],
+            [key_blob, static_blob],
+        ):
+            host.storage.store(serde.encode(layout))
+            with pytest.raises(AuthenticationFailure):
+                host.reboot()
+        host.storage.store(good)
+        host.reboot()
+        assert alice.invoke(get("k")).result == "v"
+
+
 class TestSpliceEvidence:
     """Mix-and-match of *authentic* pieces from different versions —
     the attack the manifest tag exists to stop."""
@@ -467,6 +490,34 @@ class TestReorderedRows:
         alice.invoke(put("k", "w"))  # reseal from the adopted sections
         host.reboot()  # the context's own blob must restore
         assert alice.invoke(get("k")).result == "w"
+
+
+class TestStoreDeltas:
+    def test_first_store_after_a_reboot_is_whole_then_deltas_of_bytes(self):
+        """After a start a context does not know which version storage
+        holds newest, so its first store is the whole blob; every later
+        one is a delta whose runs are ``bytes``, never views of the
+        context's buffers."""
+        host, _, (alice, *_) = build_deployment()
+        storage = host.storage
+        stored = []
+        store = storage.store
+
+        def capture(blob):
+            stored.append(blob)
+            return store(blob)
+
+        storage.store = capture
+        alice.invoke(put("k", "v" * 50))
+        alice.invoke(put("k", "w" * 80))
+        host.reboot()
+        alice.invoke(get("k"))
+        alice.invoke(put("k2", "x"))
+        assert [type(blob) for blob in stored] == [tuple, tuple, bytes, tuple]
+        for _, _, runs in (stored[0], stored[1], stored[3]):
+            assert runs and all(type(data) is bytes for _, data in runs)
+        host.reboot()
+        assert alice.invoke(get("k")).result == "w" * 80
 
 
 class TestRestoreAcrossMigration:

@@ -8,14 +8,16 @@ to exactly the state a model of ``F`` reached, and to the same state and
 ``V`` as a blob sealed from scratch.  Every store hands storage a delta
 against the blob its context stored last (a whole blob after a start or
 a restore), and the version it leaves must be byte for byte the whole
-blob joined from the context's pieces.
+blob joined from the context's pieces.  Underneath, the one piece table
+both the state sections and the V rows live in records its changes so
+that applying them to its previous buffer gives the new one.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import serde
-from repro.core.context import _PackedPieceTable, _PieceTable, _list_header
+from repro.core.sealed_state import SealedState, _PieceTable, _list_header
 from repro.kvstore import KvsFunctionality, delete, get, put
 from repro.kvstore.functionality import txn_abort, txn_commit, txn_prepare
 
@@ -74,8 +76,18 @@ def _check_restores(host, model):
     assert host.enclave._program._state == model
     # the same protected content, every piece sealed anew
     program = host.enclave._program
-    program._invalidate_seal_caches()
-    host.storage.store(program._sealed_blob())
+    keys = program._sealed
+    fresh = SealedState(
+        program._sealing_key,
+        keys.state_key.material,
+        keys.communication_key.material,
+        keys.admin_key.material,
+        keys.quorum,
+        program._next_nonce,
+    )
+    fresh.dirty_rows.update(program._rows.client_ids())
+    fresh.seal(program._state, program._rows)
+    host.storage.store(fresh.blob())
     assert _restored(host) == patched
     # carry on from the patched lineage, adopted sections and all
     host.storage.store(incremental)
@@ -84,7 +96,7 @@ def _check_restores(host, model):
 
 def _assert_stored_is_the_sealed_blob(host):
     """The newest stored version is the context's whole blob."""
-    assert host.storage.load() == host.enclave._program._sealed_blob()
+    assert host.storage.load() == host.enclave._program._sealed.blob()
 
 
 def _client_points(clients):
@@ -154,31 +166,56 @@ class TestSealedStateProperties:
 
 
 table_steps = st.lists(
-    st.tuples(
-        st.booleans(),  # put / discard
-        st.binary(min_size=1, max_size=2),  # member key
-        st.binary(max_size=40),  # blob piece, any length
-        st.binary(min_size=41, max_size=41),  # manifest piece, one width
+    st.one_of(
+        st.tuples(
+            st.booleans(),  # put / discard
+            st.binary(min_size=1, max_size=2),  # member key
+            st.binary(max_size=40),  # blob piece, any length
+            st.binary(min_size=5, max_size=5),  # manifest piece, one width
+        ),
+        st.just("store"),  # hand the recorded changes over
     ),
     max_size=40,
 )
 
 
-class TestPieceTables:
+class TestPieceTable:
     @given(table_steps)
-    def test_packed_table_holds_what_the_listed_table_holds(self, steps):
-        """The packed table (state sections) is the listed table (V rows)
-        with each side joined: same members, same order, same bytes after
-        any mix of inserts, equal- and other-length replacements and
-        removals."""
-        listed, packed = _PieceTable(_list_header), _PackedPieceTable(_list_header)
-        for is_put, key, blob_piece, manifest_piece in steps:
-            for table in (listed, packed):
-                if is_put:
-                    table.put(key, blob_piece, manifest_piece)
+    def test_recorded_changes_patch_the_previous_buffer_into_the_new(self, steps):
+        """After any mix of inserts, equal- and other-length replacements
+        and removals, the changes the table recorded since the last
+        store, applied to the buffer it had then, give its buffer now;
+        and the table holds its members' pieces in canonical order
+        behind the framing for their count."""
+        table = _PieceTable(_list_header, 5)
+        members: dict[bytes, tuple[bytes, bytes]] = {}
+        previous = b""
+        table.take_changes()
+        for step in [*steps, "store"]:
+            if step == "store":
+                rewritten, moved, base = table.take_changes()
+                assert base == len(previous)
+                patched = bytearray(previous)
+                for start, data in rewritten.items():
+                    if moved is None or start < moved:
+                        assert start + len(data) <= len(previous)
+                        patched[start : start + len(data)] = data
+                if moved is not None:
+                    patched[moved:] = table[moved:]
                 else:
-                    table.discard(key)
-            assert packed.keys == listed.keys == sorted(listed.keys)
-            assert packed.header == listed.header
-            assert bytes(packed.blob) == b"".join(listed.blob)
-            assert bytes(packed.manifest) == b"".join(listed.manifest)
+                    assert len(table) == len(previous)
+                assert patched == table
+                previous = bytes(table)
+                continue
+            is_put, key, blob_piece, manifest_piece = step
+            if is_put:
+                table.put(key, blob_piece, manifest_piece)
+                members[key] = (blob_piece, manifest_piece)
+            else:
+                table.discard(key)
+                members.pop(key, None)
+            ordered = sorted(members)
+            assert table.keys == ordered
+            assert table.header == _list_header(len(ordered))
+            assert table == b"".join(members[key][0] for key in ordered)
+            assert table.manifest == b"".join(members[key][1] for key in ordered)

@@ -37,6 +37,7 @@ PUBLIC_MODULES = [
     "repro.core.messages",
     "repro.core.stability",
     "repro.core.context",
+    "repro.core.sealed_state",
     "repro.core.client",
     "repro.core.async_client",
     "repro.core.bootstrap",
