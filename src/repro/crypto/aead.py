@@ -34,6 +34,20 @@ golden-vector tests and unchanged):
   hashlib block loop in whole 32-byte blocks, is XORed against the
   payload as one big integer or numpy vector rather than byte by byte,
   and the MAC is cloned from the key's cached pad states;
+- the keystream costs two SHA-256 compressions per 32 bytes (the hashed
+  message is 59 bytes).  On the native tier it has two kernels, chosen
+  when the module loads: a scalar block loop (SHA-NI where the CPU has
+  it, portable C otherwise) and, on CPUs with AVX-512F, a 16-lane kernel
+  that computes 16 counters' blocks at once for streams of 12 blocks or
+  more (shorter ones, the small-value boxes, stay on the scalar loop).
+  The lanes share the rounds that read only the key and nonce
+  and a precomputed schedule for the padding block.
+  ``fastpath.BACKEND.kernels`` names the choice;
+- the native tier keeps an in-process keystream cache, because each box
+  is sealed and opened in the same process.  It holds streams up to
+  4352 bytes, so the opener of an INVOKE or REPLY carrying a 4 KiB value
+  (about 4.25 KB) reuses the sealer's keystream instead of computing it
+  again.  Sealed-state sections and longer payloads are not cached;
 - :func:`auth_encrypt_batch` / :func:`auth_decrypt_batch` process a whole
   invoke batch in one pass: on the hashlib tier a single backend call
   generates the keystream for every box (one concatenated counter table),

@@ -9,6 +9,7 @@ each tier against independent stdlib computations.
 import hashlib
 import hmac
 import os
+import re
 import subprocess
 import sys
 
@@ -21,6 +22,8 @@ from repro.crypto.aead import (
     auth_decrypt_batch,
     auth_encrypt,
     auth_encrypt_batch,
+    stream_decrypt,
+    stream_encrypt,
 )
 from repro.errors import AuthenticationFailure, ConfigurationError
 
@@ -29,6 +32,25 @@ ENC_KEY = hashlib.sha256(b"lcm-enc" + b"\x05" * 16).digest()
 MAC_KEY = hashlib.sha256(b"lcm-mac" + b"\x05" * 16).digest()
 NONCE = bytes(range(12))
 PREFIX = b"lcm-ctr" + ENC_KEY + NONCE
+
+#: Block counts around the 16-lane kernel's edges: around its minimum
+#: (``CTR_X16_MIN``), partial and whole chunks, chunk boundaries with a
+#: scalar or a lane tail, the counter's low byte carrying (256/257) and a
+#: 64 KiB stream.
+LANE_EDGES = [
+    1, 5, 6, 7, 11, 12, 13, 15, 16, 17, 27, 28, 31, 32, 33,
+    128, 129, 256, 257, 2049,
+]
+
+#: What ``BACKEND.kernels`` may name: hashlib, or the C tier's compression
+#: function with or without the 16-lane keystream kernel.
+KNOWN_KERNELS = {
+    "hashlib", "portable", "sha-ni", "portable+avx512x16", "sha-ni+avx512x16",
+}
+
+
+def _c_define(name: str) -> int:
+    return int(re.search(rf"#define {name} (\d+)", fastpath._C_SOURCE).group(1))
 
 
 def _reference_blocks(prefix: bytes, nblocks: int) -> bytes:
@@ -58,11 +80,25 @@ def compiled():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("nblocks", [0, 1, 2, 5, 33, 200])
+    @pytest.mark.parametrize("nblocks", sorted({0, 2, 200, *LANE_EDGES}))
     def test_blocks_identical_across_backends(self, nblocks):
         expected = _reference_blocks(PREFIX, nblocks)
         for backend in _all_backends():
             assert backend.blocks(PREFIX, nblocks) == expected, backend.name
+
+    @pytest.mark.parametrize("first", [2**24 - 3, 2**32 - 5, 2**56 - 7])
+    def test_native_blocks_at_high_counters(self, compiled, first):
+        """Counters whose carries cross the lane words' byte boundaries,
+        up to the counter's top byte (unreachable by a box, reachable
+        through the C entry point's first counter)."""
+        out = bytearray(32 * 32)
+        compiled._lib.lcm_ctr_keystream(
+            PREFIX, len(PREFIX), first, 32, compiled._ffi.from_buffer(out)
+        )
+        assert bytes(out) == b"".join(
+            hashlib.sha256(PREFIX + counter.to_bytes(8, "big")).digest()
+            for counter in range(first, first + 32)
+        )
 
     @pytest.mark.parametrize(
         "prefix_len",
@@ -155,6 +191,13 @@ class TestSelection:
         finally:
             fastpath.BACKEND = previous
 
+    def test_kernels_name_what_dispatch_chose(self):
+        for backend in _all_backends():
+            assert backend.kernels in KNOWN_KERNELS, backend.kernels
+            assert (backend.kernels == "hashlib") == (not backend.native)
+            with pytest.raises(AttributeError):
+                backend.kernels = "portable"
+
     def test_unknown_backend_rejected(self):
         """Exactly two names exist; ``python-batch`` names a stage-record
         path, not a backend, and is rejected like any unknown name."""
@@ -220,3 +263,78 @@ class TestFusedBoxes:
         tampered[2] = tampered[2][:-1] + bytes([tampered[2][-1] ^ 1])
         with pytest.raises(AuthenticationFailure, match="box 2 of batch"):
             auth_decrypt_batch(tampered, KEY, associated_data=ad)
+
+
+class TestKeystreamCache:
+    """The C tier's in-process keystream cache: a short table and a table
+    of long slots up to ``KS_MAX_STREAM`` bytes; longer payloads and
+    section seals stream through the kernel uncached.  Every box must be
+    the reference bytes whether its keystream was a hit, a miss or
+    streamed."""
+
+    @staticmethod
+    def _reference_box(plaintext, nonce, ad):
+        stream = _reference_blocks(
+            b"lcm-ctr" + ENC_KEY + nonce, -(-len(plaintext) // 32)
+        )
+        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        return nonce + ciphertext + _reference_tag(MAC_KEY, ad, nonce + ciphertext)
+
+    def _round_trip(self, size, nonce, ad=b"lcm/invoke"):
+        plaintext = os.urandom(size)
+        box = auth_encrypt(plaintext, KEY, associated_data=ad, nonce=nonce)
+        assert box == self._reference_box(plaintext, nonce, ad), size
+        assert auth_decrypt(box, KEY, associated_data=ad) == plaintext, size
+        return box
+
+    @pytest.mark.parametrize("nblocks", LANE_EDGES)
+    def test_boxes_at_lane_edges(self, compiled, nblocks):
+        for size in (32 * nblocks - 5, 32 * nblocks):
+            self._round_trip(size, os.urandom(12))
+            plaintext = os.urandom(size)
+            nonce = os.urandom(12)
+            section = stream_encrypt(plaintext, KEY, nonce=nonce)
+            assert section == self._reference_box(plaintext, nonce, b"")[:-16]
+            assert stream_decrypt(section, KEY) == plaintext
+
+    @pytest.mark.parametrize("bound", ["KS_SHORT_STREAM", "KS_MAX_STREAM"])
+    def test_payloads_at_the_table_bounds(self, compiled, bound):
+        limit = _c_define(bound)
+        for size in (limit - 1, limit, limit + 1):
+            self._round_trip(size, os.urandom(12))
+
+    def test_slot_collision_at_shorter_and_longer_lengths(self, compiled):
+        """Nonces sharing their first four bytes share a slot in both
+        tables: a cached stream must never answer for another nonce,
+        whether the newcomer is shorter or longer than what the slot
+        holds, and the evicted nonce is regenerated correctly."""
+        head = os.urandom(4)
+        first, second = head + os.urandom(8), head + os.urandom(8)
+        long_bound = _c_define("KS_MAX_STREAM")
+        for size, shorter, longer in ((3000, 1500, long_bound), (900, 40, 1024)):
+            self._round_trip(size, first)
+            self._round_trip(shorter, second)
+            self._round_trip(longer, second)
+            self._round_trip(size, first)
+
+    def test_open_of_a_sealed_4k_box_hits_the_cache(self, compiled):
+        """Sealing fills the slot the open then reads; a second open and a
+        batch open read it too."""
+        nonce = os.urandom(12)
+        box = self._round_trip(4249, nonce)
+        plaintext = auth_decrypt(box, KEY, associated_data=b"lcm/invoke")
+        assert auth_decrypt_batch([box, box], KEY, associated_data=b"lcm/invoke") == [
+            plaintext, plaintext
+        ]
+
+    def test_tampered_4k_box_with_a_cached_keystream_is_rejected(self, compiled):
+        box = self._round_trip(4249, os.urandom(12))
+        for index in (12, 2000, len(box) - 17, len(box) - 1):
+            tampered = bytearray(box)
+            tampered[index] ^= 1
+            with pytest.raises(AuthenticationFailure):
+                auth_decrypt(bytes(tampered), KEY, associated_data=b"lcm/invoke")
+            with pytest.raises(AuthenticationFailure, match="box 1 of batch"):
+                auth_decrypt_batch(
+                    [box, bytes(tampered)], KEY, associated_data=b"lcm/invoke"
+                )

@@ -51,6 +51,17 @@ class TestAeadGolden:
             "7f02b7f9c43defd4e5dcfdb67cf6c5fde926ffd356600ff0c2037f6cffdf33da"
         )
 
+    def test_invoke_sized_box_digest(self):
+        """A box the size of an INVOKE carrying a 4 KiB value (4249-byte
+        payload): long enough for the 16-lane kernel and the long cache
+        slots — pinned by digest, computed on the hashlib tier."""
+        payload = bytes(i * 7 & 0xFF for i in range(4249))
+        box = auth_encrypt(payload, KEY, associated_data=b"lcm/invoke", nonce=NONCE)
+        assert hashlib.sha256(box).hexdigest() == (
+            "0cd71e7ed3ba73ac10e511128dd152a73ff889710a16764b2bad8f076bb1954f"
+        )
+        assert auth_decrypt(box, KEY, associated_data=b"lcm/invoke") == payload
+
     def test_keystream_definition(self):
         """The keystream is SHA-256 over ``lcm-ctr || enc_key || nonce ||
         counter`` per 32-byte block — spelled out independently here."""
@@ -137,6 +148,17 @@ class TestStreamBoxGolden:
         stream_box = stream_encrypt(plaintext, KEY, nonce=NONCE)
         assert stream_box == aead_box[:-16]
         assert stream_decrypt(stream_box, KEY) == plaintext
+
+    def test_long_section_digest(self):
+        """A section longer than any cache slot streams through the kernel
+        in 16-block chunks (64 KiB + 5 bytes: 2049 blocks, the last one
+        partial) — pinned by digest, computed on the hashlib tier."""
+        plaintext = bytes(i & 0xFF for i in range(65541))
+        box = stream_encrypt(plaintext, KEY, nonce=NONCE)
+        assert hashlib.sha256(box).hexdigest() == (
+            "37db60a4487766ce03f2c862fd1d6cf8087b6bb7a3fdb5ba8472eaa64b8b551c"
+        )
+        assert stream_decrypt(box, KEY) == plaintext
 
     def test_round_trip_random_nonce(self):
         box = stream_encrypt(b"x" * 1000, KEY)
