@@ -38,15 +38,15 @@ this file in place, so the same harness can time an older revision
 and the per-round medians are comparable across the stash boundary.
 
 ``--guard tracing`` runs the *other* A/B: a sharded closed-loop round
-with tracing + push export fully ON versus the identical round with
-both OFF (streaming verification off in both arms, so the comparison
-isolates the span/stage/export machinery).  Tracing is opt-in and
-allowed to cost something — stage stamps are wall-clock reads inside
-the ecall and every span is a dict — but the cost must stay *bounded*:
-the documented bound is 1.60x median per-round ratio (default
-threshold for this guard).  What it catches: an exporter flush or
-stage probe accidentally becoming super-linear in batch size, or
-tracing overhead creeping from "bounded tax" toward "2x the run".
+with tracing ON versus the identical round with it OFF (streaming
+verification off in both arms, so the comparison isolates the span and
+stage machinery).  Tracing is opt-in and allowed to cost something —
+stage stamps are wall-clock reads inside the ecall and every span is a
+dict — but the cost must stay *bounded*: the documented bound is 1.60x
+median per-round ratio (default threshold for this guard).  What it
+catches: a span or stage probe accidentally becoming super-linear in
+batch size, or tracing overhead creeping from "bounded tax" toward "2x
+the run".
 
 ``--guard verifier`` is the same round with the *verification* plane
 on the scales: ``audit=True`` in both arms (the enclaves keep their
@@ -172,10 +172,10 @@ ROUND_THRESHOLDS = {"tracing": TRACING_THRESHOLD, "verifier": VERIFIER_THRESHOLD
 def _build_round_arm(guard: str, enabled: bool):
     """A sharded closed-loop round with one plane on or off.
 
-    ``tracing``: spans, stage probes and the batch-boundary export flush,
-    with ``streaming=False`` in both arms so the verifier stays out of
-    the ratio.  ``verifier``: streaming verification, with ``audit=True``
-    in both arms so the ratio holds the harvest and the checker only.
+    ``tracing``: spans and stage probes, with ``streaming=False`` in
+    both arms so the verifier stays out of the ratio.  ``verifier``:
+    streaming verification, with ``audit=True`` in both arms so the
+    ratio holds the harvest and the checker only.
     """
     from repro.kvstore import get, put
     from repro.sharding import ShardRouter, ShardedCluster
@@ -184,10 +184,6 @@ def _build_round_arm(guard: str, enabled: bool):
         plane = {"audit": True, "streaming": enabled}
     else:
         plane = {"streaming": False, "tracing": enabled}
-        if enabled:
-            from repro.obs.export import RingSink
-
-            plane["export"] = RingSink(capacity=4096)
     cluster = ShardedCluster(shards=2, clients=4, seed=11, **plane)
     router = ShardRouter(cluster)
     keys = [f"guard-{index}" for index in range(8)]
@@ -309,7 +305,7 @@ def main() -> None:
         default="hotpath",
         help="hotpath: registry-free invoke path with the plane merely "
         "alive in-process (gated-instrumentation guard); tracing: "
-        "sharded closed-loop round with tracing+export ON vs OFF "
+        "sharded closed-loop round with tracing ON vs OFF "
         "(bounded-overhead guard for the opt-in plane); verifier: the "
         "same round, audit on in both arms, streaming verification ON "
         "vs OFF (the harvest must stay O(new evidence))",
@@ -332,7 +328,6 @@ def main() -> None:
         if args.arm is not None:
             parser.error("--arm only applies to --guard hotpath")
         scenario = ROUND_SCENARIO
-        plane = "tracing+export" if args.guard == "tracing" else "verifier"
         result = run_interleaved_round(
             args.guard, rounds=args.rounds, warmup=args.warmup
         )
@@ -366,12 +361,12 @@ def main() -> None:
             )
         if ratio > args.threshold:
             print(
-                f"AB GUARD FAILED: {plane}-on overhead {ratio:.3f}x beyond "
+                f"AB GUARD FAILED: {args.guard}-on overhead {ratio:.3f}x beyond "
                 f"the documented {args.threshold:.2f}x bound"
             )
             raise SystemExit(1)
         print(
-            f"ab guard ok: {plane} overhead bounded "
+            f"ab guard ok: {args.guard} overhead bounded "
             f"(<= {args.threshold:.2f}x median round ratio)"
         )
         return

@@ -9,26 +9,18 @@ Subcommands::
         and paper-vs-measured summary.  Each --set value (a Python
         literal, else a string) is passed to every named experiment as a
         keyword argument.  --output writes every result as JSON, keyed
-        by experiment id.  Exits 1 when a boolean expectation diverges —
-        the cluster experiments' zero violations, completed requests and
-        streaming parity among them — and 2 on bad input.
+        by experiment id; shard_scaling, elastic_scaling and cross_shard
+        put the cluster's metrics snapshot in its ``metrics`` field, and
+        ``--set tracing=True`` adds every finished span to it.  Exits 1
+        when a boolean expectation diverges — the cluster experiments'
+        zero violations, completed requests and streaming parity among
+        them — and 2 on bad input.
 
     python -m repro.cli demo
         Run the quickstart flow (bootstrap, operate, reboot, stability).
 
     python -m repro.cli attack [--kind rollback|fork|replay]
         Mount an attack against LCM and show the detection.
-
-    python -m repro.cli cluster [--clients N] [--ops N]
-        Run the real protocol over the simulated network and verify
-        fork-linearizability of the resulting execution.
-
-    python -m repro.cli metrics [--shards N] [--clients N] [--ops N]
-                                [--tracing] [--output FILE]
-        Run a short sharded workload with the observability plane on
-        (streaming verifier included) and dump the cluster's metrics
-        snapshot — counters, gauges, histogram summaries, events and,
-        with --tracing, finished spans — as JSON.
 """
 
 from __future__ import annotations
@@ -159,116 +151,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.kvstore import get, put
-    from repro.sharding import ShardRouter, ShardedCluster
-
-    if args.clients < 1 or args.ops < 1:
-        print("cluster: --clients and --ops must both be >= 1", file=sys.stderr)
-        return 2
-    cluster = ShardedCluster(shards=1, clients=args.clients, seed=args.seed)
-    router = ShardRouter(cluster)
-    for client_id in range(1, args.clients + 1):
-        for round_number in range(args.ops):
-            if round_number % 2 == 0:
-                router.submit(client_id, put(f"key-{round_number}", str(client_id)))
-            else:
-                router.submit(client_id, get(f"key-{round_number - 1}"))
-    cluster.run()
-    router.check_fork_linearizable()
-    stats = cluster.stats
-    print(
-        f"{stats.operations_completed} operations across "
-        f"{args.clients} clients in {stats.per_shard_batches[0]} batches "
-        f"(mean batch size {stats.mean_batch_size(0):.1f}); "
-        "execution verified fork-linearizable"
-    )
-    return 0
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-    import random
-
-    from repro.kvstore import get, put
-    from repro.obs.export import CallbackSink, JsonlSink, reconcile_stream
-    from repro.sharding import ShardRouter, ShardedCluster
-
-    if args.shards < 1 or args.clients < 1 or args.ops < 1:
-        print("metrics: --shards, --clients and --ops must all be >= 1")
-        return 2
-    export = None
-    if args.follow:
-        # push-based telemetry: batch-boundary flushes go to a JSONL file
-        # (reconciled against the final snapshot below) or straight to
-        # stdout as one JSON record per line
-        if args.output:
-            export = JsonlSink(args.output)
-        else:
-            export = CallbackSink(
-                lambda record: print(json.dumps(record, default=str))
-            )
-    cluster = ShardedCluster(
-        shards=args.shards, clients=args.clients, seed=args.seed,
-        tracing=args.tracing, export=export,
-    )
-    router = ShardRouter(cluster)
-    rng = random.Random(args.seed)
-    keyspace = [f"key-{i}" for i in range(max(8, args.clients * 2))]
-
-    def start(client_id: int, remaining: int) -> None:
-        def pump(_result=None) -> None:
-            nonlocal remaining
-            if remaining <= 0:
-                return
-            remaining -= 1
-            key = rng.choice(keyspace)
-            operation = (
-                put(key, f"v{client_id}-{remaining}")
-                if rng.random() < 0.5
-                else get(key)
-            )
-            router.submit(client_id, operation, pump)
-
-        pump()
-
-    for client_id in cluster.client_ids:
-        start(client_id, args.ops)
-    cluster.run()
-    verdict = router.streaming_verdict()
-    snapshot = cluster.metrics()
-    if args.tracing:
-        snapshot["spans"] = [span.as_dict() for span in cluster.tracer.finished()]
-    if cluster.exporter is not None:
-        # terminal snapshot + close accounting ride the stream itself
-        cluster.exporter.close(snapshot)
-    if args.follow and args.output:
-        with open(args.output, encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if line.strip()]
-        problems = reconcile_stream(records, snapshot)
-        if problems:
-            for problem in problems:
-                print(f"RECONCILE: {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"{len(records)} telemetry records streamed to {args.output}; "
-            "stream reconciles exactly with the final snapshot"
-        )
-    elif not args.follow:
-        rendered = json.dumps(snapshot, indent=2, default=str)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(rendered + "\n")
-            print(f"metrics snapshot written to {args.output}")
-        else:
-            print(rendered)
-    if not verdict.ok:
-        print("STREAMING VERIFIER FLAGGED VIOLATIONS (see verifier.* events)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LCM (DSN 2017) reproduction toolkit"
@@ -296,35 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="rollback")
     attack.set_defaults(handler=_cmd_attack)
 
-    cluster = sub.add_parser("cluster", help="virtual-time protocol run + checker")
-    cluster.add_argument("--clients", type=int, default=4)
-    cluster.add_argument("--ops", type=int, default=6)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.set_defaults(handler=_cmd_cluster)
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run a sharded workload and export the metrics snapshot as JSON",
-    )
-    metrics.add_argument("--shards", type=int, default=2)
-    metrics.add_argument("--clients", type=int, default=8)
-    metrics.add_argument("--ops", type=int, default=20,
-                         help="operations per client")
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--tracing", action="store_true",
-                         help="also record per-request spans and include "
-                         "them in the snapshot")
-    metrics.add_argument("--output", default=None,
-                         help="write the JSON snapshot to a file instead "
-                         "of stdout (with --follow: the JSONL stream "
-                         "destination)")
-    metrics.add_argument("--follow", action="store_true",
-                         help="stream telemetry records (events + counter "
-                         "deltas) at every batch boundary instead of only "
-                         "printing the final snapshot; with --output FILE "
-                         "the JSONL stream is re-read and reconciled "
-                         "against the final snapshot")
-    metrics.set_defaults(handler=_cmd_metrics)
     return parser
 
 

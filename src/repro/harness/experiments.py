@@ -45,7 +45,8 @@ class ExperimentResult:
     paper_expectation: dict[str, object] = field(default_factory=dict)
     #: one observability-plane snapshot (``cluster.metrics()``) captured
     #: at the end of the run, for cluster-backed experiments — counters,
-    #: gauges, histograms and verifier events, JSON-ready
+    #: gauges, histograms and verifier events, JSON-ready; with
+    #: ``tracing=True`` also every finished span under ``spans``
     metrics: dict = field(default_factory=dict)
 
 
@@ -353,12 +354,14 @@ def _cluster(
     per_client: int | None,
     *,
     propagation: float = 100e-6,
+    tracing: bool = False,
     **router_options,
 ) -> tuple[ShardedCluster, ShardRouter]:
     """The cluster every cluster experiment runs on — ``shards`` groups,
     ``clients`` clients sending ``per_client`` logical requests each
     (``None`` for open-loop arrivals), links of ``propagation`` seconds
-    with 20 % jitter — and its router."""
+    with 20 % jitter, per-request spans when ``tracing`` — and its
+    router."""
     if per_client is not None and per_client < 1:
         raise ValueError("every client needs at least one request")
     cluster = ShardedCluster(
@@ -368,8 +371,18 @@ def _cluster(
         latency=LatencyModel(
             propagation=propagation, jitter_fraction=0.2, seed=seed
         ),
+        tracing=tracing,
     )
     return cluster, ShardRouter(cluster, **router_options)
+
+
+def _snapshot(cluster: ShardedCluster) -> dict:
+    """The run's metrics snapshot, with every finished span under
+    ``spans`` when the cluster traced."""
+    snapshot = cluster.metrics()
+    if cluster.tracer.enabled:
+        snapshot["spans"] = [span.as_dict() for span in cluster.tracer.finished()]
+    return snapshot
 
 
 def _closed_loop(requests: dict, submit, *, depth: int = 1) -> list:
@@ -440,6 +453,7 @@ def run_shard_scaling(
     rebalance: bool = True,
     distribution: str = "uniform",
     seed: int = 0,
+    tracing: bool = False,
 ) -> ExperimentResult:
     """Beyond the paper: aggregate throughput of N LCM groups side by side.
 
@@ -477,7 +491,7 @@ def run_shard_scaling(
     metrics_snapshot: dict = {}
     for shard_count in counts:
         cluster, router = _cluster(
-            shard_count, clients, seed, requests_per_client
+            shard_count, clients, seed, requests_per_client, tracing=tracing
         )
         # same seed for every shard count: identical request streams, so
         # the speedup ratio isolates the shard-count variable
@@ -524,7 +538,7 @@ def run_shard_scaling(
             cluster.metrics_registry.gauge(
                 "experiment.per_shard_share", shard=str(shard_id)
             ).set(round(count / total, 4))
-        metrics_snapshot = cluster.metrics()
+        metrics_snapshot = _snapshot(cluster)
     baseline = series["ops_per_second"][0]
     speedups = [
         rate / baseline if baseline else 0.0
@@ -571,6 +585,7 @@ def run_elastic_scaling(
     object_size: int = 100,
     distribution: str = "zipfian",
     seed: int = 0,
+    tracing: bool = False,
 ) -> ExperimentResult:
     """Elastic control plane under fire: split, merge, crash + recover.
 
@@ -595,7 +610,8 @@ def run_elastic_scaling(
     if shards < 2:
         raise ValueError("the merge phase needs at least two initial shards")
     cluster, router = _cluster(
-        shards, clients, seed, requests_per_client, failover=True
+        shards, clients, seed, requests_per_client,
+        tracing=tracing, failover=True,
     )
     workload = WORKLOAD_A.with_params(
         distribution=distribution, value_size=object_size
@@ -670,7 +686,7 @@ def run_elastic_scaling(
             "recoveries_completed": 1,
             "streaming_parity": True,
         },
-        metrics=cluster.metrics(),
+        metrics=_snapshot(cluster),
     )
 
 
@@ -685,6 +701,7 @@ def run_cross_shard(
     distribution: str = "zipfian",
     faults: bool = True,
     seed: int = 0,
+    tracing: bool = False,
 ) -> ExperimentResult:
     """Cross-shard atomic commit under fire: a transactional YCSB mix.
 
@@ -717,7 +734,8 @@ def run_cross_shard(
     if shards < 2:
         raise ValueError("cross-shard transactions need at least two shards")
     cluster, router = _cluster(
-        shards, clients, seed, requests_per_client, failover=True
+        shards, clients, seed, requests_per_client,
+        tracing=tracing, failover=True,
     )
     workload = WORKLOAD_A.with_params(
         distribution=distribution, value_size=object_size
@@ -879,7 +897,7 @@ def run_cross_shard(
             "spans_multiple_shards": True,
             "streaming_parity": True,
         },
-        metrics=cluster.metrics(),
+        metrics=_snapshot(cluster),
     )
 
 

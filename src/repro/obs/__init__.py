@@ -12,19 +12,15 @@ write to (and the autoscaler / the ``frontier`` experiment read from):
 - :mod:`repro.obs.tracing` — per-request spans across
   router -> dispatcher -> enclave batch -> reply delivery (off by
   default; zero allocations when disabled), including enclave-depth
-  stage timings captured inside the ecall via :class:`StageProbe`;
-- :mod:`repro.obs.export` — push-based telemetry export: subscriber
-  sinks (JSONL file, bounded ring, callback) flushed at batch
-  boundaries with explicit drop accounting.
+  stage timings captured inside the ecall via :class:`StageProbe`.
+
+A run's snapshot (``ShardedCluster.metrics()``) is the ``metrics``
+field ``repro run`` writes for ``shard_scaling``, ``elastic_scaling``
+and ``cross_shard``; ``--set tracing=True`` adds the finished spans.
+Live consumers subscribe to the registry's events with
+:meth:`MetricsRegistry.subscribe_events`.
 """
 
-from repro.obs.export import (
-    CallbackSink,
-    JsonlSink,
-    RingSink,
-    TelemetryExporter,
-    reconcile_stream,
-)
 from repro.obs.metrics import (
     Counter,
     Event,
@@ -36,18 +32,13 @@ from repro.obs.metrics import (
 from repro.obs.tracing import Span, SpanTracer, StageProbe
 
 __all__ = [
-    "CallbackSink",
     "Counter",
     "Event",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "MetricsRegistry",
     "QuantileHistogram",
-    "RingSink",
     "Span",
     "SpanTracer",
     "StageProbe",
-    "TelemetryExporter",
-    "reconcile_stream",
 ]

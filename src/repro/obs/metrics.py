@@ -268,7 +268,7 @@ class MetricsRegistry:
         #: always carry the scalar ``events_dropped`` regardless)
         self._events_dropped: Counter | None = None
         #: push subscribers see *every* event at emit time, including the
-        #: ones the bounded deque later evicts (the exporter's feed)
+        #: ones the bounded deque later evicts
         self._event_subscribers: list[Callable[[Event], None]] = []
 
     # ------------------------------------------------------------- factories
@@ -341,9 +341,8 @@ class MetricsRegistry:
         """Push every future event to ``subscriber`` at emit time.
 
         Subscribers run synchronously inside :meth:`emit` and see events
-        the bounded deque will later evict — a push exporter attached
-        here loses nothing to the deque bound (only to its own declared
-        buffer limits)."""
+        the bounded deque will later evict, so a consumer attached here
+        loses nothing to the deque bound."""
         self._event_subscribers.append(subscriber)
 
     def events_named(self, name: str) -> list[Event]:
@@ -352,15 +351,6 @@ class MetricsRegistry:
     def register_collector(self, collector: Callable[[MetricsRegistry], None]) -> None:
         """Add a read-through collector run at :meth:`snapshot` time."""
         self._collectors.append(collector)
-
-    def counter_values(self) -> dict[str, int]:
-        """Current counter values, *without* running collectors.
-
-        The exporter diffs successive calls to stream counter deltas at
-        batch boundaries; collectors only write gauges/histograms, so
-        skipping them keeps the per-boundary cost proportional to the
-        number of counters."""
-        return {key: counter.value for key, counter in self._counters.items()}
 
     # -------------------------------------------------------------- snapshot
 

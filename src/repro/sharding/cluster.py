@@ -55,7 +55,6 @@ from repro.net.channel import Channel
 from repro.net.latency import LatencyModel
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL, Simulator
 from repro.obs import MetricsRegistry, SpanTracer, StageProbe
-from repro.obs.export import make_exporter
 from repro.server import MaliciousServer, ServerHost
 from repro.server.dispatch import GroupDispatcher
 from repro.sharding.observer import ClusterObserver
@@ -269,15 +268,6 @@ class ShardedCluster:
         enclave-depth stage timings (measured inside the ecall via a
         :class:`~repro.obs.tracing.StageProbe`) that the tracer joins to
         each span at its delivery event.
-    export:
-        Push-based telemetry: a sink (or list of sinks — see
-        :mod:`repro.obs.export`) that receives event/counter-delta
-        records flushed at every shard's batch boundaries.  ``None``
-        (the default) builds no exporter and adds nothing to any path.
-        The built :class:`~repro.obs.export.TelemetryExporter` is
-        available as :attr:`exporter`; callers should ``close()`` it —
-        ideally passing the final :meth:`metrics` snapshot — when the
-        run ends.
     """
 
     #: Virtual enclave service time per request in a batch (the shared
@@ -300,7 +290,6 @@ class ShardedCluster:
         malicious_shards: tuple[int, ...] = (),
         streaming: bool | None = None,
         tracing: bool = False,
-        export: Any = None,
     ) -> None:
         if shards < 1:
             raise ConfigurationError("need at least one shard")
@@ -353,12 +342,6 @@ class ShardedCluster:
             self,
             registry=self.metrics_registry,
             enabled=audit if streaming is None else (streaming and audit),
-        )
-        #: push-based telemetry exporter (None when ``export`` is unset):
-        #: flushed at every shard's batch boundaries, right after the
-        #: streaming verifier's harvest at the same boundary
-        self.exporter = make_exporter(
-            export, self.metrics_registry, clock=lambda: self.sim.now
         )
         self.metrics_registry.register_collector(self._collect_stats)
         self._shards: dict[int, _Shard] = {
@@ -459,22 +442,14 @@ class ShardedCluster:
         return shard
 
     def _make_batch_complete(self, shard: _Shard):
-        """The dispatcher's batch-complete hook, composed from whatever
-        boundary consumers are on: the streaming verifier harvests this
-        batch's evidence first (so exported verifier events describe the
-        batch that just delivered), then the exporter flushes.  ``None``
-        when both are off — the dispatcher skips the call entirely."""
-        observer_on = self.observer.enabled
-        exporter = self.exporter
-        if observer_on and exporter is not None:
-            def on_batch_complete(size: int, shard=shard) -> None:
-                self.observer.on_batch_boundary(shard)
-                exporter.flush()
-            return on_batch_complete
-        if observer_on:
+        """The dispatcher's batch-complete hook: the streaming verifier
+        harvests the evidence of the batch that just delivered.  ``None``
+        when streaming is off — the dispatcher skips the call entirely.
+        The hook looks ``on_batch_boundary`` up at call time, so a
+        wrapper patched onto the observer's class still sees every
+        boundary."""
+        if self.observer.enabled:
             return lambda size, shard=shard: self.observer.on_batch_boundary(shard)
-        if exporter is not None:
-            return lambda size: exporter.flush()
         return None
 
     # -------------------------------------------------------------- serving

@@ -903,8 +903,11 @@ class ShardRouter:
             return
         if type(vote) is list and len(vote) == 2 and vote[0] == TXN_WAITING:
             # the prepare queued behind vote[1]'s locks; the real vote
-            # arrives on the releasing decision's ack
-            record.waiting.add(shard_id)
+            # arrives on the releasing decision's ack — which may ride
+            # another client's reply and so overtake this one: a shard
+            # that has voted already is not waiting any more
+            if shard_id not in record.votes:
+                record.waiting.add(shard_id)
         else:
             record.votes[shard_id] = vote
             record.waiting.discard(shard_id)

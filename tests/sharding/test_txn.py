@@ -427,20 +427,22 @@ class TestForkedDecisions:
 
 
 class TestMixedRoleClients:
-    def test_pipelined_txns_beside_a_single_key_loop_all_complete(self):
-        """Every client keeps four ``submit_txn`` in flight *and* runs a
-        closed single-key loop on the same 64 keys (the shape marked
-        "stalls at HEAD" in ``benchmarks/e2e/workloads.py::run_txn``)."""
+    @staticmethod
+    def run_mix(seed, txn_clients, single_clients, draw_txn):
+        """``txn_clients`` keep four ``submit_txn`` in flight (each drawn
+        by ``draw_txn(rng, keys, client_id, index)``) and
+        ``single_clients`` run a closed single-key loop, on the same 64
+        keys; every request must complete exactly once."""
         import random
 
         from repro.net.latency import LatencyModel
 
         cluster, router = build(
-            shards=4, clients=8, seed=0,
-            latency=LatencyModel(propagation=20e-6, jitter_fraction=0.2, seed=0),
+            shards=4, clients=8, seed=seed,
+            latency=LatencyModel(propagation=20e-6, jitter_fraction=0.2, seed=seed),
         )
         keys = populate(cluster, router, count=64)
-        rng = random.Random(0)
+        rng = random.Random(seed)
         completed = []
         counts = CompletionCounts()
 
@@ -460,22 +462,15 @@ class TestMixedRoleClients:
 
         planned = 0
         for client_id in cluster.client_ids:
-            txns = []
-            for index in range(20):
-                first, second = rng.sample(keys, 2)
-                txns.append(
-                    [put(first, f"t{client_id}-{index}"), get(second)]
-                    if rng.random() < 0.5
-                    else [
-                        put(first, f"t{client_id}-{index}a"),
-                        put(second, f"t{client_id}-{index}b"),
-                    ]
-                )
+            txns = [
+                draw_txn(rng, keys, client_id, index)
+                for index in range(20 if client_id in txn_clients else 0)
+            ]
             singles = [
                 put(rng.choice(keys), f"s{client_id}-{index}")
                 if rng.random() < 0.5
                 else get(rng.choice(keys))
-                for index in range(40)
+                for index in range(40 if client_id in single_clients else 0)
             ]
             planned += len(txns) + len(singles)
             pipeline(
@@ -492,3 +487,34 @@ class TestMixedRoleClients:
         waiters = cluster.metrics()["gauges"]["router.txn_waiter_depth"]
         assert (len(completed), waiters) == (planned, 0)
         counts.assert_exactly_once()
+
+    def test_pipelined_txns_beside_a_single_key_loop_all_complete(self):
+        """Every client in both roles (the shape marked "stalls at HEAD"
+        in ``benchmarks/e2e/workloads.py::run_txn``)."""
+        def draw(rng, keys, client_id, index):
+            first, second = rng.sample(keys, 2)
+            if rng.random() < 0.5:
+                return [put(first, f"t{client_id}-{index}"), get(second)]
+            return [
+                put(first, f"t{client_id}-{index}a"),
+                put(second, f"t{client_id}-{index}b"),
+            ]
+
+        self.run_mix(0, range(1, 9), range(1, 9), draw)
+
+    def test_split_roles_like_txn_mix_all_complete(self):
+        """``txn_mix``'s split: clients 1-4 run transactions that read or
+        write each key at even odds, clients 5-8 single-key operations.
+        At this seed a queued prepare's resolved vote rides another
+        client's decision ack and overtakes the prepare's own
+        TXN_WAITING reply; a coordinator that then counts the voted
+        shard as waiting again never decides."""
+        def draw(rng, keys, client_id, index):
+            return [
+                put(key, f"t{client_id}-{index}-{slot}")
+                if rng.random() < 0.5
+                else get(key)
+                for slot, key in enumerate(rng.sample(keys, 2))
+            ]
+
+        self.run_mix(37, (1, 2, 3, 4), (5, 6, 7, 8), draw)

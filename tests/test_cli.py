@@ -1,5 +1,7 @@
 """CLI: argument parsing and end-to-end subcommand runs."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -20,7 +22,10 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "command",
-        ["figures", "shard", "elastic", "txn", "groupcommit", "frontier"],
+        [
+            "figures", "shard", "elastic", "txn", "groupcommit", "frontier",
+            "cluster", "metrics",
+        ],
     )
     def test_experiments_run_only_by_name(self, command):
         with pytest.raises(SystemExit):
@@ -50,16 +55,41 @@ class TestSubcommands:
         assert "DETECTED" in capsys.readouterr().out
 
     def test_cluster_verifies(self, capsys):
-        assert main(["cluster", "--clients", "3", "--ops", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "fork-linearizable" in out
+        assert main([
+            "run", "shard_scaling", "--set", "shard_counts=[1]", "clients=3",
+            "requests_per_client=4",
+        ]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        gates = [row for row in rows if "paper=True" in row]
+        assert len(gates) == 2 and all(row.endswith("[OK]") for row in gates)
 
-    @pytest.mark.parametrize("flag, value", [("--clients", "0"), ("--ops", "-3")])
-    def test_cluster_rejects_nonsense_counts(self, flag, value, capsys):
-        assert main(["cluster", flag, value]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "cluster: --clients and --ops must both be >= 1\n"
+    def test_tracing_puts_spans_in_the_snapshot(self, capsys, tmp_path):
+        """``--set tracing=True`` adds one span per completed operation
+        to the metrics snapshot and leaves the virtual schedule alone."""
+        runs = {}
+        for tracing in (True, False):
+            output = tmp_path / f"tracing-{tracing}.json"
+            assert main([
+                "run", "shard_scaling", "--set", "shard_counts=[2]",
+                "clients=4", "requests_per_client=5", f"tracing={tracing}",
+                "--output", str(output),
+            ]) == 0
+            runs[tracing] = json.loads(output.read_text())["shard_scaling"]
+        capsys.readouterr()
+        traced, untraced = runs[True], runs[False]
+        metrics = traced["metrics"]
+        assert metrics["counters"]["router.operations_submitted"] == 20
+        assert metrics["quantiles"]
+        spans = metrics["spans"]
+        assert len(spans) == 20
+        assert all(span["completed_at"] is not None for span in spans)
+        assert "spans" not in untraced["metrics"]
+        assert traced["series"] == untraced["series"]
+        assert traced["ratios"] == untraced["ratios"]
+
+    def test_tracing_refused_without_a_snapshot(self, capsys):
+        assert main(["run", "group_commit", "--set", "tracing=True"]) == 2
+        assert "group_commit takes no tracing" in capsys.readouterr().err
 
     def test_demo_recovers_and_stabilises(self, capsys):
         assert main(["demo"]) == 0
