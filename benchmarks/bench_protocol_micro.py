@@ -44,6 +44,21 @@ def test_micro_serde_encode_state(benchmark):
     assert len(encoded) > 100 * 100
 
 
+def _dh_exchange():
+    """One side of the attested channel's key agreement (bootstrap,
+    Sec. 4.3, and migration, Sec. 4.6.2): an ephemeral keypair and the
+    channel key against a fixed peer, two 2048-bit exponentiations."""
+    from repro.crypto.dh import DhKeyPair
+
+    peer = DhKeyPair.generate(b"bench-peer").public_bytes()
+    return lambda: DhKeyPair.generate(b"bench-self").shared_key(peer)
+
+
+def test_micro_dh_exchange(benchmark):
+    key = benchmark(_dh_exchange())
+    assert len(key.material) == 16
+
+
 def test_micro_full_invoke_round_trip(benchmark):
     """One complete LCM operation through client, host, enclave and back."""
     _, _, (alice, *_) = build_deployment()

@@ -151,7 +151,7 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
     _, _, (grower, *_) = build_deployment()
     for i in range(200):
         grower.invoke(put(f"user{i:012d}", "v" * 100))
-    from benchmarks.bench_protocol_micro import _large_state_put
+    from benchmarks.bench_protocol_micro import _dh_exchange, _large_state_put
 
     # sharded-path round: the same uniform load routed over 1 and 2 groups
     # (provisioning excluded; clusters persist across iterations, and the
@@ -248,6 +248,7 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
             put("user000000000000", "w" * 100)
         ),
         "test_micro_put_large_state": _large_state_put(),
+        "test_micro_dh_exchange": _dh_exchange(),
         "test_micro_batched_invoke_sizes[1]": batched(1),
         "test_micro_batched_invoke_sizes[8]": batched(8),
         "test_micro_batched_invoke_sizes[32]": batched(32),

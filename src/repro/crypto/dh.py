@@ -7,17 +7,20 @@ origin context injects ``kP`` into the target during migration
 enclave, otherwise the malicious host could interpose.
 
 We implement textbook DH over the RFC 3526 2048-bit MODP group (group 14)
-using Python's native big integers, and bind the enclave's ephemeral public
-key into the attestation quote's user data.  The shared secret is hashed
-into a 128-bit AEAD key.
+and bind the enclave's ephemeral public key into the attestation quote's
+user data.  The shared secret is hashed into a 128-bit AEAD key.  The
+exponentiations run on the native crypto tier's Montgomery kernel
+(``fastpath.CBackend.modexp``) when it is active, and on Python's ``pow``
+otherwise; both give the same integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.crypto import fastpath
 from repro.crypto.aead import AeadKey
 from repro.crypto.keys import derive_key
 
@@ -40,11 +43,23 @@ GENERATOR = 2
 PUBLIC_KEY_BYTES = 256
 
 
+def _power(base: int, exponent: int) -> int:
+    """``base ** exponent mod p``: the C kernel on the native tier (unless
+    it was compiled without 128-bit integers), else ``pow``."""
+    backend = fastpath.BACKEND
+    if backend.native:
+        result = backend.modexp(base, exponent, MODP_2048_PRIME)
+        if result is not None:
+            return result
+    return pow(base, exponent, MODP_2048_PRIME)
+
+
 @dataclass(frozen=True)
 class DhKeyPair:
-    """An ephemeral DH keypair.  ``secret`` never leaves its owner."""
+    """An ephemeral DH keypair.  ``secret`` never leaves its owner (nor
+    its ``repr``)."""
 
-    secret: int
+    secret: int = field(repr=False)
     public: int
 
     @classmethod
@@ -53,7 +68,7 @@ class DhKeyPair:
         secret = int.from_bytes(hashlib.sha256(b"lcm-dh" + raw).digest(), "big")
         # clamp into [2, p-2]
         secret = 2 + secret % (MODP_2048_PRIME - 4)
-        return cls(secret=secret, public=pow(GENERATOR, secret, MODP_2048_PRIME))
+        return cls(secret=secret, public=_power(GENERATOR, secret))
 
     def public_bytes(self) -> bytes:
         return self.public.to_bytes(PUBLIC_KEY_BYTES, "big")
@@ -62,7 +77,7 @@ class DhKeyPair:
         """Derive the AEAD channel key from the DH shared secret."""
         if isinstance(peer_public, (bytes, bytearray)):
             peer_public = public_from_bytes(bytes(peer_public))
-        shared = pow(peer_public, self.secret, MODP_2048_PRIME)
+        shared = _power(peer_public, self.secret)
         return derive_key(
             shared.to_bytes(PUBLIC_KEY_BYTES, "big"), b"lcm-channel", label=label
         )

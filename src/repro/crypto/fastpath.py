@@ -7,21 +7,25 @@ that — ``BACKEND.native``:
     A cffi-compiled C module holding the SHA-256 compression function
     and every fused primitive built on it: the CTR block loop, whole AEAD
     boxes singly and in batches, the hash-chain step, batched SHA-256,
-    and the protocol codecs (client INVOKE seal / REPLY open, and the
-    enclave's whole-batch INVOKE open and REPLY seal).  The compression
-    function (SHA-NI or portable) and, on AVX-512F CPUs, a 16-lane
-    keystream kernel are chosen when the module loads; ``kernels`` names
-    the choice.  Compiled once
+    the protocol codecs (client INVOKE seal / REPLY open, and the
+    enclave's whole-batch INVOKE open and REPLY seal), and ``modexp``,
+    the Montgomery exponentiation behind the attested DH channel
+    (:mod:`repro.crypto.dh`).  The compression function (SHA-NI or
+    portable) and, on AVX-512F CPUs, a 16-lane keystream kernel are
+    chosen when the module loads; ``kernels`` names the choice, plus
+    ``+mont64`` when the compiler has the 128-bit integers ``modexp``
+    needs (without them it always falls back to ``pow``).  Compiled once
     into ``_fastpath_build/`` next to this module and reused across
     processes; needs ``cffi`` and a C compiler at first import.
 ``python`` (not native)
     The SHA-256-CTR block loop on hashlib, and nothing else: the AEAD
     layer, the hash chain and the trusted context compose everything
-    above it from hashlib themselves.  It is the only tier that runs without cffi or a
-    compiler, and the reference the parity suite compares ``c`` against.
+    above it from hashlib themselves, and DH stays on Python's ``pow``.
+    It is the only tier that runs without cffi or a compiler, and the
+    reference the parity suite compares ``c`` against.
 
-Both tiers produce **byte-identical** keystreams, tags, boxes and wire
-messages — the golden-vector tests run against whichever backend is
+Both tiers produce **byte-identical** keystreams, tags, boxes, DH keys and
+wire messages — the golden-vector tests run against whichever backend is
 active, ``tests/crypto/test_fastpath.py`` checks each against independent
 stdlib computations, and ``tests/server/test_execution_parity.py`` pins
 whole traces.  Selection happens at import: ``c`` when it is buildable,
@@ -100,6 +104,10 @@ void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
                        unsigned long long first_counter,
                        unsigned long long nblocks, unsigned char *out);
 const char *lcm_kernels(void);
+int lcm_modexp(const unsigned char *modulus, const unsigned char *r2,
+               unsigned long long n0inv, const unsigned char *base,
+               const unsigned char *exponent, size_t exp_len,
+               unsigned char *out);
 void lcm_sha256_batch(const unsigned char *data,
                       const unsigned long long *offsets, size_t n,
                       unsigned char *out);
@@ -593,7 +601,15 @@ static void ctr_x16(const ctr_seed *s, uint64_t first, uint8_t *out)
 #endif
 
 static void (*ctr_x16_kernel)(const ctr_seed *, uint64_t, uint8_t *) = 0;
-static const char *lcm_kernel_names = "portable";
+
+/* lcm_modexp (the DH kernel, at the end of this file) needs unsigned
+   __int128; without it it reports "fall back" and the name says so. */
+#ifdef __SIZEOF_INT128__
+#define LCM_MONT_KERNEL "+mont64"
+#else
+#define LCM_MONT_KERNEL ""
+#endif
+static const char *lcm_kernel_names = "portable" LCM_MONT_KERNEL;
 
 __attribute__((constructor))
 static void lcm_pick_compress(void)
@@ -603,7 +619,7 @@ static void lcm_pick_compress(void)
     __builtin_cpu_init();
     if (__builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1")) {
         sha_compress = sha_compress_ni;
-        lcm_kernel_names = "sha-ni";
+        lcm_kernel_names = "sha-ni" LCM_MONT_KERNEL;
     }
 #endif
 #ifdef LCM_HAVE_AVX512
@@ -611,7 +627,8 @@ static void lcm_pick_compress(void)
         ctr_pad_schedule();
         ctr_x16_kernel = ctr_x16;
         lcm_kernel_names = sha_compress == sha_compress_ni
-            ? "sha-ni+avx512x16" : "portable+avx512x16";
+            ? "sha-ni+avx512x16" LCM_MONT_KERNEL
+            : "portable+avx512x16" LCM_MONT_KERNEL;
     }
 #endif
 }
@@ -1511,6 +1528,127 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
     free(scratch);
     return 0;
 }
+
+/* ---- modular exponentiation (the attested DH channel) --------------- */
+
+/* pow(base, exponent, n) for an odd n below 2^2048, as crypto/dh.py runs
+   it over RFC 3526 group 14: Montgomery multiplication over 32 64-bit
+   limbs, one product column at a time (each column's a*b and m*n terms
+   summed in a three-word accumulator, so no row of partial products
+   goes through memory), and a 4-bit fixed window over the exponent's
+   nibbles, most significant first.  R^2 mod n and -n^-1 mod 2^64 come in
+   from the caller, which computes them once per modulus.  Operands are
+   256-byte big-endian; the exponent has any length.  Like the Python
+   pow it stands in for, the window lookups are not constant-time. */
+#define MONT_LIMBS 32
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 mont_u128;
+
+/* (top:acc) += x * y */
+#define MONT_MAC(x, y) do { \
+        mont_u128 p_ = (mont_u128)(x) * (y); \
+        acc += p_; \
+        top += acc < p_; \
+    } while (0)
+
+/* r = a * b / R mod n; r may alias a or b */
+static void mont_mul(uint64_t *r, const uint64_t *a, const uint64_t *b,
+                     const uint64_t *n, uint64_t n0)
+{
+    uint64_t m[MONT_LIMBS], t[MONT_LIMBS], d[MONT_LIMBS];
+    uint64_t top = 0, borrow = 0, keep;
+    mont_u128 acc = 0;
+    int i, j;
+
+    /* low columns: each fixes the quotient word that zeroes it */
+    for (i = 0; i < MONT_LIMBS; i++) {
+        for (j = 0; j < i; j++) {
+            MONT_MAC(a[j], b[i - j]);
+            MONT_MAC(m[j], n[i - j]);
+        }
+        MONT_MAC(a[i], b[0]);
+        m[i] = (uint64_t)acc * n0;
+        MONT_MAC(m[i], n[0]);
+        acc = (acc >> 64) | ((mont_u128)top << 64);
+        top = 0;
+    }
+    /* high columns: the result, t < 2n */
+    for (i = MONT_LIMBS; i < 2 * MONT_LIMBS - 1; i++) {
+        for (j = i - MONT_LIMBS + 1; j < MONT_LIMBS; j++) {
+            MONT_MAC(a[j], b[i - j]);
+            MONT_MAC(m[j], n[i - j]);
+        }
+        t[i - MONT_LIMBS] = (uint64_t)acc;
+        acc = (acc >> 64) | ((mont_u128)top << 64);
+        top = 0;
+    }
+    t[MONT_LIMBS - 1] = (uint64_t)acc;
+    top = (uint64_t)(acc >> 64);
+    for (j = 0; j < MONT_LIMBS; j++) {
+        mont_u128 c = (mont_u128)t[j] - n[j] - borrow;
+        d[j] = (uint64_t)c;
+        borrow = (uint64_t)(c >> 64) & 1;
+    }
+    /* keep t when t - n borrows past t's carry word, else take t - n */
+    keep = (uint64_t)0 - (borrow & ~top & 1);
+    for (j = 0; j < MONT_LIMBS; j++)
+        r[j] = (t[j] & keep) | (d[j] & ~keep);
+}
+
+static void mont_load(uint64_t *limbs, const unsigned char *be256)
+{
+    int k;
+    for (k = 0; k < MONT_LIMBS; k++)
+        limbs[k] = load_be64(be256 + 8 * (MONT_LIMBS - 1 - k));
+}
+#endif
+
+/* 0, with pow(base, exponent, modulus) in out; -1: no 128-bit integers
+   here, fall back.  base < modulus. */
+int lcm_modexp(const unsigned char *modulus, const unsigned char *r2,
+               unsigned long long n0inv, const unsigned char *base,
+               const unsigned char *exponent, size_t exp_len,
+               unsigned char *out)
+{
+#ifdef __SIZEOF_INT128__
+    uint64_t n[MONT_LIMBS], rr[MONT_LIMBS], one[MONT_LIMBS];
+    uint64_t table[16][MONT_LIMBS], acc[MONT_LIMBS];
+    size_t i;
+    int k, started = 0;
+
+    mont_load(n, modulus);
+    mont_load(rr, r2);
+    mont_load(acc, base);
+    memset(one, 0, sizeof one);
+    one[0] = 1;
+    /* table[k] = base^k * R mod n */
+    mont_mul(table[0], one, rr, n, n0inv);
+    mont_mul(table[1], acc, rr, n, n0inv);
+    for (k = 2; k < 16; k++)
+        mont_mul(table[k], table[k - 1], table[1], n, n0inv);
+    memcpy(acc, table[0], sizeof acc);
+    for (i = 0; i < 2 * exp_len; i++) {
+        int nibble = (exponent[i / 2] >> (i & 1 ? 0 : 4)) & 15;
+        if (started) {
+            for (k = 0; k < 4; k++)
+                mont_mul(acc, acc, acc, n, n0inv);
+            mont_mul(acc, acc, table[nibble], n, n0inv);
+        } else if (nibble) {        /* skip the leading zero nibbles */
+            memcpy(acc, table[nibble], sizeof acc);
+            started = 1;
+        }
+    }
+    mont_mul(acc, acc, one, n, n0inv);   /* leave Montgomery form */
+    for (k = 0; k < MONT_LIMBS; k++)
+        put_be64(out + 8 * (MONT_LIMBS - 1 - k), acc[k]);
+    return 0;
+#else
+    (void)modulus; (void)r2; (void)n0inv; (void)base;
+    (void)exponent; (void)exp_len; (void)out;
+    return -1;
+#endif
+}
 """
 
 _BUILD_DIR = pathlib.Path(__file__).resolve().with_name("_fastpath_build")
@@ -1541,12 +1679,16 @@ class CBackend:
         # threads at once; each buffer is only live within one
         # wrapper call (callers consume or copy before the next call).
         self._scratch = threading.local()
+        # modulus -> (modulus, R^2 mod modulus, -modulus^-1 mod 2^64) as
+        # lcm_modexp takes them, computed once per modulus
+        self._mont: dict[int, tuple[bytes, bytes, int]] = {}
 
     @property
     def kernels(self) -> str:
         """The kernels dispatch chose when the module loaded: the
         compression function (``sha-ni`` or ``portable``), plus
-        ``+avx512x16`` when the 16-lane keystream kernel runs."""
+        ``+avx512x16`` when the 16-lane keystream kernel runs and
+        ``+mont64`` when the DH kernel (``modexp``) is compiled in."""
         return self._ffi.string(self._lib.lcm_kernels()).decode()
 
     def _batch_scratch(self, count: int) -> dict:
@@ -1607,6 +1749,32 @@ class CBackend:
         )
         view = bytes(out)
         return [view[start : start + 32] for start in range(0, len(view), 32)]
+
+    def modexp(self, base: int, exponent: int, modulus: int) -> int | None:
+        """``pow(base, exponent, modulus)`` in one C call, for an odd
+        modulus of at most 2048 bits and an exponent >= 0 (None: fall
+        back to ``pow``; always None where the compiler lacks 128-bit
+        integers, see ``kernels``)."""
+        mont = self._mont.get(modulus)
+        if mont is None:
+            if modulus & 1 == 0 or not 1 < modulus < 1 << 2048:
+                return None
+            mont = self._mont[modulus] = (
+                modulus.to_bytes(256, "big"),
+                ((1 << 4096) % modulus).to_bytes(256, "big"),
+                -pow(modulus, -1, 1 << 64) % (1 << 64),
+            )
+        if exponent < 0:
+            return None
+        exponent_bytes = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+        out = bytearray(256)
+        status = self._lib.lcm_modexp(
+            mont[0], mont[1], mont[2],
+            (base % modulus).to_bytes(256, "big"),
+            exponent_bytes, len(exponent_bytes),
+            self._ffi.from_buffer(out),
+        )
+        return int.from_bytes(out, "big") if status == 0 else None
 
     def seal_boxes(
         self, enc_key: bytes, mac_key: bytes, nonces: list[bytes],

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import fastpath
 from repro.crypto.aead import auth_decrypt, auth_encrypt
 from repro.crypto.dh import (
     GENERATOR,
@@ -70,3 +71,28 @@ class TestSerialization:
         pair = DhKeyPair.generate(b"x")
         assert 2 <= pair.secret <= MODP_2048_PRIME - 2
         assert pair.public == pow(GENERATOR, pair.secret, MODP_2048_PRIME)
+
+
+class TestSecrecy:
+    def test_repr_hides_secret(self):
+        pair = DhKeyPair.generate(b"alice-seed")
+        assert str(pair.secret) not in repr(pair)
+        assert hex(pair.secret)[2:] not in repr(pair)
+        assert str(pair.public) in repr(pair)
+
+
+class TestTiers:
+    def test_kernel_fallback_uses_pow(self, monkeypatch):
+        """A native tier whose kernel reports "fall back" (no 128-bit
+        integers) still derives the same keys, through ``pow``."""
+        backend = fastpath._get_backend("c")
+        if backend is None:
+            pytest.skip("compiled backend unavailable")
+        expected = DhKeyPair.generate(b"alice-seed")
+        bob = DhKeyPair.generate(b"bob-seed")
+        channel = expected.shared_key(bob.public).material
+        monkeypatch.setattr(fastpath, "BACKEND", backend)
+        monkeypatch.setattr(type(backend), "modexp", lambda *args: None)
+        pair = DhKeyPair.generate(b"alice-seed")
+        assert pair == expected
+        assert pair.shared_key(bob.public).material == channel

@@ -9,6 +9,7 @@ each tier against independent stdlib computations.
 import hashlib
 import hmac
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 from repro.crypto import aead, fastpath
+from repro.crypto.dh import MODP_2048_PRIME
 from repro.crypto.aead import (
     AeadKey,
     auth_decrypt,
@@ -43,9 +45,13 @@ LANE_EDGES = [
 ]
 
 #: What ``BACKEND.kernels`` may name: hashlib, or the C tier's compression
-#: function with or without the 16-lane keystream kernel.
-KNOWN_KERNELS = {
-    "hashlib", "portable", "sha-ni", "portable+avx512x16", "sha-ni+avx512x16",
+#: function with or without the 16-lane keystream kernel, each with or
+#: without the Montgomery DH kernel.
+KNOWN_KERNELS = {"hashlib"} | {
+    compress + lanes + mont
+    for compress in ("portable", "sha-ni")
+    for lanes in ("", "+avx512x16")
+    for mont in ("", "+mont64")
 }
 
 
@@ -164,6 +170,63 @@ class TestBackendEquivalence:
             _reference_tag(MAC_KEY, ad, payload) for payload in payloads
         ]
 
+    def test_modexp_matches_pow(self, compiled):
+        """The DH kernel against ``pow`` over group 14: seeded random
+        2048-bit bases with 256-bit exponents (the DH secrets' size), the
+        edge bases and exponents, exponents longer than 32 bytes, and (on
+        ``lcm_modexp`` itself, which takes the exponent's bytes as given)
+        exponents with leading zero bytes."""
+        if not compiled.kernels.endswith("+mont64"):
+            pytest.skip("Montgomery kernel not compiled in")
+        p = MODP_2048_PRIME
+        rng = random.Random(45)
+        pairs = [(rng.getrandbits(2048), rng.getrandbits(256)) for _ in range(60)]
+        pairs += [
+            (base, exponent)
+            for base in (0, 1, 2, p - 2, p - 1)
+            for exponent in (0, 1, 2**255)
+        ]
+        pairs += [
+            (rng.getrandbits(2048), exponent)
+            for exponent in (
+                2**256 - 1, p - 1, p, rng.getrandbits(300),
+                rng.getrandbits(2100), rng.getrandbits(4096),
+            )
+        ]
+        for base, exponent in pairs:
+            expected = pow(base, exponent, p)
+            assert compiled.modexp(base, exponent, p) == expected, (base, exponent)
+        r2 = pow(2, 4096, p).to_bytes(256, "big")
+        n0 = -pow(p, -1, 1 << 64) % (1 << 64)
+        for base, exponent in pairs[:2] + pairs[60:75] + pairs[-6:]:
+            base %= p
+            for pad in (1, 7, 40):
+                raw = bytes(pad) + exponent.to_bytes(512, "big").lstrip(b"\0")
+                out = bytearray(256)
+                status = compiled._lib.lcm_modexp(
+                    p.to_bytes(256, "big"), r2, n0, base.to_bytes(256, "big"),
+                    raw, len(raw), compiled._ffi.from_buffer(out),
+                )
+                assert status == 0
+                assert int.from_bytes(out, "big") == pow(base, exponent, p)
+
+    def test_modexp_other_moduli_and_fallbacks(self, compiled):
+        """Any odd modulus up to 2048 bits is exact (each gets its own
+        cached R^2); an even or oversized modulus, or a negative
+        exponent, returns None for the caller's ``pow``."""
+        if not compiled.kernels.endswith("+mont64"):
+            pytest.skip("Montgomery kernel not compiled in")
+        rng = random.Random(47)
+        for modulus in (3, 2**61 - 1, 2**521 - 1, 2**2047 + 1, 2**2048 - 1):
+            for _ in range(5):
+                base, exponent = rng.getrandbits(2100), rng.getrandbits(300)
+                assert compiled.modexp(base, exponent, modulus) == pow(
+                    base, exponent, modulus
+                )
+        assert compiled.modexp(5, 3, 2**64) is None
+        assert compiled.modexp(5, 3, 2**2048 + 1) is None
+        assert compiled.modexp(5, -1, MODP_2048_PRIME) is None
+
     def test_native_sha256_matches_stdlib(self):
         backend = fastpath._get_backend("c")
         if backend is None:
@@ -195,6 +258,11 @@ class TestSelection:
         for backend in _all_backends():
             assert backend.kernels in KNOWN_KERNELS, backend.kernels
             assert (backend.kernels == "hashlib") == (not backend.native)
+            if backend.native:
+                # ``+mont64`` is named exactly when the DH kernel computes
+                assert backend.kernels.endswith("+mont64") == (
+                    backend.modexp(3, 5, 7) is not None
+                )
             with pytest.raises(AttributeError):
                 backend.kernels = "portable"
 

@@ -23,6 +23,7 @@ from repro.crypto.aead import (
     stream_encrypt,
     verify_mac_tag,
 )
+from repro.crypto.dh import DhKeyPair
 from repro.crypto.hashing import GENESIS_HASH, chain_extend
 
 KEY = AeadKey(b"\x01\x02" * 8, label="golden")
@@ -176,6 +177,25 @@ class TestHashChainGolden:
         assert chain_extend(GENESIS_HASH, b"op-bytes", 7, 3) == bytes.fromhex(
             "0e696af3d2d263dd4150a5e631a6457a0073301884ced42e47600ff22c176209"
         )
+
+
+class TestDhGolden:
+    """The attested channel's keys, pinned on whichever tier is active
+    (the ``c`` tier's Montgomery kernel or ``pow``); computed with
+    ``pow``."""
+
+    def test_public_key_digest(self):
+        public = DhKeyPair.generate(b"alice-seed").public_bytes()
+        assert hashlib.sha256(public).hexdigest() == (
+            "73aa7902f062348980de13e3c7f377bc73402c8666b1152ca123fe06823abb04"
+        )
+
+    def test_channel_key(self):
+        alice = DhKeyPair.generate(b"alice-seed")
+        bob = DhKeyPair.generate(b"bob-seed")
+        expected = bytes.fromhex("8cf3996e5f1241aab3c43f74371fcc11")
+        assert alice.shared_key(bob.public).material == expected
+        assert bob.shared_key(alice.public_bytes()).material == expected
 
 
 @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 255, 256, 257, 2500, 8192])
