@@ -223,16 +223,28 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
         return lambda: _group_commit_round(cluster, router, pairs)
 
     # batched-invoke family: one ecall per batch at sizes 1/8/32 (the
-    # Sec. 5.2/5.3 amortisation curve the batch crypto pipeline targets)
+    # Sec. 5.2/5.3 amortisation curve the batch crypto pipeline targets),
+    # and the 16-message batch of test_micro_batched_invoke
     from benchmarks.bench_protocol_micro import _batched_invoke_round
 
     batch_deployments = {
-        size: build_deployment(clients=size) for size in (1, 8, 32)
+        size: build_deployment(clients=size) for size in (1, 8, 16, 32)
     }
 
     def batched(size):
         host, deployment, clients = batch_deployments[size]
         return lambda: _batched_invoke_round(host, deployment, clients)
+
+    # key handoff: one attested DH handoff of half the ring there and
+    # back, so the states stay stationary across iterations
+    from benchmarks.bench_protocol_micro import _handoff_pair
+    from repro.core.migration import migrate_keys
+
+    host_a, host_b, verifier, arcs = _handoff_pair()
+
+    def key_handoff_round_trip():
+        migrate_keys(host_a, host_b, verifier, arcs)
+        migrate_keys(host_b, host_a, verifier, arcs)
 
     scenarios = {
         "test_micro_aead_encrypt_100b": lambda: auth_encrypt(b"x" * 100, key),
@@ -249,6 +261,7 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
         ),
         "test_micro_put_large_state": _large_state_put(),
         "test_micro_dh_exchange": _dh_exchange(),
+        "test_micro_batched_invoke": batched(16),
         "test_micro_batched_invoke_sizes[1]": batched(1),
         "test_micro_batched_invoke_sizes[8]": batched(8),
         "test_micro_batched_invoke_sizes[32]": batched(32),
@@ -257,9 +270,11 @@ def run_with_timer_fallback(*, quick: bool = False) -> dict:
         "test_micro_txn_group_commit[2]": group_commit(2),
         "test_micro_txn_group_commit[4]": group_commit(4),
         "test_micro_elastic_reshard": elastic_reshard,
+        "test_micro_key_handoff_round_trip": key_handoff_round_trip,
     }
     slow_scenarios = {
         "test_micro_elastic_reshard",  # tens of ms per call
+        "test_micro_key_handoff_round_trip",
         "test_micro_txn_group_commit[2]",
         "test_micro_txn_group_commit[4]",
     }

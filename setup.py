@@ -11,5 +11,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # the C the compiled tiers build from at first import
+    package_data={"repro": ["*.c"], "repro.crypto": ["*.c", "*.h"]},
     python_requires=">=3.10",
 )

@@ -27,9 +27,8 @@ shards behind the familiar submit-an-operation surface.
   the writes as a sequenced, hash-chained, sealed operation, and the
   commit/abort decision lands the same way — so the whole lifecycle is
   covered by exactly the verification machinery that protects a PUT;
-- **group commit**: with ``group_commit=True`` (the default) lifecycle
-  operations headed for an idle (client, shard) machine take the legacy
-  single verb — byte-identical evidence, no added latency — while those
+- **group commit**: lifecycle operations headed for an idle (client,
+  shard) machine take the single verb — no added latency — while those
   headed for a busy one accumulate and flush as one merged
   ``TXN_PREPARE_MANY`` / ``TXN_DECIDE_MANY`` operation the moment the
   in-flight operation completes.  A prepare that loses a lock conflict
@@ -228,7 +227,6 @@ class ShardRouter:
         cluster: ShardedCluster,
         *,
         failover: bool = False,
-        group_commit: bool = True,
         txn_store: StableStorage | None = None,
     ) -> None:
         if not cluster.audit:
@@ -239,10 +237,6 @@ class ShardRouter:
             )
         self.cluster = cluster
         self.failover = failover
-        #: accumulate lifecycle operations headed for a busy (client,
-        #: shard) machine and flush them as one merged sealed operation;
-        #: an idle machine takes the byte-identical legacy single verb
-        self.group_commit = group_commit
         #: durable coordinator decision log: ``["B", ...]`` at begin,
         #: ``["D", txn_id, decision]`` *before* phase 2 is driven,
         #: ``["F", txn_id]`` once every participant acked — the recovery
@@ -260,8 +254,8 @@ class ShardRouter:
         #: flushes first.  A crash with deferred finishes only re-drives
         #: their (idempotent) decisions on recovery.
         self._txn_log_deferred: list[list] = []
-        #: router counters live in the cluster's metrics registry; the
-        #: historical attribute names stay readable as properties below.
+        #: router counters live in the cluster's metrics registry (as
+        #: ``router.<name>``); some stay readable as properties below.
         #: Hot paths hold the Counter objects directly (one int add).
         registry = cluster.metrics_registry
         counter = registry.counter
@@ -324,30 +318,12 @@ class ShardRouter:
     # ------------------------------------------- counter read-through views
 
     @property
-    def operations_submitted(self) -> int:
-        return self._ctr_submitted.value
-
-    @property
-    def fanout_requests(self) -> int:
-        return self._ctr_fanout.value
-
-    @property
     def operations_parked(self) -> int:
         return self._ctr_parked.value
 
     @property
     def operations_replayed(self) -> int:
         return self._ctr_replayed.value
-
-    @property
-    def operations_dropped(self) -> int:
-        return self._ctr_dropped.value
-
-    @property
-    def replies_after_retire(self) -> int:
-        """Replies dropped because their submission had been retired
-        (replayed onto a recovered generation) before they arrived."""
-        return self._ctr_replies_after_retire.value
 
     @property
     def operations_lock_retried(self) -> int:
@@ -364,10 +340,6 @@ class ShardRouter:
     @property
     def transactions_aborted(self) -> int:
         return self._ctr_txn_aborted.value
-
-    @property
-    def transactions_parked(self) -> int:
-        return self._ctr_txn_parked.value
 
     @property
     def txn_group_flushes(self) -> int:
@@ -824,11 +796,8 @@ class ShardRouter:
     ) -> bool:
         """Buffer one lifecycle entry when its machine cannot take it
         *right now* without queueing.  Returns False — caller submits the
-        legacy single verb, byte-identical to the ungrouped router — when
-        grouping is off, the shard is fenced/down (submit_to_shard owns
-        parking), or the machine is idle."""
-        if not self.group_commit:
-            return False
+        single verb — when the shard is fenced/down (submit_to_shard owns
+        parking) or the machine is idle."""
         cluster = self.cluster
         if shard_id in cluster.fenced_shards or not cluster.shard_healthy(
             shard_id
@@ -846,7 +815,7 @@ class ShardRouter:
     def _flush_txn_buffer(self, shard_id: int, client_id: int) -> None:
         """Send everything buffered against one machine: at most one
         merged decision operation and one merged prepare operation (a
-        singleton flushes as the byte-identical legacy single verb).
+        singleton flushes as the single verb).
         Decisions go first — they release the locks the prepares behind
         them may be after."""
         buffer = self._txn_buffers.pop((shard_id, client_id), None)

@@ -9,6 +9,7 @@ each tier against independent stdlib computations.
 import hashlib
 import hmac
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -56,7 +57,8 @@ KNOWN_KERNELS = {"hashlib"} | {
 
 
 def _c_define(name: str) -> int:
-    return int(re.search(rf"#define {name} (\d+)", fastpath._C_SOURCE).group(1))
+    source = (pathlib.Path(fastpath.__file__).parent / "fastpath.c").read_text()
+    return int(re.search(rf"#define {name} (\d+)", source).group(1))
 
 
 def _reference_blocks(prefix: bytes, nblocks: int) -> bytes:

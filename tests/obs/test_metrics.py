@@ -232,11 +232,10 @@ class TestClusterSurface:
 
     def test_router_properties_read_through_registry_counters(self):
         cluster, router = self._run()
-        assert router.operations_submitted == 12
-        assert (
-            cluster.metrics_registry.counter("router.operations_submitted").value
-            == 12
-        )
+        counter = cluster.metrics_registry.counter
+        assert counter("router.operations_submitted").value == 12
+        counter("router.operations_parked").inc(3)
+        assert router.operations_parked == 3
 
     def test_metrics_snapshot_covers_every_section(self):
         cluster, router = self._run()

@@ -372,7 +372,8 @@ class TestControlPlaneSequencing:
         cluster.remove_shard(2)  # notification replays the parked op
         cluster.run()
         assert results == []  # never delivered...
-        assert router.operations_dropped == 1  # ...but accounted for
+        # ...but accounted for
+        assert cluster.metrics_registry.counter("router.operations_dropped").value == 1
         (shard_id, client_id, _operation, error) = router.replay_failures[0]
         assert (shard_id, client_id) == (2, 1)
         assert isinstance(error, ConfigurationError)

@@ -6,9 +6,8 @@ Router-level contracts of the group-commit plane:
   merged ``TXN_PREPARE_MANY`` / ``TXN_DECIDE_MANY`` operations — one
   sealed ecall per participant per boundary — and still commit with a
   clean merged verdict;
-- a closed-loop run takes the legacy direct path, so the audit evidence
-  of a ``group_commit=True`` router is *byte-identical* to the legacy
-  router's (the checkers replay identical histories either way);
+- a closed-loop run never finds a busy machine, so it sends every
+  lifecycle operation as its single verb and makes no merged flush;
 - single-key operations bounced off a transaction's lock queue on the
   holder and resubmit exactly when its decision completes — no retry
   polling;
@@ -20,13 +19,18 @@ Router-level contracts of the group-commit plane:
   post-mortem one.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore import get, put
 from repro.kvstore.functionality import (
+    TXN_ABORT_VERB,
+    TXN_COMMIT_VERB,
     TXN_DECIDE_MANY_VERB,
     TXN_PREPARE_MANY_VERB,
+    TXN_PREPARE_VERB,
 )
 from repro.sharding import ShardRouter
 from repro.sharding.observer import parity_report
@@ -37,6 +41,14 @@ from tests.sharding.test_txn import (
     cross_shard_keys,
     keys_by_shard,
     populate,
+)
+
+TXN_VERBS = (
+    TXN_PREPARE_VERB,
+    TXN_COMMIT_VERB,
+    TXN_ABORT_VERB,
+    TXN_PREPARE_MANY_VERB,
+    TXN_DECIDE_MANY_VERB,
 )
 
 
@@ -54,33 +66,17 @@ def pipelined_txns(cluster, router, pairs, client_id=2):
     return results
 
 
-def grouped_verbs(cluster):
-    """Every grouped lifecycle verb found in any shard's audit logs."""
-    seen = []
+def txn_verbs(cluster):
+    """How many operations of each transaction lifecycle verb, single or
+    grouped, the shards' audit logs record."""
+    counts = Counter()
     for shard_id in cluster.verdict_shard_ids:
         for log in cluster.audit_logs(shard_id):
             for record in log:
                 operation = serde.decode(record.operation)
-                if operation and operation[0] in (
-                    TXN_PREPARE_MANY_VERB,
-                    TXN_DECIDE_MANY_VERB,
-                ):
-                    seen.append(operation[0])
-    return seen
-
-
-def evidence_bytes(cluster):
-    """All audit evidence, as comparable bytes, in deterministic order."""
-    snapshot = []
-    for shard_id in sorted(cluster.verdict_shard_ids):
-        for log in cluster.audit_logs(shard_id):
-            snapshot.append(
-                [
-                    (r.sequence, r.client_id, r.operation, r.result, r.chain)
-                    for r in log
-                ]
-            )
-    return snapshot
+                if operation and operation[0] in TXN_VERBS:
+                    counts[operation[0]] += 1
+    return counts
 
 
 class TestGroupedFlushes:
@@ -93,7 +89,7 @@ class TestGroupedFlushes:
         assert len(results) == 6
         assert all(r.committed for r in results.values())
         assert router.txn_group_flushes > 0
-        verbs = grouped_verbs(cluster)
+        verbs = txn_verbs(cluster)
         assert TXN_PREPARE_MANY_VERB in verbs
         assert TXN_DECIDE_MANY_VERB in verbs
         verdict = router.verdict()
@@ -105,46 +101,30 @@ class TestGroupedFlushes:
         cluster.run()
         assert read["a"].result == "A5"
 
-    def test_group_commit_off_never_groups(self):
-        cluster, router = build(shards=2, clients=4, seed=11, group_commit=False)
-        keys = populate(cluster, router, count=40)
-        grouped = keys_by_shard(cluster, keys)
-        pairs = list(zip(grouped[0], grouped[1]))[:6]
-        results = pipelined_txns(cluster, router, pairs)
-        assert all(r.committed for r in results.values())
-        assert router.txn_group_flushes == 0
-        assert grouped_verbs(cluster) == []
-        assert router.verdict().ok
-
-    def test_closed_loop_evidence_is_byte_identical_to_legacy(self):
+    def test_closed_loop_sends_only_single_verbs(self):
         """A client that waits for each transaction before submitting the
-        next one never finds a busy machine, so the grouped router takes
-        the legacy single-verb path throughout — identical operations,
-        identical sequence numbers, identical chains, identical verdict."""
-        snapshots = []
-        verdicts = []
-        for group_commit in (False, True):
-            cluster, router = build(
-                shards=2, clients=4, seed=17, group_commit=group_commit
+        next one never finds a busy machine, so every prepare and every
+        decision goes out as its own single verb: no merged flush."""
+        cluster, router = build(shards=2, clients=4, seed=17)
+        keys = populate(cluster, router, count=30)
+        (k_a, k_b), _ = cross_shard_keys(cluster, keys)
+
+        def chain(index=0):
+            if index == 4:
+                return
+            router.submit_txn(
+                2,
+                [put(k_a, f"v{index}"), put(k_b, f"w{index}")],
+                lambda _r, index=index: chain(index + 1),
             )
-            keys = populate(cluster, router, count=30)
-            (k_a, k_b), _ = cross_shard_keys(cluster, keys)
 
-            def chain(index=0):
-                if index == 4:
-                    return
-                router.submit_txn(
-                    2,
-                    [put(k_a, f"v{index}"), put(k_b, f"w{index}")],
-                    lambda _r, index=index: chain(index + 1),
-                )
-
-            chain()
-            cluster.run()
-            snapshots.append(evidence_bytes(cluster))
-            verdicts.append(router.verdict().ok)
-        assert snapshots[0] == snapshots[1]
-        assert verdicts == [True, True]
+        chain()
+        cluster.run()
+        assert router.transactions_committed == 4
+        assert router.txn_group_flushes == 0
+        assert router.txn_group_entries == 0
+        assert txn_verbs(cluster) == {TXN_PREPARE_VERB: 8, TXN_COMMIT_VERB: 8}
+        assert router.verdict().ok
 
 
 class TestLockWaiters:

@@ -10,18 +10,12 @@ counters exactly, so a reordering fails tier-1 instead of only shifting a
 benchmark metric.
 """
 
-import functools
-
-import pytest
-
-from repro.harness import experiments
 from repro.harness.experiments import (
     run_cross_shard,
     run_elastic_scaling,
     run_group_commit,
     run_shard_scaling,
 )
-from repro.sharding import ShardRouter
 
 
 def router_counts(result):
@@ -75,15 +69,9 @@ def test_elastic_scaling_schedule_is_pinned():
     }
 
 
-@pytest.mark.parametrize("group_commit", [True, False])
-def test_cross_shard_schedule_is_pinned(group_commit, monkeypatch):
+def test_cross_shard_schedule_is_pinned():
     """A closed-loop client never finds its machine busy, so grouping
-    never engages and both router settings run the same schedule."""
-    monkeypatch.setattr(
-        experiments,
-        "ShardRouter",
-        functools.partial(ShardRouter, group_commit=group_commit),
-    )
+    never engages."""
     result = run_cross_shard()
     assert result.ratios["requests_completed"] == 360
     assert result.ratios["conflict_retries"] == 124

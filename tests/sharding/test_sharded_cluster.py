@@ -498,12 +498,13 @@ class TestRouterFailFast:
         from repro.errors import ShardUnavailable
 
         cluster, router, victim_keys = self._halted_cluster()
-        submitted_before = router.operations_submitted
+        submitted = cluster.metrics_registry.counter("router.operations_submitted")
+        submitted_before = submitted.value
         with pytest.raises(ShardUnavailable, match="shard 1"):
             router.submit(2, put(victim_keys[1], "stuck"))
         # nothing was queued: the count did not move and the pending
         # queue of the halted shard stayed empty
-        assert router.operations_submitted == submitted_before
+        assert submitted.value == submitted_before
         assert cluster.shard(1).dispatcher.pending == 0
 
     def test_healthy_shards_still_serve(self):

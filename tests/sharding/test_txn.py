@@ -316,7 +316,8 @@ class TestCrashWindows:
         router.submit_txn(
             2, [put(k_a, "T"), put(k_b, "T")], lambda r: done.setdefault("r", r)
         )
-        assert router.transactions_parked == 1
+        parked = cluster.metrics_registry.counter("router.transactions_parked")
+        assert parked.value == 1
         # no prepare reached the healthy participant either
         assert cluster.shard_txn_pending(shard_ids[1]) == 0
         cluster.recover_shard(shard_ids[0])
