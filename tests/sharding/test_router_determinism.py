@@ -10,6 +10,8 @@ counters exactly, so a reordering fails tier-1 instead of only shifting a
 benchmark metric.
 """
 
+import pytest
+
 from repro.harness.experiments import (
     run_cross_shard,
     run_elastic_scaling,
@@ -69,10 +71,11 @@ def test_elastic_scaling_schedule_is_pinned():
     }
 
 
-def test_cross_shard_schedule_is_pinned():
+@pytest.mark.parametrize("tracing", [True, False])
+def test_cross_shard_schedule_is_pinned(tracing):
     """A closed-loop client never finds its machine busy, so grouping
-    never engages."""
-    result = run_cross_shard()
+    never engages; recording spans does not change the schedule."""
+    result = run_cross_shard(tracing=tracing)
     assert result.ratios["requests_completed"] == 360
     assert result.ratios["conflict_retries"] == 124
     assert router_counts(result) == {
