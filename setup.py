@@ -12,6 +12,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # the C the compiled tiers build from at first import
-    package_data={"repro": ["*.c"], "repro.crypto": ["*.c", "*.h"]},
+    package_data={"repro": ["*.c"], "repro.crypto": ["*.c"]},
     python_requires=">=3.10",
 )

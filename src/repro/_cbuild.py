@@ -1,15 +1,17 @@
-"""The one builder of the two compiled extensions: the crypto fastpath
+"""The one builder of the two compiled extensions, both CPython
+extension modules written against ``Python.h``: the crypto fastpath
 (``crypto/fastpath.c``, loaded by :mod:`repro.crypto.fastpath`) and the
 serde codec (``_serde_native.c``, loaded by :mod:`repro._serde_native`).
 
 A build is ``_native_build/<name>_<digest><EXT_SUFFIX>`` next to this
-module.  The digest covers the bytes of the source and of the header it
-includes and the whole compile command, so a changed byte, compiler or
-``CFLAGS`` names another file, and ``EXT_SUFFIX`` keeps interpreters of
-different ABIs apart.  A cache hit hashes the files and imports the
-build: no compiler, and for the fastpath no cffi parse.  The command is
-the one cffi's own build runs: ``$CC`` (else sysconfig's), sysconfig's
-``CFLAGS`` and ``CCSHARED``, ``-O3``, then the environment's ``CFLAGS``.
+module.  The digest covers the bytes of the source, which includes no
+local file, and the whole compile command, so a changed byte, compiler
+or ``CFLAGS`` names another file, and ``EXT_SUFFIX`` keeps interpreters
+of different ABIs apart.  A cache
+hit hashes the files and imports the build, with no compiler.  The
+command follows Python's own extension builds: ``$CC`` (else
+sysconfig's), sysconfig's ``CFLAGS`` and ``CCSHARED``, ``-O3``, then the
+environment's ``CFLAGS``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
-from typing import Callable
 
 BUILD_DIR = pathlib.Path(__file__).resolve().with_name("_native_build")
 EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX")
 
 
-def compile_command(source: pathlib.Path) -> list[str]:
-    """The compiler and flags that build ``source``, without the input
+def compile_command() -> list[str]:
+    """The compiler and flags that build an extension, without the input
     and output files."""
     config = sysconfig.get_config_var
     return [
@@ -39,40 +40,32 @@ def compile_command(source: pathlib.Path) -> list[str]:
         "-O3",
         *shlex.split(os.environ.get("CFLAGS", "")),
         f"-I{sysconfig.get_paths()['include']}",
-        f"-I{source.parent}",
         "-shared",
     ]
 
 
-def build_path(name: str, files: list, command: list[str]) -> pathlib.Path:
-    """Where the build of ``files`` under ``command`` lives."""
-    parts = [path.read_bytes() for path in files]
-    parts.append("\0".join(command).encode())
+def build_path(name: str, source: pathlib.Path, command: list[str]) -> pathlib.Path:
+    """Where the build of ``source`` under ``command`` lives."""
     key = hashlib.sha256()
-    for part in parts:
+    for part in (source.read_bytes(), "\0".join(command).encode()):
         key.update(hashlib.sha256(part).digest())
     return BUILD_DIR / f"{name}_{key.hexdigest()[:12]}{EXT_SUFFIX}"
 
 
-def load(name: str, files: list[pathlib.Path], wrap: Callable | None = None):
-    """The extension module ``name`` built from ``files`` (the C source,
-    then the headers it includes), compiled on a cache miss; None when it
-    cannot be built or loaded.  ``wrap(directory)``, called only on a
-    miss, writes the file to compile in place of the source and returns
-    its path (the fastpath's cffi wrapper, which includes the source)."""
-    source = files[0]
+def load(name: str, source: pathlib.Path):
+    """The extension module ``name`` built from the C file ``source``,
+    compiled on a cache miss; None when it cannot be built or loaded."""
     try:
-        command = compile_command(source)
-        target = build_path(name, files, command)
+        command = compile_command()
+        target = build_path(name, source, command)
         if not target.exists():
             BUILD_DIR.mkdir(exist_ok=True)
             scratch = BUILD_DIR / f"tmp-{os.getpid()}"
             scratch.mkdir(exist_ok=True)
             try:
-                unit = wrap(scratch) if wrap else source
                 built = scratch / target.name
                 subprocess.run(
-                    [*command, str(unit), "-o", str(built)],
+                    [*command, str(source), "-o", str(built)],
                     check=True, capture_output=True,
                 )
                 # atomic publish: concurrent processes never load half a file

@@ -9,8 +9,12 @@ The C extension produces byte-identical encodings by walking the
 object graph in C; :mod:`repro._cbuild` compiles it, with the same
 builder and cache as the crypto fastpath.
 
+Importing this module builds (or loads) the codec into :data:`MODULE`,
+so that importing it alone leaves the build in place, compiled before
+anything that is timed.
+
 Contract with :mod:`repro.serde`, which calls ``set_fallback(encode_cb,
-decode_cb)`` with its pure functions right after :func:`load`:
+decode_cb)`` on :data:`MODULE` with its pure functions:
 ``encode`` and ``decode`` route every value or blob the C walker
 declines (ints beyond 64 bits, subclasses, excessive nesting, malformed
 or non-bytes input) through those functions, which own every error
@@ -24,10 +28,8 @@ import pathlib
 
 from repro import _cbuild
 
-_SOURCE = pathlib.Path(__file__).resolve().with_name("_serde_native.c")
-
-
-def load():
-    """The compiled codec module, or None when it cannot be built (the
-    pure-Python serde still works)."""
-    return _cbuild.load("_lcm_serde", [_SOURCE])
+#: The compiled codec module, or None when it cannot be built (the
+#: pure-Python serde still works).
+MODULE = _cbuild.load(
+    "_lcm_serde", pathlib.Path(__file__).resolve().with_name("_serde_native.c")
+)

@@ -172,8 +172,8 @@ _NOP_VERB = NOP_OPERATION[0]
 
 _NOP_BYTES = serde.encode(list(NOP_OPERATION))
 
-#: The four Alg.-2 halts, numbered as ``lcm_invoke_batch_open`` reports them
-#: in a violating operation's ``meta[0]``.
+#: The four Alg.-2 halts, numbered as the C pass A
+#: (``BACKEND.invoke_batch_open``) reports them as a violation's kind.
 _UNKNOWN_CLIENT, _REPLAY, _ROLLBACK, _FORK = -1, -2, -3, -4
 
 
@@ -443,13 +443,14 @@ class LcmContext:
     ) -> list[bytes] | None:
         """One-C-call batch processing against the packed V columns.
 
-        Pass A (``lcm_invoke_batch_open``) MAC-scans, decrypts, decodes
-        and Alg.-2-verifies every INVOKE in order, mutating the live V
-        columns, the sorted acknowledged mirror and the (sequence, chain)
-        head exactly as :meth:`_execute_invoke` would.  The middle loop
-        below then runs only :meth:`_execute` (and reads resend results
-        at their in-order positions); pass B
-        (``lcm_invoke_batch_reply``) encodes and seals all replies under
+        Pass A (``invoke_batch_open``) MAC-scans, decrypts, decodes and
+        Alg.-2-verifies every INVOKE in order, mutating the live V
+        columns and the sorted acknowledged mirror in place, and returns
+        the committed operations and the new (sequence, chain) head,
+        exactly as :meth:`_execute_invoke` would leave them.  The middle
+        loop below then runs only :meth:`_execute` (and reads resend
+        results at their in-order positions); pass B
+        (``invoke_batch_reply``) encodes and seals all replies under
         deterministically derived nonces.  Returns the REPLY boxes, or
         ``None`` when some box is authentic but not canonically encoded —
         pass A guarantees it has not touched any state in that case, so
@@ -460,33 +461,32 @@ class LcmContext:
             stamps.append(_perf_counter())
         rows = self._rows
         kc = self._sealed.communication_key
-        status, plain, meta, chains_out, sequence, chain_value = (
-            backend.invoke_batch_open(
-                kc._enc_key,
-                kc._mac_key,
-                _mac_frame(kc, _INVOKE_AD),
-                _INVOKE_PREFIX,
-                messages,
-                rows.ids,
-                rows.ack,
-                rows.seq,
-                rows.chains,
-                rows.acks,
-                self._quorum(),
-                self._sequence,
-                self._chain,
-            )
+        opened = backend.invoke_batch_open(
+            kc._enc_key,
+            kc._mac_key,
+            _mac_frame(kc, _INVOKE_AD),
+            _INVOKE_PREFIX,
+            messages,
+            rows.ids,
+            rows.ack,
+            rows.seq,
+            rows.chains,
+            rows.acks,
+            self._quorum(),
+            self._sequence,
+            self._chain,
         )
-        if status <= -2000:  # non-canonical payload: no state was touched
+        if type(opened) is int and opened <= -2000:
+            # non-canonical payload: no state was touched
             if timed:
                 stamps.clear()
             return None
         if timed:
             stamps.append(_perf_counter())
-        if status <= -1000:
+        if type(opened) is int:
             # unauthentic box: rejected wholesale without halting, with
             # the batch unseal's exact diagnostics
-            bad = -1000 - status
+            bad = -1000 - opened
             if len(messages[bad]) < OVERHEAD:
                 raise AuthenticationFailure(
                     f"box {bad} of batch too short to be authentic"
@@ -494,92 +494,55 @@ class LcmContext:
             raise AuthenticationFailure(
                 f"MAC verification failed for box {bad} of batch"
             )
-        count = status
-        total = len(messages)
-        self._sequence = sequence
-        self._chain = chain_value
+        ops, violation, batch, self._sequence, self._chain = opened
         # middle loop: the only per-op Python work left — run F over the
         # executed operations (pass A never calls back into Python) and
         # snapshot resend results at their in-order positions (a later
         # operation by the same client overwrites the row's result cell)
         results: list[bytes] = []
         execute = self._execute
-        for index in range(count):
+        for status, slot, client_id, operation, sequence, chain in ops:
             if timed:
                 op_start = _perf_counter()
-            base = 10 * index
-            if meta[base] == 1:  # retry resend: stored result, no execution
-                results.append(rows.results[meta[base + 1]])
+            if status == 1:  # retry resend: stored result, no execution
+                results.append(rows.results[slot])
             else:
-                op_off = meta[base + 4]
                 results.append(
-                    execute(
-                        meta[base + 1],
-                        meta[base + 2],
-                        plain[op_off : op_off + meta[base + 5]],
-                        meta[base + 8],
-                        chains_out[32 * index : 32 * index + 32],
-                    )
+                    execute(slot, client_id, operation, sequence, chain)
                 )
             if timed:
                 per_op.append(_perf_counter() - op_start)
         if timed:
             stamps.append(_perf_counter())
-        if count < total:
-            # authenticated verification failure at position ``count``
-            # (rows before it stay committed and unsealed)
-            base = 10 * count
-            slot = meta[base + 1]
+        if violation is not None:
+            # authenticated verification failure after the committed ops
+            # (their rows stay committed and unsealed)
+            kind, slot, client_id, last_sequence = violation
             raise self._violation(
-                meta[base],
-                meta[base + 2],
-                meta[base + 3],
+                kind,
+                client_id,
+                last_sequence,
                 rows.seq[slot] if slot >= 0 else 0,
             )
         nonces = self._nonces
-        sealed = backend.invoke_batch_reply(
+        boxes, row_blobs, row_manifests = backend.invoke_batch_reply(
             kc._enc_key,
             kc._mac_key,
             _mac_frame(kc, _REPLY_AD),
             _REPLY_PREFIX,
-            meta,
-            chains_out,
-            plain,
+            batch,
             results,
             nonces.seed,
             nonces.counter,
         )
-        if sealed is None:  # pragma: no cover - C-side allocation failure
-            outcomes = []
-            for index in range(total):
-                base = 10 * index
-                hc_off = meta[base + 6]
-                outcomes.append(
-                    (
-                        encode_reply(
-                            meta[base + 8],
-                            chains_out[32 * index : 32 * index + 32],
-                            results[index],
-                            meta[base + 9],
-                            plain[hc_off : hc_off + meta[base + 7]],
-                        ),
-                        (meta[base + 2], meta[base + 3])
-                        if meta[base] == 0
-                        else None,
-                    )
-                )
-            boxes = self._seal_reply_batch(outcomes)
-        else:
-            boxes, row_blobs, row_manifests = sealed
-            nonces.counter += total
-            # pass B already built each executed row's sealed-blob pieces;
-            # all that is left is slot bookkeeping (a later reply to the
-            # same client overwrites, exactly like SealedState.put_rows)
-            put_row = self._sealed.put_row
-            for index in range(total):
-                base = 10 * index
-                if meta[base] == 0:
-                    put_row(meta[base + 2], row_blobs[index], row_manifests[index])
+        nonces.counter += len(boxes)
+        # pass B already built each executed row's sealed-blob pieces;
+        # all that is left is slot bookkeeping (a later reply to the
+        # same client overwrites, exactly like SealedState.put_rows)
+        put_row = self._sealed.put_row
+        for op, blob, manifest in zip(ops, row_blobs, row_manifests):
+            if blob is not None:
+                put_row(op[2], blob, manifest)
         if timed:
             stamps.append(_perf_counter())
         return boxes

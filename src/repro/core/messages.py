@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from repro import serde
 from repro.crypto import fastpath as _fastpath
 from repro.crypto.aead import (
+    NONCE_SIZE,
     OVERHEAD,
     AeadKey,
     _fresh_nonce,
@@ -36,7 +37,7 @@ from repro.crypto.aead import (
     auth_decrypt,
     auth_encrypt,
 )
-from repro.errors import AuthenticationFailure, InvalidReply
+from repro.errors import AuthenticationFailure, ConfigurationError, InvalidReply
 
 _INVOKE_AD = b"lcm/invoke"
 _REPLY_AD = b"lcm/reply"
@@ -181,26 +182,20 @@ def unseal_reply(box: bytes, key: AeadKey) -> tuple[int, bytes, bytes, int, byte
     """
     backend = _fastpath.BACKEND
     if backend.native:
-        if len(box) < OVERHEAD:
-            raise AuthenticationFailure("ciphertext too short to be authentic")
-        plain, meta = backend.open_reply(
+        opened = backend.open_reply(
             key._enc_key,
             key._mac_key,
             _mac_frame(key, _REPLY_AD),
             _REPLY_PREFIX,
             box,
         )
-        if plain is None:
+        if type(opened) is tuple:
+            return opened
+        if opened is None:
+            if len(box) < OVERHEAD:
+                raise AuthenticationFailure("ciphertext too short to be authentic")
             raise AuthenticationFailure("MAC verification failed")
-        if meta is not None:
-            return (
-                meta[0],
-                plain[meta[1] : meta[1] + meta[2]],
-                plain[meta[3] : meta[3] + meta[4]],
-                meta[5],
-                plain[meta[6] : meta[6] + meta[7]],
-            )
-        return decode_reply(plain)
+        return decode_reply(opened)  # authentic, not canonically encoded
     return decode_reply(auth_decrypt(box, key, associated_data=_REPLY_AD))
 
 
@@ -285,10 +280,14 @@ def seal_invoke(
     """
     backend = _fastpath.BACKEND
     if backend.native and 0 <= last_sequence < 2**63 and 0 <= client_id < 2**63:
-        box = backend.seal_invoke(
+        if nonce is None:
+            nonce = _fresh_nonce()
+        elif len(nonce) != NONCE_SIZE:  # the error auth_encrypt raises
+            raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
+        return backend.seal_invoke(
             key._enc_key,
             key._mac_key,
-            nonce if nonce is not None else _fresh_nonce(),
+            nonce,
             _mac_frame(key, _INVOKE_AD),
             _INVOKE_PREFIX,
             last_sequence,
@@ -297,8 +296,6 @@ def seal_invoke(
             client_id,
             retry,
         )
-        if box is not None:
-            return box
     payload = InvokePayload(client_id, last_sequence, last_chain, operation, retry)
     return auth_encrypt(payload.encode(), key, associated_data=_INVOKE_AD, nonce=nonce)
 

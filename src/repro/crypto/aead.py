@@ -369,22 +369,12 @@ def auth_encrypt(
         raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
     backend = _fastpath.BACKEND
     if backend.native:
-        # lcm_seal_box called on ``_lib`` directly: one Python frame per
-        # box (this runs four times per protocol round trip)
         frame = key._mac_frames.get(associated_data)
         if frame is None:
             frame = _mac_frame(key, associated_data)
-        ffi = backend._ffi
-        size = len(plaintext)
-        out = bytearray(OVERHEAD + size)
-        backend._lib.lcm_seal_box(
-            key._enc_key, key._mac_key, nonce,
-            frame, len(frame),
-            plaintext if type(plaintext) is bytes else ffi.from_buffer(plaintext),
-            size,
-            ffi.from_buffer(out),
+        return backend.seal_box(
+            key._enc_key, key._mac_key, nonce, frame, plaintext
         )
-        return bytes(out)
     stream = _keystream(key, nonce, len(plaintext))
     ciphertext = _xor_bytes(plaintext, stream)
     tag = _tag_for(key, nonce, associated_data, ciphertext)
@@ -459,24 +449,13 @@ def auth_decrypt(
         raise AuthenticationFailure("ciphertext too short to be authentic")
     backend = _fastpath.BACKEND
     if backend.native:
-        # lcm_open_box called on ``_lib`` directly (the length guard it
-        # needs ran above)
         frame = key._mac_frames.get(associated_data)
         if frame is None:
             frame = _mac_frame(key, associated_data)
-        ffi = backend._ffi
-        size = len(box)
-        out = bytearray(size - OVERHEAD)
-        ok = backend._lib.lcm_open_box(
-            key._enc_key, key._mac_key,
-            frame, len(frame),
-            box if type(box) is bytes else ffi.from_buffer(box),
-            size,
-            ffi.from_buffer(out),
-        )
-        if ok != 0:
+        plaintext = backend.open_box(key._enc_key, key._mac_key, frame, box)
+        if plaintext is None:
             raise AuthenticationFailure("MAC verification failed")
-        return bytes(out)
+        return plaintext
     view = memoryview(box)  # avoid copying the ciphertext slice twice
     nonce = bytes(view[:NONCE_SIZE])
     ciphertext = view[NONCE_SIZE:-TAG_SIZE]
@@ -508,10 +487,11 @@ def auth_decrypt_batch(
         return []
     backend = _fastpath.BACKEND
     if backend.native:
-        plaintexts, bad = backend.open_boxes(
+        plaintexts = backend.open_boxes(
             key._enc_key, key._mac_key, _mac_frame(key, associated_data), boxes
         )
-        if plaintexts is None:
+        if type(plaintexts) is int:  # the first bad box's index
+            bad = plaintexts
             if len(boxes[bad]) < OVERHEAD:
                 raise AuthenticationFailure(
                     f"box {bad} of batch too short to be authentic"
@@ -571,16 +551,7 @@ def stream_encrypt(
         raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
     backend = _fastpath.BACKEND
     if backend.native:
-        size = len(plaintext)
-        out = bytearray(NONCE_SIZE + size)
-        backend._lib.lcm_stream_box(
-            key._enc_key, nonce,
-            plaintext if type(plaintext) is bytes
-            else backend._ffi.from_buffer(plaintext),
-            size,
-            backend._ffi.from_buffer(out),
-        )
-        return bytes(out)
+        return backend.stream_box(key._enc_key, nonce, plaintext)
     stream = _keystream(key, nonce, len(plaintext))
     return nonce + _xor_bytes(plaintext, stream)
 

@@ -2,15 +2,25 @@
    compression) under the CTR keystream, a 16-lane AVX-512F keystream
    kernel, the keystream cache, whole-box and whole-batch AEAD seal/open,
    the hash-chain step, the INVOKE/REPLY codecs of Alg. 1 and Alg. 2 and
-   the Montgomery exponentiation behind the DH channel.  repro._cbuild
-   compiles it inside the wrapper cffi emits for fastpath.h. */
+   the Montgomery exponentiation behind the DH channel.  It is a CPython
+   extension module (the method table is at the end of this file):
+   repro._cbuild compiles it and repro.crypto.fastpath loads it. */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-#include "fastpath.h"
+/* A byte-string argument of an entry point: a bytes object read in
+   place, or any other object through the buffer protocol.  view.obj
+   holds what release_args must let go of (NULL: nothing). */
+typedef struct {
+    const unsigned char *p;
+    size_t n;
+    Py_buffer view;
+} arg_bytes;
 
 typedef struct {
     uint32_t state[8];
@@ -450,11 +460,6 @@ static void lcm_pick_compress(void)
 #endif
 }
 
-const char *lcm_kernels(void)
-{
-    return lcm_kernel_names;
-}
-
 /* Keystream blocks first .. first+nblocks-1 of the seeded box into out. */
 static void ctr_fill(ctr_seed *s, uint64_t first, size_t nblocks,
                      uint8_t *out)
@@ -481,12 +486,13 @@ static void ctr_fill(ctr_seed *s, uint64_t first, size_t nblocks,
     }
 }
 
-/* The block loop behind CBackend.blocks: a CTR_PREFIX_LEN-byte prefix
-   (every AEAD keystream) goes through ctr_fill; any other length, which
-   only the parity tests ask for, hashes prefix || counter generically. */
-void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
-                       unsigned long long first_counter,
-                       unsigned long long nblocks, unsigned char *out)
+/* The block loop behind the keystream entry point: a CTR_PREFIX_LEN-byte
+   prefix (every AEAD keystream) goes through ctr_fill; any other length,
+   which only the parity tests ask for, hashes prefix || counter
+   generically. */
+static void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
+                              unsigned long long first_counter,
+                              unsigned long long nblocks, unsigned char *out)
 {
     sha_ctx seeded, block;
     uint8_t counter[8];
@@ -511,11 +517,11 @@ void lcm_ctr_keystream(const unsigned char *prefix, size_t prefix_len,
 /* hash(len8(prev) || prev || len8(op) || op || seq8 || cid8) — the LCM
    hash-chain step with its injective field framing built C-side, so one
    crossing replaces four int.to_bytes and a five-way concat. */
-void lcm_chain_extend(const unsigned char *prev, size_t prev_len,
-                      const unsigned char *op, size_t op_len,
-                      unsigned long long sequence,
-                      unsigned long long client_id,
-                      unsigned char *out)
+static void lcm_chain_extend(const unsigned char *prev, size_t prev_len,
+                             const unsigned char *op, size_t op_len,
+                             unsigned long long sequence,
+                             unsigned long long client_id,
+                             unsigned char *out)
 {
     sha_ctx c;
     uint8_t word[8];
@@ -536,22 +542,6 @@ void lcm_chain_extend(const unsigned char *prev, size_t prev_len,
         word[b] = (uint8_t)(client_id >> (56 - 8 * b));
     sha_update(&c, word, 8);
     sha_final(&c, out);
-}
-
-/* SHA-256 of every segment of a joined buffer in one call (amortizes
-   the Python/C crossing across a batch of digests). */
-void lcm_sha256_batch(const unsigned char *data,
-                      const unsigned long long *offsets, size_t n,
-                      unsigned char *out)
-{
-    size_t i;
-    sha_ctx c;
-    for (i = 0; i < n; i++) {
-        sha_init(&c);
-        sha_update(&c, data + offsets[i],
-                   (size_t)(offsets[i + 1] - offsets[i]));
-        sha_final(&c, out + 32 * i);
-    }
 }
 
 /* ---- fused AEAD box primitives -------------------------------------- */
@@ -575,10 +565,10 @@ void lcm_sha256_batch(const unsigned char *data,
    payloads, and an allocation failure, stream through ctr_fill 16
    blocks at a time instead.
 
-   cffi releases the GIL around these calls, so threads of one process
-   can be inside them concurrently and the cache is thread-local: lazily
-   allocated per-thread tables (a __thread array could exhaust the static
-   TLS block when the module is dlopened; a __thread pointer cannot). */
+   The cache is thread-local, so that no thread ever reads a slot another
+   one is filling: lazily allocated per-thread tables (a __thread array
+   could exhaust the static TLS block when the module is dlopened; a
+   __thread pointer cannot). */
 #define KS_SLOTS 512
 #define KS_SHORT_STREAM 1024
 #define KS_LONG_SLOTS 128
@@ -721,21 +711,22 @@ static int tag16_differs(const unsigned char *a, const unsigned char *b)
 /* out = nonce(12) || ciphertext(pt_len): confidentiality only, for the
    sections whose integrity the manifest tag provides.  Written straight
    through, not cached: only a restore reads a section back. */
-void lcm_stream_box(const unsigned char *enc_key,
-                    const unsigned char *nonce,
-                    const unsigned char *pt, size_t pt_len,
-                    unsigned char *out)
+static void lcm_stream_box(const unsigned char *enc_key,
+                           const unsigned char *nonce,
+                           const unsigned char *pt, size_t pt_len,
+                           unsigned char *out)
 {
     memcpy(out, nonce, 12);
     ctr_xor_stream(enc_key, nonce, pt, pt_len, out + 12);
 }
 
 /* out = nonce(12) || ciphertext(pt_len) || tag(16) */
-void lcm_seal_box(const unsigned char *enc_key, const unsigned char *mac_key,
-                  const unsigned char *nonce,
-                  const unsigned char *frame, size_t frame_len,
-                  const unsigned char *pt, size_t pt_len,
-                  unsigned char *out)
+static void lcm_seal_box(const unsigned char *enc_key,
+                         const unsigned char *mac_key,
+                         const unsigned char *nonce,
+                         const unsigned char *frame, size_t frame_len,
+                         const unsigned char *pt, size_t pt_len,
+                         unsigned char *out)
 {
     uint32_t ipad_state[8], opad_state[8];
     memcpy(out, nonce, 12);
@@ -747,10 +738,11 @@ void lcm_seal_box(const unsigned char *enc_key, const unsigned char *mac_key,
 
 /* Returns 0 and writes box_len-28 plaintext bytes, or -1 on a bad MAC
    (nothing written). */
-int lcm_open_box(const unsigned char *enc_key, const unsigned char *mac_key,
-                 const unsigned char *frame, size_t frame_len,
-                 const unsigned char *box, size_t box_len,
-                 unsigned char *out_pt)
+static int lcm_open_box(const unsigned char *enc_key,
+                        const unsigned char *mac_key,
+                        const unsigned char *frame, size_t frame_len,
+                        const unsigned char *box, size_t box_len,
+                        unsigned char *out_pt)
 {
     uint32_t ipad_state[8], opad_state[8];
     unsigned char tag[16];
@@ -762,71 +754,6 @@ int lcm_open_box(const unsigned char *enc_key, const unsigned char *mac_key,
     if (tag16_differs(tag, box + box_len - 16))
         return -1;
     ctr_xor(enc_key, box, box + 12, box_len - 28, out_pt);
-    return 0;
-}
-
-/* Batch seal: offsets[i]..offsets[i+1] delimit plaintext i inside
-   joined_pt; boxes are emitted back to back into out. */
-void lcm_seal_boxes(const unsigned char *enc_key,
-                    const unsigned char *mac_key,
-                    const unsigned char *nonces,
-                    const unsigned char *frame, size_t frame_len,
-                    const unsigned char *joined_pt,
-                    const unsigned long long *offsets, size_t n,
-                    unsigned char *out)
-{
-    uint32_t ipad_state[8], opad_state[8];
-    size_t i;
-    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
-    for (i = 0; i < n; i++) {
-        const unsigned char *pt = joined_pt + offsets[i];
-        size_t pt_len = (size_t)(offsets[i + 1] - offsets[i]);
-        const unsigned char *nonce = nonces + 12 * i;
-        memcpy(out, nonce, 12);
-        ctr_xor(enc_key, nonce, pt, pt_len, out + 12);
-        derive_tag16(ipad_state, opad_state, frame, frame_len,
-                     out, 12 + pt_len, out + 12 + pt_len);
-        out += pt_len + 28;
-    }
-}
-
-/* Batch open, all-or-nothing: every tag is verified before any byte of
-   plaintext is produced.  Returns 0 on success, -(i+1) when box i is the
-   first bad one (every box is still scanned).  offsets delimit whole
-   boxes inside joined_boxes. */
-int lcm_open_boxes(const unsigned char *enc_key,
-                   const unsigned char *mac_key,
-                   const unsigned char *frame, size_t frame_len,
-                   const unsigned char *joined_boxes,
-                   const unsigned long long *offsets, size_t n,
-                   unsigned char *out_pt)
-{
-    uint32_t ipad_state[8], opad_state[8];
-    unsigned char tag[16];
-    long long bad = -1;
-    size_t i;
-    hmac_pad_states(mac_key, 32, ipad_state, opad_state);
-    for (i = 0; i < n; i++) {
-        const unsigned char *box = joined_boxes + offsets[i];
-        size_t box_len = (size_t)(offsets[i + 1] - offsets[i]);
-        if (box_len < 28) {
-            if (bad < 0)
-                bad = (long long)i;
-            continue;
-        }
-        derive_tag16(ipad_state, opad_state, frame, frame_len,
-                     box, box_len - 16, tag);
-        if (tag16_differs(tag, box + box_len - 16) && bad < 0)
-            bad = (long long)i;
-    }
-    if (bad >= 0)
-        return (int)(-bad - 1);
-    for (i = 0; i < n; i++) {
-        const unsigned char *box = joined_boxes + offsets[i];
-        size_t box_len = (size_t)(offsets[i + 1] - offsets[i]);
-        ctr_xor(enc_key, box, box + 12, box_len - 28, out_pt);
-        out_pt += box_len - 28;
-    }
     return 0;
 }
 
@@ -933,16 +860,16 @@ static void derive_nonce(const unsigned char *seed, uint64_t counter,
 
 /* Client-side fused INVOKE codec: canonical field encode + seal in one
    call.  `out` receives prefix_len+52+hc_len+op_len+28 box bytes. */
-int lcm_seal_invoke(const unsigned char *enc_key,
-                    const unsigned char *mac_key,
-                    const unsigned char *nonce,
-                    const unsigned char *frame, size_t frame_len,
-                    const unsigned char *prefix, size_t prefix_len,
-                    long long tc,
-                    const unsigned char *hc, size_t hc_len,
-                    const unsigned char *op, size_t op_len,
-                    long long cid, int retry,
-                    unsigned char *out)
+static int lcm_seal_invoke(const unsigned char *enc_key,
+                           const unsigned char *mac_key,
+                           const unsigned char *nonce,
+                           const unsigned char *frame, size_t frame_len,
+                           const unsigned char *prefix, size_t prefix_len,
+                           long long tc,
+                           const unsigned char *hc, size_t hc_len,
+                           const unsigned char *op, size_t op_len,
+                           long long cid, int retry,
+                           unsigned char *out)
 {
     size_t pt_len = 52 + prefix_len + hc_len + op_len;
     unsigned char *pt = (unsigned char *)malloc(pt_len);
@@ -982,12 +909,12 @@ int lcm_seal_invoke(const unsigned char *enc_key,
    result_len, q, prev_off, prev_len]; -1 on authentication failure
    (nothing written); -2 when the box is authentic but not canonically
    shaped (out_pt holds the plaintext; the generic codec re-parses). */
-long long lcm_open_reply(const unsigned char *enc_key,
-                         const unsigned char *mac_key,
-                         const unsigned char *frame, size_t frame_len,
-                         const unsigned char *prefix, size_t prefix_len,
-                         const unsigned char *box, size_t box_len,
-                         unsigned char *out_pt, long long *meta)
+static long long lcm_open_reply(const unsigned char *enc_key,
+                                const unsigned char *mac_key,
+                                const unsigned char *frame, size_t frame_len,
+                                const unsigned char *prefix, size_t prefix_len,
+                                const unsigned char *box, size_t box_len,
+                                unsigned char *out_pt, long long *meta)
 {
     uint32_t ipad_state[8], opad_state[8];
     unsigned char tag[16];
@@ -1075,22 +1002,23 @@ long long lcm_open_reply(const unsigned char *enc_key,
    mid-batch leaves later rows already advanced (the per-op path would
    have stopped at the raiser).  The ecall aborts either way, before any
    reply or seal is produced, so nothing inconsistent is ever emitted. */
-long long lcm_invoke_batch_open(const unsigned char *enc_key,
-                                const unsigned char *mac_key,
-                                const unsigned char *frame, size_t frame_len,
-                                const unsigned char *prefix, size_t prefix_len,
-                                const unsigned char *joined_boxes,
-                                const unsigned long long *offsets, size_t n,
-                                unsigned char *out_pt,
-                                long long *meta,
-                                unsigned char *chains_out,
-                                const long long *row_ids, size_t nrows,
-                                long long *row_ack, long long *row_seq,
-                                unsigned char *row_chains,
-                                long long *acks,
-                                long long quorum,
-                                long long *sequence_io,
-                                unsigned char *chain_io)
+static long long lcm_invoke_batch_open(const unsigned char *enc_key,
+                                       const unsigned char *mac_key,
+                                       const unsigned char *frame,
+                                       size_t frame_len,
+                                       const unsigned char *prefix,
+                                       size_t prefix_len,
+                                       const arg_bytes *boxes, size_t n,
+                                       unsigned char *out_pt,
+                                       long long *meta,
+                                       unsigned char *chains_out,
+                                       const long long *row_ids, size_t nrows,
+                                       long long *row_ack, long long *row_seq,
+                                       unsigned char *row_chains,
+                                       long long *acks,
+                                       long long quorum,
+                                       long long *sequence_io,
+                                       unsigned char *chain_io)
 {
     uint32_t ipad_state[8], opad_state[8];
     unsigned char tag[16];
@@ -1101,13 +1029,13 @@ long long lcm_invoke_batch_open(const unsigned char *enc_key,
        box wins over an earlier bad MAC, matching the AEAD batch-open
        error report (short scan first, then MAC scan) */
     for (i = 0; i < n; i++) {
-        if ((size_t)(offsets[i + 1] - offsets[i]) < 28)
+        if (boxes[i].n < 28)
             return -1000 - (long long)i;
     }
     hmac_pad_states(mac_key, 32, ipad_state, opad_state);
     for (i = 0; i < n; i++) {
-        const unsigned char *box = joined_boxes + offsets[i];
-        size_t box_len = (size_t)(offsets[i + 1] - offsets[i]);
+        const unsigned char *box = boxes[i].p;
+        size_t box_len = boxes[i].n;
         derive_tag16(ipad_state, opad_state, frame, frame_len,
                      box, box_len - 16, tag);
         if (tag16_differs(tag, box + box_len - 16) && bad < 0)
@@ -1119,10 +1047,9 @@ long long lcm_invoke_batch_open(const unsigned char *enc_key,
     {
         unsigned char *pt = out_pt;
         for (i = 0; i < n; i++) {
-            const unsigned char *box = joined_boxes + offsets[i];
-            size_t box_len = (size_t)(offsets[i + 1] - offsets[i]);
-            ctr_xor(enc_key, box, box + 12, box_len - 28, pt);
-            pt += box_len - 28;
+            ctr_xor(enc_key, boxes[i].p, boxes[i].p + 12, boxes[i].n - 28,
+                    pt);
+            pt += boxes[i].n - 28;
         }
     }
 
@@ -1131,7 +1058,7 @@ long long lcm_invoke_batch_open(const unsigned char *enc_key,
         size_t pt_off = 0;
         for (i = 0; i < n; i++) {
             const unsigned char *pt = out_pt + pt_off;
-            size_t size = (size_t)(offsets[i + 1] - offsets[i]) - 28;
+            size_t size = boxes[i].n - 28;
             long long *m = meta + 10 * i;
             size_t pos;
             uint64_t hc_len, op_len;
@@ -1232,38 +1159,39 @@ long long lcm_invoke_batch_open(const unsigned char *enc_key,
    for every reply in one call.  `meta`/`chains`/`pt_in` come from
    lcm_invoke_batch_open (hc echoes are read straight out of the decoded
    INVOKE plaintexts); `results` holds the serialized results in batch
-   order; nonces are the deterministic per-context sequence.  Boxes are
-   emitted back to back: box i is prefix_len+120+result_len+hc_len
-   bytes.
+   order; nonces are the deterministic per-context sequence.  Box i goes
+   to out_boxes[i], prefix_len+120+result_len+hc_len bytes.
 
-   Each reply box is also the payload of that client's sealed V-row
-   record, so the row pieces the sealed-blob assembler needs are built
-   here while the box bytes are hot: per op, out_rows receives the
-   61+box_len-byte blob piece
+   Each executed operation's reply box is also the payload of that
+   client's sealed V-row record, so the row pieces the sealed-blob
+   assembler needs are built here while the box bytes are hot: per
+   executed op, out_rows[i] receives the 61+box_len-byte blob piece
 
        enc_id('I'+i128 cid) || 'B'+len8(35+box_len) ||
        'L'+len8(2) || 'I'+i128(ack) || 'B'+len8(box_len) || box
 
-   and out_manifests the 58-byte manifest piece
+   and out_manifests[i] the 58-byte manifest piece
 
        enc_id || 'B'+len8(32) || sha256(blob_piece[26:])
 
-   — byte-for-byte what the Python row-seal builder produces.  Returns
-   0, or -1 on allocation failure (caller falls back). */
-int lcm_invoke_batch_reply(const unsigned char *enc_key,
-                           const unsigned char *mac_key,
-                           const unsigned char *frame, size_t frame_len,
-                           const unsigned char *prefix, size_t prefix_len,
-                           const long long *meta, size_t n,
-                           const unsigned char *chains,
-                           const unsigned char *pt_in,
-                           const unsigned char *results,
-                           const unsigned long long *result_offsets,
-                           const unsigned char *nonce_seed,
-                           unsigned long long nonce_counter,
-                           unsigned char *out_boxes,
-                           unsigned char *out_rows,
-                           unsigned char *out_manifests)
+   — byte-for-byte what the Python row-seal builder produces.  A resend
+   (meta status 1) reuses its stored row: out_rows[i] and
+   out_manifests[i] are NULL.  Returns 0, or -1 on allocation failure. */
+static int lcm_invoke_batch_reply(const unsigned char *enc_key,
+                                  const unsigned char *mac_key,
+                                  const unsigned char *frame,
+                                  size_t frame_len,
+                                  const unsigned char *prefix,
+                                  size_t prefix_len,
+                                  const long long *meta, size_t n,
+                                  const unsigned char *chains,
+                                  const unsigned char *pt_in,
+                                  const arg_bytes *results,
+                                  const unsigned char *nonce_seed,
+                                  unsigned long long nonce_counter,
+                                  unsigned char *const *out_boxes,
+                                  unsigned char *const *out_rows,
+                                  unsigned char *const *out_manifests)
 {
     uint32_t ipad_state[8], opad_state[8];
     unsigned char *scratch;
@@ -1271,8 +1199,7 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
     size_t i;
 
     for (i = 0; i < n; i++) {
-        size_t pt_len = 92 + prefix_len
-            + (size_t)(result_offsets[i + 1] - result_offsets[i])
+        size_t pt_len = 92 + prefix_len + results[i].n
             + (size_t)meta[10 * i + 7];
         if (pt_len > scratch_len)
             scratch_len = pt_len;
@@ -1283,10 +1210,11 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
     hmac_pad_states(mac_key, 32, ipad_state, opad_state);
     for (i = 0; i < n; i++) {
         const long long *m = meta + 10 * i;
-        size_t rlen = (size_t)(result_offsets[i + 1] - result_offsets[i]);
+        size_t rlen = results[i].n;
         size_t hc_len = (size_t)m[7];
         size_t pt_len = 92 + prefix_len + rlen + hc_len;
         unsigned char *p = scratch;
+        unsigned char *box = out_boxes[i];
         unsigned char nonce[12];
 
         memcpy(p, prefix, prefix_len);
@@ -1301,7 +1229,7 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
         *p++ = 'B';
         put_be64(p, (uint64_t)rlen);
         p += 8;
-        memcpy(p, results + result_offsets[i], rlen);
+        memcpy(p, results[i].p, rlen);
         p += rlen;
         *p++ = 'I';
         i64_to_i128(m[9], p);
@@ -1312,14 +1240,14 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
         memcpy(p, pt_in + m[6], hc_len);
 
         derive_nonce(nonce_seed, nonce_counter + i, nonce);
-        memcpy(out_boxes, nonce, 12);
-        ctr_xor(enc_key, nonce, scratch, pt_len, out_boxes + 12);
+        memcpy(box, nonce, 12);
+        ctr_xor(enc_key, nonce, scratch, pt_len, box + 12);
         derive_tag16(ipad_state, opad_state, frame, frame_len,
-                     out_boxes, 12 + pt_len, out_boxes + 12 + pt_len);
-        {
+                     box, 12 + pt_len, box + 12 + pt_len);
+        if (out_rows[i]) {
             size_t box_len = 28 + pt_len;
-            unsigned char *rp = out_rows;
-            unsigned char *mp = out_manifests + 58 * i;
+            unsigned char *rp = out_rows[i];
+            unsigned char *mp = out_manifests[i];
             sha_ctx c;
             rp[0] = 'I';
             i64_to_i128(m[2], rp + 1);
@@ -1331,16 +1259,14 @@ int lcm_invoke_batch_reply(const unsigned char *enc_key,
             i64_to_i128(m[3], rp + 36);
             rp[52] = 'B';
             put_be64(rp + 53, (uint64_t)box_len);
-            memcpy(rp + 61, out_boxes, box_len);
+            memcpy(rp + 61, box, box_len);
             memcpy(mp, rp, 17);
             mp[17] = 'B';
             put_be64(mp + 18, 32);
             sha_init(&c);
             sha_update(&c, rp + 26, 35 + box_len);
             sha_final(&c, mp + 26);
-            out_rows += 61 + box_len;
         }
-        out_boxes += 28 + pt_len;
     }
     free(scratch);
     return 0;
@@ -1423,10 +1349,10 @@ static void mont_load(uint64_t *limbs, const unsigned char *be256)
 
 /* 0, with pow(base, exponent, modulus) in out; -1: no 128-bit integers
    here, fall back.  base < modulus. */
-int lcm_modexp(const unsigned char *modulus, const unsigned char *r2,
-               unsigned long long n0inv, const unsigned char *base,
-               const unsigned char *exponent, size_t exp_len,
-               unsigned char *out)
+static int lcm_modexp(const unsigned char *modulus, const unsigned char *r2,
+                      unsigned long long n0inv, const unsigned char *base,
+                      const unsigned char *exponent, size_t exp_len,
+                      unsigned char *out)
 {
 #ifdef __SIZEOF_INT128__
     uint64_t n[MONT_LIMBS], rr[MONT_LIMBS], one[MONT_LIMBS];
@@ -1465,4 +1391,782 @@ int lcm_modexp(const unsigned char *modulus, const unsigned char *r2,
     (void)exponent; (void)exp_len; (void)out;
     return -1;
 #endif
+}
+
+/* ---- the CPython entry points --------------------------------------- */
+
+/* Each function below is called straight from Python (METH_FASTCALL, no
+   wrapper frame in between): byte strings come in as bytes or any other
+   buffer, batches as lists or tuples of them, and every result is built
+   here as bytes, ints, tuples and lists.  Each checks every length the C
+   above relies on first, so a wrong argument raises and a short or
+   forged box returns the documented "unauthentic" value.  The GIL stays
+   held: each call lasts microseconds. */
+
+#define BYTES_OUT(o) ((unsigned char *)PyBytes_AS_STRING(o))
+#define BATCH_CAPSULE "repro.crypto.fastpath.batch"
+
+static int arg_error(const char *name, Py_ssize_t want, Py_ssize_t nargs)
+{
+    PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                 name, want, nargs);
+    return -1;
+}
+
+static int get_bytes(PyObject *obj, arg_bytes *b)
+{
+    if (PyBytes_Check(obj)) {
+        b->p = (const unsigned char *)PyBytes_AS_STRING(obj);
+        b->n = (size_t)PyBytes_GET_SIZE(obj);
+        return 0;
+    }
+    if (PyObject_GetBuffer(obj, &b->view, PyBUF_SIMPLE) < 0)
+        return -1;
+    b->p = (const unsigned char *)b->view.buf;
+    b->n = (size_t)b->view.len;
+    return 0;
+}
+
+static void release_args(arg_bytes *a, size_t count)
+{
+    for (; count; count--, a++)
+        if (a->view.obj)
+            PyBuffer_Release(&a->view);
+}
+
+/* Reads args[i] into a[i] as spec[i] says: 'k' a 32-byte key or seed,
+   'n' a 12-byte nonce, 'm' a 256-byte DH operand, 'b' any length, '-'
+   not a byte string (the caller reads it).  Checks the argument count
+   first; every slot is left for release_args, whatever failed. */
+static int read_args(const char *name, PyObject *const *args,
+                     Py_ssize_t nargs, const char *spec, arg_bytes *a)
+{
+    Py_ssize_t i, want = (Py_ssize_t)strlen(spec);
+    for (i = 0; i < want; i++)
+        a[i].view.obj = NULL;
+    if (nargs != want)
+        return arg_error(name, want, nargs);
+    for (i = 0; i < want; i++) {
+        size_t size;
+        if (spec[i] == '-')
+            continue;
+        if (get_bytes(args[i], a + i) < 0)
+            return -1;
+        size = spec[i] == 'k' ? 32 : spec[i] == 'n' ? 12
+             : spec[i] == 'm' ? 256 : a[i].n;
+        if (a[i].n != size) {
+            PyErr_Format(PyExc_ValueError,
+                         "%s() argument %zd must be %zu bytes, not %zu",
+                         name, i + 1, size, a[i].n);
+            return -1;
+        }
+    }
+    return 0;
+}
+
+/* The items of a list or tuple of byte strings, read as get_bytes reads
+   them.  *hold, a tuple of the items, keeps each alive until free_items
+   whatever happens to the list meanwhile.  NULL, with an exception set,
+   when seq is neither or an item is no byte string. */
+static arg_bytes *get_items(PyObject *seq, const char *what,
+                            PyObject **hold, size_t *count)
+{
+    PyObject *tuple;
+    arg_bytes *items;
+    Py_ssize_t n, i;
+
+    if (!PyList_Check(seq) && !PyTuple_Check(seq)) {
+        PyErr_Format(PyExc_TypeError, "%s must be a list, not %.100s",
+                     what, Py_TYPE(seq)->tp_name);
+        return NULL;
+    }
+    tuple = PySequence_Tuple(seq);
+    if (!tuple)
+        return NULL;
+    n = PyTuple_GET_SIZE(tuple);
+    items = (arg_bytes *)PyMem_Calloc(n ? (size_t)n : 1, sizeof *items);
+    if (!items) {
+        Py_DECREF(tuple);
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (i = 0; i < n; i++) {
+        if (get_bytes(PyTuple_GET_ITEM(tuple, i), items + i) < 0) {
+            release_args(items, (size_t)i);
+            PyMem_Free(items);
+            Py_DECREF(tuple);
+            return NULL;
+        }
+    }
+    *hold = tuple;
+    *count = (size_t)n;
+    return items;
+}
+
+static void free_items(arg_bytes *items, size_t count, PyObject *hold)
+{
+    if (!items)
+        return;
+    release_args(items, count);
+    PyMem_Free(items);
+    Py_DECREF(hold);
+}
+
+/* A tuple of n new references, stolen; when one is NULL (its exception
+   set) or the tuple cannot be made, NULL and every other one released. */
+static PyObject *tuple_steal(PyObject **items, Py_ssize_t n)
+{
+    PyObject *tuple = NULL;
+    Py_ssize_t i;
+    for (i = 0; i < n; i++)
+        if (!items[i])
+            goto fail;
+    tuple = PyTuple_New(n);
+    if (!tuple)
+        goto fail;
+    for (i = 0; i < n; i++)
+        PyTuple_SET_ITEM(tuple, i, items[i]);
+    return tuple;
+fail:
+    for (i = 0; i < n; i++)
+        Py_XDECREF(items[i]);
+    return NULL;
+}
+
+static int get_u64(PyObject *obj, unsigned long long *out)
+{
+    *out = PyLong_AsUnsignedLongLong(obj);
+    return *out == (unsigned long long)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int get_i64(PyObject *obj, long long *out)
+{
+    *out = PyLong_AsLongLong(obj);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *fp_kernels(PyObject *module, PyObject *unused)
+{
+    (void)module;
+    (void)unused;
+    return PyUnicode_FromString(lcm_kernel_names);
+}
+
+static PyObject *fp_keystream(PyObject *module, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    arg_bytes prefix;
+    unsigned long long nblocks, first = 0;
+    PyObject *out = NULL;
+
+    (void)module;
+    prefix.view.obj = NULL;
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError,
+                     "keystream() takes 2 or 3 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (get_u64(args[1], &nblocks) < 0
+        || (nargs == 3 && get_u64(args[2], &first) < 0))
+        return NULL;
+    if (nblocks > (unsigned long long)(PY_SSIZE_T_MAX / 32)) {
+        PyErr_SetString(PyExc_OverflowError, "keystream too long");
+        return NULL;
+    }
+    if (get_bytes(args[0], &prefix) == 0) {
+        out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(32 * nblocks));
+        if (out)
+            lcm_ctr_keystream(prefix.p, prefix.n, first, nblocks,
+                              BYTES_OUT(out));
+    }
+    release_args(&prefix, 1);
+    return out;
+}
+
+static PyObject *fp_sha256_many(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    PyObject *hold, *out;
+    arg_bytes *items;
+    size_t n, i;
+    sha_ctx c;
+
+    (void)module;
+    if (nargs != 1) {
+        arg_error("sha256_many", 1, nargs);
+        return NULL;
+    }
+    items = get_items(args[0], "segments", &hold, &n);
+    if (!items)
+        return NULL;
+    out = PyList_New((Py_ssize_t)n);
+    for (i = 0; out && i < n; i++) {
+        PyObject *digest = PyBytes_FromStringAndSize(NULL, 32);
+        if (!digest) {
+            Py_CLEAR(out);
+            break;
+        }
+        sha_init(&c);
+        sha_update(&c, items[i].p, items[i].n);
+        sha_final(&c, BYTES_OUT(digest));
+        PyList_SET_ITEM(out, (Py_ssize_t)i, digest);
+    }
+    free_items(items, n, hold);
+    return out;
+}
+
+static PyObject *fp_chain_extend(PyObject *module, PyObject *const *args,
+                                 Py_ssize_t nargs)
+{
+    arg_bytes a[4];
+    unsigned long long sequence, client_id;
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("chain_extend", args, nargs, "bb--", a) == 0
+        && get_u64(args[2], &sequence) == 0
+        && get_u64(args[3], &client_id) == 0) {
+        out = PyBytes_FromStringAndSize(NULL, 32);
+        if (out)
+            lcm_chain_extend(a[0].p, a[0].n, a[1].p, a[1].n, sequence,
+                             client_id, BYTES_OUT(out));
+    }
+    release_args(a, 4);
+    return out;
+}
+
+static PyObject *fp_seal_box(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    arg_bytes a[5];
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("seal_box", args, nargs, "kknbb", a) == 0) {
+        out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(a[4].n + 28));
+        if (out)
+            lcm_seal_box(a[0].p, a[1].p, a[2].p, a[3].p, a[3].n,
+                         a[4].p, a[4].n, BYTES_OUT(out));
+    }
+    release_args(a, 5);
+    return out;
+}
+
+static PyObject *fp_open_box(PyObject *module, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    arg_bytes a[4];
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("open_box", args, nargs, "kkbb", a) == 0) {
+        if (a[3].n < 28) {
+            out = Py_NewRef(Py_None);
+        } else {
+            out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(a[3].n - 28));
+            if (out && lcm_open_box(a[0].p, a[1].p, a[2].p, a[2].n,
+                                    a[3].p, a[3].n, BYTES_OUT(out)) != 0)
+                Py_SETREF(out, Py_NewRef(Py_None));
+        }
+    }
+    release_args(a, 4);
+    return out;
+}
+
+static PyObject *fp_stream_box(PyObject *module, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    arg_bytes a[3];
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("stream_box", args, nargs, "knb", a) == 0) {
+        out = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(a[2].n + 12));
+        if (out)
+            lcm_stream_box(a[0].p, a[1].p, a[2].p, a[2].n, BYTES_OUT(out));
+    }
+    release_args(a, 3);
+    return out;
+}
+
+/* seal_boxes(enc_key, mac_key, nonces, frame, plaintexts): one box per
+   plaintext, sharing the HMAC pad states. */
+static PyObject *fp_seal_boxes(PyObject *module, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    arg_bytes a[5], *nonces = NULL, *pts = NULL;
+    PyObject *hold_nonces = NULL, *hold_pts = NULL, *out = NULL;
+    size_t n = 0, n_nonces = 0, i;
+    uint32_t ipad_state[8], opad_state[8];
+
+    (void)module;
+    if (read_args("seal_boxes", args, nargs, "kk-b-", a) < 0)
+        goto done;
+    nonces = get_items(args[2], "nonces", &hold_nonces, &n_nonces);
+    if (!nonces)
+        goto done;
+    pts = get_items(args[4], "plaintexts", &hold_pts, &n);
+    if (!pts)
+        goto done;
+    if (n_nonces != n) {
+        PyErr_Format(PyExc_ValueError, "%zu plaintexts but %zu nonces", n,
+                     n_nonces);
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        if (nonces[i].n != 12) {
+            PyErr_SetString(PyExc_ValueError, "nonces must be 12 bytes");
+            goto done;
+        }
+    }
+    out = PyList_New((Py_ssize_t)n);
+    if (!out)
+        goto done;
+    hmac_pad_states(a[1].p, 32, ipad_state, opad_state);
+    for (i = 0; i < n; i++) {
+        size_t pt_len = pts[i].n;
+        PyObject *box = PyBytes_FromStringAndSize(NULL,
+                                                  (Py_ssize_t)(pt_len + 28));
+        unsigned char *p;
+        if (!box) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        p = BYTES_OUT(box);
+        memcpy(p, nonces[i].p, 12);
+        ctr_xor(a[0].p, nonces[i].p, pts[i].p, pt_len, p + 12);
+        derive_tag16(ipad_state, opad_state, a[3].p, a[3].n,
+                     p, 12 + pt_len, p + 12 + pt_len);
+        PyList_SET_ITEM(out, (Py_ssize_t)i, box);
+    }
+done:
+    free_items(nonces, n_nonces, hold_nonces);
+    free_items(pts, n, hold_pts);
+    release_args(a, 5);
+    return out;
+}
+
+/* open_boxes(enc_key, mac_key, frame, boxes): the plaintexts, or, all or
+   nothing, the index of the first bad box (the first box too short to
+   be authentic, else the first whose tag fails) before any plaintext
+   exists. */
+static PyObject *fp_open_boxes(PyObject *module, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    arg_bytes a[4], *boxes = NULL;
+    PyObject *hold = NULL, *out = NULL;
+    size_t n = 0, i;
+    uint32_t ipad_state[8], opad_state[8];
+    unsigned char tag[16];
+    Py_ssize_t bad = -1;
+
+    (void)module;
+    if (read_args("open_boxes", args, nargs, "kkb-", a) < 0)
+        goto done;
+    boxes = get_items(args[3], "boxes", &hold, &n);
+    if (!boxes)
+        goto done;
+    for (i = 0; i < n && bad < 0; i++)
+        if (boxes[i].n < 28)
+            bad = (Py_ssize_t)i;
+    hmac_pad_states(a[1].p, 32, ipad_state, opad_state);
+    for (i = 0; i < n && bad < 0; i++) {
+        derive_tag16(ipad_state, opad_state, a[2].p, a[2].n,
+                     boxes[i].p, boxes[i].n - 16, tag);
+        if (tag16_differs(tag, boxes[i].p + boxes[i].n - 16))
+            bad = (Py_ssize_t)i;
+    }
+    if (bad >= 0) {
+        out = PyLong_FromSsize_t(bad);
+        goto done;
+    }
+    out = PyList_New((Py_ssize_t)n);
+    for (i = 0; out && i < n; i++) {
+        PyObject *pt = PyBytes_FromStringAndSize(
+            NULL, (Py_ssize_t)(boxes[i].n - 28));
+        if (!pt) {
+            Py_CLEAR(out);
+            break;
+        }
+        ctr_xor(a[0].p, boxes[i].p, boxes[i].p + 12, boxes[i].n - 28,
+                BYTES_OUT(pt));
+        PyList_SET_ITEM(out, (Py_ssize_t)i, pt);
+    }
+done:
+    free_items(boxes, n, hold);
+    release_args(a, 4);
+    return out;
+}
+
+/* seal_invoke(enc_key, mac_key, nonce, frame, prefix, tc, hc, op, cid,
+   retry): the sealed canonical INVOKE; tc and cid are int64. */
+static PyObject *fp_seal_invoke(PyObject *module, PyObject *const *args,
+                                Py_ssize_t nargs)
+{
+    arg_bytes a[10];
+    long long tc, cid;
+    int retry;
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("seal_invoke", args, nargs, "kknbb-bb--", a) == 0
+        && get_i64(args[5], &tc) == 0 && get_i64(args[8], &cid) == 0
+        && (retry = PyObject_IsTrue(args[9])) >= 0) {
+        out = PyBytes_FromStringAndSize(
+            NULL, (Py_ssize_t)(80 + a[4].n + a[6].n + a[7].n));
+        if (out && lcm_seal_invoke(a[0].p, a[1].p, a[2].p, a[3].p, a[3].n,
+                                   a[4].p, a[4].n, tc, a[6].p, a[6].n,
+                                   a[7].p, a[7].n, cid, retry,
+                                   BYTES_OUT(out)) != 0) {
+            Py_CLEAR(out);
+            PyErr_NoMemory();
+        }
+    }
+    release_args(a, 10);
+    return out;
+}
+
+/* open_reply(enc_key, mac_key, frame, prefix, box): the decoded REPLY
+   (t, h, r, q, prev); the plaintext when the box is authentic but not
+   canonically encoded; None when it is not authentic. */
+static PyObject *fp_open_reply(PyObject *module, PyObject *const *args,
+                               Py_ssize_t nargs)
+{
+    arg_bytes a[5];
+    PyObject *pt, *out = NULL;
+    long long meta[8];
+    long long status;
+
+    (void)module;
+    if (read_args("open_reply", args, nargs, "kkbbb", a) < 0)
+        goto done;
+    if (a[4].n < 28) {
+        out = Py_NewRef(Py_None);
+        goto done;
+    }
+    pt = PyBytes_FromStringAndSize(NULL, (Py_ssize_t)(a[4].n - 28));
+    if (!pt)
+        goto done;
+    status = lcm_open_reply(a[0].p, a[1].p, a[2].p, a[2].n, a[3].p, a[3].n,
+                            a[4].p, a[4].n, BYTES_OUT(pt), meta);
+    if (status == -2) {
+        out = pt;
+    } else {
+        if (status == 0) {
+            const char *p = PyBytes_AS_STRING(pt);
+            PyObject *fields[5] = {
+                PyLong_FromLongLong(meta[0]),
+                PyBytes_FromStringAndSize(p + meta[1], (Py_ssize_t)meta[2]),
+                PyBytes_FromStringAndSize(p + meta[3], (Py_ssize_t)meta[4]),
+                PyLong_FromLongLong(meta[5]),
+                PyBytes_FromStringAndSize(p + meta[6], (Py_ssize_t)meta[7]),
+            };
+            out = tuple_steal(fields, 5);
+        } else {
+            out = Py_NewRef(Py_None);
+        }
+        Py_DECREF(pt);
+    }
+done:
+    release_args(a, 5);
+    return out;
+}
+
+/* What invoke_batch_open hands invoke_batch_reply, in one allocation
+   owned by a capsule (Python code cannot make or alter one). */
+typedef struct {
+    size_t n;               /* operations in the batch */
+    size_t accepted;        /* committed by pass A: n unless a violation */
+    long long *meta;        /* 10 per operation, see lcm_invoke_batch_open */
+    unsigned char *chains;  /* 32 per operation */
+    unsigned char *pt;      /* the INVOKE plaintexts, back to back */
+} open_batch;
+
+static void free_batch(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, BATCH_CAPSULE));
+}
+
+/* A packed V column: an int64 array (itemsize 8) or, for the chain
+   cells, a bytearray (itemsize 1); writable when pass A mutates it. */
+static int get_column(PyObject *obj, Py_buffer *view, int writable,
+                      Py_ssize_t itemsize, const char *what)
+{
+    if (PyObject_GetBuffer(obj, view,
+                           PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0)) < 0)
+        return -1;
+    if (view->itemsize != itemsize
+        || (itemsize == 8 && strcmp(view->format, "q") != 0
+            && strcmp(view->format, "l") != 0)) {
+        PyBuffer_Release(view);
+        view->obj = NULL;
+        PyErr_Format(PyExc_TypeError, "%s must be %s", what,
+                     itemsize == 8 ? "an array('q')" : "a bytearray");
+        return -1;
+    }
+    return 0;
+}
+
+/* invoke_batch_open(enc_key, mac_key, frame, prefix, boxes, ids, ack,
+   seq, chains, acks, quorum, sequence, chain): pass A over the packed V
+   columns, mutated in place (ids, ack, seq and acks are array('q'),
+   chains a bytearray).  Before any state is touched it returns the int
+   -1000-i when box i is the first unauthentic one, or -2000-i when
+   INVOKE i is authentic but not canonical.  Otherwise (ops, violation,
+   batch, sequence, chain): per committed operation a tuple (status,
+   slot, client_id, operation, sequence, chain), status 0 to execute and
+   1 to resend; violation None or (kind, slot, client_id, tc) for the
+   operation pass A halted at; batch the capsule invoke_batch_reply
+   seals from; and the new (sequence, chain) head. */
+static PyObject *fp_invoke_batch_open(PyObject *module, PyObject *const *args,
+                                      Py_ssize_t nargs)
+{
+    static const char *const names[5] = {"ids", "ack", "seq", "chains",
+                                         "acks"};
+    arg_bytes a[13], *boxes = NULL;
+    Py_buffer cols[5];
+    PyObject *hold = NULL, *capsule = NULL, *out = NULL;
+    open_batch *batch = NULL;
+    size_t n = 0, nrows, pt_total = 0, i;
+    long long quorum, sequence, status;
+    unsigned char chain[32];
+    int k;
+
+    (void)module;
+    for (k = 0; k < 5; k++)
+        cols[k].obj = NULL;
+    if (read_args("invoke_batch_open", args, nargs, "kkbb--------k", a) < 0
+        || get_i64(args[10], &quorum) < 0 || get_i64(args[11], &sequence) < 0)
+        goto done;
+    for (k = 0; k < 5; k++)
+        if (get_column(args[5 + k], cols + k, k > 0, k == 3 ? 1 : 8,
+                       names[k]) < 0)
+            goto done;
+    nrows = (size_t)cols[0].len / 8;
+    if ((size_t)cols[1].len < 8 * nrows || (size_t)cols[2].len < 8 * nrows
+        || (size_t)cols[3].len < 32 * nrows || (size_t)cols[4].len != 8 * nrows
+        || (nrows && (quorum < 1 || (size_t)quorum > nrows))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "V columns or quorum disagree with the row count");
+        goto done;
+    }
+    boxes = get_items(args[4], "boxes", &hold, &n);
+    if (!boxes)
+        goto done;
+    for (i = 0; i < n; i++)
+        pt_total += boxes[i].n < 28 ? 0 : boxes[i].n - 28;
+    batch = (open_batch *)PyMem_Malloc(sizeof *batch + 112 * n + pt_total);
+    if (!batch) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    batch->n = n;
+    batch->meta = (long long *)(batch + 1);
+    batch->chains = (unsigned char *)(batch->meta + 10 * n);
+    batch->pt = batch->chains + 32 * n;
+    memcpy(chain, a[12].p, 32);
+    status = lcm_invoke_batch_open(
+        a[0].p, a[1].p, a[2].p, a[2].n, a[3].p, a[3].n, boxes, n, batch->pt,
+        batch->meta, batch->chains, (const long long *)cols[0].buf, nrows,
+        (long long *)cols[1].buf, (long long *)cols[2].buf,
+        (unsigned char *)cols[3].buf, (long long *)cols[4].buf, quorum,
+        &sequence, chain);
+    if (status < 0) {
+        out = PyLong_FromLongLong(status);
+        goto done;
+    }
+    batch->accepted = (size_t)status;
+    capsule = PyCapsule_New(batch, BATCH_CAPSULE, free_batch);
+    if (!capsule)
+        goto done;
+    {
+        const long long *m = batch->meta;
+        PyObject *ops = PyList_New(status);
+        PyObject *fields[5];
+        for (i = 0; ops && i < batch->accepted; i++, m += 10) {
+            PyObject *op[6] = {
+                PyLong_FromLongLong(m[0]),
+                PyLong_FromLongLong(m[1]),
+                PyLong_FromLongLong(m[2]),
+                PyBytes_FromStringAndSize((const char *)batch->pt + m[4],
+                                          (Py_ssize_t)m[5]),
+                PyLong_FromLongLong(m[8]),
+                PyBytes_FromStringAndSize(
+                    (const char *)batch->chains + 32 * i, 32),
+            };
+            PyObject *entry = tuple_steal(op, 6);
+            if (!entry)
+                Py_CLEAR(ops);
+            else
+                PyList_SET_ITEM(ops, (Py_ssize_t)i, entry);
+        }
+        fields[0] = ops;
+        if (batch->accepted < n) {
+            PyObject *halt[4] = {
+                PyLong_FromLongLong(m[0]), PyLong_FromLongLong(m[1]),
+                PyLong_FromLongLong(m[2]), PyLong_FromLongLong(m[3]),
+            };
+            fields[1] = tuple_steal(halt, 4);
+        } else {
+            fields[1] = Py_NewRef(Py_None);
+        }
+        fields[2] = capsule;
+        fields[3] = PyLong_FromLongLong(sequence);
+        fields[4] = PyBytes_FromStringAndSize((const char *)chain, 32);
+        batch = NULL;   /* the capsule owns it */
+        out = tuple_steal(fields, 5);
+    }
+done:
+    PyMem_Free(batch);
+    free_items(boxes, n, hold);
+    for (k = 0; k < 5; k++)
+        if (cols[k].obj)
+            PyBuffer_Release(cols + k);
+    release_args(a, 13);
+    return out;
+}
+
+/* invoke_batch_reply(enc_key, mac_key, frame, prefix, batch, results,
+   nonce_seed, nonce_counter): pass B over a batch invoke_batch_open
+   committed whole — (boxes, row_blobs, row_manifests), the REPLY box
+   per operation and, for each executed one, its V row's sealed-blob
+   and manifest pieces (None for a resend). */
+static PyObject *fp_invoke_batch_reply(PyObject *module,
+                                       PyObject *const *args,
+                                       Py_ssize_t nargs)
+{
+    arg_bytes a[8], *results = NULL;
+    PyObject *hold = NULL, *lists[3] = {NULL, NULL, NULL}, *out = NULL;
+    unsigned char **ptrs = NULL;
+    const open_batch *batch;
+    unsigned long long counter;
+    size_t n = 0, i;
+    int k;
+
+    (void)module;
+    if (read_args("invoke_batch_reply", args, nargs, "kkbb--k-", a) < 0
+        || get_u64(args[7], &counter) < 0)
+        goto done;
+    batch = (const open_batch *)PyCapsule_GetPointer(args[4], BATCH_CAPSULE);
+    if (!batch)
+        goto done;
+    if (batch->accepted != batch->n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "the batch halted at a violation: nothing to reply");
+        goto done;
+    }
+    results = get_items(args[5], "results", &hold, &n);
+    if (!results)
+        goto done;
+    if (n != batch->n) {
+        PyErr_Format(PyExc_ValueError, "%zu results for a batch of %zu", n,
+                     batch->n);
+        goto done;
+    }
+    ptrs = (unsigned char **)PyMem_Malloc((3 * n + 1) * sizeof *ptrs);
+    if (!ptrs) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (k = 0; k < 3; k++)
+        if (!(lists[k] = PyList_New((Py_ssize_t)n)))
+            goto done;
+    for (i = 0; i < n; i++) {
+        const long long *m = batch->meta + 10 * i;
+        size_t box_len = a[3].n + 120 + results[i].n + (size_t)m[7];
+        size_t sizes[3] = {box_len, 61 + box_len, 58};
+        for (k = 0; k < 3; k++) {
+            PyObject *piece;
+            if (k && m[0] != 0) {   /* a resend reuses its stored row */
+                piece = Py_NewRef(Py_None);
+                ptrs[k * n + i] = NULL;
+            } else {
+                piece = PyBytes_FromStringAndSize(NULL,
+                                                  (Py_ssize_t)sizes[k]);
+                if (!piece)
+                    goto done;
+                ptrs[k * n + i] = BYTES_OUT(piece);
+            }
+            PyList_SET_ITEM(lists[k], (Py_ssize_t)i, piece);
+        }
+    }
+    if (lcm_invoke_batch_reply(a[0].p, a[1].p, a[2].p, a[2].n, a[3].p,
+                               a[3].n, batch->meta, n, batch->chains,
+                               batch->pt, results, a[6].p, counter, ptrs,
+                               ptrs + n, ptrs + 2 * n) != 0) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    out = tuple_steal(lists, 3);
+    lists[0] = lists[1] = lists[2] = NULL;
+done:
+    for (k = 0; k < 3; k++)
+        Py_XDECREF(lists[k]);
+    PyMem_Free(ptrs);
+    free_items(results, n, hold);
+    release_args(a, 8);
+    return out;
+}
+
+/* modexp(modulus, r2, n0inv, base, exponent): pow(base, exponent,
+   modulus) as 256 big-endian bytes, the first three and base 256 bytes
+   each; None where the DH kernel is not compiled in. */
+static PyObject *fp_modexp(PyObject *module, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    arg_bytes a[5];
+    unsigned long long n0inv;
+    PyObject *out = NULL;
+
+    (void)module;
+    if (read_args("modexp", args, nargs, "mm-mb", a) == 0
+        && get_u64(args[2], &n0inv) == 0) {
+        out = PyBytes_FromStringAndSize(NULL, 256);
+        if (out && lcm_modexp(a[0].p, a[1].p, n0inv, a[3].p, a[4].p, a[4].n,
+                              BYTES_OUT(out)) != 0)
+            Py_SETREF(out, Py_NewRef(Py_None));
+    }
+    release_args(a, 5);
+    return out;
+}
+
+#define FASTCALL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))fp_##name, METH_FASTCALL, doc}
+
+static PyMethodDef fastpath_methods[] = {
+    {"kernels", fp_kernels, METH_NOARGS,
+     "kernels() -> the kernels load-time dispatch chose"},
+    FASTCALL(keystream, "keystream(prefix, nblocks, first_counter=0)"),
+    FASTCALL(sha256_many, "sha256_many(segments) -> list of digests"),
+    FASTCALL(chain_extend,
+             "chain_extend(previous, operation, sequence, client_id)"),
+    FASTCALL(seal_box, "seal_box(enc_key, mac_key, nonce, frame, plaintext)"),
+    FASTCALL(open_box, "open_box(enc_key, mac_key, frame, box) -> "
+                       "plaintext, or None"),
+    FASTCALL(stream_box, "stream_box(enc_key, nonce, plaintext)"),
+    FASTCALL(seal_boxes,
+             "seal_boxes(enc_key, mac_key, nonces, frame, plaintexts)"),
+    FASTCALL(open_boxes, "open_boxes(enc_key, mac_key, frame, boxes) -> "
+                         "plaintexts, or the first bad index"),
+    FASTCALL(seal_invoke, "seal_invoke(enc_key, mac_key, nonce, frame, "
+                          "prefix, tc, hc, op, cid, retry)"),
+    FASTCALL(open_reply, "open_reply(enc_key, mac_key, frame, prefix, box)"),
+    FASTCALL(invoke_batch_open,
+             "invoke_batch_open(enc_key, mac_key, frame, prefix, boxes, ids, "
+             "ack, seq, chains, acks, quorum, sequence, chain)"),
+    FASTCALL(invoke_batch_reply,
+             "invoke_batch_reply(enc_key, mac_key, frame, prefix, batch, "
+             "results, nonce_seed, nonce_counter)"),
+    FASTCALL(modexp, "modexp(modulus, r2, n0inv, base, exponent)"),
+    {NULL, NULL, 0, NULL}
+};
+
+static struct PyModuleDef fastpath_module = {
+    PyModuleDef_HEAD_INIT, "_lcm_fastpath", NULL, -1, fastpath_methods,
+    NULL, NULL, NULL, NULL
+};
+
+PyMODINIT_FUNC PyInit__lcm_fastpath(void)
+{
+    return PyModule_Create(&fastpath_module);
 }

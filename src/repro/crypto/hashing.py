@@ -33,18 +33,22 @@ GENESIS_HASH: bytes = hashlib.sha256(b"lcm-genesis").digest()
 def secure_hash(data: bytes) -> bytes:
     """Collision-resistant hash (SHA-256, as in the paper's implementation).
 
-    Stays on hashlib: for one-shot digests of short inputs the stdlib's
-    OpenSSL binding beats the cffi crossing of the fastpath backend (the
-    backend wins only where it amortizes calls across blocks or boxes).
+    Stays on hashlib because no per-operation path of the compiled tier
+    calls it (only the pure-Python chain step below does), although the
+    compiled tier would be faster: on an x86-64 CPU with SHA-NI,
+    hashlib's one-shot digest of 100 bytes takes about 0.9 us and the
+    compiled ``sha256_many([data])`` about 0.3 us.
     """
     return hashlib.sha256(data).digest()
 
 
 def secure_hash_many(segments: list[bytes]) -> list[bytes]:
-    """SHA-256 of every segment, amortizing the native crossing when the
-    compiled fastpath backend is active (one C call per batch)."""
+    """SHA-256 of every segment, in one C call when the compiled
+    fastpath backend is active (faster than hashlib from one segment on:
+    about 0.25 us against 0.8 us for one 100-byte segment, 0.46 against
+    1.3 for two, on an x86-64 CPU with SHA-NI)."""
     backend = _fastpath.BACKEND
-    if backend.native and len(segments) > 2:
+    if backend.native:
         return backend.sha256_many(segments)
     sha256 = hashlib.sha256
     return [sha256(segment).digest() for segment in segments]
@@ -84,16 +88,7 @@ def chain_extend(previous: bytes, operation: bytes, sequence: int, client_id: in
     """
     backend = _fastpath.BACKEND
     if backend.native:
-        # called on ``_lib`` directly: one Python frame per step (this
-        # runs twice per protocol round trip, client and context side)
-        out = bytearray(32)
-        backend._lib.lcm_chain_extend(
-            previous, len(previous),
-            operation, len(operation),
-            sequence, client_id,
-            backend._ffi.from_buffer(out),
-        )
-        return bytes(out)
+        return backend.chain_extend(previous, operation, sequence, client_id)
     payload = (
         len(previous).to_bytes(8, "big")
         + previous

@@ -33,7 +33,7 @@ try:  # compiled codec (built at first import, cached on disk); the pure
     # is registered as the C module's fallback at the end of this module
     from repro import _serde_native
 
-    _NATIVE = _serde_native.load()
+    _NATIVE = _serde_native.MODULE
 except Exception:  # pragma: no cover - builder failures degrade silently
     _NATIVE = None
 

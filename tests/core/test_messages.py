@@ -5,7 +5,8 @@ import pytest
 from repro import serde
 from repro.crypto.aead import AeadKey
 from repro.crypto.hashing import GENESIS_HASH
-from repro.errors import AuthenticationFailure, InvalidReply
+from repro.crypto import fastpath
+from repro.errors import AuthenticationFailure, ConfigurationError, InvalidReply
 from repro.core.messages import (
     InvokePayload,
     ReplyPayload,
@@ -67,6 +68,19 @@ class TestInvoke:
         box[20] ^= 0x01
         with pytest.raises(AuthenticationFailure):
             InvokePayload.unseal(bytes(box), key)
+
+    @pytest.mark.parametrize("tier", fastpath.available_backends())
+    def test_a_pinned_nonce_of_the_wrong_length_is_refused_on_both_tiers(
+        self, invoke, key, tier
+    ):
+        previous = fastpath.active_backend()
+        fastpath.select_backend(tier)
+        try:
+            for nonce in (b"", bytes(11), bytes(13)):
+                with pytest.raises(ConfigurationError):
+                    invoke.seal(key, nonce=nonce)
+        finally:
+            fastpath.BACKEND = previous
 
 
 class TestReply:

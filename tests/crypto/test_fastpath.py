@@ -99,11 +99,7 @@ class TestBackendEquivalence:
         """Counters whose carries cross the lane words' byte boundaries,
         up to the counter's top byte (unreachable by a box, reachable
         through the C entry point's first counter)."""
-        out = bytearray(32 * 32)
-        compiled._lib.lcm_ctr_keystream(
-            PREFIX, len(PREFIX), first, 32, compiled._ffi.from_buffer(out)
-        )
-        assert bytes(out) == b"".join(
+        assert compiled.blocks(PREFIX, 32, first) == b"".join(
             hashlib.sha256(PREFIX + counter.to_bytes(8, "big")).digest()
             for counter in range(first, first + 32)
         )
@@ -121,7 +117,7 @@ class TestBackendEquivalence:
 
     def test_blocks_many_identical_across_backends(self):
         """The batch block loop exists on the hashlib tier only (``c``
-        seals whole batches in ``lcm_seal_boxes``); it must emit what
+        seals whole batches in ``seal_boxes``); it must emit what
         every backend's per-box loop emits, span by span — 4100 blocks
         runs past the precomputed counter table."""
         prefixes = [b"lcm-ctr" + ENC_KEY + os.urandom(12) for _ in range(9)]
@@ -139,7 +135,7 @@ class TestBackendEquivalence:
     def test_batch_hmac_matches_stdlib_on_every_backend(self):
         """The batch tag pass (one Python implementation, cloning the
         key's cached pad states; ``c`` computes its batch tags inside
-        ``lcm_seal_boxes``) is stdlib-identical on both tiers, and the
+        ``seal_boxes``) is stdlib-identical on both tiers, and the
         cached key schedule is safe across calls and keys."""
         ad = b"lcm/invoke"
         segments = [os.urandom(151) for _ in range(7)] + [b"", os.urandom(3000)]
@@ -176,7 +172,7 @@ class TestBackendEquivalence:
         """The DH kernel against ``pow`` over group 14: seeded random
         2048-bit bases with 256-bit exponents (the DH secrets' size), the
         edge bases and exponents, exponents longer than 32 bytes, and (on
-        ``lcm_modexp`` itself, which takes the exponent's bytes as given)
+        the C ``modexp`` itself, which takes the exponent's bytes as given)
         exponents with leading zero bytes."""
         if not compiled.kernels.endswith("+mont64"):
             pytest.skip("Montgomery kernel not compiled in")
@@ -204,12 +200,9 @@ class TestBackendEquivalence:
             base %= p
             for pad in (1, 7, 40):
                 raw = bytes(pad) + exponent.to_bytes(512, "big").lstrip(b"\0")
-                out = bytearray(256)
-                status = compiled._lib.lcm_modexp(
-                    p.to_bytes(256, "big"), r2, n0, base.to_bytes(256, "big"),
-                    raw, len(raw), compiled._ffi.from_buffer(out),
+                out = compiled._modexp(
+                    p.to_bytes(256, "big"), r2, n0, base.to_bytes(256, "big"), raw
                 )
-                assert status == 0
                 assert int.from_bytes(out, "big") == pow(base, exponent, p)
 
     def test_modexp_other_moduli_and_fallbacks(self, compiled):
@@ -298,8 +291,8 @@ class TestSelection:
 
 
 class TestFusedBoxes:
-    """``lcm_seal_box`` / ``lcm_open_box`` / ``lcm_seal_boxes`` /
-    ``lcm_open_boxes`` through the AEAD entry points that call them."""
+    """The C ``seal_box`` / ``open_box`` / ``seal_boxes`` / ``open_boxes``
+    through the AEAD entry points that call them."""
 
     def test_fused_seal_open_match_composed_path(self, compiled):
         ad = b"ad"
