@@ -106,63 +106,18 @@ _HANDOFF_AD = b"lcm/handoff"
 HANDOFF_CLIENT_ID = 0
 
 
-class _HandoffSession:
-    """One cached handoff channel to an attested peer enclave.
-
-    Established during a full mutually attested handshake and kept in
-    volatile memory only (an epoch restart forgets it — the next handoff
-    re-attests).  ``send``/``recv`` are per-direction sequence numbers
-    folded into the bundle's associated data, so a host replaying an old
-    sealed bundle over the cached channel fails authentication exactly
-    as a forged bundle would.
-    """
-
-    __slots__ = ("channel", "send", "recv")
-
-    def __init__(self, channel: AeadKey) -> None:
-        self.channel = channel
-        self.send = 0
-        self.recv = 0
-
-
-def _session_ad(counter: int) -> bytes:
-    return _HANDOFF_AD + b"/session/" + counter.to_bytes(8, "big")
-
-
-
-#: Decoded forms of recently seen operation encodings (real workloads repeat
-#: operations heavily).  Only flat lists of scalars are memoized so a
-#: functionality that mutates nested operation structure cannot corrupt the
-#: cache; stored and returned lists are distinct copies.  Keyed by canonical
-#: bytes, which are unambiguous.  A proper LRU (ordered dict, move-to-end on
-#: hit, least-recent eviction) so a zipfian key set larger than the capacity
-#: keeps its hot head cached instead of thrashing wholesale.
-_OP_DECODE_CACHE: collections.OrderedDict[bytes, list] = collections.OrderedDict()
-_OP_DECODE_CACHE_MAX = 1024
-
-
-#: Canonical encodings of recently produced scalar results (hot values
-#: repeat under real workloads).  Key types are restricted to those that
-#: are unambiguous as dict keys — ``True`` and ``1`` compare equal but
-#: encode differently, so ``bool`` stays out (its type check fails).
+#: Canonical encodings of recently produced scalar results.  The point is
+#: interning, not speed: ``audit_log`` is append-only and keeps a full
+#: encoded result per operation, and this memo makes a hot value's records
+#: share one ``bytes`` object.  Without it (and the client's
+#: ``_RESULT_DECODE_CACHE``) ``large_read``'s peak RSS rose from 69.8 to
+#: 87.6 MB, past its bound.  Key types are restricted to those that are
+#: unambiguous as dict keys — ``True`` and ``1`` compare equal but encode
+#: differently, so ``bool`` stays out (its type check fails).
 _RESULT_ENCODE_CACHE: collections.OrderedDict = collections.OrderedDict()
 _RESULT_ENCODE_CACHE_MAX = 512
 _SCALAR_RESULT_TYPES = (str, bytes, int)
 
-
-def _decode_operation(data: bytes) -> Any:
-    cached = _OP_DECODE_CACHE.get(data)
-    if cached is not None:
-        _OP_DECODE_CACHE.move_to_end(data)
-        return cached.copy()
-    value = serde.decode(data)
-    if type(value) is list and all(
-        type(item) in (str, bytes, int, bool) or item is None for item in value
-    ):
-        if len(_OP_DECODE_CACHE) >= _OP_DECODE_CACHE_MAX:
-            _OP_DECODE_CACHE.popitem(last=False)
-        _OP_DECODE_CACHE[data] = value.copy()
-    return value
 
 #: Protocol-level dummy operation: sequenced and hash-chained like any other
 #: operation, but not passed to ``F``.  Used for stability polling.
@@ -242,7 +197,6 @@ class LcmContext:
         self._dh: DhKeyPair | None = None
         self._migration_nonce: bytes | None = None
         self._handoff_nonce: bytes | None = None
-        self._handoff_sessions: dict[bytes, _HandoffSession] = {}
         self._migrated_out = False
         self.audit_log: list[AuditRecord] = []
         self._handlers: dict[str, Callable[[Any], Any]] = {
@@ -257,7 +211,6 @@ class LcmContext:
             "handoff_challenge": self._ecall_handoff_challenge,
             "handoff_export": self._ecall_handoff_export,
             "handoff_import": self._ecall_handoff_import,
-            "handoff_session_check": self._ecall_handoff_session_check,
             "txn_status": self._ecall_txn_status,
             "export_audit_log": self._ecall_export_audit,
             "export_audit_since": self._ecall_export_audit_since,
@@ -681,12 +634,7 @@ class LcmContext:
         verified the INVOKE and assigned ``sequence`` and ``chain``.
         Returns the encoded result.
         """
-        cached_op = _OP_DECODE_CACHE.get(operation_bytes)  # inlined hit path
-        if cached_op is not None:
-            _OP_DECODE_CACHE.move_to_end(operation_bytes)
-            operation = cached_op.copy()
-        else:
-            operation = _decode_operation(operation_bytes)
+        operation = serde.decode(operation_bytes)
         result: Any
         if (
             type(operation) is list
@@ -905,16 +853,21 @@ class LcmContext:
 
     # ------------------------------------------------- key-range handoff
 
-    def _verify_handoff_peer(self, payload: dict):
+    def _handoff_channel(self, payload: dict) -> AeadKey:
         """Shared mutual-attestation step of the handoff ecalls: verify
         the peer's quote against our own challenge nonce and return the
-        DH public key it binds.
+        channel key derived from the DH public it binds and the key pair
+        this side attested with.
 
-        Both sides run it — unlike whole-context migration (where only
-        the origin verifies, because the target is unprovisioned and has
-        nothing to lose), a handoff *into a live group* must never accept
-        items from anything but a genuine LCM enclave, or an untrusted
-        host could inject arbitrary keys into a serving state.
+        Both sides run it on every handoff — unlike whole-context
+        migration (where only the origin verifies, because the target is
+        unprovisioned and has nothing to lose), a handoff *into a live
+        group* must never accept items from anything but a genuine LCM
+        enclave, or an untrusted host could inject arbitrary keys into a
+        serving state.  Both DH key pairs and both nonces are fresh per
+        handoff and the export and import each consume their side's
+        nonce, so no channel outlives its handoff and a replayed bundle
+        is refused.
         """
         from repro.crypto.attestation import Quote, QuoteVerifier
 
@@ -935,8 +888,9 @@ class LcmContext:
             expected_measurement=self._env.measurement,
             nonce=self._handoff_nonce,
         )
-        peer_bytes = quote.user_data[16 : 16 + PUBLIC_KEY_BYTES]
-        return public_from_bytes(peer_bytes), peer_bytes
+        return self._dh.shared_key(
+            public_from_bytes(quote.user_data[16 : 16 + PUBLIC_KEY_BYTES])
+        )
 
     def _sequence_handoff(self, operation: list, result: Any) -> None:
         """Fold a handoff operation into the chain exactly like a client
@@ -1011,41 +965,6 @@ class LcmContext:
                 "refusing to hand them off before their decision lands"
             )
 
-    def _cache_handoff_session(
-        self, peer_bytes: bytes, channel: AeadKey
-    ) -> _HandoffSession:
-        """Remember the attested channel for session reuse; bounded so
-        long-lived groups never accumulate stale per-handshake entries
-        (each full handshake mints fresh peer DH keys)."""
-        while len(self._handoff_sessions) >= 32:
-            self._handoff_sessions.pop(next(iter(self._handoff_sessions)))
-        session = self._handoff_sessions[peer_bytes] = _HandoffSession(channel)
-        return session
-
-    def _handoff_session(self, payload: dict) -> _HandoffSession:
-        if not self._provisioned:
-            raise ConfigurationError(
-                "only a provisioned context takes part in a handoff"
-            )
-        if HANDOFF_CLIENT_ID in self._rows:
-            # same precondition the full-handshake path enforces: handoff
-            # records are sequenced under the reserved client id, which
-            # must not collide with a real member enrolled since the
-            # session was established
-            raise ConfigurationError(
-                f"client id {HANDOFF_CLIENT_ID} is reserved for handoff records"
-            )
-        session = self._handoff_sessions.get(payload["session_peer"])
-        if session is None:
-            raise ConfigurationError("unknown handoff session peer")
-        return session
-
-    def _ecall_handoff_session_check(self, peer: bytes) -> bool:
-        """Whether this context still holds a cached handoff channel for
-        ``peer`` (an epoch restart wipes them).  The session-reuse path
-        probes both sides *before* the export removes any key."""
-        return self._provisioned and peer in self._handoff_sessions
-
     def _ecall_handoff_export(self, payload: dict) -> dict:
         """Source side: verify the peer, cut the keys on the requested
         ring arcs out of the service state, and seal them to the peer.
@@ -1056,56 +975,30 @@ class LcmContext:
         so a source that is later rolled back past the handoff is caught
         by its own clients exactly as for any other lost operation.
 
-        Two channel modes: a full mutually attested handshake (payload
-        carries ``quote``/``verifier``), which also caches the derived
-        channel per peer for later reuse; or a cached session (payload
-        carries ``session_peer``), which skips the four DH operations and
-        seals under the cached key with a per-direction sequence number
-        in the associated data (replay-proof without fresh nonces from
-        attestation).
+        The bundle is sealed under the channel of this handoff's mutually
+        attested handshake (:meth:`_handoff_channel`).
         """
         arcs = self._check_arcs(payload["arcs"])
-        if "session_peer" in payload:
-            session = self._handoff_session(payload)
-            channel = session.channel
-            associated_data = _session_ad(session.send)
-        else:
-            peer_public, peer_bytes = self._verify_handoff_peer(payload)
-            channel = self._dh.shared_key(peer_public)
-            session = self._cache_handoff_session(peer_bytes, channel)
-            associated_data = _HANDOFF_AD
+        channel = self._handoff_channel(payload)
         self._guard_undecided_arcs(arcs)
         operation = [HANDOFF_EXPORT_VERB, arcs]
         items = self._apply(operation)
         self._sequence_handoff(operation, items)
         sealed = auth_encrypt(
-            serde.encode([items]), channel, associated_data=associated_data
+            serde.encode([items]), channel, associated_data=_HANDOFF_AD
         )
-        if "session_peer" in payload:
-            session.send += 1
         self._handoff_nonce = None
         self._seal_and_store()
         return {"bundle": sealed, "moved": len(items)}
 
     def _ecall_handoff_import(self, payload: dict) -> int:
-        """Target side: verify the peer (or reuse the cached session),
-        open the bundle over the channel, and install the items as a
-        sequenced operation."""
-        if "session_peer" in payload:
-            session = self._handoff_session(payload)
-            plain = auth_decrypt(
-                payload["bundle"],
-                session.channel,
-                associated_data=_session_ad(session.recv),
-            )
-            session.recv += 1
-        else:
-            peer_public, peer_bytes = self._verify_handoff_peer(payload)
-            channel = self._dh.shared_key(peer_public)
-            self._cache_handoff_session(peer_bytes, channel)
-            plain = auth_decrypt(
-                payload["bundle"], channel, associated_data=_HANDOFF_AD
-            )
+        """Target side: verify the peer, open the bundle over the attested
+        channel, and install the items as a sequenced operation."""
+        plain = auth_decrypt(
+            payload["bundle"],
+            self._handoff_channel(payload),
+            associated_data=_HANDOFF_AD,
+        )
         (items,) = serde.decode(plain)
         operation = [HANDOFF_IMPORT_VERB, items]
         count = self._apply(operation)

@@ -23,11 +23,7 @@ the migrated ``V``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from repro.crypto.attestation import QuoteVerifier
-from repro.crypto.dh import PUBLIC_KEY_BYTES
 from repro.errors import MigrationError
 
 
@@ -68,85 +64,11 @@ def migrate(origin_host, target_host, quote_verifier: QuoteVerifier) -> None:
         raise MigrationError("target refused the migration bundle")
 
 
-@dataclass
-class _SessionEntry:
-    """One cached (host pair -> enclave DH publics) association."""
-
-    host_a: Any
-    host_b: Any
-    public_a: bytes  # host_a's enclave public from the handshake quote
-    public_b: bytes
-
-
-class HandoffSessionCache:
-    """Reuse the mutually attested handoff channel across reshard plans.
-
-    The ~25 ms cost of :func:`migrate_keys` is dominated by the four
-    2048-bit DH operations of the mutual attestation.  Both enclaves
-    already cache the derived channel keyed by the peer's DH public (see
-    ``LcmContext._handoff_sessions``); this cache is the *untrusted*
-    half — it remembers which publics a given (source, target) host pair
-    attested with, so a later plan over the same pair can name the
-    session instead of re-running the handshake.
-
-    Rekeying is nonce-fresh by construction: a generation bump
-    (recovery) or a rebalance replaces the host object, the identity
-    match below fails, and the next handoff runs a full handshake with
-    fresh DH keys on both sides.  An epoch restart wipes the enclave's
-    volatile session — probed with ``handoff_session_check`` *before*
-    any key leaves the source — and likewise falls back to a handshake.
-    Entries are symmetric: the A->B handshake also serves B->A (the
-    compensation direction), with independent per-direction sequence
-    numbers kept inside the enclaves.
-    """
-
-    #: Entry bound: a generation bump or removal replaces the host
-    #: object, leaving its entry unreachable by identity lookup — the
-    #: oldest entries are evicted so long-lived elastic clusters neither
-    #: pin dead host graphs nor degrade the linear identity scan.
-    MAX_ENTRIES = 64
-
-    def __init__(self) -> None:
-        self.entries: list[_SessionEntry] = []
-        self.hits = 0
-        self.handshakes = 0
-
-    def lookup(self, source, target) -> tuple[bytes, bytes] | None:
-        """``(source_public, target_public)`` for a cached pair, either
-        orientation, or ``None``."""
-        for entry in self.entries:
-            if entry.host_a is source and entry.host_b is target:
-                return entry.public_a, entry.public_b
-            if entry.host_b is source and entry.host_a is target:
-                return entry.public_b, entry.public_a
-        return None
-
-    def store(self, source, target, source_public: bytes, target_public: bytes) -> None:
-        self.drop(source, target)
-        while len(self.entries) >= self.MAX_ENTRIES:
-            self.entries.pop(0)
-        self.entries.append(
-            _SessionEntry(source, target, source_public, target_public)
-        )
-
-    def drop(self, source, target) -> None:
-        self.entries = [
-            entry
-            for entry in self.entries
-            if not (
-                (entry.host_a is source and entry.host_b is target)
-                or (entry.host_b is source and entry.host_a is target)
-            )
-        ]
-
-
 def migrate_keys(
     source_host,
     target_host,
     quote_verifier: QuoteVerifier,
     arcs,
-    *,
-    sessions: HandoffSessionCache | None = None,
 ) -> int:
     """Hand the keys on ``arcs`` from one *live* group to another.
 
@@ -172,36 +94,20 @@ def migrate_keys(
     tampering, replay, or post-handoff rollback is detected by the usual
     client verification.  Returns the number of keys moved.
 
+    Every call runs the whole handshake, and nothing of a channel outlives
+    it: each ``attest`` mints a fresh DH key pair and each import consumes
+    the target's challenge nonce, so a replayed import finds no challenge
+    to answer, or a fresh one its stale quote does not bind.  The whole
+    handshake, four 2048-bit DH operations included, costs about 6.5 ms
+    on the C tier's Montgomery kernel (2-vCPU x86-64 VM), too little for
+    a reshard plan to gain from caching a channel.
+
     Raises :class:`~repro.errors.MigrationError` on a broken handshake
     and propagates attestation/authentication failures from the contexts.
     """
     for host, role in ((source_host, "source"), (target_host, "target")):
         if not host.enclave.running:
             raise MigrationError(f"{role} enclave is not running")
-    if sessions is not None:
-        cached = sessions.lookup(source_host, target_host)
-        if cached is not None:
-            source_public, target_public = cached
-            # both enclaves must still hold the session (epoch restarts
-            # wipe volatile memory) — probe before any key leaves the
-            # source, because a failed import cannot be retried after the
-            # export already sequenced the keys out of the state
-            if source_host.enclave.ecall(
-                "handoff_session_check", target_public
-            ) and target_host.enclave.ecall(
-                "handoff_session_check", source_public
-            ):
-                sessions.hits += 1
-                export = source_host.enclave.ecall(
-                    "handoff_export",
-                    {"session_peer": target_public, "arcs": arcs},
-                )
-                installed = target_host.enclave.ecall(
-                    "handoff_import",
-                    {"session_peer": source_public, "bundle": export["bundle"]},
-                )
-                return _check_installed(installed, export["moved"])
-            sessions.drop(source_host, target_host)
     source_nonce = source_host.enclave.ecall("handoff_challenge", None)
     target_report = target_host.enclave.ecall("attest", source_nonce)
     target_quote = target_host.platform.quote(target_report)
@@ -220,20 +126,8 @@ def migrate_keys(
             "bundle": export["bundle"],
         },
     )
-    if sessions is not None:
-        sessions.handshakes += 1
-        sessions.store(
-            source_host,
-            target_host,
-            source_quote.user_data[16 : 16 + PUBLIC_KEY_BYTES],
-            target_quote.user_data[16 : 16 + PUBLIC_KEY_BYTES],
-        )
-    return _check_installed(installed, export["moved"])
-
-
-def _check_installed(installed: int, moved: int) -> int:
-    if installed != moved:
+    if installed != export["moved"]:
         raise MigrationError(
-            f"target installed {installed} of {moved} handed-off keys"
+            f"target installed {installed} of {export['moved']} handed-off keys"
         )
     return installed

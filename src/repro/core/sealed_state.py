@@ -163,6 +163,9 @@ _WHOLE_STATE = object()  # that section's key in the entry views below
 _ABSENT = object()
 #: value types that cannot change behind an unchanged object identity
 _IMMUTABLE_SCALARS = frozenset({str, bytes, int, float, bool, type(None)})
+#: value types whose equal objects of the same exact type encode alike, so
+#: an entry replaced by an equal one keeps its section
+_KEPT_WHEN_EQUAL = (str, bytes)
 
 
 def _entries(state: Any) -> dict:
@@ -332,10 +335,12 @@ class SealedState:
         self._static_blob: bytes | None = None
         self._static_blob_hash: bytes | None = None  # framed, manifest input
         # The sections are current for _sealed_state, the exact object they
-        # were last diffed against ({} = nothing sealed yet).  Safe because
-        # Functionality.apply must not mutate state in place: an entry
-        # whose value is the same object still has the plaintext its
-        # cached section was sealed from.
+        # were last diffed against ({} = nothing sealed yet).  An entry
+        # keeps its section when its value is the same object — safe
+        # because Functionality.apply must not mutate state in place — or
+        # a str or bytes of the sealed value's exact type and equal to it:
+        # either way it encodes to the plaintext the section was sealed
+        # from.  Any other new value object is resealed.
         self._sections = _PieceTable(_list_header, _SECTION_WIDTH)
         self._sealed_state: Any = {}
         self._sections_hash: bytes | None = None  # framed, manifest input
@@ -417,9 +422,10 @@ class SealedState:
 
     def _refresh_sections(self, state: Any) -> None:
         """Bring the state sections up to date with ``state``: reseal
-        exactly the top-level entries whose value object changed since
-        the last seal and drop those that left.  Outside audit mode the
-        caller skips the call when the state object did not change."""
+        exactly the top-level entries whose value changed since the last
+        seal (see ``_sections`` for what counts as unchanged) and drop
+        those that left.  Outside audit mode the caller skips the call
+        when the state object did not change."""
         audit = self._audit
         entries = _entries(state)
         sealed_values = self._sealed_values
@@ -428,11 +434,22 @@ class SealedState:
             sections = self._sections
             sealed = _entries(self._sealed_state)
             sealed_get = sealed.get
-            dirty = [
+            dirty = []
+            for key in [
                 key
                 for key, value in entries.items()
                 if sealed_get(key, _ABSENT) is not value
-            ]
+            ]:
+                value, old = entries[key], sealed_get(key)
+                if (
+                    type(value) in _KEPT_WHEN_EQUAL
+                    and type(old) is type(value)
+                    and old == value
+                ):
+                    if audit:  # exempt from the in-place check below
+                        sealed_scalars[key] = value
+                else:
+                    dirty.append(key)
             # len(sealed) + entered - left == len(entries), so the keys
             # that left are only looked for when the sizes say some did
             entered = len(dirty) - sum(map(sealed.__contains__, dirty))

@@ -59,12 +59,9 @@ cleanly instead of stalling the cluster.
 Recovery uses the weaker barrier only (drained links, so a reply still
 on the wire cannot race the replay): a dead shard never quiesces fully.
 
-Handoff channels are cached across plans
-(:class:`~repro.core.migration.HandoffSessionCache` — the control plane
-owns one): the first handoff between two groups pays the mutual
-attestation, later plans over the same pair reuse the attested channel
-with sequence-numbered bundles, and any generation bump falls back to a
-fresh handshake automatically.
+Every handoff runs the full mutually attested handshake
+(:func:`~repro.core.migration.migrate_keys`); no channel is kept across
+plans, so a generation bump or an enclave reboot needs no special case.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ import collections
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.migration import HandoffSessionCache, migrate_keys
+from repro.core.migration import migrate_keys
 from repro.errors import ConfigurationError, LCMError
 from repro.net.simulation import ENCLAVE_SERVICE_INTERVAL
 from repro.sharding.partitioner import ArcMove, HashRing
@@ -161,8 +158,6 @@ class ControlPlane:
         self._pumping = False
         self._pump_again = False
         self.reports: list[ReshardReport] = []
-        #: attested handoff channels reused across plans (see module doc)
-        self.handoff_sessions = HandoffSessionCache()
         #: high-water mark of concurrently running plans (observability)
         self.max_concurrent = 0
         #: plan lifecycle metrics in the cluster's registry: completion /
@@ -459,7 +454,6 @@ class ControlPlane:
                     cluster.shard_host(target_id),
                     verifier,
                     arcs,
-                    sessions=self.handoff_sessions,
                 )
                 handed_over.append((source_id, target_id, arcs))
                 peer = source_id if plan.kind == "add" else target_id
@@ -491,7 +485,6 @@ class ControlPlane:
                     cluster.shard_host(source_id),
                     verifier,
                     arcs,
-                    sessions=self.handoff_sessions,
                 )
             except LCMError:
                 plan.report.orphaned.append((source_id, target_id, arcs))

@@ -33,9 +33,9 @@ from repro.server import ServerHost
 from repro.tee import TeePlatform
 
 STORED_VERSIONS_SHA256 = (
-    "d967ae6c208096053cbe8393791d50e972b81e410b2f028bca57108b45cb63a7"
+    "05b46b894bff41371734a0c64e77d9dbe82a9045d4ae390f09d7838637ea3210"
 )
-PHYSICAL_BYTES = (59653, 17491)
+PHYSICAL_BYTES = (59653, 17395)
 
 _KEYS = [f"key{index:02d}" for index in range(12)]
 

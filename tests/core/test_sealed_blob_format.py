@@ -14,9 +14,11 @@ different versions — is detected at restore time.
 import pytest
 
 from repro import serde
-from repro.crypto.aead import NONCE_SIZE
+from repro.crypto.aead import NONCE_SIZE, AeadKey, NonceSequence
 from repro.crypto.attestation import EpidGroup
 from repro.core import Admin, make_lcm_program_factory, migrate
+from repro.core.sealed_state import SealedState
+from repro.core.stability import PackedRows
 from repro.errors import AuthenticationFailure
 from repro.kvstore import CounterFunctionality, KvsFunctionality, delete, get, put
 from repro.kvstore.functionality import txn_commit, txn_prepare
@@ -518,6 +520,60 @@ class TestStoreDeltas:
             assert runs and all(type(data) is bytes for _, data in runs)
         host.reboot()
         assert alice.invoke(get("k")).result == "w" * 80
+
+
+def _resealed_runs(old, new, *, audit=False, later_seals=0):
+    """The store delta's runs after an entry's value goes from ``old`` to
+    ``new``, sealed straight through :class:`SealedState` with no V rows;
+    ``later_seals`` more seals of the new state follow."""
+    sealed = SealedState(
+        AeadKey(bytes(16)), bytes(range(16)), bytes(16), bytes(16), None,
+        NonceSequence(bytes(32)).next, audit=audit,
+    )
+    rows = PackedRows()
+    sealed.seal({"k": old, "other": "x"}, rows)
+    sealed.delta()  # the whole first blob
+    state = {"k": new, "other": "x"}
+    sealed.seal(state, rows)
+    _, _, runs = sealed.delta()
+    for _ in range(later_seals):
+        sealed.seal(state, rows)
+    return runs, sealed
+
+
+class TestEqualValueReseal:
+    """An entry replaced by a value of the same exact type (``str`` or
+    ``bytes``) and equal to it keeps its section; anything else is
+    resealed."""
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("value", "".join(["va", "lue"])),
+            (b"value", bytes(bytearray(b"value"))),
+        ],
+        ids=["str", "bytes"],
+    )
+    def test_an_equal_distinct_object_adds_nothing_to_the_delta(self, old, new):
+        assert new is not old and new == old
+        runs, _ = _resealed_runs(old, new)
+        assert runs == []
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [(1, True), ("v", b"v"), ("abcd", "abce"), (b"abcd", b"abce")],
+        ids=["int-to-bool", "str-to-bytes", "unequal-str", "unequal-bytes"],
+    )
+    def test_another_type_or_value_reseals_the_entry(self, old, new):
+        runs, _ = _resealed_runs(old, new)
+        assert runs
+
+    def test_a_kept_entry_passes_the_audit_checks_of_later_seals(self):
+        old, new = "value", "".join(["va", "lue"])
+        runs, sealed = _resealed_runs(old, new, audit=True, later_seals=3)
+        assert runs == []
+        # refreshed, so later seals do not re-encode the entry
+        assert sealed._sealed_scalars["k"] is new
 
 
 class TestRestoreAcrossMigration:

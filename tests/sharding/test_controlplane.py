@@ -567,80 +567,100 @@ class TestTxnBarrier:
             )
 
 
-class TestHandoffSessionCache:
-    """Satellite: the mutually attested handoff channel is cached per
-    (source, target) pair across plans and rekeyed on generation bumps."""
+def two_live_groups(seed_a, seed_b, keys=40):
+    """Two provisioned single-group deployments on one attestation group,
+    the first holding ``keys`` entries: the raw pair :func:`migrate_keys`
+    hands arcs between."""
+    from tests.conftest import build_deployment
+    from repro.crypto.attestation import EpidGroup
+    from repro.tee import TeePlatform
 
-    def test_merge_reuses_the_split_handshakes(self):
-        """The add's handshakes (survivor -> new shard) are cached as
-        symmetric sessions, so the merge handing the same arcs back runs
-        entirely over cached channels — zero new DH operations."""
+    group = EpidGroup()
+    host_a, _, (alice, *_) = build_deployment(
+        epid_group=group, platform=TeePlatform(group, seed=seed_a)
+    )
+    host_b, _, _ = build_deployment(
+        epid_group=group, platform=TeePlatform(group, seed=seed_b)
+    )
+    for i in range(keys):
+        alice.invoke(put(f"user{i:012d}", "v"))
+    return host_a, host_b, group.verifier()
+
+
+class TestRepeatedHandoffs:
+    """Every handoff runs the full mutually attested handshake, so the
+    same pair can hand arcs back and forth, across reboots, and a bundle
+    cannot be imported twice."""
+
+    def test_split_then_merge_returns_every_key(self):
         cluster, router = build(shards=2, clients=2, seed=35)
         keys = populate(cluster, router, 60)
-        sessions = cluster.control.handoff_sessions
         new_id = cluster.add_shard()
-        handshakes_after_add = sessions.handshakes
-        assert handshakes_after_add > 0 and sessions.hits == 0
+        assert sum(cluster.control.reports[-1].moved.values()) > 0
         cluster.remove_shard(new_id)
-        assert sessions.handshakes == handshakes_after_add
-        assert sessions.hits == handshakes_after_add
-        # data integrity held throughout
         assert read_all(cluster, router, keys) == {
             i: f"v{i}" for i in range(60)
         }
         assert router.check_fork_linearizable().ok
 
-    def test_generation_bump_falls_back_to_fresh_handshake(self):
+    def test_split_and_merge_after_a_generation_bump(self):
         cluster, router = build(shards=2, clients=2, seed=36, failover=True)
-        populate(cluster, router, 60)
-        sessions = cluster.control.handoff_sessions
+        keys = populate(cluster, router, 60)
         first = cluster.add_shard()
         cluster.remove_shard(first)
-        handshakes_before = sessions.handshakes
-        # crash + recover shard 0: fresh platform, fresh enclave — every
-        # cached channel involving it is keyed to a dead host object
+        # crash + recover shard 0: fresh platform, fresh enclave, and the
+        # keys it held are lost with the hardware
         cluster.crash_shard(0)
         cluster.recover_shard(0)
         cluster.run()
+        before = read_all(cluster, router, keys)
         second = cluster.add_shard()
+        assert sum(cluster.control.reports[-1].moved.values()) > 0
         cluster.remove_shard(second)
-        assert sessions.handshakes > handshakes_before
+        assert read_all(cluster, router, keys) == before
         assert router.check_fork_linearizable().ok
 
-    def test_epoch_restart_probes_before_exporting(self):
-        """A reboot wipes the enclave's volatile sessions; the session
-        path must notice *before* any key leaves the source and fall
-        back to a full handshake (an export that ran first would strand
-        the keys: retrying it would find them already gone)."""
-        from tests.conftest import build_deployment
-        from repro.core.migration import HandoffSessionCache, migrate_keys
-        from repro.crypto.attestation import EpidGroup
+    def test_same_keys_move_after_a_target_reboot(self):
+        from repro.core.migration import migrate_keys
         from repro.crypto.hashing import RING_SPAN
-        from repro.tee import TeePlatform
 
-        group = EpidGroup()
-        host_a, _, (alice, *_) = build_deployment(
-            epid_group=group, platform=TeePlatform(group, seed=81)
-        )
-        host_b, _, _ = build_deployment(
-            epid_group=group, platform=TeePlatform(group, seed=82)
-        )
-        for i in range(40):
-            alice.invoke(put(f"user{i:012d}", "v"))
-        verifier = group.verifier()
+        host_a, host_b, verifier = two_live_groups(81, 82)
         arcs = [[0, RING_SPAN // 2]]
-        sessions = HandoffSessionCache()
-        moved_out = migrate_keys(host_a, host_b, verifier, arcs, sessions=sessions)
-        assert sessions.handshakes == 1 and sessions.hits == 0
-        # cached channel serves the way back
-        moved_back = migrate_keys(host_b, host_a, verifier, arcs, sessions=sessions)
-        assert moved_back == moved_out > 0
-        assert sessions.hits == 1 and sessions.handshakes == 1
-        # epoch restart on one side: the probe must catch it up front
+        moved_out = migrate_keys(host_a, host_b, verifier, arcs)
+        assert migrate_keys(host_b, host_a, verifier, arcs) == moved_out > 0
         host_b.reboot()
-        moved_again = migrate_keys(host_a, host_b, verifier, arcs, sessions=sessions)
-        assert moved_again == moved_out
-        assert sessions.handshakes == 2
-        # and the freshly re-attested session is reusable again
-        migrate_keys(host_b, host_a, verifier, arcs, sessions=sessions)
-        assert sessions.hits == 2 and sessions.handshakes == 2
+        assert migrate_keys(host_a, host_b, verifier, arcs) == moved_out
+        assert migrate_keys(host_b, host_a, verifier, arcs) == moved_out
+
+    def test_replayed_import_is_refused(self):
+        from repro.crypto.hashing import RING_SPAN
+        from repro.errors import AttestationFailure
+
+        host_a, host_b, verifier = two_live_groups(83, 84)
+        source_nonce = host_a.enclave.ecall("handoff_challenge", None)
+        target_quote = host_b.platform.quote(
+            host_b.enclave.ecall("attest", source_nonce)
+        )
+        target_nonce = host_b.enclave.ecall("handoff_challenge", None)
+        source_quote = host_a.platform.quote(
+            host_a.enclave.ecall("attest", target_nonce)
+        )
+        export = host_a.enclave.ecall(
+            "handoff_export",
+            {"quote": target_quote, "verifier": verifier, "arcs": [[0, RING_SPAN]]},
+        )
+        payload = {
+            "quote": source_quote,
+            "verifier": verifier,
+            "bundle": export["bundle"],
+        }
+        assert host_b.enclave.ecall("handoff_import", payload) == export["moved"] > 0
+        sequence = host_b.enclave.ecall("status", None)["sequence"]
+        # the import consumed the target's challenge nonce ...
+        with pytest.raises(ConfigurationError, match="handoff before challenge"):
+            host_b.enclave.ecall("handoff_import", payload)
+        # ... and a fresh challenge does not match the stale quote
+        host_b.enclave.ecall("handoff_challenge", None)
+        with pytest.raises(AttestationFailure):
+            host_b.enclave.ecall("handoff_import", payload)
+        assert host_b.enclave.ecall("status", None)["sequence"] == sequence
