@@ -52,9 +52,7 @@ from repro.crypto.aead import (
     NonceSequence,
     _mac_frame,
     auth_decrypt,
-    auth_decrypt_batch,
     auth_encrypt,
-    auth_encrypt_batch,
 )
 from repro.crypto.dh import DhKeyPair, PUBLIC_KEY_BYTES, public_from_bytes
 from repro.crypto.hashing import (
@@ -186,7 +184,7 @@ class LcmContext:
         # store path; seeded once per epoch in on_start.  Sealing never
         # touches the shared process nonce pool, so the bytes depend on
         # this context's history alone.
-        self._nonces: NonceSequence | None = None
+        self._nonces: NonceSequence
         self._state: Any = None                      # s
         # the sealed blob of s and V, which also holds kP, kC, kA and the
         # quorum (repro.core.sealed_state); None until provisioned or
@@ -304,31 +302,35 @@ class LcmContext:
     # ---------------------------------------------------------------- invoke
 
     def _ecall_invoke_batch(self, messages: list[bytes]):
-        """Alg. 2, entered once per batch (Sec. 5.2): one crypto pass per
-        direction, one dynamic-layer seal and one state store for the
-        whole batch.  A single INVOKE is a batch of one.
+        """Alg. 2, entered once per batch (Sec. 5.2): one dynamic-layer
+        seal and one state store for the whole batch.  A single INVOKE is
+        a batch of one.
 
-        All INVOKE boxes are verified and decrypted before any operation
-        executes, so a batch containing a forged message is rejected
-        wholesale — no forged operation runs and the context does not
-        halt: an unauthentic message carries no evidence about T's own
-        state (it may be network garbage or a removed client's stale
-        key), and halting on it would let anyone deny service with one
-        forged packet.  Halting is reserved for *authenticated* context
-        mismatches, which prove a rollback/forking attack; one mid-batch
-        halts the context immediately, and the operations already
-        executed in the batch are abandoned unsealed.  All REPLY boxes
-        are sealed in one pass, and the per-client row-slot patches are
-        coalesced so a client invoked twice in a batch is resealed once.
+        All INVOKE boxes are authenticated before any is decoded or any
+        operation executes, so a batch containing a forged message is
+        rejected wholesale: the :class:`AuthenticationFailure` names the
+        first box too short to be authentic, else the first whose MAC
+        fails, no operation of the batch runs, V and the stored state
+        stay as they were, and the context does not halt: an unauthentic
+        message carries no evidence about T's own state (it may be
+        network garbage or a removed client's stale key), and halting on
+        it would let anyone deny service with one forged packet.
+        Halting is reserved for *authenticated* context mismatches,
+        which prove a rollback/forking attack; one mid-batch halts the
+        context immediately, and the operations already executed in the
+        batch are abandoned unsealed.  The per-client row-slot patches
+        are coalesced so a client invoked twice in a batch is resealed
+        once.
 
         With the compiled fastpath backend the batch is verified,
         decoded, Alg.-2-checked against the packed V columns, chained and
-        resealed in two C calls (:meth:`_invoke_batch_native`).  Without
-        it — or when some authentic INVOKE is not encoded the way the C
-        parser expects, in which case the native pass has touched
-        nothing — the Python encoding of Alg. 2 runs
-        (:meth:`_invoke_batch_python`), drawing nonces from the same
-        deterministic sequence, so the wire bytes are identical.  Both
+        resealed in two C calls, one per direction
+        (:meth:`_invoke_batch_native`).  Without it — or when some
+        authentic INVOKE is not encoded the way the C parser expects, in
+        which case the native pass has touched nothing — the Python
+        encoding of Alg. 2 runs box by box (:meth:`_invoke_batch_python`),
+        drawing nonces from the same deterministic sequence, so the wire
+        bytes are identical.  Both
         run operations through :meth:`_execute`, halt through
         :meth:`_violation` and finish in the epilogue below.
         """
@@ -342,7 +344,7 @@ class LcmContext:
         backend = _fastpath.BACKEND
         path = "native-batch"
         boxes = None
-        if messages and self._nonces is not None and backend.native:
+        if messages and backend.native:
             boxes = self._invoke_batch_native(backend, messages, stamps, per_op)
         if boxes is None:
             path = "python-batch"
@@ -438,7 +440,7 @@ class LcmContext:
             stamps.append(_perf_counter())
         if type(opened) is int:
             # unauthentic box: rejected wholesale without halting, with
-            # the batch unseal's exact diagnostics
+            # the Python pass's exact diagnostics
             bad = -1000 - opened
             if len(messages[bad]) < OVERHEAD:
                 raise AuthenticationFailure(
@@ -506,16 +508,28 @@ class LcmContext:
         stamps: list[float] | None,
         per_op: list[float],
     ) -> list[bytes]:
-        """Alg. 2 in Python: one AEAD pass to open the batch,
-        :meth:`_execute_invoke` per message, one AEAD pass to seal the
-        replies.  Returns the REPLY boxes."""
+        """Alg. 2 in Python: open every INVOKE box, then decode them,
+        run :meth:`_execute_invoke` per message and seal the replies.
+        Returns the REPLY boxes."""
         timed = stamps is not None
         if timed:
             stamps.append(_perf_counter())
-        # all-or-nothing MAC check, see aead.auth_decrypt_batch
-        plains = auth_decrypt_batch(
-            messages, self._sealed.communication_key, associated_data=_INVOKE_AD
-        )
+        # all or nothing, with pass A's diagnostics: the length scan, then
+        # every MAC, before the first decode
+        for index, box in enumerate(messages):
+            if len(box) < OVERHEAD:
+                raise AuthenticationFailure(
+                    f"box {index} of batch too short to be authentic"
+                )
+        kc = self._sealed.communication_key
+        plains = []
+        for index, box in enumerate(messages):
+            try:
+                plains.append(auth_decrypt(box, kc, associated_data=_INVOKE_AD))
+            except AuthenticationFailure:
+                raise AuthenticationFailure(
+                    f"MAC verification failed for box {index} of batch"
+                ) from None
         invokes = [decode_invoke(plain) for plain in plains]
         if timed:
             stamps.append(_perf_counter())
@@ -536,16 +550,17 @@ class LcmContext:
     def _seal_reply_batch(
         self, outcomes: list[tuple[bytes, tuple[int, int] | None]]
     ) -> list[bytes]:
-        """Seal every encoded REPLY of a batch in one AEAD pass and
-        reseal the V rows of the executed ones (``outcomes`` is what
-        :meth:`_execute_invoke` returns, in batch order)."""
-        nonces = self._nonces
-        boxes = auth_encrypt_batch(
-            [encoded for encoded, _ in outcomes],
-            self._sealed.communication_key,
-            associated_data=_REPLY_AD,
-            nonces=nonces.take(len(outcomes)) if nonces is not None else None,
-        )
+        """Seal every encoded REPLY of a batch and reseal the V rows of
+        the executed ones (``outcomes`` is what :meth:`_execute_invoke`
+        returns, in batch order)."""
+        kc = self._sealed.communication_key
+        next_nonce = self._nonces.next
+        boxes = [
+            auth_encrypt(
+                encoded, kc, associated_data=_REPLY_AD, nonce=next_nonce()
+            )
+            for encoded, _ in outcomes
+        ]
         pending: dict[int, tuple[int, bytes]] = {}
         for (_, row), box in zip(outcomes, boxes):
             if row is not None:
@@ -736,11 +751,10 @@ class LcmContext:
         (property-tested) at O(1) per call."""
         return self._rows.stable(self._quorum())
 
-    def _next_nonce(self) -> bytes | None:
-        """Next deterministic seal nonce (None → fall back to the shared
-        pool, only before :meth:`on_start` has seeded the sequence)."""
-        nonces = self._nonces
-        return nonces.next() if nonces is not None else None
+    def _next_nonce(self) -> bytes:
+        """Next deterministic seal nonce (:meth:`on_start` seeds the
+        sequence before any ecall can run)."""
+        return self._nonces.next()
 
     # ----------------------------------------------------------- membership
 

@@ -29,11 +29,11 @@ golden-vector tests and unchanged):
   schedule once at construction instead of on every box;
 - :mod:`repro.crypto.fastpath` provides one of two tiers, and every
   function here asks it one question, ``BACKEND.native``.  On the native
-  tier a whole box (keystream, XOR and MAC) — or a whole batch of them —
-  is one C call.  Otherwise the keystream comes from the backend's
-  hashlib block loop in whole 32-byte blocks, is XORed against the
-  payload as one big integer or numpy vector rather than byte by byte,
-  and the MAC is cloned from the key's cached pad states;
+  tier a whole box (keystream, XOR and MAC) is one C call.  Otherwise the
+  keystream comes from the backend's hashlib block loop in whole 32-byte
+  blocks, is XORed against the payload as one big integer or numpy
+  vector rather than byte by byte, and the MAC is cloned from the key's
+  cached pad states;
 - the keystream costs two SHA-256 compressions per 32 bytes (the hashed
   message is 59 bytes).  On the native tier it has two kernels, chosen
   when the module loads: a scalar block loop (SHA-NI where the CPU has
@@ -47,20 +47,7 @@ golden-vector tests and unchanged):
   is sealed and opened in the same process.  It holds streams up to
   4352 bytes, so the opener of an INVOKE or REPLY carrying a 4 KiB value
   (about 4.25 KB) reuses the sealer's keystream instead of computing it
-  again.  Sealed-state sections and longer payloads are not cached;
-- :func:`auth_encrypt_batch` / :func:`auth_decrypt_batch` process a whole
-  invoke batch in one pass: on the hashlib tier a single backend call
-  generates the keystream for every box (one concatenated counter table),
-  one vector XOR covers the joined payloads, and the MACs are
-  emitted/verified with the per-key pad states shared across the batch.
-  Each box's wire bytes are byte-identical to the per-box functions given
-  the same (key, nonce, plaintext, associated data).
-
-Batch tamper contract: :func:`auth_decrypt_batch` verifies **every** MAC
-before releasing any plaintext, and a single tampered box rejects the
-whole batch (the raised error names the first offending index).  The
-trusted context relies on this all-or-nothing property: no operation from
-a batch containing a forged message is ever executed.
+  again.  Sealed-state sections and longer payloads are not cached.
 """
 
 from __future__ import annotations
@@ -87,7 +74,6 @@ OVERHEAD = NONCE_SIZE + TAG_SIZE
 _BLOCK = hashlib.sha256().digest_size
 
 _sha256 = hashlib.sha256
-_join = b"".join
 
 
 class NonceSequence:
@@ -121,16 +107,6 @@ class NonceSequence:
             self.seed + counter.to_bytes(8, "big")
         ).digest()[:NONCE_SIZE]
 
-    def take(self, count: int) -> list[bytes]:
-        """``count`` consecutive nonces (one reply batch)."""
-        seed = self.seed
-        counter = self.counter
-        self.counter = counter + count
-        return [
-            _sha256(seed + (counter + i).to_bytes(8, "big")).digest()[:NONCE_SIZE]
-            for i in range(count)
-        ]
-
 
 def _keystream(key: "AeadKey", nonce: bytes, length: int) -> bytes:
     """``length`` bytes of SHA-256 counter-mode keystream for one box.
@@ -146,24 +122,6 @@ def _keystream(key: "AeadKey", nonce: bytes, length: int) -> bytes:
         key._ctr_prefix + nonce, -(-length // _BLOCK)
     )
     return stream[:length] if len(stream) != length else stream
-
-
-def _keystreams(
-    key: "AeadKey", nonces: list[bytes], lengths: list[int]
-) -> list[bytes]:
-    """Per-box keystreams for a batch on the hashlib tier, generated in
-    one backend call over a single concatenated counter table."""
-    prefix = key._ctr_prefix
-    counts = [-(-length // _BLOCK) for length in lengths]
-    joined = _fastpath.BACKEND.blocks_many(
-        [prefix + nonce for nonce in nonces], counts
-    )
-    streams = []
-    offset = 0
-    for length, nblocks in zip(lengths, counts):
-        streams.append(joined[offset : offset + length])
-        offset += nblocks * _BLOCK
-    return streams
 
 
 #: Above this size numpy's vectorised byte XOR beats the big-int route.
@@ -187,41 +145,21 @@ def _xor_bytes(data: bytes, stream: bytes) -> bytes:
 #: Fresh-nonce pool: one os.urandom syscall buys 512 nonces.  The bytes are
 #: CSPRNG output either way; buffering them only amortises the syscall.
 #: ``list.pop`` is atomic under the GIL (two threads never receive the same
-#: nonce; a racing refill merely adds extra fresh nonces), and the pid guard
-#: discards the pool in forked children so a child never replays nonces the
-#: parent also hands out — nonce reuse under one key would be a two-time pad.
+#: nonce; a racing refill merely adds extra fresh nonces), and a forked
+#: child starts with an empty pool, so it never replays nonces the parent
+#: also hands out — nonce reuse under one key would be a two-time pad.
 _NONCE_POOL: list[bytes] = []
-_nonce_pid = 0
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_NONCE_POOL.clear)
 
 
-def _refill_pool(minimum: int) -> None:
-    """Top the pool up to at least ``minimum`` nonces, discarding it
-    first if this process is a fork (see the pool comment above)."""
-    global _nonce_pid
-    pid = os.getpid()
-    if pid != _nonce_pid:
-        _NONCE_POOL.clear()
-        _nonce_pid = pid
-    while len(_NONCE_POOL) < minimum:
+def _fresh_nonce() -> bytes:
+    if not _NONCE_POOL:
         chunk = os.urandom(NONCE_SIZE * 512)
         _NONCE_POOL.extend(
             chunk[i : i + NONCE_SIZE] for i in range(0, len(chunk), NONCE_SIZE)
         )
-
-
-def _fresh_nonce() -> bytes:
-    if os.getpid() != _nonce_pid or not _NONCE_POOL:
-        _refill_pool(1)
     return _NONCE_POOL.pop()
-
-
-def _fresh_nonces(count: int) -> list[bytes]:
-    """``count`` pool nonces in one slice (the batch paths' fast path)."""
-    if os.getpid() != _nonce_pid or len(_NONCE_POOL) < count:
-        _refill_pool(count)
-    taken = _NONCE_POOL[-count:] if count else []
-    del _NONCE_POOL[len(_NONCE_POOL) - count :]
-    return taken
 
 
 def _hmac_pad_states(key: bytes) -> tuple["hashlib._Hash", "hashlib._Hash"]:
@@ -260,39 +198,12 @@ def _tag_for(key: "AeadKey", nonce, associated_data: bytes, ciphertext) -> bytes
 
 
 def _mac_frame(key: "AeadKey", associated_data: bytes) -> bytes:
-    """Cached ``len(ad) || ad`` framing prefix for batch MAC passes."""
+    """Cached ``len(ad) || ad`` framing prefix the C tier's MACs take."""
     frame = key._mac_frames.get(associated_data)
     if frame is None:
         frame = len(associated_data).to_bytes(8, "big") + associated_data
         key._mac_frames[associated_data] = frame
     return frame
-
-
-def _tags_for_batch(
-    key: "AeadKey", associated_data: bytes, segments: list
-) -> list[bytes]:
-    """Truncated tags over ``frame || segment`` for every segment.
-
-    ``segment`` is the contiguous ``nonce || ciphertext`` run of one box,
-    so the digests equal :func:`_tag_for` byte for byte; the batch shares
-    the pre-fed inner state exactly like :func:`_tag_for`.
-    """
-    inners = key._mac_inners
-    seeded = inners.get(associated_data)
-    if seeded is None:
-        seeded = key._mac_pads[0].copy()
-        seeded.update(_mac_frame(key, associated_data))
-        inners[associated_data] = seeded
-    clone = seeded.copy
-    outer = key._mac_pads[1].copy
-    tags = []
-    for segment in segments:
-        mac = clone()
-        mac.update(segment)
-        tag = outer()
-        tag.update(mac.digest())
-        tags.append(tag.digest()[:TAG_SIZE])
-    return tags
 
 
 @dataclass(frozen=True)
@@ -381,58 +292,6 @@ def auth_encrypt(
     return nonce + ciphertext + tag
 
 
-def auth_encrypt_batch(
-    plaintexts: list[bytes],
-    key: AeadKey,
-    *,
-    associated_data: bytes = b"",
-    nonces: list[bytes] | None = None,
-) -> list[bytes]:
-    """Encrypt a whole batch of boxes under one key in one crypto pass.
-
-    Semantically equivalent to ``[auth_encrypt(p, key, ...) for p in
-    plaintexts]`` — per-box wire bytes are identical given the same
-    nonces — but the keystream for every box is generated in a single
-    backend call over one concatenated counter table, the payloads are
-    XORed as one joined buffer, and the MAC pass shares its pad states
-    across the batch.  ``nonces`` pins the per-box nonces for tests;
-    production callers leave it ``None`` (fresh pool nonces).
-    """
-    count = len(plaintexts)
-    if nonces is None:
-        nonces = _fresh_nonces(count)
-    else:
-        if len(nonces) != count:
-            raise ConfigurationError(
-                f"{count} plaintexts but {len(nonces)} nonces"
-            )
-        for nonce in nonces:
-            if len(nonce) != NONCE_SIZE:
-                raise ConfigurationError(f"nonce must be {NONCE_SIZE} bytes")
-    if not count:
-        return []
-    backend = _fastpath.BACKEND
-    if backend.native:
-        return backend.seal_boxes(
-            key._enc_key,
-            key._mac_key,
-            nonces,
-            _mac_frame(key, associated_data),
-            plaintexts,
-        )
-    lengths = [len(plaintext) for plaintext in plaintexts]
-    joined_ct = _xor_bytes(
-        _join(plaintexts), _join(_keystreams(key, nonces, lengths))
-    ) if any(lengths) else b""
-    segments = []  # nonce || ciphertext, the box minus its tag
-    offset = 0
-    for nonce, length in zip(nonces, lengths):
-        segments.append(nonce + joined_ct[offset : offset + length])
-        offset += length
-    tags = _tags_for_batch(key, associated_data, segments)
-    return [segment + tag for segment, tag in zip(segments, tags)]
-
-
 def auth_decrypt(
     box: bytes,
     key: AeadKey,
@@ -465,73 +324,6 @@ def auth_decrypt(
         raise AuthenticationFailure("MAC verification failed")
     stream = _keystream(key, nonce, len(ciphertext))
     return _xor_bytes(ciphertext, stream)
-
-
-def auth_decrypt_batch(
-    boxes: list[bytes],
-    key: AeadKey,
-    *,
-    associated_data: bytes = b"",
-) -> list[bytes]:
-    """Verify and decrypt a batch of boxes in one crypto pass.
-
-    All-or-nothing: every MAC is verified **before** any plaintext is
-    produced, and a single forged/tampered box raises
-    :class:`~repro.errors.AuthenticationFailure` (naming the first bad
-    index) for the whole batch.  Callers that want per-box rejection use
-    :func:`auth_decrypt` per box; the trusted context deliberately wants
-    the batch semantics (no operation from a batch containing a forged
-    message executes).
-    """
-    if not boxes:
-        return []
-    backend = _fastpath.BACKEND
-    if backend.native:
-        plaintexts = backend.open_boxes(
-            key._enc_key, key._mac_key, _mac_frame(key, associated_data), boxes
-        )
-        if type(plaintexts) is int:  # the first bad box's index
-            bad = plaintexts
-            if len(boxes[bad]) < OVERHEAD:
-                raise AuthenticationFailure(
-                    f"box {bad} of batch too short to be authentic"
-                )
-            raise AuthenticationFailure(
-                f"MAC verification failed for box {bad} of batch"
-            )
-        return plaintexts
-    views = []
-    for index, box in enumerate(boxes):
-        if len(box) < OVERHEAD:
-            raise AuthenticationFailure(
-                f"box {index} of batch too short to be authentic"
-            )
-        views.append(memoryview(box))
-    segments = [view[:-TAG_SIZE] for view in views]
-    expected = _tags_for_batch(key, associated_data, segments)
-    bad = -1
-    compare = hmac.compare_digest
-    for index, (view, tag) in enumerate(zip(views, expected)):
-        # constant-time per box; scan every box before failing so the
-        # error index leaks nothing an attacker does not already control
-        if not compare(view[-TAG_SIZE:], tag) and bad < 0:
-            bad = index
-    if bad >= 0:
-        raise AuthenticationFailure(
-            f"MAC verification failed for box {bad} of batch"
-        )
-    nonces = [bytes(view[:NONCE_SIZE]) for view in views]
-    lengths = [len(view) - OVERHEAD for view in views]
-    joined_pt = _xor_bytes(
-        _join(view[NONCE_SIZE:-TAG_SIZE] for view in views),
-        _join(_keystreams(key, nonces, lengths)),
-    ) if any(lengths) else b""
-    plaintexts = []
-    offset = 0
-    for length in lengths:
-        plaintexts.append(joined_pt[offset : offset + length])
-        offset += length
-    return plaintexts
 
 
 def stream_encrypt(

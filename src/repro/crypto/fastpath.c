@@ -1,8 +1,8 @@
 /* The C tier of repro.crypto.fastpath: SHA-256 (SHA-NI or portable
    compression) under the CTR keystream, a 16-lane AVX-512F keystream
-   kernel, the keystream cache, whole-box and whole-batch AEAD seal/open,
-   the hash-chain step, the INVOKE/REPLY codecs of Alg. 1 and Alg. 2 and
-   the Montgomery exponentiation behind the DH channel.  It is a CPython
+   kernel, the keystream cache, whole-box AEAD seal/open, the hash-chain
+   step, the INVOKE/REPLY codecs of Alg. 1 and Alg. 2 and the Montgomery
+   exponentiation behind the DH channel.  It is a CPython
    extension module (the method table is at the end of this file):
    repro._cbuild compiles it and repro.crypto.fastpath loads it. */
 
@@ -1026,8 +1026,8 @@ static long long lcm_invoke_batch_open(const unsigned char *enc_key,
     size_t i;
 
     /* authenticate every box before any plaintext exists; a too-short
-       box wins over an earlier bad MAC, matching the AEAD batch-open
-       error report (short scan first, then MAC scan) */
+       box wins over an earlier bad MAC, as in the Python pass's error
+       report (short scan first, then MAC scan) */
     for (i = 0; i < n; i++) {
         if (boxes[i].n < 28)
             return -1000 - (long long)i;
@@ -1689,115 +1689,6 @@ static PyObject *fp_stream_box(PyObject *module, PyObject *const *args,
     return out;
 }
 
-/* seal_boxes(enc_key, mac_key, nonces, frame, plaintexts): one box per
-   plaintext, sharing the HMAC pad states. */
-static PyObject *fp_seal_boxes(PyObject *module, PyObject *const *args,
-                               Py_ssize_t nargs)
-{
-    arg_bytes a[5], *nonces = NULL, *pts = NULL;
-    PyObject *hold_nonces = NULL, *hold_pts = NULL, *out = NULL;
-    size_t n = 0, n_nonces = 0, i;
-    uint32_t ipad_state[8], opad_state[8];
-
-    (void)module;
-    if (read_args("seal_boxes", args, nargs, "kk-b-", a) < 0)
-        goto done;
-    nonces = get_items(args[2], "nonces", &hold_nonces, &n_nonces);
-    if (!nonces)
-        goto done;
-    pts = get_items(args[4], "plaintexts", &hold_pts, &n);
-    if (!pts)
-        goto done;
-    if (n_nonces != n) {
-        PyErr_Format(PyExc_ValueError, "%zu plaintexts but %zu nonces", n,
-                     n_nonces);
-        goto done;
-    }
-    for (i = 0; i < n; i++) {
-        if (nonces[i].n != 12) {
-            PyErr_SetString(PyExc_ValueError, "nonces must be 12 bytes");
-            goto done;
-        }
-    }
-    out = PyList_New((Py_ssize_t)n);
-    if (!out)
-        goto done;
-    hmac_pad_states(a[1].p, 32, ipad_state, opad_state);
-    for (i = 0; i < n; i++) {
-        size_t pt_len = pts[i].n;
-        PyObject *box = PyBytes_FromStringAndSize(NULL,
-                                                  (Py_ssize_t)(pt_len + 28));
-        unsigned char *p;
-        if (!box) {
-            Py_CLEAR(out);
-            goto done;
-        }
-        p = BYTES_OUT(box);
-        memcpy(p, nonces[i].p, 12);
-        ctr_xor(a[0].p, nonces[i].p, pts[i].p, pt_len, p + 12);
-        derive_tag16(ipad_state, opad_state, a[3].p, a[3].n,
-                     p, 12 + pt_len, p + 12 + pt_len);
-        PyList_SET_ITEM(out, (Py_ssize_t)i, box);
-    }
-done:
-    free_items(nonces, n_nonces, hold_nonces);
-    free_items(pts, n, hold_pts);
-    release_args(a, 5);
-    return out;
-}
-
-/* open_boxes(enc_key, mac_key, frame, boxes): the plaintexts, or, all or
-   nothing, the index of the first bad box (the first box too short to
-   be authentic, else the first whose tag fails) before any plaintext
-   exists. */
-static PyObject *fp_open_boxes(PyObject *module, PyObject *const *args,
-                               Py_ssize_t nargs)
-{
-    arg_bytes a[4], *boxes = NULL;
-    PyObject *hold = NULL, *out = NULL;
-    size_t n = 0, i;
-    uint32_t ipad_state[8], opad_state[8];
-    unsigned char tag[16];
-    Py_ssize_t bad = -1;
-
-    (void)module;
-    if (read_args("open_boxes", args, nargs, "kkb-", a) < 0)
-        goto done;
-    boxes = get_items(args[3], "boxes", &hold, &n);
-    if (!boxes)
-        goto done;
-    for (i = 0; i < n && bad < 0; i++)
-        if (boxes[i].n < 28)
-            bad = (Py_ssize_t)i;
-    hmac_pad_states(a[1].p, 32, ipad_state, opad_state);
-    for (i = 0; i < n && bad < 0; i++) {
-        derive_tag16(ipad_state, opad_state, a[2].p, a[2].n,
-                     boxes[i].p, boxes[i].n - 16, tag);
-        if (tag16_differs(tag, boxes[i].p + boxes[i].n - 16))
-            bad = (Py_ssize_t)i;
-    }
-    if (bad >= 0) {
-        out = PyLong_FromSsize_t(bad);
-        goto done;
-    }
-    out = PyList_New((Py_ssize_t)n);
-    for (i = 0; out && i < n; i++) {
-        PyObject *pt = PyBytes_FromStringAndSize(
-            NULL, (Py_ssize_t)(boxes[i].n - 28));
-        if (!pt) {
-            Py_CLEAR(out);
-            break;
-        }
-        ctr_xor(a[0].p, boxes[i].p, boxes[i].p + 12, boxes[i].n - 28,
-                BYTES_OUT(pt));
-        PyList_SET_ITEM(out, (Py_ssize_t)i, pt);
-    }
-done:
-    free_items(boxes, n, hold);
-    release_args(a, 4);
-    return out;
-}
-
 /* seal_invoke(enc_key, mac_key, nonce, frame, prefix, tc, hc, op, cid,
    retry): the sealed canonical INVOKE; tc and cid are int64. */
 static PyObject *fp_seal_invoke(PyObject *module, PyObject *const *args,
@@ -2144,10 +2035,6 @@ static PyMethodDef fastpath_methods[] = {
     FASTCALL(open_box, "open_box(enc_key, mac_key, frame, box) -> "
                        "plaintext, or None"),
     FASTCALL(stream_box, "stream_box(enc_key, nonce, plaintext)"),
-    FASTCALL(seal_boxes,
-             "seal_boxes(enc_key, mac_key, nonces, frame, plaintexts)"),
-    FASTCALL(open_boxes, "open_boxes(enc_key, mac_key, frame, boxes) -> "
-                         "plaintexts, or the first bad index"),
     FASTCALL(seal_invoke, "seal_invoke(enc_key, mac_key, nonce, frame, "
                           "prefix, tc, hc, op, cid, retry)"),
     FASTCALL(open_reply, "open_reply(enc_key, mac_key, frame, prefix, box)"),

@@ -7,19 +7,18 @@ that — ``BACKEND.native``:
     ``fastpath.c``, a CPython extension module whose functions take
     bytes and lists and build their results in C.  It holds the SHA-256
     compression function and every fused primitive built on it: the CTR
-    block loop, whole AEAD boxes singly and in batches, the hash-chain
-    step, batched SHA-256, the protocol codecs (client INVOKE seal /
-    REPLY open, and the enclave's whole-batch INVOKE open and REPLY
-    seal), and ``modexp``, the Montgomery exponentiation behind the
-    attested DH channel (:mod:`repro.crypto.dh`).  The compression
-    function (SHA-NI or portable) and, on AVX-512F CPUs, a 16-lane
-    keystream kernel are chosen when the module loads; ``kernels`` names
-    the choice, plus ``+mont64`` when the compiler has the 128-bit
-    integers ``modexp`` needs (without them it always falls back to
-    ``pow``).  :mod:`repro._cbuild` compiles it once per source and
-    compile command and reuses the build across processes; the first
-    import needs a C compiler and Python's headers, later ones nothing
-    but the build.
+    block loop, whole AEAD boxes, the hash-chain step, batched SHA-256,
+    the protocol codecs (client INVOKE seal / REPLY open, and the
+    enclave's whole-batch INVOKE open and REPLY seal), and ``modexp``,
+    the Montgomery exponentiation behind the attested DH channel
+    (:mod:`repro.crypto.dh`).  The compression function (SHA-NI or
+    portable) and, on AVX-512F CPUs, a 16-lane keystream kernel are
+    chosen when the module loads; ``kernels`` names the choice, plus
+    ``+mont64`` when the compiler has the 128-bit integers ``modexp``
+    needs (without them it always falls back to ``pow``).
+    :mod:`repro._cbuild` compiles it once per source and compile command
+    and reuses the build across processes; the first import needs a C
+    compiler and Python's headers, later ones nothing but the build.
 ``python`` (not native)
     The SHA-256-CTR block loop on hashlib, and nothing else: the AEAD
     layer, the hash chain and the trusted context compose everything
@@ -79,21 +78,13 @@ class PythonBackend:
 
     def blocks(self, prefix: bytes, nblocks: int) -> bytes:
         """``nblocks * 32`` keystream bytes for one (key, nonce)."""
-        return self.blocks_many((prefix,), (nblocks,))
-
-    def blocks_many(self, prefixes: list[bytes], counts: list[int]) -> bytes:
-        """Concatenated keystreams for a batch of (prefix, count) spans:
-        one locals-bound loop over every block of every box and a single
-        ``join``, so the interpreter executes one frame per batch."""
-        sha256 = _sha256
+        clone = _sha256(prefix).copy
         blocks: list[bytes] = []
         append = blocks.append
-        for prefix, count in zip(prefixes, counts):
-            clone = sha256(prefix).copy
-            for counter in _counters(count):
-                block = clone()
-                block.update(counter)
-                append(block.digest())
+        for counter in _counters(nblocks):
+            block = clone()
+            block.update(counter)
+            append(block.digest())
         return _join(blocks)
 
 
@@ -124,8 +115,6 @@ class CBackend:
         self.seal_box = module.seal_box
         self.open_box = module.open_box
         self.stream_box = module.stream_box
-        self.seal_boxes = module.seal_boxes
-        self.open_boxes = module.open_boxes
         self.seal_invoke = module.seal_invoke
         self.open_reply = module.open_reply
         self.invoke_batch_open = module.invoke_batch_open

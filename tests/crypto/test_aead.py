@@ -1,7 +1,12 @@
 """Authenticated encryption: round trips, tamper evidence, key separation."""
 
+import os
+import select
+import signal
+
 import pytest
 
+from repro.crypto import aead
 from repro.crypto.aead import (
     KEY_SIZE,
     NONCE_SIZE,
@@ -102,3 +107,35 @@ class TestKeys:
     def test_confidentiality_plaintext_not_in_box(self, key):
         secret = b"super-secret-payload-0123456789"
         assert secret not in auth_encrypt(secret, key)
+
+
+class TestNoncePool:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_none_of_the_parents_nonces(self):
+        """The pool buffers CSPRNG nonces; a child that kept a copy would
+        hand out the nonces its parent hands out too (a two-time pad
+        under a shared key)."""
+        while not aead._NONCE_POOL:  # the parent holds leftover nonces
+            aead._fresh_nonce()
+        pool = list(aead._NONCE_POOL)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: report its first nonce and leave
+            try:
+                os.close(read_end)
+                os.write(write_end, aead._fresh_nonce())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        ready = []
+        try:
+            ready, _, _ = select.select([read_end], [], [], 30)
+            child_nonce = os.read(read_end, NONCE_SIZE) if ready else b""
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert len(child_nonce) == NONCE_SIZE
+        assert aead._fresh_nonce() == pool[-1]  # the parent's next nonce
+        assert child_nonce not in pool

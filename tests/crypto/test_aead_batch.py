@@ -1,147 +1,245 @@
-"""Batch AEAD: wire-byte equivalence with the per-box path and the
-all-or-nothing tamper contract.
+"""A batch of boxes under one key: what one ``invoke_batch`` ecall
+guarantees of the INVOKE boxes it opens and the REPLY boxes it seals.
 
-``auth_encrypt_batch`` / ``auth_decrypt_batch`` are pure performance
-plumbing — one keystream/MAC pass per batch — so every box they produce
-or accept must be byte-identical to what ``auth_encrypt`` /
-``auth_decrypt`` produce for the same (key, nonce, plaintext, associated
-data).  The tamper contract is documented in the module docstring: the
-batch decryptor verifies every MAC before releasing any plaintext, and
-one forged box rejects the whole batch.
+The trusted context works box by box on the ``python`` tier and in two
+fused C calls on the ``c`` tier.  Either way every REPLY box is the box
+:func:`auth_encrypt` seals under the context's nonce sequence, and the
+INVOKE batch is opened all or nothing: every box is authenticated before
+any is decoded, one unauthentic box rejects the whole batch, and the
+error names the first bad box (the first one too short to be authentic,
+else the first whose MAC fails).  Nothing of a rejected batch happens:
+no operation runs, V keeps its rows, no state version is stored and the
+context does not halt.
+
+Three arms: the active tier, the ``python`` tier, and the C tier's
+Python pass (``c-bail-out``).  The tamper batch carries one authentic
+INVOKE outside the C codec, so the C tier bails out of its fused pass
+when every box is authentic; a forged box stops the fused pass before
+that, so the third arm enters the Python pass through a fused pass that
+bails out at once.
 """
-
-import os
 
 import pytest
 
+from repro import serde
+from repro.core.messages import _INVOKE_AD, _REPLY_AD, InvokePayload, ReplyPayload
 from repro.crypto import fastpath
 from repro.crypto.aead import (
-    AeadKey,
+    NONCE_SIZE,
     OVERHEAD,
+    AeadKey,
+    NonceSequence,
     auth_decrypt,
-    auth_decrypt_batch,
     auth_encrypt,
-    auth_encrypt_batch,
 )
-from repro.errors import AuthenticationFailure, ConfigurationError
+from repro.errors import AuthenticationFailure
+from repro.kvstore import get, put
 
-KEY = AeadKey(b"\x01\x02" * 8, label="batch-golden")
-
-#: Sizes straddling keystream-block and XOR-strategy boundaries.
-SIZES = [0, 1, 31, 32, 33, 255, 256, 300, 1024, 1025, 2500]
+from tests.conftest import build_deployment
 
 
-def _payloads():
-    return [bytes((i + s) & 0xFF for i in range(s)) for s in SIZES]
-
-
-@pytest.fixture(params=["active", "python"])
-def backend(request):
-    """Run every test under the default backend and the hashlib one;
-    restore the import-time selection afterwards."""
+@pytest.fixture(params=["active", "python", "c-bail-out"])
+def backend(request, monkeypatch):
+    """Run every test under the default backend, the hashlib one and
+    the C tier's Python pass; restore the import-time selection
+    afterwards."""
     previous = fastpath.active_backend()
-    if request.param != "active":
-        fastpath.select_backend(request.param)
+    if request.param == "python":
+        fastpath.select_backend("python")
+    elif request.param == "c-bail-out":
+        if "c" not in fastpath.available_backends():
+            pytest.skip("compiled fastpath backend unavailable")
+        # the fused pass's answer for a non-canonical box 0, which it
+        # gives before touching any state
+        monkeypatch.setattr(
+            fastpath.select_backend("c"), "invoke_batch_open", lambda *args: -2000
+        )
     yield fastpath.active_backend()
     fastpath.BACKEND = previous
 
 
+def _invoke(key, client, operation, canonical=True):
+    """``client``'s next INVOKE; ``canonical=False`` seals the generic
+    encoding with a ``None`` retry marker, authentic but outside the C
+    codec."""
+    encoded = serde.encode(list(operation))
+    if not canonical:
+        fields = ["INVOKE", client.last_sequence, client.last_chain, encoded,
+                  client.client_id, None]
+        return auth_encrypt(serde.encode(fields), key, associated_data=_INVOKE_AD)
+    return InvokePayload(
+        client_id=client.client_id,
+        last_sequence=client.last_sequence,
+        last_chain=client.last_chain,
+        operation=encoded,
+    ).seal(key)
+
+
+def _batch():
+    """A fresh 4-client deployment and one INVOKE per client, the last
+    one outside the C codec."""
+    host, deployment, clients = build_deployment(clients=4, audit=True)
+    key = deployment.communication_key
+    operations = [put("a", "1"), put("b", "2"), get("a"), get("b")]
+    boxes = [
+        _invoke(key, client, operation, canonical=index < 3)
+        for index, (client, operation) in enumerate(zip(clients, operations))
+    ]
+    return host, key, boxes
+
+
+def _observed(host):
+    program = host.enclave._program
+    rows = program._rows
+    return (
+        program._sequence,
+        program._chain,
+        len(program.audit_log),
+        [bytes(column) for column in
+         (rows.ids, rows.ack, rows.seq, rows.chains, rows.acks)],
+        list(rows.results),
+        host.stored_versions(),
+        host.enclave.ecall("status", None),  # raises once halted
+    )
+
+
+def _rejected(host, boxes, message):
+    before = _observed(host)
+    with pytest.raises(AuthenticationFailure) as excinfo:
+        host.enclave.ecall("invoke_batch", boxes)
+    assert str(excinfo.value) == message
+    assert _observed(host) == before
+
+
+def _flip(box, position):
+    forged = bytearray(box)
+    forged[position] ^= 1
+    return bytes(forged)
+
+
 class TestBatchEquivalence:
     def test_encrypt_batch_matches_per_box(self, backend):
-        payloads = _payloads()
-        nonces = [os.urandom(12) for _ in payloads]
-        for ad in (b"", b"lcm/invoke", b"lcm/reply"):
-            expected = [
-                auth_encrypt(p, KEY, associated_data=ad, nonce=n)
-                for p, n in zip(payloads, nonces)
+        """Reply i of a batch is ``auth_encrypt`` of its plaintext under
+        the sequence's next nonce, for a batch in the C codec and one
+        outside it, with replies of 0 B to 4 KiB values, which straddle
+        the keystream's block and XOR-strategy boundaries."""
+        sizes = [0, 31, 300, 4096]
+        for canonical in (True, False):
+            host, deployment, clients = build_deployment(clients=4)
+            key = deployment.communication_key
+            for client, size in zip(clients, sizes):
+                client.invoke(put(f"k{size}", "v" * size))
+            boxes = [
+                _invoke(key, client, get(f"k{size}"), canonical or index < 3)
+                for index, (client, size) in enumerate(zip(clients, sizes))
             ]
-            got = auth_encrypt_batch(
-                payloads, KEY, associated_data=ad, nonces=nonces
-            )
-            assert got == expected
+            nonces = host.enclave._program._nonces
+            sequence = NonceSequence(nonces.seed, nonces.counter)
+            replies = host.enclave.ecall("invoke_batch", boxes)
+            assert [
+                auth_encrypt(
+                    auth_decrypt(reply, key, associated_data=_REPLY_AD),
+                    key,
+                    associated_data=_REPLY_AD,
+                    nonce=sequence.next(),
+                )
+                for reply in replies
+            ] == replies
+            assert [
+                len(serde.decode(ReplyPayload.unseal(reply, key).result))
+                for reply in replies
+            ] == sizes
 
     def test_decrypt_batch_round_trips_both_directions(self, backend):
-        payloads = _payloads()
-        boxes = auth_encrypt_batch(payloads, KEY, associated_data=b"x")
-        # batch-sealed boxes open per box and batch-wise
-        assert auth_decrypt_batch(boxes, KEY, associated_data=b"x") == payloads
-        assert [
-            auth_decrypt(box, KEY, associated_data=b"x") for box in boxes
-        ] == payloads
-        # per-box-sealed boxes open batch-wise
-        singles = [
-            auth_encrypt(p, KEY, associated_data=b"x") for p in payloads
+        """INVOKE boxes sealed one by one, by the client's codec and by
+        plain ``auth_encrypt``, open as one batch; the batch's REPLY
+        boxes open one by one."""
+        host, deployment, clients = build_deployment(clients=4)
+        key = deployment.communication_key
+        boxes = [
+            _invoke(key, client, put(f"k{client.client_id}", "v"))
+            for client in clients[:2]
+        ] + [
+            auth_encrypt(
+                InvokePayload(
+                    client_id=client.client_id,
+                    last_sequence=0,
+                    last_chain=client.last_chain,
+                    operation=serde.encode(list(get("k1"))),
+                ).encode(),
+                key,
+                associated_data=_INVOKE_AD,
+            )
+            for client in clients[2:]
         ]
-        assert auth_decrypt_batch(singles, KEY, associated_data=b"x") == payloads
+        replies = host.enclave.ecall("invoke_batch", boxes)
+        decoded = [ReplyPayload.unseal(reply, key) for reply in replies]
+        assert [reply.sequence for reply in decoded] == [1, 2, 3, 4]
+        assert [serde.decode(reply.result) for reply in decoded[2:]] == ["v", "v"]
 
-    def test_fresh_nonces_are_distinct(self, backend):
-        boxes = auth_encrypt_batch([b"same"] * 64, KEY)
-        assert len({box[:12] for box in boxes}) == 64
-        assert len(set(boxes)) == 64
+    def test_reply_nonces_are_distinct(self, backend):
+        host, key, boxes = _batch()
+        replies = host.enclave.ecall("invoke_batch", boxes)
+        assert len({reply[:NONCE_SIZE] for reply in replies}) == 4
 
     def test_empty_batch(self, backend):
-        assert auth_encrypt_batch([], KEY) == []
-        assert auth_decrypt_batch([], KEY) == []
-
-    def test_nonce_count_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            auth_encrypt_batch([b"a", b"b"], KEY, nonces=[os.urandom(12)])
-        with pytest.raises(ConfigurationError):
-            auth_encrypt_batch([b"a"], KEY, nonces=[b"short"])
-
-    def test_golden_vector_through_batch(self):
-        """The batch path reproduces the pinned seed-era wire bytes."""
-        nonce = bytes(range(12))
-        [box] = auth_encrypt_batch(
-            [b"attack at dawn"],
-            KEY,
-            associated_data=b"lcm/invoke",
-            nonces=[nonce],
-        )
-        assert box == bytes.fromhex(
-            "000102030405060708090a0b76bada6be9c96d8d6c668d15bf28eb22"
-            "bc370454432e4bdd99aa526c607a"
-        )
+        host, _, _ = _batch()
+        before = _observed(host)[:5]
+        assert host.enclave.ecall("invoke_batch", []) == []
+        assert _observed(host)[:5] == before
 
 
 class TestBatchTamperContract:
-    def _boxes(self):
-        return auth_encrypt_batch(
-            [b"alpha" * 10, b"beta" * 20, b"gamma" * 30], KEY,
-            associated_data=b"ad",
-        )
+    def test_the_untampered_batch_is_served(self, backend):
+        host, key, boxes = _batch()
+        replies = host.enclave.ecall("invoke_batch", boxes)
+        assert [
+            ReplyPayload.unseal(reply, key).sequence for reply in replies
+        ] == [1, 2, 3, 4]
+        assert len(host.enclave._program.audit_log) == 4
 
-    @pytest.mark.parametrize("victim", [0, 1, 2])
+    @pytest.mark.parametrize("victim", [0, 1, 2, 3])
     def test_one_tampered_box_rejects_whole_batch(self, backend, victim):
-        boxes = self._boxes()
-        bad = bytearray(boxes[victim])
-        bad[len(bad) // 2] ^= 0x01
-        boxes[victim] = bytes(bad)
-        with pytest.raises(AuthenticationFailure) as excinfo:
-            auth_decrypt_batch(boxes, KEY, associated_data=b"ad")
-        assert f"box {victim}" in str(excinfo.value)
+        host, _, boxes = _batch()
+        boxes[victim] = _flip(boxes[victim], len(boxes[victim]) // 2)
+        _rejected(host, boxes, f"MAC verification failed for box {victim} of batch")
 
     def test_tamper_positions(self, backend):
-        boxes = self._boxes()
+        """The nonce, the ciphertext and the tag of one box; a rejected
+        batch leaves nothing behind, so one deployment takes them all."""
+        host, _, boxes = _batch()
         box = boxes[1]
         for position in (0, 5, 13, len(box) - 17, len(box) - 1):
-            bad = bytearray(box)
-            bad[position] ^= 0x01
             mixed = list(boxes)
-            mixed[1] = bytes(bad)
-            with pytest.raises(AuthenticationFailure):
-                auth_decrypt_batch(mixed, KEY, associated_data=b"ad")
+            mixed[1] = _flip(box, position)
+            _rejected(host, mixed, "MAC verification failed for box 1 of batch")
 
     def test_wrong_associated_data_and_key(self, backend):
-        boxes = self._boxes()
-        with pytest.raises(AuthenticationFailure):
-            auth_decrypt_batch(boxes, KEY, associated_data=b"da")
-        with pytest.raises(AuthenticationFailure):
-            auth_decrypt_batch(boxes, AeadKey(b"\x09" * 16), associated_data=b"ad")
+        host, key, boxes = _batch()
+        plain = auth_decrypt(boxes[2], key, associated_data=_INVOKE_AD)
+        for wrong in (
+            auth_encrypt(plain, key, associated_data=_REPLY_AD),
+            auth_encrypt(plain, AeadKey(b"\x09" * 16), associated_data=_INVOKE_AD),
+        ):
+            mixed = list(boxes)
+            mixed[2] = wrong
+            _rejected(host, mixed, "MAC verification failed for box 2 of batch")
 
     def test_short_box_named(self, backend):
-        boxes = self._boxes()
-        boxes[2] = b"\x00" * (OVERHEAD - 1)
-        with pytest.raises(AuthenticationFailure) as excinfo:
-            auth_decrypt_batch(boxes, KEY, associated_data=b"ad")
-        assert "box 2" in str(excinfo.value)
+        host, _, boxes = _batch()
+        for size in (0, OVERHEAD - 1):
+            mixed = list(boxes)
+            mixed[2] = boxes[2][:size]
+            _rejected(host, mixed, "box 2 of batch too short to be authentic")
+
+    def test_short_box_named_ahead_of_an_earlier_forged_one(self, backend):
+        host, _, boxes = _batch()
+        boxes[0] = _flip(boxes[0], -1)
+        boxes[2] = boxes[2][: OVERHEAD - 1]
+        _rejected(host, boxes, "box 2 of batch too short to be authentic")
+
+    def test_forged_box_named_behind_an_authentic_undecodable_one(self, backend):
+        host, key, boxes = _batch()
+        boxes[1] = auth_encrypt(b"no INVOKE", key, associated_data=_INVOKE_AD)
+        boxes[2] = _flip(boxes[2], -1)
+        _rejected(host, boxes, "MAC verification failed for box 2 of batch")

@@ -22,9 +22,7 @@ from repro.crypto.dh import MODP_2048_PRIME
 from repro.crypto.aead import (
     AeadKey,
     auth_decrypt,
-    auth_decrypt_batch,
     auth_encrypt,
-    auth_encrypt_batch,
     stream_decrypt,
     stream_encrypt,
 )
@@ -88,7 +86,8 @@ def compiled():
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("nblocks", sorted({0, 2, 200, *LANE_EDGES}))
+    # 4100 blocks run past the hashlib loop's precomputed counter table
+    @pytest.mark.parametrize("nblocks", sorted({0, 2, 200, 4100, *LANE_EDGES}))
     def test_blocks_identical_across_backends(self, nblocks):
         expected = _reference_blocks(PREFIX, nblocks)
         for backend in _all_backends():
@@ -115,58 +114,35 @@ class TestBackendEquivalence:
         for backend in _all_backends():
             assert backend.blocks(prefix, 4) == expected, backend.name
 
-    def test_blocks_many_identical_across_backends(self):
-        """The batch block loop exists on the hashlib tier only (``c``
-        seals whole batches in ``seal_boxes``); it must emit what
-        every backend's per-box loop emits, span by span — 4100 blocks
-        runs past the precomputed counter table."""
-        prefixes = [b"lcm-ctr" + ENC_KEY + os.urandom(12) for _ in range(9)]
-        counts = [1, 4, 9, 0, 2, 130, 3, 4100, 5]
-        expected = b"".join(
-            _reference_blocks(p, n) for p, n in zip(prefixes, counts)
-        )
-        python = fastpath._get_backend("python")
-        assert python.blocks_many(prefixes, counts) == expected
-        for backend in _all_backends():
-            assert b"".join(
-                backend.blocks(p, n) for p, n in zip(prefixes, counts)
-            ) == expected, backend.name
-
-    def test_batch_hmac_matches_stdlib_on_every_backend(self):
-        """The batch tag pass (one Python implementation, cloning the
-        key's cached pad states; ``c`` computes its batch tags inside
-        ``seal_boxes``) is stdlib-identical on both tiers, and the
-        cached key schedule is safe across calls and keys."""
+    def test_tags_match_stdlib_on_every_backend(self):
+        """The hashlib tier's tag (cloning the key's cached pad states,
+        over bytes or the memoryview slices ``auth_decrypt`` passes) and
+        every tier's boxes are stdlib-identical, and the cached key
+        schedule is safe across calls and keys."""
         ad = b"lcm/invoke"
         segments = [os.urandom(151) for _ in range(7)] + [b"", os.urandom(3000)]
         expected = [_reference_tag(MAC_KEY, ad, seg) for seg in segments]
         other = AeadKey(b"\x09" * 16)
-        assert aead._tags_for_batch(KEY, ad, segments) == expected
+
+        def tags(key, segs):
+            return [aead._tag_for(key, b"", ad, seg) for seg in segs]
+
+        assert tags(KEY, segments) == expected
         # repeat (cached inner state) and an interleaved second key
-        assert aead._tags_for_batch(other, ad, segments[:2]) == [
+        assert tags(other, segments[:2]) == [
             _reference_tag(other._mac_key, ad, seg) for seg in segments[:2]
         ]
-        assert aead._tags_for_batch(KEY, ad, segments) == expected
+        assert tags(KEY, [memoryview(seg) for seg in segments]) == expected
         previous = fastpath.active_backend()
         try:
             for name in fastpath.available_backends():
                 fastpath.select_backend(name)
-                boxes = auth_encrypt_batch(segments, KEY, associated_data=ad)
+                boxes = [auth_encrypt(seg, KEY, associated_data=ad) for seg in segments]
                 assert [box[-16:] for box in boxes] == [
                     _reference_tag(MAC_KEY, ad, box[:-16]) for box in boxes
                 ], name
         finally:
             fastpath.BACKEND = previous
-
-    def test_batch_hmac_accepts_memoryview_segments(self):
-        """The AEAD batch decryptor feeds memoryview segments (the box
-        minus its tag); the tag pass must accept them."""
-        ad = b"lcm/reply"
-        payloads = [os.urandom(60) for _ in range(4)]
-        views = [memoryview(payload) for payload in payloads]
-        assert aead._tags_for_batch(KEY, ad, views) == [
-            _reference_tag(MAC_KEY, ad, payload) for payload in payloads
-        ]
 
     def test_modexp_matches_pow(self, compiled):
         """The DH kernel against ``pow`` over group 14: seeded random
@@ -291,8 +267,8 @@ class TestSelection:
 
 
 class TestFusedBoxes:
-    """The C ``seal_box`` / ``open_box`` / ``seal_boxes`` / ``open_boxes``
-    through the AEAD entry points that call them."""
+    """The C ``seal_box`` / ``open_box`` through the AEAD entry points
+    that call them."""
 
     def test_fused_seal_open_match_composed_path(self, compiled):
         ad = b"ad"
@@ -309,23 +285,6 @@ class TestFusedBoxes:
         bad = box[:-1] + bytes([box[-1] ^ 1])
         with pytest.raises(AuthenticationFailure):
             auth_decrypt(bad, KEY, associated_data=ad)
-
-    def test_fused_batch_entry_points(self, compiled):
-        ad = b"z"
-        plaintexts = [os.urandom(s) for s in (0, 17, 200, 1030)]
-        nonces = [os.urandom(12) for _ in plaintexts]
-        boxes = auth_encrypt_batch(
-            plaintexts, KEY, associated_data=ad, nonces=nonces
-        )
-        assert boxes == [
-            auth_encrypt(p, KEY, associated_data=ad, nonce=n)
-            for n, p in zip(nonces, plaintexts)
-        ]
-        assert auth_decrypt_batch(boxes, KEY, associated_data=ad) == plaintexts
-        tampered = list(boxes)
-        tampered[2] = tampered[2][:-1] + bytes([tampered[2][-1] ^ 1])
-        with pytest.raises(AuthenticationFailure, match="box 2 of batch"):
-            auth_decrypt_batch(tampered, KEY, associated_data=ad)
 
 
 class TestKeystreamCache:
@@ -381,14 +340,12 @@ class TestKeystreamCache:
             self._round_trip(size, first)
 
     def test_open_of_a_sealed_4k_box_hits_the_cache(self, compiled):
-        """Sealing fills the slot the open then reads; a second open and a
-        batch open read it too."""
+        """Sealing fills the slot the open then reads; a second open
+        reads it too."""
         nonce = os.urandom(12)
         box = self._round_trip(4249, nonce)
         plaintext = auth_decrypt(box, KEY, associated_data=b"lcm/invoke")
-        assert auth_decrypt_batch([box, box], KEY, associated_data=b"lcm/invoke") == [
-            plaintext, plaintext
-        ]
+        assert auth_decrypt(box, KEY, associated_data=b"lcm/invoke") == plaintext
 
     def test_tampered_4k_box_with_a_cached_keystream_is_rejected(self, compiled):
         box = self._round_trip(4249, os.urandom(12))
@@ -397,7 +354,3 @@ class TestKeystreamCache:
             tampered[index] ^= 1
             with pytest.raises(AuthenticationFailure):
                 auth_decrypt(bytes(tampered), KEY, associated_data=b"lcm/invoke")
-            with pytest.raises(AuthenticationFailure, match="box 1 of batch"):
-                auth_decrypt_batch(
-                    [box, bytes(tampered)], KEY, associated_data=b"lcm/invoke"
-                )

@@ -102,7 +102,6 @@ class TestShortBoxes:
         box = bytes(size)
         assert c.open_box(ENC, MAC, INVOKE_FRAME, box) is None
         assert c.open_reply(ENC, MAC, REPLY_FRAME, REPLY_PREFIX, box) is None
-        assert c.open_boxes(ENC, MAC, INVOKE_FRAME, [invoke_box(c), box]) == 1
         columns = v_columns()
         before = [bytes(column) for column in columns]
         assert batch_open(c, [invoke_box(c), box], columns) == -1001
@@ -114,7 +113,7 @@ class TestShortBoxes:
         forged = bytes(box)
         assert c.open_box(ENC, MAC, INVOKE_FRAME, forged) is None
         assert c.open_reply(ENC, MAC, INVOKE_FRAME, INVOKE_PREFIX, forged) is None
-        assert c.open_boxes(ENC, MAC, INVOKE_FRAME, [forged]) == 0
+        assert batch_open(c, [forged]) == -1000
         assert batch_open(c, [invoke_box(c), forged]) == -1001
 
 
@@ -123,12 +122,6 @@ class TestBatchItems:
     def test_a_non_bytes_item_raises(self, c, item):
         with pytest.raises(TypeError):
             c.sha256_many([b"a", item])
-        with pytest.raises(TypeError):
-            c.seal_boxes(ENC, MAC, [NONCE, NONCE], INVOKE_FRAME, [b"a", item])
-        with pytest.raises(TypeError):
-            c.seal_boxes(ENC, MAC, [NONCE, item], INVOKE_FRAME, [b"a", b"b"])
-        with pytest.raises(TypeError):
-            c.open_boxes(ENC, MAC, INVOKE_FRAME, [invoke_box(c), item])
         columns = v_columns()
         before = [bytes(column) for column in columns]
         with pytest.raises(TypeError):
@@ -140,23 +133,28 @@ class TestBatchItems:
 
     def test_any_buffer_is_a_byte_string(self, c):
         box = invoke_box(c)
-        plain = c.open_box(ENC, MAC, INVOKE_FRAME, box)
-        assert c.open_boxes(ENC, MAC, INVOKE_FRAME, (bytearray(box), memoryview(box))) == [
-            plain, plain,
-        ]
+        assert c.sha256_many((bytearray(b"a"), memoryview(b"a"))) == (
+            c.sha256_many([b"a", b"a"])
+        )
+        ops = batch_open(c, [box])[0]
+        for twin in (bytearray(box), memoryview(box)):
+            assert batch_open(c, (twin,))[0] == ops
+        batch = batch_open(c, [box])[2]
+        assert batch_reply(c, batch, [bytearray(b"r")])[0] == (
+            batch_reply(c, batch_open(c, [box])[2], [b"r"])[0]
+        )
 
     @pytest.mark.parametrize("batch", [b"abc", iter([b"abc"]), {b"abc": 1}])
     def test_a_batch_that_is_no_list_raises(self, c, batch):
         with pytest.raises(TypeError):
             c.sha256_many(batch)
+        columns = v_columns()
+        before = [bytes(column) for column in columns]
         with pytest.raises(TypeError):
-            c.open_boxes(ENC, MAC, INVOKE_FRAME, batch)
-
-    def test_nonce_and_plaintext_counts_must_agree(self, c):
-        with pytest.raises(ValueError):
-            c.seal_boxes(ENC, MAC, [NONCE], INVOKE_FRAME, [b"a", b"b"])
-        with pytest.raises(ValueError):
-            c.seal_boxes(ENC, MAC, [NONCE[:11]], INVOKE_FRAME, [b"a"])
+            batch_open(c, batch, columns)
+        assert [bytes(column) for column in columns] == before
+        with pytest.raises(TypeError):
+            batch_reply(c, batch_open(c, [invoke_box(c)])[2], batch)
 
     def test_results_must_match_the_batch(self, c):
         batch = batch_open(c, [invoke_box(c)])[2]
@@ -171,8 +169,6 @@ class TestBatchItems:
 class TestEmptyBatches:
     def test_every_batch_entry_point_takes_an_empty_batch(self, c):
         assert c.sha256_many([]) == []
-        assert c.seal_boxes(ENC, MAC, [], INVOKE_FRAME, []) == []
-        assert c.open_boxes(ENC, MAC, INVOKE_FRAME, []) == []
         columns = v_columns()
         ops, violation, batch, sequence, chain = batch_open(c, [], columns, sequence=5)
         assert (ops, violation, sequence, chain) == ([], None, 5, GENESIS_HASH)
@@ -230,8 +226,6 @@ def _call_sites(c, box):
         "seal_box": (c.seal_box, (ENC, MAC, NONCE, INVOKE_FRAME, b"pt")),
         "open_box": (c.open_box, (ENC, MAC, INVOKE_FRAME, box)),
         "stream_box": (c.stream_box, (ENC, NONCE, b"pt")),
-        "seal_boxes": (c.seal_boxes, (ENC, MAC, [NONCE], INVOKE_FRAME, [b"pt"])),
-        "open_boxes": (c.open_boxes, (ENC, MAC, INVOKE_FRAME, [box])),
         "seal_invoke": (c.seal_invoke, (
             ENC, MAC, NONCE, INVOKE_FRAME, INVOKE_PREFIX, 0, GENESIS_HASH, b"o", 1, False,
         )),

@@ -73,7 +73,6 @@ class _pinned_entropy:
         self._aead = aead
         self._original_fresh = messages._fresh_nonce
         self._original_aead_fresh = aead._fresh_nonce
-        self._original_aead_freshes = aead._fresh_nonces
         self._original_urandom = os.urandom
         nonce_state = {"next": 0}
 
@@ -99,7 +98,6 @@ class _pinned_entropy:
 
         messages._fresh_nonce = fresh
         aead._fresh_nonce = fresh
-        aead._fresh_nonces = lambda count: [fresh() for _ in range(count)]
         os.urandom = deterministic_urandom
         # Admin's rng keyword default bound the real os.urandom at import
         from repro.core.bootstrap import Admin
@@ -112,7 +110,6 @@ class _pinned_entropy:
     def __exit__(self, *exc):
         self._messages._fresh_nonce = self._original_fresh
         self._aead._fresh_nonce = self._original_aead_fresh
-        self._aead._fresh_nonces = self._original_aead_freshes
         os.urandom = self._original_urandom
         self._admin_init.__kwdefaults__["rng"] = self._admin_default
         return False
@@ -413,7 +410,6 @@ def _pinned() -> bytes:
     return _state["next"].to_bytes(12, "big")
 messages._fresh_nonce = _pinned
 aead._fresh_nonce = _pinned
-aead._fresh_nonces = lambda count: [_pinned() for _ in range(count)]
 from repro.kvstore import get, put
 from repro.sharding import ShardRouter, ShardedCluster
 cluster = ShardedCluster(shards=2, clients=2, seed=37)
