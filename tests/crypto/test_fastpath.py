@@ -85,6 +85,10 @@ def compiled():
     fastpath.BACKEND = previous
 
 
+def _tags(key, ad, segments):
+    return [aead._tag_for(key, b"", ad, seg) for seg in segments]
+
+
 class TestBackendEquivalence:
     # 4100 blocks run past the hashlib loop's precomputed counter table
     @pytest.mark.parametrize("nblocks", sorted({0, 2, 200, 4100, *LANE_EDGES}))
@@ -114,25 +118,21 @@ class TestBackendEquivalence:
         for backend in _all_backends():
             assert backend.blocks(prefix, 4) == expected, backend.name
 
-    def test_tags_match_stdlib_on_every_backend(self):
-        """The hashlib tier's tag (cloning the key's cached pad states,
-        over bytes or the memoryview slices ``auth_decrypt`` passes) and
-        every tier's boxes are stdlib-identical, and the cached key
-        schedule is safe across calls and keys."""
+    def test_batch_hmac_matches_stdlib_on_every_backend(self):
+        """The hashlib tier's tag over a batch of segments (cloning the
+        key's cached pad states) and every tier's boxes are
+        stdlib-identical, and the cached key schedule is safe across calls
+        and keys."""
         ad = b"lcm/invoke"
         segments = [os.urandom(151) for _ in range(7)] + [b"", os.urandom(3000)]
         expected = [_reference_tag(MAC_KEY, ad, seg) for seg in segments]
         other = AeadKey(b"\x09" * 16)
-
-        def tags(key, segs):
-            return [aead._tag_for(key, b"", ad, seg) for seg in segs]
-
-        assert tags(KEY, segments) == expected
+        assert _tags(KEY, ad, segments) == expected
         # repeat (cached inner state) and an interleaved second key
-        assert tags(other, segments[:2]) == [
+        assert _tags(other, ad, segments[:2]) == [
             _reference_tag(other._mac_key, ad, seg) for seg in segments[:2]
         ]
-        assert tags(KEY, [memoryview(seg) for seg in segments]) == expected
+        assert _tags(KEY, ad, segments) == expected
         previous = fastpath.active_backend()
         try:
             for name in fastpath.available_backends():
@@ -143,6 +143,16 @@ class TestBackendEquivalence:
                 ], name
         finally:
             fastpath.BACKEND = previous
+
+    def test_batch_hmac_accepts_memoryview_segments(self):
+        """``auth_decrypt`` feeds the tag pass memoryview slices (the box
+        minus its tag); the tags must match those over bytes."""
+        ad = b"lcm/reply"
+        payloads = [os.urandom(60) for _ in range(4)]
+        views = [memoryview(payload) for payload in payloads]
+        assert _tags(KEY, ad, views) == [
+            _reference_tag(MAC_KEY, ad, payload) for payload in payloads
+        ]
 
     def test_modexp_matches_pow(self, compiled):
         """The DH kernel against ``pow`` over group 14: seeded random
